@@ -27,11 +27,9 @@ import (
 //	                      counts toward ejection.
 //	gateway.EpochNode     GET /metricsz, reading registry.seq: the backend's
 //	                      registry snapshot sequence is its route epoch.
-//	gateway.ChangeApplier POST /v1/models/reload. itask-serve has no
-//	                      stage/commit surface, so Propagate uses its
-//	                      apply-then-epoch-barrier fallback: the reload runs
-//	                      on every backend and the gateway blocks until the
-//	                      whole fleet's registry sequence converges.
+//	gateway.ChangeApplier POST /v1/models/reload: Propagate runs the reload
+//	                      on every backend and blocks until the whole
+//	                      fleet's registry sequence converges.
 type httpNode struct {
 	base string
 	hc   *http.Client

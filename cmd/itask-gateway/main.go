@@ -119,10 +119,6 @@ import (
 	"itask/internal/wire"
 )
 
-// maxBodyBytes mirrors the itask-serve request bound: relaying a body the
-// backend would reject at its own door wastes a round trip.
-const maxBodyBytes = 4 << 20
-
 func main() {
 	def := gateway.DefaultConfig()
 	addr := flag.String("addr", ":8080", "listen address")
@@ -262,7 +258,7 @@ func (a *app) announce(w http.ResponseWriter, r *http.Request) {
 		u := r.URL.Query().Get("url")
 		if u == "" {
 			var req announceRequest
-			if buf, err := readBody(w, r, 1<<16); err == nil {
+			if buf, err := wire.ReadBody(w, r, 1<<16); err == nil {
 				_ = json.Unmarshal(buf.Bytes(), &req)
 				buf.Release()
 			}
@@ -270,35 +266,35 @@ func (a *app) announce(w http.ResponseWriter, r *http.Request) {
 		}
 		u = strings.TrimSuffix(strings.TrimSpace(u), "/")
 		if u == "" {
-			httpError(w, http.StatusBadRequest, "leave needs the member url (?url= or JSON body)")
+			wire.WriteError(w, http.StatusBadRequest, "leave needs the member url (?url= or JSON body)")
 			return
 		}
 		if !a.g.Leave(u) {
-			httpError(w, http.StatusNotFound, "unknown member "+u)
+			wire.WriteError(w, http.StatusNotFound, "unknown member "+u)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"left": u})
+		wire.WriteJSON(w, http.StatusOK, map[string]any{"left": u})
 		return
 	default:
-		httpError(w, http.StatusMethodNotAllowed, "POST to announce/renew, DELETE to leave")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "POST to announce/renew, DELETE to leave")
 		return
 	}
 
-	buf, err := readBody(w, r, 1<<16)
+	buf, err := wire.ReadBody(w, r, 1<<16)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "unreadable request body")
+		wire.WriteError(w, http.StatusBadRequest, "unreadable request body")
 		return
 	}
 	var req announceRequest
 	uerr := json.Unmarshal(buf.Bytes(), &req)
 	buf.Release() // Unmarshal copied everything it kept
 	if uerr != nil {
-		httpError(w, http.StatusBadRequest, "announce body must be JSON: "+uerr.Error())
+		wire.WriteError(w, http.StatusBadRequest, "announce body must be JSON: "+uerr.Error())
 		return
 	}
 	base := strings.TrimSuffix(strings.TrimSpace(req.URL), "/")
 	if u, err := url.Parse(base); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		httpError(w, http.StatusBadRequest, "announce url must be a dialable http(s) base URL")
+		wire.WriteError(w, http.StatusBadRequest, "announce url must be a dialable http(s) base URL")
 		return
 	}
 	e, err := a.g.Announce(&httpNode{base: base, hc: a.hc}, member.Meta{
@@ -308,36 +304,19 @@ func (a *app) announce(w http.ResponseWriter, r *http.Request) {
 	})
 	switch {
 	case errors.Is(err, member.ErrNoLeases):
-		httpError(w, http.StatusNotImplemented, "lease-based membership disabled; start the gateway with -lease-ttl")
+		wire.WriteError(w, http.StatusNotImplemented, "lease-based membership disabled; start the gateway with -lease-ttl")
 		return
 	case err != nil:
-		httpError(w, http.StatusBadRequest, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"id":              e.ID,
 		"state":           e.State.String(),
 		"weight":          e.Weight,
 		"lease_ms":        a.leaseTTL.Milliseconds(),
 		"committed_epoch": a.g.CommittedEpoch(),
 	})
-}
-
-// routeProbe is the loose decode of a detect body used only to derive the
-// routing key; full validation is the backend's job — except the tenant id,
-// which the gateway validates itself because it becomes an accounting key
-// here, before any backend sees it.
-type routeProbe struct {
-	Task   string `json:"task"`
-	Tenant string `json:"tenant"`
-	Image  *struct {
-		Shape []int     `json:"shape"`
-		Data  []float32 `json:"data"`
-	} `json:"image"`
-	Scene *struct {
-		Domain string `json:"domain"`
-		Seed   uint64 `json:"seed"`
-	} `json:"scene"`
 }
 
 // routeKeyFrame derives the routing identity of a binary tensor frame from
@@ -365,10 +344,12 @@ func routeKeyFrame(body []byte) gateway.Key {
 // frame's gateway shard is the shard whose cache can hold its result. Scene
 // bodies are deterministic renders, so (task, domain, seed) is their content
 // identity — repeats of a seed land on (and hit in) one shard's cache, and a
-// viral seed participates in hot-key replication. Undecodable bodies fall
-// back to the task key and let the backend issue the 400.
+// viral seed participates in hot-key replication. The decode is loose — it
+// only derives the key, full validation is the backend's job — and
+// undecodable bodies fall back to the task key and let the backend issue the
+// 400.
 func routeKey(body []byte) gateway.Key {
-	var rp routeProbe
+	var rp wire.DetectBody
 	if err := json.Unmarshal(body, &rp); err != nil {
 		return gateway.Key{}
 	}
@@ -389,46 +370,24 @@ func routeKey(body []byte) gateway.Key {
 	return k
 }
 
-// maxTenantLen and validateTenant mirror the itask-serve edge: tenant ids
-// become accounting keys at the gateway (and scheduler keys at the shard),
-// so both doors hold the same line — short, printable, or rejected with 400.
-const maxTenantLen = 64
-
-func validateTenant(tenant string) error {
-	if len(tenant) > maxTenantLen {
-		return fmt.Errorf("tenant id exceeds %d bytes", maxTenantLen)
-	}
-	for _, b := range []byte(tenant) {
-		if b < 0x20 || b == 0x7f {
-			return errors.New("tenant id contains control characters")
-		}
-	}
-	return nil
-}
-
 func (a *app) detect(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	buf, err := readBody(w, r, maxBodyBytes)
+	buf, err := wire.ReadBody(w, r, wire.MaxBodyBytes)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", mbe.Limit))
-		} else {
-			httpError(w, http.StatusBadRequest, "unreadable request body")
-		}
+		wire.WriteBodyError(w, err)
 		return
 	}
 	body := buf.Bytes()
 
 	// The tenant rides the body ("tenant" field) or the X-Itask-Tenant
 	// header, body winning — the same precedence the shard applies. It is
-	// validated here because it keys the gateway's own per-tenant accounting
-	// and the monopolization guard. Binary frames carry both identities in
-	// the fixed header, so deriving the key never touches the payload except
-	// to hash it.
+	// validated here, by the shard's own rule, because it keys the gateway's
+	// per-tenant accounting and the monopolization guard before any backend
+	// sees it. Binary frames carry both identities in the fixed header, so
+	// deriving the key never touches the payload except to hash it.
 	contentType := r.Header.Get("Content-Type")
 	var key gateway.Key
 	if strings.HasPrefix(contentType, wire.ContentType) {
@@ -439,9 +398,9 @@ func (a *app) detect(w http.ResponseWriter, r *http.Request) {
 	if key.Tenant == "" {
 		key.Tenant = r.Header.Get("X-Itask-Tenant")
 	}
-	if verr := validateTenant(key.Tenant); verr != nil {
+	if verr := wire.ValidateTenant(key.Tenant); verr != nil {
 		buf.Release()
-		httpError(w, http.StatusBadRequest, verr.Error())
+		wire.WriteError(w, http.StatusBadRequest, verr.Error())
 		return
 	}
 
@@ -488,43 +447,32 @@ func (a *app) detect(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(relay.body)
 }
 
-// readBody drains a request body into a pooled buffer bounded by limit,
-// pre-sized by the declared Content-Length (chunked or absurd declarations
-// start small and grow as real bytes arrive).
-func readBody(w http.ResponseWriter, r *http.Request, limit int) (*wire.Buf, error) {
-	hint := int(r.ContentLength)
-	if hint < 0 || hint > limit {
-		hint = 0
-	}
-	return wire.ReadAll(http.MaxBytesReader(w, r.Body, int64(limit)), hint)
-}
-
 // writeRouteError maps a routing failure (every attempt exhausted) onto a
 // status the client can act on.
 func (a *app) writeRouteError(w http.ResponseWriter, err error) {
 	switch {
 	case err == nil:
-		httpError(w, http.StatusBadGateway, "no backend response")
+		wire.WriteError(w, http.StatusBadGateway, "no backend response")
 	case errors.Is(err, gateway.ErrNoNodes):
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		wire.WriteError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		httpError(w, http.StatusGatewayTimeout, err.Error())
+		wire.WriteError(w, http.StatusGatewayTimeout, err.Error())
 	case gateway.Classify(err) == gateway.ClassOverload:
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, err.Error())
+		wire.WriteError(w, http.StatusTooManyRequests, err.Error())
 	default:
-		httpError(w, http.StatusBadGateway, err.Error())
+		wire.WriteError(w, http.StatusBadGateway, err.Error())
 	}
 }
 
 func (a *app) reload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "unreadable request body")
+		wire.WriteError(w, http.StatusBadRequest, "unreadable request body")
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), a.propagateTimeout)
@@ -537,10 +485,10 @@ func (a *app) reload(w http.ResponseWriter, r *http.Request) {
 			// in time; the committed epoch still names the target.
 			code = http.StatusGatewayTimeout
 		}
-		writeJSON(w, code, map[string]any{"error": err.Error(), "epoch": epoch})
+		wire.WriteJSON(w, code, map[string]any{"error": err.Error(), "epoch": epoch})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"epoch": epoch})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"epoch": epoch})
 }
 
 func (a *app) healthz(w http.ResponseWriter, r *http.Request) {
@@ -557,20 +505,9 @@ func (a *app) healthz(w http.ResponseWriter, r *http.Request) {
 	if available == 0 {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{"backends": len(snap.Nodes), "available": available})
+	wire.WriteJSON(w, code, map[string]any{"backends": len(snap.Nodes), "available": available})
 }
 
 func (a *app) metricsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, a.g.Snapshot())
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
-}
-
-// writeJSON routes every gateway-originated response through the shared
-// pooled encoder, which also pins Content-Type: application/json on all of
-// them (relayed shard responses carry the shard's own header).
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	wire.WriteJSON(w, code, v)
+	wire.WriteJSON(w, http.StatusOK, a.g.Snapshot())
 }

@@ -27,6 +27,7 @@ type fakeBackend struct {
 	detects    int
 	reloads    int
 	status     int    // non-zero forces every detect to this status
+	failReload bool   // reloads answer 500 and leave seq alone
 	lastTenant string // X-Itask-Tenant seen on the latest detect
 }
 
@@ -89,8 +90,16 @@ func newFakeBackend(name string) *fakeBackend {
 	mux.HandleFunc("/v1/models/reload", func(w http.ResponseWriter, r *http.Request) {
 		b.mu.Lock()
 		b.reloads++
-		b.seq++
+		fail := b.failReload
+		if !fail {
+			b.seq++
+		}
 		b.mu.Unlock()
+		if fail {
+			w.WriteHeader(http.StatusInternalServerError)
+			fmt.Fprint(w, `{"error":"checkpoint unreadable"}`)
+			return
+		}
 		fmt.Fprint(w, `{"reloaded":["teacher"]}`)
 	})
 	b.srv = httptest.NewServer(mux)
@@ -314,6 +323,78 @@ func TestReloadPropagatesFleetWide(t *testing.T) {
 	}
 	if a.g.CommittedEpoch() != out.Epoch {
 		t.Fatalf("committed epoch %d != reported %d", a.g.CommittedEpoch(), out.Epoch)
+	}
+}
+
+// A backend whose reload fails is out of step with a change the rest of the
+// fleet took: the reload answers 502 naming it and the committed epoch,
+// /metricsz shows it lagging, no detect reaches it — and once it catches up
+// (here: its seq advances out of band) the prober readmits it.
+func TestReloadFailedBackendLagsUntilItConverges(t *testing.T) {
+	b0, b1, b2 := newFakeBackend("b0"), newFakeBackend("b1"), newFakeBackend("b2")
+	b1.failReload = true
+	cfg := passiveCfg()
+	cfg.BarrierPoll = 5 * time.Millisecond
+	cfg.ProbeInterval = 10 * time.Millisecond
+	cfg.ProbeTimeout = time.Second
+	_, front := newTestApp(t, cfg, b0, b1, b2)
+
+	resp, err := http.Post(front.URL+"/v1/models/reload", "application/json", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var out struct {
+		Epoch uint64 `json:"epoch"`
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadGateway || out.Epoch != 2 || !strings.Contains(out.Error, b1.srv.URL) {
+		t.Fatalf("reload with one failing backend: %d %s, want 502 at epoch 2 naming %s", resp.StatusCode, body, b1.srv.URL)
+	}
+
+	laggingB1 := func() bool {
+		resp, err := http.Get(front.URL + "/metricsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap gateway.Snapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range snap.Nodes {
+			if n.ID == b1.srv.URL {
+				return n.Lagging
+			}
+		}
+		t.Fatalf("%s missing from /metricsz", b1.srv.URL)
+		return false
+	}
+	if !laggingB1() {
+		t.Fatal("backend that failed its reload is not lagging in /metricsz")
+	}
+	for seed := 0; seed < 90; seed++ {
+		if resp, body := postDetect(t, front, sceneBody("patrol", seed)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("detect beside a lagging backend: %d %s", resp.StatusCode, body)
+		}
+	}
+	if n := b1.detectCount(); n != 0 {
+		t.Fatalf("lagging backend received %d routed requests", n)
+	}
+
+	b1.mu.Lock()
+	b1.seq = out.Epoch
+	b1.mu.Unlock()
+	waitFor(t, 2*time.Second, "the prober to readmit the converged backend", func() bool { return !laggingB1() })
+	for seed := 0; seed < 90 && b1.detectCount() == 0; seed++ {
+		postDetect(t, front, sceneBody("patrol", seed))
+	}
+	if b1.detectCount() == 0 {
+		t.Fatal("readmitted backend still receives no traffic")
 	}
 }
 

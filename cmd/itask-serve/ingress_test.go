@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
+	"testing/iotest"
 
 	"itask/internal/serve"
 	"itask/internal/tensor"
@@ -121,7 +122,11 @@ func TestDetectBinaryAndJSONAreEquivalent(t *testing.T) {
 
 func TestParseDetectFrame(t *testing.T) {
 	_, binBody := testFrameBodies(t)
-	dr, img, err := parseDetectFrame(binBody, testImageSize)
+	dr, err := parseDetect(wire.ContentType, binBody, testImageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := buildImage(dr, testImageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +155,13 @@ func TestParseDetectFrame(t *testing.T) {
 		{"not a frame", []byte(`{"task":"patrol"}`)},
 		{"truncated", wire.AppendFrame(nil, "patrol", "", 0, shape, data)[:40]},
 		{"missing task", wire.AppendFrame(nil, "", "", 0, shape, data)},
-		{"oversized tenant", wire.AppendFrame(nil, "patrol", strings.Repeat("x", 65), 0, shape, data)},
+		// One tenant case shows the frame path reaches the shared Check; its
+		// full table is internal/wire's TestDetectBodyCheck.
 		{"control-char tenant", wire.AppendFrame(nil, "patrol", "a\x01b", 0, shape, data)},
 		{"wrong shape", wire.AppendFrame(nil, "patrol", "", 0, [3]int{3, 4, 4}, make([]float32, 48))},
 	}
 	for _, tc := range cases {
-		if _, _, err := parseDetectFrame(tc.body, testImageSize); err == nil {
+		if _, err := parseDetect(wire.ContentType, tc.body, testImageSize); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
@@ -184,14 +190,18 @@ func FuzzParseDetectFrame(f *testing.F) {
 	}
 	f.Add(hostile)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		dr, img, err := parseDetectFrame(body, testImageSize)
+		dr, err := parseDetect(wire.ContentType, body, testImageSize)
 		if err != nil {
 			return
+		}
+		img, err := buildImage(dr, testImageSize)
+		if err != nil {
+			t.Fatalf("validated frame failed to build: %v", err)
 		}
 		if dr.Task == "" {
 			t.Fatalf("accepted frame without task")
 		}
-		if len(dr.Tenant) > maxTenantLen {
+		if len(dr.Tenant) > wire.MaxTenantLen {
 			t.Fatal("accepted oversized tenant id")
 		}
 		for _, b := range []byte(dr.Tenant) {
@@ -225,7 +235,12 @@ func TestDetectErrorResponsesCarryJSONContentType(t *testing.T) {
 		{"bad JSON", postDetect(h, []byte(`{`), "application/json"), http.StatusBadRequest},
 		{"trailing garbage", postDetect(h, []byte(`{"task":"patrol","scene":{"domain":"driving"}}]`), ""), http.StatusBadRequest},
 		{"binary garbage", postDetect(h, []byte("not a frame"), wire.ContentType), http.StatusBadRequest},
-		{"oversized", postDetect(h, bytes.Repeat([]byte("x"), maxBodyBytes+1), ""), http.StatusRequestEntityTooLarge},
+		{"oversized", postDetect(h, bytes.Repeat([]byte("x"), wire.MaxBodyBytes+1), ""), http.StatusRequestEntityTooLarge},
+		{"unreadable", func() *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			h.detect(rec, httptest.NewRequest(http.MethodPost, "/v1/detect", iotest.ErrReader(errors.New("connection reset"))))
+			return rec
+		}(), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if tc.rec.Code != tc.code {
@@ -259,8 +274,6 @@ func BenchmarkServeIngress(b *testing.B) {
 		b.Fatal(err)
 	}
 	binBody := wire.AppendFrame(nil, "patrol", "", 0, [3]int{3, size, size}, data)
-	h := &handler{imageSize: size}
-
 	run := func(b *testing.B, body []byte, contentType string) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
@@ -271,10 +284,14 @@ func BenchmarkServeIngress(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			_, img, err := h.parseDetect(contentType, buf.Bytes())
+			dr, err := parseDetect(contentType, buf.Bytes(), size)
+			if err != nil {
+				b.Fatalf("parse: %v", err)
+			}
+			img, err := buildImage(dr, size)
 			buf.Release()
 			if err != nil || img == nil {
-				b.Fatalf("parse: %v", err)
+				b.Fatalf("build: %v", err)
 			}
 		}
 	}

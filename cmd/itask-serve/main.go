@@ -327,38 +327,33 @@ type detectResponse struct {
 
 func (h *handler) detect(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	buf, err := readBody(w, r)
+	buf, err := wire.ReadBody(w, r, wire.MaxBodyBytes)
 	if err != nil {
-		// Only an actual entity-too-large condition is 413; other read
-		// failures (client disconnects, network errors) are the request's
-		// problem, not its size.
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", mbe.Limit))
-		} else {
-			httpError(w, http.StatusBadRequest, "unreadable request body")
-		}
+		wire.WriteBodyError(w, err)
 		return
 	}
-	// Both parsers copy everything that outlives them (JSON decoding copies
-	// by construction; the frame path copies the payload into a fresh
-	// tensor), so the pooled body can be recycled the moment the handler
-	// returns even if a watchdog-abandoned execution is still running.
+	// Both decoders copy everything that outlives them (JSON decoding copies
+	// by construction; the frame path copies the payload out), so the pooled
+	// body can be recycled the moment the handler returns even if a
+	// watchdog-abandoned execution is still running.
 	defer buf.Release()
-	dr, img, err := h.parseDetect(r.Header.Get("Content-Type"), buf.Bytes())
+	dr, err := parseDetect(r.Header.Get("Content-Type"), buf.Bytes(), h.imageSize)
+	var img *tensor.Tensor
+	if err == nil {
+		img, err = buildImage(dr, h.imageSize)
+	}
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	tenant := dr.Tenant
 	if tenant == "" {
 		tenant = r.Header.Get("X-Itask-Tenant")
-		if err := validateTenant(tenant); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+		if err := wire.ValidateTenant(tenant); err != nil {
+			wire.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}
@@ -371,7 +366,7 @@ func (h *handler) detect(w http.ResponseWriter, r *http.Request) {
 		if ra, ok := retryAfter(err); ok {
 			w.Header().Set("Retry-After", strconv.Itoa(ra))
 		}
-		httpError(w, statusOf(err), err.Error())
+		wire.WriteError(w, statusOf(err), err.Error())
 		return
 	}
 	dets, _ := res.Payload.([]itask.Detection)
@@ -384,7 +379,7 @@ func (h *handler) detect(w http.ResponseWriter, r *http.Request) {
 	// Echo the normalized attribution so callers (and the gateway's smoke
 	// tooling) can see which tenant's ledger the request landed on.
 	w.Header().Set("X-Itask-Tenant", res.Tenant)
-	writeJSON(w, http.StatusOK, detectResponse{
+	wire.WriteJSON(w, http.StatusOK, detectResponse{
 		Task:       dr.Task,
 		Model:      res.Model,
 		BatchSize:  res.BatchSize,
@@ -397,42 +392,13 @@ func (h *handler) detect(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// parseDetect routes a /v1/detect body to the decoder its Content-Type
-// declares: a binary tensor frame for application/x-itask-tensor (parameters
-// after the media type are tolerated), the JSON parser for everything else.
-func (h *handler) parseDetect(contentType string, body []byte) (*detectRequest, *tensor.Tensor, error) {
-	if strings.HasPrefix(contentType, wire.ContentType) {
-		return parseDetectFrame(body, h.imageSize)
-	}
-	dr, err := parseDetectRequest(body, h.imageSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	img, err := dr.buildImage(h.imageSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dr, img, nil
-}
-
-// readBody drains a request body into a pooled buffer, bounded by
-// maxBodyBytes. The declared Content-Length pre-sizes the buffer class;
-// chunked or absurd declarations start small and grow as real bytes arrive.
-func readBody(w http.ResponseWriter, r *http.Request) (*wire.Buf, error) {
-	hint := int(r.ContentLength)
-	if hint < 0 || hint > maxBodyBytes {
-		hint = 0
-	}
-	return wire.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes), hint)
-}
-
 func (h *handler) tasks(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"tasks": h.pipe.Tasks()})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"tasks": h.pipe.Tasks()})
 }
 
 func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
 	rep, code := computeHealth(h.srv.Draining(), h.pipe.Tasks(), h.srv.Snapshot().Breakers, h.fallbackFor)
-	writeJSON(w, code, rep)
+	wire.WriteJSON(w, code, rep)
 }
 
 // fallbackFor reports the degraded-configuration variant that could serve a
@@ -454,19 +420,19 @@ type reloadRequest struct {
 
 func (h *handler) reload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	buf, err := readBody(w, r)
+	buf, err := wire.ReadBody(w, r, wire.MaxBodyBytes)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "unreadable request body")
+		wire.WriteBodyError(w, err)
 		return
 	}
 	defer buf.Release()
 	var req reloadRequest
 	if body := buf.Bytes(); len(bytes.TrimSpace(body)) > 0 {
 		if err := json.Unmarshal(body, &req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad reload request: "+err.Error())
+			wire.WriteError(w, http.StatusBadRequest, "bad reload request: "+err.Error())
 			return
 		}
 	}
@@ -475,7 +441,7 @@ func (h *handler) reload(w http.ResponseWriter, r *http.Request) {
 		dir = h.modelsDir
 	}
 	if dir == "" {
-		httpError(w, http.StatusBadRequest, `no models directory: pass {"dir": ...} or start with -models`)
+		wire.WriteError(w, http.StatusBadRequest, `no models directory: pass {"dir": ...} or start with -models`)
 		return
 	}
 	loaded, skipped, err := reloadModels(h.pipe, dir)
@@ -484,17 +450,17 @@ func (h *handler) reload(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, fs.ErrNotExist) {
 			code = http.StatusNotFound
 		}
-		httpError(w, code, err.Error())
+		wire.WriteError(w, code, err.Error())
 		return
 	}
 	if loaded == nil {
 		loaded = []string{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"reloaded": loaded, "skipped": skipped})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"reloaded": loaded, "skipped": skipped})
 }
 
 func (h *handler) metricsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, h.srv.Snapshot())
+	wire.WriteJSON(w, http.StatusOK, h.srv.Snapshot())
 }
 
 // statusOf maps serving-layer errors onto HTTP status codes: malformed
@@ -564,7 +530,7 @@ func parseTenantWeights(s string) (map[string]int, error) {
 		if !ok || name == "" {
 			return nil, fmt.Errorf("bad -tenant-weights entry %q, want name=weight", pair)
 		}
-		if err := validateTenant(name); err != nil {
+		if err := wire.ValidateTenant(name); err != nil {
 			return nil, fmt.Errorf("bad -tenant-weights tenant %q: %v", name, err)
 		}
 		w, err := strconv.Atoi(val)
@@ -577,15 +543,4 @@ func parseTenantWeights(s string) (map[string]int, error) {
 		weights[name] = w
 	}
 	return weights, nil
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
-}
-
-// writeJSON routes every response — success and error alike — through the
-// shared pooled encoder, which also pins Content-Type: application/json on
-// all of them.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	wire.WriteJSON(w, code, v)
 }

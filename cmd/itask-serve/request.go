@@ -6,65 +6,44 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"itask/internal/scene"
 	"itask/internal/tensor"
 	"itask/internal/wire"
 )
 
-// maxBodyBytes bounds a /v1/detect body. A 64×64×3 image serialized as
-// JSON floats is ~150 KiB; 4 MiB leaves ample headroom while keeping a
-// hostile request from ballooning the decoder.
-const maxBodyBytes = 4 << 20
-
-// maxTenantLen bounds a tenant identifier. Tenant IDs become map keys in
-// the scheduler, quarantine entries, and metrics labels, so the edge keeps
-// them short and printable rather than letting a client mint unbounded or
-// log-hostile strings.
-const maxTenantLen = 64
-
-// validateTenant checks a tenant identifier from the body's "tenant" field
-// or the X-Itask-Tenant header. Empty is fine (the serving layer assigns
-// the default tenant); anything present must be short and free of control
-// characters.
-func validateTenant(tenant string) error {
-	if len(tenant) > maxTenantLen {
-		return fmt.Errorf("tenant id exceeds %d bytes", maxTenantLen)
+// parseDetect decodes a /v1/detect body with the decoder its Content-Type
+// declares — a binary tensor frame for application/x-itask-tensor
+// (parameters after the media type are tolerated), JSON for everything else
+// — and validates it against the server's image size. Both decoders fill a
+// wire.DetectBody and both end in its Check, so the two encodings cannot
+// disagree about what a valid request is. Every return path is either a
+// request buildImage can materialize or an error fit for HTTP 400 — the
+// function must never panic, whatever the bytes (both decoders are fuzzed
+// through it).
+func parseDetect(contentType string, body []byte, imageSize int) (*wire.DetectBody, error) {
+	decode := decodeJSON
+	if strings.HasPrefix(contentType, wire.ContentType) {
+		decode = decodeFrame
 	}
-	for _, b := range []byte(tenant) {
-		if b < 0x20 || b == 0x7f {
-			return errors.New("tenant id contains control characters")
+	dr, err := decode(body)
+	if err != nil {
+		return nil, err
+	}
+	if err := dr.Check(imageSize); err != nil {
+		return nil, err
+	}
+	if dr.Scene != nil {
+		if _, ok := scene.DomainByName(dr.Scene.Domain); !ok {
+			return nil, fmt.Errorf("unknown domain %q", dr.Scene.Domain)
 		}
 	}
-	return nil
+	return dr, nil
 }
 
-// detectRequest is the POST /v1/detect body. Exactly one of Image and Scene
-// must be set: Image carries raw pixels, Scene renders a synthetic scene
-// server-side (handy for curl demos).
-type detectRequest struct {
-	Task string `json:"task"`
-	// Tenant attributes the request for weighted-fair scheduling and
-	// budgets; it wins over the X-Itask-Tenant header when both are set.
-	Tenant string `json:"tenant,omitempty"`
-	Image  *struct {
-		Shape []int     `json:"shape"`
-		Data  []float32 `json:"data"`
-	} `json:"image,omitempty"`
-	Scene *struct {
-		Domain string `json:"domain"`
-		Seed   uint64 `json:"seed"`
-	} `json:"scene,omitempty"`
-	TimeoutMS int `json:"timeout_ms,omitempty"`
-}
-
-// parseDetectRequest decodes and structurally validates a /v1/detect body
-// against the server's image size. Every return path is either a valid
-// request whose image spec can be materialized without allocation surprises,
-// or an error fit for HTTP 400 — the function must never panic, whatever the
-// bytes (it is fuzzed).
-func parseDetectRequest(body []byte, imageSize int) (*detectRequest, error) {
-	var dr detectRequest
+func decodeJSON(body []byte) (*wire.DetectBody, error) {
+	var dr wire.DetectBody
 	dec := json.NewDecoder(bytes.NewReader(body))
 	if err := dec.Decode(&dr); err != nil {
 		return nil, fmt.Errorf("bad JSON: %v", err)
@@ -76,79 +55,33 @@ func parseDetectRequest(body []byte, imageSize int) (*detectRequest, error) {
 	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
 		return nil, errors.New("trailing data after JSON body")
 	}
-	if dr.Task == "" {
-		return nil, errors.New("missing task")
-	}
-	if err := validateTenant(dr.Tenant); err != nil {
-		return nil, err
-	}
-	if dr.TimeoutMS < 0 {
-		return nil, fmt.Errorf("negative timeout_ms %d", dr.TimeoutMS)
-	}
-	switch {
-	case dr.Image != nil && dr.Scene != nil:
-		return nil, errors.New("set either image or scene, not both")
-	case dr.Image == nil && dr.Scene == nil:
-		return nil, errors.New("set image or scene")
-	case dr.Image != nil:
-		s := imageSize
-		sh := dr.Image.Shape
-		// Exact-shape check: dimension count, then each extent. Checking
-		// extents individually (rather than multiplying) sidesteps overflow
-		// on hostile dims like [3, 1<<40, 1<<40].
-		if len(sh) != 3 || sh[0] != 3 || sh[1] != s || sh[2] != s {
-			return nil, fmt.Errorf("image shape must be [3,%d,%d], got %v", s, s, sh)
-		}
-		if len(dr.Image.Data) != 3*s*s {
-			return nil, fmt.Errorf("image data has %d values, want %d", len(dr.Image.Data), 3*s*s)
-		}
-	case dr.Scene != nil:
-		if _, ok := scene.DomainByName(dr.Scene.Domain); !ok {
-			return nil, fmt.Errorf("unknown domain %q", dr.Scene.Domain)
-		}
-	}
 	return &dr, nil
 }
 
-// parseDetectFrame decodes and validates a binary (application/x-itask-tensor)
-// /v1/detect body, applying the same semantic rules as the JSON parser:
-// non-empty task, well-formed tenant, exact [3,S,S] shape. The returned
-// tensor is materialized by copying the payload out of body — body is a
-// pooled buffer the handler releases on return, while a watchdog-abandoned
-// execution may keep reading the image long after that, so the tensor must
-// not alias it. Never panics, whatever the bytes (it is fuzzed).
-func parseDetectFrame(body []byte, imageSize int) (*detectRequest, *tensor.Tensor, error) {
+// decodeFrame copies the payload out of body: body is a pooled buffer the
+// handler releases on return, while a watchdog-abandoned execution may keep
+// reading the image long after that, so the pixels must not alias it.
+func decodeFrame(body []byte) (*wire.DetectBody, error) {
 	fr, err := wire.ParseFrame(body)
 	if err != nil {
 		if errors.Is(err, wire.ErrNotFrame) {
-			return nil, nil, fmt.Errorf("Content-Type %s but body is not a tensor frame", wire.ContentType)
+			return nil, fmt.Errorf("Content-Type %s but body is not a tensor frame", wire.ContentType)
 		}
-		return nil, nil, err
+		return nil, err
 	}
-	dr := &detectRequest{
+	img := &wire.DetectImage{Shape: fr.Shape[:], Data: make([]float32, fr.Elems())}
+	wire.Float32s(fr.Payload, img.Data)
+	return &wire.DetectBody{
 		Task:      string(fr.Task),
 		Tenant:    string(fr.Tenant),
 		TimeoutMS: int(fr.TimeoutMS),
-	}
-	if dr.Task == "" {
-		return nil, nil, errors.New("missing task")
-	}
-	if err := validateTenant(dr.Tenant); err != nil {
-		return nil, nil, err
-	}
-	s := imageSize
-	if fr.Shape != [3]int{3, s, s} {
-		return nil, nil, fmt.Errorf("image shape must be [3,%d,%d], got %v", s, s, fr.Shape)
-	}
-	img := tensor.New(3, s, s)
-	wire.Float32s(fr.Payload, img.Data)
-	return dr, img, nil
+		Image:     img,
+	}, nil
 }
 
-// buildImage materializes the validated request's image or scene spec into
-// a (3,S,S) tensor. Must only be called on a request parseDetectRequest
-// accepted.
-func (dr *detectRequest) buildImage(imageSize int) (*tensor.Tensor, error) {
+// buildImage materializes a request parseDetect accepted into a (3,S,S)
+// tensor: the image's own pixels, or the rendered scene.
+func buildImage(dr *wire.DetectBody, imageSize int) (*tensor.Tensor, error) {
 	if dr.Image != nil {
 		return tensor.FromSlice(dr.Image.Data, 3, imageSize, imageSize), nil
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"itask/internal/serve"
+	"itask/internal/wire"
 )
 
 const testImageSize = 8
@@ -30,11 +31,11 @@ func validImageBody(t *testing.T) []byte {
 }
 
 func TestParseDetectRequestAcceptsValidBodies(t *testing.T) {
-	dr, err := parseDetectRequest(validImageBody(t), testImageSize)
+	dr, err := parseDetect("", validImageBody(t), testImageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := dr.buildImage(testImageSize)
+	img, err := buildImage(dr, testImageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestParseDetectRequestAcceptsValidBodies(t *testing.T) {
 		t.Errorf("built image shape %v", got)
 	}
 
-	dr, err = parseDetectRequest([]byte(`{"task":"patrol","scene":{"domain":"driving","seed":7},"timeout_ms":100}`), testImageSize)
+	dr, err = parseDetect("", []byte(`{"task":"patrol","scene":{"domain":"driving","seed":7},"timeout_ms":100}`), testImageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestParseDetectRequestAcceptsValidBodies(t *testing.T) {
 		t.Errorf("scene request parsed as %+v", dr)
 	}
 
-	dr, err = parseDetectRequest([]byte(`{"task":"patrol","tenant":"acme-prod","scene":{"domain":"driving"}}`), testImageSize)
+	dr, err = parseDetect("", []byte(`{"task":"patrol","tenant":"acme-prod","scene":{"domain":"driving"}}`), testImageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestParseDetectRequestRejectsMalformedBodies(t *testing.T) {
 		{"newline tenant", `{"task":"patrol","tenant":"a\nb","scene":{"domain":"driving"}}`},
 	}
 	for _, tc := range cases {
-		if _, err := parseDetectRequest([]byte(tc.body), testImageSize); err == nil {
+		if _, err := parseDetect("", []byte(tc.body), testImageSize); err == nil {
 			t.Errorf("%s: accepted %q", tc.name, tc.body)
 		}
 	}
@@ -112,7 +113,7 @@ func FuzzParseDetectRequest(f *testing.F) {
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte("\x00\xff\xfe"))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		dr, err := parseDetectRequest(body, testImageSize)
+		dr, err := parseDetect("", body, testImageSize)
 		if err != nil {
 			return
 		}
@@ -125,7 +126,7 @@ func FuzzParseDetectRequest(f *testing.F) {
 		if dr.TimeoutMS < 0 {
 			t.Fatalf("accepted negative timeout: %q", body)
 		}
-		if len(dr.Tenant) > maxTenantLen {
+		if len(dr.Tenant) > wire.MaxTenantLen {
 			t.Fatalf("accepted oversized tenant id: %q", body)
 		}
 		for _, b := range []byte(dr.Tenant) {
@@ -138,7 +139,7 @@ func FuzzParseDetectRequest(f *testing.F) {
 		// its own package tests; rebuilding scenes per fuzz input would
 		// dominate the run.)
 		if dr.Image != nil {
-			img, err := dr.buildImage(testImageSize)
+			img, err := buildImage(dr, testImageSize)
 			if err != nil {
 				t.Fatalf("validated image failed to build: %v", err)
 			}

@@ -167,7 +167,10 @@ func TestNetProxyPartition(t *testing.T) {
 // Mid-body reset: the client receives a truncated prefix and then a hard
 // error — never a clean EOF it could mistake for a complete response.
 func TestNetProxyResetMidBody(t *testing.T) {
-	// A backend that pushes a 10-byte body on accept.
+	// A backend that answers each request byte with a 10-byte body — the
+	// shape of a real reply. (A body pushed on accept can be relayed and
+	// reset before the client's connect has even returned, and then it is
+	// the dial that fails.)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -180,6 +183,10 @@ func TestNetProxyResetMidBody(t *testing.T) {
 				return
 			}
 			go func() {
+				if _, err := c.Read(make([]byte, 1)); err != nil {
+					c.Close()
+					return
+				}
 				c.Write([]byte("0123456789"))
 				time.Sleep(50 * time.Millisecond)
 				c.Close()
@@ -192,6 +199,9 @@ func TestNetProxyResetMidBody(t *testing.T) {
 	p.SetFault(chaos.NetResetMidBody)
 
 	c := dial(t, p.Addr())
+	if _, err := c.Write([]byte("?")); err != nil {
+		t.Fatalf("request write: %v", err)
+	}
 	c.SetReadDeadline(time.Now().Add(2 * time.Second))
 	total := 0
 	buf := make([]byte, 32)

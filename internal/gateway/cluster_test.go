@@ -22,37 +22,32 @@ func img(i int) *tensor.Tensor {
 	return t
 }
 
-// fakeCluster is shared bookkeeping across a fleet of fakeNodes, used to
-// assert the two-phase barrier: how many members had staged a change at the
-// moment any member committed it.
-type fakeCluster struct {
-	staged  atomic.Int32
-	aborted atomic.Int32
-}
-
 // fakeNode is an in-memory shard implementing every gateway node interface:
 // detection (attributing results to its current model version), probing,
-// route epochs, and two-phase registry changes.
+// route epochs, and registry changes. An applied change becomes visible to
+// RouteEpoch and Detect only applyDelay later — the shape of a backend whose
+// reload is asynchronous.
 type fakeNode struct {
 	id string
-	cl *fakeCluster
 
-	stageDelay time.Duration
-	stageErr   error
-	commitErr  error
+	applyDelay time.Duration
+	applyErr   error
 
-	mu        sync.Mutex
-	down      bool
-	gate      chan struct{} // non-nil: Detect blocks on it (holds in-flight)
-	version   string
-	epoch     uint64
-	staged    map[string]bool
-	commitSaw []int32 // cl.staged at each commit — the barrier evidence
-	served    int
+	mu      sync.Mutex
+	down    bool
+	gate    chan struct{} // non-nil: Detect blocks on it (holds in-flight)
+	version string
+	epoch   uint64
+	applied int // ApplyChange calls, failed ones included
+	served  int
+
+	// pending is an applied change not yet visible.
+	pendingVersion string
+	visibleAt      time.Time
 }
 
-func newFakeNode(id string, cl *fakeCluster) *fakeNode {
-	return &fakeNode{id: id, cl: cl, version: "v1", epoch: 1, staged: map[string]bool{}}
+func newFakeNode(id string) *fakeNode {
+	return &fakeNode{id: id, version: "v1", epoch: 1}
 }
 
 func (n *fakeNode) ID() string { return n.id }
@@ -68,6 +63,7 @@ func (n *fakeNode) Detect(_ context.Context, _ serve.Request) (serve.Result, err
 		<-gate
 	}
 	n.mu.Lock()
+	n.settleLocked()
 	n.served++
 	res := serve.Result{Model: n.version, BatchSize: 1}
 	n.mu.Unlock()
@@ -92,6 +88,7 @@ func (n *fakeNode) Probe(context.Context) error {
 func (n *fakeNode) RouteEpoch(context.Context) (uint64, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.settleLocked()
 	return n.epoch, nil
 }
 
@@ -101,47 +98,43 @@ func (n *fakeNode) setEpochAndVersion(ep uint64, v string) {
 	n.mu.Unlock()
 }
 
-func (n *fakeNode) StageChange(_ context.Context, c gateway.Change) error {
-	if n.stageDelay > 0 {
-		time.Sleep(n.stageDelay)
+// settleLocked activates a pending change whose delay has passed.
+func (n *fakeNode) settleLocked() {
+	if n.pendingVersion != "" && !time.Now().Before(n.visibleAt) {
+		n.version, n.pendingVersion = n.pendingVersion, ""
+		n.epoch++
 	}
-	if n.stageErr != nil {
-		return n.stageErr
-	}
-	n.mu.Lock()
-	n.staged[c.Fingerprint()] = true
-	n.mu.Unlock()
-	n.cl.staged.Add(1)
-	return nil
 }
 
-func (n *fakeNode) CommitChange(_ context.Context, c gateway.Change) (uint64, error) {
-	if n.commitErr != nil {
-		return 0, n.commitErr
-	}
+func (n *fakeNode) ApplyChange(_ context.Context, c gateway.Change) (uint64, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.staged[c.Fingerprint()] {
-		return 0, errors.New("commit of unstaged change")
+	n.applied++
+	if n.applyErr != nil {
+		return 0, n.applyErr
 	}
-	delete(n.staged, c.Fingerprint())
-	n.version = c.Payload.(string)
-	n.epoch++
-	n.commitSaw = append(n.commitSaw, n.cl.staged.Load())
+	n.pendingVersion, _ = c.Payload.(string)
+	if n.pendingVersion == "" {
+		n.pendingVersion = n.version // demote/rollback: epoch moves, version stays
+	}
+	n.visibleAt = time.Now().Add(n.applyDelay)
+	n.settleLocked()
+	if n.pendingVersion != "" {
+		return n.epoch + 1, nil
+	}
 	return n.epoch, nil
 }
 
-func (n *fakeNode) AbortChange(_ context.Context, c gateway.Change) error {
+func (n *fakeNode) applyCalls() int {
 	n.mu.Lock()
-	delete(n.staged, c.Fingerprint())
-	n.mu.Unlock()
-	n.cl.aborted.Add(1)
-	return nil
+	defer n.mu.Unlock()
+	return n.applied
 }
 
 func (n *fakeNode) currentVersion() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.settleLocked()
 	return n.version
 }
 
@@ -176,8 +169,7 @@ func newTestGateway(t *testing.T, cfg gateway.Config, nodes ...gateway.Node) *ga
 // successors, requests caught mid-death fail over, and not one client
 // request fails. Keys owned by the surviving shards never move.
 func TestClusterRehashOnNodeDeath(t *testing.T) {
-	cl := &fakeCluster{}
-	a, b, c := newFakeNode("shard-a", cl), newFakeNode("shard-b", cl), newFakeNode("shard-c", cl)
+	a, b, c := newFakeNode("shard-a"), newFakeNode("shard-b"), newFakeNode("shard-c")
 	g := newTestGateway(t, passiveConfig(), a, b, c)
 
 	imgs := make([]*tensor.Tensor, 240)
@@ -265,8 +257,7 @@ func TestClusterRehashOnNodeDeath(t *testing.T) {
 // shards; when one replica dies, the digest stays routable with zero failed
 // requests (the replica set re-forms over the survivors).
 func TestHotKeyReplicationSurvivesEjection(t *testing.T) {
-	cl := &fakeCluster{}
-	a, b, c := newFakeNode("shard-a", cl), newFakeNode("shard-b", cl), newFakeNode("shard-c", cl)
+	a, b, c := newFakeNode("shard-a"), newFakeNode("shard-b"), newFakeNode("shard-c")
 	cfg := passiveConfig()
 	cfg.HotThreshold = 8
 	cfg.HotReplicas = 2
@@ -323,9 +314,8 @@ func TestHotKeyReplicationSurvivesEjection(t *testing.T) {
 // undigestable traffic stays on one shard (batch-lane locality), and the
 // gateway counts the fallback.
 func TestTaskKeyFallback(t *testing.T) {
-	cl := &fakeCluster{}
 	g := newTestGateway(t, passiveConfig(),
-		newFakeNode("shard-a", cl), newFakeNode("shard-b", cl), newFakeNode("shard-c", cl))
+		newFakeNode("shard-a"), newFakeNode("shard-b"), newFakeNode("shard-c"))
 	ctx := context.Background()
 	for _, task := range []string{"patrol", "inspect", "survey", "count"} {
 		first := ""
@@ -349,8 +339,7 @@ func TestTaskKeyFallback(t *testing.T) {
 // Bounded load: concurrent arrivals for one (cold) key spill past the
 // saturated owner to ring successors instead of queueing behind it.
 func TestBoundedLoadSpill(t *testing.T) {
-	cl := &fakeCluster{}
-	a, b, c := newFakeNode("shard-a", cl), newFakeNode("shard-b", cl), newFakeNode("shard-c", cl)
+	a, b, c := newFakeNode("shard-a"), newFakeNode("shard-b"), newFakeNode("shard-c")
 	cfg := passiveConfig()
 	cfg.LoadFactor = 1.25
 	g := newTestGateway(t, cfg, a, b, c)

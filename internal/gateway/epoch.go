@@ -2,35 +2,36 @@ package gateway
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
+
+	"itask/internal/registry"
 )
 
 // epoch.go: cluster-wide registry-change propagation. Each shard carries
 // its own versioned model registry; the registry snapshot sequence is the
-// shard's route epoch. A publish applied shard-by-shard would leave a
-// window where shard A serves model v2 while shard B still serves v1 —
-// clients behind the gateway would see version flapping keyed by which
-// shard their frame hashes to. Propagate closes that window:
+// shard's route epoch. A publish applied shard-by-shard with nothing
+// watching would let shard A serve model v2 while shard B still serves v1
+// for as long as B takes — clients behind the gateway would see version
+// flapping keyed by which shard their frame hashes to. Propagate bounds
+// that window and makes it observable, with one algorithm:
 //
-//   - Two-phase (preferred, ChangeStager): every member stages the change
-//     (validates and holds it without activating); only when ALL stages
-//     succeed does the gateway commit, and a failed stage aborts the whole
-//     change everywhere. No shard activates a version any shard could not
-//     take, so the first new-version response implies cluster-wide
-//     readiness.
-//   - Single-phase fallback (ChangeApplier): the change is applied on all
-//     members concurrently and Propagate then barrier-polls each member's
-//     route epoch until the whole fleet has reached the change's epoch (or
-//     ctx expires). The flap window exists but is bounded and observable.
+//   - the change is validated once, at the gateway, before any member is
+//     touched — a malformed change is refused with the fleet unchanged;
+//   - it is applied on every ring member concurrently;
+//   - the committed epoch — the fleet highwater every member is compared
+//     against — advances to the highest epoch any member reached;
+//   - Propagate then barrier-polls each member's route epoch and returns
+//     once the whole fleet routes at the committed epoch (or ctx expires).
 //
-// Either way Propagate advances the gateway's committed epoch — the fleet
-// highwater the prober compares members against. A member later observed
-// below it (it rebooted with stale models, it missed a commit) is marked
-// lagging and excluded from routing until it catches up, so staleness is a
-// routing condition, not a silent wrong answer.
+// From the moment the committed epoch advances, a member observed below it
+// — its apply failed, its activation is slow, it rebooted with stale models
+// — is lagging: routing skips it until the barrier, the prober or its own
+// heartbeat sees it catch up. Staleness is a routing condition, not a
+// silent wrong answer, and a member that never converges costs the fleet
+// its capacity, not its consistency.
 
 // Registry-change operations.
 const (
@@ -55,135 +56,53 @@ type Change struct {
 	Payload any
 }
 
-// Fingerprint keys a change for stage/commit matching on a node.
-func (c Change) Fingerprint() string {
-	return fmt.Sprintf("%s|%s|%T", c.Op, c.Target, c.Payload)
+// validate refuses a malformed change before it reaches any member.
+func (c Change) validate() error {
+	switch c.Op {
+	case OpPublish:
+		if c.Payload == nil {
+			return errors.New("gateway: publish needs a payload")
+		}
+	case OpDemote:
+		if _, err := registry.ParseID(c.Target); err != nil {
+			return fmt.Errorf("gateway: demote target: %w", err)
+		}
+	case OpRollback:
+		if c.Target == "" {
+			return errors.New("gateway: rollback needs a series name")
+		}
+	default:
+		return fmt.Errorf("gateway: unknown change op %q", c.Op)
+	}
+	return nil
 }
 
-// ChangeStager is implemented by nodes that support two-phase change
-// application. StageChange validates and holds the change without altering
-// routing; CommitChange activates a staged change and returns the node's
-// resulting route epoch; AbortChange discards a staged change.
-type ChangeStager interface {
-	StageChange(ctx context.Context, c Change) error
-	CommitChange(ctx context.Context, c Change) (uint64, error)
-	AbortChange(ctx context.Context, c Change) error
-}
-
-// ChangeApplier is implemented by nodes that can only apply a change in one
-// step, returning the node's resulting route epoch. Propagate falls back to
-// apply-then-barrier for fleets with at least one such node.
+// ChangeApplier is implemented by nodes that accept registry changes:
+// ApplyChange activates the change and returns the node's resulting route
+// epoch. The new epoch may become visible through RouteEpoch only later (an
+// asynchronous reload); Propagate's barrier waits for it.
 type ChangeApplier interface {
 	ApplyChange(ctx context.Context, c Change) (uint64, error)
 }
 
-// Propagate drives one registry change across every current member and
-// returns the cluster's new committed epoch. With an all-ChangeStager fleet
-// the change is atomic: either every member commits it or no member
-// activates it. Otherwise it is applied per-member and Propagate blocks on
-// an epoch barrier until the fleet converges (bounded by ctx).
+// Propagate drives one registry change across every ring member and returns
+// the cluster's new committed epoch. A member whose apply fails is named in
+// the returned error and left lagging — skipped by routing until it is
+// observed at the committed epoch; the barrier waits only for the members
+// that took the change. When no member took it, nothing is committed.
 func (g *Gateway) Propagate(ctx context.Context, c Change) (uint64, error) {
-	rs := g.ring.Load()
-	if len(rs.shards) == 0 {
+	if err := c.validate(); err != nil {
+		return 0, err
+	}
+	shards := g.ring.Load().shards
+	if len(shards) == 0 {
 		return 0, ErrNoNodes
 	}
-	allStage := true
-	for _, m := range rs.shards {
-		switch m.node.(type) {
-		case ChangeStager:
-		case ChangeApplier:
-			allStage = false
-		default:
+	for _, m := range shards {
+		if _, ok := m.node.(ChangeApplier); !ok {
 			return 0, fmt.Errorf("%w: %s", ErrUnsupportedChange, m.id)
 		}
 	}
-	var (
-		epoch uint64
-		err   error
-	)
-	if allStage {
-		epoch, err = g.propagateTwoPhase(ctx, rs.shards, c)
-	} else {
-		epoch, err = g.propagateWithBarrier(ctx, rs.shards, c)
-	}
-	if epoch > 0 {
-		g.advanceEpoch(epoch)
-		g.m.inc(epoch, cPropagates)
-	}
-	return epoch, err
-}
-
-// propagateTwoPhase stages everywhere, then commits everywhere. The commit
-// point is the moment the last stage succeeds: before it the change can be
-// (and on any stage failure, is) aborted with no routing effect anywhere.
-func (g *Gateway) propagateTwoPhase(ctx context.Context, shards []*shard, c Change) (uint64, error) {
-	staged := make([]bool, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, m := range shards {
-		wg.Add(1)
-		go func(i int, m *shard) {
-			defer wg.Done()
-			if err := m.node.(ChangeStager).StageChange(ctx, c); err != nil {
-				errs[i] = fmt.Errorf("stage on %s: %w", m.id, err)
-			} else {
-				staged[i] = true
-			}
-		}(i, m)
-	}
-	wg.Wait()
-	if err := firstErr(errs); err != nil {
-		// Abort the members that did stage; the fleet keeps its old routing.
-		for i, m := range shards {
-			if staged[i] {
-				_ = m.node.(ChangeStager).AbortChange(ctx, c)
-			}
-		}
-		return 0, err
-	}
-
-	// Commit point passed: activate everywhere. A member that fails to
-	// commit now is out of sync with a change the fleet has accepted — it is
-	// marked lagging (skipped by routing) until the prober sees it catch up.
-	epochs := make([]uint64, len(shards))
-	for i, m := range shards {
-		wg.Add(1)
-		go func(i int, m *shard) {
-			defer wg.Done()
-			ep, err := m.node.(ChangeStager).CommitChange(ctx, c)
-			if err != nil {
-				errs[i] = fmt.Errorf("commit on %s: %w", m.id, err)
-				return
-			}
-			epochs[i] = ep
-		}(i, m)
-	}
-	wg.Wait()
-	var max uint64
-	for _, ep := range epochs {
-		if ep > max {
-			max = ep
-		}
-	}
-	var failed []string
-	for i, m := range shards {
-		if errs[i] != nil {
-			failed = append(failed, m.id)
-			m.lagging.Store(true)
-			g.m.inc(uint64(i), cEpochDrift)
-		} else {
-			m.epoch.Store(epochs[i])
-		}
-	}
-	if len(failed) > 0 {
-		return max, fmt.Errorf("%w (lagging: %s): %v", ErrPartialCommit, strings.Join(failed, ","), firstErr(errs))
-	}
-	return max, nil
-}
-
-// propagateWithBarrier applies the change on every member concurrently,
-// then polls route epochs until the fleet reaches the change's epoch.
-func (g *Gateway) propagateWithBarrier(ctx context.Context, shards []*shard, c Change) (uint64, error) {
 	epochs := make([]uint64, len(shards))
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
@@ -191,20 +110,7 @@ func (g *Gateway) propagateWithBarrier(ctx context.Context, shards []*shard, c C
 		wg.Add(1)
 		go func(i int, m *shard) {
 			defer wg.Done()
-			var (
-				ep  uint64
-				err error
-			)
-			switch n := m.node.(type) {
-			case ChangeApplier:
-				ep, err = n.ApplyChange(ctx, c)
-			case ChangeStager:
-				// Degenerate two-phase on a mixed fleet: stage+commit
-				// back-to-back per member.
-				if err = n.StageChange(ctx, c); err == nil {
-					ep, err = n.CommitChange(ctx, c)
-				}
-			}
+			ep, err := m.node.(ChangeApplier).ApplyChange(ctx, c)
 			if err != nil {
 				errs[i] = fmt.Errorf("apply on %s: %w", m.id, err)
 				return
@@ -213,39 +119,48 @@ func (g *Gateway) propagateWithBarrier(ctx context.Context, shards []*shard, c C
 		}(i, m)
 	}
 	wg.Wait()
-	var max uint64
+	var epoch uint64
 	for _, ep := range epochs {
-		if ep > max {
-			max = ep
+		epoch = max(epoch, ep)
+	}
+	applyErr := errors.Join(errs...)
+	if epoch == 0 {
+		return 0, applyErr
+	}
+	g.advanceEpoch(epoch)
+	g.m.inc(epoch, cPropagates)
+	for i, m := range shards {
+		if errs[i] != nil {
+			g.observeEpoch(m, m.epoch.Load()) // still where it was: lagging
 		}
 	}
-	if err := firstErr(errs); err != nil {
-		return max, err
-	}
 
-	// Barrier: wait until every member observably routes at the new epoch.
+	// Barrier: wait until every member that took the change observably
+	// routes at the new epoch. Each poll feeds the lagging gate, so a slow
+	// member is skipped by routing for exactly as long as it is behind.
 	t := time.NewTicker(g.cfg.BarrierPoll)
 	defer t.Stop()
 	for {
 		converged := true
-		for _, m := range shards {
+		for i, m := range shards {
 			en, ok := m.node.(EpochNode)
-			if !ok {
-				continue // no observable epoch; trust the apply
+			if !ok || errs[i] != nil {
+				continue // no observable epoch (trust the apply), or left lagging
 			}
 			ep, err := en.RouteEpoch(ctx)
-			if err != nil || ep < max {
-				converged = false
-				break
+			if err == nil {
+				g.observeEpoch(m, ep)
 			}
-			m.epoch.Store(ep)
+			if err != nil || ep < epoch {
+				converged = false
+			}
 		}
 		if converged {
-			return max, nil
+			return epoch, applyErr
 		}
 		select {
 		case <-ctx.Done():
-			return max, fmt.Errorf("gateway: epoch barrier: %w", ctx.Err())
+			return epoch, errors.Join(applyErr, fmt.Errorf("gateway: epoch barrier: %w", ctx.Err()))
 		case <-t.C:
 		}
 	}
@@ -259,13 +174,4 @@ func (g *Gateway) advanceEpoch(ep uint64) {
 			return
 		}
 	}
-}
-
-func firstErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package gateway_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,19 +12,19 @@ import (
 	"itask/internal/serve"
 )
 
-// The publish barrier: with one shard staging slowly, no shard may activate
-// the new version until every shard has staged it. The fakeNode records the
-// cluster-wide staged count at each commit — all three must read 3.
-func TestPublishTwoPhaseBarrier(t *testing.T) {
-	cl := &fakeCluster{}
-	a, b, c := newFakeNode("shard-a", cl), newFakeNode("shard-b", cl), newFakeNode("shard-c", cl)
-	c.stageDelay = 25 * time.Millisecond
-	g := newTestGateway(t, passiveConfig(), a, b, c)
-	ctx := context.Background()
+// The epoch barrier: one member's change becomes visible late (an
+// asynchronous reload). Propagate must not return until that member
+// observably routes at the new epoch; traffic keeps flowing throughout, and
+// once Propagate has returned every answer is the new version.
+func TestPropagateBarrierWaitsForSlowestMember(t *testing.T) {
+	a, b, c := newFakeNode("shard-a"), newFakeNode("shard-b"), newFakeNode("shard-c")
+	c.applyDelay = 30 * time.Millisecond
+	cfg := passiveConfig()
+	cfg.BarrierPoll = time.Millisecond
+	g := newTestGateway(t, cfg, a, b, c)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
 
-	// Traffic keeps flowing during the propagation; any v2 answer before
-	// the commit point would be a barrier violation (the version only flips
-	// in CommitChange, which asserts the staged count below).
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -42,72 +43,104 @@ func TestPublishTwoPhaseBarrier(t *testing.T) {
 		}
 	}()
 
+	start := time.Now()
 	ep, err := g.Propagate(ctx, gateway.Change{Op: gateway.OpPublish, Payload: "v2"})
+	elapsed := time.Since(start)
+	close(stop)
+	wg.Wait()
 	if err != nil {
 		t.Fatalf("Propagate: %v", err)
 	}
-	close(stop)
-	wg.Wait()
-
-	if ep != 2 {
-		t.Fatalf("committed epoch = %d, want 2", ep)
+	if ep != 2 || g.CommittedEpoch() != 2 {
+		t.Fatalf("committed epoch = %d/%d, want 2", ep, g.CommittedEpoch())
 	}
-	if g.CommittedEpoch() != ep {
-		t.Fatalf("CommittedEpoch() = %d, want %d", g.CommittedEpoch(), ep)
+	if elapsed < 25*time.Millisecond {
+		t.Fatalf("Propagate returned in %v — before shard-c's epoch became visible", elapsed)
 	}
 	for _, n := range []*fakeNode{a, b, c} {
+		if got, _ := n.RouteEpoch(ctx); got != ep {
+			t.Fatalf("%s at epoch %d after the barrier, want %d", n.id, got, ep)
+		}
 		if v := n.currentVersion(); v != "v2" {
 			t.Fatalf("%s still serves %s after propagation", n.id, v)
 		}
-		n.mu.Lock()
-		saw := append([]int32(nil), n.commitSaw...)
-		n.mu.Unlock()
-		if len(saw) != 1 || saw[0] != 3 {
-			t.Fatalf("%s committed with cluster staged counts %v, want [3] — a shard activated before the fleet staged", n.id, saw)
+	}
+	for i := 0; i < 60; i++ {
+		res, err := g.Detect(ctx, serve.Request{Task: "patrol", Image: img(i)})
+		if err != nil || res.Model != "v2" {
+			t.Fatalf("post-barrier detect = {%s %s %v}, want v2", res.Node, res.Model, err)
 		}
 	}
-	if snap := g.Snapshot(); snap.Propagates != 1 || snap.CommittedEpoch != ep {
+	snap := g.Snapshot()
+	if snap.Propagates != 1 || snap.CommittedEpoch != ep {
 		t.Fatalf("snapshot propagation state = {%d %d}, want {1 %d}", snap.Propagates, snap.CommittedEpoch, ep)
+	}
+	for _, ns := range snap.Nodes {
+		if ns.Lagging {
+			t.Fatalf("%s still lagging after the barrier", ns.ID)
+		}
 	}
 }
 
-// A failed stage aborts the change fleet-wide: the members that staged are
-// rolled back, nobody activates, and routing is untouched.
-func TestPublishStageFailureAborts(t *testing.T) {
-	cl := &fakeCluster{}
-	a, b, c := newFakeNode("shard-a", cl), newFakeNode("shard-b", cl), newFakeNode("shard-c", cl)
-	b.stageErr = errors.New("checksum mismatch")
+// An invalid change is refused at the gateway before any member is touched:
+// nobody's ApplyChange runs, nobody activates, routing is untouched.
+func TestPropagateInvalidChangeTouchesNoMember(t *testing.T) {
+	a, b, c := newFakeNode("shard-a"), newFakeNode("shard-b"), newFakeNode("shard-c")
 	g := newTestGateway(t, passiveConfig(), a, b, c)
 	ctx := context.Background()
 
-	if _, err := g.Propagate(ctx, gateway.Change{Op: gateway.OpPublish, Payload: "v2"}); err == nil {
-		t.Fatal("Propagate succeeded past a failed stage")
-	}
-	if got := cl.aborted.Load(); got != 2 {
-		t.Fatalf("%d staged members aborted, want 2", got)
+	for _, bad := range []gateway.Change{
+		{Op: "promote", Payload: "v2"},
+		{Op: gateway.OpPublish},
+		{Op: gateway.OpDemote, Target: "not-an-id"},
+		{Op: gateway.OpRollback},
+	} {
+		if _, err := g.Propagate(ctx, bad); err == nil {
+			t.Fatalf("Propagate accepted %+v", bad)
+		}
 	}
 	for _, n := range []*fakeNode{a, b, c} {
+		if calls := n.applyCalls(); calls != 0 {
+			t.Fatalf("%s saw %d ApplyChange calls for changes refused at the gateway", n.id, calls)
+		}
 		if v := n.currentVersion(); v != "v1" {
-			t.Fatalf("%s activated %s despite the aborted publish", n.id, v)
+			t.Fatalf("%s activated %s despite the refused change", n.id, v)
 		}
 	}
 	if g.CommittedEpoch() != 0 {
-		t.Fatalf("CommittedEpoch advanced to %d on an aborted change", g.CommittedEpoch())
+		t.Fatalf("CommittedEpoch advanced to %d on a refused change", g.CommittedEpoch())
 	}
 	// Traffic still serves v1 everywhere.
 	res, err := g.Detect(ctx, serve.Request{Task: "patrol", Image: img(3)})
 	if err != nil || res.Model != "v1" {
-		t.Fatalf("post-abort detect = {%v %v}, want v1", res.Model, err)
+		t.Fatalf("post-refusal detect = {%v %v}, want v1", res.Model, err)
 	}
 }
 
-// A member that fails its commit after the commit point is marked lagging
-// and excluded from routing — clients never read the old version from it —
-// then rejoins once the prober observes it at the committed epoch.
-func TestPartialCommitMarksLaggingAndRecovers(t *testing.T) {
-	cl := &fakeCluster{}
-	a, b, c := newFakeNode("shard-a", cl), newFakeNode("shard-b", cl), newFakeNode("shard-c", cl)
-	b.commitErr = errors.New("registry wedged")
+// A change every member fails to apply commits nothing: no epoch to advance
+// to, nobody lagging, the apply errors returned.
+func TestPropagateAllAppliesFailCommitsNothing(t *testing.T) {
+	a, b := newFakeNode("shard-a"), newFakeNode("shard-b")
+	a.applyErr, b.applyErr = errors.New("disk full"), errors.New("disk full")
+	g := newTestGateway(t, passiveConfig(), a, b)
+	ep, err := g.Propagate(context.Background(), gateway.Change{Op: gateway.OpPublish, Payload: "v2"})
+	if err == nil || ep != 0 || g.CommittedEpoch() != 0 {
+		t.Fatalf("Propagate = (%d, %v), committed %d; want (0, error), 0", ep, err, g.CommittedEpoch())
+	}
+	for _, ns := range g.Snapshot().Nodes {
+		if ns.Lagging {
+			t.Fatalf("%s lagging behind an epoch nobody reached", ns.ID)
+		}
+	}
+}
+
+// A member whose apply fails is out of sync with a change the rest of the
+// fleet took: it ends lagging and excluded from routing — clients never
+// read the old version from it — then rejoins once the prober observes it
+// at the committed epoch.
+func TestFailedApplyMarksLaggingAndRecovers(t *testing.T) {
+	a, b, c := newFakeNode("shard-a"), newFakeNode("shard-b"), newFakeNode("shard-c")
+	b.applyErr = errors.New("registry wedged")
 	cfg := passiveConfig()
 	cfg.ProbeInterval = 5 * time.Millisecond
 	cfg.ProbeTimeout = 100 * time.Millisecond
@@ -115,8 +148,8 @@ func TestPartialCommitMarksLaggingAndRecovers(t *testing.T) {
 	ctx := context.Background()
 
 	ep, err := g.Propagate(ctx, gateway.Change{Op: gateway.OpPublish, Payload: "v2"})
-	if !errors.Is(err, gateway.ErrPartialCommit) {
-		t.Fatalf("Propagate err = %v, want ErrPartialCommit", err)
+	if err == nil || !strings.Contains(err.Error(), "shard-b") {
+		t.Fatalf("Propagate err = %v, want one naming shard-b", err)
 	}
 	if ep != 2 || g.CommittedEpoch() != 2 {
 		t.Fatalf("committed epoch = %d/%d, want 2", ep, g.CommittedEpoch())
@@ -151,7 +184,6 @@ func TestPartialCommitMarksLaggingAndRecovers(t *testing.T) {
 
 	// The wedged shard recovers (catches up to the committed epoch); the
 	// prober notices and routing readmits it.
-	b.commitErr = nil
 	b.setEpochAndVersion(ep, "v2")
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -171,79 +203,10 @@ func TestPartialCommitMarksLaggingAndRecovers(t *testing.T) {
 	}
 }
 
-// applyNode supports only single-phase application, with an activation
-// delay between ApplyChange and the new epoch becoming visible — the shape
-// of a backend whose reload is asynchronous. Propagate must fall back to
-// apply + epoch barrier and not return until the whole fleet observably
-// routes at the new epoch.
-type applyNode struct {
-	id    string
-	delay time.Duration
-
-	mu        sync.Mutex
-	epoch     uint64
-	target    uint64
-	visibleAt time.Time
-}
-
-func (n *applyNode) ID() string { return n.id }
-
-func (n *applyNode) ApplyChange(_ context.Context, _ gateway.Change) (uint64, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.target = n.epoch + 1
-	n.visibleAt = time.Now().Add(n.delay)
-	return n.target, nil
-}
-
-func (n *applyNode) RouteEpoch(context.Context) (uint64, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.target > n.epoch && time.Now().After(n.visibleAt) {
-		n.epoch = n.target
-	}
-	return n.epoch, nil
-}
-
-func TestApplyBarrierFallback(t *testing.T) {
-	nodes := []*applyNode{
-		{id: "shard-a", epoch: 1},
-		{id: "shard-b", epoch: 1, delay: 30 * time.Millisecond},
-		{id: "shard-c", epoch: 1},
-	}
-	cfg := passiveConfig()
-	cfg.BarrierPoll = time.Millisecond
-	g := newTestGateway(t, cfg, nodes[0], nodes[1], nodes[2])
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	start := time.Now()
-	ep, err := g.Propagate(ctx, gateway.Change{Op: gateway.OpRollback, Target: "patrol-student"})
-	if err != nil {
-		t.Fatalf("Propagate: %v", err)
-	}
-	if ep != 2 {
-		t.Fatalf("epoch = %d, want 2", ep)
-	}
-	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
-		t.Fatalf("Propagate returned in %v — before shard-b's epoch became visible", elapsed)
-	}
-	for _, n := range nodes {
-		got, _ := n.RouteEpoch(ctx)
-		if got != ep {
-			t.Fatalf("%s at epoch %d after barrier, want %d", n.id, got, ep)
-		}
-	}
-	if g.CommittedEpoch() != ep {
-		t.Fatalf("CommittedEpoch() = %d, want %d", g.CommittedEpoch(), ep)
-	}
-}
-
-// A fleet with a node that supports neither protocol refuses the change
-// up front rather than half-applying it.
+// A fleet with a node that cannot apply changes refuses the change up front
+// rather than half-applying it.
 func TestPropagateUnsupportedNode(t *testing.T) {
-	cl := &fakeCluster{}
-	g := newTestGateway(t, passiveConfig(), newFakeNode("shard-a", cl), bareNode("shard-x"))
+	g := newTestGateway(t, passiveConfig(), newFakeNode("shard-a"), bareNode("shard-x"))
 	_, err := g.Propagate(context.Background(), gateway.Change{Op: gateway.OpPublish, Payload: "v2"})
 	if !errors.Is(err, gateway.ErrUnsupportedChange) {
 		t.Fatalf("err = %v, want ErrUnsupportedChange", err)

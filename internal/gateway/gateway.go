@@ -39,11 +39,11 @@
 //     and a fleet-wide token-bucket retry budget keeps a flapping shard
 //     from amplifying into a retry storm.
 //   - Epochs (epoch.go): registry changes (publish / demote / rollback)
-//     propagate through the gateway with a two-phase stage/commit barrier:
-//     no shard activates a new version until every shard has staged it, so
-//     clients never observe version flapping across shards. Members whose
-//     route epoch falls behind the cluster's committed epoch are marked
-//     lagging and skipped by routing until they catch up.
+//     propagate through the gateway: validated once, applied on every
+//     member, then barrier-polled until the whole fleet routes at the new
+//     committed epoch. Members whose route epoch is behind the committed
+//     epoch — including any still converging on a change in flight — are
+//     marked lagging and skipped by routing until they catch up.
 //
 // The package is transport-agnostic: a Node is any handle with an ID, and
 // the request path works through Execute's callback, so in-process fleets
@@ -59,6 +59,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"itask/internal/fair"
 	"itask/internal/freq"
 	"itask/internal/member"
 	"itask/internal/rcache"
@@ -159,12 +160,8 @@ var (
 	// last-resort attempt failed too).
 	ErrNoNodes = errors.New("gateway: no nodes available")
 	// ErrUnsupportedChange: Propagate was asked to apply a registry change
-	// to a node that implements neither ChangeStager nor ChangeApplier.
+	// to a node that does not implement ChangeApplier.
 	ErrUnsupportedChange = errors.New("gateway: node cannot apply registry changes")
-	// ErrPartialCommit: a two-phase change passed its commit point but some
-	// member failed to commit; those members are marked lagging and skipped
-	// by routing until they catch up.
-	ErrPartialCommit = errors.New("gateway: change committed on a quorum only")
 	// ErrRetryBudget: a failover retry was wanted but the fleet-wide retry
 	// budget was exhausted; the request carries its shard's last error.
 	ErrRetryBudget = errors.New("gateway: retry budget exhausted")
@@ -206,8 +203,7 @@ type Config struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe (defaults to ProbeInterval when zero).
 	ProbeTimeout time.Duration
-	// BarrierPoll is the poll period of the epoch barrier used when a
-	// member supports only single-phase change application.
+	// BarrierPoll is the poll period of Propagate's epoch barrier.
 	BarrierPoll time.Duration
 
 	// LeaseTTL enables lease-based membership: Announce grants a lease this
@@ -333,7 +329,7 @@ type Gateway struct {
 	cfg    Config
 	m      *metrics
 	hot    *freq.Tracker // nil when hot-key handling is off
-	budget *tokenBucket  // nil when the retry budget is off
+	budget *fair.Budget  // one key: the fleet; unlimited at rate 0
 	tbl    *member.Table
 
 	// mu serializes membership mutations (announce/renew/leave/expiry);
@@ -380,7 +376,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:    cfg,
 		m:      &metrics{},
 		hot:    freq.New(cfg.HotThreshold, freq.DefaultSlots, cfg.HotDecay),
-		budget: newTokenBucket(cfg.RetryBudgetRate, cfg.RetryBudgetBurst),
+		budget: fair.NewBudget(cfg.RetryBudgetRate, max(1, float64(cfg.RetryBudgetBurst))),
 		tbl: member.NewTable(member.Config{
 			LeaseTTL:     cfg.LeaseTTL,
 			SuspectAfter: cfg.SuspectAfter,
@@ -767,7 +763,7 @@ func (g *Gateway) Execute(ctx context.Context, k Key, do func(ctx context.Contex
 		if s == nil || attempt >= g.cfg.MaxRetries {
 			break
 		}
-		if !g.budget.take() {
+		if !g.budget.Allow("", time.Now()) {
 			g.m.inc(h, cBudgetDry)
 			lastErr = fmt.Errorf("%w: %w", ErrRetryBudget, lastErr)
 			break

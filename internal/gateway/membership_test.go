@@ -65,8 +65,8 @@ func nodesOf(g *gateway.Gateway) map[string]bool {
 // with a fresh lease on re-announce.
 func TestLeaseLifecycleOnRing(t *testing.T) {
 	clk := newTestClock()
-	g := newTestGateway(t, leaseConfig(clk), newFakeNode("static", &fakeCluster{}))
-	n2 := newFakeNode("leased", &fakeCluster{})
+	g := newTestGateway(t, leaseConfig(clk), newFakeNode("static"))
+	n2 := newFakeNode("leased")
 
 	e, err := g.Announce(n2, member.Meta{Addr: "http://leased"})
 	if err != nil {
@@ -139,8 +139,8 @@ func TestLeaseLifecycleOnRing(t *testing.T) {
 // once; a re-announce afterwards is a rejoin.
 func TestGracefulLeave(t *testing.T) {
 	clk := newTestClock()
-	g := newTestGateway(t, leaseConfig(clk), newFakeNode("static", &fakeCluster{}))
-	n2 := newFakeNode("leased", &fakeCluster{})
+	g := newTestGateway(t, leaseConfig(clk), newFakeNode("static"))
+	n2 := newFakeNode("leased")
 	if _, err := g.Announce(n2, member.Meta{}); err != nil {
 		t.Fatal(err)
 	}
@@ -173,15 +173,14 @@ func TestGracefulLeave(t *testing.T) {
 // with stale models must not serve old-version traffic.
 func TestAnnounceGatedOnCommittedEpoch(t *testing.T) {
 	clk := newTestClock()
-	cl := &fakeCluster{}
-	g := newTestGateway(t, leaseConfig(clk), newFakeNode("static", cl))
+	g := newTestGateway(t, leaseConfig(clk), newFakeNode("static"))
 
 	// Drive the committed epoch to 2 (fakeNodes start at epoch 1).
 	if ep, err := g.Propagate(context.Background(), gateway.Change{Op: gateway.OpPublish, Payload: "v2"}); err != nil || ep != 2 {
 		t.Fatalf("propagate: epoch=%d err=%v", ep, err)
 	}
 
-	stale := newFakeNode("stale", cl) // epoch 1 < committed 2
+	stale := newFakeNode("stale") // epoch 1 < committed 2
 	e, err := g.Announce(stale, member.Meta{Epoch: 1})
 	if err != nil || e.State != member.StateJoining {
 		t.Fatalf("stale announce: %+v err=%v, want joining", e, err)
@@ -207,10 +206,9 @@ func TestMembershipChurnBound(t *testing.T) {
 	cfg := leaseConfig(clk)
 	cfg.RampWindows = 1 // full weight on announce: isolates join churn
 	const n, K = 5, 4000
-	cl := &fakeCluster{}
 	statics := make([]gateway.Node, n)
 	for i := range statics {
-		statics[i] = newFakeNode(fmt.Sprintf("node-%02d", i), cl)
+		statics[i] = newFakeNode(fmt.Sprintf("node-%02d", i))
 	}
 	g := newTestGateway(t, cfg, statics...)
 
@@ -227,7 +225,7 @@ func TestMembershipChurnBound(t *testing.T) {
 		before[k] = ownerOf(k)
 	}
 
-	joiner := newFakeNode("joiner", cl)
+	joiner := newFakeNode("joiner")
 	if _, err := g.Announce(joiner, member.Meta{Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -278,8 +276,7 @@ func TestRetryBudgetBoundsFailover(t *testing.T) {
 		RetryBudgetRate:  1e-9, // no refill within the test
 		RetryBudgetBurst: 3,
 	}
-	cl := &fakeCluster{}
-	g := newTestGateway(t, cfg, newFakeNode("a", cl), newFakeNode("b", cl))
+	g := newTestGateway(t, cfg, newFakeNode("a"), newFakeNode("b"))
 
 	flaky := errors.New("flap")
 	var budgetFails int
@@ -319,8 +316,7 @@ func TestFailoverHonorsRetryAfter(t *testing.T) {
 		RetryBackoff:    time.Millisecond,
 		RetryBackoffMax: 150 * time.Millisecond,
 	}
-	cl := &fakeCluster{}
-	g := newTestGateway(t, cfg, newFakeNode("a", cl), newFakeNode("b", cl))
+	g := newTestGateway(t, cfg, newFakeNode("a"), newFakeNode("b"))
 
 	start := time.Now()
 	var served string
@@ -356,8 +352,7 @@ func TestAttemptTimeoutFailsOver(t *testing.T) {
 		EjectFor:       time.Minute,
 		AttemptTimeout: 40 * time.Millisecond,
 	}
-	cl := &fakeCluster{}
-	g := newTestGateway(t, cfg, newFakeNode("a", cl), newFakeNode("b", cl))
+	g := newTestGateway(t, cfg, newFakeNode("a"), newFakeNode("b"))
 
 	var first atomic.Value
 	do := func(ctx context.Context, n gateway.Node, _ bool) error {
@@ -407,8 +402,7 @@ func TestMembershipConcurrentChurn(t *testing.T) {
 		RampWindows:   2,
 		SweepInterval: 5 * time.Millisecond,
 	}
-	cl := &fakeCluster{}
-	g := newTestGateway(t, cfg, newFakeNode("core", cl))
+	g := newTestGateway(t, cfg, newFakeNode("core"))
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -420,7 +414,7 @@ func TestMembershipConcurrentChurn(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := fmt.Sprintf("leased-%d", i)
-			n := newFakeNode(id, cl)
+			n := newFakeNode(id)
 			for {
 				select {
 				case <-stop:
@@ -450,7 +444,7 @@ func TestMembershipConcurrentChurn(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		n := newFakeNode("churner", cl)
+		n := newFakeNode("churner")
 		for {
 			select {
 			case <-stop:

@@ -3,7 +3,6 @@ package gateway
 import (
 	"errors"
 	"math/rand/v2"
-	"sync"
 	"time"
 
 	"itask/internal/serve"
@@ -24,55 +23,15 @@ import (
 //     shard telling us its queue depth; the failover waits
 //     min(Retry-After, RetryBackoffMax) before the next attempt instead of
 //     immediately re-landing the same work one ring position over.
-//   - A token-bucket retry budget shared by all requests: each failover
-//     attempt (not first attempts) spends one token from a bucket refilled
-//     at RetryBudgetRate tokens/sec with RetryBudgetBurst depth. When the
-//     bucket is dry the request fails with its last error instead of
-//     retrying — under a persistent fault the fleet serves what it can and
-//     sheds the rest, rather than amplifying every failure by MaxRetries.
+//   - A token-bucket retry budget shared by all requests (a fair.Budget
+//     with the whole fleet on one key): each failover attempt (not first
+//     attempts) spends one token from a bucket refilled at RetryBudgetRate
+//     tokens/sec with RetryBudgetBurst depth. When the bucket is dry the
+//     request fails with its last error instead of retrying — under a
+//     persistent fault the fleet serves what it can and sheds the rest,
+//     rather than amplifying every failure by MaxRetries.
 //
 // All three are off for zero config values, preserving PR 6 behavior.
-
-// tokenBucket is a mutex-guarded token bucket over the monotonic clock.
-// A nil bucket means an unlimited budget.
-type tokenBucket struct {
-	mu     sync.Mutex
-	rate   float64 // tokens per second
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-func newTokenBucket(rate float64, burst int) *tokenBucket {
-	if rate <= 0 {
-		return nil
-	}
-	if burst <= 0 {
-		burst = 1
-	}
-	return &tokenBucket{rate: rate, burst: float64(burst), tokens: float64(burst), last: time.Now()}
-}
-
-// take spends one token, refilling first. Reports false when the bucket is
-// dry (the caller must not retry).
-func (b *tokenBucket) take() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := time.Now()
-	b.tokens += now.Sub(b.last).Seconds() * b.rate
-	b.last = now
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
 
 // retryAfterOf extracts a shard-advertised retry horizon from a failover
 // error: an explicit NodeError hint (HTTP adapters parse Retry-After into

@@ -9,41 +9,55 @@ import (
 	"itask/internal/serve"
 )
 
-func TestTokenBucket(t *testing.T) {
-	if b := newTokenBucket(0, 5); b != nil {
-		t.Fatal("rate 0 must disable the budget (nil bucket)")
+// The fleet retry budget is a fair.Budget on one key; these are the
+// gateway's promises about how its two Config fields size it.
+func TestRetryBudgetSizing(t *testing.T) {
+	budgetOf := func(rate float64, burst int) *Gateway {
+		g, err := New(Config{VirtualNodes: 8, RetryBudgetRate: rate, RetryBudgetBurst: burst})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(g.Close)
+		return g
 	}
-	var nilBucket *tokenBucket
-	if !nilBucket.take() {
-		t.Fatal("nil bucket must be an unlimited budget")
+	now := time.Now()
+
+	unlimited := budgetOf(0, 5)
+	for i := 0; i < 100; i++ {
+		if !unlimited.budget.Allow("", now) {
+			t.Fatal("rate 0 must mean an unlimited budget")
+		}
+	}
+	if !(&Gateway{}).budget.Allow("", now) {
+		t.Fatal("a nil budget must be unlimited")
 	}
 
-	// A near-zero refill rate makes the test deterministic: only the burst
-	// depth matters within the test's lifetime.
-	b := newTokenBucket(1e-9, 2)
-	if !b.take() || !b.take() {
+	// A near-zero refill rate makes the burst depth the only thing that
+	// matters within the test's lifetime.
+	g := budgetOf(1e-9, 2)
+	if !g.budget.Allow("", now) || !g.budget.Allow("", now) {
 		t.Fatal("burst-depth takes must succeed")
 	}
-	if b.take() {
+	if g.budget.Allow("", now) {
 		t.Fatal("take from a dry bucket must fail")
 	}
 
 	// Refill restores tokens proportional to elapsed time, capped at burst.
-	b.mu.Lock()
-	b.rate = 10 // 1 token per 100ms
-	b.last = b.last.Add(-time.Hour)
-	b.mu.Unlock()
-	if !b.take() {
-		t.Fatal("take after refill must succeed")
+	g = budgetOf(10, 2) // 1 token per 100ms
+	for g.budget.Allow("", now) {
 	}
-	b.mu.Lock()
-	if b.tokens > b.burst {
-		t.Fatalf("tokens %g exceed burst %g", b.tokens, b.burst)
+	if !g.budget.Allow("", now.Add(150*time.Millisecond)) || g.budget.Allow("", now.Add(150*time.Millisecond)) {
+		t.Fatal("150ms at 10/s must refill exactly one token")
 	}
-	b.mu.Unlock()
+	later := now.Add(time.Hour)
+	if !g.budget.Allow("", later) || !g.budget.Allow("", later) || g.budget.Allow("", later) {
+		t.Fatal("a long idle must refill to the burst depth and no further")
+	}
 
-	if nb := newTokenBucket(5, 0); nb == nil || nb.burst != 1 {
-		t.Fatalf("rate without burst must default to depth 1, got %+v", nb)
+	// A rate without a burst is a bucket of depth 1.
+	g = budgetOf(5, 0)
+	if !g.budget.Allow("", now) || g.budget.Allow("", now) {
+		t.Fatal("rate without burst must default to depth 1")
 	}
 }
 

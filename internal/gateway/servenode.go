@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"itask/internal/registry"
 	"itask/internal/serve"
@@ -14,10 +13,7 @@ import (
 // serve.Server shard (and, when the shard routes through a versioned model
 // registry, that registry) so an in-process fleet — tests, benches, or a
 // single binary hosting several shards — gets the full gateway feature set:
-// detection, probing, route-epoch observation, and two-phase registry
-// changes. Staging holds the validated change in the adapter; committing
-// applies it to the registry atomically, which bumps the snapshot sequence
-// the serve layer already uses as its route epoch.
+// detection, probing, route-epoch observation, and registry changes.
 
 // ServeNode adapts an in-process serve.Server (plus optional registry) to
 // the gateway's Node interfaces.
@@ -25,9 +21,6 @@ type ServeNode struct {
 	id  string
 	srv *serve.Server
 	reg *registry.Registry // nil: detect/probe only
-
-	mu      sync.Mutex
-	pending map[string]Change
 }
 
 // NewServeNode wraps a serve.Server shard. reg may be nil for shards
@@ -40,7 +33,7 @@ func NewServeNode(id string, srv *serve.Server, reg *registry.Registry) (*ServeN
 	if srv == nil {
 		return nil, errors.New("gateway: ServeNode needs a serve.Server")
 	}
-	return &ServeNode{id: id, srv: srv, reg: reg, pending: map[string]Change{}}, nil
+	return &ServeNode{id: id, srv: srv, reg: reg}, nil
 }
 
 // ID implements Node.
@@ -71,48 +64,19 @@ func (n *ServeNode) RouteEpoch(context.Context) (uint64, error) {
 	return n.reg.Snapshot().Seq(), nil
 }
 
-// StageChange implements ChangeStager: validate the change and hold it
-// without touching the registry, so routing is unaffected until the whole
-// fleet has staged.
-func (n *ServeNode) StageChange(_ context.Context, c Change) error {
+// ApplyChange implements ChangeApplier: apply the (gateway-validated) change
+// to the registry, which bumps the snapshot sequence the serve layer already
+// uses as its route epoch, and return that epoch.
+func (n *ServeNode) ApplyChange(_ context.Context, c Change) (uint64, error) {
 	if n.reg == nil {
-		return fmt.Errorf("%w: %s has no registry", ErrUnsupportedChange, n.id)
+		return 0, fmt.Errorf("%w: %s has no registry", ErrUnsupportedChange, n.id)
 	}
 	switch c.Op {
 	case OpPublish:
-		if _, ok := artifactOf(c.Payload); !ok {
-			return fmt.Errorf("gateway: publish payload must be a registry.Artifact, got %T", c.Payload)
+		art, ok := artifactOf(c.Payload)
+		if !ok {
+			return 0, fmt.Errorf("gateway: publish payload must be a registry.Artifact, got %T", c.Payload)
 		}
-	case OpDemote:
-		if _, err := registry.ParseID(c.Target); err != nil {
-			return fmt.Errorf("gateway: demote target: %w", err)
-		}
-	case OpRollback:
-		if c.Target == "" {
-			return errors.New("gateway: rollback needs a series name")
-		}
-	default:
-		return fmt.Errorf("gateway: unknown change op %q", c.Op)
-	}
-	n.mu.Lock()
-	n.pending[c.Fingerprint()] = c
-	n.mu.Unlock()
-	return nil
-}
-
-// CommitChange implements ChangeStager: activate a staged change on the
-// registry and return the resulting route epoch.
-func (n *ServeNode) CommitChange(_ context.Context, c Change) (uint64, error) {
-	n.mu.Lock()
-	_, ok := n.pending[c.Fingerprint()]
-	delete(n.pending, c.Fingerprint())
-	n.mu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("gateway: commit of unstaged change %s on %s", c.Fingerprint(), n.id)
-	}
-	switch c.Op {
-	case OpPublish:
-		art, _ := artifactOf(c.Payload)
 		if _, err := n.reg.Publish(art); err != nil {
 			return 0, err
 		}
@@ -128,14 +92,6 @@ func (n *ServeNode) CommitChange(_ context.Context, c Change) (uint64, error) {
 		}
 	}
 	return n.reg.Snapshot().Seq(), nil
-}
-
-// AbortChange implements ChangeStager.
-func (n *ServeNode) AbortChange(_ context.Context, c Change) error {
-	n.mu.Lock()
-	delete(n.pending, c.Fingerprint())
-	n.mu.Unlock()
-	return nil
 }
 
 func artifactOf(payload any) (registry.Artifact, bool) {

@@ -15,8 +15,8 @@ import (
 )
 
 // regBackend is a minimal serve.Backend routing through a real versioned
-// registry, so ServeNode's stage/commit protocol drives actual registry
-// publishes and the serve layer's epoch-memoized routing.
+// registry, so ServeNode's ApplyChange drives actual registry publishes and
+// the serve layer's epoch-memoized routing.
 type regBackend struct{ reg *registry.Registry }
 
 func (b *regBackend) Route(task string) (string, error) {
@@ -137,11 +137,11 @@ func TestServeNodeClusterPublishDemote(t *testing.T) {
 		}
 	}
 
-	// A bogus change stages nowhere and leaves routing alone.
+	// A bogus change is refused at the gateway and leaves routing alone.
 	if _, err := g.Propagate(ctx, gateway.Change{Op: gateway.OpDemote, Target: "not-an-id"}); err == nil {
-		t.Fatal("demote of an unparsable id must fail at stage time")
+		t.Fatal("demote of an unparsable id must be refused")
 	}
 	if v := versionOf(0); !strings.Contains(v, "@v1") {
-		t.Fatalf("routing disturbed by an aborted change: %s", v)
+		t.Fatalf("routing disturbed by a refused change: %s", v)
 	}
 }

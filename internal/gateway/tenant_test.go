@@ -43,9 +43,8 @@ func TestTenantAttributionInSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	cl := &fakeCluster{}
 	for _, id := range []string{"n1", "n2"} {
-		if err := g.AddNode(newFakeNode(id, cl)); err != nil {
+		if err := g.AddNode(newFakeNode(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,9 +129,8 @@ func TestDominantTenantPinnedToOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	cl := &fakeCluster{}
 	for _, id := range []string{"n1", "n2", "n3"} {
-		if err := g.AddNode(newFakeNode(id, cl)); err != nil {
+		if err := g.AddNode(newFakeNode(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +212,7 @@ func TestTenantTableBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if err := g.AddNode(newFakeNode("n1", &fakeCluster{})); err != nil {
+	if err := g.AddNode(newFakeNode("n1")); err != nil {
 		t.Fatal(err)
 	}
 	ok := func(context.Context, gateway.Node, bool) error { return nil }

@@ -191,11 +191,14 @@ func (t *hotTier) promote(k Key, payload any, model string, bytes int64, expires
 	}
 	cur := t.table.Load()
 	if e := cur.entries[k]; e != nil {
-		if e.payload == payload && e.model == model {
+		// Payloads are opaque (in production a slice: not comparable), and a
+		// key is content-addressed, so the same model, size and expiry mean
+		// the same fill.
+		if e.model == model && e.bytes == bytes && e.expires.Equal(expires) {
 			return // already replicated, nothing changed
 		}
-		// Refreshed fill (e.g. a re-execution after TTL expiry): republish
-		// with the new payload, keeping the hit history.
+		// Refreshed fill (e.g. a re-execution that restarted the TTL):
+		// republish with the new payload, keeping the hit history.
 		next := cloneHotTable(cur)
 		ne := *e
 		ne.payload, ne.model, ne.bytes, ne.expires = payload, model, bytes, expires

@@ -2,6 +2,7 @@ package rcache
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -114,6 +115,65 @@ func TestHotMarkHotPrePromotes(t *testing.T) {
 	c.Put(k2, "p2", now)
 	if _, _, ok := c.Replicated(k2, now); !ok {
 		t.Fatal("fill after MarkHot not promoted")
+	}
+}
+
+// The real payload is a slice ([]itask.Detection), which Go cannot compare:
+// promoting an already-promoted key must not look at the payload. Every
+// route into promote is driven twice on a live replica — the MarkHot hint,
+// a refreshing Put, and Gets racing each other across the promotion.
+func TestHotRepromoteSlicePayload(t *testing.T) {
+	cfg := hotConfig()
+	cfg.TTL = time.Minute
+	c := New(cfg)
+	now := time.Now()
+	payload := []int{1, 2, 3}
+
+	// MarkHot: every X-Itask-Hot request for a viral frame takes this path.
+	k := key("m@v1#ab", "patrol", 7)
+	c.Put(k, payload, now)
+	c.MarkHot(k, now)
+	c.MarkHot(k, now)
+	// A Put refreshing a promoted key (its TTL restarts) republishes it.
+	c.Put(k, []int{4, 5, 6, 7}, now.Add(time.Second))
+	got, _, ok := c.Replicated(k, now)
+	if !ok || len(got.([]int)) != 4 {
+		t.Fatalf("replica after a refreshing Put = (%v, %v), want the 4-element fill", got, ok)
+	}
+	if st := hotStats(c); st.HotPromotions != 1 {
+		t.Fatalf("re-promotions of a live replica counted as new: promotions=%d, want 1", st.HotPromotions)
+	}
+
+	// Get: readers that all missed the replica table just before the
+	// promotion landed each promote the entry they read from the shard.
+	if prev := runtime.GOMAXPROCS(0); prev < 4 {
+		runtime.GOMAXPROCS(4)
+		defer runtime.GOMAXPROCS(prev)
+	}
+	for round := 0; round < 200; round++ {
+		c := New(hotConfig())
+		k := key("m@v1#ab", "patrol", uint64(round))
+		c.Put(k, payload, now)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 4; i++ {
+					if _, _, ok := c.Get(k, now); !ok {
+						t.Error("miss on a cached key")
+						return
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if _, _, ok := c.Replicated(k, now); !ok {
+			t.Fatalf("round %d: 32 reads past a threshold of 4 left the key unpromoted", round)
+		}
 	}
 }
 

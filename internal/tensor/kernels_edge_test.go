@@ -2,6 +2,8 @@ package tensor
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -161,9 +163,9 @@ func TestParallelForCoversRangeOnce(t *testing.T) {
 	}
 }
 
-// TestParallelForNested verifies the caller-participates pool design cannot
-// deadlock when parallel regions nest (attention tiles dispatch GEMMs that
-// may themselves try to parallelize).
+// TestParallelForNested verifies the fork-join cannot deadlock when parallel
+// regions nest (attention tiles dispatch GEMMs that may themselves try to
+// parallelize).
 func TestParallelForNested(t *testing.T) {
 	var total atomic.Int64
 	ParallelFor(8, 1, func(lo, hi int) {
@@ -175,6 +177,101 @@ func TestParallelForNested(t *testing.T) {
 	})
 	if got := total.Load(); got != 800 {
 		t.Fatalf("nested ParallelFor covered %d of 800 elements", got)
+	}
+}
+
+// forceWidth runs the test at a parallel width of at least 4 whatever the
+// host offers, so the forked path is exercised on a single-core runner too.
+func forceWidth(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 4 {
+		runtime.GOMAXPROCS(4)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
+// TestParallelForNestedStress nests three deep with grains of 1 under 8
+// concurrent outer callers: every level competes for the same helper slots,
+// so calls at every depth see both the forked and the inline path. Each
+// index triple must be visited exactly once per caller and every slot must
+// be back when the callers return.
+func TestParallelForNestedStress(t *testing.T) {
+	forceWidth(t)
+	const callers, a, b, c = 8, 5, 4, 3
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hits := make([]int32, a*b*c)
+			ParallelFor(a, 1, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					ParallelFor(b, 1, func(jlo, jhi int) {
+						for j := jlo; j < jhi; j++ {
+							ParallelFor(c, 1, func(klo, khi int) {
+								for k := klo; k < khi; k++ {
+									atomic.AddInt32(&hits[(i*b+j)*c+k], 1)
+								}
+							})
+						}
+					})
+				}
+			})
+			for idx, h := range hits {
+				if h != 1 {
+					t.Errorf("index %d visited %d times", idx, h)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := helpers.Load(); n != 0 {
+		t.Fatalf("%d helper slots still claimed after every call returned", n)
+	}
+}
+
+// TestParallelForNoFreeSlotRunsInline: with every helper slot taken, a call
+// covers [0,n) exactly once, as one tile, on the calling goroutine.
+func TestParallelForNoFreeSlotRunsInline(t *testing.T) {
+	forceWidth(t)
+	taken := int32(Workers() - 1)
+	helpers.Add(taken)
+	defer helpers.Add(-taken)
+	calls := 0 // unsynchronized on purpose: -race flags any helper goroutine
+	ParallelFor(100, 1, func(lo, hi int) {
+		calls++
+		if lo != 0 || hi != 100 {
+			t.Errorf("inline tile = [%d,%d), want [0,100)", lo, hi)
+		}
+	})
+	if calls != 1 {
+		t.Fatalf("fn ran %d times, want once", calls)
+	}
+	if n := helpers.Load(); n != taken {
+		t.Fatalf("an inline call left the slot count at %d, want %d", n, taken)
+	}
+}
+
+// TestParallelForForkAllocs pins what a forked call costs beyond the tiles'
+// own work: the shared state and one helper closure, whatever the width.
+// (testing.AllocsPerRun pins GOMAXPROCS to 1, where nothing forks, so the
+// count is taken from MemStats.)
+func TestParallelForForkAllocs(t *testing.T) {
+	forceWidth(t)
+	var sink atomic.Int64
+	fn := func(lo, hi int) { sink.Add(int64(hi - lo)) }
+	const runs = 200
+	for i := 0; i < 20; i++ { // warm the runtime's free goroutine list
+		ParallelFor(64, 1, fn)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		ParallelFor(64, 1, fn)
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / runs; per > 3 {
+		t.Fatalf("forked ParallelFor allocates %.1f objects/call, want <= 3", per)
 	}
 }
 

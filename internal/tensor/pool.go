@@ -6,114 +6,80 @@ import (
 	"sync/atomic"
 )
 
-// The kernels in this package parallelize over row tiles on one persistent,
-// package-wide worker pool instead of spawning goroutines per call. Workers
-// self-schedule: every participant (the pool workers plus the submitting
-// goroutine) repeatedly claims the next unclaimed tile from a shared atomic
-// counter, so a worker that finishes early steals the remaining tiles of a
-// slow peer's range. The submitter always executes tiles itself, which makes
-// nested ParallelFor calls (e.g. a parallel MatMul inside a parallel
-// attention head) deadlock-free even when every pool worker is busy.
+// The kernels in this package parallelize over row tiles with a bounded
+// fork-join. A ParallelFor call claims helper slots from one process-wide
+// counter, starts exactly that many goroutines, and joins them before it
+// returns; caller and helpers repeatedly claim the next unclaimed tile from
+// a shared atomic counter, so whoever finishes early takes the remaining
+// tiles of a slow peer's range. A call that finds no free slot runs inline.
+// That is what a nested call (a tiled GEMM inside a parallel attention
+// head) finds once the outer call has taken the slots, so nesting neither
+// oversubscribes the cores nor blocks: a call only ever waits on goroutines
+// it has itself started, each of which runs to completion without waiting
+// on anyone.
 
-// workerPool is a fixed set of goroutines consuming parallel-for jobs.
-type workerPool struct {
-	jobs    chan poolJob
-	workers int
+// helpers counts the helper goroutines running process-wide. Claims keep it
+// at or below Workers()-1, so the goroutines computing at any moment number
+// at most the outermost callers plus Workers()-1.
+var helpers atomic.Int32
+
+// Workers returns the parallel width — the current GOMAXPROCS: the helper
+// slots plus the calling goroutine. Kernels use it to size tile grains.
+func Workers() int { return runtime.GOMAXPROCS(0) }
+
+// forkJoin is the state one forked ParallelFor call shares with its helpers.
+type forkJoin struct {
+	next            atomic.Int64
+	wg              sync.WaitGroup
+	n, grain, tiles int
+	fn              func(lo, hi int)
 }
 
-// poolJob is one helper invitation: run claims tiles until none remain.
-type poolJob struct {
-	run func()
-	wg  *sync.WaitGroup
-}
-
-var (
-	poolOnce sync.Once
-	pool     *workerPool
-)
-
-// sharedPool lazily starts the worker goroutines on first use, sized to
-// GOMAXPROCS at that moment. The submitting goroutine always participates,
-// so the pool itself holds GOMAXPROCS-1 helpers.
-func sharedPool() *workerPool {
-	poolOnce.Do(func() {
-		n := runtime.GOMAXPROCS(0) - 1
-		if n < 0 {
-			n = 0
-		}
-		pool = &workerPool{
-			jobs:    make(chan poolJob, 4*(n+1)),
-			workers: n,
-		}
-		for i := 0; i < n; i++ {
-			go pool.worker()
-		}
-	})
-	return pool
-}
-
-func (p *workerPool) worker() {
-	for j := range p.jobs {
-		j.run()
-		j.wg.Done()
+// drain claims and runs tiles until none remain.
+func (f *forkJoin) drain() {
+	for t := int(f.next.Add(1)) - 1; t < f.tiles; t = int(f.next.Add(1)) - 1 {
+		lo := t * f.grain
+		f.fn(lo, min(lo+f.grain, f.n))
 	}
 }
 
-// Workers returns the parallel width of the shared pool (including the
-// submitting goroutine). Kernels use it to size tile grains.
-func Workers() int { return sharedPool().workers + 1 }
+func (f *forkJoin) help() {
+	f.drain()
+	helpers.Add(-1)
+	f.wg.Done()
+}
 
 // ParallelFor runs fn over the index range [0,n) split into tiles of size
-// grain, distributing the tiles across the shared worker pool. fn is invoked
-// with half-open tile bounds [lo,hi) and must be safe for concurrent
-// invocation on disjoint ranges. The call returns only after every tile has
-// completed. When the range fits a single tile (or grain >= n) fn runs
-// inline on the caller with no synchronization at all.
+// grain. fn is invoked with half-open tile bounds [lo,hi) and must be safe
+// for concurrent invocation on disjoint ranges. The call returns only after
+// every tile has completed. When the range fits a single tile, or no helper
+// slot is free, fn runs inline on the caller with no synchronization at all.
 func ParallelFor(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if grain < 1 {
-		grain = 1
-	}
+	grain = max(grain, 1)
 	tiles := (n + grain - 1) / grain
-	p := sharedPool()
-	if tiles <= 1 || p.workers == 0 {
+	got := 0
+	if w := Workers(); tiles > 1 && w > 1 {
+		// Claim optimistically, then hand back whatever overshot the bound.
+		got = min(tiles, w) - 1
+		if over := int(helpers.Add(int32(got))) - (w - 1); over > 0 {
+			over = min(over, got)
+			helpers.Add(int32(-over))
+			got -= over
+		}
+	}
+	if got == 0 {
 		fn(0, n)
 		return
 	}
-	var next atomic.Int64
-	run := func() {
-		for {
-			t := int(next.Add(1)) - 1
-			if t >= tiles {
-				return
-			}
-			lo := t * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
+	f := &forkJoin{n: n, grain: grain, tiles: tiles, fn: fn}
+	help := f.help // one closure for every helper, not one per go statement
+	f.wg.Add(got)
+	for i := 0; i < got; i++ {
+		go help()
 	}
-	// Invite up to tiles-1 helpers; the caller covers the rest. Sends are
-	// non-blocking: if the queue is full every idle worker already has work,
-	// and the caller simply claims more tiles itself.
-	helpers := p.workers
-	if helpers > tiles-1 {
-		helpers = tiles - 1
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < helpers; i++ {
-		wg.Add(1)
-		select {
-		case p.jobs <- poolJob{run: run, wg: &wg}:
-		default:
-			wg.Done()
-			i = helpers // queue full: stop inviting
-		}
-	}
-	run()
-	wg.Wait()
+	f.drain()
+	f.wg.Wait()
 }

@@ -48,3 +48,8 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 		jsonEncPool.Put(e)
 	}
 }
+
+// WriteError answers with the error shape every door uses: {"error": msg}.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, map[string]string{"error": msg})
+}
