@@ -475,11 +475,10 @@ type serveRow struct {
 func runServeLoad(maxBatch int) (serveRow, error) {
 	be := &pacedBackend{accel: hwsim.DefaultAccel(), cfg: experiments.StudentModelCfg()}
 	cfg := serve.Config{
-		Workers:       2,
-		MaxBatch:      maxBatch,
-		BatchDelay:    time.Millisecond,
-		QueueCap:      512,
-		LatencyWindow: 4096,
+		Workers:    2,
+		MaxBatch:   maxBatch,
+		BatchDelay: time.Millisecond,
+		QueueCap:   512,
 	}
 	if maxBatch == 1 {
 		cfg.BatchDelay = 0 // nothing to wait for

@@ -194,7 +194,6 @@ func main() {
 		BatchDelay:        *batchDelay,
 		QueueCap:          *queueCap,
 		DefaultTimeout:    *timeout,
-		LatencyWindow:     def.LatencyWindow,
 		Watchdog:          *watchdog,
 		RetryBudget:       *retryBudget,
 		BreakerThreshold:  *breakerThreshold,
@@ -397,7 +396,7 @@ func (h *handler) tasks(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
-	rep, code := computeHealth(h.srv.Draining(), h.pipe.Tasks(), h.srv.Snapshot().Breakers, h.fallbackFor)
+	rep, code := computeHealth(h.srv.Draining(), h.pipe.Tasks(), h.srv.Breakers(), h.fallbackFor)
 	wire.WriteJSON(w, code, rep)
 }
 

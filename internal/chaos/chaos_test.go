@@ -170,7 +170,7 @@ func TestHangTripsServeWatchdog(t *testing.T) {
 	b := chaos.Wrap(fixed, chaos.Config{Seed: 5, HangFor: 300 * time.Millisecond})
 	b.Break("patrol-student", chaos.FaultHang)
 	srv, err := serve.New(b, serve.Config{
-		Workers: 1, MaxBatch: 4, QueueCap: 8, LatencyWindow: 16,
+		Workers: 1, MaxBatch: 4, QueueCap: 8,
 		Watchdog: 25 * time.Millisecond,
 	})
 	if err != nil {
@@ -192,7 +192,7 @@ func TestLatencyInjectionTripsSLOAndDegrades(t *testing.T) {
 	// patrol lane open and the third request degrades to the fallback.
 	b := chaos.Wrap(fixed, chaos.Config{Seed: 5, LatencyRate: 1, Latency: 30 * time.Millisecond})
 	srv, err := serve.New(b, serve.Config{
-		Workers: 1, MaxBatch: 4, QueueCap: 8, LatencyWindow: 16,
+		Workers: 1, MaxBatch: 4, QueueCap: 8,
 		LatencySLO:        5 * time.Millisecond,
 		BreakerThreshold:  2,
 		BreakerBackoff:    time.Minute,
@@ -236,13 +236,12 @@ func TestChaosAcceptance(t *testing.T) {
 	fixed := newFixed()
 	b := chaos.Wrap(fixed, chaos.Config{Seed: 42, PanicRate: 0.10})
 	cfg := serve.Config{
-		Workers:       2,
-		MaxBatch:      8,
-		BatchDelay:    time.Hour, // lanes flush only when full: 64 requests = 8 full batches
-		QueueCap:      128,
-		LatencyWindow: 256,
-		Watchdog:      5 * time.Second,
-		RetryBudget:   3, // log2(MaxBatch): isolates any single poison
+		Workers:     2,
+		MaxBatch:    8,
+		BatchDelay:  time.Hour, // lanes flush only when full: 64 requests = 8 full batches
+		QueueCap:    128,
+		Watchdog:    5 * time.Second,
+		RetryBudget: 3, // log2(MaxBatch): isolates any single poison
 		// High enough that phase 1's poison panics (interleaved with the
 		// successes of their quarantined batch-mates) never trip it, low
 		// enough that phase 2 trips it in a few bursts.

@@ -128,7 +128,7 @@ func (g *Gateway) Propagate(ctx context.Context, c Change) (uint64, error) {
 		return 0, applyErr
 	}
 	g.advanceEpoch(epoch)
-	g.m.inc(epoch, cPropagates)
+	g.m[cPropagates].Add(1)
 	for i, m := range shards {
 		if errs[i] != nil {
 			g.observeEpoch(m, m.epoch.Load()) // still where it was: lagging

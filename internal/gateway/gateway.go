@@ -327,7 +327,7 @@ func (c Config) Validate() error {
 // are safe for concurrent use.
 type Gateway struct {
 	cfg    Config
-	m      *metrics
+	m      counters
 	hot    *freq.Tracker // nil when hot-key handling is off
 	budget *fair.Budget  // one key: the fleet; unlimited at rate 0
 	tbl    *member.Table
@@ -374,7 +374,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:    cfg,
-		m:      &metrics{},
 		hot:    freq.New(cfg.HotThreshold, freq.DefaultSlots, cfg.HotDecay),
 		budget: fair.NewBudget(cfg.RetryBudgetRate, max(1, float64(cfg.RetryBudgetBurst))),
 		tbl: member.NewTable(member.Config{
@@ -704,7 +703,7 @@ func (g *Gateway) Execute(ctx context.Context, k Key, do func(ctx context.Contex
 		avail = prefs
 	}
 
-	s := g.choose(avail, &info, dominant)
+	s := g.choose(avail, &info, ts, dominant)
 	tried := make([]*shard, 0, 1+g.cfg.MaxRetries)
 	var lastErr error
 	for attempt := 0; attempt <= g.cfg.MaxRetries && s != nil; attempt++ {
@@ -723,25 +722,19 @@ func (g *Gateway) Execute(ctx context.Context, k Key, do func(ctx context.Contex
 		case ClassOK:
 			s.consecFails.Store(0)
 			s.served.Add(1)
-			g.m.inc(h, cRouted)
-			ts.routed.Add(1)
+			g.count(ts, cRouted)
 			if info.Hot {
-				g.m.inc(h, cHotRouted)
-				ts.hotRouted.Add(1)
-			}
-			if info.Spilled {
-				ts.spilled.Add(1)
+				g.count(ts, cHotRouted)
 			}
 			if !k.HasDigest {
-				g.m.inc(h, cTaskRouted)
+				g.count(ts, cTaskRouted)
 			}
 			return info, nil
 		case ClassRequest:
 			// The node answered; the request itself is at fault. Do not
 			// spread poison to a successor.
 			s.consecFails.Store(0)
-			g.m.inc(h, cRouted)
-			ts.routed.Add(1)
+			g.count(ts, cRouted)
 			return info, err
 		case ClassOverload:
 			s.failures.Add(1)
@@ -764,19 +757,18 @@ func (g *Gateway) Execute(ctx context.Context, k Key, do func(ctx context.Contex
 			break
 		}
 		if !g.budget.Allow("", time.Now()) {
-			g.m.inc(h, cBudgetDry)
+			g.count(ts, cBudgetDry)
 			lastErr = fmt.Errorf("%w: %w", ErrRetryBudget, lastErr)
 			break
 		}
-		g.m.inc(h, cRetries)
+		g.count(ts, cRetries)
 		if d := g.retryDelay(attempt, lastErr); d > 0 {
 			if !sleepRetry(ctx, d) {
 				return info, ctx.Err()
 			}
 		}
 	}
-	g.m.inc(h, cFailed)
-	ts.failed.Add(1)
+	g.count(ts, cFailed)
 	if lastErr == nil {
 		lastErr = ErrNoNodes
 	}
@@ -810,7 +802,7 @@ func (g *Gateway) attempt(ctx context.Context, s *shard, do func(ctx context.Con
 // (dominant-tenant) request skips both elastic paths and takes its ring
 // owner straight: the spread capacity is reserved for the tenants that are
 // not already holding most of the fleet.
-func (g *Gateway) choose(avail []*shard, info *ExecInfo, pinned bool) *shard {
+func (g *Gateway) choose(avail []*shard, info *ExecInfo, ts *tenantStats, pinned bool) *shard {
 	if len(avail) == 0 {
 		return nil
 	}
@@ -852,7 +844,7 @@ func (g *Gateway) choose(avail []*shard, info *ExecInfo, pinned bool) *shard {
 			for _, s := range avail[1:] {
 				if s.inflight.Load() < cap64 {
 					info.Spilled = true
-					g.m.inc(uint64(total), cSpills)
+					g.count(ts, cSpills)
 					return s
 				}
 				if s.inflight.Load() < least.inflight.Load() {
@@ -861,7 +853,7 @@ func (g *Gateway) choose(avail []*shard, info *ExecInfo, pinned bool) *shard {
 			}
 			if least != owner {
 				info.Spilled = true
-				g.m.inc(uint64(total), cSpills)
+				g.count(ts, cSpills)
 				return least
 			}
 		}
@@ -919,16 +911,16 @@ func (g *Gateway) Snapshot() Snapshot {
 	ms := g.tbl.Stats()
 	now := time.Now().UnixNano()
 	snap := Snapshot{
-		Routed:               g.m.total(cRouted),
-		Failed:               g.m.total(cFailed),
-		HotRouted:            g.m.total(cHotRouted),
-		TaskRouted:           g.m.total(cTaskRouted),
-		Spills:               g.m.total(cSpills),
-		Retries:              g.m.total(cRetries),
-		RetryBudgetExhausted: g.m.total(cBudgetDry),
-		Ejections:            g.m.total(cEjections),
-		EpochDrift:           g.m.total(cEpochDrift),
-		Propagates:           g.m.total(cPropagates),
+		Routed:               g.m[cRouted].Load(),
+		Failed:               g.m[cFailed].Load(),
+		HotRouted:            g.m[cHotRouted].Load(),
+		TaskRouted:           g.m[cTaskRouted].Load(),
+		Spills:               g.m[cSpills].Load(),
+		Retries:              g.m[cRetries].Load(),
+		RetryBudgetExhausted: g.m[cBudgetDry].Load(),
+		Ejections:            g.m[cEjections].Load(),
+		EpochDrift:           g.m[cEpochDrift].Load(),
+		Propagates:           g.m[cPropagates].Load(),
 		CommittedEpoch:       g.committedEpoch.Load(),
 		LeasesGranted:        ms.LeasesGranted,
 		LeaseRenewals:        ms.Renewals,

@@ -46,7 +46,7 @@ func (g *Gateway) noteDown(s *shard) {
 	until := time.Now().Add(g.cfg.EjectFor).UnixNano()
 	if s.ejectedUntil.Swap(until) <= time.Now().UnixNano() {
 		// Count a fresh ejection, not an extension of a running one.
-		g.m.inc(uint64(until), cEjections)
+		g.m[cEjections].Add(1)
 	}
 }
 
@@ -115,7 +115,7 @@ func (g *Gateway) observeEpoch(s *shard, ep uint64) {
 	committed := g.committedEpoch.Load()
 	lag := ep < committed
 	if s.lagging.Swap(lag) != lag && lag {
-		g.m.inc(ep, cEpochDrift)
+		g.m[cEpochDrift].Add(1)
 	}
 	if lag {
 		return

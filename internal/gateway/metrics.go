@@ -2,10 +2,8 @@ package gateway
 
 import "sync/atomic"
 
-// metrics.go: the gateway's counters, sharded the same way as the serve
-// layer's so concurrent clients on different cores never contend on one
-// counter cache line. Shard selection hashes on the request key; totals are
-// summed at snapshot time.
+// metrics.go: the gateway's counters — one flat array of atomics for the
+// fleet total and one of the same shape per tenant row (tenant.go).
 
 type counterID int
 
@@ -23,27 +21,13 @@ const (
 	numCounters
 )
 
-const metricShards = 8
+type counters [numCounters]atomic.Uint64
 
-type counterShard struct {
-	v [numCounters]atomic.Uint64
-	_ [64]byte
-}
-
-type metrics struct {
-	shards [metricShards]counterShard
-}
-
-func (m *metrics) inc(hint uint64, c counterID) {
-	m.shards[hint%metricShards].v[c].Add(1)
-}
-
-func (m *metrics) total(c counterID) uint64 {
-	var t uint64
-	for i := range m.shards {
-		t += m.shards[i].v[c].Load()
-	}
-	return t
+// count adds one to c in the fleet total and in the tenant's row, so for
+// every counter a request moves the rows sum to the total.
+func (g *Gateway) count(ts *tenantStats, c counterID) {
+	g.m[c].Add(1)
+	ts.c[c].Add(1)
 }
 
 // Snapshot is the gateway's observable state, shaped for /metricsz.

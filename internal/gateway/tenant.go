@@ -36,15 +36,12 @@ const (
 	dominanceMinInFlight = 4
 )
 
-// tenantStats is one tenant's routing counters. inflight is the tenant's
-// currently-executing requests fleet-wide (the dominance signal); the rest
-// mirror the gateway's global counters.
+// tenantStats is one tenant's routing row. inflight is the tenant's
+// currently-executing requests fleet-wide (the dominance signal); c is the
+// tenant's share of the gateway's counters (see Gateway.count).
 type tenantStats struct {
 	inflight  atomic.Int64
-	routed    atomic.Uint64
-	failed    atomic.Uint64
-	hotRouted atomic.Uint64
-	spilled   atomic.Uint64
+	c         counters
 	dominated atomic.Uint64
 }
 
@@ -85,7 +82,8 @@ type TenantStatus struct {
 	// counts requests that exhausted every attempt.
 	Routed uint64 `json:"routed"`
 	Failed uint64 `json:"failed,omitempty"`
-	// HotRouted and Spilled mirror the global counters, per tenant.
+	// HotRouted and Spilled are the tenant's share of the global hot_routed
+	// and spills (a spill counts when it is decided, succeed or not).
 	HotRouted uint64 `json:"hot_routed,omitempty"`
 	Spilled   uint64 `json:"spilled,omitempty"`
 	// Dominated counts requests routed while this tenant held more than
@@ -102,10 +100,10 @@ func (t *tenantTable) snapshot() []TenantStatus {
 		out = append(out, TenantStatus{
 			Tenant:    k.(string),
 			InFlight:  ts.inflight.Load(),
-			Routed:    ts.routed.Load(),
-			Failed:    ts.failed.Load(),
-			HotRouted: ts.hotRouted.Load(),
-			Spilled:   ts.spilled.Load(),
+			Routed:    ts.c[cRouted].Load(),
+			Failed:    ts.c[cFailed].Load(),
+			HotRouted: ts.c[cHotRouted].Load(),
+			Spilled:   ts.c[cSpills].Load(),
 			Dominated: ts.dominated.Load(),
 		})
 		return true

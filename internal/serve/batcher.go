@@ -17,9 +17,10 @@ type pending struct {
 	tenant   string
 	deadline time.Time
 	enq      time.Time
-	// hint spreads this request's metrics updates across counter shards
-	// (see metrics); stable for the request's lifetime.
-	hint uint64
+	// row is the tenant's ledger row, resolved once — by the flight join for
+	// a follower, by admitLane before the enqueue otherwise — so the
+	// request's admit and its outcome land in the same row.
+	row *tenantRow
 	// key is the content-addressed cache key (haveKey guards validity; the
 	// fast path computes it only when the cache or coalescing is enabled).
 	// key.Artifact doubles as the memoized routing decision.
@@ -83,8 +84,8 @@ type lane struct {
 // full batch, when its BatchDelay expires, or at shutdown; workers wait on
 // cond for ready lanes and serve them in FIFO order.
 type state struct {
-	mu   sync.Mutex
-	cond *sync.Cond // signalled when a lane becomes ready or the server closes
+	mu    sync.Mutex
+	cond  *sync.Cond // signalled when a lane becomes ready or the server closes
 	lanes map[string]*lane
 	// readyQ is the FIFO of lanes with a batch ready to take. Lane-level
 	// FIFO keeps cross-lane service fair too: a busy lane re-marks itself
@@ -165,19 +166,17 @@ func (s *Server) enqueue(variant, task string, p *pending) error {
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
-		s.m.inc(p.hint, cRejectedClosed)
+		s.m.inc(cRejectedClosed)
 		return ErrShuttingDown
 	}
 	if st.queued >= s.cfg.QueueCap {
 		st.mu.Unlock()
-		s.m.inc(p.hint, cRejectedFull)
-		s.m.tenantRejected(p.tenant)
+		s.m.count(cRejectedFull, p.row)
 		return ErrQueueFull
 	}
 	if st.queuedBy[p.tenant] >= s.tenantQueueCapLocked(p.tenant) {
 		st.mu.Unlock()
-		s.m.inc(p.hint, cRejectedShare)
-		s.m.tenantRejected(p.tenant)
+		s.m.count(cRejectedShare, p.row)
 		return ErrQueueFull
 	}
 	st.queued++

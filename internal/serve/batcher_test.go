@@ -13,7 +13,7 @@ import (
 // a batch of one.
 func TestFlushOnDeadlineSingleRequest(t *testing.T) {
 	fb := newFakeBackend()
-	cfg := Config{Workers: 1, MaxBatch: 64, BatchDelay: 10 * time.Millisecond, QueueCap: 128, LatencyWindow: 16}
+	cfg := Config{Workers: 1, MaxBatch: 64, BatchDelay: 10 * time.Millisecond, QueueCap: 128}
 	s := newTestServer(t, fb, cfg)
 
 	start := time.Now()
@@ -42,7 +42,7 @@ func TestQueueFullRejection(t *testing.T) {
 	fb.delay = 50 * time.Millisecond
 	// One slow worker, small queue: admitted requests pile up in the lane
 	// and in blocked dispatches until QueueCap is hit.
-	cfg := Config{Workers: 1, MaxBatch: 4, BatchDelay: 20 * time.Millisecond, QueueCap: 8, LatencyWindow: 16}
+	cfg := Config{Workers: 1, MaxBatch: 4, BatchDelay: 20 * time.Millisecond, QueueCap: 8}
 	s := newTestServer(t, fb, cfg)
 
 	var wg sync.WaitGroup
@@ -77,7 +77,7 @@ func TestQueueFullRejection(t *testing.T) {
 func TestShutdownWhileDraining(t *testing.T) {
 	fb := newFakeBackend()
 	fb.delay = 10 * time.Millisecond
-	cfg := Config{Workers: 1, MaxBatch: 4, BatchDelay: time.Hour, QueueCap: 64, LatencyWindow: 64}
+	cfg := Config{Workers: 1, MaxBatch: 4, BatchDelay: time.Hour, QueueCap: 64}
 	s, err := New(fb, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestDeadlineShedWhileQueued(t *testing.T) {
 	// 1ms deadline passes AND when it is submitted; a generous hold keeps
 	// the test deterministic on an oversubscribed CI core.
 	fb.delay = 250 * time.Millisecond
-	cfg := Config{Workers: 1, MaxBatch: 1, BatchDelay: 0, QueueCap: 16, LatencyWindow: 16}
+	cfg := Config{Workers: 1, MaxBatch: 1, BatchDelay: 0, QueueCap: 16}
 	s := newTestServer(t, fb, cfg)
 
 	// Occupy the only worker, and wait until it is actually inside the
@@ -187,6 +187,14 @@ func TestExpiredDeadlineRefusedAtAdmission(t *testing.T) {
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
+	// It was never accepted, so it is a rejection: counting it as shed would
+	// leave the books with a terminal outcome and no admission.
+	snap := s.Snapshot()
+	if snap.RejectedDeadline != 1 || snap.ShedExpired != 0 || snap.Accepted != 0 {
+		t.Errorf("rejected_deadline_expired=%d shed_deadline_expired=%d accepted=%d, want 1/0/0",
+			snap.RejectedDeadline, snap.ShedExpired, snap.Accepted)
+	}
+	checkBooks(t, snap)
 }
 
 // DefaultTimeout applies to requests that carry no deadline.
@@ -194,7 +202,7 @@ func TestDefaultTimeout(t *testing.T) {
 	fb := newFakeBackend()
 	fb.delay = 100 * time.Millisecond
 	cfg := Config{Workers: 1, MaxBatch: 1, BatchDelay: 0, QueueCap: 16,
-		DefaultTimeout: 25 * time.Millisecond, LatencyWindow: 16}
+		DefaultTimeout: 25 * time.Millisecond}
 	s := newTestServer(t, fb, cfg)
 
 	blocker, err := s.Submit(Request{Task: "patrol", Image: testImage()})
@@ -216,7 +224,7 @@ func TestDefaultTimeout(t *testing.T) {
 func TestDetectContextCancel(t *testing.T) {
 	fb := newFakeBackend()
 	fb.delay = 100 * time.Millisecond
-	cfg := Config{Workers: 1, MaxBatch: 1, BatchDelay: 0, QueueCap: 16, LatencyWindow: 16}
+	cfg := Config{Workers: 1, MaxBatch: 1, BatchDelay: 0, QueueCap: 16}
 	s := newTestServer(t, fb, cfg)
 
 	ctx, cancel := context.WithCancel(context.Background())

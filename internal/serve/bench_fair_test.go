@@ -52,7 +52,7 @@ func BenchmarkFairVsFIFO(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := Config{
 				Workers: 2, MaxBatch: 8, BatchDelay: 0,
-				QueueCap: 128, LatencyWindow: 1024,
+				QueueCap: 128,
 			}
 			heavy, light := DefaultTenant, DefaultTenant
 			if tc.fair {
@@ -128,17 +128,4 @@ func BenchmarkFairVsFIFO(b *testing.B) {
 			b.StopTimer()
 		})
 	}
-}
-
-// BenchmarkTenantMetrics isolates the per-tenant attribution write added to
-// every completion (sync.Map lookup + padded counters + latency ring).
-func BenchmarkTenantMetrics(b *testing.B) {
-	m := newMetrics(8, 4096)
-	b.RunParallel(func(pb *testing.PB) {
-		var n uint64
-		for pb.Next() {
-			n++
-			m.tenantCompleted("bench-tenant", time.Duration(n), false)
-		}
-	})
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -32,11 +31,10 @@ func (benchBackend) DetectBatch(variant, task string, imgs []*tensor.Tensor) ([]
 
 func benchConfig(cache, hot bool) Config {
 	cfg := Config{
-		Workers:       4,
-		MaxBatch:      8,
-		BatchDelay:    0,
-		QueueCap:      4096,
-		LatencyWindow: 4096,
+		Workers:    4,
+		MaxBatch:   8,
+		BatchDelay: 0,
+		QueueCap:   4096,
 	}
 	if cache {
 		cfg.CacheBytes = 64 << 20
@@ -194,54 +192,19 @@ func BenchmarkServeHotPath(b *testing.B) {
 	}
 }
 
-// legacyServeMetrics is a faithful miniature of the pre-sharding metrics
-// design — one global mutex guarding counters and the latency ring — kept
-// for before/after comparison benches against the sharded implementation.
-type legacyServeMetrics struct {
-	mu        sync.Mutex
-	accepted  uint64
-	completed uint64
-	window    []float64
-	next      int
-}
-
-func (m *legacyServeMetrics) observe(d time.Duration) {
-	us := float64(d) / float64(time.Microsecond)
-	m.mu.Lock()
-	m.accepted++
-	m.completed++
-	if len(m.window) < cap(m.window) {
-		m.window = append(m.window, us)
-	} else {
-		m.window[m.next] = us
-		m.next = (m.next + 1) % len(m.window)
-	}
-	m.mu.Unlock()
-}
-
-// BenchmarkMetricsLegacy vs BenchmarkMetricsSharded isolate the
-// contention cost of the old single-mutex metrics against the sharded
-// atomic design under parallel writers (run with -cpu 1,4,8).
-func BenchmarkMetricsLegacy(b *testing.B) {
-	m := &legacyServeMetrics{window: make([]float64, 0, 4096)}
+// BenchmarkLedger is the ledger's whole write path for one executed request:
+// admit, then settle into the global, tenant and model rows and both latency
+// histograms (run with -cpu 1,4,8 to see it under parallel writers).
+func BenchmarkLedger(b *testing.B) {
+	m := newMetrics(8)
+	row := m.tenant("bench-tenant")
+	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		var n uint64
 		for pb.Next() {
 			n++
-			m.observe(time.Duration(n))
-		}
-	})
-}
-
-func BenchmarkMetricsSharded(b *testing.B) {
-	m := newMetrics(8, 4096)
-	b.RunParallel(func(pb *testing.PB) {
-		var n uint64
-		for pb.Next() {
-			n++
-			m.inc(n, cAccepted)
-			m.inc(n, cCompleted)
-			m.observeLatency(n, time.Duration(n))
+			m.count(cAccepted, row)
+			m.settle(cCompleted, row, "bench-model", time.Duration(n)*time.Microsecond, false)
 		}
 	})
 }

@@ -44,15 +44,9 @@ func (s *Server) execute(variant, task string, items []*pending) {
 	for _, p := range items {
 		switch {
 		case p.cancelled.Load():
-			s.m.inc(p.hint, cShedCancelled)
-			s.m.tenantShed(p.tenant)
-			s.releaseShedProbe(p)
-			s.deliver(p, Outcome{Err: context.Canceled})
+			s.shed(p, cShedCancelled, context.Canceled)
 		case !p.deadline.IsZero() && started.After(p.deadline):
-			s.m.inc(p.hint, cShedExpired)
-			s.m.tenantShed(p.tenant)
-			s.releaseShedProbe(p)
-			s.deliver(p, Outcome{Err: ErrDeadlineExceeded})
+			s.shed(p, cShedExpired, ErrDeadlineExceeded)
 		default:
 			live = append(live, p)
 			imgs = append(imgs, p.image)
@@ -75,16 +69,9 @@ func (s *Server) execute(variant, task string, items []*pending) {
 	if err == nil {
 		finished := time.Now()
 		s.m.observeBatch(len(live))
-		var latSumUS float64
 		for i, p := range live {
 			total := finished.Sub(p.enq)
-			s.m.observeLatency(p.hint, total)
-			s.m.inc(p.hint, cCompleted)
-			s.m.tenantCompleted(p.tenant, total, p.degraded != "")
-			latSumUS += float64(total) / float64(time.Microsecond)
-			if p.degraded != "" {
-				s.m.inc(p.hint, cDegradedServed)
-			}
+			s.m.settle(cCompleted, p.row, model, total, p.degraded != "")
 			s.deliver(p, Outcome{Res: Result{
 				Payload:   payloads[i],
 				Model:     model,
@@ -95,7 +82,6 @@ func (s *Server) execute(variant, task string, items []*pending) {
 				Total:     total,
 			}})
 		}
-		s.m.modelCompleted(model, len(live), latSumUS)
 		return
 	}
 
@@ -108,13 +94,11 @@ func (s *Server) execute(variant, task string, items []*pending) {
 	// innocent batch-mates still succeed.
 	switch {
 	case errors.Is(err, ErrBackendPanic):
-		s.m.inc(live[0].hint, cPanics)
-		s.m.modelFault(variant, err)
+		s.m.fault(cPanics, variant)
 		s.evictVariant(variant)
 		s.variantUnhealthy(variant, task, UnhealthyPanic)
 	case errors.Is(err, ErrWatchdog):
-		s.m.inc(live[0].hint, cWatchdogs)
-		s.m.modelFault(variant, err)
+		s.m.fault(cWatchdogs, variant)
 		s.evictVariant(variant)
 		s.variantUnhealthy(variant, task, UnhealthyWatchdog)
 	}
@@ -133,7 +117,7 @@ func (s *Server) execute(variant, task string, items []*pending) {
 				continue
 			}
 			p.attempts++
-			s.m.inc(p.hint, cRetries)
+			s.m.inc(cRetries)
 			retry = append(retry, p)
 		}
 		if len(retry) > 0 {
@@ -142,16 +126,17 @@ func (s *Server) execute(variant, task string, items []*pending) {
 	}
 }
 
-// releaseShedProbe returns the half-open probe slot held by a request that
-// was shed before its lane's breaker saw any execution outcome. Without the
-// release, the lane would stay half-open with probing set and no probe ever
-// running, denying every future request forever. No-op for non-probes.
-func (s *Server) releaseShedProbe(p *pending) {
-	if p.probeKey == "" {
-		return
+// shed terminates a request that was cancelled or expired while queued. If
+// it held a half-open probe slot its lane's breaker has seen no outcome for,
+// the slot is returned: otherwise the lane would stay half-open with probing
+// set and no probe ever running, denying every future request forever.
+func (s *Server) shed(p *pending, how counterIdx, err error) {
+	s.m.settle(how, p.row, "", 0, false)
+	if p.probeKey != "" {
+		s.h.releaseProbe(p.probeKey)
+		p.probeKey = ""
 	}
-	s.h.releaseProbe(p.probeKey)
-	p.probeKey = ""
+	s.deliver(p, Outcome{Err: err})
 }
 
 // fail delivers a terminal error to one request, attributing it to the
@@ -159,11 +144,9 @@ func (s *Server) releaseShedProbe(p *pending) {
 // the quarantine verdict that this specific request, not its batch-mates, is
 // the poison.
 func (s *Server) fail(p *pending, variant string, err error, isolated bool) {
-	s.m.inc(p.hint, cFailed)
-	s.m.tenantFailed(p.tenant)
-	s.m.modelFailed(variant, 1)
+	s.m.settle(cFailed, p.row, variant, 0, false)
 	if isolated && isPanicOrHang(err) {
-		s.m.inc(p.hint, cQuarantined)
+		s.m.inc(cQuarantined)
 		if s.cache != nil && p.haveKey {
 			// The content is proven poison on its routed version: mark it in
 			// the negative cache so a hot poison frame fails fast at
@@ -210,7 +193,7 @@ func (s *Server) finishFlight(p *pending, out Outcome) {
 	}
 	if out.Err != nil {
 		for _, f := range followers {
-			s.m.inc(f.hint, cCoalescedRetried)
+			s.m.inc(cCoalescedRetried)
 			s.resubmit(f)
 		}
 		return
@@ -224,10 +207,7 @@ func (s *Server) finishFlight(p *pending, out Outcome) {
 		// Attribution follows the follower, not the leader: a coalesced
 		// hit is the follower tenant's completion.
 		res.Tenant = f.tenant
-		s.m.inc(f.hint, cCoalesced)
-		s.m.inc(f.hint, cCompleted)
-		s.m.observeLatency(f.hint, res.Total)
-		s.m.tenantCompleted(f.tenant, res.Total, res.Degraded != "")
+		s.m.settle(cCoalesced, f.row, "", res.Total, res.Degraded != "")
 		f.done <- Outcome{Res: res}
 	}
 }
@@ -332,10 +312,10 @@ func (s *Server) recordExec(variant, task string, err error, dur time.Duration) 
 	ok := err == nil
 	if ok && s.cfg.LatencySLO > 0 && dur > s.cfg.LatencySLO {
 		ok = false
-		s.m.inc(0, cSLOBreaches)
+		s.m.inc(cSLOBreaches)
 	}
 	if opened := s.h.record(laneKey(variant, task), ok, time.Now()); opened {
-		s.m.inc(0, cBreakerOpens)
+		s.m.inc(cBreakerOpens)
 		// A tripped lane is a health verdict on its variant version: let
 		// the registry roll the artifact back to its last-known-good
 		// version while the breaker sheds load.
@@ -355,7 +335,7 @@ func (s *Server) variantUnhealthy(variant, task, reason string) {
 		sink.VariantUnhealthy(variant, task, reason)
 		if s.cache != nil {
 			if n := s.cache.InvalidateArtifact(variant); n > 0 {
-				s.m.addN(0, cArtifactSweeps, uint64(n))
+				s.m.c[cArtifactSweeps].Add(uint64(n))
 			}
 		}
 	}
@@ -367,6 +347,6 @@ func (s *Server) variantUnhealthy(variant, task, reason string) {
 func (s *Server) evictVariant(variant string) {
 	if ev, ok := s.backend.(VariantEvicter); ok {
 		ev.EvictVariant(variant)
-		s.m.inc(0, cVariantEvictions)
+		s.m.inc(cVariantEvictions)
 	}
 }

@@ -114,7 +114,7 @@ func poisonImage() *tensor.Tensor {
 func faultConfig() Config {
 	return Config{
 		Workers: 1, MaxBatch: 8, BatchDelay: time.Hour, QueueCap: 64,
-		LatencyWindow: 64, Watchdog: 0, RetryBudget: 3,
+		Watchdog: 0, RetryBudget: 3,
 	}
 }
 
@@ -274,9 +274,14 @@ func TestBreakerOpensAndRejectsWithoutFallback(t *testing.T) {
 			t.Fatalf("request %d should fail", i)
 		}
 	}
-	_, err := s.Detect(context.Background(), Request{Task: "patrol", Image: testImage()})
+	_, err := s.Detect(context.Background(), Request{Task: "patrol", Tenant: "junk", Image: testImage()})
 	if !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("err = %v, want ErrBreakerOpen", err)
+	}
+	for _, ts := range s.Snapshot().PerTenant {
+		if ts.Tenant == "junk" {
+			t.Errorf("breaker-refused request took a tenant row: %+v", ts)
+		}
 	}
 	var bo *BreakerOpenError
 	if !errors.As(err, &bo) {
@@ -454,9 +459,7 @@ func TestDetectCancelShedsQueuedRequest(t *testing.T) {
 	if snap.ShedCancelled != 1 {
 		t.Errorf("ShedCancelled = %d, want 1", snap.ShedCancelled)
 	}
-	if got := snap.Completed + snap.Failed + snap.ShedExpired + snap.ShedCancelled; got != snap.Accepted {
-		t.Errorf("books unbalanced with cancellation: accepted %d, terminal %d", snap.Accepted, got)
-	}
+	checkBooks(t, snap)
 }
 
 // badShapeBackend validates images, mimicking the pipeline backend.

@@ -45,16 +45,11 @@ type flightStripe struct {
 
 // flightGroup is the striped singleflight table.
 type flightGroup struct {
-	stripes []flightStripe
-	mask    uint64
+	stripes [16]flightStripe
 }
 
-func newFlightGroup(stripes int) *flightGroup {
-	n := nextPow2(stripes)
-	if n < 4 {
-		n = 4
-	}
-	g := &flightGroup{stripes: make([]flightStripe, n), mask: uint64(n - 1)}
+func newFlightGroup() *flightGroup {
+	g := &flightGroup{}
 	for i := range g.stripes {
 		g.stripes[i].m = map[rcache.Key]*flight{}
 	}
@@ -62,18 +57,22 @@ func newFlightGroup(stripes int) *flightGroup {
 }
 
 func (g *flightGroup) stripe(key rcache.Key) *flightStripe {
-	return &g.stripes[key.Digest&g.mask]
+	return &g.stripes[key.Digest%uint64(len(g.stripes))]
 }
 
 // join attaches p to the flight for key. When no flight exists, p becomes
 // the leader of a new one (isLeader=true); the leader's terminal delivery
 // must resolve the flight exactly once. Otherwise p is registered as a
-// follower and must not be enqueued — its outcome arrives via resolve.
-func (g *flightGroup) join(key rcache.Key, p *pending) (f *flight, isLeader bool) {
+// follower and must not be enqueued — its outcome arrives via resolve. A
+// follower is accepted into m here, under the lock resolve takes, so its
+// tenant row is in place before the leader can settle it.
+func (g *flightGroup) join(key rcache.Key, p *pending, m *metrics) (f *flight, isLeader bool) {
 	st := g.stripe(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if f := st.m[key]; f != nil {
+		p.row = m.tenant(p.tenant)
+		m.count(cAccepted, p.row)
 		f.followers = append(f.followers, p)
 		return f, false
 	}

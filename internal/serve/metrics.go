@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"errors"
-	"math"
-	"runtime"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,28 +12,20 @@ import (
 	"itask/internal/sched"
 )
 
-// The serving layer's metrics are fully sharded and lock-free on the hot
-// path. The previous implementation funneled every admit, complete, fail,
-// and batch observation through one global mutex — at high core counts that
-// single cache line was the throughput ceiling, not the kernels. Now:
-//
-//   - Counters live in N padded per-shard atomic blocks (counterShard).
-//     Writers pick a shard from a per-request hint (image digest mixed with
-//     the admission timestamp) so concurrent requests touch different cache
-//     lines; a shard is 128-byte aligned-and-padded so two shards never
-//     false-share.
-//   - Latencies go to a striped ring: each stripe owns a private mutex and
-//     a slice of the window, so percentile bookkeeping contends only
-//     1/stripes as often, and snapshot() copies stripe-by-stripe (never all
-//     stripes at once) and sorts entirely outside any lock.
-//   - Per-model attribution lives in a sync.Map of atomic counter blocks,
-//     so /metricsz aggregation never stalls admission or execution.
-//
-// snapshot() is O(shards·counters + window log window + models) with no
-// writer-visible lock held across any sort.
+// The serving layer keeps one ledger: a flat array of atomic counters for the
+// totals, the same array again for each tenant's and each model version's row
+// (sync.Maps), and one log-bucket latency histogram type, used for the totals
+// and per tenant. A request enters the books once, counted cAccepted, and
+// leaves them once through settle, which updates the total, tenant and model
+// rows together, so accepted = completed + failed + shed holds in total and
+// for every tenant by construction rather than by call sites agreeing.
+// Nothing on the write path locks, sorts or sizes itself to the host;
+// snapshot() only loads atomics.
 
-// counterIdx names one sharded counter. Keep numCounters last.
+// counterIdx names one ledger counter. Keep numCounters last.
 type counterIdx int
+
+type counters [numCounters]atomic.Uint64
 
 const (
 	cAccepted counterIdx = iota
@@ -46,6 +36,7 @@ const (
 	cRejectedRoute
 	cRejectedShape
 	cRejectedBreaker
+	cRejectedDeadline
 	cShedExpired
 	cShedCancelled
 
@@ -60,7 +51,7 @@ const (
 	cDegradedServed   // requests completed on the fallback variant
 	cVariantEvictions // cached variants dropped after panic/watchdog
 
-	cBatches
+	cBatches // successfully executed batches
 
 	// Zero-contention request path counters.
 	cCacheHits        // requests served straight from the result cache
@@ -79,44 +70,79 @@ const (
 	numCounters
 )
 
-// counterShard is one padded block of counters. The pad rounds the struct
-// up to a multiple of 128 bytes (two typical cache lines, covering spatial
-// prefetch pairs) so adjacent shards never share a line.
-type counterShard struct {
-	c [numCounters]atomic.Uint64
-	_ [(128 - (numCounters*8)%128) % 128]byte
+// hist is a log-linear histogram of whole microseconds: values below histSub
+// are exact, and above that every power of two splits into histSub equal
+// buckets, so a bucket is never wider than 1/histSub (12.5 %) of its lower
+// bound. record is one bits.Len64 and one atomic add; counts taken at two
+// moments subtract bucket by bucket, and histograms merge by adding.
+type hist [histBuckets]atomic.Uint64
+
+const (
+	histSub = 8
+	// histBuckets reaches 2^32 µs (71 minutes); anything slower lands in
+	// the last bucket.
+	histBuckets = 30 * histSub
+)
+
+func histBucket(us uint64) int {
+	if us < histSub {
+		return int(us)
+	}
+	e := bits.Len64(us) - 1 // us is in [2^e, 2^(e+1)), e >= 3
+	return min((e-2)*histSub+int(us>>(e-3))&(histSub-1), histBuckets-1)
 }
 
-// latStripe is one stripe of the latency window: a private ring under a
-// private mutex, padded like counterShard.
-type latStripe struct {
-	mu   sync.Mutex
-	buf  []float64 // ring of recent latencies, microseconds
-	next int
-	_    [64]byte
+func (h *hist) record(d time.Duration) {
+	h[histBucket(uint64(max(d, 0)/time.Microsecond))].Add(1)
 }
 
-// metrics accumulates serving counters, the striped latency window, the
-// batch-size histogram, and per-model attribution. All observation methods
-// are lock-free or stripe-local; only snapshot() aggregates.
+func (h *hist) load() (counts [histBuckets]uint64) {
+	for i := range h {
+		counts[i] = h[i].Load()
+	}
+	return counts
+}
+
+// histQuantile reads the q-quantile, in microseconds, from bucket counts as
+// Snapshot.LatencyBuckets reports them (or from the difference of two
+// scrapes): the midpoint of the bucket that holds the nearest-rank sample,
+// so within half a bucket of it. Zero when the counts are empty.
+func histQuantile(counts []uint64, q float64) float64 {
+	var n uint64
+	for _, c := range counts {
+		n += c
+	}
+	if n == 0 {
+		return 0
+	}
+	rank := min(uint64(q*float64(n)), n-1)
+	i := 0
+	for ; rank >= counts[i]; i++ {
+		rank -= counts[i]
+	}
+	if i < histSub {
+		return float64(i) + 0.5
+	}
+	shift := i/histSub - 1
+	return float64(uint64(histSub+i%histSub)<<shift) + float64(uint64(1)<<shift)/2
+}
+
+// metrics is the ledger. All observation methods are lock-free; only
+// snapshot() aggregates.
 type metrics struct {
-	shards     []counterShard
-	shardMask  uint64
-	stripes    []latStripe
-	stripeMask uint64
-
-	batches   atomic.Uint64
+	c         counters
+	lat       hist            // admission-to-completion latency of completed requests
 	batchHist []atomic.Uint64 // index i counts batches of size i+1
 
-	// perModel maps variant string (versioned artifact ID) -> *modelCounters,
-	// so /metricsz can show a bad new version panicking while its
-	// rolled-back predecessor serves.
+	// perModel maps variant string (versioned artifact ID) -> *modelRow, so
+	// /metricsz can show a bad new version panicking while its rolled-back
+	// predecessor serves.
 	perModel sync.Map
 
-	// perTenant maps tenant ID -> *tenantCounters, so /metricsz can show
-	// one tenant's poison storm failing and shedding next to another
-	// tenant's clean completions. Bounded at maxTenantStats distinct
-	// tenants (see tenant); overflow lumps into overflowTenant.
+	// perTenant maps tenant ID -> *tenantRow, so /metricsz can show one
+	// tenant's poison storm failing and shedding next to another tenant's
+	// clean completions. Bounded at maxTenantStats distinct tenants (see
+	// tenant); overflow lumps into overflowTenant.
 	perTenant sync.Map
 	tenants   atomic.Int64
 }
@@ -130,203 +156,108 @@ const maxTenantStats = 1024
 // overflowTenant aggregates attribution for tenants beyond maxTenantStats.
 const overflowTenant = "~overflow"
 
-// tenantLatWindow is the per-tenant latency ring size — enough for a
-// stable p99 per tenant without rivaling the global striped window.
-const tenantLatWindow = 512
-
-// tenantCounters accumulates one tenant's attribution. Counters are
-// atomic; the latency ring has a private mutex (one tenant's observations
-// contend only with that tenant's own).
-type tenantCounters struct {
-	completed atomic.Uint64
-	failed    atomic.Uint64
-	shed      atomic.Uint64
-	degraded  atomic.Uint64
-	rejected  atomic.Uint64
-
-	mu   sync.Mutex
-	lat  []float64 // ring of recent latencies, microseconds
-	next int
+// tenantRow is one tenant's books, in the counters it shares with the totals.
+// A request resolves its row once and carries it (pending.row), so its
+// admission and its outcome always land in the same row.
+type tenantRow struct {
+	c   counters
+	lat hist
 }
 
-// modelCounters accumulates one variant's per-version attribution, all
-// atomic so attribution never takes a lock on the execution path.
-type modelCounters struct {
-	completed atomic.Uint64
-	failed    atomic.Uint64
-	panics    atomic.Uint64
-	watchdogs atomic.Uint64
-	latSumUS  atomic.Uint64 // float64 bits; updated by addFloat
+// modelRow is one variant version's completions, failures, panics and
+// watchdog abandonments.
+type modelRow struct {
+	c        counters
+	latSumNS atomic.Uint64
 }
 
-// addFloat adds v to a float64 stored as atomic bits (CAS loop).
-func addFloat(a *atomic.Uint64, v float64) {
-	for {
-		old := a.Load()
-		if a.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
+func newMetrics(maxBatch int) *metrics {
+	return &metrics{batchHist: make([]atomic.Uint64, maxBatch)}
 }
 
-// nextPow2 rounds n up to a power of two (min 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
+func (m *metrics) inc(c counterIdx) { m.c[c].Add(1) }
 
-func newMetrics(maxBatch, window int) *metrics {
-	// Size shard and stripe counts to the host: enough to spread the
-	// visible parallelism, clamped so snapshot aggregation stays cheap.
-	shards := nextPow2(runtime.GOMAXPROCS(0))
-	if shards < 4 {
-		shards = 4
-	}
-	if shards > 64 {
-		shards = 64
-	}
-	stripes := shards
-	per := (window + stripes - 1) / stripes
-	if per < 1 {
-		per = 1
-	}
-	m := &metrics{
-		shards:     make([]counterShard, shards),
-		shardMask:  uint64(shards - 1),
-		stripes:    make([]latStripe, stripes),
-		stripeMask: uint64(stripes - 1),
-		batchHist:  make([]atomic.Uint64, maxBatch),
-	}
-	for i := range m.stripes {
-		m.stripes[i].buf = make([]float64, 0, per)
-	}
-	return m
-}
-
-// inc adds 1 to counter c on the shard picked by hint.
-func (m *metrics) inc(hint uint64, c counterIdx) {
-	m.shards[hint&m.shardMask].c[c].Add(1)
-}
-
-// addN adds n to counter c on the shard picked by hint.
-func (m *metrics) addN(hint uint64, c counterIdx, n uint64) {
-	m.shards[hint&m.shardMask].c[c].Add(n)
-}
-
-// sum aggregates counter c across shards (snapshot path only).
-func (m *metrics) sum(c counterIdx) uint64 {
-	var t uint64
-	for i := range m.shards {
-		t += m.shards[i].c[c].Load()
-	}
-	return t
+// count adds one to c in the totals and in the tenant's row.
+func (m *metrics) count(c counterIdx, row *tenantRow) {
+	m.c[c].Add(1)
+	row.c[c].Add(1)
 }
 
 func (m *metrics) observeBatch(size int) {
-	m.batches.Add(1)
+	m.inc(cBatches)
 	if size >= 1 && size <= len(m.batchHist) {
 		m.batchHist[size-1].Add(1)
 	}
 }
 
-func (m *metrics) observeLatency(hint uint64, d time.Duration) {
-	us := float64(d) / float64(time.Microsecond)
-	st := &m.stripes[hint&m.stripeMask]
-	st.mu.Lock()
-	if len(st.buf) < cap(st.buf) {
-		st.buf = append(st.buf, us)
-	} else {
-		st.buf[st.next] = us
-		st.next = (st.next + 1) % len(st.buf)
+// model returns (creating if needed) the row for one variant string.
+func (m *metrics) model(name string) *modelRow {
+	if mr, ok := m.perModel.Load(name); ok {
+		return mr.(*modelRow)
 	}
-	st.mu.Unlock()
+	mr, _ := m.perModel.LoadOrStore(name, &modelRow{})
+	return mr.(*modelRow)
 }
 
-// model returns (creating if needed) the counters for one variant string.
-func (m *metrics) model(name string) *modelCounters {
-	if mc, ok := m.perModel.Load(name); ok {
-		return mc.(*modelCounters)
-	}
-	mc, _ := m.perModel.LoadOrStore(name, &modelCounters{})
-	return mc.(*modelCounters)
-}
-
-// tenant returns (creating if needed) the counters for one tenant,
-// redirecting to the shared overflow bucket once maxTenantStats distinct
-// tenants exist.
-func (m *metrics) tenant(name string) *tenantCounters {
-	if tc, ok := m.perTenant.Load(name); ok {
-		return tc.(*tenantCounters)
+// tenant returns (creating if needed) the row for one tenant, redirecting
+// to the shared overflow row once maxTenantStats distinct tenants exist.
+func (m *metrics) tenant(name string) *tenantRow {
+	if tr, ok := m.perTenant.Load(name); ok {
+		return tr.(*tenantRow)
 	}
 	if m.tenants.Load() >= maxTenantStats && name != overflowTenant {
 		return m.tenant(overflowTenant)
 	}
-	tc, loaded := m.perTenant.LoadOrStore(name, &tenantCounters{})
+	tr, loaded := m.perTenant.LoadOrStore(name, &tenantRow{})
 	if !loaded {
 		m.tenants.Add(1)
 	}
-	return tc.(*tenantCounters)
+	return tr.(*tenantRow)
 }
 
-// tenantCompleted attributes one completion (cache hit, coalesced share,
-// or batch execution) with its latency, and the degraded flag when the
-// fallback variant served it.
-func (m *metrics) tenantCompleted(tenant string, d time.Duration, degraded bool) {
-	tc := m.tenant(tenant)
-	tc.completed.Add(1)
+// settle records how one admitted request left the server, in the total,
+// tenant and model rows together. how is the counter that names the outcome:
+// cCompleted (a backend execution completed it), cCacheHits (the result cache
+// or its hot tier), cCoalesced (a flight leader's execution), cFailed,
+// cShedCancelled or cShedExpired. model is the variant that executed or
+// failed the request, empty when none did; total and degraded describe
+// completions only.
+func (m *metrics) settle(how counterIdx, row *tenantRow, model string, total time.Duration, degraded bool) {
+	m.count(how, row)
+	var mr *modelRow
+	if model != "" {
+		mr = m.model(model)
+		mr.c[how].Add(1)
+	}
+	switch how {
+	case cFailed, cShedCancelled, cShedExpired:
+		return
+	case cCacheHits, cCoalesced:
+		m.count(cCompleted, row) // a completion that executed nothing
+	case cCompleted:
+		if degraded {
+			m.inc(cDegradedServed)
+		}
+		if mr != nil {
+			mr.latSumNS.Add(uint64(total))
+		}
+	default:
+		panic("serve: settle: not an outcome counter")
+	}
+	m.lat.record(total)
+	row.lat.record(total)
 	if degraded {
-		tc.degraded.Add(1)
-	}
-	us := float64(d) / float64(time.Microsecond)
-	tc.mu.Lock()
-	if len(tc.lat) < tenantLatWindow {
-		tc.lat = append(tc.lat, us)
-	} else {
-		tc.lat[tc.next] = us
-		tc.next = (tc.next + 1) % tenantLatWindow
-	}
-	tc.mu.Unlock()
-}
-
-func (m *metrics) tenantFailed(tenant string)   { m.tenant(tenant).failed.Add(1) }
-func (m *metrics) tenantShed(tenant string)     { m.tenant(tenant).shed.Add(1) }
-func (m *metrics) tenantRejected(tenant string) { m.tenant(tenant).rejected.Add(1) }
-
-// modelCompleted attributes n completed requests (with their summed
-// admission-to-completion latency) to the model that served them.
-func (m *metrics) modelCompleted(model string, n int, latSumUS float64) {
-	if model == "" {
-		return
-	}
-	mc := m.model(model)
-	mc.completed.Add(uint64(n))
-	addFloat(&mc.latSumUS, latSumUS)
-}
-
-// modelFault attributes one failed execution to the lane's variant,
-// classifying panics and watchdog abandonments.
-func (m *metrics) modelFault(variant string, err error) {
-	if variant == "" {
-		return
-	}
-	mc := m.model(variant)
-	switch {
-	case errors.Is(err, ErrBackendPanic):
-		mc.panics.Add(1)
-	case errors.Is(err, ErrWatchdog):
-		mc.watchdogs.Add(1)
+		row.c[cDegradedServed].Add(1) // the tenant's row counts degraded followers too
 	}
 }
 
-// modelFailed attributes n terminally failed requests to the lane's variant.
-func (m *metrics) modelFailed(variant string, n int) {
-	if variant == "" {
-		return
+// fault counts one recovered panic (cPanics) or watchdog abandonment
+// (cWatchdogs), in total and against the variant that suffered it.
+func (m *metrics) fault(c counterIdx, variant string) {
+	m.inc(c)
+	if variant != "" {
+		m.model(variant).c[c].Add(1)
 	}
-	m.model(variant).failed.Add(uint64(n))
 }
 
 // Snapshot is a point-in-time view of the serving layer, shaped for the
@@ -334,17 +265,21 @@ func (m *metrics) modelFailed(variant string, n int) {
 type Snapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 
-	// Admission counters.
-	Accepted        uint64 `json:"accepted"`
-	Completed       uint64 `json:"completed"`
-	Failed          uint64 `json:"failed"`
-	RejectedFull    uint64 `json:"rejected_queue_full"`
-	RejectedClosed  uint64 `json:"rejected_shutting_down"`
-	RejectedRoute   uint64 `json:"rejected_unroutable"`
-	RejectedShape   uint64 `json:"rejected_bad_shape"`
-	RejectedBreaker uint64 `json:"rejected_breaker_open"`
-	ShedExpired     uint64 `json:"shed_deadline_expired"`
-	ShedCancelled   uint64 `json:"shed_cancelled"`
+	// Admission counters. Accepted = Completed + Failed + ShedExpired +
+	// ShedCancelled once the server is idle; a Rejected* request was never
+	// accepted. RejectedDeadline counts requests whose deadline had already
+	// passed on arrival, ShedExpired those whose deadline passed while queued.
+	Accepted         uint64 `json:"accepted"`
+	Completed        uint64 `json:"completed"`
+	Failed           uint64 `json:"failed"`
+	RejectedFull     uint64 `json:"rejected_queue_full"`
+	RejectedClosed   uint64 `json:"rejected_shutting_down"`
+	RejectedRoute    uint64 `json:"rejected_unroutable"`
+	RejectedShape    uint64 `json:"rejected_bad_shape"`
+	RejectedBreaker  uint64 `json:"rejected_breaker_open"`
+	RejectedDeadline uint64 `json:"rejected_deadline_expired"`
+	ShedExpired      uint64 `json:"shed_deadline_expired"`
+	ShedCancelled    uint64 `json:"shed_cancelled"`
 
 	// Fault-tolerance counters: recovered backend panics, watchdog-
 	// abandoned executions, quarantine bisection retries, requests failed
@@ -403,10 +338,18 @@ type Snapshot struct {
 	// ThroughputRPS is completed requests per second of uptime.
 	ThroughputRPS float64 `json:"throughput_rps"`
 
-	// Latency percentiles over the recent window, microseconds.
+	// Admission-to-completion latency of every request completed since
+	// start, microseconds: the midpoint of the LatencyBuckets bucket that
+	// holds the nearest-rank sample.
 	LatencyP50US float64 `json:"latency_p50_us"`
 	LatencyP95US float64 `json:"latency_p95_us"`
 	LatencyP99US float64 `json:"latency_p99_us"`
+	// LatencyBuckets is that histogram's counts, trailing zeros trimmed.
+	// Bucket i < 8 counts latencies of i whole µs; bucket i >= 8 counts
+	// [(8+i%8) << (i/8-1), +1 << (i/8-1)) µs. The counts only grow, so
+	// subtracting an earlier scrape bucket by bucket gives the histogram of
+	// the time between the two.
+	LatencyBuckets []uint64 `json:"latency_buckets,omitempty"`
 
 	// Batching behaviour: total batches, mean executed batch size, and the
 	// batch-size histogram (index i counts batches of size i+1).
@@ -425,9 +368,9 @@ type Snapshot struct {
 	// the rolled-back version's completions appear side by side here.
 	PerModel []ModelStats `json:"per_model,omitempty"`
 
-	// PerTenant attributes completions, failures, sheds, degraded serves,
-	// rejections, and a recent-window p99 to each tenant, sorted by tenant
-	// ID. This is the observable half of tenant isolation: one tenant's
+	// PerTenant attributes admissions, completions, failures, sheds, degraded
+	// serves, rejections, and a p99 to each tenant, sorted by tenant ID.
+	// This is the observable half of tenant isolation: one tenant's
 	// poison storm shows up as that tenant's failures and rejections while
 	// the others' rows stay clean.
 	PerTenant []TenantStats `json:"per_tenant,omitempty"`
@@ -441,7 +384,10 @@ type Snapshot struct {
 type TenantStats struct {
 	// Tenant is the tenant ID ("default" for unattributed requests,
 	// "~overflow" aggregating tenants beyond the attribution cap).
-	Tenant    string `json:"tenant"`
+	Tenant string `json:"tenant"`
+	// Accepted = Completed + Failed + Shed once the tenant has nothing in
+	// flight, as in the totals.
+	Accepted  uint64 `json:"accepted"`
 	Completed uint64 `json:"completed"`
 	Failed    uint64 `json:"failed,omitempty"`
 	// Shed counts this tenant's requests shed while queued (cancelled or
@@ -450,7 +396,7 @@ type TenantStats struct {
 	Shed     uint64 `json:"shed,omitempty"`
 	Degraded uint64 `json:"degraded,omitempty"`
 	Rejected uint64 `json:"rejected,omitempty"`
-	// LatencyP99US is the p99 over the tenant's recent latency window,
+	// LatencyP99US is the p99 of the tenant's completions since start,
 	// microseconds.
 	LatencyP99US float64 `json:"latency_p99_us,omitempty"`
 }
@@ -470,37 +416,39 @@ type ModelStats struct {
 }
 
 func (m *metrics) snapshot(uptime time.Duration, queueDepth int) Snapshot {
+	c := func(i counterIdx) uint64 { return m.c[i].Load() }
 	snap := Snapshot{
 		UptimeSeconds:     uptime.Seconds(),
-		Accepted:          m.sum(cAccepted),
-		Completed:         m.sum(cCompleted),
-		Failed:            m.sum(cFailed),
-		RejectedFull:      m.sum(cRejectedFull),
-		RejectedClosed:    m.sum(cRejectedClosed),
-		RejectedRoute:     m.sum(cRejectedRoute),
-		RejectedShape:     m.sum(cRejectedShape),
-		RejectedBreaker:   m.sum(cRejectedBreaker),
-		ShedExpired:       m.sum(cShedExpired),
-		ShedCancelled:     m.sum(cShedCancelled),
-		PanicsRecovered:   m.sum(cPanics),
-		WatchdogTimeouts:  m.sum(cWatchdogs),
-		QuarantineRetry:   m.sum(cRetries),
-		Quarantined:       m.sum(cQuarantined),
-		SLOBreaches:       m.sum(cSLOBreaches),
-		BreakerOpens:      m.sum(cBreakerOpens),
-		DegradedRouted:    m.sum(cDegradedRouted),
-		DegradedServed:    m.sum(cDegradedServed),
-		VariantEvictions:  m.sum(cVariantEvictions),
-		ResultCacheHits:   m.sum(cCacheHits),
-		ResultCacheMisses: m.sum(cCacheMisses),
-		Coalesced:         m.sum(cCoalesced),
-		CoalescedRetried:  m.sum(cCoalescedRetried),
-		QuarantineBlocked: m.sum(cQuarantineBlocked),
-		ArtifactSweeps:    m.sum(cArtifactSweeps),
-		RejectedBudget:    m.sum(cRejectedBudget),
-		RejectedShare:     m.sum(cRejectedShare),
+		Accepted:          c(cAccepted),
+		Completed:         c(cCompleted),
+		Failed:            c(cFailed),
+		RejectedFull:      c(cRejectedFull),
+		RejectedClosed:    c(cRejectedClosed),
+		RejectedRoute:     c(cRejectedRoute),
+		RejectedShape:     c(cRejectedShape),
+		RejectedBreaker:   c(cRejectedBreaker),
+		RejectedDeadline:  c(cRejectedDeadline),
+		ShedExpired:       c(cShedExpired),
+		ShedCancelled:     c(cShedCancelled),
+		PanicsRecovered:   c(cPanics),
+		WatchdogTimeouts:  c(cWatchdogs),
+		QuarantineRetry:   c(cRetries),
+		Quarantined:       c(cQuarantined),
+		SLOBreaches:       c(cSLOBreaches),
+		BreakerOpens:      c(cBreakerOpens),
+		DegradedRouted:    c(cDegradedRouted),
+		DegradedServed:    c(cDegradedServed),
+		VariantEvictions:  c(cVariantEvictions),
+		ResultCacheHits:   c(cCacheHits),
+		ResultCacheMisses: c(cCacheMisses),
+		Coalesced:         c(cCoalesced),
+		CoalescedRetried:  c(cCoalescedRetried),
+		QuarantineBlocked: c(cQuarantineBlocked),
+		ArtifactSweeps:    c(cArtifactSweeps),
+		RejectedBudget:    c(cRejectedBudget),
+		RejectedShare:     c(cRejectedShare),
 		QueueDepth:        queueDepth,
-		Batches:           m.batches.Load(),
+		Batches:           c(cBatches),
 		BatchHist:         make([]uint64, len(m.batchHist)),
 	}
 	for i := range m.batchHist {
@@ -508,16 +456,16 @@ func (m *metrics) snapshot(uptime time.Duration, queueDepth int) Snapshot {
 	}
 
 	m.perModel.Range(func(k, v any) bool {
-		mc := v.(*modelCounters)
+		mr := v.(*modelRow)
 		ms := ModelStats{
 			Model:     k.(string),
-			Completed: mc.completed.Load(),
-			Failed:    mc.failed.Load(),
-			Panics:    mc.panics.Load(),
-			Watchdogs: mc.watchdogs.Load(),
+			Completed: mr.c[cCompleted].Load(),
+			Failed:    mr.c[cFailed].Load(),
+			Panics:    mr.c[cPanics].Load(),
+			Watchdogs: mr.c[cWatchdogs].Load(),
 		}
 		if ms.Completed > 0 {
-			ms.MeanLatencyUS = math.Float64frombits(mc.latSumUS.Load()) / float64(ms.Completed)
+			ms.MeanLatencyUS = float64(mr.latSumNS.Load()) / 1e3 / float64(ms.Completed)
 		}
 		snap.PerModel = append(snap.PerModel, ms)
 		return true
@@ -525,69 +473,44 @@ func (m *metrics) snapshot(uptime time.Duration, queueDepth int) Snapshot {
 	sort.Slice(snap.PerModel, func(i, j int) bool { return snap.PerModel[i].Model < snap.PerModel[j].Model })
 
 	m.perTenant.Range(func(k, v any) bool {
-		tc := v.(*tenantCounters)
-		ts := TenantStats{
-			Tenant:    k.(string),
-			Completed: tc.completed.Load(),
-			Failed:    tc.failed.Load(),
-			Shed:      tc.shed.Load(),
-			Degraded:  tc.degraded.Load(),
-			Rejected:  tc.rejected.Load(),
-		}
-		tc.mu.Lock()
-		tlat := append([]float64(nil), tc.lat...)
-		tc.mu.Unlock()
-		if len(tlat) > 0 {
-			sort.Float64s(tlat)
-			ts.LatencyP99US = percentile(tlat, 0.99)
-		}
-		snap.PerTenant = append(snap.PerTenant, ts)
+		tr := v.(*tenantRow)
+		lat := tr.lat.load()
+		snap.PerTenant = append(snap.PerTenant, TenantStats{
+			Tenant:       k.(string),
+			Accepted:     tr.c[cAccepted].Load(),
+			Completed:    tr.c[cCompleted].Load(),
+			Failed:       tr.c[cFailed].Load(),
+			Shed:         tr.c[cShedExpired].Load() + tr.c[cShedCancelled].Load(),
+			Degraded:     tr.c[cDegradedServed].Load(),
+			Rejected:     tr.c[cRejectedBudget].Load() + tr.c[cRejectedShare].Load() + tr.c[cRejectedFull].Load(),
+			LatencyP99US: histQuantile(lat[:], 0.99),
+		})
 		return true
 	})
 	sort.Slice(snap.PerTenant, func(i, j int) bool { return snap.PerTenant[i].Tenant < snap.PerTenant[j].Tenant })
-
-	// Copy the latency window stripe by stripe — each stripe's lock is held
-	// only for its own copy, never across the sort, and never all at once.
-	var lat []float64
-	for i := range m.stripes {
-		st := &m.stripes[i]
-		st.mu.Lock()
-		lat = append(lat, st.buf...)
-		st.mu.Unlock()
-	}
 
 	if uptime > 0 {
 		snap.ThroughputRPS = float64(snap.Completed) / uptime.Seconds()
 	}
 	if snap.Batches > 0 {
-		// batches counts successfully executed batches, completed their
-		// member requests. Cache hits and coalesced followers never ride a
-		// batch, so the mean is over batch-executed completions only (the
-		// guard covers transient cross-shard read skew during load).
+		// Cache hits and coalesced followers never ride a batch, so the
+		// mean is over batch-executed completions only (the guard covers
+		// read skew between counters loaded one after another under load).
 		if skip := snap.ResultCacheHits + snap.Coalesced; snap.Completed >= skip {
 			snap.MeanBatch = float64(snap.Completed-skip) / float64(snap.Batches)
 		}
 	}
-	if len(lat) > 0 {
-		sort.Float64s(lat)
-		snap.LatencyP50US = percentile(lat, 0.50)
-		snap.LatencyP95US = percentile(lat, 0.95)
-		snap.LatencyP99US = percentile(lat, 0.99)
+	lat := m.lat.load()
+	snap.LatencyP50US = histQuantile(lat[:], 0.50)
+	snap.LatencyP95US = histQuantile(lat[:], 0.95)
+	snap.LatencyP99US = histQuantile(lat[:], 0.99)
+	n := len(lat)
+	for n > 0 && lat[n-1] == 0 {
+		n--
 	}
+	snap.LatencyBuckets = append([]uint64(nil), lat[:n]...)
 	if total := snap.ResultCacheHits + snap.ResultCacheMisses; total > 0 {
 		snap.ResultCacheHitRate = float64(snap.ResultCacheHits) / float64(total)
 	}
 	return snap
-}
-
-// percentile reads the q-quantile from sorted by nearest rank.
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

@@ -135,9 +135,6 @@ type Config struct {
 	// DefaultTimeout is applied as the deadline of requests that carry
 	// none. Zero means no implicit deadline.
 	DefaultTimeout time.Duration
-	// LatencyWindow is how many recent request latencies the metrics
-	// snapshot computes percentiles over.
-	LatencyWindow int
 
 	// Watchdog bounds a single backend execution: a batch still running
 	// after it is abandoned and fails with ErrWatchdog. Zero disables the
@@ -231,7 +228,6 @@ func DefaultConfig() Config {
 		MaxBatch:          8,
 		BatchDelay:        2 * time.Millisecond,
 		QueueCap:          256,
-		LatencyWindow:     4096,
 		Watchdog:          10 * time.Second,
 		RetryBudget:       3,
 		BreakerThreshold:  5,
@@ -254,8 +250,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: negative BatchDelay %v", c.BatchDelay)
 	case c.DefaultTimeout < 0:
 		return fmt.Errorf("serve: negative DefaultTimeout %v", c.DefaultTimeout)
-	case c.LatencyWindow <= 0:
-		return fmt.Errorf("serve: LatencyWindow must be positive, got %d", c.LatencyWindow)
 	case c.Watchdog < 0:
 		return fmt.Errorf("serve: negative Watchdog %v", c.Watchdog)
 	case c.RetryBudget < 0:
@@ -359,7 +353,7 @@ func New(b Backend, cfg Config) (*Server, error) {
 		st:        newState(),
 		h:         newHealth(cfg.BreakerThreshold, cfg.BreakerBackoff, cfg.BreakerMaxBackoff),
 		abandoned: map[string]int{},
-		m:         newMetrics(cfg.MaxBatch, cfg.LatencyWindow),
+		m:         newMetrics(cfg.MaxBatch),
 	}
 	if cfg.TenantRate > 0 {
 		s.budget = fair.NewBudget(cfg.TenantRate, cfg.TenantBurst)
@@ -386,7 +380,7 @@ func New(b Backend, cfg Config) (*Server, error) {
 		}
 	}
 	if cfg.Coalesce {
-		s.flights = newFlightGroup(16)
+		s.flights = newFlightGroup()
 	}
 	empty := map[string]routeEntry{}
 	s.routes.Store(&empty)
@@ -421,14 +415,12 @@ func (s *Server) Submit(req Request) (<-chan Outcome, error) {
 }
 
 // admission carries a request's precomputed fast-path state (timestamps,
-// normalized tenant, metrics shard hint, and — when the cache or coalescing
-// is on — the content-addressed key) from preadmit to the cache probe and
-// slow path.
+// normalized tenant, and — when the cache or coalescing is on — the
+// content-addressed key) from preadmit to the cache probe and slow path.
 type admission struct {
 	now      time.Time
 	deadline time.Time
 	tenant   string
-	hint     uint64
 	key      rcache.Key
 	haveKey  bool
 }
@@ -442,12 +434,12 @@ func (s *Server) preadmit(req *Request) (admission, error) {
 	}
 	a := admission{now: time.Now(), tenant: req.Tenant}
 	if req.Image == nil {
-		s.m.inc(0, cRejectedShape)
+		s.m.inc(cRejectedShape)
 		return a, fmt.Errorf("serve: nil image: %w", ErrBadShape)
 	}
 	if s.validator != nil {
 		if err := s.validator.ValidateImage(req.Image); err != nil {
-			s.m.inc(0, cRejectedShape)
+			s.m.inc(cRejectedShape)
 			if !errors.Is(err, ErrBadShape) {
 				err = fmt.Errorf("%w: %v", ErrBadShape, err)
 			}
@@ -459,19 +451,16 @@ func (s *Server) preadmit(req *Request) (admission, error) {
 		a.deadline = a.now.Add(s.cfg.DefaultTimeout)
 	}
 	if !a.deadline.IsZero() && !a.now.Before(a.deadline) {
-		s.m.inc(0, cShedExpired)
+		// Refused before it was accepted, so a rejection, not a shed: the
+		// books count only admitted requests.
+		s.m.inc(cRejectedDeadline)
 		return a, ErrDeadlineExceeded
 	}
-	// The metrics shard hint mixes the image digest (distinct content →
-	// distinct shards) with the admission nanos (concurrent duplicates →
-	// still spread), so hot counters never converge on one cache line.
-	a.hint = uint64(a.now.UnixNano())
 	if s.cache != nil || s.flights != nil {
 		d := rcache.DigestImage(req.Image)
-		a.hint ^= d
 		variant, err := s.route(req.Task)
 		if err != nil {
-			s.m.inc(a.hint, cRejectedRoute)
+			s.m.inc(cRejectedRoute)
 			return a, err
 		}
 		a.key = rcache.Key{Artifact: variant, Task: req.Task, Digest: d}
@@ -489,7 +478,7 @@ func (s *Server) preadmit(req *Request) (admission, error) {
 			// a kernel known to panic on it. The verdict is tenant-scoped,
 			// so one tenant's poison storm cannot blind another tenant to
 			// content that would serve fine for them.
-			s.m.inc(a.hint, cQuarantineBlocked)
+			s.m.inc(cQuarantineBlocked)
 			return a, fmt.Errorf("%w (digest %x on %s)", ErrQuarantined, a.key.Digest, a.key.Artifact)
 		}
 	}
@@ -533,16 +522,20 @@ func (s *Server) cacheGet(a *admission) (Result, bool) {
 	}
 	payload, model, ok := s.cache.Get(a.key, a.now)
 	if !ok {
-		s.m.inc(a.hint, cCacheMisses)
+		s.m.inc(cCacheMisses)
 		return Result{}, false
 	}
-	s.m.inc(a.hint, cAccepted)
-	s.m.inc(a.hint, cCacheHits)
-	s.m.inc(a.hint, cCompleted)
+	return s.hit(a, payload, model), true
+}
+
+// hit books and builds the answer to a request served from the result cache
+// or its hot tier: admitted and completed in the same instant.
+func (s *Server) hit(a *admission, payload any, model string) Result {
 	total := time.Since(a.now)
-	s.m.observeLatency(a.hint, total)
-	s.m.tenantCompleted(a.tenant, total, false)
-	return Result{Payload: payload, Model: model, Tenant: a.tenant, BatchSize: 1, Cached: true, Total: total}, true
+	row := s.m.tenant(a.tenant)
+	s.m.count(cAccepted, row)
+	s.m.settle(cCacheHits, row, "", total, false)
+	return Result{Payload: payload, Model: model, Tenant: a.tenant, BatchSize: 1, Cached: true, Total: total}
 }
 
 // submitSlow is the post-cache admission path: tenant budget consult,
@@ -554,8 +547,7 @@ func (s *Server) submitSlow(req Request, a admission) (*pending, error) {
 	// join, so an over-budget tenant cannot keep riding coalesced results
 	// for content it hammers.
 	if s.budget != nil && !s.budget.Allow(a.tenant, a.now) {
-		s.m.inc(a.hint, cRejectedBudget)
-		s.m.tenantRejected(a.tenant)
+		s.m.count(cRejectedBudget, s.m.tenant(a.tenant))
 		return nil, &TenantBudgetError{Tenant: a.tenant, RetryAfter: s.budget.RetryAfter(a.tenant, a.now)}
 	}
 	p := &pending{
@@ -564,7 +556,6 @@ func (s *Server) submitSlow(req Request, a admission) (*pending, error) {
 		tenant:   a.tenant,
 		deadline: a.deadline,
 		enq:      a.now,
-		hint:     a.hint,
 		key:      a.key,
 		haveKey:  a.haveKey,
 		done:     make(chan Outcome, 1),
@@ -578,21 +569,15 @@ func (s *Server) submitSlow(req Request, a admission) (*pending, error) {
 			// park this request behind a leader (or a stripe mutex) for a
 			// result already readable lock-free.
 			if payload, model, ok := s.cache.Replicated(a.key, a.now); ok {
-				s.m.inc(a.hint, cAccepted)
-				s.m.inc(a.hint, cCacheHits)
-				s.m.inc(a.hint, cCompleted)
-				total := time.Since(a.now)
-				s.m.observeLatency(a.hint, total)
-				s.m.tenantCompleted(a.tenant, total, false)
-				p.done <- Outcome{Res: Result{Payload: payload, Model: model, Tenant: a.tenant, BatchSize: 1, Cached: true, Total: total}}
+				p.done <- Outcome{Res: s.hit(&a, payload, model)}
 				return p, nil
 			}
 		}
-		f, isLeader := s.flights.join(a.key, p)
+		f, isLeader := s.flights.join(a.key, p, s.m)
 		if !isLeader {
-			// Follower: the leader's terminal delivery resolves the
-			// flight and either shares its result or re-admits us.
-			s.m.inc(a.hint, cAccepted)
+			// Follower, accepted by the join: the leader's terminal delivery
+			// resolves the flight and either shares its result or re-admits
+			// us.
 			return p, nil
 		}
 		p.flight = f
@@ -605,7 +590,7 @@ func (s *Server) submitSlow(req Request, a admission) (*pending, error) {
 		}
 		return nil, err
 	}
-	s.m.inc(a.hint, cAccepted)
+	s.m.count(cAccepted, p.row)
 	return p, nil
 }
 
@@ -619,7 +604,7 @@ func (s *Server) admitLane(p *pending) error {
 	if !p.haveKey {
 		v, err := s.backend.Route(p.task)
 		if err != nil {
-			s.m.inc(p.hint, cRejectedRoute)
+			s.m.inc(cRejectedRoute)
 			return err
 		}
 		variant = v
@@ -637,7 +622,7 @@ func (s *Server) admitLane(p *pending) error {
 	case admitDeny:
 		fv, ok := s.fallbackFor(p.task, variant, now, &p.probeKey)
 		if !ok {
-			s.m.inc(p.hint, cRejectedBreaker)
+			s.m.inc(cRejectedBreaker)
 			return &BreakerOpenError{
 				Variant:    variant,
 				Task:       p.task,
@@ -646,9 +631,15 @@ func (s *Server) admitLane(p *pending) error {
 		}
 		variant = fv
 		p.degraded = DegradedBreakerOpen
-		s.m.inc(p.hint, cDegradedRouted)
+		s.m.inc(cDegradedRouted)
 	}
 
+	// Past every refusal that is not the tenant's own doing (route, breaker),
+	// so only now does a new tenant take a row in the bounded table; a
+	// re-admitted follower brings the one its join resolved.
+	if p.row == nil {
+		p.row = s.m.tenant(p.tenant)
+	}
 	if err := s.enqueue(variant, p.task, p); err != nil {
 		if p.probeKey != "" {
 			s.h.releaseProbe(p.probeKey)
@@ -667,8 +658,7 @@ func (s *Server) admitLane(p *pending) error {
 // balanced.
 func (s *Server) resubmit(p *pending) {
 	if err := s.admitLane(p); err != nil {
-		s.m.inc(p.hint, cFailed)
-		s.m.tenantFailed(p.tenant)
+		s.m.settle(cFailed, p.row, "", 0, false)
 		p.done <- Outcome{Err: err}
 	}
 }
@@ -766,13 +756,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
+// Breakers lists every (variant, task) lane's circuit-breaker state — all a
+// health probe needs, without the walk over every row that Snapshot makes.
+func (s *Server) Breakers() []LaneBreaker { return s.h.snapshot(time.Now()) }
+
 // Snapshot returns the current metrics. See the Snapshot type for fields.
 func (s *Server) Snapshot() Snapshot {
 	s.st.mu.Lock()
 	depth := s.st.queued
 	s.st.mu.Unlock()
 	snap := s.m.snapshot(time.Since(s.start), depth)
-	snap.Breakers = s.h.snapshot(time.Now())
+	snap.Breakers = s.Breakers()
 	if cs, ok := s.backend.(CacheStatser); ok {
 		stats := cs.CacheStats()
 		snap.Cache = &stats

@@ -121,12 +121,17 @@ func TestDetectRoundTrip(t *testing.T) {
 
 func TestUnknownTaskRejectedAtAdmission(t *testing.T) {
 	s := newTestServer(t, newFakeBackend(), DefaultConfig())
-	_, err := s.Detect(context.Background(), Request{Task: "nope", Image: testImage()})
+	_, err := s.Detect(context.Background(), Request{Task: "nope", Tenant: "junk", Image: testImage()})
 	if err == nil {
 		t.Fatal("expected routing error")
 	}
-	if snap := s.Snapshot(); snap.RejectedRoute != 1 {
+	snap := s.Snapshot()
+	if snap.RejectedRoute != 1 {
 		t.Errorf("RejectedRoute = %d, want 1", snap.RejectedRoute)
+	}
+	// The tenant table is bounded: a name that was never admitted takes no row.
+	if len(snap.PerTenant) != 0 {
+		t.Errorf("unroutable request left tenant rows %+v", snap.PerTenant)
 	}
 }
 
@@ -150,7 +155,6 @@ func TestConfigValidation(t *testing.T) {
 		{"queue below batch", func(c *Config) { c.QueueCap = c.MaxBatch - 1 }},
 		{"negative delay", func(c *Config) { c.BatchDelay = -time.Millisecond }},
 		{"negative timeout", func(c *Config) { c.DefaultTimeout = -time.Second }},
-		{"zero latency window", func(c *Config) { c.LatencyWindow = 0 }},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -184,7 +188,7 @@ func TestBackendErrorPropagates(t *testing.T) {
 func TestCoalescing(t *testing.T) {
 	fb := newFakeBackend()
 	fb.delay = 20 * time.Millisecond
-	cfg := Config{Workers: 1, MaxBatch: 4, BatchDelay: 5 * time.Millisecond, QueueCap: 64, LatencyWindow: 128}
+	cfg := Config{Workers: 1, MaxBatch: 4, BatchDelay: 5 * time.Millisecond, QueueCap: 64}
 	s := newTestServer(t, fb, cfg)
 
 	const n = 16
@@ -223,7 +227,7 @@ func TestCoalescing(t *testing.T) {
 func TestNoCrossTaskCoalescing(t *testing.T) {
 	fb := newFakeBackend()
 	fb.delay = 10 * time.Millisecond
-	cfg := Config{Workers: 1, MaxBatch: 8, BatchDelay: 20 * time.Millisecond, QueueCap: 64, LatencyWindow: 128}
+	cfg := Config{Workers: 1, MaxBatch: 8, BatchDelay: 20 * time.Millisecond, QueueCap: 64}
 	s := newTestServer(t, fb, cfg)
 
 	var wg sync.WaitGroup

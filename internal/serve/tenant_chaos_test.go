@@ -60,7 +60,7 @@ func TestTenantChaosIsolation(t *testing.T) {
 	}
 	cfg := Config{
 		Workers: 4, MaxBatch: 4, BatchDelay: 2 * time.Millisecond,
-		QueueCap: 64, LatencyWindow: 256, RetryBudget: 3,
+		QueueCap: 64, RetryBudget: 3,
 		TenantWeights: map[string]int{"a": 1, "b": 1},
 	}
 	s := newTestServer(t, cb, cfg)

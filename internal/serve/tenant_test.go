@@ -102,7 +102,7 @@ func TestTenantQueueShareGuard(t *testing.T) {
 	fb := newFakeBackend()
 	fb.delay = 50 * time.Millisecond
 	cfg := Config{
-		Workers: 1, MaxBatch: 4, BatchDelay: time.Hour, QueueCap: 32, LatencyWindow: 16,
+		Workers: 1, MaxBatch: 4, BatchDelay: time.Hour, QueueCap: 32,
 		TenantWeights: map[string]int{"flood": 1, "steady": 1},
 	}
 	s := newTestServer(t, fb, cfg)
@@ -154,7 +154,7 @@ func TestQuarantineScopedPerTenant(t *testing.T) {
 	b := &poisonOnceBackend{fakeBackend: newFakeBackend()}
 	b.armed.Store(true)
 	cfg := Config{
-		Workers: 1, MaxBatch: 1, BatchDelay: 0, QueueCap: 16, LatencyWindow: 16,
+		Workers: 1, MaxBatch: 1, BatchDelay: 0, QueueCap: 16,
 		CacheBytes: 1 << 20, NegativeTTL: time.Minute,
 	}
 	s := newTestServer(t, b, cfg)
@@ -196,7 +196,7 @@ func TestWeightedTenantsShareThroughput(t *testing.T) {
 	weights := map[string]int{"bronze": 1, "silver": 2, "gold": 4}
 	cfg := Config{
 		Workers: 1, MaxBatch: 8, BatchDelay: time.Millisecond, QueueCap: 64,
-		LatencyWindow: 256, TenantWeights: weights,
+		TenantWeights: weights,
 	}
 	s := newTestServer(t, fb, cfg)
 
