@@ -25,8 +25,9 @@ import (
 //	gateway.ProbeNode     GET /healthz; 200 (ok or degraded) is alive,
 //	                      anything else — including a refused connection —
 //	                      counts toward ejection.
-//	gateway.EpochNode     GET /metricsz, reading registry.seq: the backend's
-//	                      registry snapshot sequence is its route epoch.
+//	gateway.EpochNode     GET /healthz, reading epoch: the backend's registry
+//	                      snapshot sequence is its route epoch, and the
+//	                      health body carries it on 200 and 503 alike.
 //	gateway.ChangeApplier POST /v1/models/reload: Propagate runs the reload
 //	                      on every backend and blocks until the whole
 //	                      fleet's registry sequence converges.
@@ -166,7 +167,7 @@ func (n *httpNode) Probe(ctx context.Context) error {
 }
 
 func (n *httpNode) RouteEpoch(ctx context.Context) (uint64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.base+"/metricsz", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.base+"/healthz", nil)
 	if err != nil {
 		return 0, err
 	}
@@ -175,21 +176,16 @@ func (n *httpNode) RouteEpoch(ctx context.Context) (uint64, error) {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("%s: metricsz %d", n.base, resp.StatusCode)
+	var h struct {
+		Epoch *uint64 `json:"epoch"`
 	}
-	var m struct {
-		Registry *struct {
-			Seq uint64 `json:"seq"`
-		} `json:"registry"`
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&h); err != nil {
+		return 0, fmt.Errorf("%s: decoding healthz (%d): %w", n.base, resp.StatusCode, err)
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxProxyBytes)).Decode(&m); err != nil {
-		return 0, fmt.Errorf("%s: decoding metricsz: %w", n.base, err)
-	}
-	if m.Registry == nil {
+	if h.Epoch == nil {
 		return 0, fmt.Errorf("%s: backend exposes no registry epoch", n.base)
 	}
-	return m.Registry.Seq, nil
+	return *h.Epoch, nil
 }
 
 // ApplyChange drives a fleet-propagated model reload. Only OpPublish is

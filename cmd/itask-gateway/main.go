@@ -24,8 +24,9 @@
 //	                         tier instead of re-detecting virality from their
 //	                         1/replicas slice of the traffic.
 //	POST /v1/announce        lease-based membership: a shard announces itself
-//	                         with {"url","epoch","capacity"} and re-POSTs the
-//	                         same body as its heartbeat. A new (or rejoining)
+//	                         with {"url","epoch"} and re-POSTs the same body
+//	                         as its heartbeat (the ack's lease_ms tells it how
+//	                         often). A new (or rejoining)
 //	                         shard is admitted once its registry epoch has
 //	                         converged to the fleet's committed epoch, then
 //	                         ramps to full routing weight over the slow-start
@@ -76,20 +77,18 @@
 // Usage:
 //
 //	itask-gateway [-backends http://127.0.0.1:8081,http://127.0.0.1:8082] \
-//	              [-addr :8080] [-vnodes 128] [-load-factor 1.25] \
-//	              [-hot-threshold 64] [-hot-replicas 2] [-hot-decay 8192] \
-//	              [-max-retries 1] [-fail-threshold 3] [-eject-for 2s] \
-//	              [-probe-interval 1s] [-probe-timeout 500ms] \
-//	              [-propagate-timeout 30s] \
-//	              [-lease-ttl 3s] [-suspect-after 1s] [-ramp-windows 4] \
-//	              [-attempt-timeout 2s] [-retry-backoff 25ms] \
-//	              [-retry-backoff-max 1s] [-retry-budget-rate 10] \
-//	              [-retry-budget-burst 20]
+//	              [-addr :8080] [-lease-ttl 3s] [-probe-interval 1s] \
+//	              [-load-factor 1.25] [-hot-threshold 64] [-hot-replicas 2] \
+//	              [-hot-decay 8192] [-retry-backoff 25ms] [-retry-backoff-max 1s]
 //
-// -backends is now an optional static seed list: with lease-based
-// membership on (-lease-ttl > 0, the default), a fleet can start empty and
-// populate itself entirely from shard announcements (itask-serve
-// -announce).
+// Everything else — ring points, failover attempts, ejection, probe and
+// attempt deadlines, the retry budget, the slow-start ramp — is
+// gateway.DefaultConfig(); the suspect horizon is a third of the lease.
+//
+// -backends is an optional static seed list: with lease-based membership on
+// (-lease-ttl > 0, the default), a fleet can start empty and populate itself
+// entirely from shard announcements (itask-serve -announce). -lease-ttl 0 is
+// the static-only mode: -backends is then the whole fleet.
 //
 // Example:
 //
@@ -119,59 +118,32 @@ import (
 	"itask/internal/wire"
 )
 
+// propagateTimeout is the fleet-wide reload deadline, including the epoch
+// convergence barrier.
+const propagateTimeout = 30 * time.Second
+
 func main() {
-	def := gateway.DefaultConfig()
+	cfg := gateway.DefaultConfig()
+	cfg.BarrierPoll = 50 * time.Millisecond
 	addr := flag.String("addr", ":8080", "listen address")
 	backends := flag.String("backends", "", "comma-separated itask-serve base URLs (optional seed list when leases are on)")
-	vnodes := flag.Int("vnodes", def.VirtualNodes, "ring points per backend")
-	loadFactor := flag.Float64("load-factor", def.LoadFactor, "bounded-load factor: owners above this multiple of the fleet-average in-flight spill to a successor (0 = off)")
-	hotThreshold := flag.Int("hot-threshold", def.HotThreshold, "windowed arrivals past which a digest is replicated (0 = off)")
-	hotReplicas := flag.Int("hot-replicas", def.HotReplicas, "shards serving a hot digest")
-	hotDecay := flag.Int("hot-decay", def.HotDecay, "hot-detector decay window in arrivals (counts halve every N requests)")
-	maxRetries := flag.Int("max-retries", def.MaxRetries, "failover attempts on ring successors")
-	failThreshold := flag.Int("fail-threshold", def.FailThreshold, "consecutive down-class failures that eject a backend (0 = off)")
-	ejectFor := flag.Duration("eject-for", def.EjectFor, "how long an ejected backend is skipped (a live probe readmits it earlier)")
-	probeInterval := flag.Duration("probe-interval", def.ProbeInterval, "active health-probe period (0 = passive only)")
-	probeTimeout := flag.Duration("probe-timeout", def.ProbeTimeout, "per-probe deadline")
-	propagateTimeout := flag.Duration("propagate-timeout", 30*time.Second, "fleet-wide reload deadline, including the epoch convergence barrier")
-	leaseTTL := flag.Duration("lease-ttl", def.LeaseTTL, "membership lease: a shard that stops heartbeating this long expires off the ring (0 = static -backends only)")
-	suspectAfter := flag.Duration("suspect-after", def.SuspectAfter, "missed-renewal grace before a member turns suspect (0 = lease-ttl/2)")
-	rampWindows := flag.Int("ramp-windows", def.RampWindows, "slow-start span: a joining shard's weight climbs to full over this many renewals")
-	attemptTimeout := flag.Duration("attempt-timeout", def.AttemptTimeout, "per-attempt deadline before failing over (0 = request deadline only)")
-	retryBackoff := flag.Duration("retry-backoff", def.RetryBackoff, "base of the full-jitter backoff between failover attempts (0 = immediate)")
-	retryBackoffMax := flag.Duration("retry-backoff-max", def.RetryBackoffMax, "cap on the failover backoff and any honored Retry-After")
-	retryBudgetRate := flag.Float64("retry-budget-rate", def.RetryBudgetRate, "fleet-wide failover budget refill, tokens/sec (0 = unlimited)")
-	retryBudgetBurst := flag.Int("retry-budget-burst", def.RetryBudgetBurst, "failover budget bucket depth")
+	flag.Float64Var(&cfg.LoadFactor, "load-factor", cfg.LoadFactor, "bounded-load factor: owners above this multiple of the fleet-average in-flight spill to a successor (0 = off)")
+	flag.IntVar(&cfg.HotThreshold, "hot-threshold", cfg.HotThreshold, "windowed arrivals past which a digest is replicated (0 = off)")
+	flag.IntVar(&cfg.HotReplicas, "hot-replicas", cfg.HotReplicas, "shards serving a hot digest")
+	flag.IntVar(&cfg.HotDecay, "hot-decay", cfg.HotDecay, "hot-detector decay window in arrivals (counts halve every N requests)")
+	flag.DurationVar(&cfg.ProbeInterval, "probe-interval", cfg.ProbeInterval, "active health-probe period (0 = passive only)")
+	flag.DurationVar(&cfg.LeaseTTL, "lease-ttl", cfg.LeaseTTL, "membership lease: a shard that stops heartbeating this long expires off the ring, and turns suspect after a third of it (0 = static -backends only)")
+	flag.DurationVar(&cfg.RetryBackoff, "retry-backoff", cfg.RetryBackoff, "base of the full-jitter backoff between failover attempts (0 = immediate)")
+	flag.DurationVar(&cfg.RetryBackoffMax, "retry-backoff-max", cfg.RetryBackoffMax, "cap on the failover backoff and any honored Retry-After")
 	flag.Parse()
 
 	urls := splitBackends(*backends)
-	if len(urls) == 0 && *leaseTTL <= 0 {
+	if len(urls) == 0 && cfg.LeaseTTL <= 0 {
 		fmt.Fprintln(os.Stderr, "itask-gateway: no members possible: give a -backends seed list or enable announce-based membership with -lease-ttl")
 		os.Exit(2)
 	}
 
-	cfg := gateway.Config{
-		VirtualNodes:     *vnodes,
-		LoadFactor:       *loadFactor,
-		HotThreshold:     *hotThreshold,
-		HotReplicas:      *hotReplicas,
-		HotDecay:         *hotDecay,
-		MaxRetries:       *maxRetries,
-		FailThreshold:    *failThreshold,
-		EjectFor:         *ejectFor,
-		ProbeInterval:    *probeInterval,
-		ProbeTimeout:     *probeTimeout,
-		BarrierPoll:      50 * time.Millisecond,
-		LeaseTTL:         *leaseTTL,
-		SuspectAfter:     *suspectAfter,
-		RampWindows:      *rampWindows,
-		AttemptTimeout:   *attemptTimeout,
-		RetryBackoff:     *retryBackoff,
-		RetryBackoffMax:  *retryBackoffMax,
-		RetryBudgetRate:  *retryBudgetRate,
-		RetryBudgetBurst: *retryBudgetBurst,
-	}
-	app, err := newApp(cfg, urls, *propagateTimeout)
+	app, err := newApp(cfg, urls, propagateTimeout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "itask-gateway: %v\n", err)
 		os.Exit(1)
@@ -190,7 +162,7 @@ func main() {
 	}()
 
 	fmt.Fprintf(os.Stderr, "itask-gateway: listening on %s, %d seed backends (vnodes=%d load-factor=%g hot=%d/%d retries=%d lease-ttl=%v)\n",
-		*addr, len(urls), *vnodes, *loadFactor, *hotThreshold, *hotReplicas, *maxRetries, *leaseTTL)
+		*addr, len(urls), cfg.VirtualNodes, cfg.LoadFactor, cfg.HotThreshold, cfg.HotReplicas, cfg.MaxRetries, cfg.LeaseTTL)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "itask-gateway: %v\n", err)
 		os.Exit(1)
@@ -242,11 +214,11 @@ func (a *app) mux() *http.ServeMux {
 }
 
 // announceRequest is a shard's self-registration: its dialable base URL
-// (the member identity), its current registry epoch, and a capacity hint.
+// (the member identity) and its current registry epoch. Unknown fields are
+// ignored.
 type announceRequest struct {
-	URL      string `json:"url"`
-	Epoch    uint64 `json:"epoch"`
-	Capacity int    `json:"capacity,omitempty"`
+	URL   string `json:"url"`
+	Epoch uint64 `json:"epoch"`
 }
 
 // announce handles lease-based membership: POST announces (and, re-POSTed,
@@ -297,11 +269,7 @@ func (a *app) announce(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusBadRequest, "announce url must be a dialable http(s) base URL")
 		return
 	}
-	e, err := a.g.Announce(&httpNode{base: base, hc: a.hc}, member.Meta{
-		Addr:     base,
-		Epoch:    req.Epoch,
-		Capacity: req.Capacity,
-	})
+	e, err := a.g.Announce(&httpNode{base: base, hc: a.hc}, member.Meta{Addr: base, Epoch: req.Epoch})
 	switch {
 	case errors.Is(err, member.ErrNoLeases):
 		wire.WriteError(w, http.StatusNotImplemented, "lease-based membership disabled; start the gateway with -lease-ttl")
@@ -495,8 +463,8 @@ func (a *app) healthz(w http.ResponseWriter, r *http.Request) {
 	snap := a.g.Snapshot()
 	available := 0
 	for _, n := range snap.Nodes {
-		// Weight > 0 means the membership table has the node on the ring
-		// (expired, left, and epoch-gated joining members sit at 0).
+		// Weight > 0 is a live, converged lease (expired, left, and
+		// epoch-gated joining members sit at 0).
 		if n.Weight > 0 && !n.Ejected && !n.Lagging {
 			available++
 		}

@@ -16,8 +16,9 @@ import (
 )
 
 // fakeBackend is an httptest-served itask-serve lookalike: detect answers
-// carry the backend's name, reload bumps the registry sequence, and healthz
-// and metricsz speak the real endpoints' shapes.
+// carry the backend's name, reload bumps the registry sequence, healthz
+// speaks the real endpoint's shape (status and epoch), and metricsz only
+// counts its callers — the gateway has no business scraping it.
 type fakeBackend struct {
 	name string
 	srv  *httptest.Server
@@ -26,6 +27,7 @@ type fakeBackend struct {
 	seq        uint64
 	detects    int
 	reloads    int
+	scrapes    int    // GET /metricsz
 	status     int    // non-zero forces every detect to this status
 	failReload bool   // reloads answer 500 and leave seq alone
 	lastTenant string // X-Itask-Tenant seen on the latest detect
@@ -79,10 +81,14 @@ func newFakeBackend(name string) *fakeBackend {
 		fmt.Fprintf(w, `{"task":%q,"model":%q,"detections":[]}`, probe.Task, b.name)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, `{"status":"ok"}`)
+		b.mu.Lock()
+		seq := b.seq
+		b.mu.Unlock()
+		fmt.Fprintf(w, `{"status":"ok","epoch":%d}`, seq)
 	})
 	mux.HandleFunc("/metricsz", func(w http.ResponseWriter, r *http.Request) {
 		b.mu.Lock()
+		b.scrapes++
 		seq := b.seq
 		b.mu.Unlock()
 		fmt.Fprintf(w, `{"registry":{"seq":%d}}`, seq)
@@ -395,6 +401,82 @@ func TestReloadFailedBackendLagsUntilItConverges(t *testing.T) {
 	}
 	if b1.detectCount() == 0 {
 		t.Fatal("readmitted backend still receives no traffic")
+	}
+}
+
+// The gateway reads a backend's route epoch from /healthz, never from the
+// full /metricsz snapshot: neither a run of probe sweeps nor a reload's
+// convergence barrier scrapes a shard.
+func TestEpochReadsNeverScrapeMetricsz(t *testing.T) {
+	b0, b1 := newFakeBackend("b0"), newFakeBackend("b1")
+	cfg := passiveCfg()
+	cfg.BarrierPoll = time.Millisecond
+	cfg.ProbeInterval = 5 * time.Millisecond
+	cfg.ProbeTimeout = time.Second
+	a, front := newTestApp(t, cfg, b0, b1)
+
+	epochs := func() (out []uint64) {
+		for _, n := range a.g.Snapshot().Nodes {
+			out = append(out, n.Epoch)
+		}
+		return out
+	}
+	waitFor(t, 2*time.Second, "a probe sweep to report both backends at epoch 1", func() bool {
+		return fmt.Sprint(epochs()) == "[1 1]"
+	})
+	resp, err := http.Post(front.URL+"/v1/models/reload", "application/json", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || fmt.Sprint(epochs()) != "[2 2]" {
+		t.Fatalf("reload: %d, member epochs %v, want 200 and [2 2]", resp.StatusCode, epochs())
+	}
+	time.Sleep(30 * time.Millisecond) // a few more sweeps
+	for _, b := range []*fakeBackend{b0, b1} {
+		b.mu.Lock()
+		scrapes := b.scrapes
+		b.mu.Unlock()
+		if scrapes != 0 {
+			t.Errorf("%s: %d GET /metricsz from the gateway, want none", b.name, scrapes)
+		}
+	}
+}
+
+// The gateway starts in the documented static-only mode (-lease-ttl 0 with
+// a seed list) and with a lease shorter than a second: the suspect horizon
+// derives from the lease, so no lease can be too short for it.
+func TestStartsWithoutLeasesAndWithShortLeases(t *testing.T) {
+	announce := func(front *httptest.Server, url string) (int, map[string]any) {
+		t.Helper()
+		resp, err := http.Post(front.URL+"/v1/announce", "application/json", strings.NewReader(fmt.Sprintf(`{"url":%q}`, url)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		_ = json.NewDecoder(resp.Body).Decode(&out)
+		return resp.StatusCode, out
+	}
+
+	static := gateway.DefaultConfig()
+	static.LeaseTTL = 0
+	seed := newFakeBackend("seed")
+	_, front := newTestApp(t, static, seed) // fails the test if newApp refuses the config
+	if resp, body := postDetect(t, front, sceneBody("patrol", 1)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("detect on a static-only gateway: %d %s", resp.StatusCode, body)
+	}
+	shard := newFakeBackend("shard")
+	defer shard.srv.Close()
+	if code, _ := announce(front, shard.srv.URL); code != http.StatusNotImplemented {
+		t.Fatalf("announce on a static-only gateway: %d, want 501", code)
+	}
+
+	short := gateway.DefaultConfig()
+	short.LeaseTTL = 500 * time.Millisecond
+	_, front = newTestApp(t, short)
+	if code, ack := announce(front, shard.srv.URL); code != http.StatusOK || ack["lease_ms"] != 500.0 {
+		t.Fatalf("announce under a 500ms lease: %d %v, want 200 granting lease_ms 500", code, ack)
 	}
 }
 

@@ -20,23 +20,26 @@ import (
 // POST /v1/announce endpoint and keeps the lease alive by re-announcing on
 // a jittered heartbeat. Each announce carries the shard's current registry
 // epoch (from the backend's RouteEpoch), so the gateway can gate routing on
-// epoch convergence after a fleet-wide reload, and a capacity hint the
-// gateway may use for weighting. On SIGTERM the shard deregisters (DELETE
-// /v1/announce) before draining, so the gateway stops routing to it
-// immediately instead of discovering the loss through a lease expiry.
+// epoch convergence after a fleet-wide reload. On SIGTERM the shard
+// deregisters (DELETE /v1/announce) before draining, so the gateway stops
+// routing to it immediately instead of discovering the loss through a lease
+// expiry.
 //
-// The heartbeat is jittered ±25% so a fleet of shards started together does
-// not renew in lockstep, and a failed announce retries with full-jitter
+// The heartbeat is a third of the lease the gateway's ack grants (lease_ms),
+// so it cannot be configured longer than the lease it keeps alive. It is
+// jittered ±25% so a fleet of shards started together does not renew in
+// lockstep, and a failed announce retries with full-jitter
 // exponential backoff (base heartbeat/4, capped at 4×heartbeat) — an
 // unreachable gateway costs a bounded, decorrelated trickle of dials, not a
 // tight reconnect loop.
 
 // announcer keeps one shard registered with one gateway.
 type announcer struct {
-	gateway   string // gateway base URL
-	self      string // this shard's advertised base URL (the member identity)
+	gateway string // gateway base URL
+	self    string // this shard's advertised base URL (the member identity)
+	// heartbeat is the renewal cadence: a second until the first ack, then a
+	// third of the granted lease. Only the run loop touches it.
 	heartbeat time.Duration
-	capacity  int
 	epoch     func() uint64 // current registry epoch, sent with each announce
 	hc        *http.Client
 	logf      func(format string, args ...any)
@@ -48,18 +51,14 @@ type announcer struct {
 	done sync.WaitGroup
 }
 
-func newAnnouncer(gateway, self string, heartbeat time.Duration, capacity int, epoch func() uint64) *announcer {
-	if heartbeat <= 0 {
-		heartbeat = time.Second
-	}
+func newAnnouncer(gateway, self string, epoch func() uint64) *announcer {
 	if epoch == nil {
 		epoch = func() uint64 { return 0 }
 	}
 	return &announcer{
 		gateway:   strings.TrimSuffix(gateway, "/"),
 		self:      strings.TrimSuffix(self, "/"),
-		heartbeat: heartbeat,
-		capacity:  capacity,
+		heartbeat: time.Second,
 		epoch:     epoch,
 		hc:        &http.Client{Timeout: 5 * time.Second},
 		logf:      func(string, ...any) {},
@@ -133,13 +132,9 @@ func (a *announcer) nextDelay(fails int) time.Duration {
 }
 
 // announceOnce POSTs one announce/heartbeat and records the gateway's view
-// of this shard's membership state.
+// of this shard's membership state and the lease it granted.
 func (a *announcer) announceOnce(ctx context.Context) error {
-	body, _ := json.Marshal(map[string]any{
-		"url":      a.self,
-		"epoch":    a.epoch(),
-		"capacity": a.capacity,
-	})
+	body, _ := json.Marshal(map[string]any{"url": a.self, "epoch": a.epoch()})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, a.gateway+"/v1/announce", bytes.NewReader(body))
 	if err != nil {
 		return err
@@ -155,9 +150,13 @@ func (a *announcer) announceOnce(ctx context.Context) error {
 		return fmt.Errorf("gateway returned %d: %s", resp.StatusCode, strings.TrimSpace(string(payload)))
 	}
 	var ack struct {
-		State string `json:"state"`
+		State   string `json:"state"`
+		LeaseMS int64  `json:"lease_ms"`
 	}
 	_ = json.Unmarshal(payload, &ack)
+	if ack.LeaseMS > 0 {
+		a.heartbeat = time.Duration(ack.LeaseMS) * time.Millisecond / 3
+	}
 	a.mu.Lock()
 	a.state = ack.State
 	a.mu.Unlock()

@@ -17,6 +17,8 @@ import (
 type stubGateway struct {
 	srv *httptest.Server
 
+	leaseMS int // the lease_ms every ack grants
+
 	mu        sync.Mutex
 	fail      bool
 	announces []announcePost
@@ -24,14 +26,13 @@ type stubGateway struct {
 }
 
 type announcePost struct {
-	URL      string `json:"url"`
-	Epoch    uint64 `json:"epoch"`
-	Capacity int    `json:"capacity"`
+	URL   string `json:"url"`
+	Epoch uint64 `json:"epoch"`
 }
 
-func newStubGateway(t *testing.T) *stubGateway {
+func newStubGateway(t *testing.T, leaseMS int) *stubGateway {
 	t.Helper()
-	g := &stubGateway{}
+	g := &stubGateway{leaseMS: leaseMS}
 	g.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/announce" {
 			http.NotFound(w, r)
@@ -52,7 +53,7 @@ func newStubGateway(t *testing.T) *stubGateway {
 			}
 			g.announces = append(g.announces, p)
 			json.NewEncoder(w).Encode(map[string]any{
-				"id": p.URL, "state": "active", "weight": 1.0, "lease_ms": 3000,
+				"id": p.URL, "state": "active", "weight": 1.0, "lease_ms": g.leaseMS,
 			})
 		case http.MethodDelete:
 			g.leaves = append(g.leaves, r.URL.Query().Get("url"))
@@ -90,13 +91,15 @@ func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() boo
 }
 
 func TestAnnouncerHeartbeatsAndDeregisters(t *testing.T) {
-	gw := newStubGateway(t)
+	// A 90 ms lease: the heartbeat is derived from the ack as a third of it.
+	// Were it not (the pre-ack default is a second), three heartbeats would
+	// not land inside the 1.5 s below.
+	gw := newStubGateway(t, 90)
 	var epoch uint64 = 7
-	a := newAnnouncer(gw.srv.URL, "http://127.0.0.1:9999/", 30*time.Millisecond, 4,
-		func() uint64 { return epoch })
+	a := newAnnouncer(gw.srv.URL, "http://127.0.0.1:9999/", func() uint64 { return epoch })
 	a.start()
 
-	waitUntil(t, 5*time.Second, "three heartbeats", func() bool {
+	waitUntil(t, 1500*time.Millisecond, "three heartbeats", func() bool {
 		ann, _ := gw.snapshot()
 		return len(ann) >= 3
 	})
@@ -112,8 +115,8 @@ func TestAnnouncerHeartbeatsAndDeregisters(t *testing.T) {
 		if p.URL != "http://127.0.0.1:9999" {
 			t.Fatalf("announce %d advertised %q", i, p.URL)
 		}
-		if p.Epoch != 7 || p.Capacity != 4 {
-			t.Fatalf("announce %d = %+v, want epoch 7 capacity 4", i, p)
+		if p.Epoch != 7 {
+			t.Fatalf("announce %d = %+v, want epoch 7", i, p)
 		}
 	}
 	if len(leaves) != 1 || leaves[0] != "http://127.0.0.1:9999" {
@@ -122,7 +125,7 @@ func TestAnnouncerHeartbeatsAndDeregisters(t *testing.T) {
 
 	// After close the loop is stopped: no further announces arrive.
 	n := len(ann)
-	time.Sleep(80 * time.Millisecond)
+	time.Sleep(120 * time.Millisecond)
 	ann, _ = gw.snapshot()
 	if len(ann) != n {
 		t.Fatalf("announcer kept heartbeating after close: %d -> %d", n, len(ann))
@@ -130,9 +133,10 @@ func TestAnnouncerHeartbeatsAndDeregisters(t *testing.T) {
 }
 
 func TestAnnouncerRetriesThroughGatewayOutage(t *testing.T) {
-	gw := newStubGateway(t)
+	gw := newStubGateway(t, 60)
 	gw.setFail(true)
-	a := newAnnouncer(gw.srv.URL, "http://127.0.0.1:9998", 20*time.Millisecond, 1, nil)
+	a := newAnnouncer(gw.srv.URL, "http://127.0.0.1:9998", nil)
+	a.heartbeat = 20 * time.Millisecond // no ack has set it yet
 	a.start()
 	defer a.close(context.Background())
 
@@ -156,14 +160,15 @@ func TestAnnouncerDeregisterTolerates404(t *testing.T) {
 		http.NotFound(w, r)
 	}))
 	defer srv.Close()
-	a := newAnnouncer(srv.URL, "http://127.0.0.1:9997", time.Minute, 1, nil)
+	a := newAnnouncer(srv.URL, "http://127.0.0.1:9997", nil)
 	if err := a.deregister(context.Background()); err != nil {
 		t.Fatalf("deregister on 404: %v", err)
 	}
 }
 
 func TestAnnouncerNextDelay(t *testing.T) {
-	a := newAnnouncer("http://g", "http://s", 100*time.Millisecond, 1, nil)
+	a := newAnnouncer("http://g", "http://s", nil)
+	a.heartbeat = 100 * time.Millisecond
 	for i := 0; i < 200; i++ {
 		if d := a.nextDelay(0); d < 75*time.Millisecond || d >= 125*time.Millisecond {
 			t.Fatalf("healthy delay %v outside [75ms, 125ms)", d)

@@ -29,9 +29,12 @@ type taskHealth struct {
 	Lanes    []laneHealth `json:"lanes,omitempty"`
 }
 
-// healthReport is the /healthz response body.
+// healthReport is the /healthz response body. Epoch is the shard's route
+// epoch (its registry snapshot sequence), present on 200 and 503 alike: the
+// gateway's prober and reload barrier read it here.
 type healthReport struct {
 	Status string                `json:"status"`
+	Epoch  uint64                `json:"epoch"`
 	Tasks  map[string]taskHealth `json:"tasks,omitempty"`
 }
 

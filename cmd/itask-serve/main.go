@@ -23,7 +23,8 @@
 //	                         states: 200 "ok", 200 "degraded" while open
 //	                         lanes still have a healthy fallback, 503 once a
 //	                         task has every lane open with no healthy
-//	                         fallback, 503 when draining
+//	                         fallback, 503 when draining; the body always
+//	                         carries "epoch", the registry snapshot sequence
 //	GET  /metricsz           serving metrics snapshot (latency percentiles,
 //	                         throughput, batch histogram, shed/reject/fault
 //	                         counters, per-lane breaker states, per-version
@@ -51,7 +52,7 @@
 //	            [-neg-ttl 0] [-hot-threshold 64] [-hot-decay 0] \
 //	            [-hot-bytes 4194304] [-pprof addr] \
 //	            [-tenant-weights gold=4,free=1] [-tenant-rate 0] [-tenant-burst 0] \
-//	            [-announce gateway-url] [-heartbeat 1s] [-advertise url]
+//	            [-announce gateway-url] [-advertise url]
 //
 // -cache-bytes enables the content-addressed result cache (0 disables it):
 // repeated frames are answered from memory without running a kernel, and
@@ -70,10 +71,10 @@
 // -pprof serves net/http/pprof on a second listener with mutex and block
 // profiling enabled, for inspecting lock contention under load.
 // -announce joins an itask-gateway's lease-based fleet membership: the
-// shard registers with POST /v1/announce once it is listening, renews on a
-// jittered -heartbeat cadence (carrying its registry epoch so the gateway
-// can gate routing on epoch convergence), and deregisters before draining
-// on SIGTERM. -advertise overrides the self URL sent to the gateway, for
+// shard registers with POST /v1/announce once it is listening, renews every
+// third of the lease the gateway grants, jittered (carrying its registry
+// epoch so the gateway can gate routing on epoch convergence), and
+// deregisters before draining on SIGTERM. -advertise overrides the self URL sent to the gateway, for
 // when the listen address is not what peers should dial (NAT, 0.0.0.0).
 //
 // Example:
@@ -134,7 +135,6 @@ func main() {
 	tenantBurst := flag.Float64("tenant-burst", 0, "per-tenant burst credits on top of -tenant-rate (0 = one second of rate)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address with mutex/block profiling (empty = off)")
 	announceTo := flag.String("announce", "", "gateway base URL to join via lease-based membership (empty = standalone)")
-	heartbeat := flag.Duration("heartbeat", time.Second, "lease renewal cadence when announcing (jittered ±25%)")
 	advertise := flag.String("advertise", "", "base URL to announce as this shard's address (default: derived from the listen address)")
 	flag.Parse()
 
@@ -256,16 +256,12 @@ func main() {
 		if self == "" {
 			self = advertiseURL(ln.Addr())
 		}
-		epoch := func() uint64 { return 0 }
-		if re, ok := backend.(serve.RouteEpocher); ok {
-			epoch = re.RouteEpoch
-		}
-		ann = newAnnouncer(*announceTo, self, *heartbeat, *workers, epoch)
+		ann = newAnnouncer(*announceTo, self, h.routeEpoch)
 		ann.logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 		ann.start()
-		fmt.Fprintf(os.Stderr, "itask-serve: announcing %s to %s every %v\n", self, *announceTo, *heartbeat)
+		fmt.Fprintf(os.Stderr, "itask-serve: announcing %s to %s\n", self, *announceTo)
 	}
 
 	go func() {
@@ -397,7 +393,17 @@ func (h *handler) tasks(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
 	rep, code := computeHealth(h.srv.Draining(), h.pipe.Tasks(), h.srv.Breakers(), h.fallbackFor)
+	rep.Epoch = h.routeEpoch()
 	wire.WriteJSON(w, code, rep)
+}
+
+// routeEpoch is the backend's route epoch (its registry snapshot sequence),
+// reported by /healthz and sent with every announce; 0 when it has none.
+func (h *handler) routeEpoch() uint64 {
+	if re, ok := h.backend.(serve.RouteEpocher); ok {
+		return re.RouteEpoch()
+	}
+	return 0
 }
 
 // fallbackFor reports the degraded-configuration variant that could serve a

@@ -107,6 +107,12 @@ func TestReloadFromRegistryLayout(t *testing.T) {
 	if rep.Status != healthOK || rep.Tasks["patrol"].Status != healthOK {
 		t.Errorf("health report = %+v, want ok", rep)
 	}
+	// The body carries the route epoch the gateway's prober and reload
+	// barrier read — on 200 and on 503 alike.
+	epoch := backend.(serve.RouteEpocher).RouteEpoch()
+	if epoch == 0 || rep.Epoch != epoch {
+		t.Errorf("healthz epoch = %d, want the registry sequence %d (> 0 after a reload)", rep.Epoch, epoch)
+	}
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -114,6 +120,10 @@ func TestReloadFromRegistryLayout(t *testing.T) {
 	h.healthz(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("healthz after shutdown: status = %d, want 503", rec.Code)
+	}
+	rep = healthReport{}
+	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil || rep.Epoch != epoch {
+		t.Errorf("draining healthz body = %s (err %v), want epoch %d", rec.Body, err, epoch)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"itask/internal/member"
 	"itask/internal/registry"
 )
 
@@ -20,18 +21,22 @@ import (
 //
 //   - the change is validated once, at the gateway, before any member is
 //     touched — a malformed change is refused with the fleet unchanged;
-//   - it is applied on every ring member concurrently;
+//   - it is applied on every member with a converged live lease,
+//     concurrently — on the ring or off it for its epoch, so a member left
+//     behind by one change can catch up on the next;
 //   - the committed epoch — the fleet highwater every member is compared
-//     against — advances to the highest epoch any member reached;
+//     against — advances to the highest epoch any member reached, and in
+//     the same step each member's apply result becomes its last report;
 //   - Propagate then barrier-polls each member's route epoch and returns
 //     once the whole fleet routes at the committed epoch (or ctx expires).
 //
-// From the moment the committed epoch advances, a member observed below it
-// — its apply failed, its activation is slow, it rebooted with stale models
-// — is lagging: routing skips it until the barrier, the prober or its own
-// heartbeat sees it catch up. Staleness is a routing condition, not a
-// silent wrong answer, and a member that never converges costs the fleet
-// its capacity, not its consistency.
+// Every member stores one epoch, its last report — from its own heartbeat,
+// the prober, an apply or a barrier poll; a lower report replaces a higher
+// one. A member whose report is below the committed epoch — its apply
+// failed, its activation is slow, it rebooted with stale models — fails the
+// routable rule and is off the ring until some report shows it caught up.
+// Staleness is a routing condition, not a silent wrong answer, and a member
+// that never converges costs the fleet its capacity, not its consistency.
 
 // Registry-change operations.
 const (
@@ -85,16 +90,19 @@ type ChangeApplier interface {
 	ApplyChange(ctx context.Context, c Change) (uint64, error)
 }
 
-// Propagate drives one registry change across every ring member and returns
-// the cluster's new committed epoch. A member whose apply fails is named in
-// the returned error and left lagging — skipped by routing until it is
-// observed at the committed epoch; the barrier waits only for the members
-// that took the change. When no member took it, nothing is committed.
+// Propagate drives one registry change across every member with a converged
+// live lease and returns the cluster's new committed epoch. A member whose
+// apply fails is named in the returned error and left behind the committed
+// epoch — off the ring until it reports having caught up; the barrier waits
+// only for the members that took the change. When no member took it,
+// nothing is committed.
 func (g *Gateway) Propagate(ctx context.Context, c Change) (uint64, error) {
 	if err := c.validate(); err != nil {
 		return 0, err
 	}
-	shards := g.ring.Load().shards
+	g.mu.Lock()
+	shards := g.membersLocked(member.State.Routable)
+	g.mu.Unlock()
 	if len(shards) == 0 {
 		return 0, ErrNoNodes
 	}
@@ -127,17 +135,24 @@ func (g *Gateway) Propagate(ctx context.Context, c Change) (uint64, error) {
 	if epoch == 0 {
 		return 0, applyErr
 	}
-	g.advanceEpoch(epoch)
-	g.m[cPropagates].Add(1)
+	// Commit: raise the committed epoch (monotonically) and take each apply
+	// result as that member's report, in one step, so the ring never sees
+	// the new epoch without the reports that satisfy it.
+	g.mu.Lock()
+	committed := max(epoch, g.committedEpoch.Load())
+	g.committedEpoch.Store(committed)
 	for i, m := range shards {
-		if errs[i] != nil {
-			g.observeEpoch(m, m.epoch.Load()) // still where it was: lagging
+		if errs[i] == nil {
+			g.rules.Report(&m.rec, epochs[i], committed)
 		}
 	}
+	g.rebuildLocked()
+	g.mu.Unlock()
+	g.m[cPropagates].Add(1)
 
 	// Barrier: wait until every member that took the change observably
-	// routes at the new epoch. Each poll feeds the lagging gate, so a slow
-	// member is skipped by routing for exactly as long as it is behind.
+	// routes at the new epoch. Each poll is a report, so a slow member is
+	// off the ring for exactly as long as it is behind.
 	t := time.NewTicker(g.cfg.BarrierPoll)
 	defer t.Stop()
 	for {
@@ -145,11 +160,11 @@ func (g *Gateway) Propagate(ctx context.Context, c Change) (uint64, error) {
 		for i, m := range shards {
 			en, ok := m.node.(EpochNode)
 			if !ok || errs[i] != nil {
-				continue // no observable epoch (trust the apply), or left lagging
+				continue // no observable epoch (trust the apply), or left behind
 			}
 			ep, err := en.RouteEpoch(ctx)
 			if err == nil {
-				g.observeEpoch(m, ep)
+				g.report(m, ep)
 			}
 			if err != nil || ep < epoch {
 				converged = false
@@ -162,16 +177,6 @@ func (g *Gateway) Propagate(ctx context.Context, c Change) (uint64, error) {
 		case <-ctx.Done():
 			return epoch, errors.Join(applyErr, fmt.Errorf("gateway: epoch barrier: %w", ctx.Err()))
 		case <-t.C:
-		}
-	}
-}
-
-// advanceEpoch raises the committed epoch monotonically.
-func (g *Gateway) advanceEpoch(ep uint64) {
-	for {
-		cur := g.committedEpoch.Load()
-		if ep <= cur || g.committedEpoch.CompareAndSwap(cur, ep) {
-			return
 		}
 	}
 }

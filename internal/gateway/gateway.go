@@ -6,14 +6,15 @@
 //
 // The design is five cooperating layers:
 //
-//   - Membership (internal/member): the fleet is dynamic. Shards announce
-//     themselves and renew heartbeat leases (Announce/Renew); missed
-//     renewals move a member suspect→expired and off the ring, a graceful
-//     leave (Leave) removes it immediately while in-flight requests finish,
-//     and a rejoining shard must converge to the committed registry epoch
-//     before becoming routable, then re-enters under a slow-start weight
-//     ramp so its cold cache isn't handed a full zipf blast. A static seed
-//     list (AddNode) still works and can mix with leased members.
+//   - Membership: the fleet is dynamic, and every member has exactly one
+//     record (ring.go's shard: node handle, lease state, last reported
+//     epoch, health atomics) in one map under one mutex. Shards announce
+//     themselves and renew heartbeat leases (Announce/Renew); the lifecycle
+//     rules — joining until converged to the committed epoch, a slow-start
+//     weight ramp, suspect→expired on missed renewals, graceful Leave — are
+//     internal/member's pure state machine over that record. A static seed
+//     list (AddNode) still works and can mix with leased members. One rule
+//     (routable) decides who may receive new work.
 //   - Placement (ring.go): a consistent-hash ring with virtual nodes.
 //     Requests route by the rcache content digest of their image (requests
 //     without a digestable image fall back to a task key, keeping a task's
@@ -41,9 +42,9 @@
 //   - Epochs (epoch.go): registry changes (publish / demote / rollback)
 //     propagate through the gateway: validated once, applied on every
 //     member, then barrier-polled until the whole fleet routes at the new
-//     committed epoch. Members whose route epoch is behind the committed
-//     epoch — including any still converging on a change in flight — are
-//     marked lagging and skipped by routing until they catch up.
+//     committed epoch. A member whose last reported epoch is behind the
+//     committed epoch — including any still converging on a change in
+//     flight — is off the ring until it reports having caught up.
 //
 // The package is transport-agnostic: a Node is any handle with an ID, and
 // the request path works through Execute's callback, so in-process fleets
@@ -55,6 +56,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -212,8 +215,8 @@ type Config struct {
 	// membership only).
 	LeaseTTL time.Duration
 	// SuspectAfter is how long without renewal before a member is marked
-	// suspect (still routable — the grace half of the lease). 0 defaults to
-	// LeaseTTL/2.
+	// suspect (still routable — the grace part of the lease). 0 derives
+	// LeaseTTL/3.
 	SuspectAfter time.Duration
 	// RampWindows is the slow-start span: a newly converged member's
 	// routing weight climbs 1/N, 2/N, … 1 over its first N renewals. 0
@@ -270,9 +273,8 @@ func DefaultConfig() Config {
 		ProbeTimeout:  500 * time.Millisecond,
 		BarrierPoll:   2 * time.Millisecond,
 
-		LeaseTTL:     3 * time.Second,
-		SuspectAfter: 1 * time.Second,
-		RampWindows:  4,
+		LeaseTTL:    3 * time.Second,
+		RampWindows: 4,
 
 		AttemptTimeout:   2 * time.Second,
 		RetryBackoff:     25 * time.Millisecond,
@@ -330,16 +332,18 @@ type Gateway struct {
 	m      counters
 	hot    *freq.Tracker // nil when hot-key handling is off
 	budget *fair.Budget  // one key: the fleet; unlimited at rate 0
-	tbl    *member.Table
+	rules  member.Rules
 
-	// mu serializes membership mutations (announce/renew/leave/expiry);
-	// the resulting ring is copy-on-write, so reads are lock-free.
-	mu     sync.Mutex
-	roster map[string]*shard // every announced node, routable or not
-	ring   atomic.Pointer[ringState]
+	// mu guards members — every announced member's one record, routable or
+	// not — and each record's rec and vnodes; it also orders commits of the
+	// epoch against epoch reports. The ring published from them is
+	// copy-on-write, so the request path reads it lock-free.
+	mu      sync.Mutex
+	members map[string]*shard
+	ring    atomic.Pointer[ringState]
 
-	// committedEpoch is the highest epoch Propagate has driven the whole
-	// cluster to; members observed below it are lagging.
+	// committedEpoch is the highest epoch Propagate has driven the cluster
+	// to. Written under mu.
 	committedEpoch atomic.Uint64
 
 	// p2cSeq derandomizes power-of-two-choices pair selection: it is cheap,
@@ -376,14 +380,14 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:    cfg,
 		hot:    freq.New(cfg.HotThreshold, freq.DefaultSlots, cfg.HotDecay),
 		budget: fair.NewBudget(cfg.RetryBudgetRate, max(1, float64(cfg.RetryBudgetBurst))),
-		tbl: member.NewTable(member.Config{
+		rules: member.Rules{
 			LeaseTTL:     cfg.LeaseTTL,
 			SuspectAfter: cfg.SuspectAfter,
 			RampWindows:  cfg.RampWindows,
 			Now:          cfg.Clock,
-		}),
-		roster: map[string]*shard{},
-		stop:   make(chan struct{}),
+		}.WithDefaults(),
+		members: map[string]*shard{},
+		stop:    make(chan struct{}),
 	}
 	g.ring.Store(buildRing(nil, cfg.VirtualNodes))
 	if cfg.ProbeInterval > 0 {
@@ -409,57 +413,60 @@ func (g *Gateway) Close() {
 	g.done.Wait()
 }
 
-// vnodesFor scales the full vnode count by a membership weight, keeping at
-// least one point so a warming member is reachable at all.
-func vnodesFor(weight float64, vnodes int) int {
-	n := int(weight*float64(vnodes) + 0.5)
-	if n < 1 {
-		n = 1
-	}
-	if n > vnodes {
-		n = vnodes
-	}
-	return n
+// afterEjections is a time by which every ejection has lapsed. Ejection is
+// temporary and ends without a ring rebuild, so the ring asks routable about
+// then: it holds the members that may receive work once not ejected.
+const afterEjections = math.MaxInt64
+
+// routable is the gateway's one answer to "may this member receive new work
+// at now": its lease is live and converged, its last reported epoch has
+// reached the committed epoch, and it is not ejected. The ring is this rule
+// published — rebuildLocked runs after every change to a record or to the
+// committed epoch and keeps exactly the members the rule accepts — so
+// Execute, which reads the ring lock-free, re-checks only the clause that
+// changes with time alone (ejected). Callers hold g.mu.
+func (g *Gateway) routable(s *shard, nowNanos int64) bool {
+	return s.rec.State.Routable() && !g.lagging(s) && !s.ejected(nowNanos)
 }
 
-// rebuildLocked republishes the ring from the membership table: every
-// routable member at its weight-scaled vnode count. Callers hold g.mu.
+// lagging reports whether the member's last report is behind the committed
+// epoch. Callers hold g.mu.
+func (g *Gateway) lagging(s *shard) bool { return s.rec.Epoch < g.committedEpoch.Load() }
+
+// rebuildLocked republishes the ring if any member's share of it changed:
+// every routable member at its weight-scaled vnode count, nobody else.
+// Callers hold g.mu.
 func (g *Gateway) rebuildLocked() {
-	entries := g.tbl.Snapshot()
-	shards := make([]*shard, 0, len(entries))
-	for _, e := range entries {
-		if e.Weight <= 0 {
-			continue
+	changed := false
+	on := make([]*shard, 0, len(g.members))
+	for _, s := range g.members {
+		n := 0
+		if g.routable(s, afterEjections) {
+			// At least one point, so a warming member is reachable at all.
+			n = max(1, int(g.rules.Weight(&s.rec)*float64(g.cfg.VirtualNodes)+0.5))
+			on = append(on, s)
+		} else if s.vnodes > 0 && s.rec.State.Routable() {
+			g.m[cEpochDrift].Add(1) // a live lease fell off the ring: its epoch is behind
 		}
-		s := g.roster[e.ID]
-		if s == nil {
-			continue
+		if n != s.vnodes {
+			s.vnodes, changed = n, true
 		}
-		s.vnodes = vnodesFor(e.Weight, g.cfg.VirtualNodes)
-		shards = append(shards, s)
 	}
-	g.ring.Store(buildRing(shards, g.cfg.VirtualNodes))
+	if changed {
+		g.ring.Store(buildRing(on, g.cfg.VirtualNodes))
+	}
 }
 
 // AddNode joins a static member to the ring at full weight: no lease, no
 // warm-up, never expires — the seed-list path, for fleets (or tests) that
-// are configured by hand. Its share of the key space (~K/N keys) moves to
-// it from the former owners; everything else keeps its owner.
+// are configured by hand; it is taken to be at the committed epoch until
+// observed otherwise. Its share of the key space (~K/N keys) moves to it
+// from the former owners; everything else keeps its owner.
 func (g *Gateway) AddNode(n Node) error {
-	if n == nil || n.ID() == "" {
-		return errors.New("gateway: node must have a non-empty ID")
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, dup := g.roster[n.ID()]; dup {
-		return fmt.Errorf("gateway: duplicate node id %q", n.ID())
-	}
-	if _, _, _, err := g.tbl.Announce(n.ID(), member.Meta{Addr: n.ID(), Static: true}, g.committedEpoch.Load()); err != nil {
-		return err
-	}
-	g.roster[n.ID()] = &shard{node: n, id: n.ID()}
-	g.rebuildLocked()
-	return nil
+	_, err := g.announceLocked(n, member.Meta{Static: true, Epoch: g.committedEpoch.Load()})
+	return err
 }
 
 // Announce registers a leased member (or renews a live one — re-announce is
@@ -468,53 +475,72 @@ func (g *Gateway) AddNode(n Node) error {
 // under slow-start. A re-announce of an expired or left member is a rejoin:
 // it restarts the converge→warm cycle with fresh health accounting.
 func (g *Gateway) Announce(n Node, meta member.Meta) (member.Entry, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.announceLocked(n, meta)
+}
+
+func (g *Gateway) announceLocked(n Node, meta member.Meta) (member.Entry, error) {
 	if n == nil || n.ID() == "" {
 		return member.Entry{}, errors.New("gateway: node must have a non-empty ID")
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	committed := g.committedEpoch.Load()
-	e, changed, rejoin, err := g.tbl.Announce(n.ID(), meta, committed)
+	id := n.ID()
+	s, known := g.members[id]
+	if known && s.rec.State.Live() {
+		if meta.Static {
+			return member.Entry{}, fmt.Errorf("gateway: duplicate node id %q", id)
+		}
+		return g.renewLocked(s, meta)
+	}
+	// First sight or a new incarnation: a fresh record, so fresh health
+	// accounting too.
+	rec, err := g.rules.Join(meta, g.committedEpoch.Load())
 	if err != nil {
 		return member.Entry{}, err
 	}
-	s := g.roster[n.ID()]
-	if s == nil || rejoin {
-		// First sight or a new incarnation: fresh health accounting.
-		s = &shard{node: n, id: n.ID()}
-		g.roster[n.ID()] = s
+	s = &shard{node: n, id: id, rec: rec}
+	g.members[id] = s
+	if !meta.Static {
+		g.m[cLeasesGranted].Add(1)
+		if known {
+			g.m[cRejoins].Add(1)
+		}
 	}
-	s.epoch.Store(e.Epoch)
-	if e.Epoch >= committed {
-		s.lagging.Store(false)
-	}
-	if changed || rejoin {
-		g.rebuildLocked()
-	}
-	return e, nil
+	g.rebuildLocked()
+	return g.rules.Entry(id, &s.rec), nil
 }
 
-// Renew extends a leased member's lease (one heartbeat), advancing epoch
-// convergence and the slow-start ramp. Unknown (or expired) members get
-// member.ErrUnknown and must re-announce.
+// Renew extends a leased member's lease (one heartbeat), recording the epoch
+// it reports and advancing the slow-start ramp. Unknown (or expired) members
+// get member.ErrUnknown and must re-announce.
 func (g *Gateway) Renew(id string, epoch uint64) (member.Entry, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	committed := g.committedEpoch.Load()
-	e, changed, err := g.tbl.Renew(id, epoch, committed)
-	if err != nil {
+	s := g.members[id]
+	if s == nil {
+		return member.Entry{}, member.ErrUnknown
+	}
+	return g.renewLocked(s, member.Meta{Epoch: epoch})
+}
+
+func (g *Gateway) renewLocked(s *shard, meta member.Meta) (member.Entry, error) {
+	if err := g.rules.Renew(&s.rec, meta, g.committedEpoch.Load()); err != nil {
 		return member.Entry{}, err
 	}
-	if s := g.roster[id]; s != nil {
-		s.epoch.Store(e.Epoch)
-		if e.Epoch >= committed {
-			s.lagging.Store(false)
-		}
+	if !s.rec.Static {
+		g.m[cRenewals].Add(1)
 	}
-	if changed {
-		g.rebuildLocked()
-	}
-	return e, nil
+	g.rebuildLocked()
+	return g.rules.Entry(s.id, &s.rec), nil
+}
+
+// report records the epoch a member was observed at — by the prober or a
+// barrier poll — as its last report, exactly as its own heartbeat would.
+func (g *Gateway) report(s *shard, epoch uint64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.rules.Report(&s.rec, epoch, g.committedEpoch.Load())
+	g.rebuildLocked()
 }
 
 // Leave deregisters a member gracefully: it comes off the ring immediately
@@ -523,30 +549,15 @@ func (g *Gateway) Renew(id string, epoch uint64) (member.Entry, error) {
 func (g *Gateway) Leave(id string) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	_, wasRoutable := g.tbl.Leave(id)
-	if _, ok := g.roster[id]; ok {
-		delete(g.roster, id)
+	s := g.members[id]
+	if s == nil || !g.rules.Leave(&s.rec) {
+		return false
 	}
-	if wasRoutable {
-		g.rebuildLocked()
+	if !s.rec.Static {
+		g.m[cGracefulLeaves].Add(1)
 	}
-	return wasRoutable
-}
-
-// RemoveNode hard-removes a member (static or leased); its keys rehash to
-// successors. Reports whether the id was known.
-func (g *Gateway) RemoveNode(id string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	known := g.tbl.Remove(id)
-	if _, ok := g.roster[id]; ok {
-		delete(g.roster, id)
-		known = true
-	}
-	if known {
-		g.rebuildLocked()
-	}
-	return known
+	g.rebuildLocked()
+	return true
 }
 
 // SweepMembership advances lease timers once: members past SuspectAfter
@@ -556,12 +567,10 @@ func (g *Gateway) RemoveNode(id string) bool {
 func (g *Gateway) SweepMembership() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	expired := g.tbl.Sweep()
-	if len(expired) == 0 {
-		return
-	}
-	for _, e := range expired {
-		delete(g.roster, e.ID)
+	for _, s := range g.members {
+		if g.rules.Sweep(&s.rec) {
+			g.m[cLeaseExpirations].Add(1)
+		}
 	}
 	g.rebuildLocked()
 }
@@ -587,9 +596,18 @@ func (g *Gateway) sweeperLoop() {
 	}
 }
 
-// Membership returns the current membership table entries (all states,
-// including expired and left ones), sorted by id.
-func (g *Gateway) Membership() []member.Entry { return g.tbl.Snapshot() }
+// membersLocked returns the members whose lease state passes keep, sorted
+// by id. Callers hold g.mu.
+func (g *Gateway) membersLocked(keep func(member.State) bool) []*shard {
+	out := make([]*shard, 0, len(g.members))
+	for _, s := range g.members {
+		if keep(s.rec.State) {
+			out = append(out, s)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
+}
 
 // Nodes returns the currently routable member ids in ring-iteration
 // (sorted) order.
@@ -694,7 +712,7 @@ func (g *Gateway) Execute(ctx context.Context, k Key, do func(ctx context.Contex
 	now := time.Now().UnixNano()
 	avail := make([]*shard, 0, len(prefs))
 	for _, s := range prefs {
-		if s.available(now) {
+		if !s.ejected(now) {
 			avail = append(avail, s)
 		}
 	}
@@ -901,15 +919,6 @@ func (g *Gateway) CommittedEpoch() uint64 { return g.committedEpoch.Load() }
 // Snapshot returns the gateway's metrics and per-member status, including
 // announced members that are not (or no longer) routable.
 func (g *Gateway) Snapshot() Snapshot {
-	entries := g.tbl.Snapshot()
-	g.mu.Lock()
-	rosterCopy := make(map[string]*shard, len(g.roster))
-	for id, s := range g.roster {
-		rosterCopy[id] = s
-	}
-	g.mu.Unlock()
-	ms := g.tbl.Stats()
-	now := time.Now().UnixNano()
 	snap := Snapshot{
 		Routed:               g.m[cRouted].Load(),
 		Failed:               g.m[cFailed].Load(),
@@ -921,34 +930,31 @@ func (g *Gateway) Snapshot() Snapshot {
 		Ejections:            g.m[cEjections].Load(),
 		EpochDrift:           g.m[cEpochDrift].Load(),
 		Propagates:           g.m[cPropagates].Load(),
-		CommittedEpoch:       g.committedEpoch.Load(),
-		LeasesGranted:        ms.LeasesGranted,
-		LeaseRenewals:        ms.Renewals,
-		LeaseExpirations:     ms.LeaseExpirations,
-		Rejoins:              ms.Rejoins,
-		GracefulLeaves:       ms.GracefulLeaves,
-		Nodes:                make([]NodeStatus, 0, len(entries)),
+		LeasesGranted:        g.m[cLeasesGranted].Load(),
+		LeaseRenewals:        g.m[cRenewals].Load(),
+		LeaseExpirations:     g.m[cLeaseExpirations].Load(),
+		Rejoins:              g.m[cRejoins].Load(),
+		GracefulLeaves:       g.m[cGracefulLeaves].Load(),
 		PerTenant:            g.tenants.snapshot(),
 	}
-	for _, e := range entries {
-		ns := NodeStatus{
-			ID:     e.ID,
-			State:  e.State.String(),
-			Weight: e.Weight,
-			Epoch:  e.Epoch,
+	now := time.Now().UnixNano()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	snap.CommittedEpoch = g.committedEpoch.Load()
+	all := g.membersLocked(func(member.State) bool { return true })
+	snap.Nodes = make([]NodeStatus, len(all))
+	for i, s := range all {
+		snap.Nodes[i] = NodeStatus{
+			ID:       s.id,
+			State:    s.rec.State.String(),
+			Weight:   g.rules.Weight(&s.rec),
+			InFlight: s.inflight.Load(),
+			Served:   s.served.Load(),
+			Failures: s.failures.Load(),
+			Ejected:  s.ejected(now),
+			Lagging:  s.rec.State.Live() && g.lagging(s),
+			Epoch:    s.rec.Epoch,
 		}
-		if s := rosterCopy[e.ID]; s != nil {
-			eu := s.ejectedUntil.Load()
-			ns.InFlight = s.inflight.Load()
-			ns.Served = s.served.Load()
-			ns.Failures = s.failures.Load()
-			ns.Ejected = eu != 0 && eu > now
-			ns.Lagging = s.lagging.Load()
-			if se := s.epoch.Load(); se > ns.Epoch {
-				ns.Epoch = se
-			}
-		}
-		snap.Nodes = append(snap.Nodes, ns)
 	}
 	return snap
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"time"
+
+	"itask/internal/member"
 )
 
 // health.go: per-member failure accounting and the active prober. Health is
@@ -15,17 +17,15 @@ import (
 //     skips ejected members, so their key ranges fall through to ring
 //     successors — while the in-flight requests that discovered the death
 //     retry on the successor and succeed.
-//   - Active: a background loop probes every announced member (routable or
+//   - Active: a background loop probes every live member (routable or
 //     not) each ProbeInterval. A probe failure counts exactly like a
 //     request failure (a quiet node can die without traffic noticing), a
 //     probe success clears the count and lifts an ejection early. The same
-//     sweep reads each member's route epoch and flags members behind the
-//     cluster's committed epoch as lagging (see epoch.go) — a shard that
-//     missed a publish must not serve old-version traffic. For a joining
-//     member the observed epoch also drives convergence: the prober can
-//     admit it to the ring as soon as it catches up, without waiting for
-//     the member's own next heartbeat (the heartbeat still owns the lease —
-//     prober observations never extend it).
+//     sweep reads each member's route epoch and records it as the member's
+//     last report (Gateway.report), so a shard that missed a publish drops
+//     off the ring and a joining or lagging one is admitted as soon as it
+//     catches up, without waiting for its own next heartbeat (the heartbeat
+//     still owns the lease — observations never extend it).
 //
 // Ejection is deliberately time-bounded (EjectFor): with no prober, a
 // passively ejected member rejoins on expiry and the next failure re-ejects
@@ -64,16 +64,13 @@ func (g *Gateway) proberLoop() {
 	}
 }
 
-// probeAll sweeps every announced member concurrently: one slow shard must
-// not delay detection of the others. It walks the roster, not the ring, so
-// epoch-gated joining members are probed too — that observation is what
-// converges them.
+// probeAll sweeps every live member concurrently: one slow shard must not
+// delay detection of the others. It walks the records, not the ring, so
+// members off the ring for their epoch are probed too — that observation is
+// what readmits them.
 func (g *Gateway) probeAll() {
 	g.mu.Lock()
-	shards := make([]*shard, 0, len(g.roster))
-	for _, s := range g.roster {
-		shards = append(shards, s)
-	}
+	shards := g.membersLocked(member.State.Live)
 	g.mu.Unlock()
 	var wg sync.WaitGroup
 	for _, s := range shards {
@@ -99,30 +96,8 @@ func (g *Gateway) probeOne(s *shard) {
 		}
 	}
 	if en, ok := s.node.(EpochNode); ok {
-		ep, err := en.RouteEpoch(ctx)
-		if err != nil {
-			return
+		if ep, err := en.RouteEpoch(ctx); err == nil {
+			g.report(s, ep)
 		}
-		g.observeEpoch(s, ep)
 	}
-}
-
-// observeEpoch records a member's observed route epoch: behind the
-// committed epoch it is lagging (skipped by routing); caught up, a joining
-// member converges onto the ring without waiting for its next heartbeat.
-func (g *Gateway) observeEpoch(s *shard, ep uint64) {
-	s.epoch.Store(ep)
-	committed := g.committedEpoch.Load()
-	lag := ep < committed
-	if s.lagging.Swap(lag) != lag && lag {
-		g.m[cEpochDrift].Add(1)
-	}
-	if lag {
-		return
-	}
-	g.mu.Lock()
-	if _, changed := g.tbl.Converge(s.id, ep, committed); changed {
-		g.rebuildLocked()
-	}
-	g.mu.Unlock()
 }

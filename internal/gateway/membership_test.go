@@ -12,6 +12,7 @@ import (
 
 	"itask/internal/gateway"
 	"itask/internal/member"
+	"itask/internal/serve"
 )
 
 // testClock is a manually advanced membership clock shared with the
@@ -120,9 +121,11 @@ func TestLeaseLifecycleOnRing(t *testing.T) {
 		t.Fatal("rejoined member missing from ring")
 	}
 	snap := g.Snapshot()
-	if snap.LeasesGranted != 2 || snap.LeaseExpirations != 1 || snap.Rejoins != 1 {
-		t.Fatalf("lease counters: granted=%d expired=%d rejoins=%d",
-			snap.LeasesGranted, snap.LeaseExpirations, snap.Rejoins)
+	// The static seed holds no lease; the refused renewal of the expired
+	// lease is not a renewal.
+	if snap.LeasesGranted != 2 || snap.LeaseRenewals != 1 || snap.LeaseExpirations != 1 || snap.Rejoins != 1 {
+		t.Fatalf("lease counters: granted=%d renewals=%d expired=%d rejoins=%d",
+			snap.LeasesGranted, snap.LeaseRenewals, snap.LeaseExpirations, snap.Rejoins)
 	}
 	var leased *gateway.NodeStatus
 	for i := range snap.Nodes {
@@ -195,6 +198,83 @@ func TestAnnounceGatedOnCommittedEpoch(t *testing.T) {
 	}
 	if !nodesOf(g)["stale"] {
 		t.Fatal("converged member missing from ring")
+	}
+}
+
+// A shard that restarts inside its lease with a fresh registry re-announces
+// below the committed epoch. Its one stored epoch is its last report, so it
+// is off the ring and reported lagging from that announce on, through every
+// heartbeat (and probe) that still says epoch 1, until it reports having
+// caught up — and no client reads the stale version from it meanwhile.
+func TestStaleReannounceIsNotRoutable(t *testing.T) {
+	for _, probe := range []time.Duration{0, 5 * time.Millisecond} {
+		t.Run(fmt.Sprintf("probe=%v", probe), func(t *testing.T) {
+			cfg := leaseConfig(newTestClock())
+			cfg.RampWindows = 1
+			cfg.ProbeInterval, cfg.ProbeTimeout = probe, 100*time.Millisecond
+			g := newTestGateway(t, cfg)
+			a, b := newFakeNode("shard-a"), newFakeNode("shard-b")
+			ctx := context.Background()
+			for _, n := range []*fakeNode{a, b} {
+				if _, err := g.Announce(n, member.Meta{Epoch: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ep, err := g.Propagate(ctx, gateway.Change{Op: gateway.OpPublish, Payload: "v2"}); err != nil || ep != 2 {
+				t.Fatalf("propagate: epoch=%d err=%v", ep, err)
+			}
+			for _, id := range []string{"shard-a", "shard-b"} {
+				if e, err := g.Renew(id, 2); err != nil || e.State != member.StateActive {
+					t.Fatalf("heartbeat of %s at the committed epoch: %+v err=%v", id, e, err)
+				}
+			}
+
+			status := func() gateway.NodeStatus {
+				for _, ns := range g.Snapshot().Nodes {
+					if ns.ID == "shard-b" {
+						return ns
+					}
+				}
+				t.Fatal("shard-b missing from snapshot")
+				return gateway.NodeStatus{}
+			}
+			checkStale := func(when string) {
+				t.Helper()
+				if nodesOf(g)["shard-b"] {
+					t.Fatalf("%s: stale shard-b is on the ring", when)
+				}
+				if ns := status(); !ns.Lagging || ns.Epoch != 1 {
+					t.Fatalf("%s: shard-b status %+v, want lagging at its reported epoch 1", when, ns)
+				}
+			}
+
+			b.setEpochAndVersion(1, "v1") // restarted: fresh registry, old models
+			if e, err := g.Announce(b, member.Meta{Epoch: 1}); err != nil || e.Epoch != 1 {
+				t.Fatalf("stale re-announce: %+v err=%v, want it recorded at epoch 1", e, err)
+			}
+			checkStale("after the re-announce")
+			for i := 0; i < 5; i++ {
+				if _, err := g.Renew("shard-b", 1); err != nil {
+					t.Fatal(err)
+				}
+				time.Sleep(2 * probe) // let the prober, if any, have its say too
+				checkStale(fmt.Sprintf("after stale heartbeat %d", i))
+			}
+			for i := 0; i < 64; i++ {
+				res, err := g.Detect(ctx, serve.Request{Task: "patrol", Image: img(i)})
+				if err != nil || res.Model != "v2" || res.Node != "shard-a" {
+					t.Fatalf("detect %d beside a stale member = {%s %s %v}, want v2 from shard-a", i, res.Node, res.Model, err)
+				}
+			}
+
+			b.setEpochAndVersion(2, "v2") // it reloads and says so
+			if _, err := g.Renew("shard-b", 2); err != nil {
+				t.Fatal(err)
+			}
+			if ns := status(); !nodesOf(g)["shard-b"] || ns.Lagging || ns.Epoch != 2 {
+				t.Fatalf("caught-up shard-b not readmitted: on ring %v, status %+v", nodesOf(g)["shard-b"], ns)
+			}
+		})
 	}
 }
 

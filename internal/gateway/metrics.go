@@ -8,16 +8,21 @@ import "sync/atomic"
 type counterID int
 
 const (
-	cRouted     counterID = iota // requests that reached a node
-	cHotRouted                   // requests routed via hot-key replication
-	cTaskRouted                  // undigestable requests routed by task key
-	cSpills                      // bounded-load spills past the owner
-	cRetries                     // failover retries onto a successor
-	cBudgetDry                   // retries wanted but denied by the retry budget
-	cFailed                      // requests that exhausted their attempts
-	cEjections                   // members ejected by health accounting
-	cEpochDrift                  // members observed behind the committed epoch
-	cPropagates                  // cluster-wide registry changes propagated
+	cRouted           counterID = iota // requests that reached a node
+	cHotRouted                         // requests routed via hot-key replication
+	cTaskRouted                        // undigestable requests routed by task key
+	cSpills                            // bounded-load spills past the owner
+	cRetries                           // failover retries onto a successor
+	cBudgetDry                         // retries wanted but denied by the retry budget
+	cFailed                            // requests that exhausted their attempts
+	cEjections                         // members ejected by health accounting
+	cEpochDrift                        // members observed behind the committed epoch
+	cPropagates                        // cluster-wide registry changes propagated
+	cLeasesGranted                     // announces that granted a lease: first joins and rejoins, never static seeds
+	cRenewals                          // lease extensions (heartbeats and announce-as-renew)
+	cLeaseExpirations                  // leases that lapsed without renewal
+	cRejoins                           // announces that revived an expired or left member
+	cGracefulLeaves                    // explicit deregistrations
 	numCounters
 )
 
@@ -58,7 +63,7 @@ type Snapshot struct {
 	Propagates     uint64 `json:"propagates,omitempty"`
 	CommittedEpoch uint64 `json:"committed_epoch"`
 
-	// Membership lifecycle counters (see internal/member): leases granted
+	// Membership lifecycle counters: leases granted
 	// to announcing shards, heartbeat renewals, leases lost to missed
 	// renewals, expired/left members that announced again, and graceful
 	// deregistrations.

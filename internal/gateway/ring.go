@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"itask/internal/freq"
+	"itask/internal/member"
 )
 
 // ring.go: the consistent-hash layer. Each backend shard projects a number
@@ -16,8 +17,8 @@ import (
 // reshuffling the whole cluster (see TestRingRebalanceBound).
 //
 // With lease-based membership a shard's point count scales with its
-// slow-start weight: a warming shard at weight w projects ceil(w × vnodes)
-// points. Point v's position depends only on (id, v), so a shard's partial
+// slow-start weight: a warming shard at weight w projects round(w × vnodes)
+// points (at least one). Point v's position depends only on (id, v), so a shard's partial
 // point set is always a prefix of its full set — as the ramp advances the
 // shard only ever *gains* key ranges it will keep at full weight, and the
 // keys it serves while warming are exactly keys it would own anyway. Churn
@@ -27,18 +28,20 @@ import (
 // fresh ringState under the gateway's mutex and publish it through an atomic
 // pointer, so the request path reads the ring lock-free.
 
-// shard is one backend node's routing state. The Node itself is immutable
-// here; the atomics are the gateway's health and load bookkeeping, shared
-// across ring generations so ejections and in-flight counts survive an
-// unrelated join/leave. A rejoin after lease expiry allocates a fresh shard:
-// the new incarnation starts with clean health accounting.
+// shard is the one record the gateway keeps per member: the node handle,
+// the lease lifecycle and last reported epoch (rec), its current share of
+// the ring, and the health and load atomics. The atomics are shared across
+// ring generations, so ejections and in-flight counts survive an unrelated
+// join/leave. A rejoin after expiry or leave allocates a fresh shard: the
+// new incarnation starts with clean health accounting.
 type shard struct {
 	node Node
 	id   string
 
-	// vnodes is the shard's current ring-point count (scaled by its
-	// membership weight). Written only under the gateway mutex before the
-	// ring generation embedding it is built.
+	// rec is the membership state machine's record; vnodes is the ring-point
+	// count the current ring generation gives the shard (0: off the ring).
+	// Both are guarded by the gateway mutex.
+	rec    member.Record
 	vnodes int
 
 	// inflight is the gateway-observed concurrent request count, the load
@@ -51,24 +54,14 @@ type shard struct {
 	// (0 = healthy). An ejected shard is skipped by routing — its keys
 	// rehash to successors — but keeps being probed so it can return early.
 	ejectedUntil atomic.Int64
-	// lagging marks a shard whose observed route epoch is behind the
-	// cluster's committed epoch; it is skipped by routing until it catches
-	// up, so a stale shard never serves old-version results after a publish.
-	lagging atomic.Bool
-	// epoch is the shard's last observed route epoch.
-	epoch atomic.Uint64
 
 	served   atomic.Uint64
 	failures atomic.Uint64
 }
 
-// available reports whether routing may send new work to the shard.
-func (s *shard) available(nowNanos int64) bool {
-	if s.lagging.Load() {
-		return false
-	}
-	eu := s.ejectedUntil.Load()
-	return eu == 0 || eu <= nowNanos
+// ejected reports whether health accounting has the shard ejected at now.
+func (s *shard) ejected(nowNanos int64) bool {
+	return s.ejectedUntil.Load() > nowNanos
 }
 
 type ringPoint struct {

@@ -53,9 +53,6 @@ func (n *ServeNode) Probe(context.Context) error {
 	return nil
 }
 
-// Server exposes the wrapped shard (for per-shard metrics).
-func (n *ServeNode) Server() *serve.Server { return n.srv }
-
 // RouteEpoch implements EpochNode over the registry snapshot sequence.
 func (n *ServeNode) RouteEpoch(context.Context) (uint64, error) {
 	if n.reg == nil {

@@ -1,49 +1,37 @@
-// Package member is the fleet-membership half of the distributed serve
-// tier's self-healing story: a lease-based table of backend shards that the
-// gateway consults to decide who is routable right now, instead of trusting
-// a static list forever.
+// Package member holds the lifecycle rules of one fleet member as a pure
+// state machine over one Record: no map, no lock, no I/O. The gateway keeps
+// one Record per member id under its own mutex and feeds it announces,
+// renewals, epoch reports, leaves and clock ticks through Rules; the clock is
+// injectable (Rules.Now), so lease timing is unit-testable without sleeping
+// and without a gateway.
 //
-// Lifecycle of a leased member:
-//
-//		announce ──▶ joining ──(epoch ≥ committed)──▶ warming ──(N renewals)──▶ active
-//		                                                 │                        │
-//		                            missed renewals ─────┴──▶ suspect ──▶ expired │
-//		                                                          ▲               │
-//		                                                          └───────────────┘
+//		join ──▶ joining ──(epoch ≥ committed)──▶ warming ──(N renewals)──▶ active
+//		                                             │                        │
+//		                        missed renewals ─────┴──▶ suspect ──▶ expired │
+//		                                                      ▲               │
+//		                                                      └───────────────┘
 //		graceful leave (any live state) ──▶ left
 //
-//	  - A shard announces itself with its address, its committed registry
-//	    epoch, and a capacity hint, and receives a lease. Renewals (heartbeats)
-//	    extend the lease.
-//	  - A newly announced or rejoining shard is not routable until its epoch
-//	    has converged to the cluster's committed registry epoch ("joining"):
-//	    a shard that rebooted with stale models must not serve old-version
-//	    answers just because it came back fast.
-//	  - Once converged it "warms": its routing weight ramps linearly over
-//	    RampWindows renewal windows (1/N, 2/N, … 1), so a shard with a cold
-//	    result cache receives a growing slice of the key space instead of a
-//	    full zipf blast on its first second of life.
-//	  - A member that misses renewals turns "suspect" after SuspectAfter
-//	    (still routable — one lost heartbeat is not death) and "expired" at
-//	    LeaseTTL, at which point the gateway removes it from the ring. An
-//	    expired or left member that announces again is a rejoin and starts a
-//	    fresh joining→warming cycle.
-//	  - Static members (the gateway's seed -backends list) skip all of this:
-//	    they are active at full weight immediately and never expire. They
-//	    exist so a leased fleet and a hand-configured fleet can mix.
+//	  - A leased member is joining until it first reports an epoch at or past
+//	    the fleet's committed epoch: a shard that rebooted with stale models
+//	    must not serve old-version answers just because it came back fast.
+//	  - Converged, it warms: its routing weight ramps 1/N, 2/N, … 1 over
+//	    RampWindows renewals, so a cold result cache is handed a growing slice
+//	    of the key space, not a full zipf blast.
+//	  - Missed renewals turn it suspect after SuspectAfter (still routable —
+//	    one lost heartbeat is not death) and expired at LeaseTTL. An expired or
+//	    left member that announces again joins afresh.
+//	  - Static members (a hand-configured seed list) are active at full weight
+//	    at once and hold no lease.
 //
-// The table is transport-agnostic and does no I/O: the gateway feeds it
-// announces, renewals, leaves, and sweep ticks, and rebuilds its ring from
-// Snapshot whenever the table reports a routability or weight change. The
-// clock is injectable (Config.Now), so lease timing is unit-testable without
-// sleeping.
+// Record.Epoch is the member's last report, not a highwater: whether a live
+// member is behind the committed epoch right now is the owner's routing rule,
+// read from that one field.
 package member
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 )
 
@@ -63,7 +51,7 @@ const (
 	// the lease's grace period is exactly the benefit of doubt — but the
 	// next sweep past LeaseTTL expires it.
 	StateSuspect
-	// StateExpired: the lease lapsed. Removed from routing; the entry is
+	// StateExpired: the lease lapsed. Removed from routing; the record is
 	// kept so a re-announce counts as a rejoin.
 	StateExpired
 	// StateLeft: deregistered gracefully (the shard said goodbye before
@@ -95,29 +83,67 @@ func (s State) Routable() bool {
 	return s == StateWarming || s == StateActive || s == StateSuspect
 }
 
+// Live reports whether a member in state s is still part of the fleet
+// (anything but expired or left).
+func (s State) Live() bool { return s != StateExpired && s != StateLeft }
+
 // Meta is what a shard announces about itself.
 type Meta struct {
 	// Addr is the shard's reachable address (for HTTP fleets, its base URL).
 	Addr string
 	// Epoch is the shard's current route epoch (its registry snapshot
-	// sequence). Compared against the cluster's committed epoch to gate
-	// routability.
+	// sequence).
 	Epoch uint64
-	// Capacity is an advisory concurrency hint (e.g. worker count). The
-	// table records it for observability; it does not affect weights yet.
-	Capacity int
 	// Static marks a seed member: active immediately, full weight, no
 	// lease, never expires.
 	Static bool
 }
 
-// Config sizes the table.
-type Config struct {
+// Record is one member's lifecycle state.
+type Record struct {
+	Addr  string
+	State State
+	// Epoch is the epoch the member last reported, by heartbeat or by
+	// observation. A restart with a fresh registry reports lower and is
+	// recorded lower.
+	Epoch  uint64
+	Static bool
+
+	ramp int // completed warming windows, [0, RampWindows]
+	// renewedAt is the last lease grant/extension; suspect and expiry
+	// deadlines derive from it.
+	renewedAt time.Time
+}
+
+// Entry is one member's observable state.
+type Entry struct {
+	ID    string
+	Addr  string
+	State State
+	Epoch uint64
+	// Weight is the member's routing weight in [0, 1]: 0 while joining,
+	// ramp/RampWindows while warming, 1 once active.
+	Weight float64
+	// ExpiresAt is the lease deadline (zero for static and dead members).
+	ExpiresAt time.Time
+	Static    bool
+}
+
+// ErrUnknown is returned by Renew for a member without a live lease: the
+// shard must re-announce to get a new one.
+var ErrUnknown = errors.New("member: unknown member (announce first)")
+
+// ErrNoLeases is returned by Join when there is no LeaseTTL and the member
+// is not static.
+var ErrNoLeases = errors.New("member: leased membership disabled (no LeaseTTL)")
+
+// Rules are the lifecycle parameters. Use WithDefaults before the methods.
+type Rules struct {
 	// LeaseTTL is how long a lease lives without renewal before the member
 	// expires. 0 disables leased membership (static members only).
 	LeaseTTL time.Duration
 	// SuspectAfter is how long without renewal before a member is marked
-	// suspect. 0 defaults to LeaseTTL/2.
+	// suspect. 0 derives LeaseTTL/3.
 	SuspectAfter time.Duration
 	// RampWindows is how many renewal windows the slow-start ramp spans:
 	// the first window serves at weight 1/N, the Nth at 1. 0 defaults to 4;
@@ -127,321 +153,122 @@ type Config struct {
 	Now func() time.Time
 }
 
-func (c Config) withDefaults() Config {
-	if c.SuspectAfter <= 0 || c.SuspectAfter > c.LeaseTTL {
-		c.SuspectAfter = c.LeaseTTL / 2
+// WithDefaults fills the derived and defaulted parameters.
+func (r Rules) WithDefaults() Rules {
+	if r.SuspectAfter <= 0 {
+		r.SuspectAfter = r.LeaseTTL / 3
 	}
-	if c.RampWindows <= 0 {
-		c.RampWindows = 4
+	if r.RampWindows <= 0 {
+		r.RampWindows = 4
 	}
-	if c.Now == nil {
-		c.Now = time.Now
+	if r.Now == nil {
+		r.Now = time.Now
 	}
-	return c
+	return r
 }
 
-// Entry is one member's observable state.
-type Entry struct {
-	ID       string
-	Addr     string
-	State    State
-	Epoch    uint64
-	Capacity int
-	// Weight is the member's routing weight in [0, 1]: 0 while joining,
-	// ramp/RampWindows while warming, 1 once active. The gateway scales the
-	// member's virtual-node count by it.
-	Weight float64
-	// ExpiresAt is the lease deadline (zero for static members).
-	ExpiresAt time.Time
-	Static    bool
-}
-
-// Counters are the table's monotonic membership counters.
-type Counters struct {
-	// LeasesGranted counts announces that created or revived a member
-	// (first joins and rejoins both grant a lease; static seeds do not).
-	LeasesGranted uint64 `json:"leases_granted"`
-	// Renewals counts lease extensions (heartbeats and announce-as-renew).
-	Renewals uint64 `json:"renewals,omitempty"`
-	// LeaseExpirations counts leases that lapsed without renewal.
-	LeaseExpirations uint64 `json:"lease_expirations,omitempty"`
-	// Rejoins counts announces that revived an expired or left member.
-	Rejoins uint64 `json:"rejoins,omitempty"`
-	// GracefulLeaves counts explicit deregistrations.
-	GracefulLeaves uint64 `json:"graceful_leaves,omitempty"`
-}
-
-// ErrUnknown is returned by Renew for a member that never announced (or
-// whose entry was removed): the shard must re-announce to get a new lease.
-var ErrUnknown = errors.New("member: unknown member (announce first)")
-
-// ErrNoLeases is returned by Announce when the table was configured without
-// a LeaseTTL and the member is not static.
-var ErrNoLeases = errors.New("member: leased membership disabled (no LeaseTTL)")
-
-type entry struct {
-	id       string
-	addr     string
-	state    State
-	epoch    uint64
-	capacity int
-	static   bool
-	ramp     int // completed warming windows, [0, RampWindows]
-	// renewedAt is the last lease grant/extension; suspect and expiry
-	// deadlines derive from it.
-	renewedAt time.Time
-}
-
-func (e *entry) weight(rampWindows int) float64 {
-	switch e.state {
-	case StateActive:
-		return 1
-	case StateWarming, StateSuspect:
-		if e.ramp >= rampWindows {
-			return 1
-		}
-		return float64(e.ramp) / float64(rampWindows)
-	default:
-		return 0
+// Join starts a fresh lifecycle for an announce (a first join or a rejoin):
+// a static seed is active at once; a leased member is granted a lease and is
+// joining until its epoch has reached committed.
+func (r Rules) Join(m Meta, committed uint64) (Record, error) {
+	if !m.Static && r.LeaseTTL <= 0 {
+		return Record{}, ErrNoLeases
 	}
+	rec := Record{Addr: m.Addr, Static: m.Static, State: StateJoining, renewedAt: r.Now()}
+	if m.Static {
+		rec.State = StateActive
+	}
+	r.Report(&rec, m.Epoch, committed)
+	return rec, nil
 }
 
-func (e *entry) view(cfg Config) Entry {
-	v := Entry{
-		ID:       e.id,
-		Addr:     e.addr,
-		State:    e.state,
-		Epoch:    e.epoch,
-		Capacity: e.capacity,
-		Weight:   e.weight(cfg.RampWindows),
-		Static:   e.static,
+// Renew is one heartbeat (or re-announce) of a live member: extend the
+// lease, lift suspicion, advance the slow-start ramp, refresh the address if
+// one is given, and record the reported epoch.
+func (r Rules) Renew(rec *Record, m Meta, committed uint64) error {
+	if !rec.State.Live() {
+		return ErrUnknown
 	}
-	if !e.static && e.state.Routable() || e.state == StateJoining {
-		v.ExpiresAt = e.renewedAt.Add(cfg.LeaseTTL)
-	}
-	return v
-}
-
-// Table is the membership table. All methods are safe for concurrent use.
-type Table struct {
-	mu       sync.Mutex
-	cfg      Config
-	entries  map[string]*entry
-	counters Counters
-}
-
-// NewTable builds a table. A zero Config gives a static-only table.
-func NewTable(cfg Config) *Table {
-	return &Table{cfg: cfg.withDefaults(), entries: map[string]*entry{}}
-}
-
-// Announce registers or renews a member. committed is the cluster's current
-// committed registry epoch, the convergence gate for new and rejoining
-// members. It reports the member's resulting view, whether the routable set
-// or a weight changed (the caller should rebuild its ring), and whether this
-// announce revived a dead member (a rejoin — the caller should reset any
-// per-incarnation health state).
-func (t *Table) Announce(id string, m Meta, committed uint64) (Entry, bool, bool, error) {
-	if id == "" {
-		return Entry{}, false, false, errors.New("member: empty id")
-	}
-	if !m.Static && t.cfg.LeaseTTL <= 0 {
-		return Entry{}, false, false, ErrNoLeases
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := t.cfg.Now()
-	e, ok := t.entries[id]
-	rejoin := ok && (e.state == StateExpired || e.state == StateLeft)
-	if !ok || rejoin {
-		e = &entry{id: id}
-		t.entries[id] = e
-		if m.Static {
-			e.static = true
-			e.state = StateActive
-		} else {
-			t.counters.LeasesGranted++
-			if rejoin {
-				t.counters.Rejoins++
-			}
-			e.state = StateJoining
-		}
-		e.addr, e.epoch, e.capacity = m.Addr, m.Epoch, m.Capacity
-		e.renewedAt = now
-		changed := t.advanceLocked(e, m.Epoch, committed)
-		return e.view(t.cfg), e.state.Routable() || changed, rejoin, nil
-	}
-	// Live member re-announcing: treat as a renewal plus a meta refresh.
 	if m.Addr != "" {
-		e.addr = m.Addr
+		rec.Addr = m.Addr
 	}
-	if m.Capacity != 0 {
-		e.capacity = m.Capacity
+	if !rec.Static {
+		rec.renewedAt = r.Now()
 	}
-	changed := t.renewLocked(e, m.Epoch, committed, now)
-	return e.view(t.cfg), changed, false, nil
-}
-
-// Renew extends a member's lease (one heartbeat), records its epoch, and
-// advances convergence and the slow-start ramp. It reports the member's view
-// and whether routability or weight changed.
-func (t *Table) Renew(id string, epoch, committed uint64) (Entry, bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.entries[id]
-	if !ok || e.state == StateExpired || e.state == StateLeft {
-		return Entry{}, false, ErrUnknown
-	}
-	changed := t.renewLocked(e, epoch, committed, t.cfg.Now())
-	return e.view(t.cfg), changed, nil
-}
-
-// renewLocked is the shared renewal path: extend the lease, lift suspicion,
-// converge a joining member whose epoch caught up, advance the warming ramp.
-func (t *Table) renewLocked(e *entry, epoch, committed uint64, now time.Time) bool {
-	if !e.static {
-		t.counters.Renewals++
-		e.renewedAt = now
-	}
-	before := e.weight(t.cfg.RampWindows)
-	routableBefore := e.state.Routable()
-	if e.state == StateSuspect {
-		// Renewed in the grace window: restore the pre-suspect position.
-		e.state = StateWarming
-		if e.ramp >= t.cfg.RampWindows {
-			e.state = StateActive
-		}
-	} else if e.state == StateWarming {
-		e.ramp++
-		if e.ramp >= t.cfg.RampWindows {
-			e.state = StateActive
+	switch rec.State {
+	case StateWarming:
+		rec.ramp++
+		fallthrough
+	case StateSuspect:
+		// A renewal in the grace window restores the pre-suspect position.
+		rec.State = StateWarming
+		if rec.ramp >= r.RampWindows {
+			rec.State = StateActive
 		}
 	}
-	t.advanceLocked(e, epoch, committed)
-	return e.state.Routable() != routableBefore || e.weight(t.cfg.RampWindows) != before
+	r.Report(rec, m.Epoch, committed)
+	return nil
 }
 
-// advanceLocked records an observed epoch and converges a joining member
-// once it has caught up to the committed epoch. Reports whether routability
-// changed.
-func (t *Table) advanceLocked(e *entry, epoch, committed uint64) bool {
-	if epoch > e.epoch {
-		e.epoch = epoch
-	}
-	if e.state == StateJoining && e.epoch >= committed {
-		e.state = StateWarming
-		e.ramp = 1 // the first window serves at 1/RampWindows immediately
-		if e.ramp >= t.cfg.RampWindows {
-			e.state = StateActive
+// Report records the epoch a member was last seen at — by its own heartbeat,
+// a probe or a barrier poll — replacing the previous report, and starts a
+// joining member's ramp once it has caught up to committed. It does not
+// touch the lease: liveness is vouched for only by the shard's own renewals.
+func (r Rules) Report(rec *Record, epoch, committed uint64) {
+	rec.Epoch = epoch
+	if rec.State == StateJoining && epoch >= committed {
+		// The first window serves at 1/RampWindows immediately.
+		rec.State, rec.ramp = StateWarming, 1
+		if rec.ramp >= r.RampWindows {
+			rec.State = StateActive
 		}
+	}
+}
+
+// Leave deregisters a member gracefully. The record is kept (StateLeft) so a
+// later announce counts as a rejoin. Reports whether the member was live.
+func (r Rules) Leave(rec *Record) bool {
+	if !rec.State.Live() {
+		return false
+	}
+	rec.State, rec.ramp = StateLeft, 0
+	return true
+}
+
+// Sweep advances the lease timers to now: a member past SuspectAfter turns
+// suspect, a member past LeaseTTL expires. Reports whether the lease expired
+// on this call.
+func (r Rules) Sweep(rec *Record) bool {
+	if rec.Static || !rec.State.Live() {
+		return false
+	}
+	switch idle := r.Now().Sub(rec.renewedAt); {
+	case idle >= r.LeaseTTL:
+		rec.State, rec.ramp = StateExpired, 0
 		return true
+	case idle >= r.SuspectAfter && (rec.State == StateWarming || rec.State == StateActive):
+		rec.State = StateSuspect
 	}
 	return false
 }
 
-// Converge is the observer-driven convergence path (the gateway's prober
-// seeing a joining member answer at the committed epoch). Unlike Renew it
-// does NOT extend the lease: liveness is vouched for only by the shard's own
-// renewals. Reports the view and whether routability changed.
-func (t *Table) Converge(id string, epoch, committed uint64) (Entry, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.entries[id]
-	if !ok || e.state != StateJoining {
-		if ok {
-			return e.view(t.cfg), false
-		}
-		return Entry{}, false
+// Weight is the member's routing weight in [0, 1].
+func (r Rules) Weight(rec *Record) float64 {
+	switch {
+	case !rec.State.Routable():
+		return 0
+	case rec.State == StateActive || rec.ramp >= r.RampWindows:
+		return 1
+	default:
+		return float64(rec.ramp) / float64(r.RampWindows)
 	}
-	changed := t.advanceLocked(e, epoch, committed)
-	return e.view(t.cfg), changed
 }
 
-// Leave deregisters a member gracefully. The entry is kept (StateLeft) so a
-// later announce counts as a rejoin. Reports whether the id was a live
-// member (and so whether the caller's ring changed).
-func (t *Table) Leave(id string) (Entry, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.entries[id]
-	if !ok || e.state == StateExpired || e.state == StateLeft {
-		return Entry{}, false
+// Entry is the observable view of a record.
+func (r Rules) Entry(id string, rec *Record) Entry {
+	e := Entry{ID: id, Addr: rec.Addr, State: rec.State, Epoch: rec.Epoch, Weight: r.Weight(rec), Static: rec.Static}
+	if !rec.Static && rec.State.Live() {
+		e.ExpiresAt = rec.renewedAt.Add(r.LeaseTTL)
 	}
-	wasRoutable := e.state.Routable()
-	e.state = StateLeft
-	e.ramp = 0
-	if !e.static {
-		t.counters.GracefulLeaves++
-	}
-	return e.view(t.cfg), wasRoutable
-}
-
-// Remove hard-deletes an entry (the static-member analogue of leave, and an
-// admin escape hatch). Reports whether the id existed.
-func (t *Table) Remove(id string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, ok := t.entries[id]
-	delete(t.entries, id)
-	return ok
-}
-
-// Sweep advances lease timers: members past SuspectAfter turn suspect,
-// members past LeaseTTL expire. It returns the members that expired on this
-// sweep (the caller must remove them from routing).
-func (t *Table) Sweep() []Entry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.cfg.LeaseTTL <= 0 {
-		return nil
-	}
-	now := t.cfg.Now()
-	var expired []Entry
-	for _, e := range t.entries {
-		if e.static || e.state == StateExpired || e.state == StateLeft {
-			continue
-		}
-		idle := now.Sub(e.renewedAt)
-		switch {
-		case idle >= t.cfg.LeaseTTL:
-			e.state = StateExpired
-			e.ramp = 0
-			t.counters.LeaseExpirations++
-			expired = append(expired, e.view(t.cfg))
-		case idle >= t.cfg.SuspectAfter && (e.state == StateWarming || e.state == StateActive):
-			e.state = StateSuspect
-		}
-	}
-	return expired
-}
-
-// Entry returns one member's view.
-func (t *Table) Entry(id string) (Entry, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.entries[id]
-	if !ok {
-		return Entry{}, false
-	}
-	return e.view(t.cfg), true
-}
-
-// Snapshot returns every entry (including expired and left ones, for
-// observability), sorted by id.
-func (t *Table) Snapshot() []Entry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Entry, 0, len(t.entries))
-	for _, e := range t.entries {
-		out = append(out, e.view(t.cfg))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Stats returns the membership counters.
-func (t *Table) Stats() Counters {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.counters
+	return e
 }

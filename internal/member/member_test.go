@@ -11,180 +11,185 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newClock() *fakeClock                   { return &fakeClock{t: time.Unix(1_000_000, 0)} }
-func testConfig(c *fakeClock, ramp int) Config {
-	return Config{LeaseTTL: time.Second, SuspectAfter: 400 * time.Millisecond, RampWindows: ramp, Now: c.now}
+func testRules(c *fakeClock, ramp int) Rules {
+	return Rules{LeaseTTL: time.Second, SuspectAfter: 400 * time.Millisecond, RampWindows: ramp, Now: c.now}.WithDefaults()
 }
 
 func TestLifecycleJoinConvergeRampExpireRejoin(t *testing.T) {
 	clk := newClock()
-	tbl := NewTable(testConfig(clk, 4))
+	r := testRules(clk, 4)
 
-	// Announce behind the committed epoch: joining, weight 0, not routable.
-	e, changed, rejoin, err := tbl.Announce("s1", Meta{Addr: "http://s1", Epoch: 1, Capacity: 2}, 3)
-	if err != nil || rejoin {
-		t.Fatalf("announce: err=%v rejoin=%v", err, rejoin)
+	// Join behind the committed epoch: joining, weight 0, not routable.
+	rec, err := r.Join(Meta{Addr: "http://s1", Epoch: 1}, 3)
+	if err != nil {
+		t.Fatalf("join: %v", err)
 	}
-	if e.State != StateJoining || e.Weight != 0 || changed {
-		t.Fatalf("behind-epoch announce: %+v changed=%v, want joining/0/false", e, changed)
+	if rec.State != StateJoining || r.Weight(&rec) != 0 || rec.State.Routable() {
+		t.Fatalf("behind-epoch join: %+v, want joining/0/unroutable", rec)
 	}
 
 	// Renew while still behind: lease extends but stays gated.
 	clk.advance(300 * time.Millisecond)
-	e, _, err = tbl.Renew("s1", 2, 3)
-	if err != nil || e.State != StateJoining {
-		t.Fatalf("behind renew: %+v err=%v", e, err)
+	if err = r.Renew(&rec, Meta{Epoch: 2}, 3); err != nil || rec.State != StateJoining {
+		t.Fatalf("behind renew: %+v err=%v", rec, err)
 	}
 
 	// Epoch catches up: warming at 1/4, then ramps 2/4, 3/4, active.
-	e, changed, err = tbl.Renew("s1", 3, 3)
-	if err != nil || !changed || e.State != StateWarming || e.Weight != 0.25 {
-		t.Fatalf("converge: %+v changed=%v err=%v, want warming 0.25", e, changed, err)
+	if err = r.Renew(&rec, Meta{Epoch: 3}, 3); err != nil || !rec.State.Routable() || rec.State != StateWarming || r.Weight(&rec) != 0.25 {
+		t.Fatalf("converge: %+v err=%v, want warming 0.25", rec, err)
 	}
 	for i, want := range []float64{0.5, 0.75, 1} {
-		e, _, err = tbl.Renew("s1", 3, 3)
-		if err != nil || e.Weight != want {
-			t.Fatalf("ramp window %d: weight %g err=%v, want %g", i+2, e.Weight, err, want)
+		if err = r.Renew(&rec, Meta{Epoch: 3}, 3); err != nil || r.Weight(&rec) != want {
+			t.Fatalf("ramp window %d: weight %g err=%v, want %g", i+2, r.Weight(&rec), err, want)
 		}
 	}
-	if e.State != StateActive {
-		t.Fatalf("fully ramped state = %v, want active", e.State)
+	if rec.State != StateActive {
+		t.Fatalf("fully ramped state = %v, want active", rec.State)
 	}
 
 	// Miss heartbeats: suspect at 400ms (still routable), expired at 1s.
 	clk.advance(500 * time.Millisecond)
-	if exp := tbl.Sweep(); len(exp) != 0 {
-		t.Fatalf("suspect sweep expired %v", exp)
+	if r.Sweep(&rec) {
+		t.Fatal("suspect sweep expired the member")
 	}
-	e, _ = tbl.Entry("s1")
-	if e.State != StateSuspect || !e.State.Routable() || e.Weight != 1 {
-		t.Fatalf("suspect: %+v, want routable at weight 1", e)
+	if rec.State != StateSuspect || !rec.State.Routable() || r.Weight(&rec) != 1 {
+		t.Fatalf("suspect: %+v, want routable at weight 1", rec)
 	}
 	clk.advance(600 * time.Millisecond)
-	exp := tbl.Sweep()
-	if len(exp) != 1 || exp[0].ID != "s1" || exp[0].State != StateExpired {
-		t.Fatalf("expiry sweep: %v", exp)
+	if !r.Sweep(&rec) || rec.State != StateExpired {
+		t.Fatalf("expiry sweep: %+v", rec)
 	}
-	if _, _, err := tbl.Renew("s1", 3, 3); err != ErrUnknown {
+	if r.Sweep(&rec) {
+		t.Fatal("an expired member expired again")
+	}
+	if err := r.Renew(&rec, Meta{Epoch: 3}, 3); err != ErrUnknown {
 		t.Fatalf("renew of expired lease: %v, want ErrUnknown", err)
 	}
 
-	// Rejoin: fresh lease, counted, gated on the (now higher) epoch again.
-	e, _, rejoin, err = tbl.Announce("s1", Meta{Addr: "http://s1", Epoch: 3, Capacity: 2}, 5)
-	if err != nil || !rejoin || e.State != StateJoining {
-		t.Fatalf("rejoin announce: %+v rejoin=%v err=%v", e, rejoin, err)
+	// Rejoin: fresh lease, gated on the (now higher) epoch again.
+	rec, err = r.Join(Meta{Addr: "http://s1", Epoch: 3}, 5)
+	if err != nil || rec.State != StateJoining {
+		t.Fatalf("rejoin: %+v err=%v", rec, err)
 	}
-	st := tbl.Stats()
-	if st.LeasesGranted != 2 || st.Rejoins != 1 || st.LeaseExpirations != 1 {
-		t.Fatalf("counters: %+v", st)
+	if e := r.Entry("s1", &rec); e.ExpiresAt != clk.now().Add(time.Second) || e.ID != "s1" || e.Epoch != 3 {
+		t.Fatalf("rejoin entry: %+v", e)
+	}
+}
+
+// The epoch is the last report, not a highwater: a lower report replaces a
+// higher one, and moves no lifecycle state on its own.
+func TestLowerReportReplacesHigher(t *testing.T) {
+	clk := newClock()
+	r := testRules(clk, 1)
+	rec, _ := r.Join(Meta{Epoch: 2}, 2)
+	if rec.State != StateActive || rec.Epoch != 2 {
+		t.Fatalf("join at the committed epoch: %+v", rec)
+	}
+	r.Renew(&rec, Meta{Epoch: 1}, 2)
+	if rec.Epoch != 1 || rec.State != StateActive {
+		t.Fatalf("after a lower heartbeat: %+v, want epoch 1, still active", rec)
+	}
+	r.Report(&rec, 2, 2)
+	if rec.Epoch != 2 {
+		t.Fatalf("after a higher observation: %+v, want epoch 2", rec)
 	}
 }
 
 func TestSuspectRenewalRestoresPreSuspectPosition(t *testing.T) {
 	clk := newClock()
-	tbl := NewTable(testConfig(clk, 4))
-	tbl.Announce("s1", Meta{Epoch: 1}, 0) // converges immediately (committed 0)
-	tbl.Renew("s1", 1, 0)                 // ramp 2/4
+	r := testRules(clk, 4)
+	rec, _ := r.Join(Meta{Epoch: 1}, 0) // converges immediately (committed 0)
+	r.Renew(&rec, Meta{Epoch: 1}, 0)    // ramp 2/4
 	clk.advance(500 * time.Millisecond)
-	tbl.Sweep()
-	if e, _ := tbl.Entry("s1"); e.State != StateSuspect || e.Weight != 0.5 {
-		t.Fatalf("pre-renewal: %+v", e)
+	r.Sweep(&rec)
+	if rec.State != StateSuspect || r.Weight(&rec) != 0.5 {
+		t.Fatalf("pre-renewal: %+v", rec)
 	}
-	e, _, err := tbl.Renew("s1", 1, 0)
-	if err != nil || e.State != StateWarming || e.Weight != 0.5 {
-		t.Fatalf("post-renewal: %+v err=%v, want warming back at 0.5", e, err)
+	if err := r.Renew(&rec, Meta{Epoch: 1}, 0); err != nil || rec.State != StateWarming || r.Weight(&rec) != 0.5 {
+		t.Fatalf("post-renewal: %+v err=%v, want warming back at 0.5", rec, err)
 	}
 }
 
 func TestGracefulLeaveAndRejoin(t *testing.T) {
 	clk := newClock()
-	tbl := NewTable(testConfig(clk, 1))
-	e, _, _, _ := tbl.Announce("s1", Meta{Epoch: 1}, 0)
-	if e.State != StateActive { // RampWindows=1: full weight on convergence
-		t.Fatalf("announce with ramp=1: %+v, want active", e)
+	r := testRules(clk, 1)
+	rec, _ := r.Join(Meta{Epoch: 1}, 0)
+	if rec.State != StateActive { // RampWindows=1: full weight on convergence
+		t.Fatalf("join with ramp=1: %+v, want active", rec)
 	}
-	e, wasRoutable := tbl.Leave("s1")
-	if !wasRoutable || e.State != StateLeft {
-		t.Fatalf("leave: %+v routable=%v", e, wasRoutable)
+	if !r.Leave(&rec) || rec.State != StateLeft {
+		t.Fatalf("leave: %+v", rec)
 	}
-	if _, again := tbl.Leave("s1"); again {
+	if r.Leave(&rec) {
 		t.Fatal("double leave reported a live member")
 	}
 	// Left members never expire (no double counting) but can rejoin.
 	clk.advance(time.Hour)
-	if exp := tbl.Sweep(); len(exp) != 0 {
-		t.Fatalf("left member expired: %v", exp)
+	if r.Sweep(&rec) {
+		t.Fatal("left member expired")
 	}
-	_, _, rejoin, err := tbl.Announce("s1", Meta{Epoch: 1}, 0)
-	if err != nil || !rejoin {
-		t.Fatalf("rejoin after leave: rejoin=%v err=%v", rejoin, err)
+	if rec.State.Live() {
+		t.Fatal("left member still live: the owner would not treat its announce as a rejoin")
 	}
-	st := tbl.Stats()
-	if st.GracefulLeaves != 1 || st.Rejoins != 1 {
-		t.Fatalf("counters: %+v", st)
+	if rec, err := r.Join(Meta{Epoch: 1}, 0); err != nil || rec.State != StateActive {
+		t.Fatalf("rejoin after leave: %+v err=%v", rec, err)
 	}
 }
 
 func TestStaticMembersSkipLeases(t *testing.T) {
 	clk := newClock()
-	tbl := NewTable(testConfig(clk, 4))
-	e, changed, _, err := tbl.Announce("seed", Meta{Addr: "seed", Static: true}, 99)
-	if err != nil || !changed || e.State != StateActive || e.Weight != 1 {
-		t.Fatalf("static announce: %+v changed=%v err=%v", e, changed, err)
+	r := testRules(clk, 4)
+	rec, err := r.Join(Meta{Addr: "seed", Static: true}, 99)
+	if err != nil || rec.State != StateActive || r.Weight(&rec) != 1 {
+		t.Fatalf("static join: %+v err=%v", rec, err)
 	}
 	clk.advance(time.Hour)
-	if exp := tbl.Sweep(); len(exp) != 0 {
-		t.Fatalf("static member expired: %v", exp)
+	if r.Sweep(&rec) || rec.State != StateActive {
+		t.Fatalf("static member expired: %+v", rec)
 	}
-	if st := tbl.Stats(); st.LeasesGranted != 0 {
-		t.Fatalf("static seed granted a lease: %+v", st)
-	}
-	if !tbl.Remove("seed") {
-		t.Fatal("remove of static member failed")
+	if e := r.Entry("seed", &rec); !e.Static || !e.ExpiresAt.IsZero() {
+		t.Fatalf("static entry carries a lease: %+v", e)
 	}
 }
 
 func TestAnnounceOfLiveMemberRenews(t *testing.T) {
 	clk := newClock()
-	tbl := NewTable(testConfig(clk, 2))
-	tbl.Announce("s1", Meta{Addr: "a", Epoch: 1, Capacity: 1}, 0)
+	r := testRules(clk, 2)
+	rec, _ := r.Join(Meta{Addr: "a", Epoch: 1}, 0)
 	clk.advance(900 * time.Millisecond) // one sweep away from expiry
-	e, _, rejoin, err := tbl.Announce("s1", Meta{Addr: "b", Epoch: 1, Capacity: 8}, 0)
-	if err != nil || rejoin {
-		t.Fatalf("re-announce: rejoin=%v err=%v", rejoin, err)
+	if err := r.Renew(&rec, Meta{Addr: "b", Epoch: 1}, 0); err != nil {
+		t.Fatalf("re-announce: %v", err)
 	}
-	if e.Addr != "b" || e.Capacity != 8 {
-		t.Fatalf("meta not refreshed: %+v", e)
+	if rec.Addr != "b" {
+		t.Fatalf("meta not refreshed: %+v", rec)
 	}
 	clk.advance(300 * time.Millisecond) // 1.2s after first lease, 0.3s after renewal
-	if exp := tbl.Sweep(); len(exp) != 0 {
-		t.Fatalf("renewed member expired: %v", exp)
-	}
-	if st := tbl.Stats(); st.LeasesGranted != 1 || st.Renewals == 0 {
-		t.Fatalf("counters: %+v", st)
+	if r.Sweep(&rec) {
+		t.Fatalf("renewed member expired: %+v", rec)
 	}
 }
 
 func TestConvergeDoesNotExtendLease(t *testing.T) {
 	clk := newClock()
-	tbl := NewTable(testConfig(clk, 2))
-	tbl.Announce("s1", Meta{Epoch: 1}, 5) // gated
-	e, changed := tbl.Converge("s1", 5, 5)
-	if !changed || e.State != StateWarming {
-		t.Fatalf("converge: %+v changed=%v", e, changed)
+	r := testRules(clk, 2)
+	rec, _ := r.Join(Meta{Epoch: 1}, 5) // gated
+	r.Report(&rec, 5, 5)
+	if rec.State != StateWarming {
+		t.Fatalf("converge: %+v", rec)
 	}
 	// The lease clock started at announce; convergence must not reset it.
 	clk.advance(1100 * time.Millisecond)
-	if exp := tbl.Sweep(); len(exp) != 1 {
-		t.Fatalf("converged-but-unrenewed member survived: %v", exp)
+	if !r.Sweep(&rec) {
+		t.Fatalf("converged-but-unrenewed member survived: %+v", rec)
 	}
 }
 
 func TestNoLeaseTTLRejectsLeasedAnnounce(t *testing.T) {
-	tbl := NewTable(Config{})
-	if _, _, _, err := tbl.Announce("s1", Meta{}, 0); err != ErrNoLeases {
-		t.Fatalf("leased announce on static-only table: %v, want ErrNoLeases", err)
+	r := Rules{}.WithDefaults()
+	if _, err := r.Join(Meta{}, 0); err != ErrNoLeases {
+		t.Fatalf("leased join without a LeaseTTL: %v, want ErrNoLeases", err)
 	}
-	if _, _, _, err := tbl.Announce("seed", Meta{Static: true}, 0); err != nil {
-		t.Fatalf("static announce on static-only table: %v", err)
+	if _, err := r.Join(Meta{Static: true}, 0); err != nil {
+		t.Fatalf("static join without a LeaseTTL: %v", err)
 	}
 }

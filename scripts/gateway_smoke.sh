@@ -77,9 +77,18 @@ wait_available() { # n what
     exit 1
 }
 
+wait_ramped() { # the ring's shares move until every slow-start ramp is done
+    for _ in $(seq 1 100); do
+        curl -sf "$GW/metricsz" | grep -q '"state":"warming"' || return 0
+        sleep 0.2
+    done
+    say "FAIL: a member never finished warming; last metricsz: $(curl -s "$GW/metricsz")"
+    exit 1
+}
+
 start_shard() { # port logname
     "$workdir/itask-serve" -addr "127.0.0.1:$1" -models "$workdir/models" \
-        -announce "$GW" -heartbeat 300ms >"$workdir/$2.log" 2>&1 &
+        -announce "$GW" >"$workdir/$2.log" 2>&1 &
     echo $!
 }
 
@@ -96,6 +105,7 @@ pids+=("$shard1_pid")
 shard2_pid=$(start_shard 18082 serve2)
 pids+=("$shard2_pid")
 wait_available 2 "initial announce"
+wait_ramped # heartbeats are a third of the 2 s lease: the 4-window ramp takes about 2 s
 say "fleet assembled from announces: available=2"
 
 say "driving detections through the gateway"
