@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 
 	"itask/internal/gateway"
 	"itask/internal/rcache"
+	"itask/internal/tensor"
 	"itask/internal/wire"
 )
 
@@ -113,6 +115,104 @@ func TestDetectBinaryBodyRoutesLikeJSONTwin(t *testing.T) {
 	}
 	if len(distinct) < 2 {
 		t.Fatalf("12 distinct frames all routed to one shard: %v", distinct)
+	}
+}
+
+// Two doors, one verdict: the gateway keys a JSON body off the same decode
+// the shard validates (wire.ParseDetect is the shard's parse, not a copy of
+// it), so a digest it routes on is the digest of the tensor the shard
+// builds, and a body the shard's decoder refuses gets no key at all — in
+// particular never a digest of content the shard would not see (the first of
+// two "data" members, bytes before trailing garbage).
+func TestRouteKeyAgreesWithShardVerdict(t *testing.T) {
+	const size = 8
+	valid, _ := twinBodies(t, "patrol", 9)
+	other, _ := twinBodies(t, "patrol", 10)
+	data := string(valid[bytes.Index(valid, []byte(`"data":`))+len(`"data":`) : bytes.Index(valid, []byte(`,"shape"`))])
+	otherData := string(other[bytes.Index(other, []byte(`"data":`))+len(`"data":`) : bytes.Index(other, []byte(`,"shape"`))])
+	// Bodies the shard serves, or refuses on their meaning (wrong size for
+	// this shard, both image and scene, ...): the gateway may key the latter
+	// too, on what they say.
+	readable := []string{
+		string(valid),
+		`{"task":"patrol","tenant":"acme","timeout_ms":50,"image":{"shape":[3,8,8],"data":` + data + `}}`,
+		` {"IMAGE" : {"Shape":[3,8,8], "DATA":` + data + `}, "Task":"patrol", "note":{"data":[1,2]}} `,
+		`{"task":"patrol","image":{"shape":[3,8,8],"data":` + data + `,"extra":null}}`,
+		sceneBody("patrol", 7), sceneBody("inspect", 7),
+		`{"task":"patrol","tenant":"acme","scene":{"domain":"driving","seed":18446744073709551615}}`,
+		`{"TASK":"patrol","Scene":{"Domain":"driving","SEED":3}}`,
+		`{"task":"patrol","scene":{"domain":"atlantis","seed":1}}`,
+		`{"task":"patrol"}`, `{"scene":{"domain":"driving"}}`, `{}`, `null`,
+		`{"task":"patrol","image":{"shape":[3,4,4],"data":` + strings.Repeat("0,", 47) + `0]}}`,
+		`{"task":"patrol","image":{"shape":[3,8,8],"data":[1,2,3]}}`,
+		`{"task":"patrol","image":{"data":` + data + `}}`,
+		`{"task":"patrol","image":{"shape":[3,8,8],"data":` + data + `},"scene":{"domain":"driving"}}`,
+		`{"task":"patrol","timeout_ms":-1,"image":{"shape":[3,8,8],"data":` + data + `}}`,
+	}
+	// Bodies the decoder itself refuses: the shard says 400 and the gateway
+	// must have keyed nothing.
+	refused := []string{
+		`{"task":"patrol","image":{"shape":[3,8,8],"data":` + data + `,"data":` + otherData + `}}`,
+		`{"task":"patrol","image":{"shape":[3,8,8],"data":` + data + `,"DATA":` + otherData + `}}`,
+		`{"task":"patrol","image":{"shape":[3,8,8],"data":` + data + `},"image":{"shape":[3,8,8],"data":` + otherData + `}}`,
+		`{"task":"patrol","task":"inspect","scene":{"domain":"driving","seed":7}}`,
+		`{"task":"patrol","Task":"inspect","scene":{"domain":"driving","seed":7}}`,
+		`{"task":"patrol","scene":{"domain":"driving","seed":7,"seed":8}}`,
+		string(valid) + `garbage`, string(valid) + string(other), sceneBody("patrol", 7) + `]`,
+		`{"task":"patrol","image":{"shape":[3,8,8,1],"data":` + data + `}}`,
+		`{"task":"patrol","image":{"shape":[3,8.0,8],"data":` + data + `}}`,
+		`{"task":"patrol","image":{"shape":[3,-8,-8],"data":` + data + `}}`,
+		`{"task":"patrol","tenant":"acme","image":{"shape":[3,0,0],"data":[]}}`,
+		`{"task":"patrol","image":{"shape":[3,8,8],"data":[1e39]}}`,
+		"{\"task\":\"pa\xfftrol\",\"scene\":{\"domain\":\"driving\"}}",
+		`{"task":"\ud83d","scene":{"domain":"driving"}}`,
+		`{"task":"patrol"`, `not json`, ``, `[1,2,3]`,
+	}
+	digests := 0
+	for _, body := range readable {
+		k := routeKey([]byte(body))
+		dr, err := wire.ParseDetect("application/json", []byte(body), size)
+		switch {
+		case err == nil && dr.Image != nil:
+			digests++
+			img := tensor.FromSlice(dr.Image.Data, 3, size, size) // as the shard's buildImage does
+			if !k.HasDigest || k.Digest != rcache.DigestImage(img) || k.Task != dr.Task || k.Tenant != dr.Tenant {
+				t.Errorf("%.80q: key %+v, shard tensor digests to %x for %q/%q", body, k, rcache.DigestImage(img), dr.Task, dr.Tenant)
+			}
+		case err == nil:
+			if !k.HasDigest || k.Task != dr.Task || k.Tenant != dr.Tenant {
+				t.Errorf("%.80q: scene keyed %+v, shard read %q/%q", body, k, dr.Task, dr.Tenant)
+			}
+		case k.HasDigest:
+			// Refused on meaning, keyed all the same. An independent reader
+			// (encoding/json) must find the same task and tenant in the body,
+			// and when it holds an image and no scene, the image digested.
+			var ref wire.DetectBody
+			if jerr := json.Unmarshal([]byte(body), &ref); jerr != nil || k.Task != ref.Task || k.Tenant != ref.Tenant {
+				t.Errorf("%.80q: key %+v, encoding/json reads %q/%q (%v)", body, k, ref.Task, ref.Tenant, jerr)
+			} else if ref.Image != nil && ref.Scene == nil && k.Digest != rcache.DigestPixels(ref.Image.Shape, ref.Image.Data) {
+				t.Errorf("%.80q: key digest %x is not of the image the body holds", body, k.Digest)
+			}
+		}
+	}
+	if digests < 4 {
+		t.Fatalf("only %d corpus bodies reached the image-digest comparison", digests)
+	}
+	for _, body := range refused {
+		_, err := wire.ParseDetect("application/json", []byte(body), size)
+		if k := routeKey([]byte(body)); err == nil || k != (gateway.Key{}) {
+			t.Errorf("%.80q: shard err=%v, gateway key %+v; want a 400 and no key", body, err, k)
+		}
+	}
+
+	// Keying allocates what the decode allocates (the body, its task, the
+	// pixels) and nothing to hash them: no tensor is built — whichever of
+	// shape and data the client put first.
+	shapeFirst := []byte(`{"task":"patrol","image":{"shape":[3,8,8],"data":` + data + `}}`)
+	for _, body := range [][]byte{shapeFirst, valid} {
+		if n := testing.AllocsPerRun(100, func() { _ = routeKey(body) }); n > 3 {
+			t.Errorf("routeKey allocates %.0f objects for %.40q, want <= 3", n, body)
+		}
 	}
 }
 

@@ -114,7 +114,6 @@ import (
 	"itask/internal/gateway"
 	"itask/internal/member"
 	"itask/internal/rcache"
-	"itask/internal/tensor"
 	"itask/internal/wire"
 )
 
@@ -312,21 +311,25 @@ func routeKeyFrame(body []byte) gateway.Key {
 // frame's gateway shard is the shard whose cache can hold its result. Scene
 // bodies are deterministic renders, so (task, domain, seed) is their content
 // identity — repeats of a seed land on (and hit in) one shard's cache, and a
-// viral seed participates in hot-key replication. The decode is loose — it
-// only derives the key, full validation is the backend's job — and
-// undecodable bodies fall back to the task key and let the backend issue the
+// viral seed participates in hot-key replication. The body is read by the
+// decoder the shard reads it with (wire.DecodeDetect), so the two doors
+// cannot disagree about where it ends or what it says; the gateway has no
+// image size of its own, so it only derives the key and leaves the verdict
+// (DetectBody.Check) to the shard. A body the decoder refuses — malformed,
+// a named tightening, or an image no shard could accept (a zero or fourth
+// shape entry, more than 2^20 values) — falls back to the empty key, task
+// and tenant included: a body is read whole or not at all, so such a request
+// is accounted to the header or default tenant while the backend issues the
 // 400.
 func routeKey(body []byte) gateway.Key {
-	var rp wire.DetectBody
-	if err := json.Unmarshal(body, &rp); err != nil {
+	rp, err := wire.DecodeDetect(body, 0)
+	if err != nil {
 		return gateway.Key{}
 	}
 	k := gateway.Key{Task: rp.Task, Tenant: rp.Tenant}
 	if img := rp.Image; img != nil && len(img.Shape) == 3 &&
-		img.Shape[0] > 0 && img.Shape[1] > 0 && img.Shape[2] > 0 &&
 		len(img.Data) == img.Shape[0]*img.Shape[1]*img.Shape[2] {
-		t := tensor.FromSlice(img.Data, img.Shape[0], img.Shape[1], img.Shape[2])
-		k.Digest, k.HasDigest = rcache.DigestImage(t), true
+		k.Digest, k.HasDigest = rcache.DigestPixels(img.Shape, img.Data), true
 		return k
 	}
 	if sc := rp.Scene; sc != nil {

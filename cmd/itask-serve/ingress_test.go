@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"testing/iotest"
 
@@ -255,44 +256,93 @@ func TestDetectErrorResponsesCarryJSONContentType(t *testing.T) {
 	}
 }
 
-// BenchmarkServeIngress measures the serve handler's ingress layer — pooled
-// body read, parse, tensor materialization — for a JSON body and its binary
-// twin at the default 3×32×32 frame size. The Detect call itself is
-// identical either way, so this is where the encodings differ.
-func BenchmarkServeIngress(b *testing.B) {
-	const size = 32
+const ingressSize = 32
+
+// ingressBodies builds a JSON image body as a client marshals it and its
+// binary twin, at the default 3×32×32 frame size.
+func ingressBodies(tb testing.TB) (jsonBody, binBody []byte) {
+	tb.Helper()
 	r := rand.New(rand.NewSource(5))
-	data := make([]float32, 3*size*size)
+	data := make([]float32, 3*ingressSize*ingressSize)
 	for i := range data {
 		data[i] = r.Float32()
 	}
 	jsonBody, err := json.Marshal(map[string]any{
 		"task":  "patrol",
-		"image": map[string]any{"shape": []int{3, size, size}, "data": data},
+		"image": map[string]any{"shape": []int{3, ingressSize, ingressSize}, "data": data},
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	binBody := wire.AppendFrame(nil, "patrol", "", 0, [3]int{3, size, size}, data)
+	return jsonBody, wire.AppendFrame(nil, "patrol", "", 0, [3]int{3, ingressSize, ingressSize}, data)
+}
+
+// ingest is the serve handler's ingress leg: pooled body read, parse, tensor
+// materialization, buffer release.
+func ingest(tb testing.TB, rd *bytes.Reader, body []byte, contentType string) {
+	rd.Reset(body)
+	buf, err := wire.ReadAll(rd, len(body))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dr, err := parseDetect(contentType, buf.Bytes(), ingressSize)
+	if err != nil {
+		tb.Fatalf("parse: %v", err)
+	}
+	img, err := buildImage(dr, ingressSize)
+	buf.Release()
+	if err != nil || img == nil {
+		tb.Fatalf("build: %v", err)
+	}
+}
+
+// TestJSONIngestAllocs pins what reading a JSON frame allocates: the decoded
+// body, its task string, the pixels and the tensor around them — a constant,
+// no more than the binary leg, whatever the width. (testing.AllocsPerRun
+// pins GOMAXPROCS to 1, so the count is taken from MemStats, averaged and
+// rounded down as AllocsPerRun does: under -race sync.Pool drops one Put in
+// four, which is a fraction of a body buffer per op and not the decoder's.)
+func TestJSONIngestAllocs(t *testing.T) {
+	jsonBody, binBody := ingressBodies(t)
+	perOp := func(body []byte, contentType string) float64 {
+		rd := bytes.NewReader(body)
+		for i := 0; i < 4; i++ { // warm the body pool
+			ingest(t, rd, body, contentType)
+		}
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			ingest(t, rd, body, contentType)
+		}
+		runtime.ReadMemStats(&after)
+		return float64((after.Mallocs - before.Mallocs) / runs)
+	}
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		jsonAllocs, binAllocs := perOp(jsonBody, "application/json"), perOp(binBody, wire.ContentType)
+		runtime.GOMAXPROCS(prev)
+		if jsonAllocs > 6 {
+			t.Errorf("GOMAXPROCS=%d: JSON ingress allocates %.0f objects/op, want <= 6", procs, jsonAllocs)
+		}
+		if jsonAllocs > binAllocs {
+			t.Errorf("GOMAXPROCS=%d: JSON ingress allocates %.0f objects/op, the binary leg %.0f", procs, jsonAllocs, binAllocs)
+		}
+	}
+}
+
+// BenchmarkServeIngress measures the serve handler's ingress layer — pooled
+// body read, parse, tensor materialization — for a JSON body and its binary
+// twin at the default 3×32×32 frame size. The Detect call itself is
+// identical either way, so this is where the encodings differ.
+func BenchmarkServeIngress(b *testing.B) {
+	jsonBody, binBody := ingressBodies(b)
 	run := func(b *testing.B, body []byte, contentType string) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		rd := bytes.NewReader(body)
 		for i := 0; i < b.N; i++ {
-			rd.Reset(body)
-			buf, err := wire.ReadAll(rd, len(body))
-			if err != nil {
-				b.Fatal(err)
-			}
-			dr, err := parseDetect(contentType, buf.Bytes(), size)
-			if err != nil {
-				b.Fatalf("parse: %v", err)
-			}
-			img, err := buildImage(dr, size)
-			buf.Release()
-			if err != nil || img == nil {
-				b.Fatalf("build: %v", err)
-			}
+			ingest(b, rd, body, contentType)
 		}
 	}
 	b.Run("json", func(b *testing.B) { run(b, jsonBody, "application/json") })

@@ -330,10 +330,11 @@ func (h *handler) detect(w http.ResponseWriter, r *http.Request) {
 		wire.WriteBodyError(w, err)
 		return
 	}
-	// Both decoders copy everything that outlives them (JSON decoding copies
-	// by construction; the frame path copies the payload out), so the pooled
-	// body can be recycled the moment the handler returns even if a
-	// watchdog-abandoned execution is still running.
+	// Both decoders copy everything that outlives them (wire.DecodeDetect
+	// copies strings and parses pixels into its own slice; the frame path
+	// copies the payload out), so the pooled body can be recycled the moment
+	// the handler returns even if a watchdog-abandoned execution is still
+	// running.
 	defer buf.Release()
 	dr, err := parseDetect(r.Header.Get("Content-Type"), buf.Bytes(), h.imageSize)
 	var img *tensor.Tensor

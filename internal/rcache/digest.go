@@ -38,7 +38,13 @@ func DigestImage(img *tensor.Tensor) uint64 {
 	if img == nil {
 		return fnvOffset64
 	}
-	return kernels.HashF32(digestSeed(img.Shape), img.Data)
+	return DigestPixels(img.Shape, img.Data)
+}
+
+// DigestPixels is DigestImage for a caller holding a decoded image that is
+// not a tensor — the gateway, keying a JSON body it decoded only to route.
+func DigestPixels(shape []int, data []float32) uint64 {
+	return kernels.HashF32(digestSeed(shape), data)
 }
 
 // DigestFrame is DigestImage over wire bytes: payload is the raw

@@ -4,13 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 )
 
 // door.go: the rules both HTTP doors (cmd/itask-serve and cmd/itask-gateway)
 // hold about a request before any serving code sees it — how large a body
 // may be and how a failed read is answered, what a tenant id may look like,
-// the JSON shape of a detect body, and the semantic check a detect request
-// must clear whichever encoding carried it.
+// the JSON shape of a detect body, the semantic check a detect request must
+// clear whichever encoding carried it, and the shard's parse that ends in it.
 
 // MaxBodyBytes bounds a /v1/detect body at both doors (relaying a body the
 // shard would reject at its own door wastes a round trip). A 64×64×3 image
@@ -66,10 +67,11 @@ func WriteBodyError(w http.ResponseWriter, err error) {
 
 // DetectBody is the JSON POST /v1/detect body. Exactly one of Image and
 // Scene must be set: Image carries raw pixels, Scene renders a synthetic
-// scene server-side (handy for curl demos). The shard decodes it strictly
-// and calls Check; the gateway decodes it loosely, only to derive a routing
-// key, and leaves the verdict to the shard. A binary frame is decoded into
-// the same struct, so both encodings end in the same Check.
+// scene server-side (handy for curl demos). Both doors read it with
+// DecodeDetect — the shard then calls Check, the gateway only derives a
+// routing key and leaves the verdict to the shard. A binary frame is decoded
+// into the same struct, so both encodings end in the same Check. The json
+// tags are the schema DecodeDetect implements and its tests hold it to.
 type DetectBody struct {
 	Task string `json:"task"`
 	// Tenant attributes the request for weighted-fair scheduling and
@@ -126,4 +128,51 @@ func (b *DetectBody) Check(imageSize int) error {
 		}
 	}
 	return nil
+}
+
+// ParseDetect is what a shard serving [3,S,S] images makes of a /v1/detect
+// body: it decodes with the decoder the Content-Type declares — a binary
+// tensor frame for application/x-itask-tensor (parameters after the media
+// type are tolerated), JSON for everything else — and Checks the result
+// against imageSize. Both decoders fill a DetectBody and both end in Check,
+// so the two encodings cannot disagree about what a valid request is, and
+// the gateway's tests hold routeKey to this verdict rather than to a copy of
+// it. The result shares no memory with body. Errors are fit for HTTP 400;
+// the function must never panic, whatever the bytes.
+func ParseDetect(contentType string, body []byte, imageSize int) (*DetectBody, error) {
+	var dr *DetectBody
+	var err error
+	if strings.HasPrefix(contentType, ContentType) {
+		dr, err = decodeFrame(body)
+	} else {
+		dr, err = DecodeDetect(body, imageSize)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := dr.Check(imageSize); err != nil {
+		return nil, err
+	}
+	return dr, nil
+}
+
+// decodeFrame copies the payload out of body: body is a pooled buffer the
+// handler releases on return, while a watchdog-abandoned execution may keep
+// reading the image long after that, so the pixels must not alias it.
+func decodeFrame(body []byte) (*DetectBody, error) {
+	fr, err := ParseFrame(body)
+	if err != nil {
+		if errors.Is(err, ErrNotFrame) {
+			return nil, fmt.Errorf("Content-Type %s but body is not a tensor frame", ContentType)
+		}
+		return nil, err
+	}
+	img := &DetectImage{Shape: fr.Shape[:], Data: make([]float32, fr.Elems())}
+	Float32s(fr.Payload, img.Data)
+	return &DetectBody{
+		Task:      string(fr.Task),
+		Tenant:    string(fr.Tenant),
+		TimeoutMS: int(fr.TimeoutMS),
+		Image:     img,
+	}, nil
 }

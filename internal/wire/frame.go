@@ -1,7 +1,8 @@
 // Package wire owns the ingress byte path shared by cmd/itask-serve and
 // cmd/itask-gateway: the versioned application/x-itask-tensor binary frame
 // format, size-classed pooled body buffers for reading request/response
-// bodies without steady-state allocation, and pooled JSON response encoding.
+// bodies without steady-state allocation, the single-pass JSON detect-body
+// decoder both doors share, and pooled JSON response encoding.
 //
 // The binary format exists because a dense frame serialized as JSON floats
 // costs a full decimal parse per element at every door that needs to look at
