@@ -467,6 +467,7 @@ type serveRow struct {
 	maxBatch  int
 	rps       float64
 	meanBatch float64
+	batchHist []uint64 // batchHist[i] counts batches of size i+1
 	p95US     float64
 }
 
@@ -474,15 +475,7 @@ type serveRow struct {
 // with the given batch cap and returns the measured throughput.
 func runServeLoad(maxBatch int) (serveRow, error) {
 	be := &pacedBackend{accel: hwsim.DefaultAccel(), cfg: experiments.StudentModelCfg()}
-	cfg := serve.Config{
-		Workers:    2,
-		MaxBatch:   maxBatch,
-		BatchDelay: time.Millisecond,
-		QueueCap:   512,
-	}
-	if maxBatch == 1 {
-		cfg.BatchDelay = 0 // nothing to wait for
-	}
+	cfg := serve.Config{Workers: 2, MaxBatch: maxBatch, QueueCap: 512}
 	s, err := serve.New(be, cfg)
 	if err != nil {
 		return serveRow{}, err
@@ -524,6 +517,7 @@ func runServeLoad(maxBatch int) (serveRow, error) {
 		maxBatch:  maxBatch,
 		rps:       float64(clients*perConn) / elapsed.Seconds(),
 		meanBatch: snap.MeanBatch,
+		batchHist: snap.BatchHist,
 		p95US:     snap.LatencyP95US,
 	}, nil
 }
@@ -554,9 +548,9 @@ func BenchmarkServeMicroBatching(b *testing.B) {
 	if serveBenchErr != nil {
 		b.Fatal(serveBenchErr)
 	}
-	fmt.Printf("\n%-10s %12s %12s %12s\n", "max-batch", "rps", "mean-batch", "p95(us)")
+	fmt.Printf("\n%-10s %12s %12s %12s  %s\n", "max-batch", "rps", "mean-batch", "p95(us)", "batches of size 1..max")
 	for _, r := range serveBenchRows {
-		fmt.Printf("%-10d %12.0f %12.2f %12.0f\n", r.maxBatch, r.rps, r.meanBatch, r.p95US)
+		fmt.Printf("%-10d %12.0f %12.2f %12.0f  %v\n", r.maxBatch, r.rps, r.meanBatch, r.p95US, r.batchHist)
 	}
 	speedup := serveBenchRows[1].rps / serveBenchRows[0].rps
 	fmt.Printf("micro-batching throughput gain: %.2fx\n\n", speedup)

@@ -42,7 +42,6 @@ func TestResultCacheAcrossPublishRollback(t *testing.T) {
 	}
 
 	cfg := serve.DefaultConfig()
-	cfg.BatchDelay = 0
 	cfg.CacheBytes = 8 << 20
 	cfg.CacheTTL = time.Minute
 	cfg.Coalesce = true

@@ -44,7 +44,7 @@
 // Usage:
 //
 //	itask-serve [-addr :8080] [-models dir] [-students] \
-//	            [-workers 2] [-max-batch 8] [-batch-delay 2ms] \
+//	            [-workers 2] [-max-batch 8] \
 //	            [-queue-cap 256] [-timeout 0] \
 //	            [-watchdog 10s] [-retry-budget 3] \
 //	            [-breaker-threshold 5] [-breaker-backoff 500ms] [-slo 0] \
@@ -114,8 +114,7 @@ func main() {
 	models := flag.String("models", "", "load teacher.ckpt from this directory (itask-train output) instead of training")
 	students := flag.Bool("students", false, "distill a task-specific student per standard task (slow)")
 	workers := flag.Int("workers", def.Workers, "inference worker goroutines")
-	maxBatch := flag.Int("max-batch", def.MaxBatch, "micro-batch size cap")
-	batchDelay := flag.Duration("batch-delay", def.BatchDelay, "max coalescing wait before a lane flushes")
+	maxBatch := flag.Int("max-batch", def.MaxBatch, "micro-batch size cap (below it, a batch is what queued while the workers were busy)")
 	queueCap := flag.Int("queue-cap", 256, "admission queue bound (beyond it: HTTP 429)")
 	timeout := flag.Duration("timeout", 0, "default per-request deadline (0 = none)")
 	watchdog := flag.Duration("watchdog", def.Watchdog, "abandon a batch execution after this long (0 = no watchdog)")
@@ -191,7 +190,6 @@ func main() {
 	cfg := serve.Config{
 		Workers:           *workers,
 		MaxBatch:          *maxBatch,
-		BatchDelay:        *batchDelay,
 		QueueCap:          *queueCap,
 		DefaultTimeout:    *timeout,
 		Watchdog:          *watchdog,
@@ -280,8 +278,8 @@ func main() {
 		_ = srv.Shutdown(ctx)
 	}()
 
-	fmt.Fprintf(os.Stderr, "itask-serve: listening on %s (workers=%d max-batch=%d batch-delay=%v watchdog=%v breaker=%d)\n",
-		ln.Addr(), *workers, *maxBatch, *batchDelay, *watchdog, *breakerThreshold)
+	fmt.Fprintf(os.Stderr, "itask-serve: listening on %s (workers=%d max-batch=%d watchdog=%v breaker=%d)\n",
+		ln.Addr(), *workers, *maxBatch, *watchdog, *breakerThreshold)
 	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}

@@ -69,7 +69,6 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	cfg := serve.DefaultConfig()
 	cfg.Workers = 2
 	cfg.MaxBatch = 8
-	cfg.BatchDelay = 500 * time.Microsecond
 	cfg.RetryBudget = 2
 	cfg.Watchdog = 0
 	// Lane breakers off: this test isolates the panic-evict -> demote ->

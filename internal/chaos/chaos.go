@@ -19,6 +19,10 @@
 //     depends on scheduling, so tests that need exact reproducibility
 //     should prefer the per-request style or a single worker.
 //
+// The serving layer batches whatever queued while its workers were busy, so
+// a test that needs a particular queue first needs busy workers: Park holds
+// every worker inside an execution until the test releases them.
+//
 // Backend implements the serving layer's Backend, ContextBackend,
 // FallbackRouter, VariantEvicter, ImageValidator, and CacheStatser
 // contracts structurally (delegating the optional ones to the inner backend
@@ -110,6 +114,10 @@ type Backend struct {
 	rng    uint64 // splitmix64 state for per-execution draws
 	broken map[string]FaultMode
 	stats  Stats
+	// gate is non-nil while Park holds executions; arrived receives one
+	// token per execution that reaches it.
+	gate    chan struct{}
+	arrived chan struct{}
 }
 
 // inner is the structural contract of the wrapped backend (the serving
@@ -145,6 +153,35 @@ func (b *Backend) Heal(variant string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	delete(b.broken, variant)
+}
+
+// Park builds a queue behind busy workers, deterministically: it closes a
+// gate in front of every execution and calls submit once per worker, waiting
+// after each call until the execution it caused is parked at the gate (so no
+// two of them share a batch). submit must put one request into the server.
+// With every worker parked, whatever the test admits next stays queued until
+// it calls the returned release, which opens the gate for good (calling it
+// again does nothing). Parked executions honor context cancellation like
+// injected hangs do.
+func (b *Backend) Park(workers int, submit func()) (release func()) {
+	gate := make(chan struct{})
+	arrived := make(chan struct{}, workers) // one token per submit
+	b.mu.Lock()
+	b.gate, b.arrived = gate, arrived
+	b.mu.Unlock()
+	for i := 0; i < workers; i++ {
+		submit()
+		<-arrived
+	}
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			b.mu.Lock()
+			b.gate = nil
+			b.mu.Unlock()
+			close(gate)
+		})
+	}
 }
 
 // Stats returns a copy of the injection counters.
@@ -262,6 +299,20 @@ func (b *Backend) DetectBatch(variant, task string, imgs []*tensor.Tensor) ([]an
 // execution stops instead of leaking a sleeping goroutine. The inner
 // backend's own context support is used when it has any.
 func (b *Backend) DetectBatchContext(ctx context.Context, variant, task string, imgs []*tensor.Tensor) ([]any, string, error) {
+	b.mu.Lock()
+	gate, arrived := b.gate, b.arrived
+	b.mu.Unlock()
+	if gate != nil {
+		select {
+		case arrived <- struct{}{}:
+		default: // past the executions Park counts: parked all the same
+		}
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, "", ctx.Err()
+		}
+	}
 	b.mu.Lock()
 	b.stats.Executions++
 	mode, forced := b.broken[variant]

@@ -142,6 +142,43 @@ func TestCorruptionTruncatesPayloads(t *testing.T) {
 	}
 }
 
+// Park holds exactly the executions it was asked to, until release; a
+// parked execution whose context ends leaves with the context's error.
+func TestParkHoldsExecutionsUntilRelease(t *testing.T) {
+	b := chaos.Wrap(newFixed(), chaos.Config{})
+	imgs := []*tensor.Tensor{mkImage(0)}
+	results := make(chan error, 2)
+	release := b.Park(2, func() {
+		go func() {
+			_, _, err := b.DetectBatch("patrol-student", "patrol", imgs)
+			results <- err
+		}()
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := b.DetectBatchContext(ctx, "patrol-student", "patrol", imgs); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled execution at the gate: err = %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-results:
+		t.Fatalf("an execution passed the closed gate (err %v)", err)
+	default:
+	}
+	if got := b.Stats().Executions; got != 0 {
+		t.Errorf("Executions = %d behind the gate, want 0", got)
+	}
+	release()
+	release() // harmless
+	for i := 0; i < 2; i++ {
+		if err := <-results; err != nil {
+			t.Errorf("released execution failed: %v", err)
+		}
+	}
+	if _, _, err := b.DetectBatch("patrol-student", "patrol", imgs); err != nil {
+		t.Errorf("execution after release: %v", err)
+	}
+}
+
 func TestOptionalInterfaceDelegation(t *testing.T) {
 	fixed := newFixed()
 	b := chaos.Wrap(fixed, chaos.Config{})
@@ -238,7 +275,6 @@ func TestChaosAcceptance(t *testing.T) {
 	cfg := serve.Config{
 		Workers:     2,
 		MaxBatch:    8,
-		BatchDelay:  time.Hour, // lanes flush only when full: 64 requests = 8 full batches
 		QueueCap:    128,
 		Watchdog:    5 * time.Second,
 		RetryBudget: 3, // log2(MaxBatch): isolates any single poison
@@ -272,14 +308,23 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 	t.Logf("poison set: %d/%d requests", poisonCount, n)
 
-	outs := make([]<-chan serve.Outcome, n)
-	for i := range imgs {
+	// The first request into each idle worker runs alone; Park holds both
+	// there while the other 62 queue, so that poison rides in full batches
+	// with clean requests.
+	outs := make([]<-chan serve.Outcome, 0, n)
+	submit := func() {
+		i := len(outs)
 		ch, err := srv.Submit(serve.Request{Task: "patrol", Image: imgs[i]})
 		if err != nil {
 			t.Fatalf("submit %d refused: %v", i, err)
 		}
-		outs[i] = ch
+		outs = append(outs, ch)
 	}
+	release := b.Park(cfg.Workers, submit)
+	for len(outs) < n {
+		submit()
+	}
+	release()
 	for i, ch := range outs {
 		out := <-ch
 		if poison[i] {

@@ -48,7 +48,6 @@ func TestPoisonNeverCachedNorSharedWithFollowers(t *testing.T) {
 	cfg := serve.DefaultConfig()
 	cfg.Workers = 2
 	cfg.MaxBatch = 1 // isolate executions: every panic is a quarantine verdict
-	cfg.BatchDelay = 0
 	cfg.RetryBudget = 0
 	cfg.BreakerThreshold = 0
 	cfg.Watchdog = 0

@@ -19,7 +19,6 @@ import (
 func TestPoisonStormHitsNegativeCache(t *testing.T) {
 	b := chaos.Wrap(newFixed(), chaos.Config{Seed: 21, PanicRate: 0.1})
 	cfg := serve.DefaultConfig()
-	cfg.BatchDelay = 0
 	cfg.CacheBytes = 1 << 20
 	cfg.CacheTTL = time.Minute
 	cfg.NegativeTTL = 300 * time.Millisecond

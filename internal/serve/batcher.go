@@ -60,37 +60,41 @@ type pending struct {
 // interleaves tenants by deficit round robin, so a tenant flooding the lane
 // gets at most its weighted share of each batch's slots while other
 // tenants have work waiting.
+//
+// A lane exists exactly while it holds a request: the enqueue that finds
+// none creates it, the worker that empties it drops it. The variant half of
+// the key is a versioned artifact ID, so lanes that outlived their requests
+// would pile up one per (published version, task) for the life of the
+// process.
 type lane struct {
-	variant string
-	task    string
-	q       *fair.Queue[*pending]
-	// ready marks the lane as sitting in the state's ready list, waiting
-	// for a worker to take a batch from it.
-	ready bool
-	// gen invalidates flush timers armed for a previous filling of this
-	// lane: the worker taking a batch bumps it, so a stale time.AfterFunc
-	// finds a different generation and does nothing.
-	gen uint64
+	laneID
+	q    *fair.Queue[*pending]
+	next *lane // link in the state's ready list
 }
+
+// laneID keys the batcher's lanes.
+type laneID struct{ variant, task string }
 
 // state is the mutex-guarded queue/batcher core of the Server.
 //
-// The batcher is pull-model: admitted requests stay in their lane's fair
-// queue until a worker takes a batch, so batch formation — the moment
-// tenant interleaving happens — is as late as possible. (The previous
-// design flushed lanes eagerly into per-batch dispatch goroutines blocked
-// on a channel; the backlog then sat FIFO in blocked goroutines where no
-// fairness policy could reach it.) A lane becomes "ready" when it holds a
-// full batch, when its BatchDelay expires, or at shutdown; workers wait on
-// cond for ready lanes and serve them in FIFO order.
+// The batcher is pull-model and work-conserving. Admitted requests stay in
+// their lane's fair queue until a worker takes a batch, so batch formation —
+// the moment tenant interleaving happens — is as late as possible. Readiness
+// is one rule: a lane is ready for a worker whenever it holds a request, so
+// every lane in the map is also in the ready list, exactly once. A batch is
+// whatever queued in the lane while every worker was busy, up to MaxBatch:
+// an idle server answers at batch size 1 with no added wait, a saturated one
+// fills its batches because arrivals pile into a lane that is already
+// waiting its turn. Load sets the batch size; no timer does.
 type state struct {
 	mu    sync.Mutex
-	cond  *sync.Cond // signalled when a lane becomes ready or the server closes
-	lanes map[string]*lane
-	// readyQ is the FIFO of lanes with a batch ready to take. Lane-level
-	// FIFO keeps cross-lane service fair too: a busy lane re-marks itself
-	// at the tail, it cannot monopolize the workers.
-	readyQ []*lane
+	cond  *sync.Cond // signalled when a lane joins the ready list or the server closes
+	lanes map[laneID]*lane
+	// readyHead/readyTail are the FIFO of lanes waiting for a worker, linked
+	// through lane.next. Lane-level FIFO keeps cross-lane service fair too: a
+	// lane with leftovers rejoins at the tail, it cannot monopolize the
+	// workers.
+	readyHead, readyTail *lane
 	// queued counts admitted requests not yet taken by a worker; QueueCap
 	// bounds it. queuedBy splits the same count per tenant for the
 	// weighted queue-share guard (see Server.enqueue).
@@ -102,20 +106,32 @@ type state struct {
 }
 
 func newState() *state {
-	st := &state{lanes: map[string]*lane{}, queuedBy: map[string]int{}}
+	st := &state{lanes: map[laneID]*lane{}, queuedBy: map[string]int{}}
 	st.cond = sync.NewCond(&st.mu)
 	return st
 }
 
-// markReadyLocked puts ln on the ready list and wakes one worker. Caller
+// pushReadyLocked appends ln to the ready list and wakes one worker. Caller
 // holds st.mu.
-func (st *state) markReadyLocked(ln *lane) {
-	if ln.ready {
-		return
+func (st *state) pushReadyLocked(ln *lane) {
+	if st.readyTail == nil {
+		st.readyHead = ln
+	} else {
+		st.readyTail.next = ln
 	}
-	ln.ready = true
-	st.readyQ = append(st.readyQ, ln)
+	st.readyTail = ln
 	st.cond.Signal()
+}
+
+// popReadyLocked removes the lane at the head of the ready list. Caller
+// holds st.mu and has checked the list is not empty.
+func (st *state) popReadyLocked() *lane {
+	ln := st.readyHead
+	st.readyHead, ln.next = ln.next, nil
+	if st.readyHead == nil {
+		st.readyTail = nil
+	}
+	return ln
 }
 
 // tenantQueueCapLocked is the weighted share of QueueCap tenant may occupy.
@@ -156,108 +172,79 @@ func (s *Server) tenantQueueCapLocked(tenant string) int {
 	return share
 }
 
-// enqueue admits p into the lane for (variant, task), marking the lane
-// ready for a worker when it holds a full batch (or BatchDelay is zero)
-// and arming the BatchDelay flush timer when p is the lane's first
-// occupant.
+// enqueue admits p into the lane for (variant, task), creating the lane —
+// and so readying it for a worker — when p is its first occupant.
 func (s *Server) enqueue(variant, task string, p *pending) error {
 	st := s.st
-	key := laneKey(variant, task)
+	id := laneID{variant, task}
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.closed {
-		st.mu.Unlock()
 		s.m.inc(cRejectedClosed)
 		return ErrShuttingDown
 	}
 	if st.queued >= s.cfg.QueueCap {
-		st.mu.Unlock()
 		s.m.count(cRejectedFull, p.row)
 		return ErrQueueFull
 	}
 	if st.queuedBy[p.tenant] >= s.tenantQueueCapLocked(p.tenant) {
-		st.mu.Unlock()
 		s.m.count(cRejectedShare, p.row)
 		return ErrQueueFull
 	}
 	st.queued++
 	st.queuedBy[p.tenant]++
-	ln := st.lanes[key]
+	ln := st.lanes[id]
 	if ln == nil {
-		ln = &lane{variant: variant, task: task, q: fair.NewQueue[*pending](s.cfg.TenantWeights)}
-		st.lanes[key] = ln
+		ln = &lane{laneID: id, q: fair.NewQueue[*pending](s.cfg.TenantWeights)}
+		st.lanes[id] = ln
+		st.pushReadyLocked(ln)
 	}
-	wasEmpty := ln.q.Len() == 0
 	ln.q.Push(p.tenant, p)
-	switch {
-	case ln.q.Len() >= s.cfg.MaxBatch || s.cfg.BatchDelay == 0:
-		st.markReadyLocked(ln)
-	case wasEmpty && !ln.ready:
-		gen := ln.gen
-		time.AfterFunc(s.cfg.BatchDelay, func() { s.flushLane(key, gen) })
-	}
-	st.mu.Unlock()
 	return nil
 }
 
-// flushLane is the BatchDelay timer callback: it readies the lane if it
-// still holds the generation the timer was armed for.
-func (s *Server) flushLane(key string, gen uint64) {
+// take blocks until a lane is ready and returns a batch from it, or ok=false
+// once the server is closed and drained. Taking a batch is where fairness
+// bites: fair.Queue.PopMax interleaves the lane's tenants by deficit round
+// robin, and only now do the taken requests stop counting against QueueCap.
+// A lane left with more than MaxBatch rejoins the ready list at the tail; a
+// lane left empty is dropped.
+func (s *Server) take() (ln *lane, items []*pending, ok bool) {
 	st := s.st
 	st.mu.Lock()
-	ln := st.lanes[key]
-	if ln != nil && ln.gen == gen && !st.closed && ln.q.Len() > 0 {
-		st.markReadyLocked(ln)
+	defer st.mu.Unlock()
+	for st.readyHead == nil {
+		if st.closed {
+			return nil, nil, false
+		}
+		st.cond.Wait()
 	}
-	st.mu.Unlock()
+	ln = st.popReadyLocked()
+	items = ln.q.PopMax(s.cfg.MaxBatch)
+	st.queued -= len(items)
+	for _, p := range items {
+		if st.queuedBy[p.tenant]--; st.queuedBy[p.tenant] <= 0 {
+			delete(st.queuedBy, p.tenant)
+		}
+	}
+	if ln.q.Len() > 0 {
+		st.pushReadyLocked(ln)
+	} else {
+		delete(st.lanes, ln.laneID)
+	}
+	return ln, items, true
 }
 
-// worker pulls batches from ready lanes until shutdown drains the last
-// one. Taking a batch is where fairness bites: fair.Queue.PopMax
-// interleaves the lane's tenants by deficit round robin, and only now do
-// the taken requests stop counting against QueueCap. All shedding, panic
-// isolation, quarantine, and breaker accounting happens in execute
+// worker executes batches until shutdown drains the last one. All shedding,
+// panic isolation, quarantine, and breaker accounting happens in execute
 // (exec.go).
 func (s *Server) worker() {
-	st := s.st
-	defer st.workerWG.Done()
-	st.mu.Lock()
+	defer s.st.workerWG.Done()
 	for {
-		for len(st.readyQ) == 0 && !st.closed {
-			st.cond.Wait()
-		}
-		if len(st.readyQ) == 0 {
-			// Closed and fully drained.
-			st.mu.Unlock()
+		ln, items, ok := s.take()
+		if !ok {
 			return
 		}
-		ln := st.readyQ[0]
-		st.readyQ = st.readyQ[1:]
-		ln.ready = false
-		items := ln.q.PopMax(s.cfg.MaxBatch)
-		ln.gen++
-		st.queued -= len(items)
-		for _, p := range items {
-			if st.queuedBy[p.tenant]--; st.queuedBy[p.tenant] <= 0 {
-				delete(st.queuedBy, p.tenant)
-			}
-		}
-		if ln.q.Len() > 0 {
-			// Leftovers (more than MaxBatch was queued): either they
-			// already fill the next batch, or they wait a fresh
-			// BatchDelay for company — the added wait is bounded by one
-			// extra BatchDelay since the lane last had a full batch.
-			if ln.q.Len() >= s.cfg.MaxBatch || s.cfg.BatchDelay == 0 || st.closed {
-				st.markReadyLocked(ln)
-			} else {
-				key := laneKey(ln.variant, ln.task)
-				gen := ln.gen
-				time.AfterFunc(s.cfg.BatchDelay, func() { s.flushLane(key, gen) })
-			}
-		}
-		st.mu.Unlock()
-		if len(items) > 0 {
-			s.execute(ln.variant, ln.task, items)
-		}
-		st.mu.Lock()
+		s.execute(ln.variant, ln.task, items)
 	}
 }

@@ -51,7 +51,7 @@ func BenchmarkFairVsFIFO(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := Config{
-				Workers: 2, MaxBatch: 8, BatchDelay: 0,
+				Workers: 2, MaxBatch: 8,
 				QueueCap: 128,
 			}
 			heavy, light := DefaultTenant, DefaultTenant

@@ -30,12 +30,7 @@ func (benchBackend) DetectBatch(variant, task string, imgs []*tensor.Tensor) ([]
 }
 
 func benchConfig(cache, hot bool) Config {
-	cfg := Config{
-		Workers:    4,
-		MaxBatch:   8,
-		BatchDelay: 0,
-		QueueCap:   4096,
-	}
+	cfg := Config{Workers: 4, MaxBatch: 8, QueueCap: 4096}
 	if cache {
 		cfg.CacheBytes = 64 << 20
 		cfg.Coalesce = true

@@ -104,7 +104,6 @@ func (b *versionedBackend) DetectBatch(variant, task string, imgs []*tensor.Tens
 
 func cacheConfig() Config {
 	cfg := DefaultConfig()
-	cfg.BatchDelay = 0
 	cfg.CacheBytes = 1 << 20
 	cfg.CacheTTL = time.Minute
 	return cfg

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"itask/internal/chaos"
 	"itask/internal/tensor"
 )
 
@@ -113,7 +114,7 @@ func poisonImage() *tensor.Tensor {
 // default (individual tests opt in).
 func faultConfig() Config {
 	return Config{
-		Workers: 1, MaxBatch: 8, BatchDelay: time.Hour, QueueCap: 64,
+		Workers: 1, MaxBatch: 8, QueueCap: 64,
 		Watchdog: 0, RetryBudget: 3,
 	}
 }
@@ -122,7 +123,6 @@ func faultConfig() Config {
 func TestPanicIsolatedToRequest(t *testing.T) {
 	fb := newFaultBackend()
 	cfg := faultConfig()
-	cfg.BatchDelay = 0
 	s := newTestServer(t, fb, cfg)
 
 	_, err := s.Detect(context.Background(), Request{Task: "patrol", Image: poisonImage()})
@@ -153,9 +153,11 @@ func TestPanicIsolatedToRequest(t *testing.T) {
 // bisection retries the batch-mates, which all succeed.
 func TestQuarantineBisectsPoisonOutOfBatch(t *testing.T) {
 	fb := newFaultBackend()
-	s := newTestServer(t, fb, faultConfig())
+	gb := chaos.Wrap(fb, chaos.Config{})
+	s := newTestServer(t, gb, faultConfig())
+	release := parkWorkers(t, s, gb, "inspect")
 
-	const n = 8 // == MaxBatch: the lane flushes exactly once with all 8
+	const n = 8 // == MaxBatch: queued behind the busy worker, all 8 ride one batch
 	chans := make([]<-chan Outcome, n)
 	poisonAt := 3
 	for i := 0; i < n; i++ {
@@ -169,6 +171,7 @@ func TestQuarantineBisectsPoisonOutOfBatch(t *testing.T) {
 		}
 		chans[i] = ch
 	}
+	release()
 	for i, ch := range chans {
 		out := <-ch
 		if i == poisonAt {
@@ -185,8 +188,8 @@ func TestQuarantineBisectsPoisonOutOfBatch(t *testing.T) {
 	if snap.Quarantined != 1 {
 		t.Errorf("Quarantined = %d, want 1", snap.Quarantined)
 	}
-	if snap.Completed != n-1 {
-		t.Errorf("Completed = %d, want %d", snap.Completed, n-1)
+	if snap.Completed != n-1+1 {
+		t.Errorf("Completed = %d, want the %d healthy requests and the plug", snap.Completed, n-1)
 	}
 	if snap.QuarantineRetry == 0 {
 		t.Error("no quarantine retries recorded")
@@ -200,9 +203,11 @@ func TestQuarantineBisectsPoisonOutOfBatch(t *testing.T) {
 // requests (the pre-fault-tolerance behaviour, minus the crash).
 func TestRetryBudgetZeroFailsWholeBatch(t *testing.T) {
 	fb := newFaultBackend()
+	gb := chaos.Wrap(fb, chaos.Config{})
 	cfg := faultConfig()
 	cfg.RetryBudget = 0
-	s := newTestServer(t, fb, cfg)
+	s := newTestServer(t, gb, cfg)
+	release := parkWorkers(t, s, gb, "inspect")
 
 	chans := make([]<-chan Outcome, 4)
 	for i := range chans {
@@ -216,10 +221,7 @@ func TestRetryBudgetZeroFailsWholeBatch(t *testing.T) {
 		}
 		chans[i] = ch
 	}
-	// Flush the partially filled lane by shutting down.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = s.Shutdown(ctx)
+	release() // the freed worker takes all four as one batch
 	for i, ch := range chans {
 		if out := <-ch; !errors.Is(out.Err, ErrBackendPanic) {
 			t.Errorf("request %d: err = %v, want ErrBackendPanic (no quarantine)", i, out.Err)
@@ -234,7 +236,6 @@ func TestWatchdogAbandonsHungExecution(t *testing.T) {
 	fb.broken["student"] = "hang"
 	fb.hangFor = 200 * time.Millisecond
 	cfg := faultConfig()
-	cfg.BatchDelay = 0
 	cfg.Watchdog = 20 * time.Millisecond
 	cfg.RetryBudget = 0
 	s := newTestServer(t, fb, cfg)
@@ -263,7 +264,6 @@ func TestBreakerOpensAndRejectsWithoutFallback(t *testing.T) {
 	fb.broken["student"] = "error"
 	fb.fallback = "" // no fallback: open breaker means rejection
 	cfg := faultConfig()
-	cfg.BatchDelay = 0
 	cfg.RetryBudget = 0
 	cfg.BreakerThreshold = 2
 	cfg.BreakerBackoff = time.Hour
@@ -318,7 +318,6 @@ func TestBreakerOpenDegradesToFallback(t *testing.T) {
 	fb := newFaultBackend()
 	fb.broken["student"] = "panic"
 	cfg := faultConfig()
-	cfg.BatchDelay = 0
 	cfg.RetryBudget = 0
 	cfg.BreakerThreshold = 2
 	cfg.BreakerBackoff = time.Hour
@@ -352,7 +351,6 @@ func TestBreakerHalfOpenProbeHeals(t *testing.T) {
 	fb := newFaultBackend()
 	fb.broken["student"] = "error"
 	cfg := faultConfig()
-	cfg.BatchDelay = 0
 	cfg.RetryBudget = 0
 	cfg.BreakerThreshold = 1
 	cfg.BreakerBackoff = 10 * time.Millisecond
@@ -392,7 +390,6 @@ func TestLatencySLOBreachTripsBreaker(t *testing.T) {
 	fb.broken["student"] = "hang"
 	fb.hangFor = 30 * time.Millisecond // slow, not hung
 	cfg := faultConfig()
-	cfg.BatchDelay = 0
 	cfg.RetryBudget = 0
 	cfg.BreakerThreshold = 2
 	cfg.BreakerBackoff = time.Hour
@@ -417,16 +414,16 @@ func TestLatencySLOBreachTripsBreaker(t *testing.T) {
 	}
 }
 
-// Cancelling Detect's context before the lane flushes must shed the queued
-// request instead of executing it for nobody.
+// Cancelling Detect's context before a worker takes the request must shed
+// it instead of executing it for nobody.
 func TestDetectCancelShedsQueuedRequest(t *testing.T) {
 	fb := newFaultBackend()
-	cfg := faultConfig()
-	cfg.BatchDelay = time.Hour // nothing flushes until shutdown
-	s, err := New(fb, cfg)
+	gb := chaos.Wrap(fb, chaos.Config{})
+	s, err := New(gb, faultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	release := parkWorkers(t, s, gb, "inspect") // the request queues behind it
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -434,19 +431,13 @@ func TestDetectCancelShedsQueuedRequest(t *testing.T) {
 		_, err := s.Detect(ctx, Request{Task: "patrol", Image: testImage()})
 		done <- err
 	}()
-	// Wait until the request is queued, then cancel.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Snapshot().Accepted == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the request to queue", func() bool { return s.Snapshot().QueueDepth == 1 })
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Detect err = %v, want context.Canceled", err)
 	}
 
+	release()
 	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer scancel()
 	if err := s.Shutdown(sctx); err != nil {
@@ -477,7 +468,6 @@ func (b *badShapeBackend) ValidateImage(img *tensor.Tensor) error {
 func TestBadShapeRejectedAtAdmission(t *testing.T) {
 	fb := &badShapeBackend{*newFaultBackend()}
 	cfg := faultConfig()
-	cfg.BatchDelay = 0
 	s := newTestServer(t, fb, cfg)
 
 	_, err := s.Detect(context.Background(), Request{Task: "patrol", Image: tensor.New(7)})
@@ -503,13 +493,15 @@ func TestBadShapeRejectedAtAdmission(t *testing.T) {
 // the lane could never heal.
 func TestProbeSlotReleasedWhenProbeShed(t *testing.T) {
 	fb := newFaultBackend()
-	cfg := faultConfig() // BatchDelay: 1h — nothing flushes until shutdown
+	gb := chaos.Wrap(fb, chaos.Config{})
+	cfg := faultConfig()
 	cfg.BreakerThreshold = 1
 	cfg.BreakerBackoff = time.Millisecond
-	s, err := New(fb, cfg)
+	s, err := New(gb, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	release := parkWorkers(t, s, gb, "inspect") // the probe queues behind it
 	key := laneKey("student", "patrol")
 
 	// Trip the breaker directly, then let the backoff elapse so the next
@@ -525,13 +517,7 @@ func TestProbeSlotReleasedWhenProbeShed(t *testing.T) {
 		_, err := s.Detect(ctx, Request{Task: "patrol", Image: testImage()})
 		done <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Snapshot().Accepted == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("probe request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the probe request to queue", func() bool { return s.Snapshot().QueueDepth == 1 })
 	s.h.mu.Lock()
 	claimed := s.h.lanes[key].probing
 	s.h.mu.Unlock()
@@ -539,12 +525,13 @@ func TestProbeSlotReleasedWhenProbeShed(t *testing.T) {
 		t.Fatal("queued request did not claim the probe slot")
 	}
 
-	// Cancel the probe request while it is still queued, then flush the
-	// lane: execute must shed it and return the probe slot.
+	// Cancel the probe request while it is still queued, then free the
+	// worker: execute must shed it and return the probe slot.
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Detect err = %v, want context.Canceled", err)
 	}
+	release()
 	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer scancel()
 	if err := s.Shutdown(sctx); err != nil {
@@ -577,7 +564,6 @@ func (c *ctxBackend) DetectBatchContext(ctx context.Context, variant, task strin
 func TestWatchdogCancelsContextBackend(t *testing.T) {
 	cb := &ctxBackend{faultBackend: *newFaultBackend(), stopped: make(chan struct{}, 1)}
 	cfg := faultConfig()
-	cfg.BatchDelay = 0
 	cfg.RetryBudget = 0
 	cfg.Watchdog = 10 * time.Millisecond
 	s := newTestServer(t, cb, cfg)
@@ -607,7 +593,6 @@ func TestAbandonedExecutionsCappedPerVariant(t *testing.T) {
 	fb.broken["student"] = "hang"
 	fb.hangFor = time.Hour // plain DetectBatch: cancellation cannot reach it
 	cfg := faultConfig()
-	cfg.BatchDelay = 0
 	cfg.RetryBudget = 0
 	cfg.Watchdog = 10 * time.Millisecond
 	s := newTestServer(t, fb, cfg)
@@ -641,7 +626,6 @@ func TestProbeSlotReleasedOnEnqueueFailure(t *testing.T) {
 	fb.broken["student"] = "error"
 	fb.fallback = ""
 	cfg := faultConfig()
-	cfg.BatchDelay = 0
 	cfg.RetryBudget = 0
 	cfg.BreakerThreshold = 1
 	cfg.BreakerBackoff = time.Millisecond

@@ -41,7 +41,6 @@ func (b *sinkBackend) seen() []string {
 func TestPerModelAttributionAndRegistryStats(t *testing.T) {
 	fb := &sinkBackend{fakeBackend: newFakeBackend(), regStats: registry.Stats{Publishes: 3, Rollbacks: 1}}
 	cfg := DefaultConfig()
-	cfg.BatchDelay = 0
 	s := newTestServer(t, fb, cfg)
 
 	for i := 0; i < 3; i++ {
@@ -74,7 +73,6 @@ func TestPerModelAttributionAndRegistryStats(t *testing.T) {
 func TestPanicReportsVariantUnhealthy(t *testing.T) {
 	fb := &sinkBackend{fakeBackend: newFakeBackend()}
 	cfg := DefaultConfig()
-	cfg.BatchDelay = 0
 	cfg.RetryBudget = 0
 	cfg.BreakerThreshold = 2
 	s := newTestServer(t, &panicOnVariant{sinkBackend: fb, variant: "triage-student"}, cfg)

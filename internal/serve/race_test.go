@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,9 +69,9 @@ func checkBooks(t *testing.T, snap Snapshot) {
 // TestServeSchedulerRaceHammer floods a server backed by a real scheduler
 // from many goroutines across many tasks (forcing cache contention and
 // eviction), while other goroutines concurrently register late models and
-// poll stats. Run with -race. Afterwards the books must balance (checkBooks),
-// and the scheduler's CacheStats saw exactly one hit-or-miss per executed
-// batch.
+// poll stats, and one audits the batcher's lanes. Run with -race. Afterwards
+// the books must balance (checkBooks), and the scheduler's CacheStats saw
+// exactly one hit-or-miss per executed batch.
 func TestServeSchedulerRaceHammer(t *testing.T) {
 	const (
 		tasks      = 4
@@ -94,7 +95,7 @@ func TestServeSchedulerRaceHammer(t *testing.T) {
 		}
 	}
 
-	cfg := Config{Workers: 3, MaxBatch: 4, BatchDelay: 500 * time.Microsecond, QueueCap: 128}
+	cfg := Config{Workers: 3, MaxBatch: 4, QueueCap: 128}
 	s, err := New(&schedBackend{s: scheduler}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -126,6 +127,21 @@ func TestServeSchedulerRaceHammer(t *testing.T) {
 			}
 		}(g)
 	}
+	// The batcher's readiness rule, sampled under its lock all the while.
+	hammered := make(chan struct{})
+	audited := make(chan struct{})
+	go func() {
+		defer close(audited)
+		for {
+			select {
+			case <-hammered:
+				return
+			default:
+				checkBatcher(t, s)
+				runtime.Gosched()
+			}
+		}
+	}()
 	// Concurrent late registrations racing the serving path.
 	wg.Add(1)
 	go func() {
@@ -140,6 +156,8 @@ func TestServeSchedulerRaceHammer(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	close(hammered)
+	<-audited
 	// Four tasks taking turns through a cache that holds two students can
 	// miss every time under the hammer, so make one hit certain: with the
 	// server otherwise idle, the second of two back-to-back requests for one

@@ -1,7 +1,7 @@
 // Package serve is iTask's online serving layer: it accepts concurrent
 // detection requests, routes them through the situational scheduler's model
 // selection, coalesces requests that target the same model variant into
-// micro-batches (flushing on batch-size or a wait deadline), and executes
+// micro-batches (whatever queued while the workers were busy), and executes
 // the batches on a bounded worker pool.
 //
 // The design is queue → batcher → worker pool, wrapped in a fault-
@@ -24,15 +24,17 @@
 //     re-execution (see flight.go). Because the cache key pins the full
 //     versioned artifact ID, a model publish or rollback invalidates stale
 //     entries by construction.
-//   - Batching: per-(variant, task) lanes coalesce compatible requests. A
-//     lane flushes when it reaches MaxBatch or when its oldest request has
-//     waited BatchDelay — bounded added latency in exchange for the
-//     weight-stationary amortization batched execution gets on the
-//     accelerator (see hwsim.SimulateAccelBatch).
-//   - Execution: Workers goroutines drain flushed batches. Requests whose
-//     deadline passed while queued are shed at execution time, every
-//     backend call runs under recover (a kernel panic becomes a
-//     *PanicError, never a crash) and under the Watchdog deadline, and a
+//   - Batching: per-(variant, task) lanes coalesce compatible requests,
+//     work-conserving. A lane is ready for a worker the moment it holds a
+//     request, and a batch is up to MaxBatch of what queued in it while
+//     every worker was busy: an idle server runs a lone request at once, a
+//     saturated one gets the weight-stationary amortization batched
+//     execution buys on the accelerator (see hwsim.SimulateAccelBatch)
+//     without a request ever waiting beside an idle worker.
+//   - Execution: Workers goroutines take batches from ready lanes.
+//     Requests whose deadline passed while queued are shed at execution
+//     time, every backend call runs under recover (a kernel panic becomes
+//     a *PanicError, never a crash) and under the Watchdog deadline, and a
 //     failed batch is bisect-retried so only the poison request(s) fail
 //     while their batch-mates succeed.
 //   - Degradation: each (variant, task) lane has a circuit breaker.
@@ -41,8 +43,8 @@
 //     the paper's quantized generalist configuration — marked in
 //     Result.Degraded, and heal through exponential-backoff half-open
 //     probes.
-//   - Shutdown: Shutdown flushes every lane, stops admissions, drains
-//     in-flight batches, and waits for the workers to exit.
+//   - Shutdown: Shutdown stops admissions, lets the workers drain every
+//     lane, and waits for them to exit.
 //
 // All latency accounting is wall-clock from admission, and the server keeps
 // a metrics snapshot (p50/p95/p99 latency, throughput, batch-size
@@ -122,15 +124,12 @@ func (e *TenantBudgetError) Unwrap() error { return ErrTenantBudget }
 type Config struct {
 	// Workers is the number of inference workers draining batches.
 	Workers int
-	// MaxBatch caps the size of a coalesced micro-batch.
+	// MaxBatch caps the size of a coalesced micro-batch. Below the cap the
+	// load sets the size: a batch is what queued in its lane while every
+	// worker was busy.
 	MaxBatch int
-	// BatchDelay is how long the first request of a lane may wait for
-	// company before the lane is flushed anyway. Zero flushes on every
-	// submission (no added latency, batching only under bursts already in
-	// the queue).
-	BatchDelay time.Duration
-	// QueueCap bounds requests admitted but not yet dispatched to a
-	// worker; beyond it submissions fail fast with ErrQueueFull.
+	// QueueCap bounds requests admitted but not yet taken by a worker;
+	// beyond it submissions fail fast with ErrQueueFull.
 	QueueCap int
 	// DefaultTimeout is applied as the deadline of requests that carry
 	// none. Zero means no implicit deadline.
@@ -218,15 +217,14 @@ type Config struct {
 }
 
 // DefaultConfig returns a configuration sized for the laptop-scale models:
-// two workers, batches of up to 8, a 2ms coalescing window, and the fault-
-// tolerance layer on (10s watchdog, 3 quarantine retries — enough to
-// isolate any single poison request in a batch of 8 — and breakers that
-// open after 5 consecutive failures for 500ms, backing off to 30s).
+// two workers, batches of up to 8, and the fault-tolerance layer on (10s
+// watchdog, 3 quarantine retries — enough to isolate any single poison
+// request in a batch of 8 — and breakers that open after 5 consecutive
+// failures for 500ms, backing off to 30s).
 func DefaultConfig() Config {
 	return Config{
 		Workers:           2,
 		MaxBatch:          8,
-		BatchDelay:        2 * time.Millisecond,
 		QueueCap:          256,
 		Watchdog:          10 * time.Second,
 		RetryBudget:       3,
@@ -246,8 +244,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: MaxBatch must be positive, got %d", c.MaxBatch)
 	case c.QueueCap < c.MaxBatch:
 		return fmt.Errorf("serve: QueueCap %d below MaxBatch %d", c.QueueCap, c.MaxBatch)
-	case c.BatchDelay < 0:
-		return fmt.Errorf("serve: negative BatchDelay %v", c.BatchDelay)
 	case c.DefaultTimeout < 0:
 		return fmt.Errorf("serve: negative DefaultTimeout %v", c.DefaultTimeout)
 	case c.Watchdog < 0:
@@ -687,9 +683,9 @@ func (s *Server) fallbackFor(taskName, brokenVariant string, now time.Time, prob
 
 // Detect is the synchronous entry point: it submits the request and waits
 // for its outcome or for ctx. A ctx deadline doubles as the request
-// deadline when the request carries none. When ctx is cancelled before the
-// batcher flushes, the queued request is marked cancelled and shed at
-// execution time instead of being run for nobody (and its image released).
+// deadline when the request carries none. When ctx is cancelled before a
+// worker takes the request, it is marked cancelled and shed at execution
+// time instead of being run for nobody (and its image released).
 func (s *Server) Detect(ctx context.Context, req Request) (Result, error) {
 	if req.Deadline.IsZero() {
 		if d, ok := ctx.Deadline(); ok {
@@ -723,9 +719,9 @@ func (s *Server) Draining() bool {
 	return s.st.closed
 }
 
-// Shutdown stops admissions, readies every non-empty lane, drains them
-// through the workers, and waits for the workers to exit (or for ctx,
-// whichever first; on ctx expiry the drain keeps running in the
+// Shutdown stops admissions, lets the workers drain the lanes (every
+// non-empty lane is already ready), and waits for the workers to exit (or
+// for ctx, whichever first; on ctx expiry the drain keeps running in the
 // background). Calling Shutdown on a draining server returns
 // ErrShuttingDown.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -735,11 +731,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return ErrShuttingDown
 	}
 	s.st.closed = true
-	for _, ln := range s.st.lanes {
-		if ln.q.Len() > 0 {
-			s.st.markReadyLocked(ln)
-		}
-	}
 	s.st.cond.Broadcast()
 	s.st.mu.Unlock()
 

@@ -9,20 +9,21 @@ import (
 	"testing"
 	"time"
 
+	"itask/internal/chaos"
 	"itask/internal/sched"
 	"itask/internal/tensor"
 )
 
 // fakeBackend is a controllable backend: routing maps task -> variant, and
-// DetectBatch records batch sizes, optionally sleeps, and returns the image
-// index as payload.
+// DetectBatch records each batch (by its images' first pixels, which tests
+// use as marks), optionally sleeps, and returns the image index as payload.
 type fakeBackend struct {
-	mu         sync.Mutex
-	variants   map[string]string
-	batchSizes []int
-	delay      time.Duration
-	fail       error
-	stats      sched.CacheStats
+	mu       sync.Mutex
+	variants map[string]string
+	batches  [][]float32
+	delay    time.Duration
+	fail     error
+	stats    sched.CacheStats
 }
 
 func newFakeBackend() *fakeBackend {
@@ -40,8 +41,12 @@ func (f *fakeBackend) Route(task string) (string, error) {
 }
 
 func (f *fakeBackend) DetectBatch(variant, task string, imgs []*tensor.Tensor) ([]any, string, error) {
+	marks := make([]float32, len(imgs))
+	for i, img := range imgs {
+		marks[i] = img.Data[0]
+	}
 	f.mu.Lock()
-	f.batchSizes = append(f.batchSizes, len(imgs))
+	f.batches = append(f.batches, marks)
 	delay, fail := f.delay, f.fail
 	f.mu.Unlock()
 	if delay > 0 {
@@ -66,13 +71,74 @@ func (f *fakeBackend) CacheStats() sched.CacheStats {
 	return f.stats
 }
 
-func (f *fakeBackend) sizes() []int {
+// seen returns the batches executed so far, in the order they began.
+func (f *fakeBackend) seen() [][]float32 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]int(nil), f.batchSizes...)
+	return append([][]float32(nil), f.batches...)
+}
+
+// count is the number of batches begun so far.
+func (f *fakeBackend) count() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.batches)
+}
+
+func (f *fakeBackend) sizes() []int {
+	var sizes []int
+	for _, b := range f.seen() {
+		sizes = append(sizes, len(b))
+	}
+	return sizes
 }
 
 func testImage() *tensor.Tensor { return tensor.New(3, 4, 4) }
+
+// markedImage is a test image whose first pixel carries mark through to
+// fakeBackend.seen.
+func markedImage(mark float32) *tensor.Tensor {
+	img := testImage()
+	img.Data[0] = mark
+	return img
+}
+
+// parkWorkers holds every worker of s inside a backend execution — one plug
+// request for task each — so that whatever the test admits next stays
+// queued, exactly as it would behind real load, until the returned release
+// is called (test cleanup calls it too). The plugs are ordinary requests:
+// each is accepted, runs alone in a batch of one once released, and has
+// completed when release returns. b must be the backend s was built on.
+func parkWorkers(t *testing.T, s *Server, b *chaos.Backend, task string) (release func()) {
+	t.Helper()
+	var plugs []<-chan Outcome
+	open := b.Park(s.cfg.Workers, func() {
+		ch, err := s.Submit(Request{Task: task, Image: testImage()})
+		if err != nil {
+			t.Fatalf("plug request: %v", err)
+		}
+		plugs = append(plugs, ch)
+	})
+	release = func() {
+		open()
+		for _, ch := range plugs {
+			<-ch
+		}
+		plugs = nil
+	}
+	t.Cleanup(release)
+	return release
+}
+
+// waitUntil polls cond until it holds, failing the test after five seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
 
 func newTestServer(t *testing.T, b Backend, cfg Config) *Server {
 	t.Helper()
@@ -91,7 +157,6 @@ func newTestServer(t *testing.T, b Backend, cfg Config) *Server {
 func TestDetectRoundTrip(t *testing.T) {
 	fb := newFakeBackend()
 	cfg := DefaultConfig()
-	cfg.BatchDelay = 0
 	s := newTestServer(t, fb, cfg)
 
 	res, err := s.Detect(context.Background(), Request{Task: "patrol", Image: testImage()})
@@ -153,7 +218,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative workers", func(c *Config) { c.Workers = -1 }},
 		{"zero max batch", func(c *Config) { c.MaxBatch = 0 }},
 		{"queue below batch", func(c *Config) { c.QueueCap = c.MaxBatch - 1 }},
-		{"negative delay", func(c *Config) { c.BatchDelay = -time.Millisecond }},
 		{"negative timeout", func(c *Config) { c.DefaultTimeout = -time.Second }},
 	}
 	for _, tc := range cases {
@@ -172,7 +236,6 @@ func TestBackendErrorPropagates(t *testing.T) {
 	fb := newFakeBackend()
 	fb.fail = errors.New("boom")
 	cfg := DefaultConfig()
-	cfg.BatchDelay = 0
 	s := newTestServer(t, fb, cfg)
 	_, err := s.Detect(context.Background(), Request{Task: "patrol", Image: testImage()})
 	if err == nil || err.Error() != "boom" {
@@ -188,7 +251,7 @@ func TestBackendErrorPropagates(t *testing.T) {
 func TestCoalescing(t *testing.T) {
 	fb := newFakeBackend()
 	fb.delay = 20 * time.Millisecond
-	cfg := Config{Workers: 1, MaxBatch: 4, BatchDelay: 5 * time.Millisecond, QueueCap: 64}
+	cfg := Config{Workers: 1, MaxBatch: 4, QueueCap: 64}
 	s := newTestServer(t, fb, cfg)
 
 	const n = 16
@@ -227,7 +290,7 @@ func TestCoalescing(t *testing.T) {
 func TestNoCrossTaskCoalescing(t *testing.T) {
 	fb := newFakeBackend()
 	fb.delay = 10 * time.Millisecond
-	cfg := Config{Workers: 1, MaxBatch: 8, BatchDelay: 20 * time.Millisecond, QueueCap: 64}
+	cfg := Config{Workers: 1, MaxBatch: 8, QueueCap: 64}
 	s := newTestServer(t, fb, cfg)
 
 	var wg sync.WaitGroup

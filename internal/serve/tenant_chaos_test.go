@@ -59,7 +59,7 @@ func TestTenantChaosIsolation(t *testing.T) {
 		delay:    time.Millisecond,
 	}
 	cfg := Config{
-		Workers: 4, MaxBatch: 4, BatchDelay: 2 * time.Millisecond,
+		Workers: 4, MaxBatch: 4,
 		QueueCap: 64, RetryBudget: 3,
 		TenantWeights: map[string]int{"a": 1, "b": 1},
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"itask/internal/chaos"
 	"itask/internal/tensor"
 )
 
@@ -17,7 +18,6 @@ import (
 func TestTenantNormalizationAndAttribution(t *testing.T) {
 	fb := newFakeBackend()
 	cfg := DefaultConfig()
-	cfg.BatchDelay = 0
 	s := newTestServer(t, fb, cfg)
 
 	res, err := s.Detect(context.Background(), Request{Task: "patrol", Image: testImage()})
@@ -59,7 +59,6 @@ func TestTenantNormalizationAndAttribution(t *testing.T) {
 func TestTenantBudgetRejection(t *testing.T) {
 	fb := newFakeBackend()
 	cfg := DefaultConfig()
-	cfg.BatchDelay = 0
 	cfg.TenantRate = 0.001 // effectively no refill within the test
 	cfg.TenantBurst = 2
 	s := newTestServer(t, fb, cfg)
@@ -99,17 +98,14 @@ func TestTenantBudgetRejection(t *testing.T) {
 // tenant is capped at its share of QueueCap while the other tenant's
 // reserved slots still admit.
 func TestTenantQueueShareGuard(t *testing.T) {
-	fb := newFakeBackend()
-	fb.delay = 50 * time.Millisecond
+	gb := chaos.Wrap(newFakeBackend(), chaos.Config{})
 	cfg := Config{
-		Workers: 1, MaxBatch: 4, BatchDelay: time.Hour, QueueCap: 32,
+		Workers: 1, MaxBatch: 4, QueueCap: 32,
 		TenantWeights: map[string]int{"flood": 1, "steady": 1},
 	}
-	s := newTestServer(t, fb, cfg)
+	s := newTestServer(t, gb, cfg)
+	parkWorkers(t, s, gb, "patrol") // nothing drains while flood fills its share
 
-	// Fill flood's share (16 of 32) without any worker drain: BatchDelay is
-	// an hour and MaxBatch is 4 — but a full batch readies the lane, so
-	// occupy the single worker first with one flood batch.
 	admitted, full := 0, 0
 	for i := 0; i < cfg.QueueCap; i++ {
 		_, err := s.Submit(Request{Task: "patrol", Image: testImage(), Tenant: "flood"})
@@ -122,8 +118,8 @@ func TestTenantQueueShareGuard(t *testing.T) {
 			t.Fatalf("unexpected admission error: %v", err)
 		}
 	}
-	if full == 0 {
-		t.Fatalf("flood admitted all %d submissions; share guard never engaged", admitted)
+	if admitted != cfg.QueueCap/2 || full != cfg.QueueCap/2 {
+		t.Fatalf("flood admitted %d and was refused %d times, want its half of QueueCap %d and the rest refused", admitted, full, cfg.QueueCap)
 	}
 	// steady must still have room in its reserved half.
 	if _, err := s.Submit(Request{Task: "patrol", Image: testImage(), Tenant: "steady"}); err != nil {
@@ -154,7 +150,7 @@ func TestQuarantineScopedPerTenant(t *testing.T) {
 	b := &poisonOnceBackend{fakeBackend: newFakeBackend()}
 	b.armed.Store(true)
 	cfg := Config{
-		Workers: 1, MaxBatch: 1, BatchDelay: 0, QueueCap: 16,
+		Workers: 1, MaxBatch: 1, QueueCap: 16,
 		CacheBytes: 1 << 20, NegativeTTL: time.Minute,
 	}
 	s := newTestServer(t, b, cfg)
@@ -195,7 +191,7 @@ func TestWeightedTenantsShareThroughput(t *testing.T) {
 	fb.delay = 2 * time.Millisecond // per batch: throughput == batch slots served
 	weights := map[string]int{"bronze": 1, "silver": 2, "gold": 4}
 	cfg := Config{
-		Workers: 1, MaxBatch: 8, BatchDelay: time.Millisecond, QueueCap: 64,
+		Workers: 1, MaxBatch: 8, QueueCap: 64,
 		TenantWeights: weights,
 	}
 	s := newTestServer(t, fb, cfg)
