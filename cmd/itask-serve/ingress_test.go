@@ -8,12 +8,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"testing"
 	"testing/iotest"
 
 	"itask/internal/serve"
 	"itask/internal/tensor"
+	"itask/internal/testutil"
 	"itask/internal/wire"
 )
 
@@ -298,30 +298,17 @@ func ingest(tb testing.TB, rd *bytes.Reader, body []byte, contentType string) {
 
 // TestJSONIngestAllocs pins what reading a JSON frame allocates: the decoded
 // body, its task string, the pixels and the tensor around them — a constant,
-// no more than the binary leg, whatever the width. (testing.AllocsPerRun
-// pins GOMAXPROCS to 1, so the count is taken from MemStats, averaged and
-// rounded down as AllocsPerRun does: under -race sync.Pool drops one Put in
-// four, which is a fraction of a body buffer per op and not the decoder's.)
+// no more than the binary leg, whatever the width. (The count is rounded down
+// as testing.AllocsPerRun's is: under -race sync.Pool drops one Put in four,
+// which is a fraction of a body buffer per op and not the decoder's.)
 func TestJSONIngestAllocs(t *testing.T) {
 	jsonBody, binBody := ingressBodies(t)
-	perOp := func(body []byte, contentType string) float64 {
-		rd := bytes.NewReader(body)
-		for i := 0; i < 4; i++ { // warm the body pool
-			ingest(t, rd, body, contentType)
-		}
-		const runs = 200
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			ingest(t, rd, body, contentType)
-		}
-		runtime.ReadMemStats(&after)
-		return float64((after.Mallocs - before.Mallocs) / runs)
-	}
 	for _, procs := range []int{1, 2} {
-		prev := runtime.GOMAXPROCS(procs)
+		perOp := func(body []byte, contentType string) float64 {
+			rd := bytes.NewReader(body)
+			return testutil.AllocsPerRunAt(procs, 200, func() { ingest(t, rd, body, contentType) })
+		}
 		jsonAllocs, binAllocs := perOp(jsonBody, "application/json"), perOp(binBody, wire.ContentType)
-		runtime.GOMAXPROCS(prev)
 		if jsonAllocs > 6 {
 			t.Errorf("GOMAXPROCS=%d: JSON ingress allocates %.0f objects/op, want <= 6", procs, jsonAllocs)
 		}

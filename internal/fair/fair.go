@@ -49,8 +49,14 @@ func (s *subq[T]) pop() T {
 	var zero T
 	s.items[s.head] = zero // release the reference for GC
 	s.head++
-	if s.head == len(s.items) {
-		s.items = s.items[:0]
+	// Slide the live items down once the popped prefix is the larger part,
+	// so a tenant that never drains cycles through a bounded buffer instead
+	// of appending behind an ever-advancing head. Each item moves at most
+	// once per halving: amortized constant per pop.
+	if s.head*2 >= len(s.items) {
+		n := copy(s.items, s.items[s.head:])
+		clear(s.items[n:])
+		s.items = s.items[:n]
 		s.head = 0
 	}
 	return v

@@ -159,6 +159,31 @@ func TestPopMaxEdgeCases(t *testing.T) {
 	}
 }
 
+// TestBackloggedTenantBufferStaysBounded: a tenant that never drains — a
+// standing depth of 8 through a million push/pop pairs — keeps FIFO order
+// and a buffer the size of its backlog, not of its history.
+func TestBackloggedTenantBufferStaysBounded(t *testing.T) {
+	q := NewQueue[int](nil)
+	const depth = 8
+	next := 0
+	for ; next < depth; next++ {
+		q.Push("t", next)
+	}
+	for i := 0; i < 1_000_000; i++ {
+		q.Push("t", next)
+		next++
+		if got := q.PopMax(1); len(got) != 1 || got[0] != i {
+			t.Fatalf("pop %d = %v, want [%d]", i, got, i)
+		}
+	}
+	if q.TenantLen("t") != depth {
+		t.Fatalf("standing depth %d, want %d", q.TenantLen("t"), depth)
+	}
+	if c := cap(q.subs["t"].items); c > 8*depth {
+		t.Fatalf("a backlog of %d holds a buffer of %d items", depth, c)
+	}
+}
+
 // Burst credits: a fresh tenant gets burst requests immediately, then is
 // paced at rate; an idle stretch refills up to burst and no further.
 func TestBudgetBurstAndRefill(t *testing.T) {

@@ -1,0 +1,148 @@
+package kernels
+
+import "math"
+
+// The int8 linear layer is three micro-kernels: a range scan plus quantize
+// (float activations to int8 codes), a row-panel GEMM (int8 codes to int32
+// sums) and a dequantizing epilogue (int32 sums to float outputs). Each has
+// an AVX2 body and a Go reference that computes the same bits: the integer
+// sums are exact, and every float step is one correctly rounded IEEE single
+// operation on both sides — no fused multiply-add, no reciprocal, no
+// reassociation — so the assembly, the noasm build and a non-amd64 host
+// agree on every output.
+
+// RangeF32 returns the smallest and largest element of x, each taken
+// together with 0 (a quantization range always includes zero). NaNs are
+// skipped.
+func RangeF32(x []float32) (mn, mx float32) {
+	i := 0
+	if useAsm && len(x) >= 8 {
+		i = len(x) &^ 7
+		mn, mx = rangeF32Asm(&x[0], i)
+	}
+	return rangeF32Go(x[i:], mn, mx)
+}
+
+func rangeF32Go(x []float32, mn, mx float32) (float32, float32) {
+	for _, v := range x {
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+	}
+	return mn, mx
+}
+
+// QuantizeI8 writes dst[i] = clamp(rne(src[i]/scale) + zero, lo, hi), the
+// one rounding rule of the quantized configuration: a float32 division,
+// round to nearest with ties to even, then the zero point, clamped to
+// [lo, hi] (which must lie within int8). A NaN quotient maps to lo. dst
+// must be at least as long as src.
+func QuantizeI8(dst []int8, src []float32, scale float32, zero, lo, hi int32) {
+	need(len(dst) >= len(src))
+	// Clamping the quotient to [lo-zero, hi-zero] before rounding equals
+	// clamping the code after it (the bounds are integers and rounding is
+	// monotonic), and keeps the float-to-int conversion in range.
+	fl, fh := float32(lo-zero), float32(hi-zero)
+	i := 0
+	if useAsm && len(src) >= 8 {
+		i = len(src) &^ 7
+		quantizeI8Asm(&dst[0], &src[0], i, scale, fl, fh, zero)
+	}
+	quantizeI8Go(dst[i:], src[i:], scale, fl, fh, zero)
+}
+
+func quantizeI8Go(dst []int8, src []float32, scale, fl, fh float32, zero int32) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		t := x / scale
+		if !(t >= fl) { // also catches NaN
+			t = fl
+		}
+		if t > fh {
+			t = fh
+		}
+		dst[i] = int8(int32(math.RoundToEven(float64(t))) + zero)
+	}
+}
+
+// GemmI8 computes the (m,n) int32 product of an (m,k) int8 activation a
+// with the transpose of an (n,k) int8 weight w, both row-major:
+//
+//	acc[i*n+o] = Σ_t int32(a[i*k+t]) * int32(w[o*k+t])
+//
+// The assembly takes one activation row against four weight rows per step
+// (VPMOVSXBW widens 16 codes, VPMADDWD multiplies and pair-sums them into
+// eight int32 lanes), for any k and any n.
+func GemmI8(acc []int32, a, w []int8, m, k, n int) {
+	need(m >= 0 && k >= 0 && n >= 0 && len(a) >= m*k && len(w) >= n*k && len(acc) >= m*n)
+	if m == 0 || n == 0 {
+		return
+	}
+	if useAsm && k > 0 {
+		gemmI8Asm(&acc[0], &a[0], &w[0], m, k, n)
+		return
+	}
+	gemmI8Go(acc, a, w, m, k, n)
+}
+
+func gemmI8Go(acc []int32, a, w []int8, m, k, n int) {
+	for i := 0; i < m; i++ {
+		ai := a[i*k : (i+1)*k]
+		oi := acc[i*n : (i+1)*n]
+		for o := range oi {
+			oi[o] = dotI8Go(ai, w[o*k:(o+1)*k])
+		}
+	}
+}
+
+// DequantI8 is the GEMM's epilogue: it removes the activation zero point,
+// rescales and adds the bias, for an (m,n) accumulator:
+//
+//	out[i*n+o] = (sa*scales[o]) * float32(acc[i*n+o] - za*rowSums[o]) + bias[o]
+//
+// scales holds n per-channel weight scales or one per-tensor scale; rowSums
+// holds Σ_t w[o*k+t] for each weight row; bias is nil or n values. The
+// integer subtraction wraps as int32 does.
+func DequantI8(out []float32, acc, rowSums []int32, scales, bias []float32, m, n int, sa float32, za int32) {
+	need(m >= 0 && n >= 0 && len(out) >= m*n && len(acc) >= m*n && len(rowSums) >= n &&
+		(len(scales) == 1 || len(scales) >= n) && (bias == nil || len(bias) >= n))
+	if m == 0 || n == 0 {
+		return
+	}
+	if useAsm {
+		var b *float32
+		if bias != nil {
+			b = &bias[0]
+		}
+		perChannel := 0
+		if len(scales) != 1 {
+			perChannel = 1
+		}
+		dequantI8Asm(&out[0], &acc[0], &rowSums[0], &scales[0], b, m, n, sa, za, perChannel)
+		return
+	}
+	dequantI8Go(out, acc, rowSums, scales, bias, m, n, sa, za)
+}
+
+func dequantI8Go(out []float32, acc, rowSums []int32, scales, bias []float32, m, n int, sa float32, za int32) {
+	for i := 0; i < m; i++ {
+		ai := acc[i*n : (i+1)*n]
+		oi := out[i*n : (i+1)*n]
+		for o, s := range ai {
+			sw := scales[0]
+			if len(scales) != 1 {
+				sw = scales[o]
+			}
+			// The conversions pin each product to float32 before the next
+			// operation, so no compiler may fuse the multiply into the add.
+			v := float32(float32(sa*sw) * float32(s-za*rowSums[o]))
+			if bias != nil {
+				v += bias[o]
+			}
+			oi[o] = v
+		}
+	}
+}

@@ -1,0 +1,311 @@
+package kernels
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// The int8 kernels' contract: the exported function gives the Go
+// reference's bits whichever implementation runs. Every test below compares
+// the two under withAsm; on a noasm or non-amd64 build both sides are the
+// reference and the tests check it against a naive formula instead.
+
+// naiveGemmI8 is the definition, one product at a time.
+func naiveGemmI8(a, w []int8, m, k, n int) []int32 {
+	acc := make([]int32, m*n)
+	for i := 0; i < m; i++ {
+		for o := 0; o < n; o++ {
+			var s int32
+			for t := 0; t < k; t++ {
+				s += int32(a[i*k+t]) * int32(w[o*k+t])
+			}
+			acc[i*n+o] = s
+		}
+	}
+	return acc
+}
+
+func checkGemmI8(t *testing.T, a, w []int8, m, k, n int) {
+	t.Helper()
+	want := naiveGemmI8(a, w, m, k, n)
+	got := make([]int32, m*n+1)
+	got[m*n] = 0x5a5a5a5a // a store past the last output would clobber this
+	GemmI8(got, a, w, m, k, n)
+	for i, v := range want {
+		if got[i] != v {
+			t.Fatalf("GemmI8 m=%d k=%d n=%d: acc[%d] = %d, want %d", m, k, n, i, got[i], v)
+		}
+	}
+	if got[m*n] != 0x5a5a5a5a {
+		t.Fatalf("GemmI8 m=%d k=%d n=%d wrote past its output", m, k, n)
+	}
+}
+
+func TestGemmI8EveryShape(t *testing.T) {
+	withAsm(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		for k := 1; k <= 70; k++ {
+			for n := 1; n <= 9; n++ {
+				m := 1 + (k+n)%3
+				checkGemmI8(t, randI8(rng, m*k), randI8(rng, n*k), m, k, n)
+			}
+		}
+		// The generalist's shapes (k, n) at one image's 16 tokens: embed, qkv,
+		// proj, the two MLP layers, attention scores and context, and the
+		// detection head, whose n is not a multiple of four.
+		for _, s := range [][2]int{{192, 48}, {48, 144}, {48, 48}, {48, 96}, {96, 48}, {12, 16}, {16, 12}, {48, 19}} {
+			checkGemmI8(t, randI8(rng, 16*s[0]), randI8(rng, s[1]*s[0]), 16, s[0], s[1])
+		}
+		checkGemmI8(t, nil, nil, 3, 0, 5) // k = 0: every sum is zero
+		GemmI8(nil, nil, nil, 0, 4, 0)    // nothing to do, nothing touched
+	})
+}
+
+func TestGemmI8UnalignedAndExtremes(t *testing.T) {
+	withAsm(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(12))
+		const m, k, n = 3, 37, 7
+		abase, wbase := randI8(rng, m*k+16), randI8(rng, n*k+16)
+		for off := 0; off < 9; off++ {
+			checkGemmI8(t, abase[off:off+m*k], wbase[off+1:off+1+n*k], m, k, n)
+		}
+		// Saturation check: the widening multiply must hold 128·128 and the
+		// pair sums of VPMADDWD must not clip at k = 96.
+		for _, v := range [][2]int8{{-128, -128}, {127, -128}, {-128, 127}, {127, 127}} {
+			a, w := make([]int8, 2*96), make([]int8, 5*96)
+			for i := range a {
+				a[i] = v[0]
+			}
+			for i := range w {
+				w[i] = v[1]
+			}
+			checkGemmI8(t, a, w, 2, 96, 5)
+		}
+	})
+}
+
+// quantizeCase runs QuantizeI8 against the reference over one input.
+func quantizeCase(t *testing.T, src []float32, scale float32, zero, lo, hi int32) {
+	t.Helper()
+	got := make([]int8, len(src)+1)
+	got[len(src)] = 0x5a
+	QuantizeI8(got, src, scale, zero, lo, hi)
+	want := make([]int8, len(src))
+	quantizeI8Go(want, src, scale, float32(lo-zero), float32(hi-zero), zero)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("QuantizeI8(%v [bits %#x] / %v, zero %d): got %d, reference %d",
+				src[i], math.Float32bits(src[i]), scale, zero, got[i], want[i])
+		}
+		if int32(got[i]) < lo || int32(got[i]) > hi {
+			t.Fatalf("QuantizeI8(%v / %v) = %d outside [%d, %d]", src[i], scale, got[i], lo, hi)
+		}
+	}
+	if got[len(src)] != 0x5a {
+		t.Fatal("QuantizeI8 wrote past len(src)")
+	}
+}
+
+func TestQuantizeI8Rule(t *testing.T) {
+	withAsm(t, func(t *testing.T) {
+		// Ties go to even, both ways; scale 1 and 0.5 keep x/scale exact.
+		ties := []float32{0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 126.5, -127.5, 3.5, -3.5, 0.25, 0.75}
+		got := make([]int8, len(ties))
+		QuantizeI8(got, ties, 1, 0, -128, 127)
+		for i, want := range []int8{0, 2, 2, 0, -2, -2, 126, -128, 4, -4, 0, 1} {
+			if got[i] != want {
+				t.Errorf("rne(%v) = %d, want %d", ties[i], got[i], want)
+			}
+		}
+		denormal := math.Float32frombits(1)
+		special := []float32{
+			0, float32(math.Copysign(0, -1)), denormal, -denormal,
+			1e30, -1e30, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+			127.49, 127.5, 128, -128.5, -129, 3e9, -3e9, // either side of both clamps and of int32
+		}
+		for _, zero := range []int32{0, -128, 127, 5, -37} {
+			for _, r := range [][2]int32{{-128, 127}, {-32, 31}, {-8, 7}} {
+				if zero < r[0] || zero > r[1] {
+					continue
+				}
+				for _, scale := range []float32{1, 0.5, 0.0123, 3e-39, 1e30} {
+					quantizeCase(t, ties, scale, zero, r[0], r[1])
+					quantizeCase(t, special, scale, zero, r[0], r[1])
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(13))
+		for n := 0; n <= 67; n++ {
+			base := randF32(rng, n+3)
+			quantizeCase(t, base[n%3:n%3+n], 0.017, int32(n%9)-4, -128, 127)
+		}
+	})
+}
+
+func FuzzQuantizeI8(f *testing.F) {
+	if !asmSupported {
+		f.Skip("no assembly to compare against on this build")
+	}
+	f.Add(uint32(0x3f000000), uint32(0x3f800000), int8(0))  // 0.5 / 1
+	f.Add(uint32(0x40200000), uint32(0x3f800000), int8(-3)) // 2.5 / 1
+	f.Add(uint32(0x7fc00000), uint32(0x3c23d70a), int8(7))  // NaN
+	f.Add(uint32(0x7f800000), uint32(0x00000001), int8(0))  // +Inf / denormal
+	f.Add(uint32(0x80000000), uint32(0x7f7fffff), int8(1))  // -0 / max float
+	f.Add(uint32(0x42fe0000), uint32(0x3f800000), int8(1))  // 127 + zero 1: the upper clamp
+	f.Add(uint32(0x00000001), uint32(0x00000001), int8(-1)) // denormal / denormal
+	f.Fuzz(func(t *testing.T, xbits, sbits uint32, zero int8) {
+		x, scale := math.Float32frombits(xbits), math.Float32frombits(sbits)
+		src := []float32{x, -x, x * 3, x / 3, x + 0.5, x - 0.5, x * 127, x * 128, x} // 8 through the assembly, 1 through the tail
+		defer SetAsmEnabled(SetAsmEnabled(true))
+		quantizeCase(t, src, scale, int32(zero), -128, 127)
+	})
+}
+
+func TestRangeF32(t *testing.T) {
+	withAsm(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(14))
+		nan := float32(math.NaN())
+		for n := 0; n <= 70; n++ {
+			base := randF32(rng, n+2)
+			x := base[n%2 : n%2+n]
+			if n > 3 {
+				x[rng.Intn(n)] = nan // skipped wherever it lands
+			}
+			if n%5 == 0 {
+				for i := range x { // one-sided data: the other bound stays 0
+					x[i] = float32(math.Abs(float64(x[i])))
+				}
+			}
+			mn, mx := RangeF32(x)
+			wmn, wmx := rangeF32Go(x, 0, 0)
+			if math.Float32bits(mn) != math.Float32bits(wmn) || math.Float32bits(mx) != math.Float32bits(wmx) {
+				t.Fatalf("RangeF32 n=%d: got (%v, %v), reference (%v, %v)", n, mn, mx, wmn, wmx)
+			}
+			if mn > 0 || mx < 0 {
+				t.Fatalf("RangeF32 n=%d: (%v, %v) does not include 0", n, mn, mx)
+			}
+		}
+		// Signed zeros never displace the +0 both bounds start from.
+		negz := float32(math.Copysign(0, -1))
+		mn, mx := RangeF32([]float32{negz, negz, negz, negz, negz, negz, negz, negz, negz})
+		if math.Float32bits(mn) != 0 || math.Float32bits(mx) != 0 {
+			t.Fatalf("RangeF32 of -0s = (%v, %v), want (+0, +0)", mn, mx)
+		}
+	})
+}
+
+func TestDequantI8(t *testing.T) {
+	withAsm(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(15))
+		for n := 1; n <= 35; n++ {
+			for _, perChannel := range []bool{true, false} {
+				for _, withBias := range []bool{true, false} {
+					m := 1 + n%3
+					acc, rowSums := make([]int32, m*n), make([]int32, n)
+					for i := range acc {
+						acc[i] = int32(rng.Intn(1<<21) - 1<<20)
+					}
+					for i := range rowSums {
+						rowSums[i] = int32(rng.Intn(1<<14) - 1<<13)
+					}
+					acc[0], rowSums[0] = math.MaxInt32, math.MinInt32 // the subtraction wraps on both sides alike
+					scales := randF32(rng, 1)
+					if perChannel {
+						scales = randF32(rng, n)
+					}
+					var bias []float32
+					if withBias {
+						bias = randF32(rng, n)
+					}
+					sa, za := float32(0.0371), int32(rng.Intn(256)-128)
+					got, want := make([]float32, m*n+1), make([]float32, m*n)
+					got[m*n] = 42
+					DequantI8(got, acc, rowSums, scales, bias, m, n, sa, za)
+					dequantI8Go(want, acc, rowSums, scales, bias, m, n, sa, za)
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("DequantI8 n=%d perChannel=%v bias=%v: out[%d] = %v, reference %v",
+								n, perChannel, withBias, i, got[i], want[i])
+						}
+					}
+					if got[m*n] != 42 {
+						t.Fatalf("DequantI8 n=%d wrote past its output", n)
+					}
+					// And the reference is the documented formula.
+					sw := scales[0]
+					if perChannel {
+						sw = scales[n-1]
+					}
+					f := (sa * sw) * float32(acc[m*n-1]-za*rowSums[n-1])
+					if withBias {
+						f += bias[n-1]
+					}
+					if d := math.Abs(float64(f - want[m*n-1])); d > 1e-6*math.Abs(float64(f)) {
+						t.Fatalf("reference out = %v, formula %v", want[m*n-1], f)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestShortOperandPanics: every assembly entry point checks, in its Go
+// wrapper, the lengths it hands to the assembly — a short operand is a
+// panic on every build, never a read past the slice.
+func TestShortOperandPanics(t *testing.T) {
+	f32, i8, i32 := make([]float32, 32), make([]int8, 32), make([]int32, 32)
+	var a4 [4]float32
+	cases := map[string]func(){
+		"Dot":                func() { Dot(f32, f32[:31]) },
+		"Dot4":               func() { Dot4(f32, f32, f32, f32[:31], f32) },
+		"Axpy":               func() { Axpy(1, f32, f32[:31]) },
+		"Axpy4":              func() { Axpy4(&a4, f32, f32[:31], f32, f32, f32) },
+		"DotI8":              func() { DotI8(i8, i8[:31]) },
+		"QuantizeI8":         func() { QuantizeI8(i8[:31], f32, 1, 0, -128, 127) },
+		"GemmI8/a":           func() { GemmI8(i32, i8[:31], i8, 2, 16, 2) },
+		"GemmI8/w":           func() { GemmI8(i32, i8, i8[:31], 2, 16, 2) },
+		"GemmI8/acc":         func() { GemmI8(i32[:3], i8, i8, 2, 16, 2) },
+		"DequantI8/out":      func() { DequantI8(f32[:31], i32, i32, f32, nil, 4, 8, 1, 0) },
+		"DequantI8/rowSums":  func() { DequantI8(f32, i32, i32[:7], f32, nil, 4, 8, 1, 0) },
+		"DequantI8/scales":   func() { DequantI8(f32, i32, i32, f32[:7], nil, 4, 8, 1, 0) },
+		"DequantI8/bias":     func() { DequantI8(f32, i32, i32, f32, f32[:7], 4, 8, 1, 0) },
+		"DequantI8/noscales": func() { DequantI8(f32, i32, i32, nil, nil, 4, 8, 1, 0) },
+	}
+	withAsm(t, func(t *testing.T) {
+		for name, call := range cases {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s with a short operand did not panic", name)
+					}
+				}()
+				call()
+			}()
+		}
+	})
+}
+
+func BenchmarkGemmI8(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range [][3]int{{16, 48, 144}, {16, 12, 16}, {128, 48, 144}} {
+		m, k, n := s[0], s[1], s[2]
+		a, w, acc := randI8(rng, m*k), randI8(rng, n*k), make([]int32, m*n)
+		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				GemmI8(acc, a, w, m, k, n)
+			}
+			b.ReportMetric(float64(m*k*n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GMAC/s")
+		})
+	}
+}
+
+func BenchmarkQuantizeI8_768(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	src, dst := randF32(rng, 768), make([]int8, 768)
+	for i := 0; i < b.N; i++ {
+		mn, mx := RangeF32(src)
+		QuantizeI8(dst, src, (mx-mn)/255, 3, -128, 127)
+	}
+}

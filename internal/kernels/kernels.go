@@ -1,14 +1,19 @@
-// Package kernels holds the register-tiled micro-kernels at the bottom of
-// every GEMM in iTask: fused multiply-add dot/axpy primitives over float32
-// and the widening int8 dot product the quantized configuration runs on.
+// Package kernels holds the micro-kernels at the bottom of every layer in
+// iTask: fused multiply-add dot/axpy primitives over float32 for the float
+// GEMMs, the three kernels of the int8 linear layer the quantized
+// configuration runs on (range scan and quantize, row-panel GEMM,
+// dequantizing epilogue — i8.go), and the float32 exponential under the
+// inference paths' softmax and GELU (vecmath.go).
 //
-// Each primitive has two implementations: a portable Go version unrolled
-// 4-8× with independent accumulator chains (so the scalar pipeline can
-// overlap multiply-add latencies), and an AVX2+FMA assembly version selected
-// at startup by CPUID when the host supports it. The assembly carries the
-// serving hot path; the Go version is the reference the tests compare it
-// against, bit-exactly for int8 (int32 accumulation is associative) and
-// within float reassociation tolerance for float32.
+// Each dot/axpy and int8 primitive has two implementations: a portable Go
+// version (unrolled with independent accumulator chains so the scalar
+// pipeline can overlap multiply-add latencies), and an AVX2+FMA assembly
+// version selected at startup by CPUID when the host supports it. The
+// assembly carries the serving hot path; the Go version is the reference the
+// tests compare it against, bit-exactly for the int8 kernels (int32
+// accumulation is associative, and their float steps are single IEEE
+// operations on both sides) and within float reassociation tolerance for
+// the float32 dot/axpy family.
 //
 // The package is dependency-free and imported by internal/tensor and
 // internal/quant; keep it that way.
@@ -32,14 +37,26 @@ func SetAsmEnabled(on bool) bool {
 }
 
 // asmCutoff is the vector length below which the call overhead of the
-// assembly kernels outweighs their throughput; shorter vectors stay on the
-// unrolled Go path (measured: even with the 8-wide assembly tail step, a
-// 12-element int8 dot is no faster through the asm call).
+// one-vector assembly kernels (Dot, Dot4, Axpy, Axpy4, DotI8) outweighs
+// their throughput; shorter vectors stay on the unrolled Go path. The int8
+// GEMM has no such cutoff: it takes a whole (m,k,n) product per call, so
+// attention's 12- and 16-wide reductions run in assembly too.
 const asmCutoff = 16
+
+// need panics unless ok — that every operand is at least as long as its
+// kernel will read or write. The assembly takes base pointers and a count,
+// so the check the compiler would put on a Go slice expression has to be
+// made here.
+func need(ok bool) {
+	if !ok {
+		panic("kernels: operand shorter than the kernel reads or writes")
+	}
+}
 
 // Dot returns Σ x[i]*y[i] over len(x) elements. y must be at least as long
 // as x.
 func Dot(x, y []float32) float32 {
+	need(len(y) >= len(x))
 	if useAsm && len(x) >= asmCutoff {
 		return dotAsm(&x[0], &y[0], len(x))
 	}
@@ -65,6 +82,8 @@ func dotGo(x, y []float32) float32 {
 // Dot4 computes four dot products of x against b0..b3 in one pass, loading
 // x once per step. All b slices must be at least len(x) long.
 func Dot4(x, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
+	n := len(x)
+	need(len(b0) >= n && len(b1) >= n && len(b2) >= n && len(b3) >= n)
 	if useAsm && len(x) >= asmCutoff {
 		var out [4]float32
 		dot4Asm(&x[0], &b0[0], &b1[0], &b2[0], &b3[0], len(x), &out[0])
@@ -85,8 +104,10 @@ func dot4Go(x, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
 	return
 }
 
-// Axpy accumulates y += a*x over len(x) elements.
+// Axpy accumulates y += a*x over len(x) elements. y must be at least as
+// long as x.
 func Axpy(a float32, x, y []float32) {
+	need(len(y) >= len(x))
 	if useAsm && len(x) >= asmCutoff {
 		axpyAsm(a, &x[0], &y[0], len(x))
 		return
@@ -105,6 +126,8 @@ func axpyGo(a float32, x, y []float32) {
 // pass over y, the 4-way fused update the ikj GEMM kernel is built from:
 // one load+store of y amortizes four multiply-add streams.
 func Axpy4(a *[4]float32, x0, x1, x2, x3, y []float32) {
+	n := len(y)
+	need(len(x0) >= n && len(x1) >= n && len(x2) >= n && len(x3) >= n)
 	if useAsm && len(y) >= asmCutoff {
 		axpy4Asm(&a[0], &x0[0], &x1[0], &x2[0], &x3[0], &y[0], len(y))
 		return
@@ -124,6 +147,7 @@ func axpy4Go(a *[4]float32, x0, x1, x2, x3, y []float32) {
 // DotI8 returns Σ int32(a[i])*int32(b[i]) with exact int32 accumulation —
 // the inner product of the quantized GEMM. b must be at least len(a) long.
 func DotI8(a, b []int8) int32 {
+	need(len(b) >= len(a))
 	if useAsm && len(a) >= asmCutoff {
 		return dotI8Asm(&a[0], &b[0], len(a))
 	}

@@ -54,3 +54,17 @@ func dotI8Asm(a, b *int8, n int) int32
 
 //go:noescape
 func hashBlocksAsm(lanes *uint64, p *byte, nblocks int)
+
+// Implemented in i8_amd64.s.
+
+//go:noescape
+func rangeF32Asm(x *float32, n int) (mn, mx float32)
+
+//go:noescape
+func quantizeI8Asm(dst *int8, src *float32, n int, scale, fl, fh float32, zero int32)
+
+//go:noescape
+func gemmI8Asm(acc *int32, a, w *int8, m, k, n int)
+
+//go:noescape
+func dequantI8Asm(out *float32, acc, rowSums *int32, scales, bias *float32, m, n int, sa float32, za int32, perChannel int)

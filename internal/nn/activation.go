@@ -36,12 +36,16 @@ func geluGradScalar(x float64) float64 {
 	return 0.5*(1+t) + 0.5*x*(1-t*t)*du
 }
 
-// Forward applies GELU elementwise.
+// Forward applies GELU elementwise: in float64 when training (the value
+// Backward differentiates), with the float32 kernel at inference.
 func (g *GELU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		g.x = x
+		return tensor.Apply(x, func(v float32) float32 { return float32(geluScalar(float64(v))) })
 	}
-	return tensor.Apply(x, func(v float32) float32 { return float32(geluScalar(float64(v))) })
+	y := tensor.New(x.Shape...)
+	tensor.GELUF32Into(y, x)
+	return y
 }
 
 // Backward multiplies dy by gelu'(x).

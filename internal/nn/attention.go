@@ -68,7 +68,8 @@ func headSliceAdd(dst *tensor.Tensor, blk *tensor.Tensor, row0, t, c0, dh, w int
 // on the layer for Backward and attention-rollout saliency, so they are
 // allocated normally. In inference mode nothing survives the call: every
 // intermediate comes from the tensor scratch arena, and the (batch × heads)
-// loop is tiled across the shared worker pool, one head per tile.
+// loop goes through tensor.ParallelFor with the two products' multiply-adds
+// per head, which cuts it into tiles only when each is worth a fork.
 func (a *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkRank("MHSA.Forward", x, 2)
 	rows := x.Shape[0]
@@ -90,7 +91,7 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 	// Each (batch, head) pair reads a disjoint column band of qkv and writes
 	// a disjoint (T,dh) block of out, so tiles are race-free. Head slices are
 	// copied out of the packed qkv directly (no intermediate q/k/v split).
-	tensor.ParallelFor(b*a.Heads, 1, func(lo, hi int) {
+	tensor.ParallelFor(b*a.Heads, 2*a.Tokens*a.Tokens*dh, func(lo, hi int) {
 		qh := tensor.GetScratchNoZero(a.Tokens, dh)
 		kh := tensor.GetScratchNoZero(a.Tokens, dh)
 		vh := tensor.GetScratchNoZero(a.Tokens, dh)
@@ -107,7 +108,7 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 			}
 			tensor.MatMulTInto(scores, qh, kh)
 			scores.ScaleInPlace(scale)
-			tensor.SoftmaxRowsInto(scores, scores)
+			scores.SoftmaxRowsF32()
 			// Context: reuse qh as the (T,dh) destination — its values are
 			// dead once scores is computed.
 			tensor.MatMulInto(qh, scores, vh)

@@ -4,17 +4,17 @@ import (
 	"testing"
 
 	"itask/internal/tensor"
+	"itask/internal/testutil"
 	"itask/internal/vit"
 )
 
 // These regression tests pin the steady-state allocation behavior of the
 // inference hot paths: after warmup has populated the scratch arenas and
 // staging pools, a forward must allocate only a small constant number of
-// objects (closure headers for pool dispatch, the escaping output tensor),
-// independent of depth × heads worth of per-head intermediates. The seed
-// implementation allocated every intermediate fresh; a regression that
-// reintroduces per-head or per-layer allocation blows well past these
-// bounds.
+// objects (scratch headers, the escaping output tensor), independent of
+// depth × heads worth of per-head intermediates. The seed implementation
+// allocated every intermediate fresh; a regression that reintroduces
+// per-head or per-layer allocation blows well past these bounds.
 
 func TestLinearIntoSteadyStateAllocs(t *testing.T) {
 	rng := tensor.NewRNG(21)
@@ -27,8 +27,7 @@ func TestLinearIntoSteadyStateAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(100, func() {
 		LinearInto(out, x, qw, nil, 8)
 	})
-	// Budget: pool-dispatch closures for the tiled GEMM; no O(rows) or
-	// O(size) terms.
+	// Budget: no O(rows) or O(size) terms.
 	if avg > 6 {
 		t.Fatalf("LinearInto steady state allocates %.1f objects/op, want <= 6", avg)
 	}
@@ -47,18 +46,17 @@ func TestQuantForwardSteadyStateAllocs(t *testing.T) {
 	}
 	img := tensor.Randn(rng, 0.5, 3, 32, 32)
 	patches := vit.Patchify(cfg, []*tensor.Tensor{img})
-	for i := 0; i < 5; i++ {
-		qm.Forward(patches)
+	// Budget: the escaping feature tensor, scratch headers and the static
+	// site lookups — a small constant (95 measured; about 127 under the race
+	// detector, where sync.Pool drops a quarter of its puts). The seed
+	// implementation allocated hundreds of objects per forward (fresh
+	// tensors for every per-head slice, score matrix, and per-layer
+	// intermediate). Taken at the widths a deployment serves at.
+	for _, procs := range []int{2, 4} {
+		avg := testutil.AllocsPerRunAt(procs, 50, func() { qm.Forward(patches) })
+		if avg > 150 {
+			t.Errorf("GOMAXPROCS=%d: quant Forward steady state allocates %.0f objects/op, want <= 150", procs, avg)
+		}
+		t.Logf("GOMAXPROCS=%d: quant Forward steady-state allocs/op: %.0f", procs, avg)
 	}
-	avg := testing.AllocsPerRun(20, func() {
-		qm.Forward(patches)
-	})
-	// Budget: the escaping feature tensor, scratch headers, and dispatch
-	// closures — a small constant. The seed implementation allocated
-	// hundreds of objects per forward (fresh tensors for every per-head
-	// slice, score matrix, and per-layer intermediate).
-	if avg > 150 {
-		t.Fatalf("quant Forward steady state allocates %.1f objects/op, want <= 150", avg)
-	}
-	t.Logf("quant Forward steady-state allocs/op: %.1f", avg)
 }

@@ -117,19 +117,22 @@ func QuantizeActivationInto(qa *QActivation, x *tensor.Tensor, bits int) {
 	qa.QP.QuantizeSlice(qa.Q, x.Data)
 }
 
-// gemmParallelThreshold is the MAC count above which the integer GEMM is
-// tiled across the shared worker pool.
-const gemmParallelThreshold = 1 << 15
-
 // GEMM computes out = dequant(qa @ qwᵀ) + bias, with int32 accumulation:
 //
 //	out[i][o] = sa*sw[o] * (Σ_k qa[i][k]*qw[o][k] − za*rowSum[o]) + bias[o]
 //
-// bias may be nil. out must be (Rows, Out). The row dimension is tiled
-// across the persistent worker pool (falling back to column tiles for
-// single-row activations), and the inner product runs on the unrolled
-// widening int8 dot micro-kernel.
+// bias may be nil. out must be (Rows, Out).
 func GEMM(qa QActivation, qw QWeight, bias []float32, out *tensor.Tensor) {
+	st := getStaging(0, qa.Rows*qw.Out)
+	gemmInto(out, &qa, qw, bias, st.acc)
+	stagingPool.Put(st)
+}
+
+// gemmInto is GEMM with the int32 accumulator, (Rows × Out), supplied.
+// Activation rows are cut into tiles only when each is worth a fork
+// (tensor.ParallelFor); the layers of both serving models up to a batch of 8
+// are one tile, run directly with no closure built for it.
+func gemmInto(out *tensor.Tensor, qa *QActivation, qw QWeight, bias []float32, acc []int32) {
 	if qa.Cols != qw.In {
 		panic(fmt.Sprintf("quant: GEMM inner dim %d vs %d", qa.Cols, qw.In))
 	}
@@ -139,70 +142,23 @@ func GEMM(qa QActivation, qw QWeight, bias []float32, out *tensor.Tensor) {
 	if bias != nil && len(bias) != qw.Out {
 		panic("quant: GEMM bias length mismatch")
 	}
-	work := qa.Rows * qa.Cols * qw.Out
-	switch {
-	case work < gemmParallelThreshold:
-		gemmRows(qa, qw, bias, out, 0, qa.Rows)
-	case qa.Rows >= 4:
-		grain := (qa.Rows/(2*tensor.Workers()) + 3) &^ 3
-		if grain < 4 {
-			grain = 4
-		}
-		tensor.ParallelFor(qa.Rows, grain, func(lo, hi int) {
-			gemmRows(qa, qw, bias, out, lo, hi)
-		})
-	default:
-		// Tall-thin activations (single image, few tokens): tile the output
-		// channels instead so the pool still has work to steal.
-		grain := (qw.Out/(2*tensor.Workers()) + 3) &^ 3
-		if grain < 4 {
-			grain = 4
-		}
-		tensor.ParallelFor(qw.Out, grain, func(lo, hi int) {
-			gemmCols(qa, qw, bias, out, lo, hi)
-		})
+	work := qa.Cols * qw.Out
+	if !tensor.Forks(qa.Rows, work) {
+		gemmTile(out.Data, acc, qa, qw, bias, 0, qa.Rows)
+		return
 	}
+	tensor.ParallelFor(qa.Rows, work, func(lo, hi int) {
+		gemmTile(out.Data, acc, qa, qw, bias, lo, hi)
+	})
 }
 
-// gemmRows computes activation rows [lo,hi) of the integer GEMM.
-func gemmRows(qa QActivation, qw QWeight, bias []float32, out *tensor.Tensor, lo, hi int) {
-	k := qa.Cols
-	sa := qa.QP.Scale
-	za := qa.QP.Zero
-	for i := lo; i < hi; i++ {
-		arow := qa.Q[i*k : (i+1)*k]
-		orow := out.Data[i*qw.Out : (i+1)*qw.Out]
-		for o := 0; o < qw.Out; o++ {
-			acc := kernels.DotI8(arow, qw.Q[o*k:(o+1)*k])
-			acc -= za * qw.RowSums[o]
-			v := sa * qw.scale(o) * float32(acc)
-			if bias != nil {
-				v += bias[o]
-			}
-			orow[o] = v
-		}
-	}
-}
-
-// gemmCols computes output channels [lo,hi) of the integer GEMM for every
-// activation row.
-func gemmCols(qa QActivation, qw QWeight, bias []float32, out *tensor.Tensor, lo, hi int) {
-	k := qa.Cols
-	sa := qa.QP.Scale
-	za := qa.QP.Zero
-	for i := 0; i < qa.Rows; i++ {
-		arow := qa.Q[i*k : (i+1)*k]
-		orow := out.Data[i*qw.Out : (i+1)*qw.Out]
-		for o := lo; o < hi; o++ {
-			acc := kernels.DotI8(arow, qw.Q[o*k:(o+1)*k])
-			acc -= za * qw.RowSums[o]
-			v := sa * qw.scale(o) * float32(acc)
-			if bias != nil {
-				v += bias[o]
-			}
-			orow[o] = v
-		}
-	}
+// gemmTile computes activation rows [lo,hi): one call of the row-panel int8
+// GEMM kernel into those rows of acc and one of the dequantizing epilogue
+// out of them.
+func gemmTile(out []float32, acc []int32, qa *QActivation, qw QWeight, bias []float32, lo, hi int) {
+	k, n := qa.Cols, qw.Out
+	kernels.GemmI8(acc[lo*n:hi*n], qa.Q[lo*k:hi*k], qw.Q, hi-lo, k, n)
+	kernels.DequantI8(out[lo*n:hi*n], acc[lo*n:hi*n], qw.RowSums, qw.Scales, bias, hi-lo, n, qa.QP.Scale, qa.QP.Zero)
 }
 
 // Linear runs a full dynamically-quantized linear layer: quantize x, integer
@@ -214,13 +170,12 @@ func Linear(x *tensor.Tensor, qw QWeight, bias []float32, actBits int) *tensor.T
 }
 
 // LinearInto is Linear writing into a caller-provided (rows, Out) tensor,
-// staging the quantized activation in a pooled int8 buffer so the
-// steady-state path performs no per-call allocation.
+// staging the quantized activation and the int32 accumulator in pooled
+// buffers so the steady-state path performs no per-call allocation.
 func LinearInto(out, x *tensor.Tensor, qw QWeight, bias []float32, actBits int) {
-	qa := getQA(x.Size())
-	QuantizeActivationInto(qa, x, actBits)
-	GEMM(*qa, qw, bias, out)
-	putQA(qa)
+	st := getStaging(x.Size(), x.Shape[0]*qw.Out)
+	st.linear(out, x, qw, bias, actBits)
+	stagingPool.Put(st)
 }
 
 // LinearWithQP is Linear with precomputed (statically calibrated)
@@ -233,34 +188,52 @@ func LinearWithQP(x *tensor.Tensor, qp QParams, qw QWeight, bias []float32) *ten
 }
 
 // LinearWithQPInto is LinearWithQP writing into a caller-provided tensor
-// with pooled int8 staging.
+// with pooled staging.
 func LinearWithQPInto(out, x *tensor.Tensor, qp QParams, qw QWeight, bias []float32) {
 	if x.Dims() != 2 {
 		panic(fmt.Sprintf("quant: LinearWithQP activation must be a matrix, got %v", x.Shape))
 	}
-	qa := getQA(x.Size())
-	qa.QP = qp
-	qa.Rows, qa.Cols = x.Shape[0], x.Shape[1]
-	qa.Q = qa.Q[:x.Size()]
-	qp.QuantizeSlice(qa.Q, x.Data)
-	GEMM(*qa, qw, bias, out)
-	putQA(qa)
+	st := getStaging(x.Size(), x.Shape[0]*qw.Out)
+	st.qa.QP = qp
+	st.qa.Rows, st.qa.Cols = x.Shape[0], x.Shape[1]
+	qp.QuantizeSlice(st.qa.Q, x.Data)
+	gemmInto(out, &st.qa, qw, bias, st.acc)
+	stagingPool.Put(st)
 }
 
-// qaPool recycles QActivation staging structs (with their int8 buffers)
-// across forwards; see the arena discipline note in tensor/arena.go.
-var qaPool = sync.Pool{New: func() any { return new(QActivation) }}
+// staging is what one linear layer needs between its float input and float
+// output: the int8 activation and the int32 accumulator.
+type staging struct {
+	qa  QActivation
+	acc []int32
+}
 
-func getQA(n int) *QActivation {
-	qa := qaPool.Get().(*QActivation)
-	if cap(qa.Q) < n {
-		qa.Q = make([]int8, n)
+// linear is LinearInto through staging the caller holds, sized for the
+// layer (getStaging) — attention takes one per tile for all its heads'
+// products instead of a pool round trip per product.
+func (st *staging) linear(out, x *tensor.Tensor, qw QWeight, bias []float32, actBits int) {
+	QuantizeActivationInto(&st.qa, x, actBits)
+	gemmInto(out, &st.qa, qw, bias, st.acc)
+}
+
+// stagingPool recycles staging buffers across forwards; see the arena
+// discipline note in tensor/arena.go.
+var stagingPool = sync.Pool{New: func() any { return new(staging) }}
+
+// getStaging returns pooled staging with qa.Q sized for nq codes and acc
+// for nacc sums; the contents are arbitrary.
+func getStaging(nq, nacc int) *staging {
+	st := stagingPool.Get().(*staging)
+	if cap(st.qa.Q) < nq {
+		st.qa.Q = make([]int8, nq)
 	}
-	qa.Q = qa.Q[:n]
-	return qa
+	st.qa.Q = st.qa.Q[:nq]
+	if cap(st.acc) < nacc {
+		st.acc = make([]int32, nacc)
+	}
+	st.acc = st.acc[:nacc]
+	return st
 }
-
-func putQA(qa *QActivation) { qaPool.Put(qa) }
 
 // qwPool recycles QWeight scratch for the attention path, which quantizes
 // per-head key/value blocks on the fly each forward.

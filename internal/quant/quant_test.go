@@ -2,9 +2,12 @@ package quant
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"itask/internal/geom"
 	"itask/internal/tensor"
 	"itask/internal/vit"
 )
@@ -352,5 +355,46 @@ func TestClsHeadShape(t *testing.T) {
 	cls := qm.ClsHead(feats)
 	if cls.Shape[0] != 2 || cls.Shape[1] != 6 {
 		t.Errorf("cls shape %v", cls.Shape)
+	}
+}
+
+// TestDetectBatchIdenticalAtEveryWidth: the trunk's bits and the detections
+// decoded from them do not depend on how many cores ran the batch — here a
+// batch of 64, large enough that its GEMMs are cut into tiles at widths 2
+// and 4 and run inline at 1.
+func TestDetectBatchIdenticalAtEveryWidth(t *testing.T) {
+	cfg := vit.Config{
+		ImageSize: 32, Channels: 3, PatchSize: 8,
+		Dim: 48, Depth: 3, Heads: 4, MLPRatio: 2, Classes: 5,
+	}
+	rng := tensor.NewRNG(23)
+	qm, err := FromViT(vit.New(cfg, rng), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs := make([]*tensor.Tensor, 64)
+	for i := range imgs {
+		imgs[i] = tensor.Randn(rng, 0.5, 3, 32, 32)
+	}
+	patches := vit.Patchify(cfg, imgs)
+	var wantFeats []float32
+	var wantDets [][]geom.Scored
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		feats := qm.Forward(patches).Data
+		dets := qm.DetectBatch(imgs, 0.05, 0.5)
+		runtime.GOMAXPROCS(prev)
+		if wantFeats == nil {
+			wantFeats, wantDets = feats, dets
+			continue
+		}
+		for i := range feats {
+			if math.Float32bits(feats[i]) != math.Float32bits(wantFeats[i]) {
+				t.Fatalf("GOMAXPROCS=%d: feature %d = %v, at width 1 %v", procs, i, feats[i], wantFeats[i])
+			}
+		}
+		if !reflect.DeepEqual(dets, wantDets) {
+			t.Fatalf("GOMAXPROCS=%d: detections differ from width 1", procs)
+		}
 	}
 }

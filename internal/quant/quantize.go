@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"itask/internal/kernels"
 )
 
 // QParams describes one quantization mapping q = round(x/Scale) + Zero,
@@ -35,15 +37,8 @@ func qRange(bits int) (lo, hi int32) {
 // [-absMax, absMax]. Used for weights.
 func SymmetricParams(data []float32, bits int) QParams {
 	_, hi := qRange(bits)
-	var absMax float32
-	for _, v := range data {
-		if v < 0 {
-			v = -v
-		}
-		if v > absMax {
-			absMax = v
-		}
-	}
+	mn, mx := kernels.RangeF32(data)
+	absMax := max(-mn, mx)
 	if absMax == 0 {
 		absMax = 1 // all-zero tensor: any scale works; avoid div by zero
 	}
@@ -54,15 +49,7 @@ func SymmetricParams(data []float32, bits int) QParams {
 // point. Used for activations (e.g. post-GELU distributions are skewed).
 func AsymmetricParams(data []float32, bits int) QParams {
 	lo, hi := qRange(bits)
-	mn, mx := float32(0), float32(0) // ranges always include 0
-	for _, v := range data {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
+	mn, mx := kernels.RangeF32(data) // ranges always include 0
 	if mx == mn {
 		mx = mn + 1
 	}
@@ -96,15 +83,9 @@ func PercentileParams(data []float32, bits int, pct float64) QParams {
 
 // Quantize maps x to its integer representation under qp.
 func (qp QParams) Quantize(x float32) int8 {
-	lo, hi := qRange(qp.Bits)
-	q := int32(math.Round(float64(x)/float64(qp.Scale))) + qp.Zero
-	if q < lo {
-		q = lo
-	}
-	if q > hi {
-		q = hi
-	}
-	return int8(q)
+	var q [1]int8
+	qp.QuantizeSlice(q[:], []float32{x})
+	return q[0]
 }
 
 // Dequantize maps an integer representation back to float.
@@ -112,23 +93,15 @@ func (qp QParams) Dequantize(q int8) float32 {
 	return float32(int32(q)-qp.Zero) * qp.Scale
 }
 
-// QuantizeSlice quantizes src into dst (must be same length).
+// QuantizeSlice quantizes src into dst (must be same length) by the one
+// rounding rule of the package, kernels.QuantizeI8: a float32 division by
+// Scale, round to nearest even, add Zero, clamp.
 func (qp QParams) QuantizeSlice(dst []int8, src []float32) {
 	if len(dst) != len(src) {
 		panic("quant: QuantizeSlice length mismatch")
 	}
 	lo, hi := qRange(qp.Bits)
-	inv := 1 / float64(qp.Scale)
-	for i, v := range src {
-		q := int32(math.Round(float64(v)*inv)) + qp.Zero
-		if q < lo {
-			q = lo
-		}
-		if q > hi {
-			q = hi
-		}
-		dst[i] = int8(q)
-	}
+	kernels.QuantizeI8(dst, src, qp.Scale, qp.Zero, lo, hi)
 }
 
 // MaxAbsError returns the worst-case round-trip error bound for qp:

@@ -131,15 +131,6 @@ func (p lnParams) applyInto(y, x *tensor.Tensor) {
 	}
 }
 
-func gelu(v float32) float32 {
-	fv := float64(v)
-	return float32(0.5 * fv * (1 + math.Tanh(0.7978845608028654*(fv+0.044715*fv*fv*fv))))
-}
-
-func geluApply(x *tensor.Tensor) *tensor.Tensor {
-	return tensor.Apply(x, gelu)
-}
-
 // qBlock is one quantized transformer block.
 type qBlock struct {
 	ln1        lnParams
@@ -190,29 +181,13 @@ func (qm *Model) applyLNInto(dst *tensor.Tensor, p lnParams, x *tensor.Tensor) {
 	p.applyInto(dst, x)
 }
 
-// softmaxRows runs a row softmax with exact or approximate exponentials.
-func (qm *Model) softmaxRows(x *tensor.Tensor) *tensor.Tensor {
-	if qm.approxVector {
-		return approx.SoftmaxRows(x)
-	}
-	return tensor.SoftmaxRows(x)
-}
-
 // softmaxRowsInPlace overwrites x with its row softmax.
 func (qm *Model) softmaxRowsInPlace(x *tensor.Tensor) {
 	if qm.approxVector {
 		copy(x.Data, approx.SoftmaxRows(x).Data)
 		return
 	}
-	tensor.SoftmaxRowsInto(x, x)
-}
-
-// applyGELU runs the activation with exact or approximate math.
-func (qm *Model) applyGELU(x *tensor.Tensor) *tensor.Tensor {
-	if qm.approxVector {
-		return tensor.Apply(x, approx.GELU)
-	}
-	return geluApply(x)
+	x.SoftmaxRowsF32()
 }
 
 // applyGELUInPlace overwrites x with the activation.
@@ -221,7 +196,7 @@ func (qm *Model) applyGELUInPlace(x *tensor.Tensor) {
 		x.ApplyInPlace(approx.GELU)
 		return
 	}
-	x.ApplyInPlace(gelu)
+	tensor.GELUF32Into(x, x)
 }
 
 // SetStatic installs calibrated activation parameters (from Calibrate).
@@ -300,12 +275,14 @@ func FromViT(m *vit.Model, qc Config) (*Model, error) {
 // input xn (B*T, Dim), writing the projected output into dst (B*T, Dim).
 // blk is the block index (for static site lookup).
 //
-// The (batch × heads) loop is tiled across the shared worker pool; each tile
-// stages its head slices, on-the-fly key/value quantizations, and score
-// matrix in pooled scratch, so the steady-state path performs no per-head
-// allocation. The score and context products always use dynamic per-head
-// weight quantization — those "weights" are activations, so no calibrated
-// static parameters exist for them.
+// The (batch × heads) loop goes through tensor.ParallelFor with the two
+// products' multiply-adds per head, so it is cut into tiles only when a
+// batch makes each worth a fork; a tile stages its head slices, on-the-fly
+// key/value quantizations, and score matrix in pooled scratch, so the
+// steady-state path performs no per-head allocation. The score and context
+// products always use dynamic per-head weight quantization — those
+// "weights" are activations, so no calibrated static parameters exist for
+// them.
 func (qm *Model) attentionInto(dst *tensor.Tensor, blk int, b qBlock, xn *tensor.Tensor) {
 	ab := qm.QC.actBits()
 	d := qm.Cfg.Dim
@@ -318,13 +295,16 @@ func (qm *Model) attentionInto(dst *tensor.Tensor, blk int, b qBlock, xn *tensor
 	b.qkv.forwardWithInto(qkv, xn, qm.siteQP(func(s *StaticParams) QParams { return s.Blocks[blk].QKVIn }), ab)
 	out := tensor.GetScratchNoZero(rows, d)
 	scale := float32(1 / math.Sqrt(float64(dh)))
-	tensor.ParallelFor(batch*h, 1, func(lo, hi int) {
+	tensor.ParallelFor(batch*h, 2*t*t*dh, func(lo, hi int) {
 		qh := tensor.GetScratchNoZero(t, dh)
 		kh := tensor.GetScratchNoZero(t, dh)
 		vt := tensor.GetScratchNoZero(dh, t)
 		scores := tensor.GetScratchNoZero(t, t)
 		kw := getQW(t, dh, qm.QC.Bits, qm.QC.PerChannel)
 		vw := getQW(dh, t, qm.QC.Bits, qm.QC.PerChannel)
+		// One staging serves both products of every head in the tile:
+		// (t, dh) codes into (t, t) sums, then (t, t) into (t, dh).
+		st := getStaging(t*max(t, dh), t*max(t, dh))
 		for u := lo; u < hi; u++ {
 			bi, hd := u/h, u%h
 			for ti := 0; ti < t; ti++ {
@@ -339,18 +319,19 @@ func (qm *Model) attentionInto(dst *tensor.Tensor, blk int, b qBlock, xn *tensor
 			}
 			// scores = qh @ khᵀ, integer GEMM with kh as per-row weights.
 			quantizeWeightInto(kw, kh.Data, qm.QC.PerChannel)
-			LinearInto(scores, qh, *kw, nil, ab)
+			st.linear(scores, qh, *kw, nil, ab)
 			scores.ScaleInPlace(scale)
 			qm.softmaxRowsInPlace(scores)
 			// context = p @ vh = p @ (vhᵀ)ᵀ; qh's values are dead, reuse it
 			// as the (t, dh) context destination.
 			quantizeWeightInto(vw, vt.Data, qm.QC.PerChannel)
-			LinearInto(qh, scores, *vw, nil, ab)
+			st.linear(qh, scores, *vw, nil, ab)
 			for ti := 0; ti < t; ti++ {
 				o := out.Data[(bi*t+ti)*d+hd*dh:]
 				copy(o[:dh], qh.Data[ti*dh:(ti+1)*dh])
 			}
 		}
+		stagingPool.Put(st)
 		putQW(kw, vw)
 		tensor.PutScratch(qh, kh, vt, scores)
 	})

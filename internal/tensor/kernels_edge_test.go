@@ -25,7 +25,7 @@ var edgeShapes = []struct{ m, k, n int }{
 	{3, 500, 7},   // short-wide, long inner dim
 	{64, 64, 64},  // tile-aligned
 	{65, 66, 67},  // tile-aligned plus one
-	{128, 96, 80}, // crosses parallelThreshold
+	{300, 96, 80}, // two tiles of minTileWork: forks at width 2 and up
 }
 
 func randMat(rng *rand.Rand, r, c int) *Tensor {
@@ -147,16 +147,17 @@ func TestOuterEdgeShapes(t *testing.T) {
 
 func TestParallelForCoversRangeOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 17, 100, 1000} {
-		for _, grain := range []int{1, 4, 7, 64} {
+		// Work per index from "every index its own tile" down to "one tile".
+		for _, work := range []int{minTileWork, minTileWork / 4, minTileWork / 7, minTileWork / 64, 1, 0} {
 			hits := make([]int32, n)
-			ParallelFor(n, grain, func(lo, hi int) {
+			ParallelFor(n, work, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
 				}
 			})
 			for i, h := range hits {
 				if h != 1 {
-					t.Fatalf("n=%d grain=%d: index %d visited %d times", n, grain, i, h)
+					t.Fatalf("n=%d work=%d: index %d visited %d times", n, work, i, h)
 				}
 			}
 		}
@@ -168,9 +169,9 @@ func TestParallelForCoversRangeOnce(t *testing.T) {
 // parallelize).
 func TestParallelForNested(t *testing.T) {
 	var total atomic.Int64
-	ParallelFor(8, 1, func(lo, hi int) {
+	ParallelFor(8, minTileWork, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ParallelFor(100, 10, func(ilo, ihi int) {
+			ParallelFor(100, minTileWork/10, func(ilo, ihi int) {
 				total.Add(int64(ihi - ilo))
 			})
 		}
@@ -189,7 +190,7 @@ func forceWidth(t *testing.T) {
 	}
 }
 
-// TestParallelForNestedStress nests three deep with grains of 1 under 8
+// TestParallelForNestedStress nests three deep with a tile per index under 8
 // concurrent outer callers: every level competes for the same helper slots,
 // so calls at every depth see both the forked and the inline path. Each
 // index triple must be visited exactly once per caller and every slot must
@@ -203,11 +204,11 @@ func TestParallelForNestedStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			hits := make([]int32, a*b*c)
-			ParallelFor(a, 1, func(lo, hi int) {
+			ParallelFor(a, minTileWork, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					ParallelFor(b, 1, func(jlo, jhi int) {
+					ParallelFor(b, minTileWork, func(jlo, jhi int) {
 						for j := jlo; j < jhi; j++ {
-							ParallelFor(c, 1, func(klo, khi int) {
+							ParallelFor(c, minTileWork, func(klo, khi int) {
 								for k := klo; k < khi; k++ {
 									atomic.AddInt32(&hits[(i*b+j)*c+k], 1)
 								}
@@ -238,7 +239,7 @@ func TestParallelForNoFreeSlotRunsInline(t *testing.T) {
 	helpers.Add(taken)
 	defer helpers.Add(-taken)
 	calls := 0 // unsynchronized on purpose: -race flags any helper goroutine
-	ParallelFor(100, 1, func(lo, hi int) {
+	ParallelFor(100, minTileWork, func(lo, hi int) {
 		calls++
 		if lo != 0 || hi != 100 {
 			t.Errorf("inline tile = [%d,%d), want [0,100)", lo, hi)
@@ -262,12 +263,12 @@ func TestParallelForForkAllocs(t *testing.T) {
 	fn := func(lo, hi int) { sink.Add(int64(hi - lo)) }
 	const runs = 200
 	for i := 0; i < 20; i++ { // warm the runtime's free goroutine list
-		ParallelFor(64, 1, fn)
+		ParallelFor(64, minTileWork, fn)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		ParallelFor(64, 1, fn)
+		ParallelFor(64, minTileWork, fn)
 	}
 	runtime.ReadMemStats(&after)
 	if per := float64(after.Mallocs-before.Mallocs) / runs; per > 3 {

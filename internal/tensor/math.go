@@ -3,6 +3,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+
+	"itask/internal/kernels"
 )
 
 // Add returns t+u elementwise as a new tensor.
@@ -301,6 +303,28 @@ func SoftmaxRowsInto(out, t *Tensor) {
 			o[j] *= inv
 		}
 	}
+}
+
+// SoftmaxRowsF32 overwrites each row of an (R,C) matrix with its softmax
+// computed by the float32 kernel (kernels.SoftmaxF32, within 2 ulp per
+// exponential of the float64 one): the inference paths' softmax. Training
+// and the losses keep SoftmaxRows.
+func (t *Tensor) SoftmaxRowsF32() {
+	if len(t.Shape) != 2 {
+		panic("tensor: SoftmaxRowsF32 on non-matrix")
+	}
+	c := t.Shape[1]
+	for i := 0; i < t.Shape[0]; i++ {
+		kernels.SoftmaxF32(t.Data[i*c : (i+1)*c])
+	}
+}
+
+// GELUF32Into writes the tanh-approximated GELU of t into out (same shape;
+// out == t works in place) with the float32 kernel (kernels.GELUF32): the
+// inference paths' activation.
+func GELUF32Into(out, t *Tensor) {
+	mustSameShape("GELUF32Into", out, t)
+	kernels.GELUF32(out.Data, t.Data)
 }
 
 // LogSumExpRows returns, for each row of an (R,C) matrix, log(sum(exp(row))),

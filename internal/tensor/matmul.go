@@ -7,43 +7,21 @@ import (
 )
 
 // GEMM family. All three product forms (MatMul, MatMulT, TMatMul) share one
-// structure: the output rows are split into tiles and dispatched onto the
-// persistent worker pool (pool.go), and each tile runs a register-tiled
-// kernel built from the fused dot/axpy micro-kernels in internal/kernels —
-// a 4-wide k-unroll (Axpy4) for the row-streaming forms and a 4-wide
-// n-unroll (Dot4) for the transposed form. The kernels are dense: there is
-// deliberately no zero-skip branch (a data-dependent branch in the inner
-// loop defeats both the hardware prefetcher and the SIMD micro-kernels, and
-// none of the call sites feed provably sparse operands).
-
-// parallelThreshold is the matrix size (in multiply-adds) above which a
-// product is spread across the worker pool. Below it dispatch overhead
-// dominates and tiles run inline on the caller.
-const parallelThreshold = 1 << 16
-
-// dispatchRows is the shared tile dispatcher: it runs fn over row range
-// [0,m) either inline (small products) or tiled across the worker pool,
-// with tile grain sized for ~2 tiles per worker so the pool's tile stealing
-// can rebalance uneven progress.
-func dispatchRows(m, work int, fn func(lo, hi int)) {
-	if work < parallelThreshold || m < 2 {
-		fn(0, m)
-		return
-	}
-	grain := m / (2 * Workers())
-	// Round to a multiple of 4 so tiles align with the 4-row micro-kernels.
-	grain = (grain + 3) &^ 3
-	if grain < 4 {
-		grain = 4
-	}
-	ParallelFor(m, grain, fn)
-}
+// structure: the output rows are handed to ParallelFor with the multiply-adds
+// one row carries, which cuts them into tiles only when each tile is worth a
+// fork (pool.go), and each tile runs a register-tiled kernel built from the
+// fused dot/axpy micro-kernels in internal/kernels — a 4-wide k-unroll
+// (Axpy4) for the row-streaming forms and a 4-wide n-unroll (Dot4) for the
+// transposed form. The kernels are dense: there is deliberately no zero-skip
+// branch (a data-dependent branch in the inner loop defeats both the
+// hardware prefetcher and the SIMD micro-kernels, and none of the call sites
+// feed provably sparse operands).
 
 // MatMul returns a @ b for a (M,K) matrix a and (K,N) matrix b.
 func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := mmDims(a, b)
 	out := New(m, n)
-	dispatchRows(m, m*k*n, func(lo, hi int) {
+	ParallelFor(m, k*n, func(lo, hi int) {
 		matMulRows(out.Data, a.Data, b.Data, lo, hi, k, n)
 	})
 	return out
@@ -56,7 +34,7 @@ func MatMulInto(out, a, b *Tensor) {
 	if len(out.Shape) != 2 || out.Shape[0] != m || out.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulInto out shape %v, want (%d,%d)", out.Shape, m, n))
 	}
-	dispatchRows(m, m*k*n, func(lo, hi int) {
+	ParallelFor(m, k*n, func(lo, hi int) {
 		matMulRows(out.Data, a.Data, b.Data, lo, hi, k, n)
 	})
 }
@@ -99,7 +77,7 @@ func matMulRows(out, a, b []float32, lo, hi, k, n int) {
 func MatMulT(a, b *Tensor) *Tensor {
 	m, k, n := mmtDims(a, b)
 	out := New(m, n)
-	dispatchRows(m, m*k*n, func(lo, hi int) {
+	ParallelFor(m, k*n, func(lo, hi int) {
 		matMulTRows(out.Data, a.Data, b.Data, lo, hi, k, n)
 	})
 	return out
@@ -112,7 +90,7 @@ func MatMulTInto(out, a, b *Tensor) {
 	if len(out.Shape) != 2 || out.Shape[0] != m || out.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTInto out shape %v, want (%d,%d)", out.Shape, m, n))
 	}
-	dispatchRows(m, m*k*n, func(lo, hi int) {
+	ParallelFor(m, k*n, func(lo, hi int) {
 		matMulTRows(out.Data, a.Data, b.Data, lo, hi, k, n)
 	})
 }
@@ -150,7 +128,7 @@ func matMulTRows(out, a, b []float32, lo, hi, k, n int) {
 func TMatMul(a, b *Tensor) *Tensor {
 	k, m, n := tmmDims(a, b)
 	out := New(m, n)
-	dispatchRows(m, m*k*n, func(lo, hi int) {
+	ParallelFor(m, k*n, func(lo, hi int) {
 		tMatMulRows(out.Data, a.Data, b.Data, lo, hi, k, m, n)
 	})
 	return out
@@ -163,7 +141,7 @@ func TMatMulInto(out, a, b *Tensor) {
 	if len(out.Shape) != 2 || out.Shape[0] != m || out.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: TMatMulInto out shape %v, want (%d,%d)", out.Shape, m, n))
 	}
-	dispatchRows(m, m*k*n, func(lo, hi int) {
+	ParallelFor(m, k*n, func(lo, hi int) {
 		tMatMulRows(out.Data, a.Data, b.Data, lo, hi, k, m, n)
 	})
 }
@@ -224,7 +202,7 @@ func MatVecInto(out, a, x *Tensor) {
 // matVecInto computes out = a @ x four rows at a time (the vector is loaded
 // once per 4-row block), parallelized across row tiles for large matrices.
 func matVecInto(out, a, x []float32, m, n int) {
-	dispatchRows(m, m*n, func(lo, hi int) {
+	ParallelFor(m, n, func(lo, hi int) {
 		i := lo
 		for ; i+4 <= hi; i += 4 {
 			out[i], out[i+1], out[i+2], out[i+3] =
@@ -262,7 +240,7 @@ func OuterInto(out, x, y *Tensor) {
 // outerInto writes x ⊗ y four rows at a time (each pass over y fills four
 // output rows), parallelized across row tiles for large products.
 func outerInto(out, x, y []float32, m, n int) {
-	dispatchRows(m, m*n, func(lo, hi int) {
+	ParallelFor(m, n, func(lo, hi int) {
 		i := lo
 		for ; i+4 <= hi; i += 4 {
 			r0 := out[i*n : (i+1)*n]

@@ -63,11 +63,11 @@ func TestMatMulMatchesNaiveProperty(t *testing.T) {
 }
 
 func TestMatMulParallelPath(t *testing.T) {
-	// Large enough to exceed parallelThreshold and exercise the goroutine
-	// splitting; verify against the naive kernel.
+	// More than two tiles of minTileWork, so the rows are split across
+	// goroutines at width 2 and up; verify against the naive kernel.
 	rng := NewRNG(3)
-	a := Randn(rng, 1, 64, 48)
-	b := Randn(rng, 1, 48, 40)
+	a := Randn(rng, 1, 640, 48)
+	b := Randn(rng, 1, 48, 80)
 	if !MatMul(a, b).AllClose(matMulNaive(a, b), 1e-3, 1e-3) {
 		t.Error("parallel MatMul diverges from naive reference")
 	}
@@ -86,7 +86,7 @@ func TestMatMulT(t *testing.T) {
 
 func TestMatMulTParallelPath(t *testing.T) {
 	rng := NewRNG(41)
-	a := Randn(rng, 1, 80, 64)
+	a := Randn(rng, 1, 640, 64)
 	b := Randn(rng, 1, 72, 64)
 	got := MatMulT(a, b)
 	want := matMulNaive(a, b.Transpose())

@@ -3,6 +3,7 @@ package vit
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"itask/internal/geom"
@@ -123,6 +124,65 @@ func TestModelDeterministicForward(t *testing.T) {
 	f2 := m2.Forward(p, false)
 	if !f1.Equal(f2) {
 		t.Error("same seed must give identical models and outputs")
+	}
+}
+
+// detBits runs the inference forward and detection head on a batch and
+// returns the head's output bits, one (Tokens × DetWidth) block per image.
+func detBits(m *Model, imgs []*tensor.Tensor) []uint32 {
+	out := m.DetHead(m.Forward(Patchify(m.Cfg, imgs), false), false)
+	bits := make([]uint32, len(out.Data))
+	for i, v := range out.Data {
+		bits[i] = math.Float32bits(v)
+	}
+	return bits
+}
+
+func sameBits(a, b []uint32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBatchRowsDoNotInteract: the float student answers a frame with the
+// same bits alone and as any row of a batch (the serve tier coalesces
+// whatever queued, and the load driver's oracle holds the student to its
+// lone answer exactly), and a batch with the same bits at every width —
+// 64 images, so that the GEMMs are cut into tiles at widths 2 and 4.
+func TestBatchRowsDoNotInteract(t *testing.T) {
+	cfg := Config{
+		ImageSize: 32, Channels: 3, PatchSize: 8,
+		Dim: 32, Depth: 2, Heads: 4, MLPRatio: 2, Classes: 5,
+	}
+	rng := tensor.NewRNG(33)
+	m := New(cfg, rng)
+	imgs := make([]*tensor.Tensor, 64)
+	for i := range imgs {
+		imgs[i] = tensor.Randn(rng, 0.5, 3, 32, 32)
+	}
+	per := cfg.Tokens() * cfg.DetWidth()
+	for _, batch := range []int{2, 3, 8} {
+		together := detBits(m, imgs[:batch])
+		for i := 0; i < batch; i++ {
+			if !sameBits(detBits(m, imgs[i:i+1]), together[i*per:(i+1)*per]) {
+				t.Fatalf("image %d answers differently alone and as row %d of a batch of %d", i, i, batch)
+			}
+		}
+	}
+	want := detBits(m, imgs)
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := detBits(m, imgs)
+		runtime.GOMAXPROCS(prev)
+		if !sameBits(got, want) {
+			t.Fatalf("GOMAXPROCS=%d: a batch of 64 answers differently than at the host's width", procs)
+		}
 	}
 }
 

@@ -155,7 +155,16 @@ type Pipeline struct {
 
 	reg       *registry.Registry
 	scheduler *sched.Scheduler
+
+	// accelCosts[kind] is that configuration's simulated accelerator cost,
+	// batch size → accelCost, filled on first use; a request reads it
+	// without a lock.
+	accelCosts [2]sync.Map
 }
+
+// accelCost is the per-image cost hwsim reports for one configuration at
+// one batch size.
+type accelCost struct{ latencyUS, energyUJ float64 }
 
 // New creates a pipeline. Call TrainGeneralist before Detect.
 func New(opts Options) *Pipeline {
@@ -551,18 +560,31 @@ func (p *Pipeline) filterByPriors(ts *taskState, raw []geom.Scored) []Detection 
 // modelInfo builds the simulated accelerator cost report for an inference
 // served by `model` at the given micro-batch size (per-image figures).
 func (p *Pipeline) modelInfo(model *sched.Model, batch int) ModelInfo {
-	cfg := p.opts.TeacherCfg
-	if model.Kind == sched.TaskSpecific {
-		cfg = p.opts.StudentCfg
-	}
-	rep := hwsim.SimulateAccelBatch(p.opts.Accel, cfg, batch)
+	cost := p.accelCost(model.Kind == sched.TaskSpecific, batch)
 	return ModelInfo{
 		Name:      model.Name,
 		Kind:      model.Kind.String(),
 		Artifact:  model.ID.String(),
-		LatencyUS: rep.LatencyUS,
-		EnergyUJ:  rep.TotalUJ,
+		LatencyUS: cost.latencyUS,
+		EnergyUJ:  cost.energyUJ,
 	}
+}
+
+// accelCost returns hwsim.SimulateAccelBatch's figures for the student or
+// the generalist configuration at a batch size. The simulation is a pure
+// function of the pipeline's options and the batch size, so each pair is
+// simulated on first use and read from the table after that.
+func (p *Pipeline) accelCost(student bool, batch int) accelCost {
+	cfg, table := p.opts.TeacherCfg, &p.accelCosts[0]
+	if student {
+		cfg, table = p.opts.StudentCfg, &p.accelCosts[1]
+	}
+	cost, ok := table.Load(batch)
+	if !ok {
+		rep := hwsim.SimulateAccelBatch(p.opts.Accel, cfg, batch)
+		cost, _ = table.LoadOrStore(batch, accelCost{latencyUS: rep.LatencyUS, energyUJ: rep.TotalUJ})
+	}
+	return cost.(accelCost)
 }
 
 // ValidateImage checks that img is a well-formed model input — a (3,S,S)

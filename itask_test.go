@@ -7,6 +7,7 @@ import (
 	"itask/internal/dataset"
 	"itask/internal/eval"
 	"itask/internal/geom"
+	"itask/internal/hwsim"
 	"itask/internal/registry"
 	"itask/internal/scene"
 	"itask/internal/tensor"
@@ -262,4 +263,32 @@ func TestHardwareComparisonShape(t *testing.T) {
 	if c.EnergyReductionVsGPU <= 0 {
 		t.Errorf("accelerator should save energy: %v", c.EnergyReductionVsGPU)
 	}
+}
+
+// TestAccelCostIsTheSimulation: the cached per-(configuration, batch) cost
+// is hwsim's own figure, on the first use and on every later one, from any
+// number of goroutines.
+func TestAccelCostIsTheSimulation(t *testing.T) {
+	p := New(fastOptions())
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, batch := range []int{3, 1, 8, 3, 2, 8} {
+				for _, student := range []bool{false, true} {
+					cfg := p.opts.TeacherCfg
+					if student {
+						cfg = p.opts.StudentCfg
+					}
+					want := hwsim.SimulateAccelBatch(p.opts.Accel, cfg, batch)
+					if got := p.accelCost(student, batch); got.latencyUS != want.LatencyUS || got.energyUJ != want.TotalUJ {
+						t.Errorf("student=%v batch=%d: cached cost %+v, simulation says %v µs %v µJ",
+							student, batch, got, want.LatencyUS, want.TotalUJ)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
