@@ -44,7 +44,7 @@
 // Usage:
 //
 //	itask-serve [-addr :8080] [-models dir] [-students] \
-//	            [-workers 2] [-max-batch 8] \
+//	            [-workers GOMAXPROCS] [-max-batch 8] \
 //	            [-queue-cap 256] [-timeout 0] \
 //	            [-watchdog 10s] [-retry-budget 3] \
 //	            [-breaker-threshold 5] [-breaker-backoff 500ms] [-slo 0] \
@@ -113,7 +113,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	models := flag.String("models", "", "load teacher.ckpt from this directory (itask-train output) instead of training")
 	students := flag.Bool("students", false, "distill a task-specific student per standard task (slow)")
-	workers := flag.Int("workers", def.Workers, "inference worker goroutines")
+	workers := flag.Int("workers", def.Workers, "inference worker goroutines, the shard's compute width (every kernel runs on its worker; default GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", def.MaxBatch, "micro-batch size cap (below it, a batch is what queued while the workers were busy)")
 	queueCap := flag.Int("queue-cap", 256, "admission queue bound (beyond it: HTTP 429)")
 	timeout := flag.Duration("timeout", 0, "default per-request deadline (0 = none)")

@@ -358,9 +358,15 @@ type countWriter struct {
 	n *atomic.Uint64
 }
 
+// Write counts b before writing it: once the bytes land, the peer can read
+// them (and the echo of them) and call Stats before Write returns here. A
+// short write takes back what did not go.
 func (c *countWriter) Write(b []byte) (int, error) {
+	c.n.Add(uint64(len(b)))
 	n, err := c.w.Write(b)
-	c.n.Add(uint64(n))
+	if n < len(b) {
+		c.n.Add(-uint64(len(b) - n))
+	}
 	return n, err
 }
 

@@ -67,9 +67,8 @@ func headSliceAdd(dst *tensor.Tensor, blk *tensor.Tensor, row0, t, c0, dh, w int
 // In training mode the per-head probability matrices (and q/k/v) are cached
 // on the layer for Backward and attention-rollout saliency, so they are
 // allocated normally. In inference mode nothing survives the call: every
-// intermediate comes from the tensor scratch arena, and the (batch × heads)
-// loop goes through tensor.ParallelFor with the two products' multiply-adds
-// per head, which cuts it into tiles only when each is worth a fork.
+// intermediate comes from the tensor scratch arena, taken once for the whole
+// (batch × heads) loop.
 func (a *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkRank("MHSA.Forward", x, 2)
 	rows := x.Shape[0]
@@ -88,17 +87,16 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 	a.QKV.ForwardInto(qkv, x)
 	out := tensor.GetScratchNoZero(rows, d)
 
-	// Each (batch, head) pair reads a disjoint column band of qkv and writes
-	// a disjoint (T,dh) block of out, so tiles are race-free. Head slices are
-	// copied out of the packed qkv directly (no intermediate q/k/v split).
-	tensor.ParallelFor(b*a.Heads, 2*a.Tokens*a.Tokens*dh, func(lo, hi int) {
-		qh := tensor.GetScratchNoZero(a.Tokens, dh)
-		kh := tensor.GetScratchNoZero(a.Tokens, dh)
-		vh := tensor.GetScratchNoZero(a.Tokens, dh)
-		scores := tensor.GetScratchNoZero(a.Tokens, a.Tokens)
-		for u := lo; u < hi; u++ {
-			bi, h := u/a.Heads, u%a.Heads
-			row0 := bi * a.Tokens
+	// Head slices are copied out of the packed qkv directly (no intermediate
+	// q/k/v split); each (batch, head) pair writes a disjoint (T,dh) block of
+	// out.
+	qh := tensor.GetScratchNoZero(a.Tokens, dh)
+	kh := tensor.GetScratchNoZero(a.Tokens, dh)
+	vh := tensor.GetScratchNoZero(a.Tokens, dh)
+	scores := tensor.GetScratchNoZero(a.Tokens, a.Tokens)
+	for bi := 0; bi < b; bi++ {
+		row0 := bi * a.Tokens
+		for h := 0; h < a.Heads; h++ {
 			c0 := h * dh
 			for i := 0; i < a.Tokens; i++ {
 				src := qkv.Data[(row0+i)*3*d : (row0+i+1)*3*d]
@@ -116,8 +114,8 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 				copy(out.Data[(row0+i)*d+c0:(row0+i)*d+c0+dh], qh.Data[i*dh:(i+1)*dh])
 			}
 		}
-		tensor.PutScratch(qh, kh, vh, scores)
-	})
+	}
+	tensor.PutScratch(qh, kh, vh, scores)
 
 	y := a.Proj.Forward(out, false)
 	tensor.PutScratch(qkv, out)

@@ -128,10 +128,9 @@ func GEMM(qa QActivation, qw QWeight, bias []float32, out *tensor.Tensor) {
 	stagingPool.Put(st)
 }
 
-// gemmInto is GEMM with the int32 accumulator, (Rows × Out), supplied.
-// Activation rows are cut into tiles only when each is worth a fork
-// (tensor.ParallelFor); the layers of both serving models up to a batch of 8
-// are one tile, run directly with no closure built for it.
+// gemmInto is GEMM with the int32 accumulator, (Rows × Out), supplied: one
+// call of the row-panel int8 GEMM kernel into acc and one of the
+// dequantizing epilogue out of it.
 func gemmInto(out *tensor.Tensor, qa *QActivation, qw QWeight, bias []float32, acc []int32) {
 	if qa.Cols != qw.In {
 		panic(fmt.Sprintf("quant: GEMM inner dim %d vs %d", qa.Cols, qw.In))
@@ -142,23 +141,8 @@ func gemmInto(out *tensor.Tensor, qa *QActivation, qw QWeight, bias []float32, a
 	if bias != nil && len(bias) != qw.Out {
 		panic("quant: GEMM bias length mismatch")
 	}
-	work := qa.Cols * qw.Out
-	if !tensor.Forks(qa.Rows, work) {
-		gemmTile(out.Data, acc, qa, qw, bias, 0, qa.Rows)
-		return
-	}
-	tensor.ParallelFor(qa.Rows, work, func(lo, hi int) {
-		gemmTile(out.Data, acc, qa, qw, bias, lo, hi)
-	})
-}
-
-// gemmTile computes activation rows [lo,hi): one call of the row-panel int8
-// GEMM kernel into those rows of acc and one of the dequantizing epilogue
-// out of them.
-func gemmTile(out []float32, acc []int32, qa *QActivation, qw QWeight, bias []float32, lo, hi int) {
-	k, n := qa.Cols, qw.Out
-	kernels.GemmI8(acc[lo*n:hi*n], qa.Q[lo*k:hi*k], qw.Q, hi-lo, k, n)
-	kernels.DequantI8(out[lo*n:hi*n], acc[lo*n:hi*n], qw.RowSums, qw.Scales, bias, hi-lo, n, qa.QP.Scale, qa.QP.Zero)
+	kernels.GemmI8(acc, qa.Q, qw.Q, qa.Rows, qa.Cols, qw.Out)
+	kernels.DequantI8(out.Data, acc, qw.RowSums, qw.Scales, bias, qa.Rows, qw.Out, qa.QP.Scale, qa.QP.Zero)
 }
 
 // Linear runs a full dynamically-quantized linear layer: quantize x, integer
@@ -209,7 +193,7 @@ type staging struct {
 }
 
 // linear is LinearInto through staging the caller holds, sized for the
-// layer (getStaging) — attention takes one per tile for all its heads'
+// layer (getStaging) — attention takes one per call for all its heads'
 // products instead of a pool round trip per product.
 func (st *staging) linear(out, x *tensor.Tensor, qw QWeight, bias []float32, actBits int) {
 	QuantizeActivationInto(&st.qa, x, actBits)

@@ -359,9 +359,10 @@ func TestClsHeadShape(t *testing.T) {
 }
 
 // TestDetectBatchIdenticalAtEveryWidth: the trunk's bits and the detections
-// decoded from them do not depend on how many cores ran the batch — here a
-// batch of 64, large enough that its GEMMs are cut into tiles at widths 2
-// and 4 and run inline at 1.
+// decoded from them do not depend on how many cores the process has — here a
+// batch of 64 at widths 1, 2 and 4. Every kernel runs on its caller, so this
+// guards against a width-dependent kernel (a split of the work, a grain
+// sized by GOMAXPROCS) coming back.
 func TestDetectBatchIdenticalAtEveryWidth(t *testing.T) {
 	cfg := vit.Config{
 		ImageSize: 32, Channels: 3, PatchSize: 8,

@@ -275,12 +275,10 @@ func FromViT(m *vit.Model, qc Config) (*Model, error) {
 // input xn (B*T, Dim), writing the projected output into dst (B*T, Dim).
 // blk is the block index (for static site lookup).
 //
-// The (batch × heads) loop goes through tensor.ParallelFor with the two
-// products' multiply-adds per head, so it is cut into tiles only when a
-// batch makes each worth a fork; a tile stages its head slices, on-the-fly
-// key/value quantizations, and score matrix in pooled scratch, so the
-// steady-state path performs no per-head allocation. The score and context
-// products always use dynamic per-head weight quantization — those
+// The (batch × heads) loop stages its head slices, on-the-fly key/value
+// quantizations, and score matrix in pooled scratch taken once per call, so
+// the steady-state path performs no per-head allocation. The score and
+// context products always use dynamic per-head weight quantization — those
 // "weights" are activations, so no calibrated static parameters exist for
 // them.
 func (qm *Model) attentionInto(dst *tensor.Tensor, blk int, b qBlock, xn *tensor.Tensor) {
@@ -295,18 +293,17 @@ func (qm *Model) attentionInto(dst *tensor.Tensor, blk int, b qBlock, xn *tensor
 	b.qkv.forwardWithInto(qkv, xn, qm.siteQP(func(s *StaticParams) QParams { return s.Blocks[blk].QKVIn }), ab)
 	out := tensor.GetScratchNoZero(rows, d)
 	scale := float32(1 / math.Sqrt(float64(dh)))
-	tensor.ParallelFor(batch*h, 2*t*t*dh, func(lo, hi int) {
-		qh := tensor.GetScratchNoZero(t, dh)
-		kh := tensor.GetScratchNoZero(t, dh)
-		vt := tensor.GetScratchNoZero(dh, t)
-		scores := tensor.GetScratchNoZero(t, t)
-		kw := getQW(t, dh, qm.QC.Bits, qm.QC.PerChannel)
-		vw := getQW(dh, t, qm.QC.Bits, qm.QC.PerChannel)
-		// One staging serves both products of every head in the tile:
-		// (t, dh) codes into (t, t) sums, then (t, t) into (t, dh).
-		st := getStaging(t*max(t, dh), t*max(t, dh))
-		for u := lo; u < hi; u++ {
-			bi, hd := u/h, u%h
+	qh := tensor.GetScratchNoZero(t, dh)
+	kh := tensor.GetScratchNoZero(t, dh)
+	vt := tensor.GetScratchNoZero(dh, t)
+	scores := tensor.GetScratchNoZero(t, t)
+	kw := getQW(t, dh, qm.QC.Bits, qm.QC.PerChannel)
+	vw := getQW(dh, t, qm.QC.Bits, qm.QC.PerChannel)
+	// One staging serves both products of every head: (t, dh) codes into
+	// (t, t) sums, then (t, t) into (t, dh).
+	st := getStaging(t*max(t, dh), t*max(t, dh))
+	for bi := 0; bi < batch; bi++ {
+		for hd := 0; hd < h; hd++ {
 			for ti := 0; ti < t; ti++ {
 				src := qkv.Data[(bi*t+ti)*3*d:]
 				copy(qh.Data[ti*dh:(ti+1)*dh], src[hd*dh:(hd+1)*dh])
@@ -331,10 +328,10 @@ func (qm *Model) attentionInto(dst *tensor.Tensor, blk int, b qBlock, xn *tensor
 				copy(o[:dh], qh.Data[ti*dh:(ti+1)*dh])
 			}
 		}
-		stagingPool.Put(st)
-		putQW(kw, vw)
-		tensor.PutScratch(qh, kh, vt, scores)
-	})
+	}
+	stagingPool.Put(st)
+	putQW(kw, vw)
+	tensor.PutScratch(qh, kh, vt, scores)
 	b.proj.forwardWithInto(dst, out, qm.siteQP(func(s *StaticParams) QParams { return s.Blocks[blk].ProjIn }), ab)
 	tensor.PutScratch(qkv, out)
 }

@@ -13,9 +13,10 @@ import (
 // benchBackend models the simulated accelerator: a batch costs a fixed
 // dispatch latency plus a per-image term (the weight-stationary
 // amortization batching buys), spent off-CPU like hwsim device time. The
-// per-image cost is ~10x below the real quantized pipeline's ~520µs/image
-// (BENCH_kernels.json), biasing the measurement toward serve-layer
-// overhead rather than flattering the cache.
+// 50µs per-image cost is about 4x below the real int8 forward's ≈ 200µs/image
+// (BenchmarkForward, DESIGN.md §8): a cheaper miss shrinks what a cache hit
+// saves, biasing the measurement toward serve-layer overhead rather than
+// flattering the cache.
 type benchBackend struct{}
 
 func (benchBackend) Route(string) (string, error) { return "m@v1#aa", nil }

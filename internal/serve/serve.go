@@ -63,6 +63,7 @@ import (
 
 	"itask/internal/fair"
 	"itask/internal/rcache"
+	"itask/internal/tensor"
 )
 
 // Sentinel errors returned by the admission and execution paths.
@@ -217,13 +218,14 @@ type Config struct {
 }
 
 // DefaultConfig returns a configuration sized for the laptop-scale models:
-// two workers, batches of up to 8, and the fault-tolerance layer on (10s
-// watchdog, 3 quarantine retries — enough to isolate any single poison
-// request in a batch of 8 — and breakers that open after 5 consecutive
-// failures for 500ms, backing off to 30s).
+// one worker per core (tensor.Workers: every kernel runs on its caller, so a
+// shard's compute width is its worker count), batches of up to 8, and the
+// fault-tolerance layer on (10s watchdog, 3 quarantine retries — enough to
+// isolate any single poison request in a batch of 8 — and breakers that
+// open after 5 consecutive failures for 500ms, backing off to 30s).
 func DefaultConfig() Config {
 	return Config{
-		Workers:           2,
+		Workers:           tensor.Workers(),
 		MaxBatch:          8,
 		QueueCap:          256,
 		Watchdog:          10 * time.Second,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -229,6 +230,15 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(nil, base); err == nil {
 		t.Error("New accepted nil backend")
+	}
+	// One parallelism axis: the default worker count is the compute width.
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := DefaultConfig().Workers
+		runtime.GOMAXPROCS(prev)
+		if got != procs {
+			t.Errorf("GOMAXPROCS=%d: DefaultConfig().Workers = %d, want %d", procs, got, procs)
+		}
 	}
 }
 

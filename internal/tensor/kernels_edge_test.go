@@ -2,16 +2,13 @@ package tensor
 
 import (
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
-// edgeShapes exercises the tiled kernels on dimensions that stress every
-// boundary case: degenerate 1×1, tall-skinny, short-wide, sizes that are not
-// multiples of the register tile width, and sizes large enough to cross the
-// parallel-dispatch threshold.
+// edgeShapes exercises the register-tiled kernels on dimensions that stress
+// every boundary case: degenerate 1×1, tall-skinny, short-wide, sizes that
+// are not multiples of the register tile width, and one well past any
+// serving model's GEMM.
 var edgeShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{1, 7, 1},
@@ -21,11 +18,11 @@ var edgeShapes = []struct{ m, k, n int }{
 	{4, 4, 4},
 	{7, 13, 11},
 	{17, 33, 29},
-	{257, 3, 2},   // tall-skinny
-	{3, 500, 7},   // short-wide, long inner dim
-	{64, 64, 64},  // tile-aligned
-	{65, 66, 67},  // tile-aligned plus one
-	{300, 96, 80}, // two tiles of minTileWork: forks at width 2 and up
+	{257, 3, 2},  // tall-skinny
+	{3, 500, 7},  // short-wide, long inner dim
+	{64, 64, 64}, // tile-aligned
+	{65, 66, 67}, // tile-aligned plus one
+	{300, 96, 80},
 }
 
 func randMat(rng *rand.Rand, r, c int) *Tensor {
@@ -142,137 +139,6 @@ func TestOuterEdgeShapes(t *testing.T) {
 			t.Fatalf("OuterInto differs from Outer at (%d,%d)", s.m, s.n)
 		}
 		PutScratch(out)
-	}
-}
-
-func TestParallelForCoversRangeOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 17, 100, 1000} {
-		// Work per index from "every index its own tile" down to "one tile".
-		for _, work := range []int{minTileWork, minTileWork / 4, minTileWork / 7, minTileWork / 64, 1, 0} {
-			hits := make([]int32, n)
-			ParallelFor(n, work, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("n=%d work=%d: index %d visited %d times", n, work, i, h)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelForNested verifies the fork-join cannot deadlock when parallel
-// regions nest (attention tiles dispatch GEMMs that may themselves try to
-// parallelize).
-func TestParallelForNested(t *testing.T) {
-	var total atomic.Int64
-	ParallelFor(8, minTileWork, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ParallelFor(100, minTileWork/10, func(ilo, ihi int) {
-				total.Add(int64(ihi - ilo))
-			})
-		}
-	})
-	if got := total.Load(); got != 800 {
-		t.Fatalf("nested ParallelFor covered %d of 800 elements", got)
-	}
-}
-
-// forceWidth runs the test at a parallel width of at least 4 whatever the
-// host offers, so the forked path is exercised on a single-core runner too.
-func forceWidth(t *testing.T) {
-	if prev := runtime.GOMAXPROCS(0); prev < 4 {
-		runtime.GOMAXPROCS(4)
-		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	}
-}
-
-// TestParallelForNestedStress nests three deep with a tile per index under 8
-// concurrent outer callers: every level competes for the same helper slots,
-// so calls at every depth see both the forked and the inline path. Each
-// index triple must be visited exactly once per caller and every slot must
-// be back when the callers return.
-func TestParallelForNestedStress(t *testing.T) {
-	forceWidth(t)
-	const callers, a, b, c = 8, 5, 4, 3
-	var wg sync.WaitGroup
-	for g := 0; g < callers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			hits := make([]int32, a*b*c)
-			ParallelFor(a, minTileWork, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					ParallelFor(b, minTileWork, func(jlo, jhi int) {
-						for j := jlo; j < jhi; j++ {
-							ParallelFor(c, minTileWork, func(klo, khi int) {
-								for k := klo; k < khi; k++ {
-									atomic.AddInt32(&hits[(i*b+j)*c+k], 1)
-								}
-							})
-						}
-					})
-				}
-			})
-			for idx, h := range hits {
-				if h != 1 {
-					t.Errorf("index %d visited %d times", idx, h)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if n := helpers.Load(); n != 0 {
-		t.Fatalf("%d helper slots still claimed after every call returned", n)
-	}
-}
-
-// TestParallelForNoFreeSlotRunsInline: with every helper slot taken, a call
-// covers [0,n) exactly once, as one tile, on the calling goroutine.
-func TestParallelForNoFreeSlotRunsInline(t *testing.T) {
-	forceWidth(t)
-	taken := int32(Workers() - 1)
-	helpers.Add(taken)
-	defer helpers.Add(-taken)
-	calls := 0 // unsynchronized on purpose: -race flags any helper goroutine
-	ParallelFor(100, minTileWork, func(lo, hi int) {
-		calls++
-		if lo != 0 || hi != 100 {
-			t.Errorf("inline tile = [%d,%d), want [0,100)", lo, hi)
-		}
-	})
-	if calls != 1 {
-		t.Fatalf("fn ran %d times, want once", calls)
-	}
-	if n := helpers.Load(); n != taken {
-		t.Fatalf("an inline call left the slot count at %d, want %d", n, taken)
-	}
-}
-
-// TestParallelForForkAllocs pins what a forked call costs beyond the tiles'
-// own work: the shared state and one helper closure, whatever the width.
-// (testing.AllocsPerRun pins GOMAXPROCS to 1, where nothing forks, so the
-// count is taken from MemStats.)
-func TestParallelForForkAllocs(t *testing.T) {
-	forceWidth(t)
-	var sink atomic.Int64
-	fn := func(lo, hi int) { sink.Add(int64(hi - lo)) }
-	const runs = 200
-	for i := 0; i < 20; i++ { // warm the runtime's free goroutine list
-		ParallelFor(64, minTileWork, fn)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		ParallelFor(64, minTileWork, fn)
-	}
-	runtime.ReadMemStats(&after)
-	if per := float64(after.Mallocs-before.Mallocs) / runs; per > 3 {
-		t.Fatalf("forked ParallelFor allocates %.1f objects/call, want <= 3", per)
 	}
 }
 

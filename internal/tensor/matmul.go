@@ -7,23 +7,21 @@ import (
 )
 
 // GEMM family. All three product forms (MatMul, MatMulT, TMatMul) share one
-// structure: the output rows are handed to ParallelFor with the multiply-adds
-// one row carries, which cuts them into tiles only when each tile is worth a
-// fork (pool.go), and each tile runs a register-tiled kernel built from the
-// fused dot/axpy micro-kernels in internal/kernels — a 4-wide k-unroll
-// (Axpy4) for the row-streaming forms and a 4-wide n-unroll (Dot4) for the
-// transposed form. The kernels are dense: there is deliberately no zero-skip
-// branch (a data-dependent branch in the inner loop defeats both the
-// hardware prefetcher and the SIMD micro-kernels, and none of the call sites
-// feed provably sparse operands).
+// structure: a register-tiled kernel built from the fused dot/axpy
+// micro-kernels in internal/kernels — a 4-wide k-unroll (Axpy4) for the
+// row-streaming forms and a 4-wide n-unroll (Dot4) for the transposed form —
+// runs over every output row on the calling goroutine: no product either
+// serving model computes is big enough to pay for a fork (DESIGN.md §8). The
+// kernels are dense: there is deliberately no zero-skip branch (a
+// data-dependent branch in the inner loop defeats both the hardware
+// prefetcher and the SIMD micro-kernels, and none of the call sites feed
+// provably sparse operands).
 
 // MatMul returns a @ b for a (M,K) matrix a and (K,N) matrix b.
 func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := mmDims(a, b)
 	out := New(m, n)
-	ParallelFor(m, k*n, func(lo, hi int) {
-		matMulRows(out.Data, a.Data, b.Data, lo, hi, k, n)
-	})
+	matMulRows(out.Data, a.Data, b.Data, m, k, n)
 	return out
 }
 
@@ -34,9 +32,7 @@ func MatMulInto(out, a, b *Tensor) {
 	if len(out.Shape) != 2 || out.Shape[0] != m || out.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulInto out shape %v, want (%d,%d)", out.Shape, m, n))
 	}
-	ParallelFor(m, k*n, func(lo, hi int) {
-		matMulRows(out.Data, a.Data, b.Data, lo, hi, k, n)
-	})
+	matMulRows(out.Data, a.Data, b.Data, m, k, n)
 }
 
 func mmDims(a, b *Tensor) (m, k, n int) {
@@ -49,12 +45,12 @@ func mmDims(a, b *Tensor) (m, k, n int) {
 	return a.Shape[0], a.Shape[1], b.Shape[1]
 }
 
-// matMulRows computes rows [lo,hi) of out = a @ b with an ikj loop: each
+// matMulRows computes the m rows of out = a @ b with an ikj loop: each
 // output row accumulates k axpy updates over contiguous rows of b, taken
 // four at a time so one load+store pass over the output row carries four
 // multiply-add streams. Output rows are fully overwritten.
-func matMulRows(out, a, b []float32, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
+func matMulRows(out, a, b []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
 		oi := out[i*n : (i+1)*n]
 		for j := range oi {
 			oi[j] = 0
@@ -77,9 +73,7 @@ func matMulRows(out, a, b []float32, lo, hi, k, n int) {
 func MatMulT(a, b *Tensor) *Tensor {
 	m, k, n := mmtDims(a, b)
 	out := New(m, n)
-	ParallelFor(m, k*n, func(lo, hi int) {
-		matMulTRows(out.Data, a.Data, b.Data, lo, hi, k, n)
-	})
+	matMulTRows(out.Data, a.Data, b.Data, m, k, n)
 	return out
 }
 
@@ -90,9 +84,7 @@ func MatMulTInto(out, a, b *Tensor) {
 	if len(out.Shape) != 2 || out.Shape[0] != m || out.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTInto out shape %v, want (%d,%d)", out.Shape, m, n))
 	}
-	ParallelFor(m, k*n, func(lo, hi int) {
-		matMulTRows(out.Data, a.Data, b.Data, lo, hi, k, n)
-	})
+	matMulTRows(out.Data, a.Data, b.Data, m, k, n)
 }
 
 func mmtDims(a, b *Tensor) (m, k, n int) {
@@ -105,11 +97,11 @@ func mmtDims(a, b *Tensor) (m, k, n int) {
 	return a.Shape[0], a.Shape[1], b.Shape[0]
 }
 
-// matMulTRows computes rows [lo,hi) of out = a @ bᵀ as dot products, four
+// matMulTRows computes the m rows of out = a @ bᵀ as dot products, four
 // output columns at a time so each pass loads the a-row once against four
 // rows of b.
-func matMulTRows(out, a, b []float32, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
+func matMulTRows(out, a, b []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
 		ai := a[i*k : (i+1)*k]
 		oi := out[i*n : (i+1)*n]
 		j := 0
@@ -128,9 +120,7 @@ func matMulTRows(out, a, b []float32, lo, hi, k, n int) {
 func TMatMul(a, b *Tensor) *Tensor {
 	k, m, n := tmmDims(a, b)
 	out := New(m, n)
-	ParallelFor(m, k*n, func(lo, hi int) {
-		tMatMulRows(out.Data, a.Data, b.Data, lo, hi, k, m, n)
-	})
+	tMatMulRows(out.Data, a.Data, b.Data, k, m, n)
 	return out
 }
 
@@ -141,9 +131,7 @@ func TMatMulInto(out, a, b *Tensor) {
 	if len(out.Shape) != 2 || out.Shape[0] != m || out.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: TMatMulInto out shape %v, want (%d,%d)", out.Shape, m, n))
 	}
-	ParallelFor(m, k*n, func(lo, hi int) {
-		tMatMulRows(out.Data, a.Data, b.Data, lo, hi, k, m, n)
-	})
+	tMatMulRows(out.Data, a.Data, b.Data, k, m, n)
 }
 
 func tmmDims(a, b *Tensor) (k, m, n int) {
@@ -156,12 +144,12 @@ func tmmDims(a, b *Tensor) (k, m, n int) {
 	return a.Shape[0], a.Shape[1], b.Shape[1]
 }
 
-// tMatMulRows computes output rows [lo,hi) of out = aᵀ @ b. Output row i
+// tMatMulRows computes the m output rows of out = aᵀ @ b. Output row i
 // accumulates a[p,i]*b[p,:] over p; the coefficients are strided loads but
 // both streamed operands (b rows, out row) stay unit-stride, and four p
 // steps share one pass over the output row.
-func tMatMulRows(out, a, b []float32, lo, hi, k, m, n int) {
-	for i := lo; i < hi; i++ {
+func tMatMulRows(out, a, b []float32, k, m, n int) {
+	for i := 0; i < m; i++ {
 		oi := out[i*n : (i+1)*n]
 		for j := range oi {
 			oi[j] = 0
@@ -200,18 +188,16 @@ func MatVecInto(out, a, x *Tensor) {
 }
 
 // matVecInto computes out = a @ x four rows at a time (the vector is loaded
-// once per 4-row block), parallelized across row tiles for large matrices.
+// once per 4-row block).
 func matVecInto(out, a, x []float32, m, n int) {
-	ParallelFor(m, n, func(lo, hi int) {
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			out[i], out[i+1], out[i+2], out[i+3] =
-				kernels.Dot4(x, a[i*n:], a[(i+1)*n:], a[(i+2)*n:], a[(i+3)*n:])
-		}
-		for ; i < hi; i++ {
-			out[i] = kernels.Dot(x, a[i*n:(i+1)*n])
-		}
-	})
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		out[i], out[i+1], out[i+2], out[i+3] =
+			kernels.Dot4(x, a[i*n:], a[(i+1)*n:], a[(i+2)*n:], a[(i+3)*n:])
+	}
+	for ; i < m; i++ {
+		out[i] = kernels.Dot(x, a[i*n:(i+1)*n])
+	}
 }
 
 // Outer returns the outer product x ⊗ y of two vectors as an (len(x),len(y))
@@ -238,29 +224,27 @@ func OuterInto(out, x, y *Tensor) {
 }
 
 // outerInto writes x ⊗ y four rows at a time (each pass over y fills four
-// output rows), parallelized across row tiles for large products.
+// output rows).
 func outerInto(out, x, y []float32, m, n int) {
-	ParallelFor(m, n, func(lo, hi int) {
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			r0 := out[i*n : (i+1)*n]
-			r1 := out[(i+1)*n : (i+2)*n]
-			r2 := out[(i+2)*n : (i+3)*n]
-			r3 := out[(i+3)*n : (i+4)*n]
-			x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
-			for j, yv := range y {
-				r0[j] = x0 * yv
-				r1[j] = x1 * yv
-				r2[j] = x2 * yv
-				r3[j] = x3 * yv
-			}
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		r0 := out[i*n : (i+1)*n]
+		r1 := out[(i+1)*n : (i+2)*n]
+		r2 := out[(i+2)*n : (i+3)*n]
+		r3 := out[(i+3)*n : (i+4)*n]
+		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
+		for j, yv := range y {
+			r0[j] = x0 * yv
+			r1[j] = x1 * yv
+			r2[j] = x2 * yv
+			r3[j] = x3 * yv
 		}
-		for ; i < hi; i++ {
-			row := out[i*n : (i+1)*n]
-			xv := x[i]
-			for j, yv := range y {
-				row[j] = xv * yv
-			}
+	}
+	for ; i < m; i++ {
+		row := out[i*n : (i+1)*n]
+		xv := x[i]
+		for j, yv := range y {
+			row[j] = xv * yv
 		}
-	})
+	}
 }

@@ -63,13 +63,13 @@ func TestMatMulMatchesNaiveProperty(t *testing.T) {
 }
 
 func TestMatMulParallelPath(t *testing.T) {
-	// More than two tiles of minTileWork, so the rows are split across
-	// goroutines at width 2 and up; verify against the naive kernel.
+	// A product larger than any serving model's GEMM; verify against the
+	// naive kernel.
 	rng := NewRNG(3)
 	a := Randn(rng, 1, 640, 48)
 	b := Randn(rng, 1, 48, 80)
 	if !MatMul(a, b).AllClose(matMulNaive(a, b), 1e-3, 1e-3) {
-		t.Error("parallel MatMul diverges from naive reference")
+		t.Error("large MatMul diverges from naive reference")
 	}
 }
 
@@ -91,7 +91,7 @@ func TestMatMulTParallelPath(t *testing.T) {
 	got := MatMulT(a, b)
 	want := matMulNaive(a, b.Transpose())
 	if !got.AllClose(want, 1e-3, 1e-3) {
-		t.Error("parallel MatMulT diverges")
+		t.Error("large MatMulT diverges")
 	}
 }
 

@@ -10,6 +10,7 @@ package tensor
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 )
 
@@ -264,3 +265,9 @@ func (t *Tensor) Transpose() *Tensor {
 	}
 	return u
 }
+
+// Workers returns the compute width, the current GOMAXPROCS. Every kernel in
+// this package runs on its calling goroutine; the width is spent by callers
+// running side by side (the serve tier's workers, whose default count this
+// is), never by one kernel splitting itself across cores.
+func Workers() int { return runtime.GOMAXPROCS(0) }

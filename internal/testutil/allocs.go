@@ -8,8 +8,8 @@ import "runtime"
 // heap objects fn allocates per call, averaged over runs calls and
 // truncated as the standard library's figure is, with GOMAXPROCS set to
 // procs for the measurement. testing.AllocsPerRun pins GOMAXPROCS to 1, a
-// width no multi-core deployment serves at; per-P pools and anything that
-// forks behave differently above it. fn runs a few times first so this
+// width no multi-core deployment serves at; per-P pools behave differently
+// above it. fn runs a few times first so this
 // width's pools are warm. The count is process-wide (runtime.MemStats), so
 // nothing else may be allocating meanwhile.
 func AllocsPerRunAt(procs, runs int, fn func()) float64 {

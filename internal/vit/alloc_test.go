@@ -10,7 +10,7 @@ import (
 // TestForwardInferenceSteadyStateAllocs pins the float model's inference
 // forward to a small constant allocation budget: attention head scratch,
 // score matrices, and softmax buffers all come from the tensor arena after
-// warmup, so only per-layer output tensors and tile closures remain.
+// warmup, so only per-layer output tensors and scratch headers remain.
 func TestForwardInferenceSteadyStateAllocs(t *testing.T) {
 	cfg := Config{
 		ImageSize: 32, Channels: 3, PatchSize: 8,
@@ -23,13 +23,14 @@ func TestForwardInferenceSteadyStateAllocs(t *testing.T) {
 	// The seed implementation allocated ~5 fresh tensors per head per block
 	// (q/k/v slices, scores, probabilities, context) — O(depth × heads) and
 	// proportional to batch. The arena path leaves the per-layer Sequential
-	// outputs plus a fixed number of scratch headers and dispatch closures:
-	// a per-architecture constant (~245 for this config), independent of
-	// batch and heads. Taken at the widths a deployment serves at.
+	// outputs plus a fixed number of scratch headers: a per-architecture
+	// constant (205 measured; 209–211 under the race detector, where
+	// sync.Pool drops a quarter of its puts), independent of batch and heads.
+	// Taken at the widths a deployment serves at.
 	for _, procs := range []int{2, 4} {
 		avg := testutil.AllocsPerRunAt(procs, 50, func() { m.Forward(patches, false) })
-		if avg > 300 {
-			t.Errorf("GOMAXPROCS=%d: float Forward steady state allocates %.0f objects/op, want <= 300", procs, avg)
+		if avg > 220 {
+			t.Errorf("GOMAXPROCS=%d: float Forward steady state allocates %.0f objects/op, want <= 220", procs, avg)
 		}
 		t.Logf("GOMAXPROCS=%d: float Forward steady-state allocs/op: %.0f", procs, avg)
 	}

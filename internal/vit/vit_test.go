@@ -153,8 +153,8 @@ func sameBits(a, b []uint32) bool {
 // TestBatchRowsDoNotInteract: the float student answers a frame with the
 // same bits alone and as any row of a batch (the serve tier coalesces
 // whatever queued, and the load driver's oracle holds the student to its
-// lone answer exactly), and a batch with the same bits at every width —
-// 64 images, so that the GEMMs are cut into tiles at widths 2 and 4.
+// lone answer exactly), and a batch of 64 with the same bits at every
+// width — a guard against a width-dependent kernel coming back.
 func TestBatchRowsDoNotInteract(t *testing.T) {
 	cfg := Config{
 		ImageSize: 32, Channels: 3, PatchSize: 8,
