@@ -4,7 +4,6 @@ import (
 	"context"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"itask/internal/serve"
 	"itask/internal/tensor"
@@ -41,11 +40,7 @@ func TestResultCacheAcrossPublishRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := serve.DefaultConfig()
-	cfg.CacheBytes = 8 << 20
-	cfg.CacheTTL = time.Minute
-	cfg.Coalesce = true
-	srv, err := serve.New(p.ServeBackend(), cfg)
+	srv, err := serve.New(p.ServeBackend(), serve.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,12 +78,13 @@
 //
 //	itask-gateway [-backends http://127.0.0.1:8081,http://127.0.0.1:8082] \
 //	              [-addr :8080] [-lease-ttl 3s] [-probe-interval 1s] \
-//	              [-load-factor 1.25] [-hot-threshold 64] [-hot-replicas 2] \
-//	              [-hot-decay 8192] [-retry-backoff 25ms] [-retry-backoff-max 1s]
+//	              [-hot-threshold 64] [-retry-backoff 25ms] [-retry-backoff-max 1s]
 //
-// Everything else — ring points, failover attempts, ejection, probe and
-// attempt deadlines, the retry budget, the slow-start ramp — is
-// gateway.DefaultConfig(); the suspect horizon is a third of the lease.
+// Every flag sets the one gateway.Config field it names. Everything else —
+// ring points, bounded load, hot replicas and their decay window, failover
+// attempts, ejection, probe and attempt deadlines, the retry budget, the
+// slow-start ramp — is gateway.DefaultConfig(), save a 50ms epoch-barrier
+// poll; the suspect horizon is a third of the lease.
 //
 // -backends is an optional static seed list: with lease-based membership on
 // (-lease-ttl > 0, the default), a fleet can start empty and populate itself
@@ -121,33 +122,54 @@ import (
 // convergence barrier.
 const propagateTimeout = 30 * time.Second
 
-func main() {
-	cfg := gateway.DefaultConfig()
-	cfg.BarrierPoll = 50 * time.Millisecond
-	addr := flag.String("addr", ":8080", "listen address")
-	backends := flag.String("backends", "", "comma-separated itask-serve base URLs (optional seed list when leases are on)")
-	flag.Float64Var(&cfg.LoadFactor, "load-factor", cfg.LoadFactor, "bounded-load factor: owners above this multiple of the fleet-average in-flight spill to a successor (0 = off)")
-	flag.IntVar(&cfg.HotThreshold, "hot-threshold", cfg.HotThreshold, "windowed arrivals past which a digest is replicated (0 = off)")
-	flag.IntVar(&cfg.HotReplicas, "hot-replicas", cfg.HotReplicas, "shards serving a hot digest")
-	flag.IntVar(&cfg.HotDecay, "hot-decay", cfg.HotDecay, "hot-detector decay window in arrivals (counts halve every N requests)")
-	flag.DurationVar(&cfg.ProbeInterval, "probe-interval", cfg.ProbeInterval, "active health-probe period (0 = passive only)")
-	flag.DurationVar(&cfg.LeaseTTL, "lease-ttl", cfg.LeaseTTL, "membership lease: a shard that stops heartbeating this long expires off the ring, and turns suspect after a third of it (0 = static -backends only)")
-	flag.DurationVar(&cfg.RetryBackoff, "retry-backoff", cfg.RetryBackoff, "base of the full-jitter backoff between failover attempts (0 = immediate)")
-	flag.DurationVar(&cfg.RetryBackoffMax, "retry-backoff-max", cfg.RetryBackoffMax, "cap on the failover backoff and any honored Retry-After")
-	flag.Parse()
+// options is what itask-gateway runs with: the routing configuration, which
+// starts as gateway.DefaultConfig(), and the process's deployment settings.
+type options struct {
+	cfg      gateway.Config
+	addr     string
+	backends []string
+}
 
-	urls := splitBackends(*backends)
-	if len(urls) == 0 && cfg.LeaseTTL <= 0 {
-		fmt.Fprintln(os.Stderr, "itask-gateway: no members possible: give a -backends seed list or enable announce-based membership with -lease-ttl")
+// parseFlags binds every flag straight onto its options field, the field's
+// default value as the flag's default, and parses args.
+func parseFlags(flags *flag.FlagSet, args []string) (options, error) {
+	o := options{cfg: gateway.DefaultConfig(), addr: ":8080"}
+	// Each poll of the epoch barrier is an HTTP round trip per shard here,
+	// not the in-process read gateway.DefaultConfig() is sized for.
+	o.cfg.BarrierPoll = 50 * time.Millisecond
+	c := &o.cfg
+	flags.StringVar(&o.addr, "addr", o.addr, "listen address")
+	flags.Func("backends", "comma-separated itask-serve base URLs (optional seed list when leases are on)", func(s string) error {
+		o.backends = splitBackends(s)
+		return nil
+	})
+	flags.IntVar(&c.HotThreshold, "hot-threshold", c.HotThreshold, "windowed arrivals past which a digest is replicated (0 = off)")
+	flags.DurationVar(&c.ProbeInterval, "probe-interval", c.ProbeInterval, "active health-probe period (0 = passive only)")
+	flags.DurationVar(&c.LeaseTTL, "lease-ttl", c.LeaseTTL, "membership lease: a shard that stops heartbeating this long expires off the ring, and turns suspect after a third of it (0 = static -backends only)")
+	flags.DurationVar(&c.RetryBackoff, "retry-backoff", c.RetryBackoff, "base of the full-jitter backoff between failover attempts (0 = immediate)")
+	flags.DurationVar(&c.RetryBackoffMax, "retry-backoff-max", c.RetryBackoffMax, "cap on the failover backoff and any honored Retry-After")
+	if err := flags.Parse(args); err != nil {
+		return o, err
+	}
+	if len(o.backends) == 0 && c.LeaseTTL <= 0 {
+		return o, errors.New("no members possible: give a -backends seed list or enable announce-based membership with -lease-ttl")
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "itask-gateway: %v\n", err)
 		os.Exit(2)
 	}
-
-	app, err := newApp(cfg, urls, propagateTimeout)
+	cfg := o.cfg
+	app, err := newApp(cfg, o.backends, propagateTimeout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "itask-gateway: %v\n", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: app.mux()}
+	httpSrv := &http.Server{Addr: o.addr, Handler: app.mux()}
 
 	go func() {
 		sig := make(chan os.Signal, 1)
@@ -161,7 +183,7 @@ func main() {
 	}()
 
 	fmt.Fprintf(os.Stderr, "itask-gateway: listening on %s, %d seed backends (vnodes=%d load-factor=%g hot=%d/%d retries=%d lease-ttl=%v)\n",
-		*addr, len(urls), cfg.VirtualNodes, cfg.LoadFactor, cfg.HotThreshold, cfg.HotReplicas, cfg.MaxRetries, cfg.LeaseTTL)
+		o.addr, len(o.backends), cfg.VirtualNodes, cfg.LoadFactor, cfg.HotThreshold, cfg.HotReplicas, cfg.MaxRetries, cfg.LeaseTTL)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "itask-gateway: %v\n", err)
 		os.Exit(1)

@@ -30,9 +30,8 @@ func (fakeBackend) DetectBatch(variant, task string, imgs []*tensor.Tensor) ([]a
 
 func newTestHandler(t *testing.T) *handler {
 	t.Helper()
-	cfg := serve.DefaultConfig()
-	cfg.CacheBytes = 1 << 20 // cache on: digest equivalence shows up as a hit
-	srv, err := serve.New(fakeBackend{}, cfg)
+	// The default cache is on: digest equivalence shows up as a hit.
+	srv, err := serve.New(fakeBackend{}, serve.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

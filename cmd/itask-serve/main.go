@@ -44,25 +44,25 @@
 // Usage:
 //
 //	itask-serve [-addr :8080] [-models dir] [-students] \
-//	            [-workers GOMAXPROCS] [-max-batch 8] \
-//	            [-queue-cap 256] [-timeout 0] \
-//	            [-watchdog 10s] [-retry-budget 3] \
-//	            [-breaker-threshold 5] [-breaker-backoff 500ms] [-slo 0] \
-//	            [-cache-bytes 33554432] [-cache-ttl 1m] [-coalesce] \
-//	            [-neg-ttl 0] [-hot-threshold 64] [-hot-decay 0] \
-//	            [-hot-bytes 4194304] [-pprof addr] \
+//	            [-workers GOMAXPROCS] [-max-batch 8] [-slo 0] \
+//	            [-cache-bytes 33554432] [-neg-ttl 0] [-hot-threshold 64] \
 //	            [-tenant-weights gold=4,free=1] [-tenant-rate 0] [-tenant-burst 0] \
-//	            [-announce gateway-url] [-advertise url]
+//	            [-pprof addr] [-announce gateway-url] [-advertise url]
 //
-// -cache-bytes enables the content-addressed result cache (0 disables it):
+// With no flags the shard serves serve.DefaultConfig(); every flag sets the
+// one field it names, and everything else — the 256-request queue, the
+// watchdog, quarantine retries, breakers, cache TTL, coalescing, the hot
+// tier's budget — is that default.
+//
+// -cache-bytes sizes the content-addressed result cache (0 disables it):
 // repeated frames are answered from memory without running a kernel, and
-// -coalesce collapses concurrent duplicate requests into one execution.
+// concurrent duplicate requests collapse into one execution.
 // -hot-threshold enables the cache's hot replica tier (0 disables it): a
-// digest read that many times within the -hot-decay window is promoted to a
-// lock-free replicated table bounded by -hot-bytes, so a viral frame's
-// readers stop serializing on one cache-shard mutex. A gateway's fleet-wide
-// hot verdict arriving as an X-Itask-Hot request header pre-promotes the
-// digest without waiting for the local detector.
+// digest read that many times within a decay window is promoted to a
+// lock-free replicated table, so a viral frame's readers stop serializing on
+// one cache-shard mutex. A gateway's fleet-wide hot verdict arriving as an
+// X-Itask-Hot request header pre-promotes the digest without waiting for the
+// local detector.
 // Requests carry their tenant in the body's "tenant" field or the
 // X-Itask-Tenant header (body wins); the normalized attribution is echoed
 // back as an X-Itask-Tenant response header. -tenant-weights sets DRR
@@ -108,36 +108,51 @@ import (
 	"itask/internal/wire"
 )
 
-func main() {
-	def := serve.DefaultConfig()
-	addr := flag.String("addr", ":8080", "listen address")
-	models := flag.String("models", "", "load teacher.ckpt from this directory (itask-train output) instead of training")
-	students := flag.Bool("students", false, "distill a task-specific student per standard task (slow)")
-	workers := flag.Int("workers", def.Workers, "inference worker goroutines, the shard's compute width (every kernel runs on its worker; default GOMAXPROCS)")
-	maxBatch := flag.Int("max-batch", def.MaxBatch, "micro-batch size cap (below it, a batch is what queued while the workers were busy)")
-	queueCap := flag.Int("queue-cap", 256, "admission queue bound (beyond it: HTTP 429)")
-	timeout := flag.Duration("timeout", 0, "default per-request deadline (0 = none)")
-	watchdog := flag.Duration("watchdog", def.Watchdog, "abandon a batch execution after this long (0 = no watchdog)")
-	retryBudget := flag.Int("retry-budget", def.RetryBudget, "max re-executions per request while quarantining a failed batch (0 = no quarantine)")
-	breakerThreshold := flag.Int("breaker-threshold", def.BreakerThreshold, "consecutive lane failures that trip its circuit breaker (0 = no breakers)")
-	breakerBackoff := flag.Duration("breaker-backoff", def.BreakerBackoff, "initial open-breaker backoff; doubles per failed probe")
-	slo := flag.Duration("slo", 0, "latency SLO; slower executions count as breaker failures (0 = none)")
-	cacheBytes := flag.Int64("cache-bytes", 32<<20, "result-cache byte budget (0 = cache disabled)")
-	cacheTTL := flag.Duration("cache-ttl", time.Minute, "result-cache entry lifetime (0 = until evicted)")
-	negTTL := flag.Duration("neg-ttl", 0, "quarantine window for content that crashed or hung the backend in isolation; repeats are refused with HTTP 422 for this long (0 = off; needs -cache-bytes > 0)")
-	coalesce := flag.Bool("coalesce", true, "collapse concurrent duplicate requests into one execution")
-	hotThreshold := flag.Int("hot-threshold", 64, "reads within the decay window past which a digest's cache entry is replicated lock-free (0 = off; needs -cache-bytes > 0)")
-	hotDecay := flag.Int("hot-decay", 0, "hot-detector decay window in arrivals; counts halve every N cache lookups (0 = detector default)")
-	hotBytes := flag.Int64("hot-bytes", 4<<20, "hot replica tier byte budget, on top of -cache-bytes (0 = cache-bytes/8)")
-	tenantWeights := flag.String("tenant-weights", "", `comma-separated tenant DRR weights, e.g. "gold=4,free=1" (empty = every tenant weight 1)`)
-	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admission budget in requests/second (0 = unlimited)")
-	tenantBurst := flag.Float64("tenant-burst", 0, "per-tenant burst credits on top of -tenant-rate (0 = one second of rate)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address with mutex/block profiling (empty = off)")
-	announceTo := flag.String("announce", "", "gateway base URL to join via lease-based membership (empty = standalone)")
-	advertise := flag.String("advertise", "", "base URL to announce as this shard's address (default: derived from the listen address)")
-	flag.Parse()
+// options is what itask-serve runs with: the serving configuration, which
+// starts as serve.DefaultConfig(), and the process's deployment settings.
+type options struct {
+	cfg                                          serve.Config
+	addr, models, pprofAddr, announce, advertise string
+	students                                     bool
+}
 
-	if *pprofAddr != "" {
+// parseFlags binds every flag straight onto its options field, the field's
+// default value as the flag's default, parses args, and validates the
+// configuration here rather than after the minutes of training ahead.
+func parseFlags(flags *flag.FlagSet, args []string) (options, error) {
+	o := options{cfg: serve.DefaultConfig(), addr: ":8080"}
+	c := &o.cfg
+	flags.StringVar(&o.addr, "addr", o.addr, "listen address")
+	flags.StringVar(&o.models, "models", "", "load teacher.ckpt from this directory (itask-train output) instead of training")
+	flags.BoolVar(&o.students, "students", false, "distill a task-specific student per standard task (slow)")
+	flags.IntVar(&c.Workers, "workers", c.Workers, "inference worker goroutines, the shard's compute width (every kernel runs on its worker; default GOMAXPROCS)")
+	flags.IntVar(&c.MaxBatch, "max-batch", c.MaxBatch, fmt.Sprintf("micro-batch size cap, at most the %d-request admission queue (below it, a batch is what queued while the workers were busy)", c.QueueCap))
+	flags.DurationVar(&c.LatencySLO, "slo", c.LatencySLO, "latency SLO; slower executions count as breaker failures (0 = none)")
+	flags.Int64Var(&c.CacheBytes, "cache-bytes", c.CacheBytes, "result-cache byte budget (0 = no cache, and with it no hot tier and no -neg-ttl)")
+	flags.DurationVar(&c.NegativeTTL, "neg-ttl", c.NegativeTTL, "quarantine window for content that crashed or hung the backend in isolation; repeats are refused with HTTP 422 for this long (0 = off)")
+	flags.IntVar(&c.HotThreshold, "hot-threshold", c.HotThreshold, "reads within the decay window past which a digest's cache entry is replicated lock-free (0 = off)")
+	flags.Func("tenant-weights", `comma-separated tenant DRR weights, e.g. "gold=4,free=1" (unset = every tenant weight 1)`, func(s string) (err error) {
+		c.TenantWeights, err = parseTenantWeights(s)
+		return err
+	})
+	flags.Float64Var(&c.TenantRate, "tenant-rate", c.TenantRate, "per-tenant admission budget in requests/second (0 = unlimited)")
+	flags.Float64Var(&c.TenantBurst, "tenant-burst", c.TenantBurst, "per-tenant burst credits on top of -tenant-rate (0 = one second of rate)")
+	flags.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address with mutex/block profiling (empty = off)")
+	flags.StringVar(&o.announce, "announce", "", "gateway base URL to join via lease-based membership (empty = standalone)")
+	flags.StringVar(&o.advertise, "advertise", "", "base URL to announce as this shard's address (default: derived from the listen address)")
+	if err := flags.Parse(args); err != nil {
+		return o, err
+	}
+	return o, c.Validate()
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
+
+	if o.pprofAddr != "" {
 		// Sampled rates: cheap enough to leave on while serving, detailed
 		// enough that /debug/pprof/mutex and /block show real contention.
 		runtime.SetMutexProfileFraction(100)
@@ -149,8 +164,8 @@ func main() {
 		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
-			fmt.Fprintf(os.Stderr, "itask-serve: pprof on %s\n", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, pm); err != nil {
+			fmt.Fprintf(os.Stderr, "itask-serve: pprof on %s\n", o.pprofAddr)
+			if err := http.ListenAndServe(o.pprofAddr, pm); err != nil {
 				fmt.Fprintf(os.Stderr, "itask-serve: pprof: %v\n", err)
 			}
 		}()
@@ -162,9 +177,9 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *models != "" {
-		fmt.Fprintf(os.Stderr, "loading models from %s...\n", *models)
-		loaded, skipped, err := reloadModels(pipe, *models)
+	if o.models != "" {
+		fmt.Fprintf(os.Stderr, "loading models from %s...\n", o.models)
+		loaded, skipped, err := reloadModels(pipe, o.models)
 		if err != nil {
 			fatal(err)
 		}
@@ -175,7 +190,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *students {
+	if o.students {
 		for _, t := range dataset.StandardTasks() {
 			if pipe.Student(t.Name) != nil {
 				continue // a checkpointed student already loaded for this task
@@ -187,41 +202,8 @@ func main() {
 		}
 	}
 
-	cfg := serve.Config{
-		Workers:           *workers,
-		MaxBatch:          *maxBatch,
-		QueueCap:          *queueCap,
-		DefaultTimeout:    *timeout,
-		Watchdog:          *watchdog,
-		RetryBudget:       *retryBudget,
-		BreakerThreshold:  *breakerThreshold,
-		BreakerBackoff:    *breakerBackoff,
-		BreakerMaxBackoff: def.BreakerMaxBackoff,
-		LatencySLO:        *slo,
-		CacheBytes:        *cacheBytes,
-		CacheTTL:          *cacheTTL,
-		NegativeTTL:       *negTTL,
-		Coalesce:          *coalesce,
-		HotThreshold:      *hotThreshold,
-		HotDecay:          *hotDecay,
-		HotBytes:          *hotBytes,
-		TenantRate:        *tenantRate,
-		TenantBurst:       *tenantBurst,
-	}
-	if *tenantWeights != "" {
-		weights, err := parseTenantWeights(*tenantWeights)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.TenantWeights = weights
-	}
-	if *cacheBytes <= 0 {
-		// The hot tier rides the result cache; without one it has nothing to
-		// replicate (and serve.Validate would reject the pairing).
-		cfg.HotThreshold = 0
-	}
 	backend := pipe.ServeBackend()
-	srv, err := serve.New(backend, cfg)
+	srv, err := serve.New(backend, o.cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -230,7 +212,7 @@ func main() {
 		pipe:      pipe,
 		srv:       srv,
 		backend:   backend,
-		modelsDir: *models,
+		modelsDir: o.models,
 		imageSize: itask.DefaultOptions().TeacherCfg.ImageSize,
 	}
 	mux := http.NewServeMux()
@@ -244,22 +226,22 @@ func main() {
 	// Listen before announcing: the advertised URL comes from the bound
 	// address (which resolves ":0"-style ephemeral ports), and the gateway
 	// will start probing the shard the moment it announces.
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		fatal(err)
 	}
 	var ann *announcer
-	if *announceTo != "" {
-		self := *advertise
+	if o.announce != "" {
+		self := o.advertise
 		if self == "" {
 			self = advertiseURL(ln.Addr())
 		}
-		ann = newAnnouncer(*announceTo, self, h.routeEpoch)
+		ann = newAnnouncer(o.announce, self, h.routeEpoch)
 		ann.logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 		ann.start()
-		fmt.Fprintf(os.Stderr, "itask-serve: announcing %s to %s\n", self, *announceTo)
+		fmt.Fprintf(os.Stderr, "itask-serve: announcing %s to %s\n", self, o.announce)
 	}
 
 	go func() {
@@ -279,7 +261,7 @@ func main() {
 	}()
 
 	fmt.Fprintf(os.Stderr, "itask-serve: listening on %s (workers=%d max-batch=%d watchdog=%v breaker=%d)\n",
-		ln.Addr(), *workers, *maxBatch, *watchdog, *breakerThreshold)
+		ln.Addr(), o.cfg.Workers, o.cfg.MaxBatch, o.cfg.Watchdog, o.cfg.BreakerThreshold)
 	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}

@@ -75,6 +75,11 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	// rollback path; an open breaker would correctly shed requests with 503s,
 	// which is exactly the failure mode the rollback exists to avoid.
 	cfg.BreakerThreshold = 0
+	// Every client sends the same frame, and a poisoned version panics only
+	// in a batch of two or more: the result cache and coalescing would
+	// collapse the load into single executions that never panic.
+	cfg.CacheBytes = 0
+	cfg.Coalesce = false
 	srv, err := serve.New(p.ServeBackend(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -51,9 +51,6 @@ func TestPoisonNeverCachedNorSharedWithFollowers(t *testing.T) {
 	cfg.RetryBudget = 0
 	cfg.BreakerThreshold = 0
 	cfg.Watchdog = 0
-	cfg.CacheBytes = 1 << 20
-	cfg.CacheTTL = time.Minute
-	cfg.Coalesce = true
 	s, err := serve.New(cb, cfg)
 	if err != nil {
 		t.Fatal(err)

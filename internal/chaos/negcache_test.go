@@ -19,8 +19,6 @@ import (
 func TestPoisonStormHitsNegativeCache(t *testing.T) {
 	b := chaos.Wrap(newFixed(), chaos.Config{Seed: 21, PanicRate: 0.1})
 	cfg := serve.DefaultConfig()
-	cfg.CacheBytes = 1 << 20
-	cfg.CacheTTL = time.Minute
 	cfg.NegativeTTL = 300 * time.Millisecond
 	cfg.BreakerThreshold = 0 // keep the lane admitting; the negative cache is under test
 	s, err := serve.New(b, cfg)

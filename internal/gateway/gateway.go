@@ -188,9 +188,8 @@ type Config struct {
 	HotReplicas int
 	// HotDecay is the number of arrivals between halvings of the hot-digest
 	// estimator's counts — the window over which hotness is measured. 0
-	// picks freq.DefaultDecay (8192). Shards reuse the same knob for their
-	// in-process promotion detector, so gateway and shard agree on what
-	// "recent" means.
+	// picks freq.DefaultDecay (8192), the window shards' in-process promotion
+	// detectors use, so gateway and shard agree on what "recent" means.
 	HotDecay int
 	// MaxRetries is how many failover attempts a request gets on successor
 	// shards after an overload- or down-class failure.

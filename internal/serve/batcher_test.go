@@ -372,29 +372,6 @@ func TestExpiredDeadlineRefusedAtAdmission(t *testing.T) {
 	checkBooks(t, snap)
 }
 
-// DefaultTimeout applies to requests that carry no deadline.
-func TestDefaultTimeout(t *testing.T) {
-	fb := newFakeBackend()
-	fb.delay = 100 * time.Millisecond
-	cfg := Config{Workers: 1, MaxBatch: 1, QueueCap: 16,
-		DefaultTimeout: 25 * time.Millisecond}
-	s := newTestServer(t, fb, cfg)
-
-	blocker, err := s.Submit(Request{Task: "patrol", Image: testImage()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitBatches(t, fb, 1)
-	doomed, err := s.Submit(Request{Task: "patrol", Image: testImage()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := <-doomed; !errors.Is(out.Err, ErrDeadlineExceeded) {
-		t.Errorf("err = %v, want ErrDeadlineExceeded via DefaultTimeout", out.Err)
-	}
-	<-blocker
-}
-
 // Detect honours context cancellation while waiting.
 func TestDetectContextCancel(t *testing.T) {
 	fb := newFakeBackend()

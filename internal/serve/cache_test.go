@@ -102,18 +102,11 @@ func (b *versionedBackend) DetectBatch(variant, task string, imgs []*tensor.Tens
 	return out, model, nil
 }
 
-func cacheConfig() Config {
-	cfg := DefaultConfig()
-	cfg.CacheBytes = 1 << 20
-	cfg.CacheTTL = time.Minute
-	return cfg
-}
-
 // A repeated identical request is served from the result cache: one backend
 // execution, the second response flagged Cached with the same payload.
 func TestCacheHitServesWithoutExecution(t *testing.T) {
 	b := newVersionedBackend("m@v1#aa")
-	s := newTestServer(t, b, cacheConfig())
+	s := newTestServer(t, b, DefaultConfig())
 	img := testImage()
 
 	first, err := s.Detect(context.Background(), Request{Task: "patrol", Image: img})
@@ -151,7 +144,7 @@ func TestCacheHitServesWithoutExecution(t *testing.T) {
 // Distinct tasks and distinct image content never share a cache entry.
 func TestCacheKeySeparation(t *testing.T) {
 	b := newVersionedBackend("m@v1#aa")
-	s := newTestServer(t, b, cacheConfig())
+	s := newTestServer(t, b, DefaultConfig())
 	img := testImage()
 	other := testImage()
 	other.Data[0] = 0.5
@@ -180,7 +173,7 @@ func TestCacheKeySeparation(t *testing.T) {
 // rollback after the TTL re-executes instead of resurrecting stale results.
 func TestCacheVersionInteraction(t *testing.T) {
 	b := newVersionedBackend("m@v1#aa")
-	cfg := cacheConfig()
+	cfg := DefaultConfig()
 	cfg.CacheTTL = 80 * time.Millisecond
 	s := newTestServer(t, b, cfg)
 	img := testImage()
@@ -229,7 +222,7 @@ func TestDegradedResultNeverCached(t *testing.T) {
 	b := newVersionedBackend("m@v1#aa")
 	b.failOn = "m@v1#aa"
 	b.fallback = "fb@v1#ff"
-	cfg := cacheConfig()
+	cfg := DefaultConfig()
 	cfg.RetryBudget = 0
 	cfg.BreakerThreshold = 1
 	cfg.BreakerBackoff = time.Minute
@@ -267,7 +260,7 @@ func TestDegradedResultNeverCached(t *testing.T) {
 func TestRedirectedResultNeverCached(t *testing.T) {
 	b := newVersionedBackend("m@v2#bb")
 	b.serveAs = "m@v1#aa" // registry rolled back between route and execute
-	s := newTestServer(t, b, cacheConfig())
+	s := newTestServer(t, b, DefaultConfig())
 	img := testImage()
 
 	for i := 0; i < 2; i++ {
@@ -290,8 +283,7 @@ func TestCoalesceSharesOneExecution(t *testing.T) {
 	b := newVersionedBackend("m@v1#aa")
 	b.enter = make(chan struct{}, 16)
 	b.release = make(chan struct{})
-	cfg := cacheConfig()
-	cfg.Coalesce = true
+	cfg := DefaultConfig()
 	cfg.MaxBatch = 1
 	cfg.QueueCap = 64
 	s := newTestServer(t, b, cfg)
@@ -346,8 +338,7 @@ func TestFailedLeaderFollowersReexecute(t *testing.T) {
 	b.enter = make(chan struct{}, 16)
 	b.release = make(chan struct{})
 	b.failOnce = true // exactly the leader's execution fails
-	cfg := cacheConfig()
-	cfg.Coalesce = true
+	cfg := DefaultConfig()
 	cfg.MaxBatch = 8
 	cfg.QueueCap = 64
 	cfg.RetryBudget = 0
@@ -408,8 +399,8 @@ func TestFailedLeaderFollowersReexecute(t *testing.T) {
 // cache probe, and metrics are all allocation-free.
 func TestDetectCachedHitZeroAllocs(t *testing.T) {
 	b := newVersionedBackend("m@v1#aa")
-	cfg := cacheConfig()
-	cfg.Coalesce = true
+	cfg := DefaultConfig()
+	cfg.HotThreshold = 0 // the sharded path; TestDetectReplicatedHitZeroAllocs has the hot tier's
 	s := newTestServer(t, b, cfg)
 	img := testImage()
 	req := Request{Task: "patrol", Image: img}

@@ -13,8 +13,7 @@ import (
 // hotConfig enables the result cache's hot replica tier with a promotion
 // threshold low enough for tests to trip quickly.
 func hotServeConfig() Config {
-	cfg := cacheConfig()
-	cfg.Coalesce = true
+	cfg := DefaultConfig()
 	cfg.HotThreshold = 2
 	cfg.HotBytes = 1 << 16
 	return cfg
@@ -203,23 +202,24 @@ func TestDetectReplicatedHitZeroAllocs(t *testing.T) {
 	}
 }
 
-// Validate pairs the hot tier with the cache and rejects nonsense.
+// The hot tier is part of the result cache: turning the cache off
+// (itask-serve -cache-bytes 0) under the default hot threshold serves with
+// neither. Negative hot knobs are refused.
 func TestHotConfigValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.HotThreshold = 8
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("HotThreshold without CacheBytes validated")
-	}
-	cfg.CacheBytes = 1 << 20
-	if err := cfg.Validate(); err != nil {
+	noCache := DefaultConfig()
+	noCache.CacheBytes = 0
+	s := newTestServer(t, newFakeBackend(), noCache)
+	if _, err := s.Detect(context.Background(), Request{Task: "patrol", Image: testImage()}); err != nil {
 		t.Fatal(err)
+	}
+	if st := s.Snapshot().ResultCache; st != nil {
+		t.Fatalf("CacheBytes 0 built a result cache: %+v", st)
 	}
 	for _, mut := range []func(*Config){
 		func(c *Config) { c.HotThreshold = -1 },
-		func(c *Config) { c.HotDecay = -1 },
 		func(c *Config) { c.HotBytes = -1 },
 	} {
-		bad := cfg
+		bad := DefaultConfig()
 		mut(&bad)
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("negative hot knob validated: %+v", bad)

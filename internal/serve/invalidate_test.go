@@ -50,7 +50,7 @@ func (b *poisonBackend) executions() int {
 // re-quarantined).
 func TestNegativeCacheBlocksPoisonReexecution(t *testing.T) {
 	b := &poisonBackend{}
-	cfg := cacheConfig()
+	cfg := DefaultConfig()
 	cfg.NegativeTTL = 200 * time.Millisecond
 	cfg.RetryBudget = 3
 	cfg.BreakerThreshold = 0 // isolate the negative-cache behaviour
@@ -125,7 +125,7 @@ func (b *demoteBackend) demoted() []string {
 // survive.
 func TestArtifactSweepOnDemote(t *testing.T) {
 	b := &demoteBackend{versionedBackend: newVersionedBackend("m@v2#bb"), restore: "m@v1#aa"}
-	cfg := cacheConfig()
+	cfg := DefaultConfig()
 	cfg.BreakerThreshold = 1
 	cfg.BreakerBackoff = time.Hour // keep the lane open; we only need the verdict
 	s := newTestServer(t, b, cfg)

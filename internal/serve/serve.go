@@ -132,9 +132,6 @@ type Config struct {
 	// QueueCap bounds requests admitted but not yet taken by a worker;
 	// beyond it submissions fail fast with ErrQueueFull.
 	QueueCap int
-	// DefaultTimeout is applied as the deadline of requests that carry
-	// none. Zero means no implicit deadline.
-	DefaultTimeout time.Duration
 
 	// Watchdog bounds a single backend execution: a batch still running
 	// after it is abandoned and fails with ErrWatchdog. Zero disables the
@@ -177,24 +174,19 @@ type Config struct {
 	// it also delays discovering that a rolled-back kernel fixed the
 	// content.
 	NegativeTTL time.Duration
-	// CacheShards is the result cache's lock-stripe count (0 = auto).
-	CacheShards int
 	// Coalesce enables singleflight duplicate suppression: concurrent
 	// requests with the same (artifact version, task, image digest) share
 	// one backend execution instead of each riding the queue. Failure
 	// semantics are per-request — see flight.go.
 	Coalesce bool
 
-	// HotThreshold, when positive (requires CacheBytes), enables the result
-	// cache's hot replica tier: a digest read this many times within a decay
-	// window is promoted to a lock-free replicated table, so a viral frame's
-	// readers stop serializing on one cache-shard mutex. See rcache's hot
-	// tier for the mechanism.
+	// HotThreshold, when positive, enables the result cache's hot replica
+	// tier: a digest read this many times within a decay window is promoted
+	// to a lock-free replicated table, so a viral frame's readers stop
+	// serializing on one cache-shard mutex. See rcache's hot tier for the
+	// mechanism. The tier is part of the result cache: with CacheBytes zero
+	// there is none.
 	HotThreshold int
-	// HotDecay is the hot detector's decay window in arrivals (0 picks the
-	// estimator default). The same knob paces demotion of replicas whose
-	// traffic dried up.
-	HotDecay int
 	// HotBytes bounds the replica tier's memory, on top of CacheBytes
 	// (replicas are copies). Zero picks CacheBytes/8.
 	HotBytes int64
@@ -217,12 +209,15 @@ type Config struct {
 	TenantBurst float64
 }
 
-// DefaultConfig returns a configuration sized for the laptop-scale models:
-// one worker per core (tensor.Workers: every kernel runs on its caller, so a
-// shard's compute width is its worker count), batches of up to 8, and the
-// fault-tolerance layer on (10s watchdog, 3 quarantine retries — enough to
-// isolate any single poison request in a batch of 8 — and breakers that
-// open after 5 consecutive failures for 500ms, backing off to 30s).
+// DefaultConfig returns the configuration itask-serve serves, sized for the
+// laptop-scale models: one worker per core (tensor.Workers: every kernel runs
+// on its caller, so a shard's compute width is its worker count), batches of
+// up to 8, the fault-tolerance layer on (10s watchdog, 3 quarantine retries —
+// enough to isolate any single poison request in a batch of 8 — and breakers
+// that open after 5 consecutive failures for 500ms, backing off to 30s), and
+// the zero-contention path on (a 32 MiB result cache with 1-minute entries,
+// coalescing, and a 4 MiB hot tier promoting digests read 64 times within a
+// decay window).
 func DefaultConfig() Config {
 	return Config{
 		Workers:           tensor.Workers(),
@@ -233,6 +228,11 @@ func DefaultConfig() Config {
 		BreakerThreshold:  5,
 		BreakerBackoff:    500 * time.Millisecond,
 		BreakerMaxBackoff: 30 * time.Second,
+		CacheBytes:        32 << 20,
+		CacheTTL:          time.Minute,
+		Coalesce:          true,
+		HotThreshold:      64,
+		HotBytes:          4 << 20,
 	}
 }
 
@@ -246,8 +246,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: MaxBatch must be positive, got %d", c.MaxBatch)
 	case c.QueueCap < c.MaxBatch:
 		return fmt.Errorf("serve: QueueCap %d below MaxBatch %d", c.QueueCap, c.MaxBatch)
-	case c.DefaultTimeout < 0:
-		return fmt.Errorf("serve: negative DefaultTimeout %v", c.DefaultTimeout)
 	case c.Watchdog < 0:
 		return fmt.Errorf("serve: negative Watchdog %v", c.Watchdog)
 	case c.RetryBudget < 0:
@@ -269,14 +267,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: negative CacheTTL %v", c.CacheTTL)
 	case c.NegativeTTL < 0:
 		return fmt.Errorf("serve: negative NegativeTTL %v", c.NegativeTTL)
-	case c.CacheShards < 0:
-		return fmt.Errorf("serve: negative CacheShards %d", c.CacheShards)
 	case c.HotThreshold < 0:
 		return fmt.Errorf("serve: negative HotThreshold %d", c.HotThreshold)
-	case c.HotThreshold > 0 && c.CacheBytes <= 0:
-		return fmt.Errorf("serve: HotThreshold %d needs a result cache (CacheBytes > 0)", c.HotThreshold)
-	case c.HotDecay < 0:
-		return fmt.Errorf("serve: negative HotDecay %d", c.HotDecay)
 	case c.HotBytes < 0:
 		return fmt.Errorf("serve: negative HotBytes %d", c.HotBytes)
 	case c.TenantRate < 0:
@@ -360,8 +352,8 @@ func New(b Backend, cfg Config) (*Server, error) {
 	s.epocher, _ = b.(RouteEpocher)
 	if cfg.CacheBytes > 0 {
 		rc := rcache.Config{
-			MaxBytes: cfg.CacheBytes, TTL: cfg.CacheTTL, Shards: cfg.CacheShards, NegTTL: cfg.NegativeTTL,
-			HotThreshold: cfg.HotThreshold, HotDecay: cfg.HotDecay, HotMaxBytes: cfg.HotBytes,
+			MaxBytes: cfg.CacheBytes, TTL: cfg.CacheTTL, NegTTL: cfg.NegativeTTL,
+			HotThreshold: cfg.HotThreshold, HotMaxBytes: cfg.HotBytes,
 		}
 		if ps, ok := b.(PayloadSizer); ok {
 			rc.SizeOf = ps.PayloadBytes
@@ -424,7 +416,7 @@ type admission struct {
 }
 
 // preadmit runs the per-request admission work shared by every path:
-// validation, deadline defaulting and expiry, and — when the fast path is
+// validation, deadline expiry, and — when the fast path is
 // enabled — routing and content-key derivation. Allocation-free.
 func (s *Server) preadmit(req *Request) (admission, error) {
 	if req.Tenant == "" {
@@ -445,9 +437,6 @@ func (s *Server) preadmit(req *Request) (admission, error) {
 		}
 	}
 	a.deadline = req.Deadline
-	if a.deadline.IsZero() && s.cfg.DefaultTimeout > 0 {
-		a.deadline = a.now.Add(s.cfg.DefaultTimeout)
-	}
 	if !a.deadline.IsZero() && !a.now.Before(a.deadline) {
 		// Refused before it was accepted, so a rejection, not a shed: the
 		// books count only admitted requests.

@@ -219,7 +219,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative workers", func(c *Config) { c.Workers = -1 }},
 		{"zero max batch", func(c *Config) { c.MaxBatch = 0 }},
 		{"queue below batch", func(c *Config) { c.QueueCap = c.MaxBatch - 1 }},
-		{"negative timeout", func(c *Config) { c.DefaultTimeout = -time.Second }},
 	}
 	for _, tc := range cases {
 		cfg := base
