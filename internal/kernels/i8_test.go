@@ -272,6 +272,12 @@ func TestShortOperandPanics(t *testing.T) {
 		"DequantI8/scales":   func() { DequantI8(f32, i32, i32, f32[:7], nil, 4, 8, 1, 0) },
 		"DequantI8/bias":     func() { DequantI8(f32, i32, i32, f32, f32[:7], 4, 8, 1, 0) },
 		"DequantI8/noscales": func() { DequantI8(f32, i32, i32, nil, nil, 4, 8, 1, 0) },
+		"GELUF32":            func() { GELUF32(f32[:31], f32) },
+		"SoftmaxF32":         func() { SoftmaxF32(f32[:31], 4, 8, 1) },
+		"LayerNormF32/dst":   func() { LayerNormF32(f32[:31], f32, f32, f32, 1e-5, 8) },
+		"LayerNormF32/src":   func() { LayerNormF32(f32, f32[:31], f32, f32, 1e-5, 8) },
+		"LayerNormF32/gamma": func() { LayerNormF32(f32, f32, f32[:7], f32, 1e-5, 8) },
+		"LayerNormF32/beta":  func() { LayerNormF32(f32, f32, f32, f32[:7], 1e-5, 8) },
 	}
 	withAsm(t, func(t *testing.T) {
 		for name, call := range cases {

@@ -2,17 +2,18 @@
 // iTask: fused multiply-add dot/axpy primitives over float32 for the float
 // GEMMs, the three kernels of the int8 linear layer the quantized
 // configuration runs on (range scan and quantize, row-panel GEMM,
-// dequantizing epilogue — i8.go), and the float32 exponential under the
-// inference paths' softmax and GELU (vecmath.go).
+// dequantizing epilogue — i8.go), and the elementwise half of both serving
+// models' inference forwards: softmax and GELU on one float32 exponential,
+// and LayerNorm (vecmath.go).
 //
-// Each dot/axpy and int8 primitive has two implementations: a portable Go
-// version (unrolled with independent accumulator chains so the scalar
-// pipeline can overlap multiply-add latencies), and an AVX2+FMA assembly
-// version selected at startup by CPUID when the host supports it. The
-// assembly carries the serving hot path; the Go version is the reference the
-// tests compare it against, bit-exactly for the int8 kernels (int32
-// accumulation is associative, and their float steps are single IEEE
-// operations on both sides) and within float reassociation tolerance for
+// Each primitive has two implementations: a portable Go version (unrolled
+// with independent accumulator chains so the scalar pipeline can overlap
+// multiply-add latencies), and an AVX2+FMA assembly version selected at
+// startup by CPUID when the host supports it. The assembly carries the
+// serving hot path; the Go version is the reference the tests compare it
+// against, bit-exactly for the int8 and vector kernels (int32 accumulation
+// is associative, and their float steps are single IEEE operations in the
+// same order on both sides) and within float reassociation tolerance for
 // the float32 dot/axpy family.
 //
 // The package is dependency-free and imported by internal/tensor and

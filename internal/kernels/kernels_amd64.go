@@ -68,3 +68,17 @@ func gemmI8Asm(acc *int32, a, w *int8, m, k, n int)
 
 //go:noescape
 func dequantI8Asm(out *float32, acc, rowSums *int32, scales, bias *float32, m, n int, sa float32, za int32, perChannel int)
+
+// Implemented in vecmath_amd64.s.
+
+//go:noescape
+func exp32Asm(dst, src *float32, n int)
+
+//go:noescape
+func geluF32Asm(dst, src *float32, n int)
+
+//go:noescape
+func softmaxF32Asm(x *float32, rows, cols int, scale float32)
+
+//go:noescape
+func layerNormF32Asm(dst, src, gamma, beta *float32, rows, d int, eps float32)

@@ -21,3 +21,9 @@ func quantizeI8Asm(dst *int8, src *float32, n int, scale, fl, fh float32, zero i
 func dequantI8Asm(out *float32, acc, rowSums *int32, scales, bias *float32, m, n int, sa float32, za int32, perChannel int) {
 	panic("kernels: no asm")
 }
+func exp32Asm(dst, src *float32, n int)                       { panic("kernels: no asm") }
+func geluF32Asm(dst, src *float32, n int)                     { panic("kernels: no asm") }
+func softmaxF32Asm(x *float32, rows, cols int, scale float32) { panic("kernels: no asm") }
+func layerNormF32Asm(dst, src, gamma, beta *float32, rows, d int, eps float32) {
+	panic("kernels: no asm")
+}

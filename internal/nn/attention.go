@@ -105,8 +105,7 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 				copy(vh.Data[i*dh:(i+1)*dh], src[2*d+c0:2*d+c0+dh])
 			}
 			tensor.MatMulTInto(scores, qh, kh)
-			scores.ScaleInPlace(scale)
-			scores.SoftmaxRowsF32()
+			scores.SoftmaxRowsF32(scale)
 			// Context: reuse qh as the (T,dh) destination — its values are
 			// dead once scores is computed.
 			tensor.MatMulInto(qh, scores, vh)

@@ -15,7 +15,7 @@ type LayerNorm struct {
 	Gamma *Param
 	Beta  *Param
 
-	// caches for backward
+	// caches for backward, set by a training forward only
 	xhat   *tensor.Tensor
 	invStd []float32
 }
@@ -31,7 +31,9 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 	}
 }
 
-// Forward normalizes each row and applies the affine transform.
+// Forward normalizes each row and applies the affine transform. Inference
+// (train == false) runs the float32 kernel and allocates only y; training
+// keeps its statistics in float64 and caches xhat and invStd for Backward.
 func (l *LayerNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkRank("LayerNorm.Forward", x, 2)
 	rows, d := x.Shape[0], x.Shape[1]
@@ -39,6 +41,10 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic("nn: LayerNorm dim mismatch")
 	}
 	y := tensor.New(rows, d)
+	if !train {
+		tensor.LayerNormF32Into(y, x, l.Gamma.W.Data, l.Beta.W.Data, l.Eps)
+		return y
+	}
 	xhat := tensor.New(rows, d)
 	invStd := make([]float32, rows)
 	for i := 0; i < rows; i++ {
@@ -64,10 +70,8 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			yr[j] = l.Gamma.W.Data[j]*h + l.Beta.W.Data[j]
 		}
 	}
-	if train {
-		l.xhat = xhat
-		l.invStd = invStd
-	}
+	l.xhat = xhat
+	l.invStd = invStd
 	return y
 }
 

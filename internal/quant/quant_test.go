@@ -4,10 +4,12 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"itask/internal/geom"
+	"itask/internal/kernels"
 	"itask/internal/tensor"
 	"itask/internal/vit"
 )
@@ -396,6 +398,50 @@ func TestDetectBatchIdenticalAtEveryWidth(t *testing.T) {
 		}
 		if !reflect.DeepEqual(dets, wantDets) {
 			t.Fatalf("GOMAXPROCS=%d: detections differ from width 1", procs)
+		}
+	}
+}
+
+// TestInt8ForwardIdenticalWithAndWithoutAsm: every kernel on the int8 path
+// — range, quantize, GEMM, dequantize, LayerNorm, softmax, GELU — gives its
+// Go reference's bits, so the trunk's features are byte-identical whether
+// the assembly runs or not, at batch 1 and 8. On a noasm or non-amd64 build
+// both runs are the Go path.
+func TestInt8ForwardIdenticalWithAndWithoutAsm(t *testing.T) {
+	cfg := vit.Config{
+		ImageSize: 32, Channels: 3, PatchSize: 8,
+		Dim: 48, Depth: 3, Heads: 4, MLPRatio: 2, Classes: 5,
+	}
+	rng := tensor.NewRNG(24)
+	m := vit.New(cfg, rng)
+	// A fresh LayerNorm is the identity affine map (gamma 1, beta 0); move
+	// it off, so its multiply and add are inexact as in a trained model.
+	for _, p := range m.Params() {
+		if strings.HasSuffix(p.Name, ".gamma") || strings.HasSuffix(p.Name, ".beta") {
+			for i := range p.W.Data {
+				p.W.Data[i] += 0.3 * float32(rng.Norm())
+			}
+		}
+	}
+	qm, err := FromViT(m, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []int{1, 8} {
+		imgs := make([]*tensor.Tensor, batch)
+		for i := range imgs {
+			imgs[i] = tensor.Randn(rng, 0.5, 3, 32, 32)
+		}
+		patches := vit.Patchify(cfg, imgs)
+		prev := kernels.SetAsmEnabled(false)
+		want := qm.Forward(patches).Data
+		kernels.SetAsmEnabled(true)
+		got := qm.Forward(patches).Data
+		kernels.SetAsmEnabled(prev)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("batch %d: feature %d = %v with the assembly, %v without", batch, i, got[i], want[i])
+			}
 		}
 	}
 }

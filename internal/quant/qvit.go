@@ -64,10 +64,6 @@ func quantLinear(l *nn.Linear, qc Config) qLinear {
 	return ql
 }
 
-func (l qLinear) forward(x *tensor.Tensor, actBits int) *tensor.Tensor {
-	return Linear(x, l.w, l.bias, actBits)
-}
-
 // forwardWith uses static parameters when qp is non-nil, else dynamic.
 func (l qLinear) forwardWith(x *tensor.Tensor, qp *QParams, actBits int) *tensor.Tensor {
 	out := tensor.New(x.Shape[0], l.w.Out)
@@ -97,37 +93,6 @@ func fromLayerNorm(ln *nn.LayerNorm) lnParams {
 		gamma: append([]float32(nil), ln.Gamma.W.Data...),
 		beta:  append([]float32(nil), ln.Beta.W.Data...),
 		eps:   ln.Eps,
-	}
-}
-
-func (p lnParams) apply(x *tensor.Tensor) *tensor.Tensor {
-	y := tensor.New(x.Shape[0], x.Shape[1])
-	p.applyInto(y, x)
-	return y
-}
-
-// applyInto writes the layer norm of x into y; y == x normalizes in place
-// (each row's statistics are computed before any element of it is written).
-func (p lnParams) applyInto(y, x *tensor.Tensor) {
-	rows, d := x.Shape[0], x.Shape[1]
-	for i := 0; i < rows; i++ {
-		row := x.Data[i*d : (i+1)*d]
-		var mean float64
-		for _, v := range row {
-			mean += float64(v)
-		}
-		mean /= float64(d)
-		var variance float64
-		for _, v := range row {
-			dv := float64(v) - mean
-			variance += dv * dv
-		}
-		variance /= float64(d)
-		inv := float32(1 / math.Sqrt(variance+float64(p.eps)))
-		out := y.Data[i*d : (i+1)*d]
-		for j, v := range row {
-			out[j] = p.gamma[j]*((v-float32(mean))*inv) + p.beta[j]
-		}
 	}
 }
 
@@ -161,14 +126,6 @@ type Model struct {
 // SetApproxVector toggles the approximate vector-unit math (experiment E11).
 func (qm *Model) SetApproxVector(on bool) { qm.approxVector = on }
 
-// applyLN runs a LayerNorm with exact or approximate arithmetic.
-func (qm *Model) applyLN(p lnParams, x *tensor.Tensor) *tensor.Tensor {
-	if qm.approxVector {
-		return approx.LayerNormRows(x, p.gamma, p.beta, p.eps)
-	}
-	return p.apply(x)
-}
-
 // applyLNInto writes the (exact or approximate) LayerNorm of x into dst.
 // The approximate path is an accuracy experiment, not a serving path, so it
 // keeps its own allocation and copies through.
@@ -178,16 +135,17 @@ func (qm *Model) applyLNInto(dst *tensor.Tensor, p lnParams, x *tensor.Tensor) {
 		copy(dst.Data, y.Data)
 		return
 	}
-	p.applyInto(dst, x)
+	tensor.LayerNormF32Into(dst, x, p.gamma, p.beta, p.eps)
 }
 
-// softmaxRowsInPlace overwrites x with its row softmax.
-func (qm *Model) softmaxRowsInPlace(x *tensor.Tensor) {
+// softmaxRowsInPlace overwrites x with the row softmax of scale·x.
+func (qm *Model) softmaxRowsInPlace(x *tensor.Tensor, scale float32) {
 	if qm.approxVector {
+		x.ScaleInPlace(scale)
 		copy(x.Data, approx.SoftmaxRows(x).Data)
 		return
 	}
-	x.SoftmaxRowsF32()
+	x.SoftmaxRowsF32(scale)
 }
 
 // applyGELUInPlace overwrites x with the activation.
@@ -317,8 +275,7 @@ func (qm *Model) attentionInto(dst *tensor.Tensor, blk int, b qBlock, xn *tensor
 			// scores = qh @ khᵀ, integer GEMM with kh as per-row weights.
 			quantizeWeightInto(kw, kh.Data, qm.QC.PerChannel)
 			st.linear(scores, qh, *kw, nil, ab)
-			scores.ScaleInPlace(scale)
-			qm.softmaxRowsInPlace(scores)
+			qm.softmaxRowsInPlace(scores, scale)
 			// context = p @ vh = p @ (vhᵀ)ᵀ; qh's values are dead, reuse it
 			// as the (t, dh) context destination.
 			quantizeWeightInto(vw, vt.Data, qm.QC.PerChannel)

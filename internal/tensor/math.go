@@ -305,18 +305,28 @@ func SoftmaxRowsInto(out, t *Tensor) {
 	}
 }
 
-// SoftmaxRowsF32 overwrites each row of an (R,C) matrix with its softmax
-// computed by the float32 kernel (kernels.SoftmaxF32, within 2 ulp per
-// exponential of the float64 one): the inference paths' softmax. Training
-// and the losses keep SoftmaxRows.
-func (t *Tensor) SoftmaxRowsF32() {
+// SoftmaxRowsF32 overwrites each row of an (R,C) matrix with the softmax of
+// scale (> 0) times the row, computed by the float32 kernel
+// (kernels.SoftmaxF32, within 2 ulp per exponential of the float64 one):
+// the inference paths' softmax, attention's 1/√dh folded in. Training and
+// the losses keep SoftmaxRows.
+func (t *Tensor) SoftmaxRowsF32(scale float32) {
 	if len(t.Shape) != 2 {
 		panic("tensor: SoftmaxRowsF32 on non-matrix")
 	}
-	c := t.Shape[1]
-	for i := 0; i < t.Shape[0]; i++ {
-		kernels.SoftmaxF32(t.Data[i*c : (i+1)*c])
+	kernels.SoftmaxF32(t.Data, t.Shape[0], t.Shape[1], scale)
+}
+
+// LayerNormF32Into writes the layer norm of each row of an (R,D) matrix
+// into out (same shape; out == x works in place) with the float32 kernel
+// (kernels.LayerNormF32): the inference paths' LayerNorm. gamma and beta
+// hold D values each.
+func LayerNormF32Into(out, x *Tensor, gamma, beta []float32, eps float32) {
+	if len(x.Shape) != 2 {
+		panic("tensor: LayerNormF32Into on non-matrix")
 	}
+	mustSameShape("LayerNormF32Into", out, x)
+	kernels.LayerNormF32(out.Data, x.Data, gamma, beta, eps, x.Shape[1])
 }
 
 // GELUF32Into writes the tanh-approximated GELU of t into out (same shape;

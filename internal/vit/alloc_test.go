@@ -24,13 +24,14 @@ func TestForwardInferenceSteadyStateAllocs(t *testing.T) {
 	// (q/k/v slices, scores, probabilities, context) — O(depth × heads) and
 	// proportional to batch. The arena path leaves the per-layer Sequential
 	// outputs plus a fixed number of scratch headers: a per-architecture
-	// constant (205 measured; 209–211 under the race detector, where
-	// sync.Pool drops a quarter of its puts), independent of batch and heads.
+	// constant (170 measured; 175 under the race detector, where sync.Pool
+	// drops a quarter of its puts), independent of batch and heads. An
+	// inference LayerNorm allocates its output only, no backward caches.
 	// Taken at the widths a deployment serves at.
 	for _, procs := range []int{2, 4} {
 		avg := testutil.AllocsPerRunAt(procs, 50, func() { m.Forward(patches, false) })
-		if avg > 220 {
-			t.Errorf("GOMAXPROCS=%d: float Forward steady state allocates %.0f objects/op, want <= 220", procs, avg)
+		if avg > 185 {
+			t.Errorf("GOMAXPROCS=%d: float Forward steady state allocates %.0f objects/op, want <= 185", procs, avg)
 		}
 		t.Logf("GOMAXPROCS=%d: float Forward steady-state allocs/op: %.0f", procs, avg)
 	}
