@@ -1,18 +1,12 @@
-// Benchmark harness: one benchmark per reconstructed table/figure of the
-// paper's evaluation (see DESIGN.md §4 for the experiment index). Each
-// BenchmarkE* runs its experiment once on the shared quick-scale environment,
-// prints the table the paper would show, and reports the headline number as
-// a benchmark metric. Training happens once and is shared; re-run with
-// `go test -bench=E -benchtime=1x` for a single clean pass.
-//
-// The Benchmark{Float,Quantized}Inference / BenchmarkLLM / BenchmarkHWSim
-// functions at the bottom are conventional per-op microbenchmarks.
+// Per-op microbenchmarks, and the serving-throughput comparison paced by the
+// accelerator model. The paper's tables come from `go run ./cmd/itask-bench`
+// and their claims are asserted by `go test ./internal/experiments/`; the
+// forward pass is timed by bench_forward_test.go.
 package itask_test
 
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -21,373 +15,13 @@ import (
 	"itask/internal/experiments"
 	"itask/internal/hwsim"
 	"itask/internal/llm"
-	"itask/internal/quant"
 	"itask/internal/scene"
 	"itask/internal/serve"
 	"itask/internal/tensor"
 	"itask/internal/vit"
 )
 
-var (
-	benchEnvOnce sync.Once
-	benchEnv     *experiments.Env
-	benchEnvErr  error
-	benchSink    int
-)
-
-func getBenchEnv(b *testing.B) *experiments.Env {
-	b.Helper()
-	benchEnvOnce.Do(func() {
-		fmt.Fprintln(os.Stderr, "[bench] training quick-scale environment (teacher, generalist, 4 students)...")
-		benchEnv, benchEnvErr = experiments.BuildEnv(experiments.QuickScale())
-	})
-	if benchEnvErr != nil {
-		b.Fatal(benchEnvErr)
-	}
-	return benchEnv
-}
-
-// spin keeps the b.N loop honest after the (cached) experiment ran.
-func spin(b *testing.B, v int) {
-	for i := 0; i < b.N; i++ {
-		benchSink += v
-	}
-}
-
-var (
-	e1Once sync.Once
-	e1Rows []experiments.E1Row
-)
-
-// BenchmarkE1_ConfigAccuracy regenerates Table 1 (claim C1: task-specific
-// beats quantized generalist in-task by ~15%).
-func BenchmarkE1_ConfigAccuracy(b *testing.B) {
-	env := getBenchEnv(b)
-	e1Once.Do(func() {
-		e1Rows = experiments.E1ConfigAccuracy(env)
-		experiments.FprintE1(os.Stdout, e1Rows)
-	})
-	var gap float64
-	for _, r := range e1Rows {
-		gap += r.GapPct
-	}
-	b.ReportMetric(gap/float64(len(e1Rows)), "gap_pct")
-	spin(b, len(e1Rows))
-}
-
-var (
-	e2Once sync.Once
-	e2Rows []experiments.E2Row
-)
-
-// BenchmarkE2_MultiTask regenerates Table 2 (claim C2: the quantized
-// generalist is robust across tasks; students collapse off-task).
-func BenchmarkE2_MultiTask(b *testing.B) {
-	env := getBenchEnv(b)
-	e2Once.Do(func() {
-		e2Rows = experiments.E2MultiTask(env)
-		experiments.FprintE2(os.Stdout, env, e2Rows)
-	})
-	gen := e2Rows[len(e2Rows)-1]
-	b.ReportMetric(100*gen.WorstAcc, "generalist_worst_acc_pct")
-	spin(b, len(e2Rows))
-}
-
-var (
-	e3Once sync.Once
-	e3Res  experiments.E3Result
-)
-
-// BenchmarkE3_HardwareComparison regenerates Table 3 (claims C3/C4:
-// 3.5x speedup, 40% energy reduction vs the GPU baseline).
-func BenchmarkE3_HardwareComparison(b *testing.B) {
-	e3Once.Do(func() {
-		e3Res = experiments.E3Hardware()
-		experiments.FprintE3(os.Stdout, e3Res)
-		experiments.FprintE3Batch(os.Stdout, experiments.E3GPUBatchSweep())
-	})
-	b.ReportMetric(e3Res.SpeedupVsGPU, "speedup_vs_gpu")
-	b.ReportMetric(100*e3Res.EnergyReductionVsGPU, "energy_reduction_pct")
-	spin(b, len(e3Res.Rows))
-}
-
-var (
-	e4Once sync.Once
-	e4Rows []experiments.E4Row
-	e4Err  error
-)
-
-// BenchmarkE4_FewShot regenerates Figure 1 (claim C5: KG-guided few-shot
-// adaptation beats plain fine-tuning at every sample budget).
-func BenchmarkE4_FewShot(b *testing.B) {
-	env := getBenchEnv(b)
-	e4Once.Do(func() {
-		e4Rows, e4Err = experiments.E4FewShot(env, "harvest")
-		if e4Err == nil {
-			experiments.FprintE4(os.Stdout, "harvest", e4Rows)
-		}
-	})
-	if e4Err != nil {
-		b.Fatal(e4Err)
-	}
-	var delta float64
-	for _, r := range e4Rows {
-		delta += r.AccKG - r.AccNoKG
-	}
-	b.ReportMetric(100*delta/float64(len(e4Rows)), "mean_kg_gain_pct")
-	spin(b, len(e4Rows))
-}
-
-var (
-	e5Once sync.Once
-	e5Rows []experiments.E5Row
-)
-
-// BenchmarkE5_ArraySweep regenerates Figure 2 (accelerator design space).
-func BenchmarkE5_ArraySweep(b *testing.B) {
-	e5Once.Do(func() {
-		e5Rows = experiments.E5ArraySweep()
-		experiments.FprintE5(os.Stdout, e5Rows)
-	})
-	best := e5Rows[0]
-	for _, r := range e5Rows {
-		if r.EDP < best.EDP {
-			best = r
-		}
-	}
-	b.ReportMetric(best.LatencyUS, "best_edp_latency_us")
-	spin(b, len(e5Rows))
-}
-
-var (
-	e6Once sync.Once
-	e6Rows []experiments.E6Row
-)
-
-// BenchmarkE6_EnergyBreakdown regenerates Figure 3 (energy by component).
-func BenchmarkE6_EnergyBreakdown(b *testing.B) {
-	e6Once.Do(func() {
-		e6Rows = experiments.E6EnergyBreakdown()
-		experiments.FprintE6(os.Stdout, e6Rows)
-	})
-	spin(b, len(e6Rows))
-}
-
-var (
-	e7Once sync.Once
-	e7Rows []experiments.E7Row
-	e7Err  error
-)
-
-// BenchmarkE7_BitWidth regenerates Figure 4 (quantization sensitivity).
-func BenchmarkE7_BitWidth(b *testing.B) {
-	env := getBenchEnv(b)
-	e7Once.Do(func() {
-		e7Rows, e7Err = experiments.E7BitWidth(env)
-		if e7Err == nil {
-			experiments.FprintE7(os.Stdout, e7Rows)
-		}
-	})
-	if e7Err != nil {
-		b.Fatal(e7Err)
-	}
-	b.ReportMetric(100*e7Rows[0].MeanAcc, "int8_perchannel_acc_pct")
-	spin(b, len(e7Rows))
-}
-
-var (
-	e8Once  sync.Once
-	e8KG    []experiments.E8KGRow
-	e8Dist  []experiments.E8DistillRow
-	e8Error error
-)
-
-// BenchmarkE8_Ablation regenerates the ablation studies: knowledge-graph
-// attribute families and distillation loss terms.
-func BenchmarkE8_Ablation(b *testing.B) {
-	env := getBenchEnv(b)
-	e8Once.Do(func() {
-		e8KG, e8Error = experiments.E8KGAblation(env, "patrol")
-		if e8Error != nil {
-			return
-		}
-		experiments.FprintE8KG(os.Stdout, "patrol", e8KG)
-		e8Dist, e8Error = experiments.E8DistillAblation(env, "inspect")
-		if e8Error != nil {
-			return
-		}
-		experiments.FprintE8Distill(os.Stdout, "inspect", e8Dist)
-	})
-	if e8Error != nil {
-		b.Fatal(e8Error)
-	}
-	b.ReportMetric(e8KG[0].Separation, "full_kg_separation")
-	spin(b, len(e8KG)+len(e8Dist))
-}
-
-var (
-	e9Once sync.Once
-	e9Rows []experiments.E9Row
-	e9Err  error
-)
-
-// BenchmarkE9_SampleEfficiency regenerates the sample-efficiency study:
-// the abstract's motivating claim that conventional models need vast
-// datasets while iTask adapts from limited samples.
-func BenchmarkE9_SampleEfficiency(b *testing.B) {
-	env := getBenchEnv(b)
-	e9Once.Do(func() {
-		e9Rows, e9Err = experiments.E9SampleEfficiency(env, "triage", env.Scale.E9Samples)
-		if e9Err == nil {
-			experiments.FprintE9(os.Stdout, "triage", e9Rows)
-		}
-	})
-	if e9Err != nil {
-		b.Fatal(e9Err)
-	}
-	first := e9Rows[0]
-	b.ReportMetric(100*(first.ITaskAcc-first.CNNAcc), "lowdata_itask_vs_cnn_pct")
-	spin(b, len(e9Rows))
-}
-
-var (
-	e10Once sync.Once
-	e10Rows []experiments.E10Row
-	e10Err  error
-)
-
-// BenchmarkE10_NoiseRobustness regenerates the sensor-degradation study:
-// float vs int8 vs int4 generalists under scaled pixel noise.
-func BenchmarkE10_NoiseRobustness(b *testing.B) {
-	env := getBenchEnv(b)
-	e10Once.Do(func() {
-		e10Rows, e10Err = experiments.E10NoiseRobustness(env, []float64{1, 2, 3, 4})
-		if e10Err == nil {
-			experiments.FprintE10(os.Stdout, e10Rows)
-		}
-	})
-	if e10Err != nil {
-		b.Fatal(e10Err)
-	}
-	b.ReportMetric(100*e10Rows[0].Int8Acc, "int8_nominal_acc_pct")
-	spin(b, len(e10Rows))
-}
-
-var (
-	e11Once sync.Once
-	e11Rows []experiments.E11Row
-	e11Err  error
-)
-
-// BenchmarkE11_DeploymentVariants regenerates the deployment ablation:
-// dynamic vs static activation quantization × exact vs approximate vector
-// unit, on the quantized generalist.
-func BenchmarkE11_DeploymentVariants(b *testing.B) {
-	env := getBenchEnv(b)
-	e11Once.Do(func() {
-		e11Rows, e11Err = experiments.E11DeploymentVariants(env)
-		if e11Err == nil {
-			experiments.FprintE11(os.Stdout, e11Rows)
-		}
-	})
-	if e11Err != nil {
-		b.Fatal(e11Err)
-	}
-	worst := 0.0
-	for _, r := range e11Rows {
-		if r.DeltaVsDeployed < worst {
-			worst = r.DeltaVsDeployed
-		}
-	}
-	b.ReportMetric(100*worst, "worst_variant_delta_pct")
-	spin(b, len(e11Rows))
-}
-
-var (
-	e12Once sync.Once
-	e12Rows []experiments.E12Row
-	e12Err  error
-)
-
-// BenchmarkE12_Streaming regenerates the real-time streaming study:
-// P95 sojourn and deadline-miss rate vs frame arrival rate for three
-// deployments (students/roomy, generalist-only, students/tight-memory).
-func BenchmarkE12_Streaming(b *testing.B) {
-	e12Once.Do(func() {
-		e12Rows, e12Err = experiments.E12Streaming(33000, []float64{500, 1000, 2000, 4000, 6000})
-		if e12Err == nil {
-			experiments.FprintE12(os.Stdout, 33000, e12Rows)
-		}
-	})
-	if e12Err != nil {
-		b.Fatal(e12Err)
-	}
-	last := e12Rows[len(e12Rows)-1]
-	b.ReportMetric(last.StudentsP95US, "students_p95_us_at_max_fps")
-	spin(b, len(e12Rows))
-}
-
-var (
-	e13Once sync.Once
-	e13Rows []experiments.E13Row
-	e13Err  error
-)
-
-// BenchmarkE13_FaultInjection regenerates the weight-SRAM soft-error study
-// on the deployed int8 generalist.
-func BenchmarkE13_FaultInjection(b *testing.B) {
-	env := getBenchEnv(b)
-	e13Once.Do(func() {
-		e13Rows, e13Err = experiments.E13FaultInjection(env, []float64{1e-5, 1e-4, 1e-3, 1e-2})
-		if e13Err == nil {
-			experiments.FprintE13(os.Stdout, e13Rows)
-		}
-	})
-	if e13Err != nil {
-		b.Fatal(e13Err)
-	}
-	b.ReportMetric(100*e13Rows[len(e13Rows)-1].DeltaVsClean, "delta_at_1e2_pct")
-	spin(b, len(e13Rows))
-}
-
-// --- conventional per-op microbenchmarks ---
-
-// BenchmarkFloatInference measures single-image float detection latency on
-// the laptop-scale student (the task-specific configuration's software
-// reference).
-func BenchmarkFloatInference(b *testing.B) {
-	cfg := experiments.StudentModelCfg()
-	m := vit.New(cfg, tensor.NewRNG(1))
-	img := tensor.Randn(tensor.NewRNG(2), 0.5, 3, cfg.ImageSize, cfg.ImageSize)
-	patches := vit.Patchify(cfg, []*tensor.Tensor{img})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feats := m.Forward(patches, false)
-		out := m.DetHead(feats, false)
-		benchSink += out.Size()
-	}
-}
-
-// BenchmarkQuantizedInference measures single-image int8 detection latency
-// (software emulation of the accelerator's arithmetic).
-func BenchmarkQuantizedInference(b *testing.B) {
-	cfg := experiments.StudentModelCfg()
-	m := vit.New(cfg, tensor.NewRNG(1))
-	qm, err := quant.FromViT(m, quant.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	img := tensor.Randn(tensor.NewRNG(2), 0.5, 3, cfg.ImageSize, cfg.ImageSize)
-	patches := vit.Patchify(cfg, []*tensor.Tensor{img})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feats := qm.Forward(patches)
-		out := qm.DetHead(feats)
-		benchSink += out.Size()
-	}
-}
+var benchSink int
 
 // BenchmarkLLMGenerate measures mission-description-to-knowledge-graph
 // generation.
@@ -560,5 +194,4 @@ func BenchmarkServeMicroBatching(b *testing.B) {
 	}
 	b.ReportMetric(speedup, "speedup")
 	b.ReportMetric(serveBenchRows[1].rps, "rps")
-	spin(b, int(speedup))
 }

@@ -166,13 +166,6 @@ func (p *NetProxy) SetFault(f NetFault) {
 // Heal returns the proxy to transparent relaying.
 func (p *NetProxy) Heal() { p.SetFault(NetNone) }
 
-// Fault reports the current fault mode.
-func (p *NetProxy) Fault() NetFault {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.fault
-}
-
 // Stats snapshots the activity counters.
 func (p *NetProxy) Stats() NetProxyStats {
 	return NetProxyStats{

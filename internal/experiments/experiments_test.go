@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// tinyScale keeps the experiment-harness tests fast; the benchmark harness
-// runs QuickScale and the CLI can run FullScale.
+// tinyScale keeps the experiment-harness tests fast; cmd/itask-bench runs
+// QuickScale or FullScale.
 func tinyScale() Scale {
 	return Scale{
 		Name:          "tiny",

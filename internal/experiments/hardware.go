@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"itask/internal/hwsim"
-	"itask/internal/vit"
 )
 
 // E3Row is one row of Table 3: a device running one model configuration.
@@ -180,10 +179,4 @@ func FprintE3Batch(w io.Writer, rows []E3GPUBatchRow) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-8d %16.1f %16.0f\n", r.Batch, r.PerImageUS, r.ThroughputFPS)
 	}
-}
-
-// LayerBreakdown returns the per-layer accelerator table for a model
-// config; exposed for the itask-hwsim CLI.
-func LayerBreakdown(cfg vit.Config) string {
-	return hwsim.SimulateAccel(hwsim.DefaultAccel(), cfg).LayerTable()
 }

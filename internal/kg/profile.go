@@ -61,21 +61,6 @@ func AddAttrValue(g *Graph, family, value string) string {
 	return id
 }
 
-// familyOf maps an attribute relation to its family name.
-func familyOf(rel Relation) string {
-	switch rel {
-	case HasShape:
-		return "shape"
-	case HasColor:
-		return "color"
-	case HasTexture:
-		return "texture"
-	case HasSize:
-		return "size"
-	}
-	return ""
-}
-
 // ConceptProfile reads the attribute edges of a concept node into a soft
 // profile.
 func ConceptProfile(g *Graph, conceptID string) AttrProfile {

@@ -62,72 +62,18 @@ func headSliceAdd(dst *tensor.Tensor, blk *tensor.Tensor, row0, t, c0, dh, w int
 	}
 }
 
-// Forward computes multi-head self-attention for x of shape (B*T, Dim).
-//
-// In training mode the per-head probability matrices (and q/k/v) are cached
-// on the layer for Backward and attention-rollout saliency, so they are
-// allocated normally. In inference mode nothing survives the call: every
-// intermediate comes from the tensor scratch arena, taken once for the whole
-// (batch × heads) loop.
+// Forward computes multi-head self-attention for x of shape (B*T, Dim),
+// keeping q/k/v and the per-head softmax probabilities on the layer for
+// Backward and LastProbs. It is the training path; inference runs through
+// vit's trunk, which reads this layer's projections.
 func (a *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkRank("MHSA.Forward", x, 2)
 	rows := x.Shape[0]
 	if rows%a.Tokens != 0 {
 		panic(fmt.Sprintf("nn: MHSA rows %d not a multiple of tokens %d", rows, a.Tokens))
 	}
-	if train {
-		return a.forwardTrain(x)
-	}
 	b := rows / a.Tokens
-	d := a.Dim
-	dh := d / a.Heads
-	scale := float32(1 / math.Sqrt(float64(dh)))
-
-	qkv := tensor.GetScratchNoZero(rows, 3*d)
-	a.QKV.ForwardInto(qkv, x)
-	out := tensor.GetScratchNoZero(rows, d)
-
-	// Head slices are copied out of the packed qkv directly (no intermediate
-	// q/k/v split); each (batch, head) pair writes a disjoint (T,dh) block of
-	// out.
-	qh := tensor.GetScratchNoZero(a.Tokens, dh)
-	kh := tensor.GetScratchNoZero(a.Tokens, dh)
-	vh := tensor.GetScratchNoZero(a.Tokens, dh)
-	scores := tensor.GetScratchNoZero(a.Tokens, a.Tokens)
-	for bi := 0; bi < b; bi++ {
-		row0 := bi * a.Tokens
-		for h := 0; h < a.Heads; h++ {
-			c0 := h * dh
-			for i := 0; i < a.Tokens; i++ {
-				src := qkv.Data[(row0+i)*3*d : (row0+i+1)*3*d]
-				copy(qh.Data[i*dh:(i+1)*dh], src[c0:c0+dh])
-				copy(kh.Data[i*dh:(i+1)*dh], src[d+c0:d+c0+dh])
-				copy(vh.Data[i*dh:(i+1)*dh], src[2*d+c0:2*d+c0+dh])
-			}
-			tensor.MatMulTInto(scores, qh, kh)
-			scores.SoftmaxRowsF32(scale)
-			// Context: reuse qh as the (T,dh) destination — its values are
-			// dead once scores is computed.
-			tensor.MatMulInto(qh, scores, vh)
-			for i := 0; i < a.Tokens; i++ {
-				copy(out.Data[(row0+i)*d+c0:(row0+i)*d+c0+dh], qh.Data[i*dh:(i+1)*dh])
-			}
-		}
-	}
-	tensor.PutScratch(qh, kh, vh, scores)
-
-	y := a.Proj.Forward(out, false)
-	tensor.PutScratch(qkv, out)
-	return y
-}
-
-// forwardTrain is the training-mode forward: identical math, but q/k/v and
-// the per-head softmax probabilities are heap-allocated and retained for
-// Backward / LastProbs.
-func (a *MultiHeadAttention) forwardTrain(x *tensor.Tensor) *tensor.Tensor {
-	rows := x.Shape[0]
-	b := rows / a.Tokens
-	qkv := a.QKV.Forward(x, true) // (rows, 3*Dim)
+	qkv := a.QKV.Forward(x, train) // (rows, 3*Dim)
 	d := a.Dim
 	q := tensor.New(rows, d)
 	k := tensor.New(rows, d)
@@ -160,7 +106,7 @@ func (a *MultiHeadAttention) forwardTrain(x *tensor.Tensor) *tensor.Tensor {
 	a.q, a.k, a.v = q, k, v
 	a.probs = probs
 	a.batch = b
-	return a.Proj.Forward(out, true)
+	return a.Proj.Forward(out, train)
 }
 
 // Backward propagates gradients through the projection, the attention

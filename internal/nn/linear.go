@@ -55,9 +55,8 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // ForwardInto computes y = x Wᵀ + b into a caller-provided (rows, Out)
-// tensor without caching anything for backward — the inference path used by
-// the attention and pipeline hot loops so layer intermediates come from the
-// scratch arena instead of the heap.
+// tensor without caching anything for backward — the float model's linear
+// site in vit's inference trunk, whose outputs live in its workspace.
 func (l *Linear) ForwardInto(out, x *tensor.Tensor) {
 	checkRank("Linear.ForwardInto", x, 2)
 	if x.Shape[1] != l.In {

@@ -2,9 +2,7 @@ package quant
 
 import (
 	"fmt"
-	"math"
 
-	"itask/internal/nn"
 	"itask/internal/tensor"
 	"itask/internal/vit"
 )
@@ -48,44 +46,38 @@ type StaticBlockParams struct {
 	QKVIn, ProjIn, MLP1In, MLP2In QParams
 }
 
-// floatAttentionContext computes the pre-projection attention output (the
-// concatenated head contexts) of a float MHSA layer on normalized input xn
-// — the activation the quantized model feeds to its projection GEMM.
-func floatAttentionContext(a *nn.MultiHeadAttention, xn *tensor.Tensor) *tensor.Tensor {
-	d := a.Dim
-	t := a.Tokens
-	h := a.Heads
-	dh := d / h
-	rows := xn.Shape[0]
-	batch := rows / t
-	qkv := a.QKV.Forward(xn, false)
-	out := tensor.New(rows, d)
-	scale := float32(1 / math.Sqrt(float64(dh)))
-	for bi := 0; bi < batch; bi++ {
-		for hi := 0; hi < h; hi++ {
-			qh := tensor.New(t, dh)
-			kh := tensor.New(t, dh)
-			vh := tensor.New(t, dh)
-			for ti := 0; ti < t; ti++ {
-				src := qkv.Data[(bi*t+ti)*3*d:]
-				copy(qh.Data[ti*dh:(ti+1)*dh], src[hi*dh:(hi+1)*dh])
-				copy(kh.Data[ti*dh:(ti+1)*dh], src[d+hi*dh:d+(hi+1)*dh])
-				copy(vh.Data[ti*dh:(ti+1)*dh], src[2*d+hi*dh:2*d+(hi+1)*dh])
-			}
-			scores := tensor.MatMulT(qh, kh)
-			scores.ScaleInPlace(scale)
-			ctx := tensor.MatMul(tensor.SoftmaxRows(scores), vh)
-			for ti := 0; ti < t; ti++ {
-				copy(out.Data[(bi*t+ti)*d+hi*dh:(bi*t+ti)*d+(hi+1)*dh], ctx.Data[ti*dh:(ti+1)*dh])
-			}
-		}
+// sites lists the parameters in the order Model.linears lists the layers
+// whose inputs they quantize.
+func (sp *StaticParams) sites() []*QParams {
+	ps := []*QParams{&sp.EmbedIn}
+	for i := range sp.Blocks {
+		b := &sp.Blocks[i]
+		ps = append(ps, &b.QKVIn, &b.ProjIn, &b.MLP1In, &b.MLP2In)
 	}
-	return out
+	return append(ps, &sp.DetIn, &sp.ClsIn)
 }
 
-// Calibrate runs calibration images through the FLOAT model, observes the
-// input of every linear site, and returns static activation parameters for
-// the scheme. pct is the percentile clip (0.999 is a good default).
+// observed is the float model's sites with every linear site's input
+// recorded on its way in.
+type observed struct {
+	*vit.Model
+	in map[vit.Site]*Observer
+}
+
+func (o observed) Linear(ws *vit.Workspace, s vit.Site, out, x *tensor.Tensor) {
+	ob := o.in[s]
+	if ob == nil {
+		ob = new(Observer)
+		o.in[s] = ob
+	}
+	ob.Observe(x)
+	o.Model.Linear(ws, s, out, x)
+}
+
+// Calibrate runs calibration images through the FLOAT model's inference
+// forward, observes the input of every linear site, and returns static
+// activation parameters for the scheme. pct is the percentile clip (0.999
+// is a good default).
 func Calibrate(m *vit.Model, images []*tensor.Tensor, qc Config, pct float64) (*StaticParams, error) {
 	if err := qc.Validate(); err != nil {
 		return nil, err
@@ -94,70 +86,25 @@ func Calibrate(m *vit.Model, images []*tensor.Tensor, qc Config, pct float64) (*
 		return nil, fmt.Errorf("quant: calibration needs at least one image")
 	}
 	bits := qc.actBits()
-	var embedIn, detIn, clsIn Observer
-	blockObs := make([]struct{ qkv, proj, mlp1, mlp2 Observer }, m.Cfg.Depth)
-
-	patches := vit.Patchify(m.Cfg, images)
-	embedIn.Observe(patches)
-	x := m.Embed.Forward(patches, false)
-	x = m.Pos.Forward(x, false)
-	layers := m.Trunk.Layers
-	if len(layers) != 2*m.Cfg.Depth+1 {
-		return nil, fmt.Errorf("quant: unexpected trunk length %d", len(layers))
-	}
-	for i := 0; i < m.Cfg.Depth; i++ {
-		attnSeq, err := residualBody(layers[2*i])
-		if err != nil {
-			return nil, err
-		}
-		mlpSeq, err := residualBody(layers[2*i+1])
-		if err != nil {
-			return nil, err
-		}
-		mhsa, ok := attnSeq.Layers[1].(*nn.MultiHeadAttention)
-		if !ok {
-			return nil, fmt.Errorf("quant: block %d missing attention", i)
-		}
-		xn := attnSeq.Layers[0].Forward(x, false)
-		blockObs[i].qkv.Observe(xn)
-		blockObs[i].proj.Observe(floatAttentionContext(mhsa, xn))
-		x = tensor.Add(x, mhsa.Forward(xn, false))
-
-		yn := mlpSeq.Layers[0].Forward(x, false)
-		blockObs[i].mlp1.Observe(yn)
-		h := mlpSeq.Layers[2].Forward(mlpSeq.Layers[1].Forward(yn, false), false)
-		blockObs[i].mlp2.Observe(h)
-		x = tensor.Add(x, mlpSeq.Layers[3].Forward(h, false))
-	}
-	feats := layers[len(layers)-1].Forward(x, false)
+	obs := observed{Model: m, in: make(map[vit.Site]*Observer)}
+	feats := vit.Infer(m.Cfg, m.Pos.Emb.W, obs, vit.Patchify(m.Cfg, images))
+	var detIn, clsIn Observer
 	detIn.Observe(feats)
 	clsIn.Observe(m.PoolFeats(feats))
 
+	in := func(b int, k vit.SiteKind) QParams { return obs.in[vit.Site{Block: b, Kind: k}].Params(bits, pct) }
 	sp := &StaticParams{
-		EmbedIn: embedIn.Params(bits, pct),
+		EmbedIn: in(0, vit.Embed),
 		DetIn:   detIn.Params(bits, pct),
 		ClsIn:   clsIn.Params(bits, pct),
 	}
-	for i := range blockObs {
+	for b := 0; b < m.Cfg.Depth; b++ {
 		sp.Blocks = append(sp.Blocks, StaticBlockParams{
-			QKVIn:  blockObs[i].qkv.Params(bits, pct),
-			ProjIn: blockObs[i].proj.Params(bits, pct),
-			MLP1In: blockObs[i].mlp1.Params(bits, pct),
-			MLP2In: blockObs[i].mlp2.Params(bits, pct),
+			QKVIn:  in(b, vit.QKV),
+			ProjIn: in(b, vit.Proj),
+			MLP1In: in(b, vit.MLP1),
+			MLP2In: in(b, vit.MLP2),
 		})
 	}
 	return sp, nil
-}
-
-// residualBody unwraps Residual(Sequential(...)).
-func residualBody(l nn.Layer) (*nn.Sequential, error) {
-	res, ok := l.(*nn.Residual)
-	if !ok {
-		return nil, fmt.Errorf("quant: trunk layer is %T, want *nn.Residual", l)
-	}
-	seq, ok := res.Body.(*nn.Sequential)
-	if !ok {
-		return nil, fmt.Errorf("quant: residual body is %T, want *nn.Sequential", res.Body)
-	}
-	return seq, nil
 }

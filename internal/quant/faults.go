@@ -22,7 +22,7 @@ func InjectBitFlips(qm *Model, ratePerBit float64, seed uint64) (int, error) {
 	}
 	rng := tensor.NewRNG(seed)
 	flips := 0
-	corrupt := func(l *qLinear) {
+	for _, l := range qm.linears() {
 		bits := l.w.Bits
 		mask := uint32(1)<<bits - 1
 		signBit := uint32(1) << (bits - 1)
@@ -52,15 +52,6 @@ func InjectBitFlips(qm *Model, ratePerBit float64, seed uint64) (int, error) {
 			l.w.RowSums[o] = s
 		}
 	}
-	corrupt(&qm.embed)
-	for i := range qm.blocks {
-		corrupt(&qm.blocks[i].qkv)
-		corrupt(&qm.blocks[i].proj)
-		corrupt(&qm.blocks[i].mlp1)
-		corrupt(&qm.blocks[i].mlp2)
-	}
-	corrupt(&qm.det)
-	corrupt(&qm.cls)
 	return flips, nil
 }
 
@@ -68,15 +59,8 @@ func InjectBitFlips(qm *Model, ratePerBit float64, seed uint64) (int, error) {
 // surface InjectBitFlips draws from.
 func (qm *Model) WeightBits() int {
 	n := 0
-	add := func(l qLinear) { n += len(l.w.Q) * l.w.Bits }
-	add(qm.embed)
-	for _, b := range qm.blocks {
-		add(b.qkv)
-		add(b.proj)
-		add(b.mlp1)
-		add(b.mlp2)
+	for _, l := range qm.linears() {
+		n += len(l.w.Q) * l.w.Bits
 	}
-	add(qm.det)
-	add(qm.cls)
 	return n
 }

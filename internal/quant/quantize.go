@@ -103,7 +103,3 @@ func (qp QParams) QuantizeSlice(dst []int8, src []float32) {
 	lo, hi := qRange(qp.Bits)
 	kernels.QuantizeI8(dst, src, qp.Scale, qp.Zero, lo, hi)
 }
-
-// MaxAbsError returns the worst-case round-trip error bound for qp:
-// half a scale step (plus clipping, which this bound excludes).
-func (qp QParams) MaxAbsError() float32 { return qp.Scale / 2 }

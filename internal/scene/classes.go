@@ -78,15 +78,6 @@ func ClassByName(name string) (ClassID, bool) {
 	return 0, false
 }
 
-// AllClasses returns the full vocabulary in ID order.
-func AllClasses() []ClassID {
-	out := make([]ClassID, NumClasses)
-	for i := range out {
-		out[i] = ClassID(i)
-	}
-	return out
-}
-
 // DomainID identifies an application domain (a mission context).
 type DomainID int
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -25,6 +26,10 @@ var edgeShapes = []struct{ m, k, n int }{
 	{300, 96, 80},
 }
 
+// dirty is a destination full of NaN: an Into kernel must overwrite every
+// element.
+func dirty(shape ...int) *Tensor { return Full(float32(math.NaN()), shape...) }
+
 func randMat(rng *rand.Rand, r, c int) *Tensor {
 	t := New(r, c)
 	for i := range t.Data {
@@ -42,12 +47,11 @@ func TestMatMulEdgeShapesVsNaive(t *testing.T) {
 		if got := MatMul(a, b); !got.AllClose(want, 1e-4, 1e-4) {
 			t.Fatalf("MatMul (%d,%d)@(%d,%d) diverges from naive", s.m, s.k, s.k, s.n)
 		}
-		out := GetScratchNoZero(s.m, s.n)
+		out := dirty(s.m, s.n)
 		MatMulInto(out, a, b)
 		if !out.AllClose(want, 1e-4, 1e-4) {
 			t.Fatalf("MatMulInto (%d,%d)@(%d,%d) diverges from naive", s.m, s.k, s.k, s.n)
 		}
-		PutScratch(out)
 	}
 }
 
@@ -60,12 +64,11 @@ func TestMatMulTEdgeShapesVsNaive(t *testing.T) {
 		if got := MatMulT(a, b); !got.AllClose(want, 1e-4, 1e-4) {
 			t.Fatalf("MatMulT (%d,%d)@(%d,%d)T diverges from naive", s.m, s.k, s.n, s.k)
 		}
-		out := GetScratchNoZero(s.m, s.n)
+		out := dirty(s.m, s.n)
 		MatMulTInto(out, a, b)
 		if !out.AllClose(want, 1e-4, 1e-4) {
 			t.Fatalf("MatMulTInto (%d,%d)@(%d,%d)T diverges from naive", s.m, s.k, s.n, s.k)
 		}
-		PutScratch(out)
 	}
 }
 
@@ -78,12 +81,11 @@ func TestTMatMulEdgeShapesVsNaive(t *testing.T) {
 		if got := TMatMul(a, b); !got.AllClose(want, 1e-4, 1e-4) {
 			t.Fatalf("TMatMul (%d,%d)T@(%d,%d) diverges from naive", s.k, s.m, s.k, s.n)
 		}
-		out := GetScratchNoZero(s.m, s.n)
+		out := dirty(s.m, s.n)
 		TMatMulInto(out, a, b)
 		if !out.AllClose(want, 1e-4, 1e-4) {
 			t.Fatalf("TMatMulInto (%d,%d)T@(%d,%d) diverges from naive", s.k, s.m, s.k, s.n)
 		}
-		PutScratch(out)
 	}
 }
 
@@ -105,12 +107,11 @@ func TestMatVecEdgeShapes(t *testing.T) {
 				t.Fatalf("MatVec (%d,%d) row %d: got %v want %v", s.m, s.k, i, got.Data[i], want)
 			}
 		}
-		out := GetScratchNoZero(s.m)
+		out := dirty(s.m)
 		MatVecInto(out, a, x)
 		if !out.AllClose(got, 0, 0) {
 			t.Fatalf("MatVecInto differs from MatVec at (%d,%d)", s.m, s.k)
 		}
-		PutScratch(out)
 	}
 }
 
@@ -133,41 +134,10 @@ func TestOuterEdgeShapes(t *testing.T) {
 				}
 			}
 		}
-		out := GetScratchNoZero(s.m, s.n)
+		out := dirty(s.m, s.n)
 		OuterInto(out, x, y)
 		if !out.AllClose(got, 0, 0) {
 			t.Fatalf("OuterInto differs from Outer at (%d,%d)", s.m, s.n)
 		}
-		PutScratch(out)
 	}
-}
-
-func TestScratchArenaReuse(t *testing.T) {
-	a := GetScratch(33, 17)
-	if a.Shape[0] != 33 || a.Shape[1] != 17 {
-		t.Fatalf("GetScratch shape %v", a.Shape)
-	}
-	for _, v := range a.Data {
-		if v != 0 {
-			t.Fatal("GetScratch returned non-zeroed buffer")
-		}
-	}
-	a.Data[0] = 42
-	PutScratch(a)
-	if a.Data != nil {
-		t.Fatal("PutScratch must nil the Data slice")
-	}
-	// Same size class: the next NoZero Get should hand back pooled storage
-	// (not guaranteed by sync.Pool, but must at least be usable and sized).
-	b := GetScratchNoZero(40, 20)
-	if len(b.Data) != 800 {
-		t.Fatalf("GetScratchNoZero len %d want 800", len(b.Data))
-	}
-	c := GetScratch(40, 20)
-	for _, v := range c.Data {
-		if v != 0 {
-			t.Fatal("GetScratch must zero recycled buffers")
-		}
-	}
-	PutScratch(b, c, nil) // nil entries are skipped
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // Tensor is a dense row-major float32 array with an explicit shape.
-// The zero value is not useful; construct tensors with New, Zeros, Full,
+// The zero value is not useful; construct tensors with New, Full,
 // FromSlice, or the random constructors in random.go.
 type Tensor struct {
 	// Data holds the elements in row-major order. len(Data) == Size().
@@ -30,10 +30,6 @@ func New(shape ...int) *Tensor {
 	n := checkShape(shape)
 	return &Tensor{Data: make([]float32, n), Shape: append([]int(nil), shape...)}
 }
-
-// Zeros is an alias for New, for readability at call sites that care that
-// the content is zero rather than that the tensor is fresh.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
 
 // Full allocates a tensor with every element set to v.
 func Full(v float32, shape ...int) *Tensor {
@@ -57,9 +53,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	}
 	return &Tensor{Data: data, Shape: append([]int(nil), shape...)}
 }
-
-// Scalar allocates a 0-dimensional tensor holding v.
-func Scalar(v float32) *Tensor { return FromSlice([]float32{v}) }
 
 // checkShape validates a shape and returns the element count.
 func checkShape(shape []int) int {
@@ -157,9 +150,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	}
 	return &Tensor{Data: t.Data, Shape: append([]int(nil), shape...)}
 }
-
-// Flatten returns a 1-D view sharing t's data.
-func (t *Tensor) Flatten() *Tensor { return t.Reshape(t.Size()) }
 
 // Row returns a view of row i of a 2-D tensor, sharing data.
 func (t *Tensor) Row(i int) *Tensor {

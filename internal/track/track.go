@@ -31,9 +31,6 @@ type Track struct {
 	confirmed  bool
 }
 
-// Confirmed reports whether the track has enough hits to be emitted.
-func (t *Track) Confirmed() bool { return t.confirmed }
-
 // predict extrapolates the box one frame with the velocity estimate.
 func (t *Track) predict() geom.Box {
 	b := t.Box

@@ -1,0 +1,182 @@
+package vit
+
+import (
+	"fmt"
+	"math"
+	"sync"
+
+	"itask/internal/tensor"
+)
+
+// The inference forward. Both serving models are this ViT — the float
+// student and its int8 quantization (internal/quant) — and differ only in
+// the arithmetic at a few kinds of site, which each brings through Sites.
+// Everything else lives here once: the patch embedding and position add,
+// the residual stream, each block's LN → attention → LN → MLP order, the
+// per-head staging and the (batch × head) loop, and the memory every
+// intermediate lives in.
+
+// SiteKind names a linear or LayerNorm site of the trunk.
+type SiteKind uint8
+
+const (
+	Embed SiteKind = iota // patch embedding (linear)
+	LN1                   // a block's pre-attention LayerNorm
+	QKV                   // a block's fused q/k/v projection (linear)
+	Proj                  // a block's attention output projection (linear)
+	LN2                   // a block's pre-MLP LayerNorm
+	MLP1                  // a block's MLP expansion (linear)
+	MLP2                  // a block's MLP contraction (linear)
+	NormF                 // the final LayerNorm
+)
+
+// Site is one site of the trunk: its kind and, for the per-block kinds, the
+// block it sits in (0 for Embed and NormF).
+type Site struct {
+	Block int
+	Kind  SiteKind
+}
+
+// Sites is the arithmetic a model brings to the inference trunk. A served
+// model's methods run on many goroutines at once, so they may only read
+// the model. A Workspace passed in is valid until the method returns;
+// nothing taken from it may be kept.
+type Sites interface {
+	// Linear writes x·Wᵀ + b of linear site s into out (rows, Out).
+	Linear(ws *Workspace, s Site, out, x *tensor.Tensor)
+	// LayerNorm writes the LayerNorm of x at site s into out.
+	LayerNorm(s Site, out, x *tensor.Tensor)
+	// Attend computes one head's softmax(scale·q·kᵀ)·v, q, k and v (T, dh)
+	// and the scores (T, T) scratch, and overwrites q with it.
+	Attend(ws *Workspace, q, k, v, scores *tensor.Tensor, scale float32)
+	// GELU overwrites x with its activation.
+	GELU(x *tensor.Tensor)
+}
+
+// Workspace holds every intermediate of one inference forward: the trunk's
+// tensors and whatever scratch the sites take (activation codes, int32
+// accumulators, per-head key/value codes). Its one ownership rule: a
+// workspace belongs to one Infer call, which takes it from the pool and
+// returns it before it returns, so no slice of it outlives the call — the
+// features Infer returns are the only fresh allocation.
+type Workspace struct {
+	f32 arena[float32]
+	i8  arena[int8]
+	i32 arena[int32]
+
+	x, xn, y, qkv, hid tensor.Tensor // residual stream and sublayer buffers
+	q, k, v, scores    tensor.Tensor // one head
+}
+
+var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
+
+// F32 returns n float32s of scratch with arbitrary contents.
+func (ws *Workspace) F32(n int) []float32 { return ws.f32.take(n) }
+
+// I8 returns n int8s of scratch with arbitrary contents.
+func (ws *Workspace) I8(n int) []int8 { return ws.i8.take(n) }
+
+// I32 returns n int32s of scratch with arbitrary contents.
+func (ws *Workspace) I32(n int) []int32 { return ws.i32.take(n) }
+
+// matrix points t at fresh (r, c) scratch.
+func (ws *Workspace) matrix(t *tensor.Tensor, r, c int) *tensor.Tensor {
+	t.Data = ws.F32(r * c)
+	t.Shape = append(t.Shape[:0], r, c)
+	return t
+}
+
+// mark and release bracket a site call: what the site took is dead when it
+// returns.
+type mark struct{ f32, i8, i32 int }
+
+func (ws *Workspace) mark() mark { return mark{ws.f32.n, ws.i8.n, ws.i32.n} }
+
+func (ws *Workspace) release(m mark) { ws.f32.n, ws.i8.n, ws.i32.n = m.f32, m.i8, m.i32 }
+
+// arena hands out consecutive pieces of one backing array.
+type arena[T any] struct {
+	buf []T
+	n   int
+}
+
+func (a *arena[T]) take(n int) []T {
+	if a.n+n > len(a.buf) {
+		// Pieces already handed out keep the old array; the new one holds
+		// this call's peak, so a warm workspace never grows.
+		a.buf = make([]T, max(2*len(a.buf), a.n+n))
+	}
+	s := a.buf[a.n : a.n+n : a.n+n]
+	a.n += n
+	return s
+}
+
+// Infer runs the inference trunk of a ViT of geometry cfg with position
+// embedding pos (Tokens, Dim) on packed patches (B·Tokens, PatchDim),
+// the arithmetic at every site brought by s, and returns the token features
+// (B·Tokens, Dim).
+func Infer(cfg Config, pos *tensor.Tensor, s Sites, patches *tensor.Tensor) *tensor.Tensor {
+	t, d := cfg.Tokens(), cfg.Dim
+	if patches.Dims() != 2 || patches.Shape[1] != cfg.PatchDim() || patches.Shape[0]%t != 0 {
+		panic(fmt.Sprintf("vit: inference wants (B*%d,%d) patches, got %v", t, cfg.PatchDim(), patches.Shape))
+	}
+	rows := patches.Shape[0]
+	dh := d / cfg.Heads
+	scale := float32(1 / math.Sqrt(float64(dh)))
+
+	ws := workspaces.Get().(*Workspace)
+	defer workspaces.Put(ws)
+	ws.release(mark{})
+	x := ws.matrix(&ws.x, rows, d)
+	xn := ws.matrix(&ws.xn, rows, d) // each sublayer's normalized input, then attention's context
+	y := ws.matrix(&ws.y, rows, d)
+	qkv := ws.matrix(&ws.qkv, rows, 3*d)
+	hid := ws.matrix(&ws.hid, rows, cfg.MLPRatio*d)
+	q := ws.matrix(&ws.q, t, dh)
+	k := ws.matrix(&ws.k, t, dh)
+	v := ws.matrix(&ws.v, t, dh)
+	scores := ws.matrix(&ws.scores, t, t)
+	linear := func(site Site, out, in *tensor.Tensor) {
+		m := ws.mark()
+		s.Linear(ws, site, out, in)
+		ws.release(m)
+	}
+
+	linear(Site{Kind: Embed}, x, patches)
+	for i := 0; i < rows; i++ {
+		row := x.Data[i*d : (i+1)*d]
+		for j, p := range pos.Data[i%t*d : (i%t+1)*d] {
+			row[j] += p
+		}
+	}
+	for b := 0; b < cfg.Depth; b++ {
+		s.LayerNorm(Site{b, LN1}, xn, x)
+		linear(Site{b, QKV}, qkv, xn)
+		for bi := 0; bi < rows/t; bi++ {
+			for h := 0; h < cfg.Heads; h++ {
+				for ti := 0; ti < t; ti++ {
+					src := qkv.Data[(bi*t+ti)*3*d+h*dh:]
+					copy(q.Data[ti*dh:(ti+1)*dh], src[:dh])
+					copy(k.Data[ti*dh:(ti+1)*dh], src[d:d+dh])
+					copy(v.Data[ti*dh:(ti+1)*dh], src[2*d:2*d+dh])
+				}
+				m := ws.mark()
+				s.Attend(ws, q, k, v, scores, scale)
+				ws.release(m)
+				for ti := 0; ti < t; ti++ {
+					copy(xn.Data[(bi*t+ti)*d+h*dh:][:dh], q.Data[ti*dh:(ti+1)*dh])
+				}
+			}
+		}
+		linear(Site{b, Proj}, y, xn)
+		x.AddInPlace(y)
+		s.LayerNorm(Site{b, LN2}, xn, x)
+		linear(Site{b, MLP1}, hid, xn)
+		s.GELU(hid)
+		linear(Site{b, MLP2}, y, hid)
+		x.AddInPlace(y)
+	}
+	feats := tensor.New(rows, d)
+	s.LayerNorm(Site{Kind: NormF}, feats, x)
+	return feats
+}

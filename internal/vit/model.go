@@ -64,19 +64,35 @@ func (p *PosEmbed) Backward(dy *tensor.Tensor) *tensor.Tensor {
 func (p *PosEmbed) Params() []*nn.Param { return []*nn.Param{p.Emb} }
 
 // Model is the iTask vision transformer. It owns a patch-embedding trunk and
-// two heads; see package comment. All state is single-goroutine; clone the
-// model (via checkpoint round-trip) for concurrent inference.
+// two heads; see package comment. An inference forward (Forward with train
+// false, the heads with train false) only reads the model, so any number of
+// goroutines may run it on one Model at once. A training forward caches
+// activations on the layers for Backward: training runs on one goroutine,
+// with no inference beside it.
 type Model struct {
 	Cfg   Config
 	Embed *nn.Linear
 	Pos   *PosEmbed
-	Trunk *nn.Sequential // transformer blocks + final norm
+	Trunk *nn.Sequential // transformer blocks + final norm, the training path
 	Det   *nn.Linear     // per-token detection head
 	Cls   *nn.Linear     // pooled classification head
+
+	// Blocks and NormF are the trunk's layers by role, the same values
+	// Trunk runs.
+	Blocks []Block
+	NormF  *nn.LayerNorm
 
 	// caches for backward
 	feats *tensor.Tensor
 	batch int
+}
+
+// Block is one transformer block's layers.
+type Block struct {
+	LN1        *nn.LayerNorm
+	Attn       *nn.MultiHeadAttention
+	LN2        *nn.LayerNorm
+	MLP1, MLP2 *nn.Linear
 }
 
 // New builds a model with freshly initialized weights drawn from rng.
@@ -92,23 +108,24 @@ func New(cfg Config, rng *tensor.RNG) *Model {
 	}
 	for i := 0; i < cfg.Depth; i++ {
 		p := fmt.Sprintf("block%d", i)
-		attn := nn.NewSequential(
-			nn.NewLayerNorm(p+".ln1", cfg.Dim),
-			nn.NewMultiHeadAttention(p+".attn", cfg.Dim, cfg.Heads, cfg.Tokens(), rng),
-		)
-		mlp := nn.NewSequential(
-			nn.NewLayerNorm(p+".ln2", cfg.Dim),
-			nn.NewLinear(p+".mlp1", cfg.Dim, cfg.MLPRatio*cfg.Dim, rng),
-			nn.NewGELU(),
-			nn.NewLinear(p+".mlp2", cfg.MLPRatio*cfg.Dim, cfg.Dim, rng),
-		)
+		b := Block{
+			LN1:  nn.NewLayerNorm(p+".ln1", cfg.Dim),
+			Attn: nn.NewMultiHeadAttention(p+".attn", cfg.Dim, cfg.Heads, cfg.Tokens(), rng),
+			LN2:  nn.NewLayerNorm(p+".ln2", cfg.Dim),
+			MLP1: nn.NewLinear(p+".mlp1", cfg.Dim, cfg.MLPRatio*cfg.Dim, rng),
+			MLP2: nn.NewLinear(p+".mlp2", cfg.MLPRatio*cfg.Dim, cfg.Dim, rng),
+		}
+		attn := nn.NewSequential(b.LN1, b.Attn)
+		mlp := nn.NewSequential(b.LN2, b.MLP1, nn.NewGELU(), b.MLP2)
 		if cfg.Dropout > 0 {
 			attn.Append(nn.NewDropout(cfg.Dropout, rng.Split()))
 			mlp.Append(nn.NewDropout(cfg.Dropout, rng.Split()))
 		}
 		m.Trunk.Append(nn.NewResidual(attn), nn.NewResidual(mlp))
+		m.Blocks = append(m.Blocks, b)
 	}
-	m.Trunk.Append(nn.NewLayerNorm("norm_f", cfg.Dim))
+	m.NormF = nn.NewLayerNorm("norm_f", cfg.Dim)
+	m.Trunk.Append(m.NormF)
 	m.Det = nn.NewLinear("det_head", cfg.Dim, cfg.DetWidth(), rng)
 	m.Cls = nn.NewLinear("cls_head", cfg.Dim, cfg.Classes, rng)
 	return m
@@ -116,23 +133,63 @@ func New(cfg Config, rng *tensor.RNG) *Model {
 
 // Forward runs the trunk on packed patches of shape (B*Tokens, PatchDim) and
 // returns the token features (B*Tokens, Dim). Call DetHead/ClsHead on the
-// result; then Backward with the head gradients.
+// result; then Backward with the head gradients. Inference (train false)
+// runs the shared trunk, Infer, with the model's float layers at its sites.
 func (m *Model) Forward(patches *tensor.Tensor, train bool) *tensor.Tensor {
+	if !train {
+		return Infer(m.Cfg, m.Pos.Emb.W, m, patches)
+	}
 	if patches.Dims() != 2 || patches.Shape[1] != m.Cfg.PatchDim() {
 		panic(fmt.Sprintf("vit: Forward wants (B*T,%d) patches, got %v", m.Cfg.PatchDim(), patches.Shape))
 	}
 	if patches.Shape[0]%m.Cfg.Tokens() != 0 {
 		panic(fmt.Sprintf("vit: %d rows not a multiple of %d tokens", patches.Shape[0], m.Cfg.Tokens()))
 	}
-	x := m.Embed.Forward(patches, train)
-	x = m.Pos.Forward(x, train)
-	feats := m.Trunk.Forward(x, train)
-	if train {
-		m.feats = feats
-		m.batch = patches.Shape[0] / m.Cfg.Tokens()
-	}
-	return feats
+	x := m.Embed.Forward(patches, true)
+	x = m.Pos.Forward(x, true)
+	m.feats = m.Trunk.Forward(x, true)
+	m.batch = patches.Shape[0] / m.Cfg.Tokens()
+	return m.feats
 }
+
+// Linear is the float linear site: x·Wᵀ + b by the float GEMM.
+func (m *Model) Linear(_ *Workspace, s Site, out, x *tensor.Tensor) {
+	l := m.Embed
+	switch s.Kind {
+	case QKV:
+		l = m.Blocks[s.Block].Attn.QKV
+	case Proj:
+		l = m.Blocks[s.Block].Attn.Proj
+	case MLP1:
+		l = m.Blocks[s.Block].MLP1
+	case MLP2:
+		l = m.Blocks[s.Block].MLP2
+	}
+	l.ForwardInto(out, x)
+}
+
+// LayerNorm is the float LayerNorm site.
+func (m *Model) LayerNorm(s Site, out, x *tensor.Tensor) {
+	l := m.NormF
+	switch s.Kind {
+	case LN1:
+		l = m.Blocks[s.Block].LN1
+	case LN2:
+		l = m.Blocks[s.Block].LN2
+	}
+	tensor.LayerNormF32Into(out, x, l.Gamma.W.Data, l.Beta.W.Data, l.Eps)
+}
+
+// Attend is one float attention head: the score GEMM, the float32 softmax
+// and the context GEMM.
+func (m *Model) Attend(_ *Workspace, q, k, v, scores *tensor.Tensor, scale float32) {
+	tensor.MatMulTInto(scores, q, k)
+	scores.SoftmaxRowsF32(scale)
+	tensor.MatMulInto(q, scores, v)
+}
+
+// GELU is the float activation site.
+func (m *Model) GELU(x *tensor.Tensor) { tensor.GELUF32Into(x, x) }
 
 // DetHead applies the detection head to token features, producing
 // (B*Tokens, 5+Classes) raw predictions.

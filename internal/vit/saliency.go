@@ -3,7 +3,6 @@ package vit
 import (
 	"fmt"
 
-	"itask/internal/nn"
 	"itask/internal/tensor"
 )
 
@@ -28,20 +27,8 @@ func (m *Model) AttentionRollout(img *tensor.Tensor) []float64 {
 	for i := 0; i < t; i++ {
 		rolled.Set(1, i, i)
 	}
-	for _, layer := range m.Trunk.Layers {
-		res, ok := layer.(*nn.Residual)
-		if !ok {
-			continue
-		}
-		seq, ok := res.Body.(*nn.Sequential)
-		if !ok || len(seq.Layers) < 2 {
-			continue
-		}
-		mhsa, ok := seq.Layers[1].(*nn.MultiHeadAttention)
-		if !ok {
-			continue
-		}
-		probs := mhsa.LastProbs()
+	for _, b := range m.Blocks {
+		probs := b.Attn.LastProbs()
 		if len(probs) < m.Cfg.Heads {
 			panic(fmt.Sprintf("vit: attention cache has %d matrices, want >= %d", len(probs), m.Cfg.Heads))
 		}
