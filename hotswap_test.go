@@ -24,8 +24,7 @@ func poisonStudent() registry.Artifact {
 	return registry.Artifact{
 		Name: "patrol-student", Kind: registry.TaskSpecific, Task: "patrol",
 		Bytes: 1 << 16, LatencyUS: 50,
-		Detect: func(img *tensor.Tensor) []geom.Scored { return nil },
-		DetectBatch: func(imgs []*tensor.Tensor) [][]geom.Scored {
+		Detect: func(imgs []*tensor.Tensor) [][]geom.Scored {
 			if len(imgs) >= 2 {
 				panic("poisoned weights")
 			}

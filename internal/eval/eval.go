@@ -1,7 +1,8 @@
 // Package eval runs detectors over datasets and reduces the results to the
-// metrics the experiments report. It is deliberately interface-thin: any
-// model variant (float ViT, quantized ViT, scheduler-selected model) is just
-// a DetectFunc.
+// metrics the experiments report. A model runs a batch of images in one pass
+// (a BatchDetectFunc); the harness scores any detector (float ViT, quantized
+// ViT, the whole pipeline) one image at a time through a DetectFunc, which
+// for a model is its batch of one.
 package eval
 
 import (
@@ -30,16 +31,6 @@ func DefaultThresholds() Thresholds {
 	return Thresholds{Obj: 0.45, NMSIoU: 0.45, MatchIoU: 0.35}
 }
 
-// DetectorOf wraps a float ViT model as a DetectFunc.
-func DetectorOf(m *vit.Model, th Thresholds) DetectFunc {
-	return func(img *tensor.Tensor) []geom.Scored {
-		patches := vit.Patchify(m.Cfg, []*tensor.Tensor{img})
-		feats := m.Forward(patches, false)
-		det := m.DetHead(feats, false)
-		return vit.Decode(m.Cfg, det, th.Obj, th.NMSIoU)
-	}
-}
-
 // BatchDetectFunc maps a batch of (C,H,W) images to per-image detections.
 type BatchDetectFunc func(imgs []*tensor.Tensor) [][]geom.Scored
 
@@ -60,6 +51,15 @@ func BatchDetectorOf(m *vit.Model, th Thresholds) BatchDetectFunc {
 			out[i] = vit.Decode(m.Cfg, det.Slice2D(i*t, (i+1)*t), th.Obj, th.NMSIoU)
 		}
 		return out
+	}
+}
+
+// DetectorOf wraps a float ViT model as a DetectFunc: the batch of one over
+// BatchDetectorOf.
+func DetectorOf(m *vit.Model, th Thresholds) DetectFunc {
+	batch := BatchDetectorOf(m, th)
+	return func(img *tensor.Tensor) []geom.Scored {
+		return batch([]*tensor.Tensor{img})[0]
 	}
 }
 

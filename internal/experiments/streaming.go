@@ -40,7 +40,7 @@ func E12Streaming(deadlineUS float64, rates []float64) ([]E12Row, error) {
 	for _, task := range tasks {
 		mix[task] = 1
 	}
-	noop := func(img *tensor.Tensor) []geom.Scored { return nil }
+	noop := func(imgs []*tensor.Tensor) [][]geom.Scored { return make([][]geom.Scored, len(imgs)) }
 
 	const studentBytes = 200 << 10
 	const generalBytes = 400 << 10

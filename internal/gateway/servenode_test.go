@@ -47,8 +47,8 @@ func studentArtifact() registry.Artifact {
 		Task:      "patrol",
 		Bytes:     1 << 20,
 		LatencyUS: 500,
-		Detect: func(*tensor.Tensor) []geom.Scored {
-			return nil
+		Detect: func(imgs []*tensor.Tensor) [][]geom.Scored {
+			return make([][]geom.Scored, len(imgs))
 		},
 	}
 }

@@ -94,25 +94,9 @@ func SimulateAccelDataflow(accel AccelConfig, model vit.Config, df Dataflow) Mod
 	if df == WeightStationary {
 		return SimulateAccel(accel, model)
 	}
-	rep := ModelReport{Device: accel.Name + "/" + df.String()}
-	var macWeightedUtil, totalMACs float64
-	for _, g := range model.Workload() {
-		lr := SimulateGEMMDataflow(accel, g, df)
-		rep.Layers = append(rep.Layers, lr)
-		rep.LatencyUS += lr.TimeUS
-		rep.DynamicUJ += lr.EnergyUJ()
-		macWeightedUtil += lr.Utilization * float64(lr.MACs)
-		totalMACs += float64(lr.MACs)
-	}
-	rep.VectorOps = vectorOpCount(model)
-	vecTimeUS := float64(rep.VectorOps) / (float64(accel.VectorLanes) * accel.FreqMHz * 1e6) * 1e6
-	rep.LatencyUS += vecTimeUS
-	rep.DynamicUJ += float64(rep.VectorOps) * accel.Energy.VectorOpPJ * 1e-6
-	rep.StaticUJ = (accel.StaticPowerW + accel.HostPowerW) * rep.LatencyUS
-	rep.TotalUJ = rep.DynamicUJ + rep.StaticUJ
-	rep.FPS = 1e6 / rep.LatencyUS
-	if totalMACs > 0 {
-		rep.MeanUtilization = macWeightedUtil / totalMACs
-	}
+	rep := simulateAccel(accel, model, 1, func(a AccelConfig, g vit.GEMM) GEMMReport {
+		return SimulateGEMMDataflow(a, g, df)
+	})
+	rep.Device += "/" + df.String()
 	return rep
 }

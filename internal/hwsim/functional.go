@@ -116,13 +116,6 @@ func (fa *FunctionalArray) RunGEMM(a []int8, m, k int, w []int8, n int) ([]int32
 	return out, cycles
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // RefGEMMInt8 is the plain int32-accumulation reference the functional
 // array must match bit-exactly.
 func RefGEMMInt8(a []int8, m, k int, w []int8, n int) []int32 {

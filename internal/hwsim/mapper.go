@@ -48,33 +48,9 @@ func vectorOpCount(cfg vit.Config) int64 {
 }
 
 // SimulateAccel maps a ViT workload onto the accelerator and returns the
-// full report. Vector-unit work runs concurrently with nothing (worst case:
-// serialized after the array), which is the conservative choice.
+// full report: SimulateAccelBatch at batch 1.
 func SimulateAccel(accel AccelConfig, model vit.Config) ModelReport {
-	if err := accel.Validate(); err != nil {
-		panic(err)
-	}
-	rep := ModelReport{Device: accel.Name}
-	var macWeightedUtil, totalMACs float64
-	for _, g := range model.Workload() {
-		lr := SimulateGEMM(accel, g)
-		rep.Layers = append(rep.Layers, lr)
-		rep.LatencyUS += lr.TimeUS
-		rep.DynamicUJ += lr.EnergyUJ()
-		macWeightedUtil += lr.Utilization * float64(lr.MACs)
-		totalMACs += float64(lr.MACs)
-	}
-	rep.VectorOps = vectorOpCount(model)
-	vecTimeUS := float64(rep.VectorOps) / (float64(accel.VectorLanes) * accel.FreqMHz * 1e6) * 1e6
-	rep.LatencyUS += vecTimeUS
-	rep.DynamicUJ += float64(rep.VectorOps) * accel.Energy.VectorOpPJ * 1e-6
-	rep.StaticUJ = (accel.StaticPowerW + accel.HostPowerW) * rep.LatencyUS // W·µs = µJ
-	rep.TotalUJ = rep.DynamicUJ + rep.StaticUJ
-	rep.FPS = 1e6 / rep.LatencyUS
-	if totalMACs > 0 {
-		rep.MeanUtilization = macWeightedUtil / totalMACs
-	}
-	return rep
+	return SimulateAccelBatch(accel, model, 1)
 }
 
 // SimulateAccelBatch models the accelerator executing a micro-batch of
@@ -87,8 +63,17 @@ func SimulateAccel(accel AccelConfig, model vit.Config) ModelReport {
 // this design. GEMMs marked Dynamic (attention scores/context, whose
 // stationary operand is a per-image activation) repeat per image and gain
 // nothing. The report is normalized per image: LatencyUS = total/batch,
-// FPS = batch/total. SimulateAccelBatch(a, m, 1) equals SimulateAccel(a, m).
+// FPS = batch/total.
 func SimulateAccelBatch(accel AccelConfig, model vit.Config, batch int) ModelReport {
+	return simulateAccel(accel, model, batch, SimulateGEMM)
+}
+
+// simulateAccel is the model-level aggregation behind every accelerator
+// report: each GEMM of the workload, grown to the batch, runs under the
+// per-GEMM model gemm; vector-unit work runs serialized after the array
+// (the conservative choice); static energy is charged over the total time;
+// and the figures are normalized per image.
+func simulateAccel(accel AccelConfig, model vit.Config, batch int, gemm func(AccelConfig, vit.GEMM) GEMMReport) ModelReport {
 	if batch <= 0 {
 		panic("hwsim: batch must be positive")
 	}
@@ -103,7 +88,7 @@ func SimulateAccelBatch(accel AccelConfig, model vit.Config, batch int) ModelRep
 		} else {
 			g.M *= batch
 		}
-		lr := SimulateGEMM(accel, g)
+		lr := gemm(accel, g)
 		rep.Layers = append(rep.Layers, lr)
 		rep.LatencyUS += lr.TimeUS
 		rep.DynamicUJ += lr.EnergyUJ()
@@ -114,8 +99,7 @@ func SimulateAccelBatch(accel AccelConfig, model vit.Config, batch int) ModelRep
 	vecTimeUS := float64(rep.VectorOps) / (float64(accel.VectorLanes) * accel.FreqMHz * 1e6) * 1e6
 	rep.LatencyUS += vecTimeUS
 	rep.DynamicUJ += float64(rep.VectorOps) * accel.Energy.VectorOpPJ * 1e-6
-	rep.StaticUJ = (accel.StaticPowerW + accel.HostPowerW) * rep.LatencyUS
-	// Normalize to per-image figures at this batch size.
+	rep.StaticUJ = (accel.StaticPowerW + accel.HostPowerW) * rep.LatencyUS // W·µs = µJ
 	rep.LatencyUS /= float64(batch)
 	rep.DynamicUJ /= float64(batch)
 	rep.StaticUJ /= float64(batch)

@@ -301,14 +301,6 @@ func (qm *Model) ClsHead(feats *tensor.Tensor) *tensor.Tensor {
 	return qm.cls.head(pooled, qm.QC.actBits())
 }
 
-// Detect runs end-to-end quantized detection on one (C,H,W) image.
-func (qm *Model) Detect(img *tensor.Tensor, objThresh, nmsIoU float64) []geom.Scored {
-	patches := vit.Patchify(qm.Cfg, []*tensor.Tensor{img})
-	feats := qm.Forward(patches)
-	det := qm.DetHead(feats)
-	return vit.Decode(qm.Cfg, det, objThresh, nmsIoU)
-}
-
 // DetectBatch runs end-to-end quantized detection on a micro-batch of
 // (C,H,W) images in one packed forward pass, returning one detection set
 // per image.
@@ -325,6 +317,12 @@ func (qm *Model) DetectBatch(imgs []*tensor.Tensor, objThresh, nmsIoU float64) [
 		out[i] = vit.Decode(qm.Cfg, det.Slice2D(i*t, (i+1)*t), objThresh, nmsIoU)
 	}
 	return out
+}
+
+// Detect runs end-to-end quantized detection on one (C,H,W) image: the
+// batch of one.
+func (qm *Model) Detect(img *tensor.Tensor, objThresh, nmsIoU float64) []geom.Scored {
+	return qm.DetectBatch([]*tensor.Tensor{img}, objThresh, nmsIoU)[0]
 }
 
 // WeightBytes returns the quantized weight storage footprint in bytes,

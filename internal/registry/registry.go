@@ -3,13 +3,14 @@
 // non-routable float teacher and few-shot base they derive from) is published
 // as an immutable, checksummed Artifact identified by name@vN#hash. The
 // currently routable set lives in an atomically-swapped Snapshot
-// (atomic.Pointer), so readers — Detect, DetectBatch, and every serving-layer
-// lane — resolve models lock-free, while writers (distillation, few-shot
-// adaptation, checkpoint reload) build a complete new artifact off to the
-// side and publish it in one pointer swap. Nothing is ever mutated in place:
-// a republished name gets a new version, the previous version stays available
-// to in-flight batches, and an unhealthy new version can be demoted, which
-// atomically rolls the name back to its newest healthy prior version.
+// (atomic.Pointer), so readers — the pipeline's detect path and every
+// serving-layer lane — resolve models lock-free, while writers
+// (distillation, few-shot adaptation, checkpoint reload) build a complete
+// new artifact off to the side and publish it in one pointer swap. Nothing
+// is ever mutated in place: a republished name gets a new version, the
+// previous version stays available to in-flight batches, and an unhealthy
+// new version can be demoted, which atomically rolls the name back to its
+// newest healthy prior version.
 package registry
 
 import (
@@ -78,11 +79,9 @@ func KindFromString(s string) (Kind, error) {
 // routable reports whether artifacts of this kind may serve traffic.
 func (k Kind) routable() bool { return k == TaskSpecific || k == Generalist }
 
-// DetectFunc is the inference entry point of a published artifact.
-type DetectFunc func(img *tensor.Tensor) []geom.Scored
-
-// BatchDetectFunc runs inference on a coalesced batch of images, returning
-// one detection set per image.
+// BatchDetectFunc is the inference entry point of a published artifact: it
+// runs a batch of images in one pass and returns one detection set per
+// image. A single frame is a batch of one.
 type BatchDetectFunc func(imgs []*tensor.Tensor) [][]geom.Scored
 
 // ArtifactID identifies one immutable published version of a model:
@@ -145,11 +144,8 @@ type Artifact struct {
 	// Publish derives a structural tag (fine for tests and fakes; real
 	// publishers pass a weight checksum from vit/quant).
 	Checksum string
-	// Detect runs inference. Required for routable kinds.
-	Detect DetectFunc
-	// DetectBatch, when non-nil, runs a whole micro-batch in one pass;
-	// when nil, callers fall back to per-image Detect.
-	DetectBatch BatchDetectFunc
+	// Detect runs inference on a batch. Required for routable kinds.
+	Detect BatchDetectFunc
 	// Payload optionally carries the underlying model value (e.g.
 	// *vit.Model) so facades can recover it without a side table.
 	Payload any

@@ -12,9 +12,13 @@ import (
 	"itask/internal/tensor"
 )
 
-func stubDetect(class int) DetectFunc {
-	return func(img *tensor.Tensor) []geom.Scored {
-		return []geom.Scored{{Class: class, Score: 0.9}}
+func stubDetect(class int) BatchDetectFunc {
+	return func(imgs []*tensor.Tensor) [][]geom.Scored {
+		out := make([][]geom.Scored, len(imgs))
+		for i := range out {
+			out[i] = []geom.Scored{{Class: class, Score: 0.9}}
+		}
+		return out
 	}
 }
 

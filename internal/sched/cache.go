@@ -1,8 +1,3 @@
-// Package sched implements iTask's situational runtime: a registry of model
-// variants (task-specific distilled students and the quantized multi-task
-// generalist), an LRU model cache under an edge memory budget, and the
-// selection policy that picks a configuration per mission request — the
-// "situational adaptability" component of the paper.
 package sched
 
 import (

@@ -13,7 +13,7 @@ import (
 // the quantized generalist.
 func ExampleScheduler() {
 	s := sched.New(1 << 20)
-	noop := func(img *tensor.Tensor) []geom.Scored { return nil }
+	noop := func(imgs []*tensor.Tensor) [][]geom.Scored { return make([][]geom.Scored, len(imgs)) }
 	_ = s.Register(sched.Model{
 		Name: "generalist-q8", Kind: sched.Generalist,
 		Bytes: 70 << 10, LatencyUS: 400, Detect: noop,

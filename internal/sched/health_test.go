@@ -4,16 +4,15 @@ import (
 	"testing"
 
 	"itask/internal/geom"
+	"itask/internal/registry"
 	"itask/internal/tensor"
 )
 
 // registerPair registers a generalist and one student for task "patrol" on
-// a fresh scheduler. detect may be nil for a harmless stub.
-func registerPair(t *testing.T, budget int64, detect DetectFunc) *Scheduler {
+// a fresh scheduler.
+func registerPair(t *testing.T, budget int64) *Scheduler {
 	t.Helper()
-	if detect == nil {
-		detect = func(img *tensor.Tensor) []geom.Scored { return nil }
-	}
+	detect := dummyDetect(0)
 	s := New(budget)
 	if err := s.Register(Model{Name: "gen", Kind: Generalist, Bytes: 400, Detect: detect}); err != nil {
 		t.Fatal(err)
@@ -28,7 +27,7 @@ func registerPair(t *testing.T, budget int64, detect DetectFunc) *Scheduler {
 // Evict drops it, and the next selection is a miss that reloads the
 // weights from storage.
 func TestEvictedVariantNotCachedAsHealthy(t *testing.T) {
-	s := registerPair(t, 2000, nil)
+	s := registerPair(t, 2000)
 	m, err := s.SelectByName("patrol-student")
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +79,7 @@ func TestEvictedVariantNotCachedAsHealthy(t *testing.T) {
 // Evicting one variant must not disturb other residents or the budget
 // accounting: the freed bytes are reusable.
 func TestEvictFreesBudgetForOthers(t *testing.T) {
-	s := registerPair(t, 1000, nil) // gen(400) + student(600) exactly fill it
+	s := registerPair(t, 1000) // gen(400) + student(600) exactly fill it
 	if _, err := s.SelectByName("gen"); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func TestEvictFreesBudgetForOthers(t *testing.T) {
 
 // SelectByName on an unknown variant errors without touching the cache.
 func TestSelectByNameUnknownLeavesCacheAlone(t *testing.T) {
-	s := registerPair(t, 2000, nil)
+	s := registerPair(t, 2000)
 	if _, err := s.SelectByName("nope"); err == nil {
 		t.Fatal("expected error for unknown variant")
 	}
@@ -126,7 +125,7 @@ func TestSelectByNameUnknownLeavesCacheAlone(t *testing.T) {
 // RouteFallback names the generalist even when a task-specific student
 // exists, and errors when none is registered or it cannot fit.
 func TestRouteFallbackPrefersGeneralist(t *testing.T) {
-	s := registerPair(t, 2000, nil)
+	s := registerPair(t, 2000)
 	variant, err := s.RouteFallback(Request{Task: "patrol"})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +139,7 @@ func TestRouteFallbackPrefersGeneralist(t *testing.T) {
 	// Latency budget applies to the fallback too.
 	s2 := New(2000)
 	if err := s2.Register(Model{Name: "gen", Kind: Generalist, Bytes: 400, LatencyUS: 500,
-		Detect: func(img *tensor.Tensor) []geom.Scored { return nil }}); err != nil {
+		Detect: dummyDetect(0)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s2.RouteFallback(Request{Task: "patrol", LatencyBudgetUS: 100}); err == nil {
@@ -158,10 +157,10 @@ func TestRouteFallbackPrefersGeneralist(t *testing.T) {
 func TestDetectBatchOnForcesVariant(t *testing.T) {
 	var genCalls, studentCalls int
 	s := New(2000)
-	mk := func(counter *int) DetectFunc {
-		return func(img *tensor.Tensor) []geom.Scored {
-			*counter++
-			return []geom.Scored{{Class: 1, Score: 0.5}}
+	mk := func(counter *int) registry.BatchDetectFunc {
+		return func(imgs []*tensor.Tensor) [][]geom.Scored {
+			*counter += len(imgs)
+			return make([][]geom.Scored, len(imgs))
 		}
 	}
 	if err := s.Register(Model{Name: "gen", Kind: Generalist, Bytes: 400, Detect: mk(&genCalls)}); err != nil {

@@ -6,12 +6,11 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"itask/internal/geom"
 	"itask/internal/tensor"
 )
 
 // TestConcurrentSchedulerNoLostUpdates hammers one scheduler from many
-// goroutines doing Register, Route, Select, Detect, Stats, and Resident
+// goroutines doing Register, Route, Select, DetectBatchOn, Stats, and Resident
 // concurrently, then checks the accounting invariant that every successful
 // selection recorded exactly one cache hit or miss. Run with -race; before
 // the scheduler grew its mutex this was both a data race and a lost-update
@@ -22,7 +21,7 @@ func TestConcurrentSchedulerNoLostUpdates(t *testing.T) {
 		iters      = 300
 		tasks      = 6
 	)
-	dummy := func(img *tensor.Tensor) []geom.Scored { return nil }
+	dummy := dummyDetect(0)
 
 	s := New(3000) // room for ~3 of the 1000-byte models: forces eviction traffic
 	if err := s.Register(Model{Name: "gen", Kind: Generalist, Bytes: 1000, Detect: dummy}); err != nil {
@@ -62,7 +61,10 @@ func TestConcurrentSchedulerNoLostUpdates(t *testing.T) {
 						t.Errorf("route %s: %v", task, err)
 					}
 				case 2:
-					if _, _, err := s.Detect(Request{Task: task}, img); err != nil {
+					variant, err := s.Route(Request{Task: task})
+					if err != nil {
+						t.Errorf("route %s: %v", task, err)
+					} else if _, _, err := s.DetectBatchOn(variant, []*tensor.Tensor{img}); err != nil {
 						t.Errorf("detect %s: %v", task, err)
 					} else {
 						selected.Add(1)

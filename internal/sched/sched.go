@@ -1,11 +1,13 @@
-// Package sched routes inference requests over the versioned model registry
-// and manages which model weights are RAM-resident. Since PR 4 the scheduler
-// no longer owns model storage: models live in internal/registry as
-// immutable, versioned artifacts behind an atomically-swapped snapshot.
-// Routing decisions (Route/RouteFallback) are lock-free snapshot reads; only
-// the LRU weight cache and its accounting counters sit behind the scheduler
-// mutex, and cache entries are keyed by full artifact ID so each published
-// version loads (and evicts) independently.
+// Package sched is iTask's situational runtime, the "situational
+// adaptability" component of the paper: it picks a configuration per mission
+// request (the task's distilled student, or the quantized generalist) and
+// keeps model weights RAM-resident in an LRU cache under an edge memory
+// budget. Models live in internal/registry as immutable, versioned artifacts
+// behind an atomically-swapped snapshot, so routing (Route/RouteFallback) is
+// a lock-free snapshot read; only the weight cache and its accounting
+// counters sit behind the scheduler mutex, and cache entries are keyed by
+// full artifact ID so each published version loads (and evicts)
+// independently.
 package sched
 
 import (
@@ -30,13 +32,6 @@ const (
 	Generalist = registry.Generalist
 )
 
-// DetectFunc is the inference entry point of a registered model.
-type DetectFunc = registry.DetectFunc
-
-// BatchDetectFunc runs inference on a coalesced batch of images, returning
-// one detection set per image.
-type BatchDetectFunc = registry.BatchDetectFunc
-
 // Model is one deployable, immutable, versioned artifact. It is an alias for
 // registry.Artifact: a *Model returned by Select is a snapshot-published
 // value and may be used concurrently and indefinitely.
@@ -47,8 +42,8 @@ type Model = registry.Artifact
 //
 // Concurrency: all methods are safe for concurrent use. Route and
 // RouteFallback are lock-free snapshot reads; a single mutex guards the LRU
-// cache and the accounting counters. Model inference (Detect/DetectBatch)
-// runs outside any lock, so many requests execute concurrently while cache
+// cache and the accounting counters. Model inference (DetectBatchOn) runs
+// outside any lock, so many requests execute concurrently while cache
 // admission stays serialized. The exported Switches and LoadTimeUS fields
 // are written under the lock — read them via Snapshot (or only after
 // concurrent use has quiesced).
@@ -107,12 +102,14 @@ type Request struct {
 	LatencyBudgetUS float64
 }
 
-// Route reports which variant Select would pick for the request — as a full
-// artifact ID string (name@vN#sum) — without loading it or perturbing the
-// cache. The serving layer uses this to coalesce requests targeting the same
-// variant before committing to a load; because the ID pins an exact version,
-// a batch coalesced for one version never silently executes on another.
-// Lock-free: one snapshot load, no scheduler mutex.
+// Route picks the variant for a request — the task-specific student when one
+// exists, fits the cache, and meets the latency budget; otherwise the
+// quantized generalist — and reports it as a full artifact ID string
+// (name@vN#sum) without loading it or perturbing the cache. The serving
+// layer uses this to coalesce requests targeting the same variant before
+// committing to a load; because the ID pins an exact version, a batch
+// coalesced for one version never silently executes on another. Lock-free:
+// one snapshot load, no scheduler mutex.
 func (s *Scheduler) Route(req Request) (string, error) {
 	cands := s.reg.Snapshot().Candidates(req.Task)
 	if len(cands) == 0 {
@@ -209,14 +206,17 @@ func (s *Scheduler) admit(m *Model) error {
 	return nil
 }
 
-// DetectBatchOn runs a whole micro-batch on a specific variant (one
-// selection, one cache touch, at most one weight load — see DetectBatch).
+// DetectBatchOn runs a batch on a specific variant: one selection, one
+// cache touch and at most one weight load for the whole batch, which is what
+// makes coalescing pay. A single frame is a batch of one. Inference runs
+// outside the scheduler lock; the model's Detect must not depend on the
+// model still being cache-resident (a concurrent request may evict it).
 func (s *Scheduler) DetectBatchOn(variant string, imgs []*tensor.Tensor) ([][]geom.Scored, *Model, error) {
 	m, err := s.SelectByName(variant)
 	if err != nil {
 		return nil, nil, err
 	}
-	return runBatch(m, imgs), m, nil
+	return m.Detect(imgs), m, nil
 }
 
 // Evict drops a variant's weights from the model cache, reporting whether it
@@ -243,67 +243,14 @@ func (s *Scheduler) Evict(variant string) bool {
 	return false
 }
 
-// Select picks the model for a request — the task-specific student when one
-// exists, fits the cache, and meets the latency budget; otherwise the
-// quantized generalist — then loads it (LRU-evicting as needed) and accounts
-// load time. Candidate choice is a lock-free snapshot read; only cache
-// admission takes the mutex.
+// Select picks the model for a request, as Route does, then loads it
+// (LRU-evicting as needed) and accounts load time, as SelectByName does.
 func (s *Scheduler) Select(req Request) (*Model, error) {
-	cands := s.reg.Snapshot().Candidates(req.Task)
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("sched: no model can serve task %q", req.Task)
-	}
-	var lastErr error
-	for _, m := range cands {
-		if req.LatencyBudgetUS > 0 && m.LatencyUS > req.LatencyBudgetUS {
-			lastErr = fmt.Errorf("sched: model %q latency %.0fus over budget %.0fus",
-				m.ID, m.LatencyUS, req.LatencyBudgetUS)
-			continue
-		}
-		if err := s.admit(m); err != nil {
-			lastErr = err
-			continue
-		}
-		return m, nil
-	}
-	return nil, lastErr
-}
-
-// Detect selects a model for the request and runs it. Inference executes
-// outside the scheduler lock; the Detect closure must not depend on the
-// model still being cache-resident (a concurrent request may evict it).
-func (s *Scheduler) Detect(req Request, img *tensor.Tensor) ([]geom.Scored, *Model, error) {
-	m, err := s.Select(req)
+	variant, err := s.Route(req)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return m.Detect(img), m, nil
-}
-
-// DetectBatch selects a model once for the request and runs it over the
-// whole batch, returning one detection set per image. A single selection
-// per micro-batch is what makes coalescing pay: one lock acquisition, one
-// cache touch, and at most one weight load for the entire batch, instead of
-// one per image.
-func (s *Scheduler) DetectBatch(req Request, imgs []*tensor.Tensor) ([][]geom.Scored, *Model, error) {
-	m, err := s.Select(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	return runBatch(m, imgs), m, nil
-}
-
-// runBatch executes a selected model over a micro-batch, preferring its
-// batched entry point and falling back to per-image Detect.
-func runBatch(m *Model, imgs []*tensor.Tensor) [][]geom.Scored {
-	if m.DetectBatch != nil {
-		return m.DetectBatch(imgs)
-	}
-	out := make([][]geom.Scored, len(imgs))
-	for i, img := range imgs {
-		out[i] = m.Detect(img)
-	}
-	return out
+	return s.SelectByName(variant)
 }
 
 // Stats returns cache statistics.

@@ -5,12 +5,17 @@ import (
 	"testing"
 
 	"itask/internal/geom"
+	"itask/internal/registry"
 	"itask/internal/tensor"
 )
 
-func dummyDetect(tag int) DetectFunc {
-	return func(img *tensor.Tensor) []geom.Scored {
-		return []geom.Scored{{Class: tag, Score: 1}}
+func dummyDetect(tag int) registry.BatchDetectFunc {
+	return func(imgs []*tensor.Tensor) [][]geom.Scored {
+		out := make([][]geom.Scored, len(imgs))
+		for i := range out {
+			out[i] = []geom.Scored{{Class: tag, Score: 1}}
+		}
+		return out
 	}
 }
 
@@ -178,11 +183,15 @@ func TestModelTooBigForBudget(t *testing.T) {
 
 func TestDetectRuns(t *testing.T) {
 	s := makeScheduler(t, 1000)
-	dets, m, err := s.Detect(Request{Task: "triage"}, tensor.New(3, 4, 4))
+	variant, err := s.Route(Request{Task: "triage"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Name != "triage-ts" || len(dets) != 1 || dets[0].Class != 2 {
+	dets, m, err := s.DetectBatchOn(variant, []*tensor.Tensor{tensor.New(3, 4, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Name != "triage-ts" || len(dets) != 1 || len(dets[0]) != 1 || dets[0][0].Class != 2 {
 		t.Errorf("detect routed wrong: model=%q dets=%v", m.Name, dets)
 	}
 }

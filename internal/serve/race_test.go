@@ -78,8 +78,12 @@ func TestServeSchedulerRaceHammer(t *testing.T) {
 		goroutines = 8
 		iters      = 40
 	)
-	dummy := func(img *tensor.Tensor) []geom.Scored {
-		return []geom.Scored{{Class: 1, Score: 0.9}}
+	dummy := func(imgs []*tensor.Tensor) [][]geom.Scored {
+		out := make([][]geom.Scored, len(imgs))
+		for i := range out {
+			out[i] = []geom.Scored{{Class: 1, Score: 0.9}}
+		}
+		return out
 	}
 	scheduler := sched.New(2500) // fits 2 of the 1000-byte students: eviction churn
 	if err := scheduler.Register(sched.Model{Name: "gen", Kind: sched.Generalist, Bytes: 500, Detect: dummy}); err != nil {

@@ -135,7 +135,7 @@ type taskMap map[string]*taskState
 // snapshot, and the task table is an atomically-swapped copy-on-write map.
 //
 // Concurrency: every method is safe for concurrent use at any time — not
-// just after setup. Readers (Detect, DetectBatch, DetectBatchOn, Tasks,
+// just after setup. Readers (Detect, DetectBatchOn, Tasks,
 // Priors, Graph, Teacher, Quantized, Student, and the serve.Backend adapter)
 // are lock-free: they load the current registry snapshot and task map and
 // never block on writers. Writers (DefineTask, TrainGeneralist, Load*,
@@ -246,10 +246,7 @@ func (p *Pipeline) publishGeneralist(teacher *vit.Model, qm *quant.Model) error 
 		Bytes:     int64(qm.WeightBytes()),
 		LatencyUS: lat,
 		Checksum:  qsum,
-		Detect: func(img *tensor.Tensor) []geom.Scored {
-			return qm.Detect(img, th.Obj, th.NMSIoU)
-		},
-		DetectBatch: func(imgs []*tensor.Tensor) [][]geom.Scored {
+		Detect: func(imgs []*tensor.Tensor) [][]geom.Scored {
 			return qm.DetectBatch(imgs, th.Obj, th.NMSIoU)
 		},
 		Payload: qm,
@@ -258,8 +255,7 @@ func (p *Pipeline) publishGeneralist(teacher *vit.Model, qm *quant.Model) error 
 }
 
 // publishStudent publishes a task-specific student as the next version of
-// its name, wiring both the single-image and micro-batched entry points.
-// Caller holds p.mu.
+// its name. Caller holds p.mu.
 func (p *Pipeline) publishStudent(taskName string, student *vit.Model) error {
 	sum, err := student.Checksum()
 	if err != nil {
@@ -268,15 +264,14 @@ func (p *Pipeline) publishStudent(taskName string, student *vit.Model) error {
 	th := p.opts.Thresholds
 	lat := hwsim.SimulateAccel(p.opts.Accel, p.opts.StudentCfg).LatencyUS
 	_, err = p.reg.Publish(registry.Artifact{
-		Name:        StudentArtifact(taskName),
-		Kind:        registry.TaskSpecific,
-		Task:        taskName,
-		Bytes:       int64(student.NumParams() * 4),
-		LatencyUS:   lat,
-		Checksum:    sum,
-		Detect:      registry.DetectFunc(eval.DetectorOf(student, th)),
-		DetectBatch: registry.BatchDetectFunc(eval.BatchDetectorOf(student, th)),
-		Payload:     student,
+		Name:      StudentArtifact(taskName),
+		Kind:      registry.TaskSpecific,
+		Task:      taskName,
+		Bytes:     int64(student.NumParams() * 4),
+		LatencyUS: lat,
+		Checksum:  sum,
+		Detect:    registry.BatchDetectFunc(eval.BatchDetectorOf(student, th)),
+		Payload:   student,
 	})
 	return err
 }
@@ -609,71 +604,34 @@ func (p *Pipeline) ValidateImage(img *tensor.Tensor) error {
 	return nil
 }
 
-// validateImages applies ValidateImage to a whole batch.
-func (p *Pipeline) validateImages(imgs []*tensor.Tensor) error {
-	for i, img := range imgs {
-		if err := p.ValidateImage(img); err != nil {
-			return fmt.Errorf("image %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // Detect runs task-conditioned detection on one (3,H,W) image: the
-// scheduler picks the configuration, the model detects, and the task's KG
-// priors filter irrelevant classes. Lock-free with respect to concurrent
-// task definition, training, and model publication.
+// scheduler routes the task to a configuration and the image runs on it as a
+// batch of one through DetectBatchOn, so a single frame gets exactly the
+// answer it would get in a batch of one on the serving path. Lock-free with
+// respect to concurrent task definition, training, and model publication.
 func (p *Pipeline) Detect(taskName string, img *tensor.Tensor) ([]Detection, ModelInfo, error) {
-	ts, ok := p.task(taskName)
-	if !ok {
-		return nil, ModelInfo{}, fmt.Errorf("itask: task %q not defined", taskName)
-	}
-	if !p.ready() {
-		return nil, ModelInfo{}, fmt.Errorf("itask: train the generalist first")
-	}
-	if err := p.ValidateImage(img); err != nil {
-		return nil, ModelInfo{}, err
-	}
-	raw, model, err := p.scheduler.Detect(sched.Request{Task: taskName}, img)
+	variant, err := serveBackend{p}.Route(taskName)
 	if err != nil {
 		return nil, ModelInfo{}, err
 	}
-	return p.filterByPriors(ts, raw), p.modelInfo(model, 1), nil
+	dets, info, err := p.DetectBatchOn(variant, taskName, []*tensor.Tensor{img})
+	if err != nil {
+		return nil, ModelInfo{}, err
+	}
+	return dets[0], info, nil
 }
 
-// DetectBatch runs task-conditioned detection on a micro-batch of images
-// with a single scheduler selection and a single (batched) model forward —
-// the entry point the serving layer's dynamic batcher calls. The returned
-// ModelInfo carries per-image latency/energy at this batch size, so the
+// DetectBatchOn runs task-conditioned detection on a batch of images pinned
+// to a registered variant — a bare artifact name or a full versioned ID: one
+// scheduler selection and one batched model forward, then the task's KG
+// priors filter each image's detections. It is the one detect path: Detect
+// calls it with a batch of one, and the serving layer's lanes call it with
+// each coalesced batch on exactly the variant it was coalesced (or degraded)
+// for. A batch pinned to a version that has since been demoted transparently
+// executes on the name's rolled-back active version. The returned ModelInfo
+// carries per-image latency/energy at this batch size, so the
 // weight-stationary amortization of batching shows up directly in the
 // numbers.
-func (p *Pipeline) DetectBatch(taskName string, imgs []*tensor.Tensor) ([][]Detection, ModelInfo, error) {
-	if len(imgs) == 0 {
-		return nil, ModelInfo{}, fmt.Errorf("itask: empty batch")
-	}
-	ts, ok := p.task(taskName)
-	if !ok {
-		return nil, ModelInfo{}, fmt.Errorf("itask: task %q not defined", taskName)
-	}
-	if !p.ready() {
-		return nil, ModelInfo{}, fmt.Errorf("itask: train the generalist first")
-	}
-	if err := p.validateImages(imgs); err != nil {
-		return nil, ModelInfo{}, err
-	}
-	raw, model, err := p.scheduler.DetectBatch(sched.Request{Task: taskName}, imgs)
-	if err != nil {
-		return nil, ModelInfo{}, err
-	}
-	return p.decodeBatch(ts, raw, model, len(imgs))
-}
-
-// DetectBatchOn is DetectBatch pinned to a specific registered variant —
-// a bare artifact name or a full versioned ID — instead of the scheduler's
-// preference: the execution path behind the serving layer's fault-tolerant
-// lanes, where a batch must run on exactly the variant it was coalesced (or
-// degraded) for. A batch pinned to a version that has since been demoted
-// transparently executes on the name's rolled-back active version.
 func (p *Pipeline) DetectBatchOn(variant, taskName string, imgs []*tensor.Tensor) ([][]Detection, ModelInfo, error) {
 	if len(imgs) == 0 {
 		return nil, ModelInfo{}, fmt.Errorf("itask: empty batch")
@@ -685,24 +643,20 @@ func (p *Pipeline) DetectBatchOn(variant, taskName string, imgs []*tensor.Tensor
 	if !p.ready() {
 		return nil, ModelInfo{}, fmt.Errorf("itask: train the generalist first")
 	}
-	if err := p.validateImages(imgs); err != nil {
-		return nil, ModelInfo{}, err
+	for i, img := range imgs {
+		if err := p.ValidateImage(img); err != nil {
+			return nil, ModelInfo{}, fmt.Errorf("image %d: %w", i, err)
+		}
 	}
 	raw, model, err := p.scheduler.DetectBatchOn(variant, imgs)
 	if err != nil {
 		return nil, ModelInfo{}, err
 	}
-	return p.decodeBatch(ts, raw, model, len(imgs))
-}
-
-// decodeBatch applies the task's KG priors to every image's raw detections
-// and attaches the per-image accelerator cost report.
-func (p *Pipeline) decodeBatch(ts *taskState, raw [][]geom.Scored, model *sched.Model, batch int) ([][]Detection, ModelInfo, error) {
 	out := make([][]Detection, len(raw))
 	for i, dets := range raw {
 		out[i] = p.filterByPriors(ts, dets)
 	}
-	return out, p.modelInfo(model, batch), nil
+	return out, p.modelInfo(model, len(imgs)), nil
 }
 
 // Tasks returns the names of all defined tasks, sorted. Lock-free.
@@ -769,14 +723,19 @@ func (p *Pipeline) SchedulerStats() sched.CacheStats { return p.scheduler.Stats(
 func (p *Pipeline) RegistryStats() registry.Stats { return p.reg.Stats() }
 
 // serveBackend adapts the pipeline to the serving layer's Backend
-// interface (plus the optional FallbackRouter, VariantEvicter,
-// ImageValidator, CacheStatser, VariantHealthSink, and RegistryStatser
-// extensions). Payloads are []Detection per image.
+// interface, plus the optional FallbackRouter, VariantEvicter,
+// ImageValidator, CacheStatser, VariantHealthSink, RegistryStatser,
+// RetirementNotifier, RouteEpocher and PayloadSizer extensions. Payloads are
+// []Detection per image.
 type serveBackend struct{ p *Pipeline }
 
+// Route names the variant the scheduler picks for a defined task.
 func (b serveBackend) Route(task string) (string, error) {
 	if _, ok := b.p.task(task); !ok {
 		return "", fmt.Errorf("itask: task %q not defined", task)
+	}
+	if !b.p.ready() {
+		return "", fmt.Errorf("itask: train the generalist first")
 	}
 	return b.p.scheduler.Route(sched.Request{Task: task})
 }

@@ -13,7 +13,7 @@ import (
 
 // The facade promises lock-free reads concurrent with any mutation — not
 // just safety after setup, which is all the old taskMu comment guaranteed.
-// Detect and DetectBatch run against concurrent DefineTask, few-shot
+// Detect and DetectBatchOn run against concurrent DefineTask, few-shot
 // AdaptStudent, student republishes, and explicit registry rollbacks; run
 // under -race, any torn read of the task table or a routing snapshot fails
 // the test.
@@ -79,8 +79,12 @@ func TestDetectRacesWithMutation(t *testing.T) {
 						reportErr(fmt.Errorf("Detect: %w", err))
 					}
 				} else {
-					if _, _, err := p.DetectBatch("patrol", []*tensor.Tensor{img, img}); err != nil {
-						reportErr(fmt.Errorf("DetectBatch: %w", err))
+					variant, err := p.ServeBackend().Route("patrol")
+					if err == nil {
+						_, _, err = p.DetectBatchOn(variant, "patrol", []*tensor.Tensor{img, img})
+					}
+					if err != nil {
+						reportErr(fmt.Errorf("DetectBatchOn: %w", err))
 					}
 				}
 			}

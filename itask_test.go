@@ -1,6 +1,7 @@
 package itask
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -291,4 +292,73 @@ func TestAccelCostIsTheSimulation(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestDetectIsTheBatchOfOne: a single frame is a batch of one. Detect's
+// answer (detections and ModelInfo) is DetectBatchOn's on the routed variant
+// with that frame alone, for the int8 generalist and for a float student;
+// the float student's answer is also that frame's row in a larger batch. No
+// such claim is made for int8 in larger batches: its activation ranges are
+// taken over the whole batch.
+func TestDetectIsTheBatchOfOne(t *testing.T) {
+	p := trainedPipeline(t)
+	const generalistTask = "batch-of-one"
+	if _, err := p.Priors(generalistTask); err != nil {
+		if err := p.DefineTask(generalistTask, "Locate lesions, instruments and vials"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		task, kind string
+		domain     scene.DomainID
+	}{
+		{generalistTask, "generalist", scene.Medical},
+		{"patrol", "task-specific", scene.Driving},
+	} {
+		imgs := make([]*tensor.Tensor, 3)
+		for i := range imgs {
+			imgs[i] = scene.Generate(scene.GetDomain(c.domain), scene.DefaultGenConfig(), tensor.NewRNG(uint64(40+i))).Image
+		}
+		variant, err := p.ServeBackend().Route(c.task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := 0
+		for i, img := range imgs {
+			dets, info, err := p.Detect(c.task, img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Kind != c.kind {
+				t.Fatalf("%s: served by %s (%s), want %s", c.task, info.Name, info.Kind, c.kind)
+			}
+			one, oneInfo, err := p.DetectBatchOn(variant, c.task, imgs[i:i+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(dets, one[0]) || !reflect.DeepEqual(info, oneInfo) {
+				t.Errorf("%s image %d: Detect = %+v %+v, batch of one = %+v %+v", c.task, i, dets, info, one[0], oneInfo)
+			}
+			found += len(dets)
+		}
+		if found == 0 {
+			t.Fatalf("%s: no detections on %d scenes, nothing was compared", c.task, len(imgs))
+		}
+		if c.kind != "task-specific" {
+			continue
+		}
+		batch, _, err := p.DetectBatchOn(variant, c.task, imgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, img := range imgs {
+			dets, _, err := p.Detect(c.task, img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(dets, batch[i]) {
+				t.Errorf("%s image %d: Detect = %+v, row of a batch of %d = %+v", c.task, i, dets, len(imgs), batch[i])
+			}
+		}
+	}
 }
