@@ -40,7 +40,6 @@ func TestFlagSurface(t *testing.T) {
 		{[]string{"-models", "m"}, func(o *options) { o.models = "m" }},
 		{[]string{"-students"}, func(o *options) { o.students = true }},
 		{[]string{"-workers", "3"}, func(o *options) { o.cfg.Workers = 3 }},
-		{[]string{"-max-batch", "1"}, func(o *options) { o.cfg.MaxBatch = 1 }},
 		{[]string{"-slo", "50ms"}, func(o *options) { o.cfg.LatencySLO = 50 * time.Millisecond }},
 		// The verify skill's way to turn the cache off: the default hot
 		// threshold rides along without a cache to sit in.
@@ -66,18 +65,13 @@ func TestFlagSurface(t *testing.T) {
 		}
 	}
 
-	for _, name := range []string{"queue-cap", "watchdog", "retry-budget", "breaker-threshold", "breaker-backoff",
+	for _, name := range []string{"queue-cap", "max-batch", "watchdog", "retry-budget", "breaker-threshold", "breaker-backoff",
 		"cache-ttl", "coalesce", "hot-decay", "hot-bytes", "timeout"} {
 		if _, err := parseArgs("-"+name, "1"); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("-%s: err = %v, want flag provided but not defined", name, err)
 		}
 	}
 
-	// The queue bound has no flag of its own any more; -max-batch is held
-	// under it before training starts.
-	if _, err := parseArgs("-max-batch", "512"); err == nil || !strings.Contains(err.Error(), "QueueCap 256 below MaxBatch 512") {
-		t.Errorf("-max-batch 512: err = %v, want Validate's QueueCap refusal", err)
-	}
 	if _, err := parseArgs("-tenant-weights", "gold=0"); err == nil {
 		t.Error("-tenant-weights gold=0 accepted")
 	}

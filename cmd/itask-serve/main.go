@@ -1,9 +1,9 @@
 // Command itask-serve runs the iTask pipeline behind an HTTP front end: it
 // trains (or loads) the quantized generalist, defines the standard tasks,
-// and serves concurrent task-conditioned detection with dynamic
-// micro-batching, admission control, fault tolerance (panic isolation,
-// poison quarantine, per-lane circuit breakers with quantized-fallback
-// degradation), and graceful shutdown.
+// and serves concurrent task-conditioned detection — one request per
+// execution, from one tenant-fair queue — with admission control, fault
+// tolerance (panic isolation, poison quarantine, per-lane circuit breakers
+// with quantized-fallback degradation), and graceful shutdown.
 //
 // Endpoints:
 //
@@ -26,7 +26,7 @@
 //	                         fallback, 503 when draining; the body always
 //	                         carries "epoch", the registry snapshot sequence
 //	GET  /metricsz           serving metrics snapshot (latency percentiles,
-//	                         throughput, batch histogram, shed/reject/fault
+//	                         throughput, queue depth, shed/reject/fault
 //	                         counters, per-lane breaker states, per-version
 //	                         model attribution, registry publish/rollback
 //	                         counters, model-cache hit rate)
@@ -44,15 +44,15 @@
 // Usage:
 //
 //	itask-serve [-addr :8080] [-models dir] [-students] \
-//	            [-workers GOMAXPROCS] [-max-batch 8] [-slo 0] \
+//	            [-workers GOMAXPROCS] [-slo 0] \
 //	            [-cache-bytes 33554432] [-neg-ttl 0] [-hot-threshold 64] \
 //	            [-tenant-weights gold=4,free=1] [-tenant-rate 0] [-tenant-burst 0] \
 //	            [-pprof addr] [-announce gateway-url] [-advertise url]
 //
 // With no flags the shard serves serve.DefaultConfig(); every flag sets the
 // one field it names, and everything else — the 256-request queue, the
-// watchdog, quarantine retries, breakers, cache TTL, coalescing, the hot
-// tier's budget — is that default.
+// watchdog, breakers, cache TTL, coalescing, the hot tier's budget — is that
+// default.
 //
 // -cache-bytes sizes the content-addressed result cache (0 disables it):
 // repeated frames are answered from memory without running a kernel, and
@@ -66,7 +66,7 @@
 // Requests carry their tenant in the body's "tenant" field or the
 // X-Itask-Tenant header (body wins); the normalized attribution is echoed
 // back as an X-Itask-Tenant response header. -tenant-weights sets DRR
-// weights for the weighted-fair batcher (unlisted tenants weigh 1);
+// weights for the weighted-fair queue (unlisted tenants weigh 1);
 // -tenant-rate/-tenant-burst arm per-tenant token-bucket admission budgets.
 // -pprof serves net/http/pprof on a second listener with mutex and block
 // profiling enabled, for inspecting lock contention under load.
@@ -126,7 +126,6 @@ func parseFlags(flags *flag.FlagSet, args []string) (options, error) {
 	flags.StringVar(&o.models, "models", "", "load teacher.ckpt from this directory (itask-train output) instead of training")
 	flags.BoolVar(&o.students, "students", false, "distill a task-specific student per standard task (slow)")
 	flags.IntVar(&c.Workers, "workers", c.Workers, "inference worker goroutines, the shard's compute width (every kernel runs on its worker; default GOMAXPROCS)")
-	flags.IntVar(&c.MaxBatch, "max-batch", c.MaxBatch, fmt.Sprintf("micro-batch size cap, at most the %d-request admission queue (below it, a batch is what queued while the workers were busy)", c.QueueCap))
 	flags.DurationVar(&c.LatencySLO, "slo", c.LatencySLO, "latency SLO; slower executions count as breaker failures (0 = none)")
 	flags.Int64Var(&c.CacheBytes, "cache-bytes", c.CacheBytes, "result-cache byte budget (0 = no cache, and with it no hot tier and no -neg-ttl)")
 	flags.DurationVar(&c.NegativeTTL, "neg-ttl", c.NegativeTTL, "quarantine window for content that crashed or hung the backend in isolation; repeats are refused with HTTP 422 for this long (0 = off)")
@@ -252,7 +251,7 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		// Leave the fleet first so the gateway stops routing here, then
-		// stop accepting HTTP, then drain the batcher.
+		// stop accepting HTTP, then drain the queue.
 		if ann != nil {
 			ann.close(ctx)
 		}
@@ -260,8 +259,8 @@ func main() {
 		_ = srv.Shutdown(ctx)
 	}()
 
-	fmt.Fprintf(os.Stderr, "itask-serve: listening on %s (workers=%d max-batch=%d watchdog=%v breaker=%d)\n",
-		ln.Addr(), o.cfg.Workers, o.cfg.MaxBatch, o.cfg.Watchdog, o.cfg.BreakerThreshold)
+	fmt.Fprintf(os.Stderr, "itask-serve: listening on %s (workers=%d queue=%d watchdog=%v breaker=%d)\n",
+		ln.Addr(), o.cfg.Workers, o.cfg.QueueCap, o.cfg.Watchdog, o.cfg.BreakerThreshold)
 	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}

@@ -19,9 +19,9 @@
 //     depends on scheduling, so tests that need exact reproducibility
 //     should prefer the per-request style or a single worker.
 //
-// The serving layer batches whatever queued while its workers were busy, so
-// a test that needs a particular queue first needs busy workers: Park holds
-// every worker inside an execution until the test releases them.
+// The serving layer's workers take queued requests the moment they are free,
+// so a test that needs a particular queue first needs busy workers: Park
+// holds every worker inside an execution until the test releases them.
 //
 // Backend implements the serving layer's Backend, ContextBackend,
 // FallbackRouter, VariantEvicter, ImageValidator, and CacheStatser
@@ -157,8 +157,8 @@ func (b *Backend) Heal(variant string) {
 
 // Park builds a queue behind busy workers, deterministically: it closes a
 // gate in front of every execution and calls submit once per worker, waiting
-// after each call until the execution it caused is parked at the gate (so no
-// two of them share a batch). submit must put one request into the server.
+// after each call until the execution it caused is parked at the gate.
+// submit must put one request into the server.
 // With every worker parked, whatever the test admits next stays queued until
 // it calls the returned release, which opens the gate for good (calling it
 // again does nothing). Parked executions honor context cancellation like

@@ -207,7 +207,7 @@ func TestHangTripsServeWatchdog(t *testing.T) {
 	b := chaos.Wrap(fixed, chaos.Config{Seed: 5, HangFor: 300 * time.Millisecond})
 	b.Break("patrol-student", chaos.FaultHang)
 	srv, err := serve.New(b, serve.Config{
-		Workers: 1, MaxBatch: 4, QueueCap: 8,
+		Workers: 1, QueueCap: 8,
 		Watchdog: 25 * time.Millisecond,
 	})
 	if err != nil {
@@ -229,7 +229,7 @@ func TestLatencyInjectionTripsSLOAndDegrades(t *testing.T) {
 	// patrol lane open and the third request degrades to the fallback.
 	b := chaos.Wrap(fixed, chaos.Config{Seed: 5, LatencyRate: 1, Latency: 30 * time.Millisecond})
 	srv, err := serve.New(b, serve.Config{
-		Workers: 1, MaxBatch: 4, QueueCap: 8,
+		Workers: 1, QueueCap: 8,
 		LatencySLO:        5 * time.Millisecond,
 		BreakerThreshold:  2,
 		BreakerBackoff:    time.Minute,
@@ -273,14 +273,12 @@ func TestChaosAcceptance(t *testing.T) {
 	fixed := newFixed()
 	b := chaos.Wrap(fixed, chaos.Config{Seed: 42, PanicRate: 0.10})
 	cfg := serve.Config{
-		Workers:     2,
-		MaxBatch:    8,
-		QueueCap:    128,
-		Watchdog:    5 * time.Second,
-		RetryBudget: 3, // log2(MaxBatch): isolates any single poison
+		Workers:  2,
+		QueueCap: 128,
+		Watchdog: 5 * time.Second,
 		// High enough that phase 1's poison panics (interleaved with the
-		// successes of their quarantined batch-mates) never trip it, low
-		// enough that phase 2 trips it in a few bursts.
+		// successes of their clean neighbours) never trip it, low enough
+		// that phase 2 trips it in a few bursts.
 		BreakerThreshold:  20,
 		BreakerBackoff:    5 * time.Minute, // stays open for the rest of the test
 		BreakerMaxBackoff: 5 * time.Minute,
@@ -308,9 +306,8 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 	t.Logf("poison set: %d/%d requests", poisonCount, n)
 
-	// The first request into each idle worker runs alone; Park holds both
-	// there while the other 62 queue, so that poison rides in full batches
-	// with clean requests.
+	// Park holds both workers inside their first request while the other 62
+	// queue, so that the poison waits among clean requests.
 	outs := make([]<-chan serve.Outcome, 0, n)
 	submit := func() {
 		i := len(outs)
@@ -337,7 +334,7 @@ func TestChaosAcceptance(t *testing.T) {
 			}
 		} else {
 			if out.Err != nil {
-				t.Errorf("clean request %d failed: %v (quarantine leaked collateral damage)", i, out.Err)
+				t.Errorf("clean request %d failed: %v (a poison failure leaked onto a neighbour)", i, out.Err)
 			} else if out.Res.Degraded != "" {
 				t.Errorf("clean request %d served degraded (%s); breaker tripped during phase 1", i, out.Res.Degraded)
 			}
@@ -352,30 +349,28 @@ func TestChaosAcceptance(t *testing.T) {
 		t.Errorf("Failed = %d, want %d", phase1.Failed, poisonCount)
 	}
 	if phase1.Quarantined != uint64(poisonCount) {
-		t.Errorf("Quarantined = %d, want %d (every poison isolated to a batch of one)",
+		t.Errorf("Quarantined = %d, want %d (every poison failed alone)",
 			phase1.Quarantined, poisonCount)
 	}
 	if phase1.PanicsRecovered < uint64(poisonCount) {
 		t.Errorf("PanicsRecovered = %d, want >= %d", phase1.PanicsRecovered, poisonCount)
 	}
-	if phase1.QuarantineRetry == 0 {
-		t.Error("no quarantine retries: poison was never batched with clean requests")
-	}
 	if phase1.VariantEvictions == 0 || fixed.Evictions("patrol-student") == 0 {
 		t.Error("panicking variant's cached weights were never evicted")
 	}
 	if phase1.BreakerOpens != 0 {
-		t.Errorf("breaker opened %d times during quarantine; threshold too tight", phase1.BreakerOpens)
+		t.Errorf("breaker opened %d times during phase 1; threshold too tight", phase1.BreakerOpens)
 	}
 
 	// Phase 2: break the student outright and hammer its lane until the
 	// breaker opens; traffic must then be served degraded on the fallback.
 	b.Break("patrol-student", chaos.FaultError)
+	const burstSize = 8
 	var degradedRes *serve.Result
 	for burst := 0; burst < 12 && degradedRes == nil; burst++ {
-		chans := make([]<-chan serve.Outcome, 0, cfg.MaxBatch)
-		for i := 0; i < cfg.MaxBatch; i++ {
-			ch, err := srv.Submit(serve.Request{Task: "patrol", Image: cleanImage(t, b, burst*cfg.MaxBatch+i)})
+		chans := make([]<-chan serve.Outcome, 0, burstSize)
+		for i := 0; i < burstSize; i++ {
+			ch, err := srv.Submit(serve.Request{Task: "patrol", Image: cleanImage(t, b, burst*burstSize+i)})
 			if err != nil {
 				t.Fatalf("phase-2 submit refused: %v", err)
 			}
@@ -395,7 +390,7 @@ func TestChaosAcceptance(t *testing.T) {
 		t.Errorf("degraded request served by %q, want the quantized fallback gen", degradedRes.Model)
 	}
 	if fixed.Executions("gen") == 0 {
-		t.Error("fallback variant never executed a batch")
+		t.Error("fallback variant never executed a request")
 	}
 
 	phase2 := srv.Snapshot()
@@ -418,11 +413,10 @@ func TestChaosAcceptance(t *testing.T) {
 	if !open {
 		t.Errorf("patrol-student lane not reported open in snapshot: %+v", phase2.Breakers)
 	}
-	// Zero crashes: the server is still serving — a full batch on a
-	// healthy, unbroken lane round-trips. (A single request would sit in
-	// the hour-long coalescing window forever.)
-	healthy := make([]<-chan serve.Outcome, 0, cfg.MaxBatch)
-	for i := 0; i < cfg.MaxBatch; i++ {
+	// Zero crashes: the server is still serving — a burst on a healthy,
+	// unbroken variant round-trips.
+	healthy := make([]<-chan serve.Outcome, 0, burstSize)
+	for i := 0; i < burstSize; i++ {
 		ch, err := srv.Submit(serve.Request{Task: "inspect", Image: cleanImage(t, b, 2000+i)})
 		if err != nil {
 			t.Fatalf("healthy-lane submit refused after chaos: %v", err)

@@ -47,8 +47,6 @@ func TestPoisonNeverCachedNorSharedWithFollowers(t *testing.T) {
 	})
 	cfg := serve.DefaultConfig()
 	cfg.Workers = 2
-	cfg.MaxBatch = 1 // isolate executions: every panic is a quarantine verdict
-	cfg.RetryBudget = 0
 	cfg.BreakerThreshold = 0
 	cfg.Watchdog = 0
 	s, err := serve.New(cb, cfg)

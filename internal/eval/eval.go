@@ -36,7 +36,8 @@ type BatchDetectFunc func(imgs []*tensor.Tensor) [][]geom.Scored
 
 // BatchDetectorOf wraps a float ViT model as a BatchDetectFunc: the whole
 // batch is packed into one Patchify/Forward/DetHead pass and decoded per
-// image. This is the entry point the serving layer's micro-batcher calls.
+// image. This is the float models' inference entry on the one detect path,
+// where a single frame is a batch of one.
 func BatchDetectorOf(m *vit.Model, th Thresholds) BatchDetectFunc {
 	return func(imgs []*tensor.Tensor) [][]geom.Scored {
 		if len(imgs) == 0 {

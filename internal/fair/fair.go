@@ -1,16 +1,16 @@
 // Package fair provides the serving layer's multi-tenant admission
 // primitives: a deficit-round-robin (DRR) weighted-fair queue that
-// interleaves per-tenant subqueues inside one batching lane, and a
+// interleaves per-tenant subqueues in the server's one request queue, and a
 // token-bucket admission budget with burst credits.
 //
 // The problem both solve is the one the paper's premise creates at fleet
 // scale: many tasks — owned by different tenants — multiplexed onto one
 // resource-constrained detector. A single FIFO admission queue lets one
 // tenant's traffic spike (or poison storm) occupy every queue slot and
-// every batch, turning one hot workload into global tail-latency collapse.
-// With DRR dequeue, a saturating tenant can never take more than its
-// weighted share of batch slots while other tenants have work waiting; with
-// per-tenant budgets, its overrun is rejected at admission (HTTP 429)
+// every execution, turning one hot workload into global tail-latency
+// collapse. With DRR dequeue, a saturating tenant can never take more than
+// its weighted share of executions while other tenants have work waiting;
+// with per-tenant budgets, its overrun is rejected at admission (HTTP 429)
 // before it can occupy a queue slot at all.
 //
 // DRR here is the classic Shreedhar/Varghese scheme with unit cost per
@@ -25,21 +25,19 @@ package fair
 const DefaultWeight = 1
 
 // quantum is the credit granted per unit weight per rotation visit. Items
-// have unit cost (one request = one batch slot), so quantum 1 already gives
+// have unit cost (one request = one execution), so quantum 1 already gives
 // exact weight-proportional service with the finest interleaving.
 const quantum = 1
 
-// subq is one tenant's FIFO inside the fair queue.
+// subq is one tenant's FIFO inside the fair queue. Its deficit is the credit
+// left from the current rotation visit: positive exactly while the rotation
+// rests on it, zero otherwise (unit costs spend it to zero, never below).
 type subq[T any] struct {
 	tenant  string
 	weight  int
 	items   []T
 	head    int
 	deficit int
-	// visited marks that the current rotation already granted this
-	// subqueue its credits, so a PopMax that stops mid-tenant (batch
-	// full) resumes without granting twice.
-	visited bool
 }
 
 func (s *subq[T]) len() int { return len(s.items) - s.head }
@@ -63,13 +61,12 @@ func (s *subq[T]) pop() T {
 }
 
 // Queue is a weighted-fair queue over per-tenant subqueues. It is NOT safe
-// for concurrent use: the serving layer calls it under the batcher state
-// mutex, which it must hold anyway to maintain its occupancy counters.
+// for concurrent use: the serving layer calls it under its queue mutex.
 type Queue[T any] struct {
 	weights map[string]int
 	subs    map[string]*subq[T]
 	// ring holds the active (non-empty) subqueues in rotation order;
-	// cursor is the subqueue the next PopMax serves first.
+	// cursor is the subqueue the next Pop serves.
 	ring   []*subq[T]
 	cursor int
 	size   int
@@ -104,64 +101,74 @@ func (q *Queue[T]) TenantLen(tenant string) int {
 // Tenants is the number of tenants with items queued.
 func (q *Queue[T]) Tenants() int { return len(q.ring) }
 
-// Push appends v to tenant's subqueue, activating the subqueue (at the
-// tail of the rotation) when it was empty.
+// EachTenant calls fn with every tenant that has items queued and how many,
+// in rotation order.
+func (q *Queue[T]) EachTenant(fn func(tenant string, queued int)) {
+	for _, s := range q.ring {
+		fn(s.tenant, s.len())
+	}
+}
+
+// Push appends v to tenant's subqueue, creating the subqueue at the tail of
+// the rotation when the tenant had nothing queued.
 func (q *Queue[T]) Push(tenant string, v T) {
 	s := q.subs[tenant]
 	if s == nil {
 		s = &subq[T]{tenant: tenant, weight: q.Weight(tenant)}
 		q.subs[tenant] = s
-	}
-	if s.len() == 0 {
 		q.ring = append(q.ring, s)
 	}
 	s.items = append(s.items, v)
 	q.size++
 }
 
-// PopMax dequeues up to n items by deficit round robin. A call that fills
-// n mid-tenant preserves the tenant's remaining credit and rotation
-// position, so DRR accounting is exact across batch boundaries. A subqueue
-// that drains leaves the rotation with its deficit reset to zero (idle
-// tenants bank nothing) and is released entirely, so the tenant set the
-// queue remembers is exactly the set with work queued.
+// Pop dequeues the next item by deficit round robin, or reports false when
+// the queue is empty. The rotation rests on a tenant until its visit's
+// credit (quantum·weight items) is spent, so a run of Pops serves each
+// backlogged tenant in proportion to its weight. A subqueue that drains
+// leaves the rotation with its deficit reset to zero (idle tenants bank
+// nothing) and is released entirely, so the tenant set the queue remembers
+// is exactly the set with work queued.
+func (q *Queue[T]) Pop() (T, bool) {
+	if q.size == 0 {
+		var zero T
+		return zero, false
+	}
+	s := q.ring[q.cursor]
+	if s.deficit == 0 {
+		s.deficit = quantum * s.weight
+	}
+	v := s.pop()
+	s.deficit--
+	q.size--
+	switch {
+	case s.len() == 0:
+		// Drained: leave the rotation, forfeiting the credit left.
+		delete(q.subs, s.tenant)
+		q.ring = append(q.ring[:q.cursor], q.ring[q.cursor+1:]...)
+		if q.cursor >= len(q.ring) {
+			q.cursor = 0
+		}
+	case s.deficit == 0:
+		// Credit spent: next rotation position.
+		q.cursor = (q.cursor + 1) % len(q.ring)
+	}
+	return v, true
+}
+
+// PopMax dequeues up to n items: exactly the sequence n calls to Pop would
+// return, stopping early when the queue empties.
 func (q *Queue[T]) PopMax(n int) []T {
 	if n <= 0 || q.size == 0 {
 		return nil
 	}
-	if n > q.size {
-		n = q.size
-	}
-	out := make([]T, 0, n)
-	for q.size > 0 && len(out) < n {
-		s := q.ring[q.cursor]
-		if !s.visited {
-			s.deficit += quantum * s.weight
-			s.visited = true
+	out := make([]T, 0, min(n, q.size))
+	for len(out) < n {
+		v, ok := q.Pop()
+		if !ok {
+			break
 		}
-		for s.deficit > 0 && s.len() > 0 && len(out) < n {
-			out = append(out, s.pop())
-			s.deficit--
-			q.size--
-		}
-		switch {
-		case s.len() == 0:
-			// Drained: reset (no banked credit) and deactivate.
-			s.deficit = 0
-			s.visited = false
-			delete(q.subs, s.tenant)
-			q.ring = append(q.ring[:q.cursor], q.ring[q.cursor+1:]...)
-			if q.cursor >= len(q.ring) {
-				q.cursor = 0
-			}
-		case s.deficit <= 0:
-			// Credit spent: next rotation position.
-			s.visited = false
-			q.cursor = (q.cursor + 1) % len(q.ring)
-		default:
-			// Batch full with credit left: resume here next call.
-			return out
-		}
+		out = append(out, v)
 	}
 	return out
 }

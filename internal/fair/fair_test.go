@@ -159,6 +159,67 @@ func TestPopMaxEdgeCases(t *testing.T) {
 	}
 }
 
+// PopMax(n) is exactly n Pops: two queues built from the same seeded random
+// weights and pushes, one drained in random-sized PopMax calls and the other
+// one Pop at a time, hand out the same items in the same order.
+func TestPopMaxIsASequenceOfPops(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tenants := []string{"a", "b", "c", "d", "e"}
+		weights := map[string]int{}
+		for _, tn := range tenants[:rng.Intn(len(tenants)+1)] {
+			weights[tn] = 1 + rng.Intn(5)
+		}
+		batched, single := NewQueue[int](weights), NewQueue[int](weights)
+		var got, want []int
+		for i := 0; i < 5000; i++ {
+			if rng.Intn(3) > 0 {
+				tn := tenants[rng.Intn(len(tenants))]
+				batched.Push(tn, i)
+				single.Push(tn, i)
+				continue
+			}
+			n := rng.Intn(9)
+			got = append(got, batched.PopMax(n)...)
+			for j := 0; j < n; j++ {
+				if v, ok := single.Pop(); ok {
+					want = append(want, v)
+				}
+			}
+		}
+		for {
+			v, ok := single.Pop()
+			if !ok {
+				break
+			}
+			want = append(want, v)
+		}
+		got = append(got, batched.PopMax(batched.Len())...)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: PopMax handed out %d items, Pop %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d weights %v: item %d is %d from PopMax, %d from Pop", seed, weights, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestPopEmpty(t *testing.T) {
+	q := NewQueue[int](nil)
+	if v, ok := q.Pop(); ok {
+		t.Fatalf("Pop on an empty queue = %d, true", v)
+	}
+	q.Push("t", 7)
+	if v, ok := q.Pop(); !ok || v != 7 {
+		t.Fatalf("Pop = %d, %v, want 7, true", v, ok)
+	}
+	if _, ok := q.Pop(); ok || q.Len() != 0 || q.Tenants() != 0 {
+		t.Fatalf("drained queue: Len %d, Tenants %d", q.Len(), q.Tenants())
+	}
+}
+
 // TestBackloggedTenantBufferStaysBounded: a tenant that never drains — a
 // standing depth of 8 through a million push/pop pairs — keeps FIFO order
 // and a buffer the size of its backlog, not of its history.

@@ -18,7 +18,7 @@
 //   - Placement (ring.go): a consistent-hash ring with virtual nodes.
 //     Requests route by the rcache content digest of their image (requests
 //     without a digestable image fall back to a task key, keeping a task's
-//     traffic on one shard's batch lanes). Node join/leave remaps only
+//     traffic on one shard, where its model stays warm). Node join/leave remaps only
 //     ~K/N keys. With LoadFactor > 0 the ring is bounded-load: an owner
 //     already carrying more than LoadFactor times the fleet-average
 //     in-flight work spills the request to its successor instead of

@@ -67,7 +67,7 @@ func TestServeNodeClusterPublishDemote(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv, err := serve.New(&regBackend{reg}, serve.Config{
-			Workers: 1, MaxBatch: 4, QueueCap: 64,
+			Workers: 1, QueueCap: 64,
 		})
 		if err != nil {
 			t.Fatal(err)

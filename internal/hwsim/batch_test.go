@@ -14,8 +14,8 @@ func batchTestModel() vit.Config {
 	}
 }
 
-// Batch 1 must reproduce the single-image simulation exactly — the batcher
-// degrades to SimulateAccel when it cannot coalesce.
+// Batch 1 must reproduce the single-image simulation exactly: a batch of
+// one is SimulateAccel.
 func TestAccelBatchOneMatchesSingle(t *testing.T) {
 	accel := DefaultAccel()
 	model := batchTestModel()

@@ -54,8 +54,9 @@ func SimulateAccel(accel AccelConfig, model vit.Config) ModelReport {
 }
 
 // SimulateAccelBatch models the accelerator executing a micro-batch of
-// `batch` images back to back, the execution mode of the serving layer's
-// dynamic batcher. Static-weight GEMMs (patch embed, QKV/proj, MLPs, heads)
+// `batch` images back to back. Batching is this device model's property:
+// the CPU serving shard executes one request at a time, because on a CPU a
+// frame's 16 token rows already reuse each weight. Static-weight GEMMs (patch embed, QKV/proj, MLPs, heads)
 // keep their weight tiles stationary across the whole batch — M grows by
 // the batch factor while the per-tile weight loads, pipeline fill/drain,
 // and DRAM weight streaming are paid once — which is exactly the

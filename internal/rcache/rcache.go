@@ -392,7 +392,7 @@ func (c *Cache) RetireReplicas(artifact string) int {
 // PutNegative marks k as quarantined for one tenant: Negative reports it
 // for the cache's NegTTL. Used by the serving layer so a hot poison frame —
 // content proven to panic or hang its kernel — fails fast instead of
-// re-executing (and re-panicking, re-bisecting, re-tripping breakers) on
+// re-executing (and re-panicking, re-tripping breakers) on
 // every arrival. The verdict is tenant-scoped (see negKey): only the tenant
 // whose traffic earned the quarantine is refused. A no-op when the cache
 // has no NegTTL.

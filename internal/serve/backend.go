@@ -9,33 +9,32 @@ import (
 	"itask/internal/tensor"
 )
 
-// Backend executes routed micro-batches. The root itask package implements
-// it over Pipeline + sched.Scheduler; tests use in-memory fakes. A Backend
-// must be safe for concurrent use: every worker calls DetectBatch
-// concurrently, and Route runs on every admission.
+// Backend executes routed requests. The root itask package implements it
+// over Pipeline + sched.Scheduler; tests use in-memory fakes. A Backend must
+// be safe for concurrent use: every worker calls DetectBatch concurrently,
+// and Route runs on every admission.
 type Backend interface {
 	// Route resolves a task to the name of the model variant that would
 	// serve it right now, without loading the model or perturbing the
-	// cache. Requests that resolve to the same (variant, task) pair may be
-	// coalesced into a single DetectBatch call.
+	// cache.
 	Route(task string) (variant string, err error)
 
-	// DetectBatch runs one coalesced batch of same-task images on the
-	// named variant (the one a prior Route or RouteFallback returned) and
-	// returns one backend-defined payload per image (e.g.
-	// []itask.Detection) plus the name of the model that served the batch.
-	// len(payloads) must equal len(imgs) on success. The server executes
-	// DetectBatch under recover: a panicking backend fails the batch (and,
-	// after quarantine bisection, only the poison requests), never the
-	// server.
+	// DetectBatch runs images of one task on the named variant (the one a
+	// prior Route or RouteFallback returned) and returns one
+	// backend-defined payload per image (e.g. []itask.Detection) plus the
+	// name of the model that served them. len(payloads) must equal
+	// len(imgs) on success. The server calls it with one image per
+	// request — the pipeline's inference entry is a batch, and a frame is a
+	// batch of one — under recover: a panicking backend fails the request,
+	// never the server.
 	DetectBatch(variant, task string, imgs []*tensor.Tensor) (payloads []any, model string, err error)
 }
 
-// ContextBackend is optionally implemented by backends whose batch
-// execution can honor cancellation. When implemented, the server prefers
+// ContextBackend is optionally implemented by backends whose execution can
+// honor cancellation. When implemented, the server prefers
 // DetectBatchContext over DetectBatch and cancels ctx when the watchdog
 // abandons the execution, so a hung-but-cooperative backend stops working
-// on the dead batch instead of leaking a goroutine (a plain DetectBatch can
+// on the dead request instead of leaking a goroutine (a plain DetectBatch can
 // only be abandoned, never stopped). Same contract as DetectBatch
 // otherwise; returning ctx.Err() after cancellation is the expected shape.
 type ContextBackend interface {
@@ -62,7 +61,7 @@ type VariantEvicter interface {
 // ImageValidator is optionally implemented by backends that can check an
 // input tensor's shape without running it. The server calls ValidateImage
 // at admission so malformed input fails fast with ErrBadShape instead of
-// reaching a panicking kernel inside a shared micro-batch.
+// reaching a panicking kernel.
 type ImageValidator interface {
 	ValidateImage(img *tensor.Tensor) error
 }
@@ -121,7 +120,7 @@ type RouteEpocher interface {
 }
 
 // PayloadSizer is optionally implemented by backends that can estimate the
-// resident size of a DetectBatch payload. The result cache charges entries
+// resident size of one image's DetectBatch payload. The result cache charges entries
 // against its byte budget with it; without it a conservative default is
 // used.
 type PayloadSizer interface {
@@ -160,7 +159,7 @@ type Request struct {
 }
 
 // DegradedBreakerOpen is the Result.Degraded reason for requests rerouted
-// to the fallback variant because the preferred lane's breaker was open.
+// to the fallback variant because the preferred variant's breaker was open.
 const DegradedBreakerOpen = "breaker-open"
 
 // Result is the successful outcome of one request.
@@ -174,14 +173,16 @@ type Result struct {
 	// request's own tenant — a coalesced follower keeps its identity even
 	// when another tenant's leader executed the work).
 	Tenant string
-	// BatchSize is the size of the micro-batch the request rode in.
+	// BatchSize is 1: every request executes alone (a cached or coalesced
+	// result reports 1 too). It stays for clients that still read the
+	// field.
 	BatchSize int
 	// Degraded is empty for requests served on their preferred variant,
 	// and a reason string (DegradedBreakerOpen) for requests the server
 	// rerouted to the fallback configuration.
 	Degraded string
 	// Cached marks a result served straight from the content-addressed
-	// result cache: no queue, no batch, no kernel ran for it.
+	// result cache: no queue, no kernel ran for it.
 	Cached bool
 	// Coalesced marks a follower's result produced by another request's
 	// execution (singleflight duplicate suppression).

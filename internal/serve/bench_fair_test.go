@@ -11,9 +11,9 @@ import (
 	"itask/internal/tensor"
 )
 
-// batchDelayBackend costs a fixed off-CPU delay per batch, regardless of
-// batch size — the simplest model under which a queue position is worth a
-// fixed amount of latency.
+// batchDelayBackend costs a fixed off-CPU delay per execution — the
+// simplest model under which a queue position is worth a fixed amount of
+// latency.
 type batchDelayBackend struct{ delay time.Duration }
 
 func (batchDelayBackend) Route(string) (string, error) { return "m@v1#aa", nil }
@@ -38,9 +38,10 @@ func (b batchDelayBackend) DetectBatch(variant, task string, imgs []*tensor.Tens
 //	      weights — DRR grants the light subqueue a slot every rotation
 //	      regardless of backlog depth.
 func BenchmarkFairVsFIFO(b *testing.B) {
-	// 1ms per batch makes queueing discipline — not goroutine scheduling
-	// noise on small CI boxes — the dominant term in the light tenant's
-	// latency: a FIFO backlog of 128 is ~8 batch-times deep per worker.
+	// 1ms per execution makes queueing discipline — not goroutine
+	// scheduling noise on small CI boxes — the dominant term in the light
+	// tenant's latency: a FIFO backlog of 128 is 64 execution-times deep
+	// per worker.
 	backend := batchDelayBackend{delay: time.Millisecond}
 	for _, tc := range []struct {
 		name string
@@ -51,8 +52,7 @@ func BenchmarkFairVsFIFO(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := Config{
-				Workers: 2, MaxBatch: 8,
-				QueueCap: 128,
+				Workers: 2, QueueCap: 128,
 			}
 			heavy, light := DefaultTenant, DefaultTenant
 			if tc.fair {

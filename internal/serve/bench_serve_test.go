@@ -10,10 +10,9 @@ import (
 	"itask/internal/tensor"
 )
 
-// benchBackend models the simulated accelerator: a batch costs a fixed
-// dispatch latency plus a per-image term (the weight-stationary
-// amortization batching buys), spent off-CPU like hwsim device time. The
-// 50µs per-image cost is about 4x below the real int8 forward's ≈ 200µs/image
+// benchBackend models the simulated accelerator: an execution costs a fixed
+// dispatch latency plus a per-image term, spent off-CPU like hwsim device
+// time. The 50µs per-image cost is about 4x below the real int8 forward's ≈ 200µs/image
 // (BenchmarkForward, DESIGN.md §8): a cheaper miss shrinks what a cache hit
 // saves, biasing the measurement toward serve-layer overhead rather than
 // flattering the cache.
@@ -31,7 +30,7 @@ func (benchBackend) DetectBatch(variant, task string, imgs []*tensor.Tensor) ([]
 }
 
 func benchConfig(cache, hot bool) Config {
-	cfg := Config{Workers: 4, MaxBatch: 8, QueueCap: 4096}
+	cfg := Config{Workers: 4, QueueCap: 4096}
 	if cache {
 		cfg.CacheBytes = 64 << 20
 		cfg.Coalesce = true
@@ -192,7 +191,7 @@ func BenchmarkServeHotPath(b *testing.B) {
 // admit, then settle into the global, tenant and model rows and both latency
 // histograms (run with -cpu 1,4,8 to see it under parallel writers).
 func BenchmarkLedger(b *testing.B) {
-	m := newMetrics(8)
+	m := newMetrics()
 	row := m.tenant("bench-tenant")
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {

@@ -224,7 +224,7 @@ func (h *health) snapshot(now time.Time) []LaneBreaker {
 	return out
 }
 
-// laneKeySep joins (variant, task) into lane and breaker map keys.
+// laneKeySep joins (variant, task) into breaker map keys.
 const laneKeySep = "\x1f"
 
 func laneKey(variant, task string) string { return variant + laneKeySep + task }

@@ -223,7 +223,6 @@ func TestDegradedResultNeverCached(t *testing.T) {
 	b.failOn = "m@v1#aa"
 	b.fallback = "fb@v1#ff"
 	cfg := DefaultConfig()
-	cfg.RetryBudget = 0
 	cfg.BreakerThreshold = 1
 	cfg.BreakerBackoff = time.Minute
 	s := newTestServer(t, b, cfg)
@@ -284,7 +283,6 @@ func TestCoalesceSharesOneExecution(t *testing.T) {
 	b.enter = make(chan struct{}, 16)
 	b.release = make(chan struct{})
 	cfg := DefaultConfig()
-	cfg.MaxBatch = 1
 	cfg.QueueCap = 64
 	s := newTestServer(t, b, cfg)
 	img := testImage()
@@ -339,9 +337,7 @@ func TestFailedLeaderFollowersReexecute(t *testing.T) {
 	b.release = make(chan struct{})
 	b.failOnce = true // exactly the leader's execution fails
 	cfg := DefaultConfig()
-	cfg.MaxBatch = 8
 	cfg.QueueCap = 64
-	cfg.RetryBudget = 0
 	s := newTestServer(t, b, cfg)
 	img := testImage()
 	req := Request{Task: "patrol", Image: img}

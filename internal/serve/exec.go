@@ -25,110 +25,45 @@ func (e *PanicError) Error() string {
 
 func (e *PanicError) Unwrap() error { return ErrBackendPanic }
 
-// isPanicOrHang reports whether err is the kind of failure that suggests a
-// broken kernel or corrupt weights (rather than a clean refusal).
-func isPanicOrHang(err error) bool {
-	return errors.Is(err, ErrBackendPanic) || errors.Is(err, ErrWatchdog)
-}
-
-// execute runs one (sub-)batch end to end: it sheds cancelled and expired
-// requests, invokes the backend under the watchdog and recover, records the
-// lane's breaker outcome, and on failure bisects the batch to quarantine
-// the poison request(s) while the rest are retried and succeed. Recursion
-// depth is bounded by log2(len(items)) and each request re-executes at most
-// Config.RetryBudget times.
-func (s *Server) execute(variant, task string, items []*pending) {
+// execute runs one request end to end: it sheds the request if it was
+// cancelled or expired while queued, otherwise invokes the backend under the
+// watchdog and recover, records the outcome with the breaker, and delivers.
+// The request executes alone, so a failure is its own: there is no batch-mate
+// to blame and none to retry.
+func (s *Server) execute(p *pending) {
 	started := time.Now()
-	live := make([]*pending, 0, len(items))
-	imgs := make([]*tensor.Tensor, 0, len(items))
-	for _, p := range items {
-		switch {
-		case p.cancelled.Load():
-			s.shed(p, cShedCancelled, context.Canceled)
-		case !p.deadline.IsZero() && started.After(p.deadline):
-			s.shed(p, cShedExpired, ErrDeadlineExceeded)
-		default:
-			live = append(live, p)
-			imgs = append(imgs, p.image)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-
-	payloads, model, err := s.invoke(variant, task, imgs)
-	dur := time.Since(started)
-	s.recordExec(variant, task, err, dur)
-	for _, p := range live {
-		// The lane's breaker has now seen this execution: any probe slot the
-		// request held is consumed, and shedding it during a later bisection
-		// retry must not release a slot a newer probe may hold.
-		p.probeKey = ""
-	}
-
-	if err == nil {
-		finished := time.Now()
-		s.m.observeBatch(len(live))
-		for i, p := range live {
-			total := finished.Sub(p.enq)
-			s.m.settle(cCompleted, p.row, model, total, p.degraded != "")
-			s.deliver(p, Outcome{Res: Result{
-				Payload:   payloads[i],
-				Model:     model,
-				Tenant:    p.tenant,
-				BatchSize: len(live),
-				Degraded:  p.degraded,
-				Queued:    started.Sub(p.enq),
-				Total:     total,
-			}})
-		}
-		return
-	}
-
-	// Failure path: account the failure class (globally and against the
-	// exact variant version), drop possibly-corrupt cached weights, report
-	// the health verdict to the registry so a bad new version rolls back,
-	// then quarantine by bisection. Retries of the bisected halves re-enter
-	// execute with the same pinned variant string; after a rollback the
-	// backend resolves it to the restored last-known-good version, so the
-	// innocent batch-mates still succeed.
 	switch {
-	case errors.Is(err, ErrBackendPanic):
-		s.m.fault(cPanics, variant)
-		s.evictVariant(variant)
-		s.variantUnhealthy(variant, task, UnhealthyPanic)
-	case errors.Is(err, ErrWatchdog):
-		s.m.fault(cWatchdogs, variant)
-		s.evictVariant(variant)
-		s.variantUnhealthy(variant, task, UnhealthyWatchdog)
-	}
-	if len(live) == 1 || s.cfg.RetryBudget <= 0 {
-		for _, p := range live {
-			s.fail(p, variant, err, len(live) == 1)
-		}
+	case p.cancelled.Load():
+		s.shed(p, cShedCancelled, context.Canceled)
+		return
+	case !p.deadline.IsZero() && started.After(p.deadline):
+		s.shed(p, cShedExpired, ErrDeadlineExceeded)
 		return
 	}
-	mid := len(live) / 2
-	for _, half := range [][]*pending{live[:mid], live[mid:]} {
-		retry := make([]*pending, 0, len(half))
-		for _, p := range half {
-			if p.attempts >= s.cfg.RetryBudget {
-				s.fail(p, variant, err, false)
-				continue
-			}
-			p.attempts++
-			s.m.inc(cRetries)
-			retry = append(retry, p)
-		}
-		if len(retry) > 0 {
-			s.execute(variant, task, retry)
-		}
+
+	payload, model, err := s.invoke(p.variant, p.task, p.image)
+	s.recordExec(p.variant, p.task, err, time.Since(started))
+	if err != nil {
+		s.fail(p, err)
+		return
 	}
+	s.m.inc(cBatches)
+	total := time.Since(p.enq)
+	s.m.settle(cCompleted, p.row, model, total, p.degraded != "")
+	s.deliver(p, Outcome{Res: Result{
+		Payload:   payload,
+		Model:     model,
+		Tenant:    p.tenant,
+		BatchSize: 1,
+		Degraded:  p.degraded,
+		Queued:    started.Sub(p.enq),
+		Total:     total,
+	}})
 }
 
 // shed terminates a request that was cancelled or expired while queued. If
-// it held a half-open probe slot its lane's breaker has seen no outcome for,
-// the slot is returned: otherwise the lane would stay half-open with probing
+// it held a half-open probe slot its breaker has seen no outcome for, the
+// slot is returned: otherwise the breaker would stay half-open with probing
 // set and no probe ever running, denying every future request forever.
 func (s *Server) shed(p *pending, how counterIdx, err error) {
 	s.m.settle(how, p.row, "", 0, false)
@@ -139,21 +74,32 @@ func (s *Server) shed(p *pending, how counterIdx, err error) {
 	s.deliver(p, Outcome{Err: err})
 }
 
-// fail delivers a terminal error to one request, attributing it to the
-// lane's variant. isolated marks requests that failed alone (batch of one) —
-// the quarantine verdict that this specific request, not its batch-mates, is
-// the poison.
-func (s *Server) fail(p *pending, variant string, err error, isolated bool) {
-	s.m.settle(cFailed, p.row, variant, 0, false)
-	if isolated && isPanicOrHang(err) {
-		s.m.inc(cQuarantined)
+// fail delivers a failed execution's error to its request, attributing it to
+// the executed variant. A panic or hang is a health verdict on the variant —
+// its cached weights are dropped, and the registry may roll the version back
+// before any follower of p re-executes — and, since the request ran alone,
+// proof that its content is poison.
+func (s *Server) fail(p *pending, err error) {
+	s.m.settle(cFailed, p.row, p.variant, 0, false)
+	verdict := ""
+	switch {
+	case errors.Is(err, ErrBackendPanic):
+		s.m.fault(cPanics, p.variant)
+		verdict = UnhealthyPanic
+	case errors.Is(err, ErrWatchdog):
+		s.m.fault(cWatchdogs, p.variant)
+		verdict = UnhealthyWatchdog
+	}
+	if verdict != "" {
+		s.evictVariant(p.variant)
+		s.variantUnhealthy(p.variant, p.task, verdict)
 		if s.cache != nil && p.haveKey {
-			// The content is proven poison on its routed version: mark it in
-			// the negative cache so a hot poison frame fails fast at
-			// admission instead of re-executing — and re-panicking — on
-			// every arrival. The mark is scoped to this request's tenant;
-			// other tenants' identical content re-proves itself instead of
-			// inheriting the verdict. No-op unless Config.NegativeTTL is set.
+			// Mark the content in the negative cache so a hot poison frame
+			// fails fast at admission instead of re-executing — and
+			// re-panicking — on every arrival. The mark is scoped to this
+			// request's tenant; other tenants' identical content re-proves
+			// itself instead of inheriting the verdict. No-op unless
+			// Config.NegativeTTL is set.
 			s.cache.PutNegative(p.key, p.tenant, time.Now())
 		}
 	}
@@ -213,29 +159,28 @@ func (s *Server) finishFlight(p *pending, out Outcome) {
 }
 
 // maxAbandonedPerVariant caps how many watchdog-abandoned executions may
-// still be running on one variant. At the cap, invoke fails new batches
-// fast with ErrWatchdog instead of starting another execution, so a
-// permanently hung variant cannot grow an abandoned goroutine per probe or
-// bisection retry without bound (each fast failure still counts against
-// the lane's breaker).
+// still be running on one variant. At the cap, invoke fails new executions
+// fast with ErrWatchdog instead of starting another, so a permanently hung
+// variant cannot grow an abandoned goroutine per request or probe without
+// bound (each fast failure still counts against the variant's breaker).
 const maxAbandonedPerVariant = 4
 
 // invokeResult carries one backend execution's outcome out of its goroutine.
 type invokeResult struct {
-	payloads []any
-	model    string
-	err      error
+	payload any
+	model   string
+	err     error
 }
 
 // invoke runs one backend call under the watchdog deadline. When the
 // backend hangs past Config.Watchdog the call is abandoned — its context is
 // cancelled so a ContextBackend can stop the work; a plain Backend's
-// goroutine keeps running until it returns on its own — and the batch fails
-// with ErrWatchdog. Abandoned executions are counted per variant and capped
-// at maxAbandonedPerVariant.
-func (s *Server) invoke(variant, task string, imgs []*tensor.Tensor) ([]any, string, error) {
+// goroutine keeps running until it returns on its own — and the request
+// fails with ErrWatchdog. Abandoned executions are counted per variant and
+// capped at maxAbandonedPerVariant.
+func (s *Server) invoke(variant, task string, img *tensor.Tensor) (any, string, error) {
 	if s.cfg.Watchdog <= 0 {
-		return s.call(context.Background(), variant, task, imgs)
+		return s.call(context.Background(), variant, task, img)
 	}
 	if n := s.abandonedOn(variant); n >= maxAbandonedPerVariant {
 		return nil, "", fmt.Errorf("serve: %d abandoned executions still running on variant %s, failing fast: %w",
@@ -245,18 +190,18 @@ func (s *Server) invoke(variant, task string, imgs []*tensor.Tensor) ([]any, str
 	defer cancel() // on watchdog expiry this tells the abandoned execution to stop
 	ch := make(chan invokeResult, 1)
 	go func() {
-		p, m, e := s.call(ctx, variant, task, imgs)
+		p, m, e := s.call(ctx, variant, task, img)
 		ch <- invokeResult{p, m, e}
 	}()
 	timer := time.NewTimer(s.cfg.Watchdog)
 	defer timer.Stop()
 	select {
 	case r := <-ch:
-		return r.payloads, r.model, r.err
+		return r.payload, r.model, r.err
 	case <-timer.C:
 		s.trackAbandoned(variant, ch)
-		return nil, "", fmt.Errorf("serve: batch of %d on lane %s/%s still executing after %v: %w",
-			len(imgs), variant, task, s.cfg.Watchdog, ErrWatchdog)
+		return nil, "", fmt.Errorf("serve: execution on %s/%s still running after %v: %w",
+			variant, task, s.cfg.Watchdog, ErrWatchdog)
 	}
 }
 
@@ -285,23 +230,29 @@ func (s *Server) trackAbandoned(variant string, ch <-chan invokeResult) {
 
 // call is the recover boundary around the backend: a kernel panic becomes a
 // *PanicError with the stack captured, so one poison request can never take
-// down a worker or the server. Backends implementing ContextBackend get the
-// execution context, cancelled when the watchdog abandons the call.
-func (s *Server) call(ctx context.Context, variant, task string, imgs []*tensor.Tensor) (payloads []any, model string, err error) {
+// down a worker or the server. The image goes to the backend as a batch of
+// one. Backends implementing ContextBackend get the execution context,
+// cancelled when the watchdog abandons the call.
+func (s *Server) call(ctx context.Context, variant, task string, img *tensor.Tensor) (payload any, model string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
+	imgs := []*tensor.Tensor{img}
+	var payloads []any
 	if cb, ok := s.backend.(ContextBackend); ok {
 		payloads, model, err = cb.DetectBatchContext(ctx, variant, task, imgs)
 	} else {
 		payloads, model, err = s.backend.DetectBatch(variant, task, imgs)
 	}
-	if err == nil && len(payloads) != len(imgs) {
-		err = fmt.Errorf("serve: backend returned %d payloads for %d images", len(payloads), len(imgs))
+	if err == nil && len(payloads) != 1 {
+		err = fmt.Errorf("serve: backend returned %d payloads for one image", len(payloads))
 	}
-	return payloads, model, err
+	if err != nil {
+		return nil, "", err
+	}
+	return payloads[0], model, nil
 }
 
 // recordExec accounts one backend execution with the lane's breaker. A

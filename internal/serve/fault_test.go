@@ -13,7 +13,7 @@ import (
 )
 
 // poisonMark in a test image's first element makes faultBackend panic when
-// the image appears in a batch — a deterministic per-request poison.
+// it executes the image — a deterministic per-request poison.
 const poisonMark = float32(13)
 
 // faultBackend is a controllable faulty backend implementing the full
@@ -82,7 +82,7 @@ func (f *faultBackend) DetectBatch(variant, task string, imgs []*tensor.Tensor) 
 	}
 	for _, img := range imgs {
 		if len(img.Data) > 0 && img.Data[0] == poisonMark {
-			panic("fault: poison image in batch")
+			panic("fault: poison image")
 		}
 	}
 	out := make([]any, len(imgs))
@@ -114,8 +114,8 @@ func poisonImage() *tensor.Tensor {
 // default (individual tests opt in).
 func faultConfig() Config {
 	return Config{
-		Workers: 1, MaxBatch: 8, QueueCap: 64,
-		Watchdog: 0, RetryBudget: 3,
+		Workers: 1, QueueCap: 64,
+		Watchdog: 0,
 	}
 }
 
@@ -149,15 +149,17 @@ func TestPanicIsolatedToRequest(t *testing.T) {
 	}
 }
 
-// One poison request inside a coalesced batch must fail alone: quarantine
-// bisection retries the batch-mates, which all succeed.
-func TestQuarantineBisectsPoisonOutOfBatch(t *testing.T) {
+// One poison request queued among clean ones fails alone: each request
+// executes by itself, so the poison's panic is its own outcome, its seven
+// neighbours succeed with no re-execution, and the panicking variant is
+// evicted.
+func TestPoisonFailsAlone(t *testing.T) {
 	fb := newFaultBackend()
 	gb := chaos.Wrap(fb, chaos.Config{})
 	s := newTestServer(t, gb, faultConfig())
 	release := parkWorkers(t, s, gb, "inspect")
 
-	const n = 8 // == MaxBatch: queued behind the busy worker, all 8 ride one batch
+	const n = 8 // queued together behind the busy worker
 	chans := make([]<-chan Outcome, n)
 	poisonAt := 3
 	for i := 0; i < n; i++ {
@@ -184,49 +186,20 @@ func TestQuarantineBisectsPoisonOutOfBatch(t *testing.T) {
 			t.Errorf("healthy request %d failed: %v", i, out.Err)
 		}
 	}
+	if got := fb.executions("student"); got != n {
+		t.Errorf("student executed %d times for %d requests, want one execution each", got, n)
+	}
 	snap := s.Snapshot()
-	if snap.Quarantined != 1 {
-		t.Errorf("Quarantined = %d, want 1", snap.Quarantined)
+	if snap.Quarantined != 1 || snap.Failed != 1 {
+		t.Errorf("Quarantined = %d, Failed = %d, want the poison alone", snap.Quarantined, snap.Failed)
 	}
 	if snap.Completed != n-1+1 {
 		t.Errorf("Completed = %d, want the %d healthy requests and the plug", snap.Completed, n-1)
 	}
-	if snap.QuarantineRetry == 0 {
-		t.Error("no quarantine retries recorded")
-	}
 	if snap.VariantEvictions == 0 || len(fb.evictions()) == 0 {
 		t.Error("panicking variant was not evicted from the cache")
 	}
-}
-
-// With RetryBudget 0 quarantine is disabled: a failed batch fails all its
-// requests (the pre-fault-tolerance behaviour, minus the crash).
-func TestRetryBudgetZeroFailsWholeBatch(t *testing.T) {
-	fb := newFaultBackend()
-	gb := chaos.Wrap(fb, chaos.Config{})
-	cfg := faultConfig()
-	cfg.RetryBudget = 0
-	s := newTestServer(t, gb, cfg)
-	release := parkWorkers(t, s, gb, "inspect")
-
-	chans := make([]<-chan Outcome, 4)
-	for i := range chans {
-		img := testImage()
-		if i == 0 {
-			img = poisonImage()
-		}
-		ch, err := s.Submit(Request{Task: "patrol", Image: img})
-		if err != nil {
-			t.Fatal(err)
-		}
-		chans[i] = ch
-	}
-	release() // the freed worker takes all four as one batch
-	for i, ch := range chans {
-		if out := <-ch; !errors.Is(out.Err, ErrBackendPanic) {
-			t.Errorf("request %d: err = %v, want ErrBackendPanic (no quarantine)", i, out.Err)
-		}
-	}
+	checkBooks(t, snap)
 }
 
 // A hung backend execution is abandoned by the watchdog and fails with
@@ -237,7 +210,6 @@ func TestWatchdogAbandonsHungExecution(t *testing.T) {
 	fb.hangFor = 200 * time.Millisecond
 	cfg := faultConfig()
 	cfg.Watchdog = 20 * time.Millisecond
-	cfg.RetryBudget = 0
 	s := newTestServer(t, fb, cfg)
 
 	start := time.Now()
@@ -264,7 +236,6 @@ func TestBreakerOpensAndRejectsWithoutFallback(t *testing.T) {
 	fb.broken["student"] = "error"
 	fb.fallback = "" // no fallback: open breaker means rejection
 	cfg := faultConfig()
-	cfg.RetryBudget = 0
 	cfg.BreakerThreshold = 2
 	cfg.BreakerBackoff = time.Hour
 	s := newTestServer(t, fb, cfg)
@@ -318,7 +289,6 @@ func TestBreakerOpenDegradesToFallback(t *testing.T) {
 	fb := newFaultBackend()
 	fb.broken["student"] = "panic"
 	cfg := faultConfig()
-	cfg.RetryBudget = 0
 	cfg.BreakerThreshold = 2
 	cfg.BreakerBackoff = time.Hour
 	s := newTestServer(t, fb, cfg)
@@ -351,7 +321,6 @@ func TestBreakerHalfOpenProbeHeals(t *testing.T) {
 	fb := newFaultBackend()
 	fb.broken["student"] = "error"
 	cfg := faultConfig()
-	cfg.RetryBudget = 0
 	cfg.BreakerThreshold = 1
 	cfg.BreakerBackoff = 10 * time.Millisecond
 	s := newTestServer(t, fb, cfg)
@@ -390,7 +359,6 @@ func TestLatencySLOBreachTripsBreaker(t *testing.T) {
 	fb.broken["student"] = "hang"
 	fb.hangFor = 30 * time.Millisecond // slow, not hung
 	cfg := faultConfig()
-	cfg.RetryBudget = 0
 	cfg.BreakerThreshold = 2
 	cfg.BreakerBackoff = time.Hour
 	cfg.LatencySLO = 5 * time.Millisecond
@@ -464,7 +432,7 @@ func (b *badShapeBackend) ValidateImage(img *tensor.Tensor) error {
 }
 
 // Malformed input is refused at admission with ErrBadShape, before it can
-// reach a kernel inside a shared batch.
+// reach a kernel.
 func TestBadShapeRejectedAtAdmission(t *testing.T) {
 	fb := &badShapeBackend{*newFaultBackend()}
 	cfg := faultConfig()
@@ -564,7 +532,6 @@ func (c *ctxBackend) DetectBatchContext(ctx context.Context, variant, task strin
 func TestWatchdogCancelsContextBackend(t *testing.T) {
 	cb := &ctxBackend{faultBackend: *newFaultBackend(), stopped: make(chan struct{}, 1)}
 	cfg := faultConfig()
-	cfg.RetryBudget = 0
 	cfg.Watchdog = 10 * time.Millisecond
 	s := newTestServer(t, cb, cfg)
 
@@ -587,13 +554,12 @@ func TestWatchdogCancelsContextBackend(t *testing.T) {
 
 // A variant whose executions hang uncancellably must not accumulate
 // abandoned goroutines without bound: at maxAbandonedPerVariant the server
-// fails new batches fast with ErrWatchdog instead of starting another.
+// fails new executions fast with ErrWatchdog instead of starting another.
 func TestAbandonedExecutionsCappedPerVariant(t *testing.T) {
 	fb := newFaultBackend()
 	fb.broken["student"] = "hang"
 	fb.hangFor = time.Hour // plain DetectBatch: cancellation cannot reach it
 	cfg := faultConfig()
-	cfg.RetryBudget = 0
 	cfg.Watchdog = 10 * time.Millisecond
 	s := newTestServer(t, fb, cfg)
 
@@ -626,7 +592,6 @@ func TestProbeSlotReleasedOnEnqueueFailure(t *testing.T) {
 	fb.broken["student"] = "error"
 	fb.fallback = ""
 	cfg := faultConfig()
-	cfg.RetryBudget = 0
 	cfg.BreakerThreshold = 1
 	cfg.BreakerBackoff = time.Millisecond
 	s, err := New(fb, cfg)

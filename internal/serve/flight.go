@@ -10,9 +10,9 @@ import (
 // (same routed artifact version, task, and image content) collapse into one
 // backend execution. The first request to miss the cache becomes the
 // *leader* and rides the normal admission path (breaker consult, queue,
-// batcher); requests arriving while the leader is in flight become
+// worker); requests arriving while the leader is in flight become
 // *followers* and wait on the leader's outcome without ever touching the
-// admission queue — duplicate suppression before lane admission.
+// admission queue — duplicate suppression before queue admission.
 //
 // Failure semantics are deliberately conservative:
 //

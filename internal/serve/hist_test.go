@@ -93,7 +93,7 @@ func TestHistBucketBounds(t *testing.T) {
 // histogram of exactly the samples recorded between the two.
 func TestHistSnapshotsSubtract(t *testing.T) {
 	in := latencyInputs()
-	m := newMetrics(8)
+	m := newMetrics()
 	row := m.tenant("t")
 	for _, d := range in["bimodal"] {
 		m.settle(cCompleted, row, "", d, false)
@@ -124,7 +124,7 @@ func TestHistAllocs(t *testing.T) {
 		t.Errorf("record allocates %.1f/op, want 0", n)
 	}
 	snapshotAllocs := func(samples int) float64 {
-		m := newMetrics(8)
+		m := newMetrics()
 		row := m.tenant("t")
 		for i := 0; i < samples; i++ {
 			m.settle(cCompleted, row, "model", time.Duration(i%5000)*time.Microsecond, false)

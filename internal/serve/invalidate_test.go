@@ -44,7 +44,7 @@ func (b *poisonBackend) executions() int {
 	return b.execs
 }
 
-// A request whose content was quarantined in isolation is refused from the
+// A request whose content was quarantined as poison is refused from the
 // negative cache with ErrQuarantined — no queue, no kernel, no re-panic —
 // until the negative TTL lapses, after which it re-executes (and is
 // re-quarantined).
@@ -52,7 +52,6 @@ func TestNegativeCacheBlocksPoisonReexecution(t *testing.T) {
 	b := &poisonBackend{}
 	cfg := DefaultConfig()
 	cfg.NegativeTTL = 200 * time.Millisecond
-	cfg.RetryBudget = 3
 	cfg.BreakerThreshold = 0 // isolate the negative-cache behaviour
 	s := newTestServer(t, b, cfg)
 

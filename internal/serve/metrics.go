@@ -43,15 +43,13 @@ const (
 	// Fault-tolerance counters.
 	cPanics           // backend panics recovered
 	cWatchdogs        // executions abandoned by the watchdog
-	cRetries          // per-request quarantine re-executions
-	cQuarantined      // requests failed in isolation (batch of one)
 	cSLOBreaches      // successful executions slower than LatencySLO
 	cBreakerOpens     // closed/half-open -> open transitions
 	cDegradedRouted   // admissions rerouted to the fallback variant
 	cDegradedServed   // requests completed on the fallback variant
 	cVariantEvictions // cached variants dropped after panic/watchdog
 
-	cBatches // successfully executed batches
+	cBatches // successful backend executions, one request each
 
 	// Zero-contention request path counters.
 	cCacheHits        // requests served straight from the result cache
@@ -130,9 +128,8 @@ func histQuantile(counts []uint64, q float64) float64 {
 // metrics is the ledger. All observation methods are lock-free; only
 // snapshot() aggregates.
 type metrics struct {
-	c         counters
-	lat       hist            // admission-to-completion latency of completed requests
-	batchHist []atomic.Uint64 // index i counts batches of size i+1
+	c   counters
+	lat hist // admission-to-completion latency of completed requests
 
 	// perModel maps variant string (versioned artifact ID) -> *modelRow, so
 	// /metricsz can show a bad new version panicking while its rolled-back
@@ -171,9 +168,7 @@ type modelRow struct {
 	latSumNS atomic.Uint64
 }
 
-func newMetrics(maxBatch int) *metrics {
-	return &metrics{batchHist: make([]atomic.Uint64, maxBatch)}
-}
+func newMetrics() *metrics { return &metrics{} }
 
 func (m *metrics) inc(c counterIdx) { m.c[c].Add(1) }
 
@@ -181,13 +176,6 @@ func (m *metrics) inc(c counterIdx) { m.c[c].Add(1) }
 func (m *metrics) count(c counterIdx, row *tenantRow) {
 	m.c[c].Add(1)
 	row.c[c].Add(1)
-}
-
-func (m *metrics) observeBatch(size int) {
-	m.inc(cBatches)
-	if size >= 1 && size <= len(m.batchHist) {
-		m.batchHist[size-1].Add(1)
-	}
 }
 
 // model returns (creating if needed) the row for one variant string.
@@ -282,13 +270,12 @@ type Snapshot struct {
 	ShedCancelled    uint64 `json:"shed_cancelled"`
 
 	// Fault-tolerance counters: recovered backend panics, watchdog-
-	// abandoned executions, quarantine bisection retries, requests failed
-	// in isolation as the proven poison, latency-SLO breaches, breaker
-	// trips, traffic rerouted to / completed on the quantized fallback,
-	// and cached variants evicted after a panic or hang.
+	// abandoned executions, requests failed as the proven poison (their
+	// execution panicked or hung), latency-SLO breaches, breaker trips,
+	// traffic rerouted to / completed on the quantized fallback, and cached
+	// variants evicted after a panic or hang.
 	PanicsRecovered  uint64 `json:"panics_recovered"`
 	WatchdogTimeouts uint64 `json:"watchdog_timeouts"`
-	QuarantineRetry  uint64 `json:"quarantine_retries"`
 	Quarantined      uint64 `json:"quarantined_poison"`
 	SLOBreaches      uint64 `json:"slo_breaches"`
 	BreakerOpens     uint64 `json:"breaker_opens"`
@@ -329,10 +316,10 @@ type Snapshot struct {
 	ResultCacheHitRate float64       `json:"result_cache_hit_rate,omitempty"`
 	ReplicatedHitRate  float64       `json:"replicated_hit_rate,omitempty"`
 
-	// Breakers lists every (variant, task) lane's circuit-breaker state.
+	// Breakers lists every (variant, task) circuit-breaker state.
 	Breakers []LaneBreaker `json:"breakers,omitempty"`
 
-	// QueueDepth is the number of admitted requests waiting in lanes.
+	// QueueDepth is the number of admitted requests waiting for a worker.
 	QueueDepth int `json:"queue_depth"`
 
 	// ThroughputRPS is completed requests per second of uptime.
@@ -351,10 +338,10 @@ type Snapshot struct {
 	// the time between the two.
 	LatencyBuckets []uint64 `json:"latency_buckets,omitempty"`
 
-	// Batching behaviour: total batches, mean executed batch size, and the
-	// batch-size histogram (index i counts batches of size i+1).
+	// Batches counts successful backend executions. Every execution serves
+	// one request, so BatchHist is always [Batches]: the histogram of batch
+	// sizes 1..1.
 	Batches   uint64   `json:"batches"`
-	MeanBatch float64  `json:"mean_batch"`
 	BatchHist []uint64 `json:"batch_hist"`
 
 	// Cache surfaces the scheduler's model-cache stats when the backend
@@ -432,8 +419,7 @@ func (m *metrics) snapshot(uptime time.Duration, queueDepth int) Snapshot {
 		ShedCancelled:     c(cShedCancelled),
 		PanicsRecovered:   c(cPanics),
 		WatchdogTimeouts:  c(cWatchdogs),
-		QuarantineRetry:   c(cRetries),
-		Quarantined:       c(cQuarantined),
+		Quarantined:       c(cPanics) + c(cWatchdogs), // each failed exactly one request
 		SLOBreaches:       c(cSLOBreaches),
 		BreakerOpens:      c(cBreakerOpens),
 		DegradedRouted:    c(cDegradedRouted),
@@ -449,11 +435,8 @@ func (m *metrics) snapshot(uptime time.Duration, queueDepth int) Snapshot {
 		RejectedShare:     c(cRejectedShare),
 		QueueDepth:        queueDepth,
 		Batches:           c(cBatches),
-		BatchHist:         make([]uint64, len(m.batchHist)),
 	}
-	for i := range m.batchHist {
-		snap.BatchHist[i] = m.batchHist[i].Load()
-	}
+	snap.BatchHist = []uint64{snap.Batches}
 
 	m.perModel.Range(func(k, v any) bool {
 		mr := v.(*modelRow)
@@ -491,14 +474,6 @@ func (m *metrics) snapshot(uptime time.Duration, queueDepth int) Snapshot {
 
 	if uptime > 0 {
 		snap.ThroughputRPS = float64(snap.Completed) / uptime.Seconds()
-	}
-	if snap.Batches > 0 {
-		// Cache hits and coalesced followers never ride a batch, so the
-		// mean is over batch-executed completions only (the guard covers
-		// read skew between counters loaded one after another under load).
-		if skip := snap.ResultCacheHits + snap.Coalesced; snap.Completed >= skip {
-			snap.MeanBatch = float64(snap.Completed-skip) / float64(snap.Batches)
-		}
 	}
 	lat := m.lat.load()
 	snap.LatencyP50US = histQuantile(lat[:], 0.50)

@@ -73,7 +73,6 @@ func TestPerModelAttributionAndRegistryStats(t *testing.T) {
 func TestPanicReportsVariantUnhealthy(t *testing.T) {
 	fb := &sinkBackend{fakeBackend: newFakeBackend()}
 	cfg := DefaultConfig()
-	cfg.RetryBudget = 0
 	cfg.BreakerThreshold = 2
 	s := newTestServer(t, &panicOnVariant{sinkBackend: fb, variant: "triage-student"}, cfg)
 

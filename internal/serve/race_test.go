@@ -69,9 +69,9 @@ func checkBooks(t *testing.T, snap Snapshot) {
 // TestServeSchedulerRaceHammer floods a server backed by a real scheduler
 // from many goroutines across many tasks (forcing cache contention and
 // eviction), while other goroutines concurrently register late models and
-// poll stats, and one audits the batcher's lanes. Run with -race. Afterwards
-// the books must balance (checkBooks), and the scheduler's CacheStats saw
-// exactly one hit-or-miss per executed batch.
+// poll stats, and one audits the queue. Run with -race. Afterwards the books
+// must balance (checkBooks), and the scheduler's CacheStats saw exactly one
+// hit-or-miss per execution.
 func TestServeSchedulerRaceHammer(t *testing.T) {
 	const (
 		tasks      = 4
@@ -99,7 +99,7 @@ func TestServeSchedulerRaceHammer(t *testing.T) {
 		}
 	}
 
-	cfg := Config{Workers: 3, MaxBatch: 4, QueueCap: 128}
+	cfg := Config{Workers: 3, QueueCap: 128}
 	s, err := New(&schedBackend{s: scheduler}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestServeSchedulerRaceHammer(t *testing.T) {
 			}
 		}(g)
 	}
-	// The batcher's readiness rule, sampled under its lock all the while.
+	// The queue's invariants, sampled under its lock all the while.
 	hammered := make(chan struct{})
 	audited := make(chan struct{})
 	go func() {
@@ -141,7 +141,7 @@ func TestServeSchedulerRaceHammer(t *testing.T) {
 			case <-hammered:
 				return
 			default:
-				checkBatcher(t, s)
+				checkQueue(t, s)
 				runtime.Gosched()
 			}
 		}
@@ -185,7 +185,7 @@ func TestServeSchedulerRaceHammer(t *testing.T) {
 	}
 	st := scheduler.Stats()
 	if got, want := uint64(st.Hits+st.Misses), snap.Batches; got != want {
-		t.Errorf("scheduler selections %d != executed batches %d (lost CacheStats updates)", got, want)
+		t.Errorf("scheduler selections %d != executions %d (lost CacheStats updates)", got, want)
 	}
 	if snap.CacheHitRate <= 0 {
 		t.Errorf("cache hit rate %f, want > 0", snap.CacheHitRate)
@@ -206,7 +206,7 @@ func (b *gatedPoisonBackend) DetectBatch(variant, task string, imgs []*tensor.Te
 
 // TestLedgerBooksEveryOutcome drives one server through every outcome the
 // ledger records — cache hit, replicated hit, coalesced follower, follower
-// re-executed after its leader failed, poison bisection, context cancel,
+// re-executed after its leader failed, poison failing alone, context cancel,
 // queued expiry, budget and queue-share rejection, tenant-table overflow —
 // first one by one behind a gated backend so each is certain to happen, then
 // all at once from many goroutines under -race, and checks the books in
@@ -214,7 +214,7 @@ func (b *gatedPoisonBackend) DetectBatch(variant, task string, imgs []*tensor.Te
 func TestLedgerBooksEveryOutcome(t *testing.T) {
 	b := &gatedPoisonBackend{gate: make(chan struct{})}
 	cfg := Config{
-		Workers: 1, MaxBatch: 4, QueueCap: 32, RetryBudget: 3,
+		Workers: 1, QueueCap: 32,
 		CacheBytes: 1 << 20, Coalesce: true, HotThreshold: 2, HotBytes: 1 << 16,
 		TenantWeights: map[string]int{"gold": 3, "free": 1},
 		TenantRate:    2000, TenantBurst: 16,
@@ -363,8 +363,8 @@ func TestLedgerBooksEveryOutcome(t *testing.T) {
 	for name, n := range map[string]uint64{
 		"result_cache_hits": snap.ResultCacheHits, "hot_hits": snap.ResultCache.HotHits,
 		"coalesced": snap.Coalesced, "coalesced_retried": snap.CoalescedRetried,
-		"quarantine_retries": snap.QuarantineRetry, "quarantined_poison": snap.Quarantined,
-		"failed": snap.Failed, "shed_cancelled": snap.ShedCancelled, "shed_deadline_expired": snap.ShedExpired,
+		"quarantined_poison": snap.Quarantined, "failed": snap.Failed,
+		"shed_cancelled": snap.ShedCancelled, "shed_deadline_expired": snap.ShedExpired,
 		"rejected_tenant_budget": snap.RejectedBudget, "rejected_tenant_share": snap.RejectedShare,
 	} {
 		if n == 0 {

@@ -1,11 +1,9 @@
 // Package serve is iTask's online serving layer: it accepts concurrent
 // detection requests, routes them through the situational scheduler's model
-// selection, coalesces requests that target the same model variant into
-// micro-batches (whatever queued while the workers were busy), and executes
-// the batches on a bounded worker pool.
+// selection, queues them in one tenant-fair queue, and executes them one at
+// a time on a bounded worker pool.
 //
-// The design is queue → batcher → worker pool, wrapped in a fault-
-// tolerance layer:
+// The design is queue → worker, wrapped in a fault-tolerance layer:
 //
 //   - Admission: a bounded queue with backpressure. Requests beyond
 //     QueueCap are rejected immediately with ErrQueueFull (reject-with-
@@ -16,41 +14,40 @@
 //   - Fast path: with CacheBytes > 0, admission first consults a
 //     content-addressed result cache keyed by (routed artifact version,
 //     task, image digest) — identical frames from consecutive requests or
-//     concurrent clients are answered without touching the queue, the
-//     batcher, or a kernel, in zero allocations. With Coalesce, concurrent
-//     duplicates that miss the cache collapse into one in-flight execution
+//     concurrent clients are answered without touching the queue or a
+//     kernel, in zero allocations. With Coalesce, concurrent duplicates
+//     that miss the cache collapse into one in-flight execution
 //     (singleflight): the leader rides the normal path, followers wait for
 //     its outcome, and a failed leader never fails a follower without
 //     re-execution (see flight.go). Because the cache key pins the full
 //     versioned artifact ID, a model publish or rollback invalidates stale
 //     entries by construction.
-//   - Batching: per-(variant, task) lanes coalesce compatible requests,
-//     work-conserving. A lane is ready for a worker the moment it holds a
-//     request, and a batch is up to MaxBatch of what queued in it while
-//     every worker was busy: an idle server runs a lone request at once, a
-//     saturated one gets the weight-stationary amortization batched
-//     execution buys on the accelerator (see hwsim.SimulateAccelBatch)
-//     without a request ever waiting beside an idle worker.
-//   - Execution: Workers goroutines take batches from ready lanes.
-//     Requests whose deadline passed while queued are shed at execution
-//     time, every backend call runs under recover (a kernel panic becomes
-//     a *PanicError, never a crash) and under the Watchdog deadline, and a
-//     failed batch is bisect-retried so only the poison request(s) fail
-//     while their batch-mates succeed.
-//   - Degradation: each (variant, task) lane has a circuit breaker.
+//   - Queueing: one weighted-fair queue holds every admitted request, each
+//     carrying the variant admission routed it to. Workers pull one request
+//     at a time, tenants interleaved by deficit round robin. An idle server
+//     runs a lone request at once; a busy one hands each freed worker the
+//     next request in fair order. A request always executes alone, so its
+//     answer is the one its frame gets by itself: batching on the CPU buys
+//     nothing per image, and the weight-stationary amortization it buys on
+//     the accelerator is the device model's concern (hwsim.SimulateAccelBatch).
+//   - Execution: Workers goroutines drain the queue. Requests whose
+//     deadline passed while queued are shed at execution time, and every
+//     backend call runs under recover (a kernel panic becomes a *PanicError,
+//     never a crash) and under the Watchdog deadline. A failed execution
+//     fails exactly the request that ran: it is its own poison.
+//   - Degradation: each (variant, task) pair has a circuit breaker.
 //     Consecutive failures (including latency-SLO breaches) trip it open;
-//     open lanes route new requests to the backend's fallback variant —
+//     open pairs route new requests to the backend's fallback variant —
 //     the paper's quantized generalist configuration — marked in
 //     Result.Degraded, and heal through exponential-backoff half-open
 //     probes.
-//   - Shutdown: Shutdown stops admissions, lets the workers drain every
-//     lane, and waits for them to exit.
+//   - Shutdown: Shutdown stops admissions, lets the workers drain the
+//     queue, and waits for them to exit.
 //
 // All latency accounting is wall-clock from admission, and the server keeps
-// a metrics snapshot (p50/p95/p99 latency, throughput, batch-size
-// histogram, queue depth, shed/reject/fault counters, per-lane breaker
-// states, model-cache hit rate) for the /metricsz endpoint of
-// cmd/itask-serve.
+// a metrics snapshot (p50/p95/p99 latency, throughput, queue depth,
+// shed/reject/fault counters, per-(variant, task) breaker states,
+// model-cache hit rate) for the /metricsz endpoint of cmd/itask-serve.
 package serve
 
 import (
@@ -80,21 +77,21 @@ var (
 	ErrDeadlineExceeded = errors.New("serve: deadline exceeded before execution")
 	// ErrBadShape reports that the request's image failed the backend's
 	// shape validation at admission (HTTP 400). Input is rejected here so
-	// it can never reach a panicking kernel inside a shared micro-batch.
+	// it can never reach a panicking kernel.
 	ErrBadShape = errors.New("serve: bad image shape")
 	// ErrBackendPanic is the sentinel under every *PanicError: the backend
-	// panicked while executing a batch and the server recovered (HTTP 500
-	// for the isolated poison request).
+	// panicked while executing the request and the server recovered (HTTP
+	// 500).
 	ErrBackendPanic = errors.New("serve: backend panicked")
 	// ErrWatchdog reports that a backend execution exceeded the Watchdog
 	// deadline and was abandoned (HTTP 504).
 	ErrWatchdog = errors.New("serve: execution watchdog expired")
 	// ErrBreakerOpen is the sentinel under every *BreakerOpenError: the
-	// routed lane's circuit breaker is open and no healthy fallback exists
-	// (HTTP 503 with Retry-After).
+	// routed (variant, task) pair's circuit breaker is open and no healthy
+	// fallback exists (HTTP 503 with Retry-After).
 	ErrBreakerOpen = errors.New("serve: circuit breaker open")
 	// ErrQuarantined reports that the request's exact content was recently
-	// proven poison — it panicked or hung its kernel in isolation — and is
+	// proven poison — it panicked or hung its kernel — and is
 	// refused from the negative cache without re-execution until the entry's
 	// short TTL lapses (HTTP 422). Quarantine verdicts are tenant-scoped:
 	// only the tenant whose traffic earned the verdict is refused.
@@ -123,30 +120,22 @@ func (e *TenantBudgetError) Unwrap() error { return ErrTenantBudget }
 
 // Config sizes the serving layer.
 type Config struct {
-	// Workers is the number of inference workers draining batches.
+	// Workers is the number of inference workers draining the queue, each
+	// executing one request at a time.
 	Workers int
-	// MaxBatch caps the size of a coalesced micro-batch. Below the cap the
-	// load sets the size: a batch is what queued in its lane while every
-	// worker was busy.
-	MaxBatch int
 	// QueueCap bounds requests admitted but not yet taken by a worker;
 	// beyond it submissions fail fast with ErrQueueFull.
 	QueueCap int
 
-	// Watchdog bounds a single backend execution: a batch still running
+	// Watchdog bounds a single backend execution: a request still running
 	// after it is abandoned and fails with ErrWatchdog. Zero disables the
 	// watchdog.
 	Watchdog time.Duration
-	// RetryBudget is how many times one request may be re-executed during
-	// quarantine bisection after a batch it rode in failed. Zero disables
-	// quarantine: a failed batch fails all its requests. log2(MaxBatch)
-	// retries suffice to fully isolate a single poison request.
-	RetryBudget int
 	// BreakerThreshold is how many consecutive failed executions trip a
-	// (variant, task) lane's circuit breaker open. Zero disables the
+	// (variant, task) pair's circuit breaker open. Zero disables the
 	// breakers.
 	BreakerThreshold int
-	// BreakerBackoff is how long a freshly opened breaker refuses the lane
+	// BreakerBackoff is how long a freshly opened breaker refuses the pair
 	// before admitting a half-open probe; each failed probe doubles it up
 	// to BreakerMaxBackoff. Required when BreakerThreshold > 0.
 	BreakerBackoff time.Duration
@@ -154,7 +143,7 @@ type Config struct {
 	// BreakerBackoff when smaller).
 	BreakerMaxBackoff time.Duration
 	// LatencySLO, when non-zero, marks successful executions slower than
-	// it as breaker failures, so a lane that stops meeting its latency
+	// it as breaker failures, so a pair that stops meeting its latency
 	// objective degrades to the fallback variant like a failing one.
 	LatencySLO time.Duration
 
@@ -169,7 +158,7 @@ type Config struct {
 	CacheTTL time.Duration
 	// NegativeTTL, when positive (and CacheBytes > 0), enables the negative
 	// cache: content quarantined as poison — it panicked or hung its kernel
-	// in isolation — is refused with ErrQuarantined for this long instead
+	// — is refused with ErrQuarantined for this long instead
 	// of re-executing (and re-panicking) on every arrival. Keep it short:
 	// it also delays discovering that a rolled-back kernel fixed the
 	// content.
@@ -191,8 +180,8 @@ type Config struct {
 	// (replicas are copies). Zero picks CacheBytes/8.
 	HotBytes int64
 
-	// TenantWeights maps tenant ID -> DRR weight for weighted-fair batch
-	// formation and the weighted queue-share guard. Unlisted tenants get
+	// TenantWeights maps tenant ID -> DRR weight for the weighted-fair
+	// dequeue and the weighted queue-share guard. Unlisted tenants get
 	// weight 1 (fair.DefaultWeight); requests that carry no tenant are the
 	// DefaultTenant. Nil serves everyone as one tenant, which degenerates
 	// to the pre-tenant FIFO behaviour.
@@ -211,9 +200,8 @@ type Config struct {
 
 // DefaultConfig returns the configuration itask-serve serves, sized for the
 // laptop-scale models: one worker per core (tensor.Workers: every kernel runs
-// on its caller, so a shard's compute width is its worker count), batches of
-// up to 8, the fault-tolerance layer on (10s watchdog, 3 quarantine retries —
-// enough to isolate any single poison request in a batch of 8 — and breakers
+// on its caller, so a shard's compute width is its worker count), a
+// 256-request queue, the fault-tolerance layer on (10s watchdog, and breakers
 // that open after 5 consecutive failures for 500ms, backing off to 30s), and
 // the zero-contention path on (a 32 MiB result cache with 1-minute entries,
 // coalescing, and a 4 MiB hot tier promoting digests read 64 times within a
@@ -221,10 +209,8 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Workers:           tensor.Workers(),
-		MaxBatch:          8,
 		QueueCap:          256,
 		Watchdog:          10 * time.Second,
-		RetryBudget:       3,
 		BreakerThreshold:  5,
 		BreakerBackoff:    500 * time.Millisecond,
 		BreakerMaxBackoff: 30 * time.Second,
@@ -237,19 +223,16 @@ func DefaultConfig() Config {
 }
 
 // Validate rejects configurations that cannot serve: a server with zero
-// workers would admit requests and never run them.
+// workers would admit requests and never run them, one with no queue would
+// refuse every request.
 func (c Config) Validate() error {
 	switch {
 	case c.Workers <= 0:
 		return fmt.Errorf("serve: Workers must be positive, got %d", c.Workers)
-	case c.MaxBatch <= 0:
-		return fmt.Errorf("serve: MaxBatch must be positive, got %d", c.MaxBatch)
-	case c.QueueCap < c.MaxBatch:
-		return fmt.Errorf("serve: QueueCap %d below MaxBatch %d", c.QueueCap, c.MaxBatch)
+	case c.QueueCap <= 0:
+		return fmt.Errorf("serve: QueueCap must be positive, got %d", c.QueueCap)
 	case c.Watchdog < 0:
 		return fmt.Errorf("serve: negative Watchdog %v", c.Watchdog)
-	case c.RetryBudget < 0:
-		return fmt.Errorf("serve: negative RetryBudget %d", c.RetryBudget)
 	case c.BreakerThreshold < 0:
 		return fmt.Errorf("serve: negative BreakerThreshold %d", c.BreakerThreshold)
 	case c.BreakerThreshold > 0 && c.BreakerBackoff <= 0:
@@ -297,7 +280,7 @@ type Server struct {
 	// abandoned counts watchdog-abandoned executions still running, per
 	// variant. invoke fails fast with ErrWatchdog once a variant reaches
 	// maxAbandonedPerVariant, so a permanently hung variant cannot
-	// accumulate goroutines without bound via probes and retries.
+	// accumulate goroutines without bound.
 	abMu      sync.Mutex
 	abandoned map[string]int
 
@@ -340,10 +323,10 @@ func New(b Backend, cfg Config) (*Server, error) {
 		cfg:       cfg,
 		backend:   b,
 		start:     time.Now(),
-		st:        newState(),
+		st:        newState(cfg.TenantWeights),
 		h:         newHealth(cfg.BreakerThreshold, cfg.BreakerBackoff, cfg.BreakerMaxBackoff),
 		abandoned: map[string]int{},
-		m:         newMetrics(cfg.MaxBatch),
+		m:         newMetrics(),
 	}
 	if cfg.TenantRate > 0 {
 		s.budget = fair.NewBudget(cfg.TenantRate, cfg.TenantBurst)
@@ -501,7 +484,7 @@ func (s *Server) route(task string) (string, error) {
 }
 
 // cacheGet probes the result cache. On hit the request is fully served:
-// no queue, no batcher, no kernel, no allocation. Per-model attribution is
+// no queue, no kernel, no allocation. Per-model attribution is
 // untouched — PerModel counts executed work, and a hit executes nothing.
 func (s *Server) cacheGet(a *admission) (Result, bool) {
 	if s.cache == nil || !a.haveKey {
@@ -526,7 +509,7 @@ func (s *Server) hit(a *admission, payload any, model string) Result {
 }
 
 // submitSlow is the post-cache admission path: tenant budget consult,
-// singleflight join (leader or follower), then lane admission for leaders
+// singleflight join (leader or follower), then queue admission for leaders
 // and un-coalesced requests.
 func (s *Server) submitSlow(req Request, a admission) (*pending, error) {
 	// The budget paces executed (or coalesced) work, so it is consulted
@@ -569,7 +552,7 @@ func (s *Server) submitSlow(req Request, a admission) (*pending, error) {
 		}
 		p.flight = f
 	}
-	if err := s.admitLane(p); err != nil {
+	if err := s.admitToQueue(p); err != nil {
 		// A leader that fails admission still owes its followers a
 		// resolution; they re-execute rather than inherit the error.
 		if p.flight != nil {
@@ -581,11 +564,11 @@ func (s *Server) submitSlow(req Request, a admission) (*pending, error) {
 	return p, nil
 }
 
-// admitLane routes p to a lane and enqueues it: routing (unless the
+// admitToQueue routes p to a variant and enqueues it: routing (unless the
 // fast path already routed), breaker consultation (with fallback rerouting
-// when the preferred lane is open), and enqueue. Used by first admission
-// and by follower re-execution.
-func (s *Server) admitLane(p *pending) error {
+// when the preferred (variant, task) breaker is open), and enqueue. Used by
+// first admission and by follower re-execution.
+func (s *Server) admitToQueue(p *pending) error {
 	now := time.Now()
 	variant := p.key.Artifact
 	if !p.haveKey {
@@ -597,9 +580,9 @@ func (s *Server) admitLane(p *pending) error {
 		variant = v
 	}
 
-	// Consult the lane's breaker; an open breaker degrades the request to
-	// the fallback variant (the quantized generalist) when the backend
-	// offers one and its lane is not itself open.
+	// Consult the (variant, task) breaker; an open breaker degrades the
+	// request to the fallback variant (the quantized generalist) when the
+	// backend offers one and its breaker is not itself open.
 	p.degraded = ""
 	p.probeKey = "" // non-empty when this request claims a half-open probe slot
 	key := laneKey(variant, p.task)
@@ -627,7 +610,8 @@ func (s *Server) admitLane(p *pending) error {
 	if p.row == nil {
 		p.row = s.m.tenant(p.tenant)
 	}
-	if err := s.enqueue(variant, p.task, p); err != nil {
+	p.variant = variant
+	if err := s.enqueue(p); err != nil {
 		if p.probeKey != "" {
 			s.h.releaseProbe(p.probeKey)
 			p.probeKey = ""
@@ -644,16 +628,16 @@ func (s *Server) admitLane(p *pending) error {
 // already counted accepted, so it terminates as failed to keep the books
 // balanced.
 func (s *Server) resubmit(p *pending) {
-	if err := s.admitLane(p); err != nil {
+	if err := s.admitToQueue(p); err != nil {
 		s.m.settle(cFailed, p.row, "", 0, false)
 		p.done <- Outcome{Err: err}
 	}
 }
 
-// fallbackFor resolves a healthy fallback lane for a task whose preferred
+// fallbackFor resolves a healthy fallback variant for a task whose preferred
 // variant's breaker is open. Reports ok=false when the backend has no
-// fallback, the fallback is the broken variant itself, or the fallback
-// lane's breaker is also open.
+// fallback, the fallback is the broken variant itself, or the fallback's
+// breaker is also open.
 func (s *Server) fallbackFor(taskName, brokenVariant string, now time.Time, probeKey *string) (string, bool) {
 	fr, ok := s.backend.(FallbackRouter)
 	if !ok {
@@ -710,10 +694,9 @@ func (s *Server) Draining() bool {
 	return s.st.closed
 }
 
-// Shutdown stops admissions, lets the workers drain the lanes (every
-// non-empty lane is already ready), and waits for the workers to exit (or
-// for ctx, whichever first; on ctx expiry the drain keeps running in the
-// background). Calling Shutdown on a draining server returns
+// Shutdown stops admissions, lets the workers drain the queue, and waits
+// for the workers to exit (or for ctx, whichever first; on ctx expiry the
+// drain keeps running in the background). Calling Shutdown on a draining server returns
 // ErrShuttingDown.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.st.mu.Lock()
@@ -738,14 +721,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Breakers lists every (variant, task) lane's circuit-breaker state — all a
-// health probe needs, without the walk over every row that Snapshot makes.
+// Breakers lists every (variant, task) circuit-breaker state — all a health
+// probe needs, without the walk over every row that Snapshot makes.
 func (s *Server) Breakers() []LaneBreaker { return s.h.snapshot(time.Now()) }
 
 // Snapshot returns the current metrics. See the Snapshot type for fields.
 func (s *Server) Snapshot() Snapshot {
 	s.st.mu.Lock()
-	depth := s.st.queued
+	depth := s.st.q.Len()
 	s.st.mu.Unlock()
 	snap := s.m.snapshot(time.Since(s.start), depth)
 	snap.Breakers = s.Breakers()

@@ -16,8 +16,9 @@ import (
 )
 
 // fakeBackend is a controllable backend: routing maps task -> variant, and
-// DetectBatch records each batch (by its images' first pixels, which tests
-// use as marks), optionally sleeps, and returns the image index as payload.
+// DetectBatch records each execution (by its images' first pixels, which
+// tests use as marks), optionally sleeps, and returns the image index as
+// payload.
 type fakeBackend struct {
 	mu       sync.Mutex
 	variants map[string]string
@@ -72,14 +73,14 @@ func (f *fakeBackend) CacheStats() sched.CacheStats {
 	return f.stats
 }
 
-// seen returns the batches executed so far, in the order they began.
+// seen returns the executions so far, in the order they began.
 func (f *fakeBackend) seen() [][]float32 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([][]float32(nil), f.batches...)
 }
 
-// count is the number of batches begun so far.
+// count is the number of executions begun so far.
 func (f *fakeBackend) count() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -108,8 +109,8 @@ func markedImage(mark float32) *tensor.Tensor {
 // request for task each — so that whatever the test admits next stays
 // queued, exactly as it would behind real load, until the returned release
 // is called (test cleanup calls it too). The plugs are ordinary requests:
-// each is accepted, runs alone in a batch of one once released, and has
-// completed when release returns. b must be the backend s was built on.
+// each is accepted, runs once released, and has completed when release
+// returns. b must be the backend s was built on.
 func parkWorkers(t *testing.T, s *Server, b *chaos.Backend, task string) (release func()) {
 	t.Helper()
 	var plugs []<-chan Outcome
@@ -217,8 +218,7 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"zero workers", func(c *Config) { c.Workers = 0 }},
 		{"negative workers", func(c *Config) { c.Workers = -1 }},
-		{"zero max batch", func(c *Config) { c.MaxBatch = 0 }},
-		{"queue below batch", func(c *Config) { c.QueueCap = c.MaxBatch - 1 }},
+		{"zero queue", func(c *Config) { c.QueueCap = 0 }},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -255,17 +255,18 @@ func TestBackendErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestCoalescing drives a burst through one slow worker and checks that
-// requests actually rode in shared batches.
+// TestCoalescing drives a burst through one slow worker: the requests queue
+// behind it, and still each executes alone — nothing coalesces them into a
+// batch, so no answer depends on what else was queued.
 func TestCoalescing(t *testing.T) {
 	fb := newFakeBackend()
 	fb.delay = 20 * time.Millisecond
-	cfg := Config{Workers: 1, MaxBatch: 4, QueueCap: 64}
+	cfg := Config{Workers: 1, QueueCap: 64}
 	s := newTestServer(t, fb, cfg)
 
 	const n = 16
 	var wg sync.WaitGroup
-	var batched atomic.Int64
+	var queued atomic.Int64
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
@@ -275,31 +276,34 @@ func TestCoalescing(t *testing.T) {
 				t.Errorf("detect: %v", err)
 				return
 			}
-			if res.BatchSize > 1 {
-				batched.Add(1)
+			if res.BatchSize != 1 {
+				t.Errorf("batch size %d, want 1", res.BatchSize)
+			}
+			if res.Queued > fb.delay/2 {
+				queued.Add(1)
 			}
 		}()
 	}
 	wg.Wait()
-	if batched.Load() == 0 {
-		t.Fatalf("no request rode a coalesced batch; backend batch sizes: %v", fb.sizes())
+	if queued.Load() == 0 {
+		t.Fatal("no request waited behind the busy worker; the burst never queued")
 	}
 	for _, sz := range fb.sizes() {
-		if sz > cfg.MaxBatch {
-			t.Errorf("batch size %d exceeds cap %d", sz, cfg.MaxBatch)
+		if sz != 1 {
+			t.Fatalf("backend executions %v, want one image each", fb.sizes())
 		}
 	}
-	snap := s.Snapshot()
-	if snap.MeanBatch <= 1 {
-		t.Errorf("mean batch %.2f, want > 1", snap.MeanBatch)
+	if snap := s.Snapshot(); snap.Batches != n || len(snap.BatchHist) != 1 || snap.BatchHist[0] != n {
+		t.Errorf("batches %d, batch_hist %v, want %d executions of one", snap.Batches, snap.BatchHist, n)
 	}
 }
 
-// Requests for different (variant, task) keys must never share a batch.
+// Requests for different tasks queued together are each served by their own
+// task's model.
 func TestNoCrossTaskCoalescing(t *testing.T) {
 	fb := newFakeBackend()
 	fb.delay = 10 * time.Millisecond
-	cfg := Config{Workers: 1, MaxBatch: 8, QueueCap: 64}
+	cfg := Config{Workers: 1, QueueCap: 64}
 	s := newTestServer(t, fb, cfg)
 
 	var wg sync.WaitGroup

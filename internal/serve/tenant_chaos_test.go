@@ -14,8 +14,8 @@ import (
 	"itask/internal/tensor"
 )
 
-// chaosBackend sleeps per batch (so latency is execution-shaped, not
-// instant) and panics whenever a poison-marked image rides in the batch.
+// chaosBackend sleeps per execution (so latency is execution-shaped, not
+// instant) and panics on a poison-marked image.
 type chaosBackend struct {
 	mu       sync.Mutex
 	variants map[string]string
@@ -46,7 +46,7 @@ func (c *chaosBackend) DetectBatch(variant, task string, imgs []*tensor.Tensor) 
 	return out, "model-" + variant, nil
 }
 
-// The ISSUE's chaos acceptance scenario: tenant A sends 10% poison-pill
+// The chaos acceptance scenario: tenant A sends 10% poison-pill
 // content at 3x tenant B's rate while B runs a steady workload on its own
 // task. B must observe zero failures and a p99 no worse than 1.5x its solo
 // baseline (plus a small absolute noise floor for CI schedulers).
@@ -59,8 +59,7 @@ func TestTenantChaosIsolation(t *testing.T) {
 		delay:    time.Millisecond,
 	}
 	cfg := Config{
-		Workers: 4, MaxBatch: 4,
-		QueueCap: 64, RetryBudget: 3,
+		Workers: 4, QueueCap: 64,
 		TenantWeights: map[string]int{"a": 1, "b": 1},
 	}
 	s := newTestServer(t, cb, cfg)

@@ -100,7 +100,7 @@ func TestTenantBudgetRejection(t *testing.T) {
 func TestTenantQueueShareGuard(t *testing.T) {
 	gb := chaos.Wrap(newFakeBackend(), chaos.Config{})
 	cfg := Config{
-		Workers: 1, MaxBatch: 4, QueueCap: 32,
+		Workers: 1, QueueCap: 32,
 		TenantWeights: map[string]int{"flood": 1, "steady": 1},
 	}
 	s := newTestServer(t, gb, cfg)
@@ -150,7 +150,7 @@ func TestQuarantineScopedPerTenant(t *testing.T) {
 	b := &poisonOnceBackend{fakeBackend: newFakeBackend()}
 	b.armed.Store(true)
 	cfg := Config{
-		Workers: 1, MaxBatch: 1, QueueCap: 16,
+		Workers: 1, QueueCap: 16,
 		CacheBytes: 1 << 20, NegativeTTL: time.Minute,
 	}
 	s := newTestServer(t, b, cfg)
@@ -181,17 +181,17 @@ func TestQuarantineScopedPerTenant(t *testing.T) {
 	}
 }
 
-// Under saturation, tenants sharing one lane receive throughput
-// proportional to their configured weights (the ISSUE's ±15% criterion).
+// Under saturation, tenants sharing the queue receive throughput
+// proportional to their configured weights, within ±15%.
 func TestWeightedTenantsShareThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("saturation run")
 	}
 	fb := newFakeBackend()
-	fb.delay = 2 * time.Millisecond // per batch: throughput == batch slots served
+	fb.delay = 2 * time.Millisecond // per execution: throughput == executions served
 	weights := map[string]int{"bronze": 1, "silver": 2, "gold": 4}
 	cfg := Config{
-		Workers: 1, MaxBatch: 8, QueueCap: 64,
+		Workers: 1, QueueCap: 64,
 		TenantWeights: weights,
 	}
 	s := newTestServer(t, fb, cfg)

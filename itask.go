@@ -586,8 +586,7 @@ func (p *Pipeline) accelCost(student bool, batch int) accelCost {
 // tensor for the pipeline's configured image size — without running it.
 // Malformed input fails with an error wrapping serve.ErrBadShape, so the
 // serving layer (which calls this at admission via the ImageValidator
-// interface) rejects it before it can reach a panicking kernel inside a
-// shared micro-batch.
+// interface) rejects it before it can reach a panicking kernel.
 func (p *Pipeline) ValidateImage(img *tensor.Tensor) error {
 	size := p.opts.TeacherCfg.ImageSize
 	ch := p.opts.TeacherCfg.Channels
@@ -820,7 +819,8 @@ func (b serveBackend) PayloadBytes(payload any) int64 {
 }
 
 // ServeBackend exposes the pipeline as a serve.Backend so a serve.Server
-// (or cmd/itask-serve) can run concurrent micro-batched inference over it.
+// (or cmd/itask-serve) can run concurrent inference over it, one frame per
+// execution.
 // Models may be (re)published, adapted, and rolled back while serving.
 func (p *Pipeline) ServeBackend() serve.Backend { return serveBackend{p: p} }
 

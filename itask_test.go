@@ -1,16 +1,21 @@
 package itask
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"reflect"
 	"sync"
 	"testing"
 
+	"itask/internal/chaos"
 	"itask/internal/dataset"
 	"itask/internal/eval"
 	"itask/internal/geom"
 	"itask/internal/hwsim"
 	"itask/internal/registry"
 	"itask/internal/scene"
+	"itask/internal/serve"
 	"itask/internal/tensor"
 )
 
@@ -360,5 +365,91 @@ func TestDetectIsTheBatchOfOne(t *testing.T) {
 				t.Errorf("%s image %d: Detect = %+v, row of a batch of %d = %+v", c.task, i, dets, len(imgs), batch[i])
 			}
 		}
+	}
+}
+
+// TestServedAnswerIsTheFrameAlone: what the server answers for a frame does
+// not depend on what else was queued with it. Eight distinct frames for the
+// int8 generalist and eight for the float student queue together behind a
+// parked worker, on the served configuration; once released, every payload
+// is byte-identical to Pipeline.Detect on that frame alone, and so is the
+// model that served it.
+func TestServedAnswerIsTheFrameAlone(t *testing.T) {
+	p := trainedPipeline(t)
+	const generalistTask = "served-alone"
+	if _, err := p.Priors(generalistTask); err != nil {
+		if err := p.DefineTask(generalistTask, "Locate lesions, instruments and vials"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := chaos.Wrap(p.ServeBackend(), chaos.Config{})
+	cfg := serve.DefaultConfig()
+	cfg.Workers = 1
+	srv, err := serve.New(b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+
+	frame := func(domain scene.DomainID, seed uint64) *tensor.Tensor {
+		return scene.Generate(scene.GetDomain(domain), scene.DefaultGenConfig(), tensor.NewRNG(seed)).Image
+	}
+	release := b.Park(cfg.Workers, func() {
+		if _, err := srv.Submit(serve.Request{Task: "patrol", Image: frame(scene.Driving, 60)}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	defer release()
+
+	type queued struct {
+		task string
+		img  *tensor.Tensor
+		out  <-chan serve.Outcome
+	}
+	const perModel = 8
+	var reqs []queued
+	for _, c := range []struct {
+		task   string
+		domain scene.DomainID
+	}{{generalistTask, scene.Medical}, {"patrol", scene.Driving}} {
+		for i := 0; i < perModel; i++ {
+			img := frame(c.domain, uint64(70+i))
+			out, err := srv.Submit(serve.Request{Task: c.task, Image: img})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = append(reqs, queued{c.task, img, out})
+		}
+	}
+	if depth := srv.Snapshot().QueueDepth; depth != len(reqs) {
+		t.Fatalf("%d requests queued behind the parked worker, want %d", depth, len(reqs))
+	}
+	release()
+
+	found := map[string]int{}
+	for i, r := range reqs {
+		out := <-r.out
+		if out.Err != nil {
+			t.Fatalf("%s frame %d: %v", r.task, i, out.Err)
+		}
+		alone, info, err := p.Detect(r.task, r.img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, err := json.Marshal(out.Res.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(alone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(served, want) || out.Res.Model != info.Artifact {
+			t.Errorf("%s frame %d: served by %s %s, alone by %s %s", r.task, i, out.Res.Model, served, info.Artifact, want)
+		}
+		found[info.Kind] += len(alone)
+	}
+	if found["generalist"] == 0 || found["task-specific"] == 0 {
+		t.Fatalf("detections per model kind %v: a model found nothing, so nothing was compared", found)
 	}
 }
