@@ -1,23 +1,24 @@
 // Package kernels holds the micro-kernels at the bottom of every layer in
-// iTask: fused multiply-add dot/axpy primitives over float32 for the float
-// GEMMs, the three kernels of the int8 linear layer the quantized
-// configuration runs on (range scan and quantize, row-panel GEMM,
-// dequantizing epilogue — i8.go), and the elementwise half of both serving
-// models' inference forwards: softmax and GELU on one float32 exponential,
-// and LayerNorm (vecmath.go).
+// iTask: the products of both serving models' inference forwards — GemmF32,
+// every float product (gemm.go), and the int8 layers' kernels (range scan
+// and quantize, per-row weight quantize, row-panel GEMM, dequantizing
+// epilogue — i8.go) — their elementwise half, softmax and GELU on one
+// float32 exponential and LayerNorm (vecmath.go), and the fused
+// multiply-add dot/axpy primitives the training GEMMs are built from.
 //
-// Each primitive has two implementations: a portable Go version (unrolled
-// with independent accumulator chains so the scalar pipeline can overlap
-// multiply-add latencies), and an AVX2+FMA assembly version selected at
-// startup by CPUID when the host supports it. The assembly carries the
-// serving hot path; the Go version is the reference the tests compare it
-// against, bit-exactly for the int8 and vector kernels (int32 accumulation
-// is associative, and their float steps are single IEEE operations in the
-// same order on both sides) and within float reassociation tolerance for
-// the float32 dot/axpy family.
+// Each primitive has two implementations: a portable Go version and an
+// AVX2 assembly version selected at startup by CPUID when the host supports
+// AVX2+FMA. The assembly carries the serving hot path; the Go version is the
+// reference the tests compare it against. Every kernel an inference forward
+// runs agrees with its reference bit for bit: int32 accumulation is
+// associative, and each float step is one correctly rounded IEEE single
+// operation in the same order on both sides, sums taken lane by lane in one
+// fixed tree. Only training's float32 dot/axpy family (this file) is held
+// to float reassociation tolerance instead: its assembly fuses multiply and
+// add.
 //
-// The package is dependency-free and imported by internal/tensor and
-// internal/quant; keep it that way.
+// The package is dependency-free and imported by internal/tensor,
+// internal/quant and internal/vit; keep it that way.
 package kernels
 
 // useAsm reports whether the AVX2+FMA kernels are active. It is set once at
@@ -39,9 +40,10 @@ func SetAsmEnabled(on bool) bool {
 
 // asmCutoff is the vector length below which the call overhead of the
 // one-vector assembly kernels (Dot, Dot4, Axpy, Axpy4, DotI8) outweighs
-// their throughput; shorter vectors stay on the unrolled Go path. The int8
-// GEMM has no such cutoff: it takes a whole (m,k,n) product per call, so
-// attention's 12- and 16-wide reductions run in assembly too.
+// their throughput; shorter vectors stay on the unrolled Go path. The GEMMs
+// (GemmF32, GemmI8) have no such cutoff: each takes a whole (m,k,n) product
+// per call, so attention's 8-, 12- and 16-wide reductions run in assembly
+// too.
 const asmCutoff = 16
 
 // need panics unless ok — that every operand is at least as long as its
@@ -52,6 +54,12 @@ func need(ok bool) {
 	if !ok {
 		panic("kernels: operand shorter than the kernel reads or writes")
 	}
+}
+
+// fits reports whether a (rows, cols) block at row stride ld lies within
+// size elements — need's condition for a strided operand.
+func fits(size, rows, cols, ld int) bool {
+	return rows >= 0 && cols >= 0 && ld >= cols && (rows == 0 || cols == 0 || size >= (rows-1)*ld+cols)
 }
 
 // Dot returns Σ x[i]*y[i] over len(x) elements. y must be at least as long

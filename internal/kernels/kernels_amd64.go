@@ -58,16 +58,24 @@ func hashBlocksAsm(lanes *uint64, p *byte, nblocks int)
 // Implemented in i8_amd64.s.
 
 //go:noescape
-func rangeF32Asm(x *float32, n int) (mn, mx float32)
+func rangeF32Asm(x *float32, rows, cols, ld int) (mn, mx float32)
 
 //go:noescape
-func quantizeI8Asm(dst *int8, src *float32, n int, scale, fl, fh float32, zero int32)
+func quantizeI8Asm(dst *int8, src *float32, rows, cols, ld int, scale, fl, fh float32, zero int32)
+
+//go:noescape
+func quantizeRowsI8Asm(dst *int8, scales *float32, sums *int32, src *float32, rows, cols, ld int, fl, fh float32)
 
 //go:noescape
 func gemmI8Asm(acc *int32, a, w *int8, m, k, n int)
 
 //go:noescape
-func dequantI8Asm(out *float32, acc, rowSums *int32, scales, bias *float32, m, n int, sa float32, za int32, perChannel int)
+func dequantI8Asm(out *float32, acc, rowSums *int32, scales, bias *float32, m, n, ldo int, sa float32, za int32, perChannel int)
+
+// Implemented in gemm_amd64.s.
+
+//go:noescape
+func gemmF32Asm(c, a, w, bias *float32, m, k, n, ldc, lda, ldw int)
 
 // Implemented in vecmath_amd64.s.
 

@@ -7,18 +7,24 @@ package kernels
 // Go kernels.
 const asmSupported = false
 
-func dotAsm(x, y *float32, n int) float32                     { panic("kernels: no asm") }
-func dot4Asm(x, b0, b1, b2, b3 *float32, n int, out *float32) { panic("kernels: no asm") }
-func axpyAsm(a float32, x, y *float32, n int)                 { panic("kernels: no asm") }
-func axpy4Asm(a, x0, x1, x2, x3, y *float32, n int)           { panic("kernels: no asm") }
-func dotI8Asm(a, b *int8, n int) int32                        { panic("kernels: no asm") }
-func hashBlocksAsm(lanes *uint64, p *byte, nblocks int)       { panic("kernels: no asm") }
-func rangeF32Asm(x *float32, n int) (mn, mx float32)          { panic("kernels: no asm") }
-func gemmI8Asm(acc *int32, a, w *int8, m, k, n int)           { panic("kernels: no asm") }
-func quantizeI8Asm(dst *int8, src *float32, n int, scale, fl, fh float32, zero int32) {
+func dotAsm(x, y *float32, n int) float32                         { panic("kernels: no asm") }
+func dot4Asm(x, b0, b1, b2, b3 *float32, n int, out *float32)     { panic("kernels: no asm") }
+func axpyAsm(a float32, x, y *float32, n int)                     { panic("kernels: no asm") }
+func axpy4Asm(a, x0, x1, x2, x3, y *float32, n int)               { panic("kernels: no asm") }
+func dotI8Asm(a, b *int8, n int) int32                            { panic("kernels: no asm") }
+func hashBlocksAsm(lanes *uint64, p *byte, nblocks int)           { panic("kernels: no asm") }
+func rangeF32Asm(x *float32, rows, cols, ld int) (mn, mx float32) { panic("kernels: no asm") }
+func gemmI8Asm(acc *int32, a, w *int8, m, k, n int)               { panic("kernels: no asm") }
+func quantizeI8Asm(dst *int8, src *float32, rows, cols, ld int, scale, fl, fh float32, zero int32) {
 	panic("kernels: no asm")
 }
-func dequantI8Asm(out *float32, acc, rowSums *int32, scales, bias *float32, m, n int, sa float32, za int32, perChannel int) {
+func quantizeRowsI8Asm(dst *int8, scales *float32, sums *int32, src *float32, rows, cols, ld int, fl, fh float32) {
+	panic("kernels: no asm")
+}
+func dequantI8Asm(out *float32, acc, rowSums *int32, scales, bias *float32, m, n, ldo int, sa float32, za int32, perChannel int) {
+	panic("kernels: no asm")
+}
+func gemmF32Asm(c, a, w, bias *float32, m, k, n, ldc, lda, ldw int) {
 	panic("kernels: no asm")
 }
 func exp32Asm(dst, src *float32, n int)                       { panic("kernels: no asm") }

@@ -32,6 +32,30 @@ func randF32(rng *rand.Rand, n int) []float32 {
 	return out
 }
 
+// strided is a (rows, cols) block at row stride ld filled from rng, with
+// NaN in the slack between rows: a kernel that reads past a row's end
+// turns its outputs into NaN.
+func strided(rng *rand.Rand, rows, cols, ld int) []float32 {
+	x := make([]float32, max(0, (rows-1)*ld+cols))
+	for i := range x {
+		if i%ld < cols {
+			x[i] = float32(rng.NormFloat64())
+		} else {
+			x[i] = float32(math.NaN())
+		}
+	}
+	return x
+}
+
+// nanFilled is a destination of n values, plus one past the end, all NaN.
+func nanFilled(n int) []float32 {
+	x := make([]float32, n+1)
+	for i := range x {
+		x[i] = float32(math.NaN())
+	}
+	return x
+}
+
 func randI8(rng *rand.Rand, n int) []int8 {
 	out := make([]int8, n)
 	for i := range out {

@@ -8,6 +8,7 @@
 // tailMask lanes, which neither read nor write past the row.
 
 #include "textflag.h"
+#include "tailmask_amd64.h"
 
 // Offsets of the rows of vecConsts.
 #define C_LOG2E 0
@@ -86,20 +87,6 @@
 	VADDPS       X0, X, X; \
 	VPERMILPS    $0xb1, X, X0; \
 	VADDSS       X0, X, X
-
-// TAILMASK sets R10 to cols &^ 7, R9 to cols mod 8 and Y15 to the mask
-// selecting the last R9 lanes' worth of a row, from cols in CX. Clobbers
-// AX, BX.
-#define TAILMASK \
-	MOVQ    CX, R10; \
-	ANDQ    $-8, R10; \
-	MOVQ    CX, R9; \
-	ANDQ    $7, R9; \
-	LEAQ    ·tailMask+32(SB), AX; \
-	MOVQ    R9, BX; \
-	SHLQ    $2, BX; \
-	SUBQ    BX, AX; \
-	VMOVDQU (AX), Y15
 
 // func exp32Asm(dst, src *float32, n int)
 //

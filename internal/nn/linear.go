@@ -54,20 +54,6 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-// ForwardInto computes y = x Wᵀ + b into a caller-provided (rows, Out)
-// tensor without caching anything for backward — the float model's linear
-// site in vit's inference trunk, whose outputs live in its workspace.
-func (l *Linear) ForwardInto(out, x *tensor.Tensor) {
-	checkRank("Linear.ForwardInto", x, 2)
-	if x.Shape[1] != l.In {
-		panic(fmt.Sprintf("nn: Linear(%d->%d) got input width %d", l.In, l.Out, x.Shape[1]))
-	}
-	tensor.MatMulTInto(out, x, l.Weight.W)
-	if l.Bias != nil {
-		out.AddRowVector(l.Bias.W)
-	}
-}
-
 // Backward computes dx = dy W, dW += dyᵀ x, db += sum_rows(dy).
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if l.x == nil {

@@ -33,27 +33,26 @@ func QuantizeWeight(w *tensor.Tensor, bits int, perChannel bool) QWeight {
 	} else {
 		qw.Scales = make([]float32, 1)
 	}
-	quantizeWeightInto(&qw, w.Data, perChannel)
+	quantizeWeightInto(&qw, w.Data, in, perChannel)
 	return qw
 }
 
-// quantizeWeightInto fills a pre-sized QWeight from float data — the
-// buffer-reusing core of QuantizeWeight, also used by attention to quantize
-// per-head key/value blocks into workspace scratch.
-func quantizeWeightInto(qw *QWeight, data []float32, perChannel bool) {
+// quantizeWeightInto fills a pre-sized QWeight from the (Out, In) float
+// block data at row stride ld — the buffer-reusing core of QuantizeWeight,
+// also used by attention to quantize per-head key/value blocks into
+// workspace scratch, the keys read in place. Per channel it is one
+// kernels.QuantizeRowsI8 call over the block.
+func quantizeWeightInto(qw *QWeight, data []float32, ld int, perChannel bool) {
 	out, in := qw.Out, qw.In
 	if perChannel {
-		for o := 0; o < out; o++ {
-			row := data[o*in : (o+1)*in]
-			qp := SymmetricParams(row, qw.Bits)
-			qw.Scales[o] = qp.Scale
-			qp.QuantizeSlice(qw.Q[o*in:(o+1)*in], row)
-		}
-	} else {
-		qp := SymmetricParams(data, qw.Bits)
-		qw.Scales[0] = qp.Scale
-		qp.QuantizeSlice(qw.Q, data)
+		_, hi := qRange(qw.Bits)
+		kernels.QuantizeRowsI8(qw.Q, qw.Scales, qw.RowSums, data, out, in, ld, hi)
+		return
 	}
+	mn, mx := kernels.RangeF32(data, out, in, ld)
+	qp := symmetricParams(mn, mx, qw.Bits)
+	qw.Scales[0] = qp.Scale
+	qp.quantizeBlock(qw.Q, data, out, in, ld)
 	for o := 0; o < out; o++ {
 		var s int32
 		for _, q := range qw.Q[o*in : (o+1)*in] {
@@ -113,8 +112,14 @@ func gemmInto(out *tensor.Tensor, qa *QActivation, qw QWeight, bias []float32, a
 	if bias != nil && len(bias) != qw.Out {
 		panic("quant: GEMM bias length mismatch")
 	}
+	gemmAt(out.Data, qw.Out, qa, qw, bias, acc)
+}
+
+// gemmAt is gemmInto's two kernel calls, unchecked, with the rows of out
+// ldo floats apart.
+func gemmAt(out []float32, ldo int, qa *QActivation, qw QWeight, bias []float32, acc []int32) {
 	kernels.GemmI8(acc, qa.Q, qw.Q, qa.Rows, qa.Cols, qw.Out)
-	kernels.DequantI8(out.Data, acc, qw.RowSums, qw.Scales, bias, qa.Rows, qw.Out, qa.QP.Scale, qa.QP.Zero)
+	kernels.DequantI8(out, acc, qw.RowSums, qw.Scales, bias, qa.Rows, qw.Out, ldo, qa.QP.Scale, qa.QP.Zero)
 }
 
 // Linear runs a full dynamically-quantized linear layer: quantize x, integer

@@ -36,8 +36,13 @@ func qRange(bits int) (lo, hi int32) {
 // SymmetricParams computes symmetric (zero-point-free) parameters covering
 // [-absMax, absMax]. Used for weights.
 func SymmetricParams(data []float32, bits int) QParams {
+	mn, mx := kernels.RangeF32(data, 1, len(data), len(data))
+	return symmetricParams(mn, mx, bits)
+}
+
+// symmetricParams is SymmetricParams from the data's range with 0.
+func symmetricParams(mn, mx float32, bits int) QParams {
 	_, hi := qRange(bits)
-	mn, mx := kernels.RangeF32(data)
 	absMax := max(-mn, mx)
 	if absMax == 0 {
 		absMax = 1 // all-zero tensor: any scale works; avoid div by zero
@@ -48,8 +53,13 @@ func SymmetricParams(data []float32, bits int) QParams {
 // AsymmetricParams computes parameters covering [min, max] with a zero
 // point. Used for activations (e.g. post-GELU distributions are skewed).
 func AsymmetricParams(data []float32, bits int) QParams {
+	mn, mx := kernels.RangeF32(data, 1, len(data), len(data))
+	return asymmetricParams(mn, mx, bits)
+}
+
+// asymmetricParams is AsymmetricParams from the data's range with 0.
+func asymmetricParams(mn, mx float32, bits int) QParams {
 	lo, hi := qRange(bits)
-	mn, mx := kernels.RangeF32(data) // ranges always include 0
 	if mx == mn {
 		mx = mn + 1
 	}
@@ -100,6 +110,12 @@ func (qp QParams) QuantizeSlice(dst []int8, src []float32) {
 	if len(dst) != len(src) {
 		panic("quant: QuantizeSlice length mismatch")
 	}
+	qp.quantizeBlock(dst, src, 1, len(src), len(src))
+}
+
+// quantizeBlock is QuantizeSlice over the (rows, cols) block src at row
+// stride ld, into rows·cols codes.
+func (qp QParams) quantizeBlock(dst []int8, src []float32, rows, cols, ld int) {
 	lo, hi := qRange(qp.Bits)
-	kernels.QuantizeI8(dst, src, qp.Scale, qp.Zero, lo, hi)
+	kernels.QuantizeI8(dst, src, rows, cols, ld, qp.Scale, qp.Zero, lo, hi)
 }

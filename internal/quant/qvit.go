@@ -5,6 +5,7 @@ import (
 
 	"itask/internal/approx"
 	"itask/internal/geom"
+	"itask/internal/kernels"
 	"itask/internal/nn"
 	"itask/internal/tensor"
 	"itask/internal/vit"
@@ -229,42 +230,42 @@ func (qm *Model) LayerNorm(s vit.Site, out, x *tensor.Tensor) {
 }
 
 // Attend is one int8 attention head. Both products are integer GEMMs with
-// the key block and the transposed value block quantized per row as
-// weights and the queries and probabilities as activations — all dynamic:
-// these "weights" are activations, so no calibrated parameters exist for
-// them.
-func (qm *Model) Attend(ws *vit.Workspace, q, k, v, scores *tensor.Tensor, scale float32) {
-	t, dh := q.Shape[0], q.Shape[1]
-	ab := qm.QC.actBits()
-	kw := qm.headWeight(ws, k.Data, t, dh)
-	linearInto(scores, q, AsymmetricParams(q.Data, ab), kw, nil, ws.I8(t*dh), ws.I32(t*t))
+// the key block and vᵀ quantized per row as weights and the queries and
+// probabilities as activations — all dynamic: these "weights" are
+// activations, so no calibrated parameters exist for them. The queries and
+// keys are quantized where they lie in the qkv projection, and the context
+// is dequantized straight into its place in the sublayer buffer.
+func (qm *Model) Attend(ws *vit.Workspace, h vit.Head, scores *tensor.Tensor, scale float32) {
+	qm.headProduct(ws, scores.Data, h.T, h.Q, h.T, h.LD, qm.headWeight(ws, h.K, h.T, h.DH, h.LD))
 	if qm.approxVector {
 		scores.ScaleInPlace(scale)
 		copy(scores.Data, approx.SoftmaxRows(scores).Data)
 	} else {
 		scores.SoftmaxRowsF32(scale)
 	}
-	// context = p @ v = p @ (vᵀ)ᵀ, vᵀ the weight.
-	vt := ws.F32(dh * t)
-	for ti := 0; ti < t; ti++ {
-		for j, x := range v.Data[ti*dh : (ti+1)*dh] {
-			vt[j*t+ti] = x
-		}
-	}
-	vw := qm.headWeight(ws, vt, dh, t)
-	linearInto(q, scores, AsymmetricParams(scores.Data, ab), vw, nil, ws.I8(t*t), ws.I32(t*dh))
+	qm.headProduct(ws, h.Ctx, h.LDC, scores.Data, h.T, h.T, qm.headWeight(ws, h.Vt, h.DH, h.T, h.T))
 }
 
-// headWeight quantizes an (out, in) block of one head as a weight matrix in
-// workspace scratch.
-func (qm *Model) headWeight(ws *vit.Workspace, data []float32, out, in int) QWeight {
+// headProduct is one of attention's two products: the (rows, w.In) block x
+// at row stride ldx quantized under its own asymmetric range, times wᵀ,
+// dequantized into out at row stride ldo.
+func (qm *Model) headProduct(ws *vit.Workspace, out []float32, ldo int, x []float32, rows, ldx int, w QWeight) {
+	mn, mx := kernels.RangeF32(x, rows, w.In, ldx)
+	qa := QActivation{Q: ws.I8(rows * w.In), QP: asymmetricParams(mn, mx, qm.QC.actBits()), Rows: rows, Cols: w.In}
+	qa.QP.quantizeBlock(qa.Q, x, rows, w.In, ldx)
+	gemmAt(out, ldo, &qa, w, nil, ws.I32(rows*w.Out))
+}
+
+// headWeight quantizes the (out, in) block data at row stride ld, one
+// operand of one head, as a weight matrix in workspace scratch.
+func (qm *Model) headWeight(ws *vit.Workspace, data []float32, out, in, ld int) QWeight {
 	qw := QWeight{Q: ws.I8(out * in), RowSums: ws.I32(out), Out: out, In: in, Bits: qm.QC.Bits}
 	if qm.QC.PerChannel {
 		qw.Scales = ws.F32(out)
 	} else {
 		qw.Scales = ws.F32(1)
 	}
-	quantizeWeightInto(&qw, data, qm.QC.PerChannel)
+	quantizeWeightInto(&qw, data, ld, qm.QC.PerChannel)
 	return qw
 }
 

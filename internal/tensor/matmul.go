@@ -6,16 +6,16 @@ import (
 	"itask/internal/kernels"
 )
 
-// GEMM family. All three product forms (MatMul, MatMulT, TMatMul) share one
-// structure: a register-tiled kernel built from the fused dot/axpy
-// micro-kernels in internal/kernels — a 4-wide k-unroll (Axpy4) for the
-// row-streaming forms and a 4-wide n-unroll (Dot4) for the transposed form —
-// runs over every output row on the calling goroutine: no product either
-// serving model computes is big enough to pay for a fork (DESIGN.md §8). The
-// kernels are dense: there is deliberately no zero-skip branch (a
-// data-dependent branch in the inner loop defeats both the hardware
-// prefetcher and the SIMD micro-kernels, and none of the call sites feed
-// provably sparse operands).
+// GEMM family: the training paths' products (the inference forwards call
+// kernels.GemmF32 and kernels.GemmI8 directly). All three product forms
+// (MatMul, MatMulT, TMatMul) share one structure: a register-tiled kernel
+// built from the fused dot/axpy micro-kernels in internal/kernels — a
+// 4-wide k-unroll (Axpy4) for the row-streaming forms and a 4-wide n-unroll
+// (Dot4) for the transposed form — runs over every output row on the
+// calling goroutine (DESIGN.md §8). The kernels are dense: there is
+// deliberately no zero-skip branch (a data-dependent branch in the inner
+// loop defeats both the hardware prefetcher and the SIMD micro-kernels, and
+// none of the call sites feed provably sparse operands).
 
 // MatMul returns a @ b for a (M,K) matrix a and (K,N) matrix b.
 func MatMul(a, b *Tensor) *Tensor {
@@ -26,7 +26,8 @@ func MatMul(a, b *Tensor) *Tensor {
 }
 
 // MatMulInto computes out = a @ b, reusing out's storage.
-// out must already have shape (M,N).
+// out must already have shape (M,N). No model calls it: it stays for the
+// load driver's tensor.matmul_gflops probe (cmd/itask-load), which times it.
 func MatMulInto(out, a, b *Tensor) {
 	m, k, n := mmDims(a, b)
 	if len(out.Shape) != 2 || out.Shape[0] != m || out.Shape[1] != n {
@@ -75,16 +76,6 @@ func MatMulT(a, b *Tensor) *Tensor {
 	out := New(m, n)
 	matMulTRows(out.Data, a.Data, b.Data, m, k, n)
 	return out
-}
-
-// MatMulTInto computes out = a @ bᵀ, reusing out's storage.
-// out must already have shape (M,N); it is fully overwritten.
-func MatMulTInto(out, a, b *Tensor) {
-	m, k, n := mmtDims(a, b)
-	if len(out.Shape) != 2 || out.Shape[0] != m || out.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTInto out shape %v, want (%d,%d)", out.Shape, m, n))
-	}
-	matMulTRows(out.Data, a.Data, b.Data, m, k, n)
 }
 
 func mmtDims(a, b *Tensor) (m, k, n int) {

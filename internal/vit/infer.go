@@ -13,7 +13,7 @@ import (
 // the arithmetic at a few kinds of site, which each brings through Sites.
 // Everything else lives here once: the patch embedding and position add,
 // the residual stream, each block's LN → attention → LN → MLP order, the
-// per-head staging and the (batch × head) loop, and the memory every
+// (batch × head) loop with its one staged operand, vᵀ, and the memory every
 // intermediate lives in.
 
 // SiteKind names a linear or LayerNorm site of the trunk.
@@ -46,11 +46,21 @@ type Sites interface {
 	Linear(ws *Workspace, s Site, out, x *tensor.Tensor)
 	// LayerNorm writes the LayerNorm of x at site s into out.
 	LayerNorm(s Site, out, x *tensor.Tensor)
-	// Attend computes one head's softmax(scale·q·kᵀ)·v, q, k and v (T, dh)
-	// and the scores (T, T) scratch, and overwrites q with it.
-	Attend(ws *Workspace, q, k, v, scores *tensor.Tensor, scale float32)
+	// Attend writes one head's softmax(scale·q·kᵀ)·v into h.Ctx, with the
+	// scores (T, T) scratch.
+	Attend(ws *Workspace, h Head, scores *tensor.Tensor, scale float32)
 	// GELU overwrites x with its activation.
 	GELU(x *tensor.Tensor)
+}
+
+// Head is one attention head of one image where it lies: row i of its
+// (T, DH) queries and keys starts at Q[i*LD] and K[i*LD] (inside the fused
+// qkv projection, LD = 3·Dim), Vt is vᵀ (DH, T), and row i of the context
+// belongs at Ctx[i*LDC] (inside the sublayer buffer, LDC = Dim). Every
+// slice runs to its buffer's end; a site reads and writes only those rows.
+type Head struct {
+	Q, K, Vt, Ctx  []float32
+	T, DH, LD, LDC int
 }
 
 // Workspace holds every intermediate of one inference forward: the trunk's
@@ -65,7 +75,7 @@ type Workspace struct {
 	i32 arena[int32]
 
 	x, xn, y, qkv, hid tensor.Tensor // residual stream and sublayer buffers
-	q, k, v, scores    tensor.Tensor // one head
+	scores             tensor.Tensor // one head
 }
 
 var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
@@ -132,10 +142,8 @@ func Infer(cfg Config, pos *tensor.Tensor, s Sites, patches *tensor.Tensor) *ten
 	y := ws.matrix(&ws.y, rows, d)
 	qkv := ws.matrix(&ws.qkv, rows, 3*d)
 	hid := ws.matrix(&ws.hid, rows, cfg.MLPRatio*d)
-	q := ws.matrix(&ws.q, t, dh)
-	k := ws.matrix(&ws.k, t, dh)
-	v := ws.matrix(&ws.v, t, dh)
 	scores := ws.matrix(&ws.scores, t, t)
+	vt := ws.F32(dh * t)
 	linear := func(site Site, out, in *tensor.Tensor) {
 		m := ws.mark()
 		s.Linear(ws, site, out, in)
@@ -153,19 +161,22 @@ func Infer(cfg Config, pos *tensor.Tensor, s Sites, patches *tensor.Tensor) *ten
 		s.LayerNorm(Site{b, LN1}, xn, x)
 		linear(Site{b, QKV}, qkv, xn)
 		for bi := 0; bi < rows/t; bi++ {
+			img := qkv.Data[bi*t*3*d:]
 			for h := 0; h < cfg.Heads; h++ {
+				// vᵀ is the one operand no product reads in place: both
+				// models' context products take it as their weight.
+				v := img[2*d+h*dh:]
 				for ti := 0; ti < t; ti++ {
-					src := qkv.Data[(bi*t+ti)*3*d+h*dh:]
-					copy(q.Data[ti*dh:(ti+1)*dh], src[:dh])
-					copy(k.Data[ti*dh:(ti+1)*dh], src[d:d+dh])
-					copy(v.Data[ti*dh:(ti+1)*dh], src[2*d:2*d+dh])
+					for j, x := range v[ti*3*d : ti*3*d+dh] {
+						vt[j*t+ti] = x
+					}
 				}
 				m := ws.mark()
-				s.Attend(ws, q, k, v, scores, scale)
+				s.Attend(ws, Head{
+					Q: img[h*dh:], K: img[d+h*dh:], Vt: vt, Ctx: xn.Data[bi*t*d+h*dh:],
+					T: t, DH: dh, LD: 3 * d, LDC: d,
+				}, scores, scale)
 				ws.release(m)
-				for ti := 0; ti < t; ti++ {
-					copy(xn.Data[(bi*t+ti)*d+h*dh:][:dh], q.Data[ti*dh:(ti+1)*dh])
-				}
 			}
 		}
 		linear(Site{b, Proj}, y, xn)

@@ -3,6 +3,7 @@ package vit
 import (
 	"fmt"
 
+	"itask/internal/kernels"
 	"itask/internal/nn"
 	"itask/internal/tensor"
 )
@@ -152,7 +153,7 @@ func (m *Model) Forward(patches *tensor.Tensor, train bool) *tensor.Tensor {
 	return m.feats
 }
 
-// Linear is the float linear site: x·Wᵀ + b by the float GEMM.
+// Linear is the float linear site.
 func (m *Model) Linear(_ *Workspace, s Site, out, x *tensor.Tensor) {
 	l := m.Embed
 	switch s.Kind {
@@ -165,7 +166,21 @@ func (m *Model) Linear(_ *Workspace, s Site, out, x *tensor.Tensor) {
 	case MLP2:
 		l = m.Blocks[s.Block].MLP2
 	}
-	l.ForwardInto(out, x)
+	gemmLinear(out, x, l)
+}
+
+// gemmLinear writes x·Wᵀ + b of l into out (rows, Out) in one GemmF32
+// call: every linear layer of the float model's inference, the trunk's
+// sites and both heads. Training keeps nn.Linear's path.
+func gemmLinear(out, x *tensor.Tensor, l *nn.Linear) {
+	if x.Dims() != 2 || x.Shape[1] != l.In || out.Dims() != 2 || out.Shape[0] != x.Shape[0] || out.Shape[1] != l.Out {
+		panic(fmt.Sprintf("vit: linear %d->%d on %v into %v", l.In, l.Out, x.Shape, out.Shape))
+	}
+	var bias []float32
+	if l.Bias != nil {
+		bias = l.Bias.W.Data
+	}
+	kernels.GemmF32(out.Data, x.Data, l.Weight.W.Data, bias, x.Shape[0], l.In, l.Out, l.Out, l.In, l.In)
 }
 
 // LayerNorm is the float LayerNorm site.
@@ -180,12 +195,13 @@ func (m *Model) LayerNorm(s Site, out, x *tensor.Tensor) {
 	tensor.LayerNormF32Into(out, x, l.Gamma.W.Data, l.Beta.W.Data, l.Eps)
 }
 
-// Attend is one float attention head: the score GEMM, the float32 softmax
-// and the context GEMM.
-func (m *Model) Attend(_ *Workspace, q, k, v, scores *tensor.Tensor, scale float32) {
-	tensor.MatMulTInto(scores, q, k)
+// Attend is one float attention head: the score GEMM with q and k read in
+// place, the float32 softmax, and the context GEMM against vᵀ written in
+// place.
+func (m *Model) Attend(_ *Workspace, h Head, scores *tensor.Tensor, scale float32) {
+	kernels.GemmF32(scores.Data, h.Q, h.K, nil, h.T, h.DH, h.T, h.T, h.LD, h.LD)
 	scores.SoftmaxRowsF32(scale)
-	tensor.MatMulInto(q, scores, v)
+	kernels.GemmF32(h.Ctx, scores.Data, h.Vt, nil, h.T, h.T, h.DH, h.LDC, h.T, h.T)
 }
 
 // GELU is the float activation site.
@@ -194,14 +210,23 @@ func (m *Model) GELU(x *tensor.Tensor) { tensor.GELUF32Into(x, x) }
 // DetHead applies the detection head to token features, producing
 // (B*Tokens, 5+Classes) raw predictions.
 func (m *Model) DetHead(feats *tensor.Tensor, train bool) *tensor.Tensor {
-	return m.Det.Forward(feats, train)
+	return m.head(m.Det, feats, train)
 }
 
 // ClsHead mean-pools token features per image and applies the classification
 // head, producing (B, Classes) logits.
 func (m *Model) ClsHead(feats *tensor.Tensor, train bool) *tensor.Tensor {
-	pooled := m.pool(feats)
-	return m.Cls.Forward(pooled, train)
+	return m.head(m.Cls, m.pool(feats), train)
+}
+
+// head applies a head layer: its training forward, or the inference GEMM.
+func (m *Model) head(l *nn.Linear, x *tensor.Tensor, train bool) *tensor.Tensor {
+	if train {
+		return l.Forward(x, true)
+	}
+	out := tensor.New(x.Shape[0], l.Out)
+	gemmLinear(out, x, l)
+	return out
 }
 
 // PoolFeats mean-pools token features (B*Tokens, Dim) to per-image vectors
