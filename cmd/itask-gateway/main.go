@@ -348,6 +348,7 @@ func routeKey(body []byte) gateway.Key {
 	if err != nil {
 		return gateway.Key{}
 	}
+	defer rp.Release() // the key is all the gateway reads of the pixels
 	k := gateway.Key{Task: rp.Task, Tenant: rp.Tenant}
 	if img := rp.Image; img != nil && len(img.Shape) == 3 &&
 		len(img.Data) == img.Shape[0]*img.Shape[1]*img.Shape[2] {

@@ -272,6 +272,10 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// releasePixels hands a served request's pixels back to the pool. Tests
+// poison them on the way.
+var releasePixels = (*wire.DetectBody).Release
+
 type handler struct {
 	pipe *itask.Pipeline
 	srv  *serve.Server
@@ -309,11 +313,10 @@ func (h *handler) detect(w http.ResponseWriter, r *http.Request) {
 		wire.WriteBodyError(w, err)
 		return
 	}
-	// Both decoders copy everything that outlives them (wire.DecodeDetect
-	// copies strings and parses pixels into its own slice; the frame path
-	// copies the payload out), so the pooled body can be recycled the moment
-	// the handler returns even if a watchdog-abandoned execution is still
-	// running.
+	// Both decoders copy everything that outlives them (strings, and the
+	// pixels into pooled memory of their own), so the pooled body can be
+	// recycled the moment the handler returns even if a watchdog-abandoned
+	// execution is still reading the image.
 	defer buf.Release()
 	dr, err := parseDetect(r.Header.Get("Content-Type"), buf.Bytes(), h.imageSize)
 	var img *tensor.Tensor
@@ -338,12 +341,17 @@ func (h *handler) detect(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := h.srv.Detect(r.Context(), req)
 	if err != nil {
+		// An abandoned, cancelled or shed request may still be read by a
+		// server goroutine: its pixels are left to the garbage collector.
 		if ra, ok := retryAfter(err); ok {
 			w.Header().Set("Retry-After", strconv.Itoa(ra))
 		}
 		wire.WriteError(w, statusOf(err), err.Error())
 		return
 	}
+	// Detect succeeded, so no server goroutine reads the image again
+	// (serve.Server.Detect's ownership rule): the pixels go back to the pool.
+	releasePixels(dr)
 	dets, _ := res.Payload.([]itask.Detection)
 	if dets == nil {
 		dets = []itask.Detection{}

@@ -34,24 +34,13 @@ func DefaultThresholds() Thresholds {
 // BatchDetectFunc maps a batch of (C,H,W) images to per-image detections.
 type BatchDetectFunc func(imgs []*tensor.Tensor) [][]geom.Scored
 
-// BatchDetectorOf wraps a float ViT model as a BatchDetectFunc: the whole
-// batch is packed into one Patchify/Forward/DetHead pass and decoded per
-// image. This is the float models' inference entry on the one detect path,
-// where a single frame is a batch of one.
+// BatchDetectorOf wraps a float ViT model as a BatchDetectFunc: vit.Detect
+// with the model's float sites, the whole batch in one pass. This is the
+// float models' inference entry on the one detect path, where a single frame
+// is a batch of one.
 func BatchDetectorOf(m *vit.Model, th Thresholds) BatchDetectFunc {
 	return func(imgs []*tensor.Tensor) [][]geom.Scored {
-		if len(imgs) == 0 {
-			return nil
-		}
-		t := m.Cfg.Tokens()
-		patches := vit.Patchify(m.Cfg, imgs)
-		feats := m.Forward(patches, false)
-		det := m.DetHead(feats, false)
-		out := make([][]geom.Scored, len(imgs))
-		for i := range imgs {
-			out[i] = vit.Decode(m.Cfg, det.Slice2D(i*t, (i+1)*t), th.Obj, th.NMSIoU)
-		}
-		return out
+		return vit.Detect(m.Cfg, m.Pos.Emb.W, m, imgs, th.Obj, th.NMSIoU)
 	}
 }
 

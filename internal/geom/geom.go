@@ -3,7 +3,7 @@
 // normalized to [0,1] relative to the image, with (X,Y) the box center.
 package geom
 
-import "sort"
+import "slices"
 
 // Box is an axis-aligned box with normalized center coordinates and size.
 type Box struct {
@@ -97,12 +97,26 @@ type Scored struct {
 }
 
 // NMS performs class-aware greedy non-maximum suppression: detections are
-// visited in descending score order and dropped if they overlap an already
-// kept detection of the same class by more than iouThresh.
+// visited in descending score order (ties keep their input order) and
+// dropped if they overlap an already kept detection of the same class by
+// more than iouThresh. dets is not modified; the result is a fresh slice.
 func NMS(dets []Scored, iouThresh float64) []Scored {
-	sorted := append([]Scored(nil), dets...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Score > sorted[j].Score })
-	var kept []Scored
+	if len(dets) == 0 {
+		return nil
+	}
+	sorted := slices.Clone(dets)
+	slices.SortStableFunc(sorted, func(a, b Scored) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case b.Score > a.Score:
+			return 1
+		}
+		return 0
+	})
+	// The kept prefix never overtakes the cursor, so keeping in place
+	// overwrites only visited detections.
+	kept := sorted[:0]
 	for _, d := range sorted {
 		suppressed := false
 		for _, k := range kept {

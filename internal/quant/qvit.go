@@ -78,13 +78,6 @@ func (l *qLinear) apply(out, x *tensor.Tensor, actBits int, codes []int8, acc []
 	linearInto(out, x, AsymmetricParams(x.Data, actBits), l.w, l.bias, codes, acc)
 }
 
-// head runs the layer outside the trunk, on fresh staging.
-func (l *qLinear) head(x *tensor.Tensor, actBits int) *tensor.Tensor {
-	out := tensor.New(x.Shape[0], l.w.Out)
-	l.apply(out, x, actBits, make([]int8, x.Size()), make([]int32, x.Shape[0]*l.w.Out))
-	return out
-}
-
 // lnParams is a float LayerNorm (normalization stays in float on the
 // accelerator's vector unit, as in production int8 transformer stacks).
 type lnParams struct {
@@ -194,8 +187,9 @@ func (qm *Model) Forward(patches *tensor.Tensor) *tensor.Tensor {
 	return vit.Infer(qm.Cfg, qm.pos, qm, patches)
 }
 
-// Linear is the int8 linear site: quantize the input, integer GEMM against
-// the prequantized weight, dequantize, add bias.
+// Linear is the int8 linear site, the trunk's and both heads': quantize
+// the input, integer GEMM against the prequantized weight, dequantize, add
+// bias, staged in workspace scratch.
 func (qm *Model) Linear(ws *vit.Workspace, s vit.Site, out, x *tensor.Tensor) {
 	l := &qm.embed
 	switch s.Kind {
@@ -207,6 +201,10 @@ func (qm *Model) Linear(ws *vit.Workspace, s vit.Site, out, x *tensor.Tensor) {
 		l = &qm.blocks[s.Block].mlp1
 	case vit.MLP2:
 		l = &qm.blocks[s.Block].mlp2
+	case vit.Det:
+		l = &qm.det
+	case vit.Cls:
+		l = &qm.cls
 	}
 	l.apply(out, x, qm.QC.actBits(), ws.I8(x.Size()), ws.I32(x.Shape[0]*l.w.Out))
 }
@@ -280,7 +278,7 @@ func (qm *Model) GELU(x *tensor.Tensor) {
 
 // DetHead applies the quantized detection head.
 func (qm *Model) DetHead(feats *tensor.Tensor) *tensor.Tensor {
-	return qm.det.head(feats, qm.QC.actBits())
+	return vit.ApplyLinear(qm, vit.Site{Kind: vit.Det}, feats, qm.det.w.Out)
 }
 
 // ClsHead mean-pools and applies the quantized classification head.
@@ -299,25 +297,14 @@ func (qm *Model) ClsHead(feats *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return qm.cls.head(pooled, qm.QC.actBits())
+	return vit.ApplyLinear(qm, vit.Site{Kind: vit.Cls}, pooled, qm.cls.w.Out)
 }
 
-// DetectBatch runs end-to-end quantized detection on a micro-batch of
-// (C,H,W) images in one packed forward pass, returning one detection set
-// per image.
+// DetectBatch runs end-to-end quantized detection on a batch of (C,H,W)
+// images — vit.Detect with the int8 sites — returning one detection set per
+// image.
 func (qm *Model) DetectBatch(imgs []*tensor.Tensor, objThresh, nmsIoU float64) [][]geom.Scored {
-	if len(imgs) == 0 {
-		return nil
-	}
-	t := qm.Cfg.Tokens()
-	patches := vit.Patchify(qm.Cfg, imgs)
-	feats := qm.Forward(patches)
-	det := qm.DetHead(feats)
-	out := make([][]geom.Scored, len(imgs))
-	for i := range imgs {
-		out[i] = vit.Decode(qm.Cfg, det.Slice2D(i*t, (i+1)*t), objThresh, nmsIoU)
-	}
-	return out
+	return vit.Detect(qm.Cfg, qm.pos, qm, imgs, objThresh, nmsIoU)
 }
 
 // Detect runs end-to-end quantized detection on one (C,H,W) image: the

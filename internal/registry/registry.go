@@ -152,6 +152,17 @@ type Artifact struct {
 
 	// ID is assigned by Publish: Name@vN#Checksum.
 	ID ArtifactID
+	// id is ID.String(), rendered once by Publish.
+	id string
+}
+
+// IDString is ID.String(), rendered once when the artifact was published
+// rather than on every request that names it.
+func (a *Artifact) IDString() string {
+	if a.id == "" {
+		return a.ID.String() // not published: built by hand
+	}
+	return a.id
 }
 
 // Sentinel errors.
@@ -348,6 +359,7 @@ func (r *Registry) Publish(a Artifact) (ArtifactID, error) {
 		stored.ID.Checksum = structuralSum(&stored)
 	}
 	stored.Checksum = stored.ID.Checksum
+	stored.id = stored.ID.String()
 	sr.versions = append(sr.versions, &stored)
 	sr.active = stored.ID.Version
 	switch a.Kind {
@@ -459,9 +471,9 @@ func (r *Registry) swapLocked() {
 	}
 	for name, sr := range r.names {
 		for _, a := range sr.versions {
-			s.byID[a.ID.String()] = a
+			s.byID[a.id] = a
 			if sr.quarantined[a.ID.Version] {
-				s.quarantined[a.ID.String()] = true
+				s.quarantined[a.id] = true
 			}
 		}
 		if sr.active == 0 {
@@ -484,7 +496,7 @@ func (r *Registry) swapLocked() {
 					continue
 				}
 				for _, fn := range r.retireHooks {
-					fn(a.ID.String())
+					fn(a.id)
 				}
 			}
 		}

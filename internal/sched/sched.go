@@ -121,7 +121,7 @@ func (s *Scheduler) Route(req Request) (string, error) {
 			lastErr = err
 			continue
 		}
-		return m.ID.String(), nil
+		return m.IDString(), nil
 	}
 	return "", lastErr
 }
@@ -140,7 +140,7 @@ func (s *Scheduler) RouteFallback(req Request) (string, error) {
 	if err := s.admissible(m, req.LatencyBudgetUS); err != nil {
 		return "", err
 	}
-	return m.ID.String(), nil
+	return m.IDString(), nil
 }
 
 // admissible checks a candidate against the request latency budget and the
@@ -189,7 +189,7 @@ func (s *Scheduler) SelectByName(variant string) (*Model, error) {
 // admit ensures an artifact's weights are cache-resident, accounting load
 // time and switches.
 func (s *Scheduler) admit(m *Model) error {
-	key := m.ID.String()
+	key := m.IDString()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	hit, err := s.cache.ensure(key, m.Bytes)
@@ -227,7 +227,7 @@ func (s *Scheduler) DetectBatchOn(variant string, imgs []*tensor.Tensor) ([][]ge
 func (s *Scheduler) Evict(variant string) bool {
 	key := variant
 	if m, err := s.resolve(variant); err == nil {
-		key = m.ID.String()
+		key = m.IDString()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

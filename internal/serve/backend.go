@@ -144,7 +144,8 @@ type Request struct {
 	// and rejects control characters) — the serving layer uses the string
 	// as a map key verbatim.
 	Tenant string
-	// Image is the (C,H,W) input tensor.
+	// Image is the (C,H,W) input tensor. The server reads it until Detect
+	// returns nil; see Server.Detect for when the caller has it back.
 	Image *tensor.Tensor
 	// Deadline, when non-zero, is the admission-to-execution deadline:
 	// requests still waiting past it are shed instead of executed.

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"math"
 	"math/bits"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -365,6 +367,107 @@ type Snapshot struct {
 	// Registry surfaces publish/rollback/demotion counters when the
 	// backend exposes a versioned model registry (nil otherwise).
 	Registry *registry.Stats `json:"registry,omitempty"`
+
+	// Runtime is the Go runtime's account of the whole process, read when
+	// the snapshot is taken.
+	Runtime RuntimeStats `json:"runtime"`
+}
+
+// RuntimeStats is what runtime/metrics says the process has spent since it
+// started, beside the requests: the garbage collector's cycles, the heap
+// allocations that drive them, CPU time by class, and the scheduler. It is
+// read at snapshot time only, so the request path pays nothing for it; two
+// scrapes subtract into per-interval figures (the latency quantiles are
+// since start).
+type RuntimeStats struct {
+	GCCycles         uint64 `json:"gc_cycles"`          // /gc/cycles/total:gc-cycles
+	HeapAllocBytes   uint64 `json:"heap_alloc_bytes"`   // /gc/heap/allocs:bytes
+	HeapAllocObjects uint64 `json:"heap_alloc_objects"` // /gc/heap/allocs:objects
+	// CPU seconds by class, the runtime's estimates: the collector (mark
+	// assists, background and idle mark workers, pauses), user Go code,
+	// idle Ps, and the scavenger returning memory to the OS.
+	CPUGCSeconds       float64 `json:"cpu_gc_seconds"`       // /cpu/classes/gc/total:cpu-seconds
+	CPUUserSeconds     float64 `json:"cpu_user_seconds"`     // /cpu/classes/user:cpu-seconds
+	CPUIdleSeconds     float64 `json:"cpu_idle_seconds"`     // /cpu/classes/idle:cpu-seconds
+	CPUScavengeSeconds float64 `json:"cpu_scavenge_seconds"` // /cpu/classes/scavenge/total:cpu-seconds
+	Goroutines         uint64  `json:"goroutines"`           // /sched/goroutines:goroutines
+	// How long runnable goroutines waited for a P, microseconds:
+	// /sched/latencies:seconds at p50 and p99.
+	SchedLatencyP50US float64 `json:"sched_latency_p50_us"`
+	SchedLatencyP99US float64 `json:"sched_latency_p99_us"`
+}
+
+// runtimeSamples are the runtime/metrics names RuntimeStats reads, in the
+// order readRuntime assigns them.
+var runtimeSamples = [...]string{
+	"/gc/cycles/total:gc-cycles",
+	"/gc/heap/allocs:bytes",
+	"/gc/heap/allocs:objects",
+	"/cpu/classes/gc/total:cpu-seconds",
+	"/cpu/classes/user:cpu-seconds",
+	"/cpu/classes/idle:cpu-seconds",
+	"/cpu/classes/scavenge/total:cpu-seconds",
+	"/sched/goroutines:goroutines",
+	"/sched/latencies:seconds",
+}
+
+// readRuntime reads RuntimeStats. A metric this Go version lacks reads as
+// zero.
+func readRuntime() RuntimeStats {
+	var samples [len(runtimeSamples)]rtmetrics.Sample
+	for i, name := range runtimeSamples {
+		samples[i].Name = name
+	}
+	rtmetrics.Read(samples[:])
+	u := func(i int) uint64 {
+		if samples[i].Value.Kind() != rtmetrics.KindUint64 {
+			return 0
+		}
+		return samples[i].Value.Uint64()
+	}
+	f := func(i int) float64 {
+		if samples[i].Value.Kind() != rtmetrics.KindFloat64 {
+			return 0
+		}
+		return samples[i].Value.Float64()
+	}
+	rs := RuntimeStats{
+		GCCycles: u(0), HeapAllocBytes: u(1), HeapAllocObjects: u(2),
+		CPUGCSeconds: f(3), CPUUserSeconds: f(4), CPUIdleSeconds: f(5), CPUScavengeSeconds: f(6),
+		Goroutines: u(7),
+	}
+	if v := samples[8].Value; v.Kind() == rtmetrics.KindFloat64Histogram {
+		h := v.Float64Histogram()
+		rs.SchedLatencyP50US = 1e6 * histogramQuantile(h, 0.50)
+		rs.SchedLatencyP99US = 1e6 * histogramQuantile(h, 0.99)
+	}
+	return rs
+}
+
+// histogramQuantile reads the q-quantile of a runtime/metrics histogram:
+// the midpoint of the bucket holding the nearest-rank sample, or its finite
+// edge when the other is infinite. Zero when the histogram is empty.
+func histogramQuantile(h *rtmetrics.Float64Histogram, q float64) float64 {
+	var n uint64
+	for _, c := range h.Counts {
+		n += c
+	}
+	if n == 0 {
+		return 0
+	}
+	rank := min(uint64(q*float64(n)), n-1)
+	i := 0
+	for ; rank >= h.Counts[i]; i++ {
+		rank -= h.Counts[i]
+	}
+	lo, hi := h.Buckets[i], h.Buckets[i+1]
+	switch {
+	case math.IsInf(lo, -1):
+		return hi
+	case math.IsInf(hi, 1):
+		return lo
+	}
+	return (lo + hi) / 2
 }
 
 // TenantStats is one tenant's attribution in a Snapshot.

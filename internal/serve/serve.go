@@ -660,7 +660,16 @@ func (s *Server) fallbackFor(taskName, brokenVariant string, now time.Time, prob
 // for its outcome or for ctx. A ctx deadline doubles as the request
 // deadline when the request carries none. When ctx is cancelled before a
 // worker takes the request, it is marked cancelled and shed at execution
-// time instead of being run for nobody (and its image released).
+// time instead of being run for nobody.
+//
+// The image belongs to the caller again exactly when Detect returns a nil
+// error: every read a server goroutine made of req.Image has returned by
+// then, and none follows, whichever path answered — an execution of this
+// request, the result cache or its hot tier, a coalesced leader's execution,
+// or this request's re-execution after its leader failed. The caller may
+// then recycle the pixels. On any error — a watchdog abandonment, a
+// cancelled ctx, a shed, a rejection — an execution may still be reading
+// them, so they must be left to the garbage collector.
 func (s *Server) Detect(ctx context.Context, req Request) (Result, error) {
 	if req.Deadline.IsZero() {
 		if d, ok := ctx.Deadline(); ok {
@@ -750,5 +759,6 @@ func (s *Server) Snapshot() Snapshot {
 			snap.ReplicatedHitRate = float64(stats.HotHits) / float64(stats.Hits)
 		}
 	}
+	snap.Runtime = readRuntime()
 	return snap
 }

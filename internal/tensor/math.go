@@ -284,24 +284,29 @@ func SoftmaxRowsInto(out, t *Tensor) {
 	mustSameShape("SoftmaxRowsInto", out, t)
 	r, c := t.Shape[0], t.Shape[1]
 	for i := 0; i < r; i++ {
-		row := t.Data[i*c : (i+1)*c]
-		o := out.Data[i*c : (i+1)*c]
-		m := row[0]
-		for _, v := range row[1:] {
-			if v > m {
-				m = v
-			}
+		SoftmaxRow(out.Data[i*c:(i+1)*c], t.Data[i*c:(i+1)*c])
+	}
+}
+
+// SoftmaxRow writes the softmax of row into out (len(row) values; out ==
+// row works in place), accumulated in float64: the one softmax body
+// SoftmaxRowsInto runs per row and detection decode runs per token.
+func SoftmaxRow(out, row []float32) {
+	m := row[0]
+	for _, v := range row[1:] {
+		if v > m {
+			m = v
 		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(float64(v - m))
-			o[j] = float32(e)
-			sum += e
-		}
-		inv := float32(1 / sum)
-		for j := range o {
-			o[j] *= inv
-		}
+	}
+	var sum float64
+	for j, v := range row {
+		e := math.Exp(float64(v - m))
+		out[j] = float32(e)
+		sum += e
+	}
+	inv := float32(1 / sum)
+	for j := range row {
+		out[j] *= inv
 	}
 }
 

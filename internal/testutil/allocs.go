@@ -13,6 +13,13 @@ import "runtime"
 // width's pools are warm. The count is process-wide (runtime.MemStats), so
 // nothing else may be allocating meanwhile.
 func AllocsPerRunAt(procs, runs int, fn func()) float64 {
+	objects, _ := MemPerRunAt(procs, runs, fn)
+	return objects
+}
+
+// MemPerRunAt is AllocsPerRunAt with the bytes as well: the heap objects
+// and bytes fn allocates per call, each averaged and truncated the same way.
+func MemPerRunAt(procs, runs int, fn func()) (objects, bytes float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	for i := 0; i < 5; i++ {
 		fn()
@@ -23,5 +30,6 @@ func AllocsPerRunAt(procs, runs int, fn func()) float64 {
 		fn()
 	}
 	runtime.ReadMemStats(&after)
-	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs)),
+		float64((after.TotalAlloc - before.TotalAlloc) / uint64(runs))
 }

@@ -171,10 +171,19 @@ func Decode(cfg Config, out *tensor.Tensor, objThresh, nmsIoU float64) []geom.Sc
 	if out.Dims() != 2 || out.Shape[0] != t || out.Shape[1] != width {
 		panic(fmt.Sprintf("vit: Decode output shape %v, want (%d,%d)", out.Shape, t, width))
 	}
-	g := cfg.Grid()
-	var dets []geom.Scored
+	var ws Workspace
+	return ws.decode(cfg, out.Data, objThresh, nmsIoU)
+}
+
+// decode is Decode on one image's head rows (Tokens·(5+Classes) values),
+// read in place, with the class probabilities and the candidates before NMS
+// in ws. Only the NMS result is fresh.
+func (ws *Workspace) decode(cfg Config, out []float32, objThresh, nmsIoU float64) []geom.Scored {
+	t, width, g := cfg.Tokens(), cfg.DetWidth(), cfg.Grid()
+	probs := ws.F32(cfg.Classes)
+	dets := ws.cands[:0]
 	for ti := 0; ti < t; ti++ {
-		row := out.Data[ti*width : (ti+1)*width]
+		row := out[ti*width : (ti+1)*width]
 		obj := float64(nn.Sigmoid(row[0]))
 		if obj < objThresh {
 			continue
@@ -192,8 +201,8 @@ func Decode(cfg Config, out *tensor.Tensor, objThresh, nmsIoU float64) []geom.Sc
 			}
 		}
 		// Score = objectness * class confidence.
-		clsProbs := tensor.SoftmaxRows(tensor.FromSlice(append([]float32(nil), row[5:]...), 1, cfg.Classes))
-		score := obj * float64(clsProbs.Data[cls])
+		tensor.SoftmaxRow(probs, row[5:])
+		score := obj * float64(probs[cls])
 		dets = append(dets, geom.Scored{
 			Box: geom.Box{
 				X: (float64(gx) + fx) / float64(g),
@@ -205,5 +214,6 @@ func Decode(cfg Config, out *tensor.Tensor, objThresh, nmsIoU float64) []geom.Sc
 			Score: score,
 		})
 	}
+	ws.cands = dets
 	return geom.NMS(dets, nmsIoU)
 }

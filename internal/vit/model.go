@@ -165,6 +165,10 @@ func (m *Model) Linear(_ *Workspace, s Site, out, x *tensor.Tensor) {
 		l = m.Blocks[s.Block].MLP1
 	case MLP2:
 		l = m.Blocks[s.Block].MLP2
+	case Det:
+		l = m.Det
+	case Cls:
+		l = m.Cls
 	}
 	gemmLinear(out, x, l)
 }
@@ -306,14 +310,21 @@ func (m *Model) Params() []*nn.Param {
 func (m *Model) NumParams() int { return nn.CountParams(m.Params()) }
 
 // Patchify converts a batch of (C,H,W) images into the packed
-// (B*Tokens, PatchDim) layout the model consumes. Patches are extracted in
+// (B*Tokens, PatchDim) layout the model consumes: training's batch packer
+// (Detect gathers into its workspace instead). Patches are extracted in
 // row-major grid order; within a patch, values are ordered channel-major
 // (c, then y, then x), matching the Workload the hardware mapper assumes.
 func Patchify(cfg Config, images []*tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(len(images)*cfg.Tokens(), cfg.PatchDim())
+	gather(cfg, out.Data, images)
+	return out
+}
+
+// gather writes the patches of images into dst in Patchify's layout.
+func gather(cfg Config, dst []float32, images []*tensor.Tensor) {
 	g := cfg.Grid()
 	p := cfg.PatchSize
 	pd := cfg.PatchDim()
-	out := tensor.New(len(images)*cfg.Tokens(), pd)
 	for bi, img := range images {
 		if img.Dims() != 3 || img.Shape[0] != cfg.Channels || img.Shape[1] != cfg.ImageSize || img.Shape[2] != cfg.ImageSize {
 			panic(fmt.Sprintf("vit: Patchify image %d has shape %v, want (%d,%d,%d)",
@@ -321,7 +332,7 @@ func Patchify(cfg Config, images []*tensor.Tensor) *tensor.Tensor {
 		}
 		for gy := 0; gy < g; gy++ {
 			for gx := 0; gx < g; gx++ {
-				row := out.Data[(bi*cfg.Tokens()+gy*g+gx)*pd:]
+				row := dst[(bi*cfg.Tokens()+gy*g+gx)*pd:]
 				k := 0
 				for c := 0; c < cfg.Channels; c++ {
 					for y := 0; y < p; y++ {
@@ -333,5 +344,4 @@ func Patchify(cfg Config, images []*tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return out
 }

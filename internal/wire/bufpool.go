@@ -3,6 +3,7 @@ package wire
 import (
 	"io"
 	"sync"
+	"unsafe"
 )
 
 // Body buffers are pooled in size classes so steady-state ingress makes no
@@ -41,6 +42,20 @@ func (b *Buf) Release() {
 	b.n = 0
 	b.class = -1 // double-Release becomes a no-op instead of a double-free
 	bufPools[c].Put(b)
+}
+
+// pixels returns n float32s for decoded pixels and the pooled buffer they
+// live in: the smallest body class that holds them, viewed as words (a class
+// array is at least 16 KiB, so the heap aligns it for any word). An image
+// under a quarter of the smallest class gets a plain slice and no buffer: a
+// class would mostly hold nothing, and a hostile body declaring a huge shape
+// over a few values buys no more memory than those values.
+func pixels(n int) ([]float32, *Buf) {
+	if 4*n < bufClasses[0]/4 {
+		return make([]float32, n), nil
+	}
+	b := GetBuf(4 * n)
+	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(b.b))), n), b
 }
 
 // GetBuf returns a pooled buffer whose capacity is at least sizeHint (the

@@ -55,8 +55,9 @@ var (
 // accepted does not depend on which decoder a door links.
 const maxJSONDepth = 10000
 
-// detectBlock is everything a decoded body points at except its pixels and
-// strings, so a decode is one allocation for the lot.
+// detectBlock is everything a decoded body points at except its pixels,
+// which are pooled, and its strings, so a decode is one allocation for the
+// lot.
 type detectBlock struct {
 	body  DetectBody
 	image DetectImage
@@ -95,8 +96,10 @@ const (
 // the rest. A caller with no size of its own (the gateway) passes 0 and gets
 // the binary frame's structural bound instead. The result shares no memory
 // with body — strings and pixels are copies — so the pooled buffer body
-// came from may be released as soon as DecodeDetect returns. Errors are fit
-// for HTTP 400. The caller still owes DetectBody.Check.
+// came from may be released as soon as DecodeDetect returns. The pixels are
+// decoded into pooled memory: DetectBody.Release returns it once nothing
+// reads them. Errors are fit for HTTP 400. The caller still owes
+// DetectBody.Check.
 func DecodeDetect(body []byte, imageSize int) (*DetectBody, error) {
 	d := decoder{b: body, max: maxFrameElems}
 	if imageSize > 0 {
@@ -109,6 +112,7 @@ func DecodeDetect(body []byte, imageSize int) (*DetectBody, error) {
 			return nil, d.syntax("body must be a JSON object")
 		}
 		if err := d.object(bodyFields, 1, func(f int) error { return d.bodyMember(blk, f) }); err != nil {
+			blk.body.Release()
 			return nil, err
 		}
 	}
@@ -117,6 +121,7 @@ func DecodeDetect(body []byte, imageSize int) (*DetectBody, error) {
 	// is how two readers come to disagree on where a body ends, which is
 	// how smuggled payloads start.
 	if d.i != len(d.b) {
+		blk.body.Release()
 		return nil, errTrailingData
 	}
 	return &blk.body, nil
@@ -363,7 +368,8 @@ func (d *decoder) imageMember(blk *detectBlock, f int) error {
 			return fmt.Errorf("%w: data has more than %d values", errTooLarge, bound)
 		}
 		if n == 0 {
-			img.Data = make([]float32, 0, min(bound, (len(d.b)-d.i)/2+1))
+			img.Data, blk.body.pixels = pixels(min(bound, (len(d.b)-d.i)/2+1))
+			img.Data = img.Data[:0]
 		}
 		var v float32
 		if d.peek() != 'n' || !d.null() {

@@ -309,7 +309,8 @@ func TestDecodeDetectTightenings(t *testing.T) {
 // A body must cost what the caller's image costs, and never more than the
 // body itself: the decoder stops at the first value past the bound, whatever
 // follows, and a declared shape buys no memory the bytes behind it could not
-// fill.
+// fill. An image's pixels come from the smallest pooled class that holds
+// them, which is all a pool miss can cost.
 func TestDecodeDetectHostileBodyIsBounded(t *testing.T) {
 	const size = 32
 	allPixels := []byte(`{"task":"t","image":{"data":[` + strings.Repeat("0,", MaxBodyBytes/2-32) + `0]}}`)
@@ -329,7 +330,7 @@ func TestDecodeDetectHostileBodyIsBounded(t *testing.T) {
 		size     int
 		maxBytes uint64
 	}{
-		{"4 MiB of pixels at the shard", allPixels, size, 4 * 3 * size * size},
+		{"4 MiB of pixels at the shard", allPixels, size, uint64(bufClasses[0])}, // holds 4·3·size·size
 		// The gateway has no image size, only the frame's 2^20-value bound: a
 		// 55-byte body declaring that many values must not be handed 4 MiB.
 		{"big shape, one pixel, at the gateway", []byte(`{"task":"x","image":{"shape":[1,1,1048576],"data":[0]}}`), 0, 64},

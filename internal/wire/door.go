@@ -80,6 +80,19 @@ type DetectBody struct {
 	Image     *DetectImage `json:"image,omitempty"`
 	Scene     *DetectScene `json:"scene,omitempty"`
 	TimeoutMS int          `json:"timeout_ms,omitempty"`
+
+	// pixels is the pooled buffer Image.Data lives in, nil when there is
+	// none (see the function pixels).
+	pixels *Buf
+}
+
+// Release hands the decoded pixels back to the pool they were decoded into,
+// after which any goroutine may overwrite Image.Data. Call it only once
+// nothing will read the pixels again; a body never released leaves them to
+// the garbage collector, which is always safe. A second Release is a no-op.
+func (b *DetectBody) Release() {
+	b.pixels.Release()
+	b.pixels = nil
 }
 
 // DetectImage is a detect body's raw-pixel payload: row-major (C,H,W).
@@ -137,8 +150,9 @@ func (b *DetectBody) Check(imageSize int) error {
 // against imageSize. Both decoders fill a DetectBody and both end in Check,
 // so the two encodings cannot disagree about what a valid request is, and
 // the gateway's tests hold routeKey to this verdict rather than to a copy of
-// it. The result shares no memory with body. Errors are fit for HTTP 400;
-// the function must never panic, whatever the bytes.
+// it. The result shares no memory with body; its pixels are pooled memory
+// (see Release). Errors are fit for HTTP 400; the function must never
+// panic, whatever the bytes.
 func ParseDetect(contentType string, body []byte, imageSize int) (*DetectBody, error) {
 	var dr *DetectBody
 	var err error
@@ -151,14 +165,16 @@ func ParseDetect(contentType string, body []byte, imageSize int) (*DetectBody, e
 		return nil, err
 	}
 	if err := dr.Check(imageSize); err != nil {
+		dr.Release() // nothing outside this function has seen the pixels
 		return nil, err
 	}
 	return dr, nil
 }
 
-// decodeFrame copies the payload out of body: body is a pooled buffer the
-// handler releases on return, while a watchdog-abandoned execution may keep
-// reading the image long after that, so the pixels must not alias it.
+// decodeFrame decodes the payload out of body into pooled pixels: body is a
+// pooled buffer the handler releases on return, while a watchdog-abandoned
+// execution may keep reading the image long after that, so the pixels must
+// not alias it.
 func decodeFrame(body []byte) (*DetectBody, error) {
 	fr, err := ParseFrame(body)
 	if err != nil {
@@ -167,12 +183,15 @@ func decodeFrame(body []byte) (*DetectBody, error) {
 		}
 		return nil, err
 	}
-	img := &DetectImage{Shape: fr.Shape[:], Data: make([]float32, fr.Elems())}
-	Float32s(fr.Payload, img.Data)
-	return &DetectBody{
+	blk := &detectBlock{shape: fr.Shape}
+	blk.body = DetectBody{
 		Task:      string(fr.Task),
 		Tenant:    string(fr.Tenant),
 		TimeoutMS: int(fr.TimeoutMS),
-		Image:     img,
-	}, nil
+		Image:     &blk.image,
+	}
+	blk.image.Shape = blk.shape[:]
+	blk.image.Data, blk.body.pixels = pixels(fr.Elems())
+	Float32s(fr.Payload, blk.image.Data)
+	return &blk.body, nil
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"itask/internal/testutil"
 )
 
 func testFrame(t *testing.T) []byte {
@@ -169,8 +171,11 @@ func testFrameSeed() []byte {
 	return AppendFrame(nil, "patrol", "acme", 250, [3]int{3, 2, 2}, make([]float32, 12))
 }
 
-// The steady-state binary ingest path — pooled body read plus frame decode
-// — must make zero allocations per request.
+// The steady-state binary ingest path — pooled body read, frame decode, and
+// the payload decoded into pooled pixels — must make zero allocations per
+// request once the body and the pixels go back to their pool. (Under -race
+// sync.Pool drops a quarter of its puts: two buffers of two objects each
+// come to one reallocated object per op on average.)
 func TestBinaryIngestZeroAllocs(t *testing.T) {
 	data := make([]float32, 3*32*32)
 	for i := range data {
@@ -193,12 +198,20 @@ func TestBinaryIngestZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ParseFrame(buf.Bytes()); err != nil {
+		fr, err := ParseFrame(buf.Bytes())
+		if err != nil {
 			t.Fatal(err)
 		}
+		px, pb := pixels(fr.Elems())
+		Float32s(fr.Payload, px)
 		buf.Release()
+		pb.Release()
 	})
-	if allocs != 0 {
-		t.Fatalf("pooled read + frame decode allocates %.1f/op, want 0", allocs)
+	want := 0.0
+	if testutil.Race {
+		want = 1
+	}
+	if allocs > want {
+		t.Fatalf("pooled read + frame decode + pixels allocates %.1f/op, want %.0f", allocs, want)
 	}
 }

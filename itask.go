@@ -531,10 +531,11 @@ type ModelInfo struct {
 }
 
 // filterByPriors applies a task's knowledge-graph priors to raw
-// detections: classes below PriorThreshold are dropped, survivors are
-// annotated with their relevance and sorted by score.
+// detections: classes below PriorThreshold are dropped and survivors are
+// annotated with their relevance. raw comes from NMS in descending score
+// order, and dropping keeps it.
 func (p *Pipeline) filterByPriors(ts *taskState, raw []geom.Scored) []Detection {
-	var out []Detection
+	out := make([]Detection, 0, len(raw))
 	for _, d := range raw {
 		rel := ts.priors[d.Class]
 		if rel < p.opts.PriorThreshold {
@@ -548,7 +549,9 @@ func (p *Pipeline) filterByPriors(ts *taskState, raw []geom.Scored) []Detection 
 			Relevance: rel,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Score > out[j].Score })
+	if len(out) == 0 {
+		return nil
+	}
 	return out
 }
 
@@ -559,7 +562,7 @@ func (p *Pipeline) modelInfo(model *sched.Model, batch int) ModelInfo {
 	return ModelInfo{
 		Name:      model.Name,
 		Kind:      model.Kind.String(),
-		Artifact:  model.ID.String(),
+		Artifact:  model.IDString(),
 		LatencyUS: cost.latencyUS,
 		EnergyUJ:  cost.energyUJ,
 	}
