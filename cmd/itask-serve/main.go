@@ -103,6 +103,7 @@ import (
 
 	"itask"
 	"itask/internal/dataset"
+	"itask/internal/kernels"
 	"itask/internal/serve"
 	"itask/internal/tensor"
 	"itask/internal/wire"
@@ -259,8 +260,8 @@ func main() {
 		_ = srv.Shutdown(ctx)
 	}()
 
-	fmt.Fprintf(os.Stderr, "itask-serve: listening on %s (workers=%d queue=%d watchdog=%v breaker=%d)\n",
-		ln.Addr(), o.cfg.Workers, o.cfg.QueueCap, o.cfg.Watchdog, o.cfg.BreakerThreshold)
+	fmt.Fprintf(os.Stderr, "itask-serve: listening on %s (workers=%d queue=%d watchdog=%v breaker=%d int8-gemm=%s)\n",
+		ln.Addr(), o.cfg.Workers, o.cfg.QueueCap, o.cfg.Watchdog, o.cfg.BreakerThreshold, kernels.GemmI8Body())
 	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}

@@ -125,19 +125,32 @@ func quantizeRowsI8Go(dst []int8, scales []float32, sums []int32, src []float32,
 //
 //	acc[i*n+o] = Σ_t int32(a[i*k+t]) * int32(w[o*k+t])
 //
-// The assembly takes one activation row against four weight rows per step
-// (VPMOVSXBW widens 16 codes, VPMADDWD multiplies and pair-sums them into
-// eight int32 lanes), for any k and any n.
-func GemmI8(acc []int32, a, w []int8, m, k, n int) {
-	need(m >= 0 && k >= 0 && n >= 0 && len(a) >= m*k && len(w) >= n*k && len(acc) >= m*n)
+// wsums must hold each weight row's sum, wsums[o] = Σ_t w[o*k+t] (the
+// RowSums a quantized weight carries); the VNNI body's answer depends on it.
+//
+// Both assembly bodies take two activation rows against four weight rows
+// per step, for any k and any n. The AVX2 body widens 16 codes with
+// VPMOVSXBW and multiplies and pair-sums them into eight int32 lanes with
+// VPMADDWD. The VNNI body sums four u8×s8 products into each of eight
+// int32 lanes with one VPDPBUSD, 32 codes a step; its unsigned operand is
+// the activation biased by 128 (a XOR 0x80), so it computes
+// Σ_t (a+128)·w = Σ_t a·w + 128·wsums[o] and subtracts 128·wsums[o]. Every
+// code, the k mod 4 last ones included, goes through the biased sum, and
+// int32 arithmetic wraps alike on both sides, so the answer is the exact
+// sum either way.
+func GemmI8(acc []int32, a, w []int8, wsums []int32, m, k, n int) {
+	need(m >= 0 && k >= 0 && n >= 0 && len(a) >= m*k && len(w) >= n*k && len(wsums) >= n && len(acc) >= m*n)
 	if m == 0 || n == 0 {
 		return
 	}
-	if useAsm && k > 0 {
+	switch {
+	case k == 0 || !useAsm:
+		gemmI8Go(acc, a, w, m, k, n)
+	case useVNNI:
+		gemmI8VNNIAsm(&acc[0], &a[0], &w[0], &wsums[0], m, k, n)
+	default:
 		gemmI8Asm(&acc[0], &a[0], &w[0], m, k, n)
-		return
 	}
-	gemmI8Go(acc, a, w, m, k, n)
 }
 
 func gemmI8Go(acc []int32, a, w []int8, m, k, n int) {

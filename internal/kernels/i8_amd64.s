@@ -1,8 +1,9 @@
 //go:build !noasm
 
-// AVX2 bodies of the int8 linear layer's micro-kernels (i8.go). No FMA and
-// no reciprocal anywhere: each float step is the same single IEEE operation
-// the Go reference performs, so the two agree bit for bit.
+// AVX2 bodies of the int8 linear layer's micro-kernels (i8.go), and the
+// GEMM's AVX512_VNNI body. No FMA and no reciprocal anywhere: each float
+// step is the same single IEEE operation the Go reference performs, so the
+// two agree bit for bit.
 
 #include "textflag.h"
 #include "tailmask_amd64.h"
@@ -483,6 +484,246 @@ gi8_next:
 	LEAQ (SI)(CX*2), SI
 	SUBQ $2, R9
 	JG   gi8_rows
+	VZEROUPPER
+	RET
+
+// func gemmI8VNNIAsm(acc *int32, a, w *int8, wsums *int32, m, k, n int)
+//
+// m, k, n ≥ 1; wsums[o] = Σ_t w[o*k+t]. gemmI8Asm's tiling — two
+// activation rows (SI, R10) against panels of four weight rows (R8, R11,
+// R12, R13), the sums of the first activation row in Y0-Y3 and of the
+// second in Y4-Y7, missing rows of a last tile or panel aliased and their
+// sums not stored — with the products on the EVEX VPDPBUSD, which adds
+// four u8×s8 products into each int32 lane. The activation codes are its
+// unsigned operand after an XOR with 0x80 (Y15), which maps a to a+128, so
+// each lane sums (a+128)·w; every code goes through that sum — k 32, 16, 8
+// and 4 codes a step, the narrower steps loaded into xmm (upper lanes 0, so
+// they add 0·w), and the last k mod 4 one at a time as a+128 — and the
+// store subtracts 128·wsums[o] from each of the panel's sums, leaving
+// Σ_t a·w. The EVEX instructions use ymm registers only, never an xmm
+// destination (which would clear a live upper lane), and no opmask.
+TEXT ·gemmI8VNNIAsm(SB), NOSPLIT, $0-56
+	MOVQ         acc+0(FP), DI
+	MOVQ         a+8(FP), SI
+	MOVQ         m+32(FP), R9
+	MOVQ         k+40(FP), CX
+	MOVL         $0x80808080, AX
+	VMOVD        AX, X15
+	VPBROADCASTD X15, Y15
+
+gv_rows:
+	MOVQ SI, R10
+	CMPQ R9, $2
+	JL   gv_one_row
+	LEAQ (SI)(CX*1), R10
+
+gv_one_row:
+	MOVQ w+16(FP), R8
+	MOVQ n+48(FP), DX
+
+gv_panel:
+	MOVQ R8, R11
+	MOVQ R8, R12
+	MOVQ R8, R13
+	CMPQ DX, $2
+	JL   gv_zero
+	LEAQ (R8)(CX*1), R11
+	CMPQ DX, $3
+	JL   gv_zero
+	LEAQ (R11)(CX*1), R12
+	CMPQ DX, $4
+	JL   gv_zero
+	LEAQ (R12)(CX*1), R13
+
+gv_zero:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	XORQ  BX, BX
+
+gv_k32:
+	LEAQ     32(BX), AX
+	CMPQ     AX, CX
+	JG       gv_k16
+	VPXOR    (SI)(BX*1), Y15, Y8
+	VPXOR    (R10)(BX*1), Y15, Y9
+	VMOVDQU  (R8)(BX*1), Y10
+	VMOVDQU  (R11)(BX*1), Y11
+	VMOVDQU  (R12)(BX*1), Y12
+	VMOVDQU  (R13)(BX*1), Y13
+	VPDPBUSD Y10, Y8, Y0
+	VPDPBUSD Y10, Y9, Y4
+	VPDPBUSD Y11, Y8, Y1
+	VPDPBUSD Y11, Y9, Y5
+	VPDPBUSD Y12, Y8, Y2
+	VPDPBUSD Y12, Y9, Y6
+	VPDPBUSD Y13, Y8, Y3
+	VPDPBUSD Y13, Y9, Y7
+	MOVQ     AX, BX
+	JMP      gv_k32
+
+gv_k16:
+	LEAQ     16(BX), AX
+	CMPQ     AX, CX
+	JG       gv_k8
+	VPXOR    (SI)(BX*1), X15, X8
+	VPXOR    (R10)(BX*1), X15, X9
+	VMOVDQU  (R8)(BX*1), X10
+	VMOVDQU  (R11)(BX*1), X11
+	VMOVDQU  (R12)(BX*1), X12
+	VMOVDQU  (R13)(BX*1), X13
+	VPDPBUSD Y10, Y8, Y0
+	VPDPBUSD Y10, Y9, Y4
+	VPDPBUSD Y11, Y8, Y1
+	VPDPBUSD Y11, Y9, Y5
+	VPDPBUSD Y12, Y8, Y2
+	VPDPBUSD Y12, Y9, Y6
+	VPDPBUSD Y13, Y8, Y3
+	VPDPBUSD Y13, Y9, Y7
+	MOVQ     AX, BX
+
+gv_k8:
+	LEAQ     8(BX), AX
+	CMPQ     AX, CX
+	JG       gv_k4
+	VMOVQ    (SI)(BX*1), X8
+	VPXOR    X15, X8, X8
+	VMOVQ    (R10)(BX*1), X9
+	VPXOR    X15, X9, X9
+	VMOVQ    (R8)(BX*1), X10
+	VMOVQ    (R11)(BX*1), X11
+	VMOVQ    (R12)(BX*1), X12
+	VMOVQ    (R13)(BX*1), X13
+	VPDPBUSD Y10, Y8, Y0
+	VPDPBUSD Y10, Y9, Y4
+	VPDPBUSD Y11, Y8, Y1
+	VPDPBUSD Y11, Y9, Y5
+	VPDPBUSD Y12, Y8, Y2
+	VPDPBUSD Y12, Y9, Y6
+	VPDPBUSD Y13, Y8, Y3
+	VPDPBUSD Y13, Y9, Y7
+	MOVQ     AX, BX
+
+gv_k4:
+	LEAQ     4(BX), AX
+	CMPQ     AX, CX
+	JG       gv_reduce
+	VMOVD    (SI)(BX*1), X8
+	VPXOR    X15, X8, X8
+	VMOVD    (R10)(BX*1), X9
+	VPXOR    X15, X9, X9
+	VMOVD    (R8)(BX*1), X10
+	VMOVD    (R11)(BX*1), X11
+	VMOVD    (R12)(BX*1), X12
+	VMOVD    (R13)(BX*1), X13
+	VPDPBUSD Y10, Y8, Y0
+	VPDPBUSD Y10, Y9, Y4
+	VPDPBUSD Y11, Y8, Y1
+	VPDPBUSD Y11, Y9, Y5
+	VPDPBUSD Y12, Y8, Y2
+	VPDPBUSD Y12, Y9, Y6
+	VPDPBUSD Y13, Y8, Y3
+	VPDPBUSD Y13, Y9, Y7
+	MOVQ     AX, BX
+
+gv_reduce:
+	// As gemmI8Asm: the four biased sums of the first activation row in X0,
+	// of the second in X4.
+	VPHADDD      Y1, Y0, Y0
+	VPHADDD      Y3, Y2, Y2
+	VPHADDD      Y2, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0
+	VPHADDD      Y5, Y4, Y4
+	VPHADDD      Y7, Y6, Y6
+	VPHADDD      Y6, Y4, Y4
+	VEXTRACTI128 $1, Y4, X5
+	VPADDD       X5, X4, X4
+
+gv_k1:
+	CMPQ         BX, CX
+	JGE          gv_store
+	MOVBLSX      (R8)(BX*1), AX
+	VMOVD        AX, X5
+	MOVBLSX      (R11)(BX*1), AX
+	VPINSRD      $1, AX, X5, X5
+	MOVBLSX      (R12)(BX*1), AX
+	VPINSRD      $2, AX, X5, X5
+	MOVBLSX      (R13)(BX*1), AX
+	VPINSRD      $3, AX, X5, X5
+	MOVBLZX      (SI)(BX*1), AX
+	XORL         $0x80, AX
+	VMOVD        AX, X6
+	VPBROADCASTD X6, X6
+	VPMULLD      X6, X5, X6
+	VPADDD       X6, X0, X0
+	MOVBLZX      (R10)(BX*1), AX
+	XORL         $0x80, AX
+	VMOVD        AX, X6
+	VPBROADCASTD X6, X6
+	VPMULLD      X6, X5, X6
+	VPADDD       X6, X4, X4
+	INCQ         BX
+	JMP          gv_k1
+
+gv_store:
+	// BX points at the panel's row sums, AX at the second activation row's
+	// outputs for it.
+	MOVQ n+48(FP), AX
+	SUBQ DX, AX
+	MOVQ wsums+24(FP), BX
+	LEAQ (BX)(AX*4), BX
+	MOVQ n+48(FP), AX
+	LEAQ (DI)(AX*4), AX
+	CMPQ DX, $4
+	JL   gv_partial
+	VMOVDQU (BX), X13
+	VPSLLD  $7, X13, X13
+	VPSUBD  X13, X0, X0
+	VPSUBD  X13, X4, X4
+	VMOVDQU X0, (DI)
+	CMPQ    R9, $2
+	JL      gv_stored4
+	VMOVDQU X4, (AX)
+
+gv_stored4:
+	ADDQ $16, DI
+	LEAQ (R13)(CX*1), R8
+	SUBQ $4, DX
+	JNZ  gv_panel
+	JMP  gv_next
+
+gv_partial:
+	// The last panel, fewer than four rows: its row sums read and its
+	// outputs written under the dword mask X14 (R11 is free from here).
+	SHLQ       $2, DX
+	LEAQ       ·tailMask+32(SB), R11
+	SUBQ       DX, R11
+	VMOVDQU    (R11), X14
+	VPMASKMOVD (BX), X14, X13
+	VPSLLD     $7, X13, X13
+	VPSUBD     X13, X0, X0
+	VPSUBD     X13, X4, X4
+	VPMASKMOVD X0, X14, (DI)
+	CMPQ       R9, $2
+	JL         gv_stored
+	VPMASKMOVD X4, X14, (AX)
+
+gv_stored:
+	ADDQ DX, DI
+
+gv_next:
+	// DI is at the second activation row's sums: step over them.
+	MOVQ n+48(FP), AX
+	LEAQ (DI)(AX*4), DI
+	LEAQ (SI)(CX*2), SI
+	SUBQ $2, R9
+	JG   gv_rows
 	VZEROUPPER
 	RET
 

@@ -27,12 +27,23 @@ func naiveGemmI8(a, w []int8, m, k, n int) []int32 {
 	return acc
 }
 
+// rowSumsI8 is each of the n rows of w summed, GemmI8's wsums.
+func rowSumsI8(w []int8, k, n int) []int32 {
+	sums := make([]int32, n)
+	for o := range sums {
+		for _, q := range w[o*k : (o+1)*k] {
+			sums[o] += int32(q)
+		}
+	}
+	return sums
+}
+
 func checkGemmI8(t *testing.T, a, w []int8, m, k, n int) {
 	t.Helper()
 	want := naiveGemmI8(a, w, m, k, n)
 	got := make([]int32, m*n+1)
 	got[m*n] = 0x5a5a5a5a // a store past the last output would clobber this
-	GemmI8(got, a, w, m, k, n)
+	GemmI8(got, a, w, rowSumsI8(w, k, n), m, k, n)
 	for i, v := range want {
 		if got[i] != v {
 			t.Fatalf("GemmI8 m=%d k=%d n=%d: acc[%d] = %d, want %d", m, k, n, i, got[i], v)
@@ -52,16 +63,18 @@ func TestGemmI8EveryShape(t *testing.T) {
 				checkGemmI8(t, randI8(rng, m*k), randI8(rng, n*k), m, k, n)
 			}
 		}
-		// The generalist's shapes (k, n) at one image's 16 tokens: embed, qkv,
-		// proj, the two MLP layers, attention scores and context, and the
-		// detection head, whose n is not a multiple of four.
-		for _, s := range [][2]int{{192, 48}, {48, 144}, {48, 48}, {48, 96}, {96, 48}, {12, 16}, {16, 12}, {48, 19}} {
+		for _, s := range generalistShapes {
 			checkGemmI8(t, randI8(rng, 16*s[0]), randI8(rng, s[1]*s[0]), 16, s[0], s[1])
 		}
-		checkGemmI8(t, nil, nil, 3, 0, 5) // k = 0: every sum is zero
-		GemmI8(nil, nil, nil, 0, 4, 0)    // nothing to do, nothing touched
+		checkGemmI8(t, nil, nil, 3, 0, 5)   // k = 0: every sum is zero
+		GemmI8(nil, nil, nil, nil, 0, 4, 0) // nothing to do, nothing touched
 	})
 }
+
+// generalistShapes are the int8 generalist's GEMM shapes (k, n) at one
+// image's 16 tokens: embed, qkv, proj, the two MLP layers, attention scores
+// and context, and the detection head, whose n is not a multiple of four.
+var generalistShapes = [][2]int{{192, 48}, {48, 144}, {48, 48}, {48, 96}, {96, 48}, {12, 16}, {16, 12}, {48, 19}}
 
 func TestGemmI8UnalignedAndExtremes(t *testing.T) {
 	withAsm(t, func(t *testing.T) {
@@ -71,17 +84,24 @@ func TestGemmI8UnalignedAndExtremes(t *testing.T) {
 		for off := 0; off < 9; off++ {
 			checkGemmI8(t, abase[off:off+m*k], wbase[off+1:off+1+n*k], m, k, n)
 		}
-		// Saturation check: the widening multiply must hold 128·128 and the
-		// pair sums of VPMADDWD must not clip at k = 96.
+		// The extremes, activations and weights each all −128 or all 127,
+		// for three activation rows (a last tile of one) against five weight
+		// rows (a partial panel). The AVX2 body's widening multiply must hold
+		// 128·128 and VPMADDWD's pair sums must not clip. The VNNI body's
+		// identity Σ a·w = Σ (a+128)·w − 128·Σ w must hold with the biased
+		// activation at 0 and at 255, at every k to 192: each step width and
+		// every k mod 4.
 		for _, v := range [][2]int8{{-128, -128}, {127, -128}, {-128, 127}, {127, 127}} {
-			a, w := make([]int8, 2*96), make([]int8, 5*96)
-			for i := range a {
-				a[i] = v[0]
+			for k := 1; k <= 192; k++ {
+				a, w := make([]int8, 3*k), make([]int8, 5*k)
+				for i := range a {
+					a[i] = v[0]
+				}
+				for i := range w {
+					w[i] = v[1]
+				}
+				checkGemmI8(t, a, w, 3, k, 5)
 			}
-			for i := range w {
-				w[i] = v[1]
-			}
-			checkGemmI8(t, a, w, 2, 96, 5)
 		}
 	})
 }
@@ -387,9 +407,11 @@ func TestShortOperandPanics(t *testing.T) {
 		"GemmF32/ldw":         func() { GemmF32(f32, f32, f32, nil, 2, 16, 2, 2, 16, 15) },
 		"GemmF32/ldc":         func() { GemmF32(f32, f32, f32, nil, 2, 16, 2, 1, 16, 16) },
 		"GemmF32/strided":     func() { GemmF32(f32, f32, f32, nil, 2, 16, 2, 2, 17, 16) },
-		"GemmI8/a":            func() { GemmI8(i32, i8[:31], i8, 2, 16, 2) },
-		"GemmI8/w":            func() { GemmI8(i32, i8, i8[:31], 2, 16, 2) },
-		"GemmI8/acc":          func() { GemmI8(i32[:3], i8, i8, 2, 16, 2) },
+		"GemmI8/a":            func() { GemmI8(i32, i8[:31], i8, i32, 2, 16, 2) },
+		"GemmI8/w":            func() { GemmI8(i32, i8, i8[:31], i32, 2, 16, 2) },
+		"GemmI8/wsums":        func() { GemmI8(i32, i8, i8, i32[:1], 2, 16, 2) },
+		"GemmI8/acc":          func() { GemmI8(i32[:3], i8, i8, i32, 2, 16, 2) },
+		"AddF32":              func() { AddF32(f32[:31], f32) },
 		"DequantI8/out":       func() { DequantI8(f32[:31], i32, i32, f32, nil, 4, 8, 8, 1, 0) },
 		"DequantI8/rowSums":   func() { DequantI8(f32, i32, i32[:7], f32, nil, 4, 8, 8, 1, 0) },
 		"DequantI8/scales":    func() { DequantI8(f32, i32, i32, f32[:7], nil, 4, 8, 8, 1, 0) },
@@ -418,17 +440,30 @@ func TestShortOperandPanics(t *testing.T) {
 	})
 }
 
+// BenchmarkGemmI8 runs every generalist shape at one image's 16 tokens,
+// and qkv at a batch of eight, on each body the host has.
 func BenchmarkGemmI8(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	for _, s := range [][3]int{{16, 48, 144}, {16, 12, 16}, {128, 48, 144}} {
-		m, k, n := s[0], s[1], s[2]
-		a, w, acc := randI8(rng, m*k), randI8(rng, n*k), make([]int32, m*n)
-		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				GemmI8(acc, a, w, m, k, n)
-			}
-			b.ReportMetric(float64(m*k*n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GMAC/s")
-		})
+	shapes := [][3]int{{128, 48, 144}}
+	for _, s := range generalistShapes {
+		shapes = append(shapes, [3]int{16, s[0], s[1]})
+	}
+	for _, bd := range bodies {
+		if !bd.have {
+			continue
+		}
+		for _, s := range shapes {
+			m, k, n := s[0], s[1], s[2]
+			a, w, acc := randI8(rng, m*k), randI8(rng, n*k), make([]int32, m*n)
+			wsums := rowSumsI8(w, k, n)
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", bd.name, m, k, n), func(b *testing.B) {
+				defer bd.use()()
+				for i := 0; i < b.N; i++ {
+					GemmI8(acc, a, w, wsums, m, k, n)
+				}
+				b.ReportMetric(float64(m*k*n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GMAC/s")
+			})
+		}
 	}
 }
 

@@ -2,40 +2,58 @@
 // iTask: the products of both serving models' inference forwards — GemmF32,
 // every float product (gemm.go), and the int8 layers' kernels (range scan
 // and quantize, per-row weight quantize, row-panel GEMM, dequantizing
-// epilogue — i8.go) — their elementwise half, softmax and GELU on one
-// float32 exponential and LayerNorm (vecmath.go), and the fused
+// epilogue — i8.go) — their elementwise half, the residual add, softmax and
+// GELU on one float32 exponential and LayerNorm (vecmath.go), and the fused
 // multiply-add dot/axpy primitives the training GEMMs are built from.
 //
 // Each primitive has two implementations: a portable Go version and an
 // AVX2 assembly version selected at startup by CPUID when the host supports
-// AVX2+FMA. The assembly carries the serving hot path; the Go version is the
-// reference the tests compare it against. Every kernel an inference forward
-// runs agrees with its reference bit for bit: int32 accumulation is
-// associative, and each float step is one correctly rounded IEEE single
-// operation in the same order on both sides, sums taken lane by lane in one
-// fixed tree. Only training's float32 dot/axpy family (this file) is held
-// to float reassociation tolerance instead: its assembly fuses multiply and
-// add.
+// AVX2+FMA. GemmI8 has a third, chosen by the same probe on hosts that also
+// have AVX512_VNNI and AVX512VL: its products on the int8 dot-product
+// instruction VPDPBUSD. The assembly carries the serving hot path; the Go
+// version is the reference the tests compare it against. Every kernel an
+// inference forward runs agrees with its reference bit for bit: int32
+// accumulation is associative, and each float step is one correctly rounded
+// IEEE single operation in the same order on both sides, sums taken lane by
+// lane in one fixed tree. Only training's float32 dot/axpy family (this
+// file) is held to float reassociation tolerance instead: its assembly fuses
+// multiply and add.
 //
-// The package is dependency-free and imported by internal/tensor,
-// internal/quant and internal/vit; keep it that way.
+// The package is dependency-free: internal/tensor, internal/quant and
+// internal/vit run on its kernels, internal/rcache on its hash, and the
+// serving layer reports GemmI8Body. Keep it a leaf.
 package kernels
 
-// useAsm reports whether the AVX2+FMA kernels are active. It is set once at
-// init by the amd64 feature probe and flipped only by tests (via
-// SetAsmEnabled) comparing the two implementations.
-var useAsm bool
+// The body each kernel runs is chosen by two switches, both set once at init
+// by the amd64 feature probe. useAsm selects the assembly over the Go
+// reference for every kernel (the AVX2+FMA bodies); useVNNI, consulted only
+// while useAsm is on, selects GemmI8's VNNI body over its AVX2 one. Tests
+// flip them to run every case through each body: useAsm through
+// SetAsmEnabled, useVNNI directly.
+var useAsm, useVNNI bool
 
 // AsmEnabled reports whether the assembly kernels are in use.
 func AsmEnabled() bool { return useAsm }
 
 // SetAsmEnabled forces the implementation choice; it returns the previous
-// setting. Enabling has no effect on hosts without AVX2+FMA. Only tests and
+// setting. Enabling has no effect on hosts without AVX2+FMA; disabling turns
+// off every assembly body, GemmI8's VNNI one included. Only tests and
 // benchmarks should call this.
 func SetAsmEnabled(on bool) bool {
 	prev := useAsm
 	useAsm = on && asmSupported
 	return prev
+}
+
+// GemmI8Body names the body GemmI8 runs now: "vnni", "avx2" or "go".
+func GemmI8Body() string {
+	switch {
+	case useAsm && useVNNI:
+		return "vnni"
+	case useAsm:
+		return "avx2"
+	}
+	return "go"
 }
 
 // asmCutoff is the vector length below which the call overhead of the

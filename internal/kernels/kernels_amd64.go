@@ -3,10 +3,16 @@
 package kernels
 
 // asmSupported reports AVX2+FMA availability (CPUID plus OS ymm-state
-// support via XGETBV). The assembly kernels require both.
-var asmSupported = detectAVX2FMA()
+// support via XGETBV): the AVX2 bodies of every kernel require both.
+// vnniSupported reports, on top of that, AVX512_VNNI with AVX512VL and OS
+// opmask and zmm-state support: GemmI8's VNNI body needs the EVEX VPDPBUSD
+// on ymm registers.
+var (
+	asmSupported  = detectAVX2FMA()
+	vnniSupported = asmSupported && detectVNNI()
+)
 
-func init() { useAsm = asmSupported }
+func init() { useAsm, useVNNI = asmSupported, vnniSupported }
 
 func detectAVX2FMA() bool {
 	maxID, _, _, _ := cpuid(0, 0)
@@ -29,6 +35,22 @@ func detectAVX2FMA() bool {
 	_, b7, _, _ := cpuid(7, 0)
 	const avx2Bit = 1 << 5
 	return b7&avx2Bit != 0
+}
+
+// detectVNNI is called only once AVX2 and OSXSAVE are known present.
+func detectVNNI() bool {
+	_, b7, c7, _ := cpuid(7, 0)
+	const (
+		avx512vlBit   = 1 << 31 // CPUID.7.0 EBX
+		avx512vnniBit = 1 << 11 // CPUID.7.0 ECX
+	)
+	if b7&avx512vlBit == 0 || c7&avx512vnniBit == 0 {
+		return false
+	}
+	// XCR0 bits 5-7 (opmask, upper zmm0-15, zmm16-31): the OS saves the
+	// EVEX state.
+	xcr0, _ := xgetbv()
+	return xcr0&0xe0 == 0xe0
 }
 
 // Implemented in kernels_amd64.s.
@@ -70,6 +92,9 @@ func quantizeRowsI8Asm(dst *int8, scales *float32, sums *int32, src *float32, ro
 func gemmI8Asm(acc *int32, a, w *int8, m, k, n int)
 
 //go:noescape
+func gemmI8VNNIAsm(acc *int32, a, w *int8, wsums *int32, m, k, n int)
+
+//go:noescape
 func dequantI8Asm(out *float32, acc, rowSums *int32, scales, bias *float32, m, n, ldo int, sa float32, za int32, perChannel int)
 
 // Implemented in gemm_amd64.s.
@@ -78,6 +103,9 @@ func dequantI8Asm(out *float32, acc, rowSums *int32, scales, bias *float32, m, n
 func gemmF32Asm(c, a, w, bias *float32, m, k, n, ldc, lda, ldw int)
 
 // Implemented in vecmath_amd64.s.
+
+//go:noescape
+func addF32Asm(dst, src *float32, n int)
 
 //go:noescape
 func exp32Asm(dst, src *float32, n int)

@@ -5,7 +5,10 @@ package kernels
 // Non-amd64 hosts — and amd64 builds with the asm gated off via the noasm
 // build tag (CI's cross-compile matrix) — always run the portable unrolled
 // Go kernels.
-const asmSupported = false
+const (
+	asmSupported  = false
+	vnniSupported = false
+)
 
 func dotAsm(x, y *float32, n int) float32                         { panic("kernels: no asm") }
 func dot4Asm(x, b0, b1, b2, b3 *float32, n int, out *float32)     { panic("kernels: no asm") }
@@ -15,6 +18,9 @@ func dotI8Asm(a, b *int8, n int) int32                            { panic("kerne
 func hashBlocksAsm(lanes *uint64, p *byte, nblocks int)           { panic("kernels: no asm") }
 func rangeF32Asm(x *float32, rows, cols, ld int) (mn, mx float32) { panic("kernels: no asm") }
 func gemmI8Asm(acc *int32, a, w *int8, m, k, n int)               { panic("kernels: no asm") }
+func gemmI8VNNIAsm(acc *int32, a, w *int8, wsums *int32, m, k, n int) {
+	panic("kernels: no asm")
+}
 func quantizeI8Asm(dst *int8, src *float32, rows, cols, ld int, scale, fl, fh float32, zero int32) {
 	panic("kernels: no asm")
 }
@@ -27,6 +33,7 @@ func dequantI8Asm(out *float32, acc, rowSums *int32, scales, bias *float32, m, n
 func gemmF32Asm(c, a, w, bias *float32, m, k, n, ldc, lda, ldw int) {
 	panic("kernels: no asm")
 }
+func addF32Asm(dst, src *float32, n int)                      { panic("kernels: no asm") }
 func exp32Asm(dst, src *float32, n int)                       { panic("kernels: no asm") }
 func geluF32Asm(dst, src *float32, n int)                     { panic("kernels: no asm") }
 func softmaxF32Asm(x *float32, rows, cols int, scale float32) { panic("kernels: no asm") }

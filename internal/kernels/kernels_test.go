@@ -6,22 +6,59 @@ import (
 	"testing"
 )
 
-// withAsm runs f once with the assembly kernels enabled and once disabled,
-// so every test covers both implementations on hosts that have AVX2.
+// body is one set of kernel bodies a host may run: every kernel's Go
+// reference ("go"), the AVX2 assembly ("asm"), or the AVX2 assembly with
+// GemmI8 on its VNNI body ("vnni").
+type body struct {
+	name      string
+	asm, vnni bool
+	have      bool // the host can run it
+}
+
+var bodies = []body{
+	{"go", false, false, true},
+	{"asm", true, false, asmSupported},
+	{"vnni", true, true, vnniSupported},
+}
+
+// use switches the kernels to b and returns the switch back.
+func (b body) use() (restore func()) {
+	prevAsm, prevVNNI := useAsm, useVNNI
+	useAsm, useVNNI = b.asm, b.vnni
+	return func() { useAsm, useVNNI = prevAsm, prevVNNI }
+}
+
+// withAsm runs f once per body as a subtest named after it, so every test
+// covers each implementation the host has; a body it lacks is a skipped
+// subtest.
 func withAsm(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	for _, on := range []bool{false, true} {
-		prev := SetAsmEnabled(on)
-		name := "go"
-		if on && AsmEnabled() {
-			name = "asm"
-		} else if on {
-			SetAsmEnabled(prev)
-			continue // host has no AVX2+FMA
-		}
-		t.Run(name, f)
-		SetAsmEnabled(prev)
+	for _, b := range bodies {
+		t.Run(b.name, func(t *testing.T) {
+			if !b.have {
+				t.Skipf("this host cannot run the %s body", b.name)
+			}
+			defer b.use()()
+			f(t)
+		})
 	}
+}
+
+// TestGemmI8Body: GemmI8Body names the body each switch setting runs, and
+// SetAsmEnabled(false) turns the VNNI body off with the rest of the
+// assembly. Under -v it logs the body the host serves on.
+func TestGemmI8Body(t *testing.T) {
+	t.Logf("this host serves GemmI8 on its %q body", GemmI8Body())
+	want := map[string]string{"go": "go", "asm": "avx2", "vnni": "vnni"}
+	withAsm(t, func(t *testing.T) {
+		if got := GemmI8Body(); got != want[t.Name()[len("TestGemmI8Body/"):]] {
+			t.Fatalf("GemmI8Body() = %q", got)
+		}
+		defer SetAsmEnabled(SetAsmEnabled(false))
+		if got := GemmI8Body(); got != "go" {
+			t.Fatalf("with the assembly off, GemmI8Body() = %q", got)
+		}
+	})
 }
 
 func randF32(rng *rand.Rand, n int) []float32 {

@@ -3,12 +3,12 @@ package kernels
 import "math"
 
 // float32 kernels for the elementwise half of the inference forwards (a
-// float model with train == false, and the quantized model): softmax and
-// GELU on one float32 exponential, and LayerNorm, where the training paths
-// keep math.Exp, math.Tanh and a float64 LayerNorm. exp32 stays within 2 ulp
-// of math.Exp rounded to float32 wherever that is a normal number
-// (TestExp32WithinTwoUlp) and has no data-dependent branch for a fresh
-// frame to mispredict.
+// float model with train == false, and the quantized model): the residual
+// add, softmax and GELU on one float32 exponential, and LayerNorm, where the
+// training paths keep math.Exp, math.Tanh and a float64 LayerNorm. exp32
+// stays within 2 ulp of math.Exp rounded to float32 wherever that is a
+// normal number (TestExp32WithinTwoUlp) and has no data-dependent branch for
+// a fresh frame to mispredict.
 //
 // Each kernel has an AVX2 body (vecmath_amd64.s) and a Go reference that
 // computes the same bits, the way the int8 kernels do (i8.go): every float
@@ -116,6 +116,26 @@ func pow2(n int32) float32 { return math.Float32frombits(uint32(n+127) << 23) }
 // pair.
 func laneSum(s *[8]float32) float32 {
 	return ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]))
+}
+
+// AddF32 accumulates src into dst elementwise, dst[i] += src[i], over
+// len(src) elements: the residual add. Each element is one IEEE single add
+// on both bodies, so they agree bit for bit (a NaN for a NaN). dst must be
+// at least as long as src.
+func AddF32(dst, src []float32) {
+	need(len(dst) >= len(src))
+	if useAsm && len(src) > 0 {
+		addF32Asm(&dst[0], &src[0], len(src))
+		return
+	}
+	addF32Go(dst, src)
+}
+
+func addF32Go(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] += v
+	}
 }
 
 // SoftmaxF32 overwrites each row of the (rows, cols) matrix x with the

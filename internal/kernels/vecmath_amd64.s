@@ -1,6 +1,7 @@
 //go:build !noasm
 
-// AVX2 bodies of the float32 vector kernels (vecmath.go). No FMA and no
+// AVX2 bodies of the float32 vector kernels (vecmath.go): the residual
+// add, the exponential, GELU, softmax and LayerNorm. No FMA and no
 // reciprocal or square-root estimate: each float step is the same single
 // IEEE operation the Go reference performs, in its order, so the two agree
 // bit for bit. Constants are read from vecConsts (R11 holds its address);
@@ -87,6 +88,57 @@
 	VADDPS       X0, X, X; \
 	VPERMILPS    $0xb1, X, X0; \
 	VADDSS       X0, X, X
+
+// func addF32Asm(dst, src *float32, n int)
+//
+// n ≥ 1: dst[i] += src[i], 32 then 8 floats a step and the last n mod 8
+// through VMASKMOVPS, whose masked-off lanes neither read nor write.
+TEXT ·addF32Asm(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	TAILMASK
+	XORQ BX, BX
+
+add_loop32:
+	LEAQ    32(BX), AX
+	CMPQ    AX, R10
+	JG      add_loop8
+	VMOVUPS (DI)(BX*4), Y0
+	VMOVUPS 32(DI)(BX*4), Y1
+	VMOVUPS 64(DI)(BX*4), Y2
+	VMOVUPS 96(DI)(BX*4), Y3
+	VADDPS  (SI)(BX*4), Y0, Y0
+	VADDPS  32(SI)(BX*4), Y1, Y1
+	VADDPS  64(SI)(BX*4), Y2, Y2
+	VADDPS  96(SI)(BX*4), Y3, Y3
+	VMOVUPS Y0, (DI)(BX*4)
+	VMOVUPS Y1, 32(DI)(BX*4)
+	VMOVUPS Y2, 64(DI)(BX*4)
+	VMOVUPS Y3, 96(DI)(BX*4)
+	MOVQ    AX, BX
+	JMP     add_loop32
+
+add_loop8:
+	CMPQ    BX, R10
+	JGE     add_tail
+	VMOVUPS (DI)(BX*4), Y0
+	VADDPS  (SI)(BX*4), Y0, Y0
+	VMOVUPS Y0, (DI)(BX*4)
+	ADDQ    $8, BX
+	JMP     add_loop8
+
+add_tail:
+	TESTQ      R9, R9
+	JZ         add_done
+	VMASKMOVPS (DI)(BX*4), Y15, Y0
+	VMASKMOVPS (SI)(BX*4), Y15, Y1
+	VADDPS     Y1, Y0, Y0
+	VMASKMOVPS Y0, Y15, (DI)(BX*4)
+
+add_done:
+	VZEROUPPER
+	RET
 
 // func exp32Asm(dst, src *float32, n int)
 //

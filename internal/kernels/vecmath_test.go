@@ -223,10 +223,10 @@ func TestLayerNormF32AgainstFloat64(t *testing.T) {
 	})
 }
 
-// TestVecmathAsmMatchesGo: SoftmaxF32, GELUF32 and LayerNormF32 give their
-// Go references' bits (NaNs as NaNs) — every length 0–70 at every offset
-// 0–7, in place, special values in every lane position, and the shapes the
-// models run. No kernel writes outside its output. On a noasm or non-amd64
+// TestVecmathAsmMatchesGo: AddF32, SoftmaxF32, GELUF32 and LayerNormF32
+// give their Go references' bits (NaNs as NaNs) — every length 0–70 at
+// every offset 0–7, in place, special values in every lane position, and
+// the shapes the models run. No kernel writes outside its output. On a noasm or non-amd64
 // build both sides are the reference and this checks the dispatch alone.
 func TestVecmathAsmMatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
@@ -275,6 +275,12 @@ func TestVecmathAsmMatchesGo(t *testing.T) {
 					inPlace := append(append([]float32(nil), x...), sentinel)
 					GELUF32(inPlace[:n], inPlace[:n])
 					check(t, "GELUF32 in place "+what, inPlace, want)
+
+					acc := append(append([]float32(nil), src[(off+3)%8+64:][:n]...), sentinel)
+					want = append([]float32(nil), acc[:n]...)
+					AddF32(acc, x)
+					addF32Go(want, x)
+					check(t, "AddF32 "+what, acc, want)
 
 					for _, rows := range []int{1, 2, 3} {
 						if rows*n > len(src)-off {
@@ -339,6 +345,16 @@ func BenchmarkSoftmaxF32_16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(row, src[i*16&(1<<16-1):])
 		SoftmaxF32(row, 1, 16, 1)
+	}
+}
+
+// BenchmarkAddF32_16x48 is one frame's residual add in either serving
+// model.
+func BenchmarkAddF32_16x48(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	src, dst := randF32(rng, 1<<16), make([]float32, 16*48)
+	for i := 0; i < b.N; i++ {
+		AddF32(dst, src[i*768%(1<<16-768):][:768])
 	}
 }
 

@@ -118,7 +118,7 @@ func gemmInto(out *tensor.Tensor, qa *QActivation, qw QWeight, bias []float32, a
 // gemmAt is gemmInto's two kernel calls, unchecked, with the rows of out
 // ldo floats apart.
 func gemmAt(out []float32, ldo int, qa *QActivation, qw QWeight, bias []float32, acc []int32) {
-	kernels.GemmI8(acc, qa.Q, qw.Q, qa.Rows, qa.Cols, qw.Out)
+	kernels.GemmI8(acc, qa.Q, qw.Q, qw.RowSums, qa.Rows, qa.Cols, qw.Out)
 	kernels.DequantI8(out, acc, qw.RowSums, qw.Scales, bias, qa.Rows, qw.Out, ldo, qa.QP.Scale, qa.QP.Zero)
 }
 

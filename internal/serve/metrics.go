@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"itask/internal/kernels"
 	"itask/internal/rcache"
 	"itask/internal/registry"
 	"itask/internal/sched"
@@ -375,10 +376,11 @@ type Snapshot struct {
 
 // RuntimeStats is what runtime/metrics says the process has spent since it
 // started, beside the requests: the garbage collector's cycles, the heap
-// allocations that drive them, CPU time by class, and the scheduler. It is
-// read at snapshot time only, so the request path pays nothing for it; two
-// scrapes subtract into per-interval figures (the latency quantiles are
-// since start).
+// allocations that drive them, CPU time by class, and the scheduler; and the
+// body the int8 GEMM runs on, so a CPU cost per request is never read
+// without the kernel that produced it. It is read at snapshot time only, so
+// the request path pays nothing for it; two scrapes subtract into
+// per-interval figures (the latency quantiles are since start).
 type RuntimeStats struct {
 	GCCycles         uint64 `json:"gc_cycles"`          // /gc/cycles/total:gc-cycles
 	HeapAllocBytes   uint64 `json:"heap_alloc_bytes"`   // /gc/heap/allocs:bytes
@@ -395,6 +397,9 @@ type RuntimeStats struct {
 	// /sched/latencies:seconds at p50 and p99.
 	SchedLatencyP50US float64 `json:"sched_latency_p50_us"`
 	SchedLatencyP99US float64 `json:"sched_latency_p99_us"`
+	// GemmI8Body is the int8 generalist's GEMM body: "vnni", "avx2" or "go"
+	// (kernels.GemmI8Body).
+	GemmI8Body string `json:"gemm_i8_body"`
 }
 
 // runtimeSamples are the runtime/metrics names RuntimeStats reads, in the
@@ -434,7 +439,7 @@ func readRuntime() RuntimeStats {
 	rs := RuntimeStats{
 		GCCycles: u(0), HeapAllocBytes: u(1), HeapAllocObjects: u(2),
 		CPUGCSeconds: f(3), CPUUserSeconds: f(4), CPUIdleSeconds: f(5), CPUScavengeSeconds: f(6),
-		Goroutines: u(7),
+		Goroutines: u(7), GemmI8Body: kernels.GemmI8Body(),
 	}
 	if v := samples[8].Value; v.Kind() == rtmetrics.KindFloat64Histogram {
 		h := v.Float64Histogram()

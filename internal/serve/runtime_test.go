@@ -4,11 +4,14 @@ import (
 	"encoding/json"
 	"runtime"
 	"testing"
+
+	"itask/internal/kernels"
 )
 
 // TestSnapshotReadsRuntimeMetrics: /metricsz carries the runtime's own
 // account under "runtime" — GC cycles, heap allocations, CPU by class,
-// goroutines and scheduling latency — read when the snapshot is taken. The
+// goroutines and scheduling latency — and the int8 GEMM's body, read when
+// the snapshot is taken. The
 // request path does not read it: TestDetectCachedHitZeroAllocs still holds a
 // cache hit to zero allocations.
 func TestSnapshotReadsRuntimeMetrics(t *testing.T) {
@@ -26,6 +29,9 @@ func TestSnapshotReadsRuntimeMetrics(t *testing.T) {
 	}
 	if rt.SchedLatencyP50US < 0 || rt.SchedLatencyP99US < rt.SchedLatencyP50US {
 		t.Errorf("scheduling latency p50 %v µs, p99 %v µs", rt.SchedLatencyP50US, rt.SchedLatencyP99US)
+	}
+	if rt.GemmI8Body != kernels.GemmI8Body() {
+		t.Errorf("gemm_i8_body %q, the kernels run %q", rt.GemmI8Body, kernels.GemmI8Body())
 	}
 	later := s.Snapshot().Runtime
 	if later.HeapAllocBytes < rt.HeapAllocBytes || later.GCCycles < rt.GCCycles {
@@ -46,7 +52,7 @@ func TestSnapshotReadsRuntimeMetrics(t *testing.T) {
 	}
 	for _, name := range []string{"gc_cycles", "heap_alloc_bytes", "heap_alloc_objects", "cpu_gc_seconds",
 		"cpu_user_seconds", "cpu_idle_seconds", "cpu_scavenge_seconds", "goroutines",
-		"sched_latency_p50_us", "sched_latency_p99_us"} {
+		"sched_latency_p50_us", "sched_latency_p99_us", "gemm_i8_body"} {
 		if _, ok := fields[name]; !ok {
 			t.Errorf("runtime object lacks %q: %s", name, top["runtime"])
 		}

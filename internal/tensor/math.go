@@ -37,12 +37,10 @@ func Mul(t, u *Tensor) *Tensor {
 	return out
 }
 
-// AddInPlace accumulates u into t: t += u.
+// AddInPlace accumulates u into t: t += u, one kernels.AddF32 call.
 func (t *Tensor) AddInPlace(u *Tensor) {
 	mustSameShape("AddInPlace", t, u)
-	for i, v := range u.Data {
-		t.Data[i] += v
-	}
+	kernels.AddF32(t.Data, u.Data)
 }
 
 // SubInPlace subtracts u from t: t -= u.
