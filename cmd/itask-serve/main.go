@@ -288,22 +288,6 @@ type handler struct {
 	imageSize int
 }
 
-type detectResponse struct {
-	Task      string  `json:"task"`
-	Model     string  `json:"model"`
-	BatchSize int     `json:"batch_size"`
-	QueuedUS  float64 `json:"queued_us"`
-	TotalUS   float64 `json:"total_us"`
-	// Degraded is set when the request was served by the quantized
-	// fallback because its preferred lane's circuit breaker was open.
-	Degraded string `json:"degraded,omitempty"`
-	// Cached marks a response served from the result cache; Coalesced one
-	// produced by a concurrent duplicate's execution.
-	Cached     bool              `json:"cached,omitempty"`
-	Coalesced  bool              `json:"coalesced,omitempty"`
-	Detections []itask.Detection `json:"detections"`
-}
-
 func (h *handler) detect(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		wire.WriteError(w, http.StatusMethodNotAllowed, "POST only")
@@ -363,7 +347,7 @@ func (h *handler) detect(w http.ResponseWriter, r *http.Request) {
 	// Echo the normalized attribution so callers (and the gateway's smoke
 	// tooling) can see which tenant's ledger the request landed on.
 	w.Header().Set("X-Itask-Tenant", res.Tenant)
-	wire.WriteJSON(w, http.StatusOK, detectResponse{
+	resp := detectResponse{
 		Task:       dr.Task,
 		Model:      res.Model,
 		BatchSize:  res.BatchSize,
@@ -373,7 +357,8 @@ func (h *handler) detect(w http.ResponseWriter, r *http.Request) {
 		Cached:     res.Cached,
 		Coalesced:  res.Coalesced,
 		Detections: dets,
-	})
+	}
+	wire.WriteAppendedJSON(w, http.StatusOK, resp.appendJSON)
 }
 
 func (h *handler) tasks(w http.ResponseWriter, r *http.Request) {

@@ -26,7 +26,8 @@ type Backend interface {
 	// len(imgs) on success. The server calls it with one image per
 	// request — the pipeline's inference entry is a batch, and a frame is a
 	// batch of one — under recover: a panicking backend fails the request,
-	// never the server.
+	// never the server. The imgs slice is the calling worker's own array,
+	// reused for its next request: a backend must not keep it past the call.
 	DetectBatch(variant, task string, imgs []*tensor.Tensor) (payloads []any, model string, err error)
 }
 

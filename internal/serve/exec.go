@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"sync/atomic"
 	"time"
 
 	"itask/internal/tensor"
@@ -29,23 +30,28 @@ func (e *PanicError) Unwrap() error { return ErrBackendPanic }
 // cancelled or expired while queued, otherwise invokes the backend under the
 // watchdog and recover, records the outcome with the breaker, and delivers.
 // The request executes alone, so a failure is its own: there is no batch-mate
-// to blame and none to retry.
-func (s *Server) execute(p *pending) {
+// to blame and none to retry. It reports false when the watchdog abandoned
+// the execution, which ends the worker.
+func (w *worker) execute(p *pending) bool {
+	s := w.s
 	started := time.Now()
 	switch {
 	case p.cancelled.Load():
 		s.shed(p, cShedCancelled, context.Canceled)
-		return
+		return true
 	case !p.deadline.IsZero() && started.After(p.deadline):
 		s.shed(p, cShedExpired, ErrDeadlineExceeded)
-		return
+		return true
 	}
 
-	payload, model, err := s.invoke(p.variant, p.task, p.image)
+	payload, model, err := w.invoke(p, started)
+	if err == errAbandoned {
+		return false
+	}
 	s.recordExec(p.variant, p.task, err, time.Since(started))
 	if err != nil {
 		s.fail(p, err)
-		return
+		return true
 	}
 	s.m.inc(cBatches)
 	total := time.Since(p.enq)
@@ -59,6 +65,7 @@ func (s *Server) execute(p *pending) {
 		Queued:    started.Sub(p.enq),
 		Total:     total,
 	}})
+	return true
 }
 
 // shed terminates a request that was cancelled or expired while queued. If
@@ -161,48 +168,137 @@ func (s *Server) finishFlight(p *pending, out Outcome) {
 // maxAbandonedPerVariant caps how many watchdog-abandoned executions may
 // still be running on one variant. At the cap, invoke fails new executions
 // fast with ErrWatchdog instead of starting another, so a permanently hung
-// variant cannot grow an abandoned goroutine per request or probe without
+// variant cannot strand a worker goroutine per request or probe without
 // bound (each fast failure still counts against the variant's breaker).
 const maxAbandonedPerVariant = 4
 
-// invokeResult carries one backend execution's outcome out of its goroutine.
-type invokeResult struct {
-	payload any
-	model   string
-	err     error
+// abandonedRun marks a worker's execution the watchdog has taken over.
+const abandonedRun = -1
+
+// errAbandoned is invoke's report that the watchdog took the execution
+// over: the request is answered, and the worker ends.
+var errAbandoned = errors.New("serve: execution abandoned by the watchdog")
+
+// worker is one execution slot. It takes requests from the queue and runs
+// each backend call on its own goroutine, under a watchdog timer it re-arms
+// per execution. When the timer finds the execution overdue, the watchdog
+// answers the request, starts a replacement worker in the slot and leaves
+// this goroutine to finish the hung call, discard its result and exit.
+type worker struct {
+	s *Server
+	// timer is the watchdog, nil when Config.Watchdog is zero.
+	timer *time.Timer
+	// imgs is the batch of one handed to the backend.
+	imgs [1]*tensor.Tensor
+	// running is the start of the execution in progress, in nanoseconds
+	// since the server started plus one; zero while idle, abandonedRun once
+	// the watchdog has taken the execution over. Whoever moves it off the
+	// start — the worker when the call returns, or the watchdog — owns the
+	// request's outcome.
+	running atomic.Int64
+	// The execution in progress. The worker writes them before it stores
+	// running; the watchdog reads them only after it claimed running.
+	p      *pending
+	cancel context.CancelFunc
 }
 
-// invoke runs one backend call under the watchdog deadline. When the
-// backend hangs past Config.Watchdog the call is abandoned — its context is
-// cancelled so a ContextBackend can stop the work; a plain Backend's
-// goroutine keeps running until it returns on its own — and the request
-// fails with ErrWatchdog. Abandoned executions are counted per variant and
-// capped at maxAbandonedPerVariant.
-func (s *Server) invoke(variant, task string, img *tensor.Tensor) (any, string, error) {
-	if s.cfg.Watchdog <= 0 {
-		return s.call(context.Background(), variant, task, img)
+func (s *Server) newWorker() *worker {
+	w := &worker{s: s}
+	if s.cfg.Watchdog > 0 {
+		w.timer = time.AfterFunc(time.Hour, w.fire)
+		w.timer.Stop() // armed by invoke, per execution
 	}
-	if n := s.abandonedOn(variant); n >= maxAbandonedPerVariant {
+	return w
+}
+
+// run executes requests one at a time until shutdown drains the queue, or
+// until the watchdog abandons one of its executions: the slot then belongs
+// to the replacement the watchdog started, and this goroutine only outlives
+// the hung call. All shedding, panic isolation and breaker accounting
+// happens in execute.
+func (w *worker) run() {
+	for {
+		p, ok := w.s.take()
+		if !ok {
+			w.s.st.workerWG.Done()
+			return
+		}
+		if !w.execute(p) {
+			return
+		}
+	}
+}
+
+// invoke runs one backend call for p on the worker's goroutine, under the
+// watchdog when Config.Watchdog is set. It returns errAbandoned when the
+// watchdog took the execution over while the call ran: the request has
+// been answered with ErrWatchdog, and the result is the worker's to
+// discard. A variant already at maxAbandonedPerVariant fails fast with
+// ErrWatchdog instead of starting another call.
+func (w *worker) invoke(p *pending, started time.Time) (payload any, model string, err error) {
+	s := w.s
+	if w.timer == nil {
+		return w.call(context.Background(), p)
+	}
+	if n := s.abandonedOn(p.variant); n >= maxAbandonedPerVariant {
 		return nil, "", fmt.Errorf("serve: %d abandoned executions still running on variant %s, failing fast: %w",
-			n, variant, ErrWatchdog)
+			n, p.variant, ErrWatchdog)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel() // on watchdog expiry this tells the abandoned execution to stop
-	ch := make(chan invokeResult, 1)
-	go func() {
-		p, m, e := s.call(ctx, variant, task, img)
-		ch <- invokeResult{p, m, e}
-	}()
-	timer := time.NewTimer(s.cfg.Watchdog)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.payload, r.model, r.err
-	case <-timer.C:
-		s.trackAbandoned(variant, ch)
-		return nil, "", fmt.Errorf("serve: execution on %s/%s still running after %v: %w",
-			variant, task, s.cfg.Watchdog, ErrWatchdog)
+	ctx := context.Background()
+	w.p, w.cancel = p, nil
+	if s.ctxBackend != nil {
+		ctx, w.cancel = context.WithCancel(ctx)
 	}
+	run := int64(started.Sub(s.start)) + 1
+	w.running.Store(run)
+	w.timer.Reset(s.cfg.Watchdog)
+	payload, model, err = w.call(ctx, p)
+	w.timer.Stop()
+	if w.cancel != nil {
+		w.cancel()
+	}
+	if !w.running.CompareAndSwap(run, 0) {
+		s.abMu.Lock()
+		s.abandoned[p.variant]--
+		s.abMu.Unlock()
+		return nil, "", errAbandoned
+	}
+	w.p, w.cancel = nil, nil
+	return payload, model, err
+}
+
+// fire is the watchdog timer's function. It abandons the execution in
+// progress only if that execution has run for the full Watchdog: a fire
+// that lost the race with its own execution's end finds the worker idle or
+// on a younger execution, which the re-armed timer covers, and does
+// nothing. Stop's return value is no guard, since the timer is re-armed
+// for the next execution while a stale fire may still be on its way.
+func (w *worker) fire() {
+	s := w.s
+	run := w.running.Load()
+	if run <= 0 || time.Since(s.start) < time.Duration(run-1)+s.cfg.Watchdog {
+		return
+	}
+	if !w.running.CompareAndSwap(run, abandonedRun) {
+		return
+	}
+	p := w.p
+	s.abMu.Lock()
+	s.abandoned[p.variant]++
+	s.abMu.Unlock()
+	if w.cancel != nil {
+		w.cancel() // tells a ContextBackend to stop the abandoned work
+	}
+	err := fmt.Errorf("serve: execution on %s/%s still running after %v: %w",
+		p.variant, p.task, s.cfg.Watchdog, ErrWatchdog)
+	s.recordExec(p.variant, p.task, err, time.Since(s.start)-time.Duration(run-1))
+	s.fail(p, err)
+	// The replacement takes the slot before the hung worker gives it up, so
+	// Shutdown never sees zero workers in between and never waits on the
+	// hung call.
+	s.st.workerWG.Add(1)
+	go s.newWorker().run()
+	s.st.workerWG.Done()
 }
 
 // abandonedOn reports how many watchdog-abandoned executions are still
@@ -213,38 +309,24 @@ func (s *Server) abandonedOn(variant string) int {
 	return s.abandoned[variant]
 }
 
-// trackAbandoned counts one abandoned execution against variant and reaps
-// the count when the execution's goroutine finally delivers its (discarded)
-// result.
-func (s *Server) trackAbandoned(variant string, ch <-chan invokeResult) {
-	s.abMu.Lock()
-	s.abandoned[variant]++
-	s.abMu.Unlock()
-	go func() {
-		<-ch
-		s.abMu.Lock()
-		s.abandoned[variant]--
-		s.abMu.Unlock()
-	}()
-}
-
 // call is the recover boundary around the backend: a kernel panic becomes a
 // *PanicError with the stack captured, so one poison request can never take
 // down a worker or the server. The image goes to the backend as a batch of
-// one. Backends implementing ContextBackend get the execution context,
+// one, in the worker's own one-element array. A ContextBackend gets ctx,
 // cancelled when the watchdog abandons the call.
-func (s *Server) call(ctx context.Context, variant, task string, img *tensor.Tensor) (payload any, model string, err error) {
+func (w *worker) call(ctx context.Context, p *pending) (payload any, model string, err error) {
 	defer func() {
+		w.imgs[0] = nil
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	imgs := []*tensor.Tensor{img}
+	w.imgs[0] = p.image
 	var payloads []any
-	if cb, ok := s.backend.(ContextBackend); ok {
-		payloads, model, err = cb.DetectBatchContext(ctx, variant, task, imgs)
+	if cb := w.s.ctxBackend; cb != nil {
+		payloads, model, err = cb.DetectBatchContext(ctx, p.variant, p.task, w.imgs[:])
 	} else {
-		payloads, model, err = s.backend.DetectBatch(variant, task, imgs)
+		payloads, model, err = w.s.backend.DetectBatch(p.variant, p.task, w.imgs[:])
 	}
 	if err == nil && len(payloads) != 1 {
 		err = fmt.Errorf("serve: backend returned %d payloads for one image", len(payloads))

@@ -135,17 +135,3 @@ func (s *Server) take() (p *pending, ok bool) {
 		st.cond.Wait()
 	}
 }
-
-// worker executes requests one at a time until shutdown drains the queue.
-// All shedding, panic isolation and breaker accounting happens in execute
-// (exec.go).
-func (s *Server) worker() {
-	defer s.st.workerWG.Done()
-	for {
-		p, ok := s.take()
-		if !ok {
-			return
-		}
-		s.execute(p)
-	}
-}

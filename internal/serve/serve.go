@@ -30,11 +30,16 @@
 //     answer is the one its frame gets by itself: batching on the CPU buys
 //     nothing per image, and the weight-stationary amortization it buys on
 //     the accelerator is the device model's concern (hwsim.SimulateAccelBatch).
-//   - Execution: Workers goroutines drain the queue. Requests whose
-//     deadline passed while queued are shed at execution time, and every
-//     backend call runs under recover (a kernel panic becomes a *PanicError,
-//     never a crash) and under the Watchdog deadline. A failed execution
-//     fails exactly the request that ran: it is its own poison.
+//   - Execution: Workers goroutines drain the queue, each making the
+//     backend call itself. Requests whose deadline passed
+//     while queued are shed at execution time, and every backend call runs
+//     under recover (a kernel panic becomes a *PanicError, never a crash)
+//     and under the worker's watchdog timer, re-armed per execution. A call
+//     still running after Watchdog is abandoned: the timer fails the
+//     request with ErrWatchdog and starts a replacement worker in the slot,
+//     and the hung worker discards its result and exits once the call
+//     returns. A failed execution fails exactly the request that ran: it is
+//     its own poison.
 //   - Degradation: each (variant, task) pair has a circuit breaker.
 //     Consecutive failures (including latency-SLO breaches) trip it open;
 //     open pairs route new requests to the backend's fallback variant —
@@ -128,8 +133,9 @@ type Config struct {
 	QueueCap int
 
 	// Watchdog bounds a single backend execution: a request still running
-	// after it is abandoned and fails with ErrWatchdog. Zero disables the
-	// watchdog.
+	// after it is abandoned and fails with ErrWatchdog, and a replacement
+	// worker takes the hung worker's slot (the hung one exits when its call
+	// returns). Zero disables the watchdog.
 	Watchdog time.Duration
 	// BreakerThreshold is how many consecutive failed executions trip a
 	// (variant, task) pair's circuit breaker open. Zero disables the
@@ -279,8 +285,8 @@ type Server struct {
 
 	// abandoned counts watchdog-abandoned executions still running, per
 	// variant. invoke fails fast with ErrWatchdog once a variant reaches
-	// maxAbandonedPerVariant, so a permanently hung variant cannot
-	// accumulate goroutines without bound.
+	// maxAbandonedPerVariant, so a permanently hung variant cannot strand
+	// worker goroutines without bound.
 	abMu      sync.Mutex
 	abandoned map[string]int
 
@@ -292,10 +298,12 @@ type Server struct {
 	// Zero-contention request path (nil members when disabled).
 	cache   *rcache.Cache // content-addressed result cache
 	flights *flightGroup  // singleflight duplicate suppression
-	// validator/epocher are the backend's optional interfaces, resolved
-	// once at construction so the hot path never repeats the assertion.
-	validator ImageValidator
-	epocher   RouteEpocher
+	// validator/epocher/ctxBackend are the backend's optional interfaces,
+	// resolved once at construction so the hot path never repeats the
+	// assertion.
+	validator  ImageValidator
+	epocher    RouteEpocher
+	ctxBackend ContextBackend
 	// routes memoizes task -> routed variant per backend route epoch
 	// (copy-on-write map: lock-free, allocation-free reads). Entries from
 	// a previous epoch are ignored, so a publish or rollback atomically
@@ -333,6 +341,7 @@ func New(b Backend, cfg Config) (*Server, error) {
 	}
 	s.validator, _ = b.(ImageValidator)
 	s.epocher, _ = b.(RouteEpocher)
+	s.ctxBackend, _ = b.(ContextBackend)
 	if cfg.CacheBytes > 0 {
 		rc := rcache.Config{
 			MaxBytes: cfg.CacheBytes, TTL: cfg.CacheTTL, NegTTL: cfg.NegativeTTL,
@@ -359,7 +368,7 @@ func New(b Backend, cfg Config) (*Server, error) {
 	s.routes.Store(&empty)
 	s.st.workerWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
+		go s.newWorker().run()
 	}
 	return s, nil
 }

@@ -10,7 +10,8 @@
 // (to materialize the tensor). A frame on the wire format is decoded by
 // slicing: the gateway reads the fixed header and content-hashes the raw
 // payload bytes directly (no tensor, no float parsing), and the shard's only
-// per-element work is one 4-byte little-endian load per float.
+// work on the pixels is one copy: a little-endian host's float32s are the
+// payload's bytes.
 package wire
 
 import (
@@ -18,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // ContentType is the media type of a binary tensor frame. Bodies posted to
@@ -196,18 +198,35 @@ func FrameLen(taskLen, tenantLen, elems int) int {
 	return pad4(headerLen+taskLen+tenantLen) + 4*elems
 }
 
-// Float32s decodes a frame payload into dst, one little-endian 4-byte load
-// per element — no text parsing, no allocation. len(dst) must equal
-// len(payload)/4 (ParseFrame guarantees the payload length is a multiple
-// of 4 matching the declared shape).
+// Float32s decodes a frame payload into dst — no text parsing, no
+// allocation. On a little-endian host the payload's bytes already are the
+// float32s, so the decode is one copy into a byte view of dst, every bit
+// kept (NaN payloads included); a big-endian host takes float32sLoop.
+// len(dst) must equal len(payload)/4 (ParseFrame guarantees the payload
+// length is a multiple of 4 matching the declared shape).
 func Float32s(payload []byte, dst []float32) {
 	if len(payload) != 4*len(dst) {
 		panic(fmt.Sprintf("wire: Float32s %d payload bytes for %d elements", len(payload), len(dst)))
 	}
+	if !littleEndian {
+		float32sLoop(payload, dst)
+		return
+	}
+	// The view is of dst, whose words are aligned, and never of the
+	// payload, which need not be.
+	copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 4*len(dst)), payload)
+}
+
+// float32sLoop is Float32s one little-endian 4-byte load per element: the
+// body on a big-endian host, and the reference the copy is tested against.
+func float32sLoop(payload []byte, dst []float32) {
 	for i := range dst {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
 	}
 }
+
+// littleEndian reports whether the host stores a word's low byte first.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // pad4 rounds n up to the next multiple of 4.
 func pad4(n int) int { return (n + 3) &^ 3 }

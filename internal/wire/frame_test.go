@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"itask/internal/testutil"
@@ -213,5 +214,43 @@ func TestBinaryIngestZeroAllocs(t *testing.T) {
 	}
 	if allocs > want {
 		t.Fatalf("pooled read + frame decode + pixels allocates %.1f/op, want %.0f", allocs, want)
+	}
+}
+
+// Float32s is the loop's bits exactly, whatever the bits — NaN (signalling
+// too), ±Inf, −0, subnormals — at every length up to a few vectors and at
+// every payload misalignment (the frame keeps the payload aligned to the
+// body start, not to the heap). Run under -race it is also checkptr's check
+// of the byte view.
+func TestFloat32sMatchesLoop(t *testing.T) {
+	special := []uint32{
+		0x7f800001, 0xff800001, 0x7fbfffff, // signalling NaNs
+		0x7fc00000, 0xffc00000, 0x7fffffff, // quiet NaNs
+		0x7f800000, 0xff800000, // ±Inf
+		0x00000000, 0x80000000, // ±0
+		0x00000001, 0x807fffff, 0x00400000, // subnormals
+		0x3f800000, 0xc2f6e979, 0x7f7fffff, // normals
+	}
+	r := rand.New(rand.NewSource(29))
+	for n := 0; n <= 70; n++ {
+		for off := 0; off < 4; off++ {
+			buf := make([]byte, off+4*n)
+			payload := buf[off:]
+			for i := 0; i < n; i++ {
+				bits := r.Uint32()
+				if r.Intn(2) == 0 {
+					bits = special[r.Intn(len(special))]
+				}
+				binary.LittleEndian.PutUint32(payload[4*i:], bits)
+			}
+			got, want := make([]float32, n), make([]float32, n)
+			Float32s(payload, got)
+			float32sLoop(payload, want)
+			for i := range want {
+				if g, w := math.Float32bits(got[i]), math.Float32bits(want[i]); g != w {
+					t.Fatalf("n=%d off=%d: element %d is %#08x, the loop gives %#08x", n, off, i, g, w)
+				}
+			}
+		}
 	}
 }
