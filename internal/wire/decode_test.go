@@ -291,7 +291,7 @@ func TestDecodeDetectTightenings(t *testing.T) {
 		{"one value too many", `{"task":"t","image":{"data":[` + strings.Repeat("0,", 192) + `0]}}`, 8, errTooLarge, "image exceeds the size this server accepts: data has more than 192 values"},
 		{"more values than the shape", `{"image":{"shape":[1,1,2],"data":[1,2,3]}}`, 0, errTooLarge, "image exceeds the size this server accepts: data has more than 2 values"},
 		{"fourth shape entry", `{"image":{"shape":[3,8,8,1]}}`, 8, errTooLarge, "image exceeds the size this server accepts: shape has more than 3 entries"},
-		{"shape entry out of range", `{"image":{"shape":[3,1099511627776,1099511627776],"data":[1]}}`, 8, errTooLarge, "image exceeds the size this server accepts: shape entry 1099511627776 outside [1, 192]"},
+		{"shape entry out of range", `{"image":{"shape":[3,1073741824,1073741824],"data":[1]}}`, 8, errTooLarge, "image exceeds the size this server accepts: shape entry 1073741824 outside [1, 192]"},
 		{"zero shape entry", `{"image":{"shape":[3,0,0]}}`, 0, errTooLarge, "image exceeds the size this server accepts: shape entry 0 outside [1, 1048576]"},
 		{"shape product", `{"image":{"shape":[8,8,8]}}`, 8, errTooLarge, "image exceeds the size this server accepts: shape [8 8 8] is more than 192 values"},
 	}
@@ -475,6 +475,213 @@ func TestFloatConformance(t *testing.T) {
 	}
 }
 
+// pixelTokens is the differential corpus of TestPixelTokensMatchStrconv:
+// every form a client prints a pixel in, and the forms beside the fast
+// front's edges (19 digits, 2^53, float32 midpoints) that must fall through
+// to the general path.
+func pixelTokens(r *rand.Rand, n int) []string {
+	toks := make([]string, 0, n+256)
+	// Mantissas around 2^53, the exact step's edge, with the point at every
+	// position and as many leading zeros as 19 and 20 digits allow.
+	for m := uint64(1<<53 - 2); m <= 1<<53+2; m++ {
+		ds := strconv.FormatUint(m, 10)
+		for p := 0; p <= len(ds); p++ {
+			switch {
+			case p == len(ds):
+				toks = append(toks, ds)
+			case p == 0:
+				toks = append(toks, "0."+ds, "0.00"+ds, "0.000"+ds, "0.0000"+ds)
+			default:
+				toks = append(toks, ds[:p]+"."+ds[p:])
+			}
+		}
+	}
+	digits := func(k int) string {
+		b := make([]byte, k)
+		for i := range b {
+			b[i] = byte('0' + r.Intn(10))
+		}
+		return string(b)
+	}
+	for len(toks) < n {
+		var tok string
+		switch r.Intn(6) {
+		case 0, 1: // json.Marshal of a float32: any bit pattern, 'f' or 'e' form
+			v := math.Float32frombits(r.Uint32())
+			if r.Intn(2) == 0 {
+				v = r.Float32() // a pixel
+			}
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				continue
+			}
+			b, err := json.Marshal(v)
+			if err != nil {
+				panic(err)
+			}
+			tok = string(b)
+		case 2: // 'f' with 0–20 decimals, of a pixel, a byte value or anything below 2^64
+			v := []float64{r.Float64(), 256 * r.Float64(), math.Ldexp(r.Float64(), r.Intn(64))}[r.Intn(3)]
+			tok = strconv.FormatFloat(v, 'f', r.Intn(21), 64)
+		case 3: // a float32 midpoint, plain, to 15, 16 or 17 significant digits
+			lo := math.Float32frombits(r.Uint32()&0x007fffff | uint32(96+r.Intn(60))<<23) // 2^-31 to 2^29
+			mid := (float64(lo) + float64(math.Nextafter32(lo, float32(math.Inf(1))))) / 2
+			sig := 15 + r.Intn(3)
+			e := int(math.Floor(math.Log10(mid)))
+			tok = strconv.FormatFloat(mid, 'f', max(0, sig-1-e), 64)
+		case 4: // 18, 19 and 20 digit characters, the point anywhere or nowhere
+			ds := digits(18 + r.Intn(3))
+			if ds[0] == '0' {
+				ds = "1" + ds[1:]
+			}
+			if p := r.Intn(len(ds) + 1); p < len(ds) {
+				if p == 0 {
+					ds = "0." + ds[1:]
+				} else {
+					ds = ds[:p] + "." + ds[p:]
+				}
+			}
+			tok = ds
+		case 5: // short and odd: integers, leading-zero fractions, zeros
+			tok = []string{digits(1 + r.Intn(8)), "0." + digits(1+r.Intn(12)), "0", "0.0", "1", "255"}[r.Intn(6)]
+			if tok[0] == '0' && len(tok) > 1 && tok[1] != '.' {
+				tok = "1" + tok[1:]
+			}
+		}
+		if r.Intn(4) == 0 && tok[0] != '-' {
+			tok = "-" + tok
+		}
+		toks = append(toks, tok)
+	}
+	return toks
+}
+
+// parentData decodes the data array at body[at:] the way it was decoded
+// before the fast front and the array's own loop: array's closure per
+// element and number's general path. Every pixel's error text and offset
+// must be what this says.
+func parentData(body []byte, at int) ([]float32, error) {
+	d := decoder{b: body, i: at, max: maxFrameElems}
+	var data []float32
+	err := d.array(func(int) error {
+		var v float32
+		if d.peek() != 'n' || !d.null() {
+			var err error
+			if v, err = d.anyFloat32(); err != nil {
+				return err
+			}
+		}
+		data = append(data, v)
+		return nil
+	})
+	return data, err
+}
+
+// Every pixel a body can carry decodes, through the data array's loop, to
+// strconv.ParseFloat(tok, 32)'s bits. The tokens go in batches of 61, so
+// each form lands first, in the middle and last in an array, behind compact
+// and indented separators, with 0–8 bytes of trailing whitespace: the fast
+// front's eight-byte load meets every distance from the end of the body.
+// Each token is also decoded alone, as the last bytes of its input.
+func TestPixelTokensMatchStrconv(t *testing.T) {
+	r := rand.New(rand.NewSource(32))
+	n := 1 << 20
+	if testing.Short() {
+		n = 1 << 16
+	}
+	toks := pixelTokens(r, n)
+	const prefix = `{"image":{"data":[`
+	var body []byte
+	for c := 0; c*61 < len(toks); c++ {
+		batch := toks[c*61 : min(len(toks), (c+1)*61)]
+		sep := []string{",", ",", ",", ", ", ",\n    ", " ,\t"}[c%6]
+		body = append(body[:0], prefix...)
+		for k, tok := range batch {
+			if k > 0 {
+				body = append(body, sep...)
+			}
+			body = append(body, tok...)
+		}
+		body = append(body, "]}}"...)
+		body = append(body, strings.Repeat(" ", c%9)...)
+		dr, err := DecodeDetect(body, 0)
+		if err != nil {
+			t.Fatalf("%q: %v", body, err)
+		}
+		for k, tok := range batch {
+			want, _ := strconv.ParseFloat(tok, 32)
+			if got := dr.Image.Data[k]; math.Float32bits(got) != math.Float32bits(float32(want)) {
+				t.Fatalf("%s at %d of %d: %x (%v), strconv says %x (%v)", tok, k, len(batch),
+					math.Float32bits(got), got, math.Float32bits(float32(want)), float32(want))
+			}
+		}
+		dr.Release()
+	}
+	for _, tok := range toks {
+		checkFloat(t, tok)
+	}
+}
+
+// A malformed pixel fails as it did before the fast front, to the byte: the
+// same text at the same offset, first, in the middle or last in the array.
+func TestMalformedPixelsFailAsBefore(t *testing.T) {
+	named := []struct{ tok, msg string }{
+		{"01.5", "expected ',' or ']' in array"}, {"00", "expected ',' or ']' in array"},
+		{"-01", "expected ',' or ']' in array"}, {"1.", "expected a digit after '.'"},
+		{"-", "expected a digit"}, {"0.1x", "expected ',' or ']' in array"},
+		{".5", "expected a digit"}, {"+1", "expected a digit"}, {"-.5", "expected a digit"},
+		{"1e", "expected a digit in exponent"}, {"1.5e+", "expected a digit in exponent"},
+		{"0.12345678x", "expected ',' or ']' in array"}, {"0.1234567.8", "expected ',' or ']' in array"},
+		{"12345678901234567890.", "expected a digit after '.'"}, {"1e39", "number 1e39 out of float32 range"},
+	}
+	const prefix = `{"image":{"data":[`
+	check := func(t *testing.T, body []byte) error {
+		t.Helper()
+		_, want := parentData(body, len(prefix)-1)
+		_, err := DecodeDetect(body, 0)
+		if want != nil && (err == nil || err.Error() != want.Error()) {
+			t.Fatalf("%q: error %v, before the fast front %v", body, err, want)
+		}
+		return err
+	}
+	for _, tc := range named {
+		for _, body := range []string{
+			prefix + tc.tok + `,0.5]}}`, prefix + `0.5,` + tc.tok + `,0.5]}}`, prefix + `0.5,` + tc.tok + `]}}`, prefix + tc.tok,
+		} {
+			err := check(t, []byte(body))
+			if err == nil || !strings.Contains(err.Error(), tc.msg) {
+				t.Errorf("%q: error %v, want %q", body, err, tc.msg)
+			}
+		}
+	}
+	// Mutations of pixel tokens: a byte inserted, dropped or replaced.
+	r := rand.New(rand.NewSource(33))
+	const alphabet = "0123456789.-+eE x,]n"
+	for _, tok := range pixelTokens(r, 100000) {
+		b := []byte(tok)
+		p := r.Intn(len(b) + 1)
+		switch c := alphabet[r.Intn(len(alphabet))]; r.Intn(3) {
+		case 0:
+			b = append(b[:p], append([]byte{c}, b[p:]...)...)
+		case 1:
+			if p < len(b) {
+				b = append(b[:p], b[p+1:]...)
+			}
+		default:
+			if p < len(b) {
+				b[p] = c
+			}
+		}
+		body := append([]byte(prefix), b...)
+		switch r.Intn(3) {
+		case 0:
+			body = append(body, ",0.5]}}"...)
+		case 1:
+			body = append(body, "]}}"...)
+		}
+		check(t, body)
+	}
+}
+
 func FuzzDecodeDetect(f *testing.F) {
 	for _, body := range decodeCorpus(f) {
 		f.Add(body)
@@ -487,25 +694,31 @@ func FuzzDecodeDetect(f *testing.F) {
 
 // BenchmarkDecodeDetect is the decode alone, on the body BENCH_ingress.json
 // is recorded on (json.Marshal of a 3×32×32 frame), beside the decoder it
-// replaced.
+// replaced; "indented" is the same frame through json.MarshalIndent, so the
+// whitespace between values is timed too.
 func BenchmarkDecodeDetect(b *testing.B) {
 	body, _ := marshalImage(b, "patrol", 32, 5)
-	b.Run("wire", func(b *testing.B) {
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := DecodeDetect(body, 32); err != nil {
-				b.Fatal(err)
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, body, "", "  "); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name   string
+		body   []byte
+		decode func([]byte) (*DetectBody, error)
+	}{
+		{"wire", body, func(body []byte) (*DetectBody, error) { return DecodeDetect(body, 32) }},
+		{"wire_indented", indented.Bytes(), func(body []byte) (*DetectBody, error) { return DecodeDetect(body, 32) }},
+		{"encoding_json", body, refDecode},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bc.body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.decode(bc.body); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("encoding_json", func(b *testing.B) {
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := refDecode(body); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }

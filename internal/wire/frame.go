@@ -157,7 +157,7 @@ func ParseFrame(body []byte) (Frame, error) {
 func AppendFrame(dst []byte, task, tenant string, timeoutMS uint32, shape [3]int, data []float32) []byte {
 	n := 1
 	for _, d := range shape {
-		if d <= 0 || d > math.MaxUint32 {
+		if d <= 0 || uint64(d) > math.MaxUint32 {
 			panic(fmt.Sprintf("wire: AppendFrame shape %v", shape))
 		}
 		n *= d
