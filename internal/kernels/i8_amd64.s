@@ -1,9 +1,9 @@
 //go:build !noasm
 
-// AVX2 bodies of the int8 linear layer's micro-kernels (i8.go), and the
-// GEMM's AVX512_VNNI body. No FMA and no reciprocal anywhere: each float
-// step is the same single IEEE operation the Go reference performs, so the
-// two agree bit for bit.
+// AVX2 bodies of the int8 layers' quantize kernels (i8.go); GemmI8's are
+// in gemmi8_amd64.s. No FMA and no reciprocal anywhere: each float step is
+// the same single IEEE operation the Go reference performs, so the two
+// agree bit for bit.
 
 #include "textflag.h"
 #include "tailmask_amd64.h"
@@ -167,8 +167,11 @@ qi8_next:
 // rows, cols ≥ 1. Per row, two passes: the range (MINMAX8, the tail
 // masked) reduced to absMax = max(0 − mn, mx), replaced by 1 when it is 0,
 // and scale = absMax/fh; then the codes through QUANT8 with zero point 0,
-// as quantizeI8Asm stores them, their int32 sum gathered in Y8. 0 − mn is
-// −mn except for mn = +0, where absMax is 0 either way.
+// their int32 sum gathered in Y8. 0 − mn is −mn except for mn = +0, where
+// absMax is 0 either way. The codes go to GemmI8's panels: DI is the row's
+// first dword in its panel, a group of 4 codes is a dword 32 bytes after
+// the last, so 8 codes are two dword stores, and a tail's masked-off lanes
+// quantize to 0 and fill the k padding. R11 counts the panel's rows.
 TEXT ·quantizeRowsI8Asm(SB), NOSPLIT, $0-64
 	MOVQ         dst+0(FP), DI
 	MOVQ         scales+8(FP), R12
@@ -182,6 +185,7 @@ TEXT ·quantizeRowsI8Asm(SB), NOSPLIT, $0-64
 	VBROADCASTSS fh+60(FP), Y6
 	VPXOR        Y7, Y7, Y7
 	TAILMASK
+	MOVQ         $8, R11
 
 qr_row:
 	VXORPS Y2, Y2, Y2
@@ -224,7 +228,8 @@ qr_quant8:
 	JGE     qr_quanttail
 	VMOVUPS (SI)(BX*4), Y0
 	QUANT8
-	VMOVQ   X0, (DI)(BX*1)
+	VMOVD   X0, (DI)(BX*8)
+	VPEXTRD $1, X0, 32(DI)(BX*8)
 	ADDQ    $8, BX
 	JMP     qr_quant8
 
@@ -234,15 +239,10 @@ qr_quanttail:
 	JZ         qr_sum
 	VMASKMOVPS (SI)(BX*4), Y15, Y0
 	QUANT8
-	VMOVQ      X0, AX
-	MOVQ       R9, R11
-
-qr_byte:
-	MOVB AX, (DI)(BX*1)
-	SHRQ $8, AX
-	INCQ BX
-	DECQ R11
-	JNZ  qr_byte
+	VMOVD      X0, (DI)(BX*8)
+	CMPQ       R9, $4
+	JLE        qr_sum
+	VPEXTRD    $1, X0, 32(DI)(BX*8)
 
 qr_sum:
 	VEXTRACTI128 $1, Y8, X1
@@ -254,549 +254,17 @@ qr_sum:
 	VMOVD        X8, (R13)
 	ADDQ         $4, R12
 	ADDQ         $4, R13
-	ADDQ         CX, DI
 	ADDQ         DX, SI
-	DECQ         R8
-	JNZ          qr_row
-	VZEROUPPER
-	RET
+	ADDQ         $4, DI
+	DECQ         R11
+	JNZ          qr_next
+	MOVQ         $8, R11
+	LEAQ         3(CX), AX
+	ANDQ         $-4, AX
+	LEAQ         -32(DI)(AX*8), DI // the next panel's first row
 
-// func gemmI8Asm(acc *int32, a, w *int8, m, k, n int)
-//
-// m, k, n ≥ 1. The activation rows are taken two at a time (SI, R10) and
-// the weight rows in panels of four (R8, R11, R12, R13), one int32x8
-// accumulator per pair (Y0-Y3 for the first activation row, Y4-Y7 for the
-// second): each weight row is widened once per k-step and shared by both
-// activation rows. k is consumed 16, then 8, then 4 codes at a time through
-// VPMOVSXBW/VPMADDWD (the narrower steps load into xmm, which clears the
-// upper lane, and add into the same ymm sums), and a last k mod 4 codes one
-// at a time. A last tile of one activation row points its second row at the
-// first; a last panel of fewer than four weight rows points its missing
-// rows at the panel's first. Either way only the sums that exist are
-// stored, a partial panel's under the dword mask X14.
-TEXT ·gemmI8Asm(SB), NOSPLIT, $0-48
-	MOVQ acc+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ m+24(FP), R9
-	MOVQ k+32(FP), CX
-
-gi8_rows:
-	MOVQ SI, R10
-	CMPQ R9, $2
-	JL   gi8_one_row
-	LEAQ (SI)(CX*1), R10
-
-gi8_one_row:
-	MOVQ w+16(FP), R8
-	MOVQ n+40(FP), DX
-
-gi8_panel:
-	MOVQ R8, R11
-	MOVQ R8, R12
-	MOVQ R8, R13
-	CMPQ DX, $2
-	JL   gi8_zero
-	LEAQ (R8)(CX*1), R11
-	CMPQ DX, $3
-	JL   gi8_zero
-	LEAQ (R11)(CX*1), R12
-	CMPQ DX, $4
-	JL   gi8_zero
-	LEAQ (R12)(CX*1), R13
-
-gi8_zero:
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	VPXOR Y4, Y4, Y4
-	VPXOR Y5, Y5, Y5
-	VPXOR Y6, Y6, Y6
-	VPXOR Y7, Y7, Y7
-	XORQ  BX, BX
-
-gi8_k16:
-	LEAQ      16(BX), AX
-	CMPQ      AX, CX
-	JG        gi8_k8
-	VPMOVSXBW (SI)(BX*1), Y8
-	VPMOVSXBW (R10)(BX*1), Y9
-	VPMOVSXBW (R8)(BX*1), Y10
-	VPMADDWD  Y8, Y10, Y11
-	VPADDD    Y11, Y0, Y0
-	VPMADDWD  Y9, Y10, Y11
-	VPADDD    Y11, Y4, Y4
-	VPMOVSXBW (R11)(BX*1), Y10
-	VPMADDWD  Y8, Y10, Y11
-	VPADDD    Y11, Y1, Y1
-	VPMADDWD  Y9, Y10, Y11
-	VPADDD    Y11, Y5, Y5
-	VPMOVSXBW (R12)(BX*1), Y10
-	VPMADDWD  Y8, Y10, Y11
-	VPADDD    Y11, Y2, Y2
-	VPMADDWD  Y9, Y10, Y11
-	VPADDD    Y11, Y6, Y6
-	VPMOVSXBW (R13)(BX*1), Y10
-	VPMADDWD  Y8, Y10, Y11
-	VPADDD    Y11, Y3, Y3
-	VPMADDWD  Y9, Y10, Y11
-	VPADDD    Y11, Y7, Y7
-	MOVQ      AX, BX
-	JMP       gi8_k16
-
-gi8_k8:
-	LEAQ      8(BX), AX
-	CMPQ      AX, CX
-	JG        gi8_k4
-	VPMOVSXBW (SI)(BX*1), X8
-	VPMOVSXBW (R10)(BX*1), X9
-	VPMOVSXBW (R8)(BX*1), X10
-	VPMADDWD  X8, X10, X11
-	VPADDD    Y11, Y0, Y0
-	VPMADDWD  X9, X10, X11
-	VPADDD    Y11, Y4, Y4
-	VPMOVSXBW (R11)(BX*1), X10
-	VPMADDWD  X8, X10, X11
-	VPADDD    Y11, Y1, Y1
-	VPMADDWD  X9, X10, X11
-	VPADDD    Y11, Y5, Y5
-	VPMOVSXBW (R12)(BX*1), X10
-	VPMADDWD  X8, X10, X11
-	VPADDD    Y11, Y2, Y2
-	VPMADDWD  X9, X10, X11
-	VPADDD    Y11, Y6, Y6
-	VPMOVSXBW (R13)(BX*1), X10
-	VPMADDWD  X8, X10, X11
-	VPADDD    Y11, Y3, Y3
-	VPMADDWD  X9, X10, X11
-	VPADDD    Y11, Y7, Y7
-	MOVQ      AX, BX
-
-gi8_k4:
-	// Four codes per row; the four zero bytes above them widen to 0.
-	LEAQ      4(BX), AX
-	CMPQ      AX, CX
-	JG        gi8_reduce
-	VMOVD     (SI)(BX*1), X8
-	VPMOVSXBW X8, X8
-	VMOVD     (R10)(BX*1), X9
-	VPMOVSXBW X9, X9
-	VMOVD     (R8)(BX*1), X10
-	VPMOVSXBW X10, X10
-	VPMADDWD  X8, X10, X11
-	VPADDD    Y11, Y0, Y0
-	VPMADDWD  X9, X10, X11
-	VPADDD    Y11, Y4, Y4
-	VMOVD     (R11)(BX*1), X10
-	VPMOVSXBW X10, X10
-	VPMADDWD  X8, X10, X11
-	VPADDD    Y11, Y1, Y1
-	VPMADDWD  X9, X10, X11
-	VPADDD    Y11, Y5, Y5
-	VMOVD     (R12)(BX*1), X10
-	VPMOVSXBW X10, X10
-	VPMADDWD  X8, X10, X11
-	VPADDD    Y11, Y2, Y2
-	VPMADDWD  X9, X10, X11
-	VPADDD    Y11, Y6, Y6
-	VMOVD     (R13)(BX*1), X10
-	VPMOVSXBW X10, X10
-	VPMADDWD  X8, X10, X11
-	VPADDD    Y11, Y3, Y3
-	VPMADDWD  X9, X10, X11
-	VPADDD    Y11, Y7, Y7
-	MOVQ      AX, BX
-
-gi8_reduce:
-	// Three pairwise adds leave lane sums of four accumulators in dwords
-	// 0..3 of each 128-bit half; adding the halves gives the four dot
-	// products of an activation row: X0 for the first, X4 for the second.
-	VPHADDD      Y1, Y0, Y0
-	VPHADDD      Y3, Y2, Y2
-	VPHADDD      Y2, Y0, Y0
-	VEXTRACTI128 $1, Y0, X1
-	VPADDD       X1, X0, X0
-	VPHADDD      Y5, Y4, Y4
-	VPHADDD      Y7, Y6, Y6
-	VPHADDD      Y6, Y4, Y4
-	VEXTRACTI128 $1, Y4, X5
-	VPADDD       X5, X4, X4
-
-gi8_k1:
-	CMPQ         BX, CX
-	JGE          gi8_store
-	MOVBLSX      (R8)(BX*1), AX
-	VMOVD        AX, X5
-	MOVBLSX      (R11)(BX*1), AX
-	VPINSRD      $1, AX, X5, X5
-	MOVBLSX      (R12)(BX*1), AX
-	VPINSRD      $2, AX, X5, X5
-	MOVBLSX      (R13)(BX*1), AX
-	VPINSRD      $3, AX, X5, X5
-	MOVBLSX      (SI)(BX*1), AX
-	VMOVD        AX, X6
-	VPBROADCASTD X6, X6
-	VPMULLD      X6, X5, X6
-	VPADDD       X6, X0, X0
-	MOVBLSX      (R10)(BX*1), AX
-	VMOVD        AX, X6
-	VPBROADCASTD X6, X6
-	VPMULLD      X6, X5, X6
-	VPADDD       X6, X4, X4
-	INCQ         BX
-	JMP          gi8_k1
-
-gi8_store:
-	// AX points at the second activation row's sums for this panel.
-	MOVQ n+40(FP), AX
-	LEAQ (DI)(AX*4), AX
-	CMPQ DX, $4
-	JL   gi8_partial
-	VMOVDQU X0, (DI)
-	CMPQ R9, $2
-	JL   gi8_stored4
-	VMOVDQU X4, (AX)
-
-gi8_stored4:
-	ADDQ $16, DI
-	LEAQ (R13)(CX*1), R8
-	SUBQ $4, DX
-	JNZ  gi8_panel
-	JMP  gi8_next
-
-gi8_partial:
-	SHLQ       $2, DX
-	LEAQ       ·tailMask+32(SB), BX
-	SUBQ       DX, BX
-	VMOVDQU    (BX), X14
-	VPMASKMOVD X0, X14, (DI)
-	CMPQ       R9, $2
-	JL         gi8_stored
-	VPMASKMOVD X4, X14, (AX)
-
-gi8_stored:
-	ADDQ DX, DI
-
-gi8_next:
-	// DI is at the second activation row's sums: step over them.
-	MOVQ n+40(FP), AX
-	LEAQ (DI)(AX*4), DI
-	LEAQ (SI)(CX*2), SI
-	SUBQ $2, R9
-	JG   gi8_rows
-	VZEROUPPER
-	RET
-
-// func gemmI8VNNIAsm(acc *int32, a, w *int8, wsums *int32, m, k, n int)
-//
-// m, k, n ≥ 1; wsums[o] = Σ_t w[o*k+t]. gemmI8Asm's tiling — two
-// activation rows (SI, R10) against panels of four weight rows (R8, R11,
-// R12, R13), the sums of the first activation row in Y0-Y3 and of the
-// second in Y4-Y7, missing rows of a last tile or panel aliased and their
-// sums not stored — with the products on the EVEX VPDPBUSD, which adds
-// four u8×s8 products into each int32 lane. The activation codes are its
-// unsigned operand after an XOR with 0x80 (Y15), which maps a to a+128, so
-// each lane sums (a+128)·w; every code goes through that sum — k 32, 16, 8
-// and 4 codes a step, the narrower steps loaded into xmm (upper lanes 0, so
-// they add 0·w), and the last k mod 4 one at a time as a+128 — and the
-// store subtracts 128·wsums[o] from each of the panel's sums, leaving
-// Σ_t a·w. The EVEX instructions use ymm registers only, never an xmm
-// destination (which would clear a live upper lane), and no opmask.
-TEXT ·gemmI8VNNIAsm(SB), NOSPLIT, $0-56
-	MOVQ         acc+0(FP), DI
-	MOVQ         a+8(FP), SI
-	MOVQ         m+32(FP), R9
-	MOVQ         k+40(FP), CX
-	MOVL         $0x80808080, AX
-	VMOVD        AX, X15
-	VPBROADCASTD X15, Y15
-
-gv_rows:
-	MOVQ SI, R10
-	CMPQ R9, $2
-	JL   gv_one_row
-	LEAQ (SI)(CX*1), R10
-
-gv_one_row:
-	MOVQ w+16(FP), R8
-	MOVQ n+48(FP), DX
-
-gv_panel:
-	MOVQ R8, R11
-	MOVQ R8, R12
-	MOVQ R8, R13
-	CMPQ DX, $2
-	JL   gv_zero
-	LEAQ (R8)(CX*1), R11
-	CMPQ DX, $3
-	JL   gv_zero
-	LEAQ (R11)(CX*1), R12
-	CMPQ DX, $4
-	JL   gv_zero
-	LEAQ (R12)(CX*1), R13
-
-gv_zero:
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	VPXOR Y4, Y4, Y4
-	VPXOR Y5, Y5, Y5
-	VPXOR Y6, Y6, Y6
-	VPXOR Y7, Y7, Y7
-	XORQ  BX, BX
-
-gv_k32:
-	LEAQ     32(BX), AX
-	CMPQ     AX, CX
-	JG       gv_k16
-	VPXOR    (SI)(BX*1), Y15, Y8
-	VPXOR    (R10)(BX*1), Y15, Y9
-	VMOVDQU  (R8)(BX*1), Y10
-	VMOVDQU  (R11)(BX*1), Y11
-	VMOVDQU  (R12)(BX*1), Y12
-	VMOVDQU  (R13)(BX*1), Y13
-	VPDPBUSD Y10, Y8, Y0
-	VPDPBUSD Y10, Y9, Y4
-	VPDPBUSD Y11, Y8, Y1
-	VPDPBUSD Y11, Y9, Y5
-	VPDPBUSD Y12, Y8, Y2
-	VPDPBUSD Y12, Y9, Y6
-	VPDPBUSD Y13, Y8, Y3
-	VPDPBUSD Y13, Y9, Y7
-	MOVQ     AX, BX
-	JMP      gv_k32
-
-gv_k16:
-	LEAQ     16(BX), AX
-	CMPQ     AX, CX
-	JG       gv_k8
-	VPXOR    (SI)(BX*1), X15, X8
-	VPXOR    (R10)(BX*1), X15, X9
-	VMOVDQU  (R8)(BX*1), X10
-	VMOVDQU  (R11)(BX*1), X11
-	VMOVDQU  (R12)(BX*1), X12
-	VMOVDQU  (R13)(BX*1), X13
-	VPDPBUSD Y10, Y8, Y0
-	VPDPBUSD Y10, Y9, Y4
-	VPDPBUSD Y11, Y8, Y1
-	VPDPBUSD Y11, Y9, Y5
-	VPDPBUSD Y12, Y8, Y2
-	VPDPBUSD Y12, Y9, Y6
-	VPDPBUSD Y13, Y8, Y3
-	VPDPBUSD Y13, Y9, Y7
-	MOVQ     AX, BX
-
-gv_k8:
-	LEAQ     8(BX), AX
-	CMPQ     AX, CX
-	JG       gv_k4
-	VMOVQ    (SI)(BX*1), X8
-	VPXOR    X15, X8, X8
-	VMOVQ    (R10)(BX*1), X9
-	VPXOR    X15, X9, X9
-	VMOVQ    (R8)(BX*1), X10
-	VMOVQ    (R11)(BX*1), X11
-	VMOVQ    (R12)(BX*1), X12
-	VMOVQ    (R13)(BX*1), X13
-	VPDPBUSD Y10, Y8, Y0
-	VPDPBUSD Y10, Y9, Y4
-	VPDPBUSD Y11, Y8, Y1
-	VPDPBUSD Y11, Y9, Y5
-	VPDPBUSD Y12, Y8, Y2
-	VPDPBUSD Y12, Y9, Y6
-	VPDPBUSD Y13, Y8, Y3
-	VPDPBUSD Y13, Y9, Y7
-	MOVQ     AX, BX
-
-gv_k4:
-	LEAQ     4(BX), AX
-	CMPQ     AX, CX
-	JG       gv_reduce
-	VMOVD    (SI)(BX*1), X8
-	VPXOR    X15, X8, X8
-	VMOVD    (R10)(BX*1), X9
-	VPXOR    X15, X9, X9
-	VMOVD    (R8)(BX*1), X10
-	VMOVD    (R11)(BX*1), X11
-	VMOVD    (R12)(BX*1), X12
-	VMOVD    (R13)(BX*1), X13
-	VPDPBUSD Y10, Y8, Y0
-	VPDPBUSD Y10, Y9, Y4
-	VPDPBUSD Y11, Y8, Y1
-	VPDPBUSD Y11, Y9, Y5
-	VPDPBUSD Y12, Y8, Y2
-	VPDPBUSD Y12, Y9, Y6
-	VPDPBUSD Y13, Y8, Y3
-	VPDPBUSD Y13, Y9, Y7
-	MOVQ     AX, BX
-
-gv_reduce:
-	// As gemmI8Asm: the four biased sums of the first activation row in X0,
-	// of the second in X4.
-	VPHADDD      Y1, Y0, Y0
-	VPHADDD      Y3, Y2, Y2
-	VPHADDD      Y2, Y0, Y0
-	VEXTRACTI128 $1, Y0, X1
-	VPADDD       X1, X0, X0
-	VPHADDD      Y5, Y4, Y4
-	VPHADDD      Y7, Y6, Y6
-	VPHADDD      Y6, Y4, Y4
-	VEXTRACTI128 $1, Y4, X5
-	VPADDD       X5, X4, X4
-
-gv_k1:
-	CMPQ         BX, CX
-	JGE          gv_store
-	MOVBLSX      (R8)(BX*1), AX
-	VMOVD        AX, X5
-	MOVBLSX      (R11)(BX*1), AX
-	VPINSRD      $1, AX, X5, X5
-	MOVBLSX      (R12)(BX*1), AX
-	VPINSRD      $2, AX, X5, X5
-	MOVBLSX      (R13)(BX*1), AX
-	VPINSRD      $3, AX, X5, X5
-	MOVBLZX      (SI)(BX*1), AX
-	XORL         $0x80, AX
-	VMOVD        AX, X6
-	VPBROADCASTD X6, X6
-	VPMULLD      X6, X5, X6
-	VPADDD       X6, X0, X0
-	MOVBLZX      (R10)(BX*1), AX
-	XORL         $0x80, AX
-	VMOVD        AX, X6
-	VPBROADCASTD X6, X6
-	VPMULLD      X6, X5, X6
-	VPADDD       X6, X4, X4
-	INCQ         BX
-	JMP          gv_k1
-
-gv_store:
-	// BX points at the panel's row sums, AX at the second activation row's
-	// outputs for it.
-	MOVQ n+48(FP), AX
-	SUBQ DX, AX
-	MOVQ wsums+24(FP), BX
-	LEAQ (BX)(AX*4), BX
-	MOVQ n+48(FP), AX
-	LEAQ (DI)(AX*4), AX
-	CMPQ DX, $4
-	JL   gv_partial
-	VMOVDQU (BX), X13
-	VPSLLD  $7, X13, X13
-	VPSUBD  X13, X0, X0
-	VPSUBD  X13, X4, X4
-	VMOVDQU X0, (DI)
-	CMPQ    R9, $2
-	JL      gv_stored4
-	VMOVDQU X4, (AX)
-
-gv_stored4:
-	ADDQ $16, DI
-	LEAQ (R13)(CX*1), R8
-	SUBQ $4, DX
-	JNZ  gv_panel
-	JMP  gv_next
-
-gv_partial:
-	// The last panel, fewer than four rows: its row sums read and its
-	// outputs written under the dword mask X14 (R11 is free from here).
-	SHLQ       $2, DX
-	LEAQ       ·tailMask+32(SB), R11
-	SUBQ       DX, R11
-	VMOVDQU    (R11), X14
-	VPMASKMOVD (BX), X14, X13
-	VPSLLD     $7, X13, X13
-	VPSUBD     X13, X0, X0
-	VPSUBD     X13, X4, X4
-	VPMASKMOVD X0, X14, (DI)
-	CMPQ       R9, $2
-	JL         gv_stored
-	VPMASKMOVD X4, X14, (AX)
-
-gv_stored:
-	ADDQ DX, DI
-
-gv_next:
-	// DI is at the second activation row's sums: step over them.
-	MOVQ n+48(FP), AX
-	LEAQ (DI)(AX*4), DI
-	LEAQ (SI)(CX*2), SI
-	SUBQ $2, R9
-	JG   gv_rows
-	VZEROUPPER
-	RET
-
-// func dequantI8Asm(out *float32, acc, rowSums *int32, scales, bias *float32, m, n, ldo int, sa float32, za int32, perChannel int)
-//
-// m, n ≥ 1; bias may be nil; out's rows are ldo floats apart. Per output: acc − za·rowSum in int32, convert,
-// multiply by the product sa·scale, add the bias — the reference's three
-// float operations in its order. Eight columns at a time, then one.
-TEXT ·dequantI8Asm(SB), NOSPLIT, $0-80
-	MOVQ out+0(FP), DI
-	MOVQ acc+8(FP), SI
-	MOVQ rowSums+16(FP), R8
-	MOVQ scales+24(FP), R9
-	MOVQ bias+32(FP), R10
-	MOVQ m+40(FP), R11
-	MOVQ n+48(FP), CX
-	VBROADCASTSS sa+64(FP), Y6
-	MOVL za+68(FP), R13
-	VMOVD R13, X7
-	VPBROADCASTD X7, Y7
-	MOVQ perChannel+72(FP), R12
-	// Per-tensor: one sa·scale for every column.
-	VMULSS (R9), X6, X8
-	VBROADCASTSS X8, Y8
-dq_row:
-	XORQ BX, BX
-dq_col8:
-	LEAQ 8(BX), AX
-	CMPQ AX, CX
-	JG   dq_col1
-	VPMULLD (R8)(BX*4), Y7, Y1
-	VMOVDQU (SI)(BX*4), Y0
-	VPSUBD Y1, Y0, Y0
-	VCVTDQ2PS Y0, Y0
-	VMOVAPS Y8, Y1
-	TESTQ R12, R12
-	JZ   dq_mul8
-	VMULPS (R9)(BX*4), Y6, Y1
-dq_mul8:
-	VMULPS Y0, Y1, Y0
-	TESTQ R10, R10
-	JZ   dq_store8
-	VADDPS (R10)(BX*4), Y0, Y0
-dq_store8:
-	VMOVUPS Y0, (DI)(BX*4)
-	MOVQ AX, BX
-	JMP  dq_col8
-dq_col1:
-	CMPQ BX, CX
-	JGE  dq_next
-	MOVL (R8)(BX*4), AX
-	IMULL R13, AX
-	MOVL (SI)(BX*4), DX
-	SUBL AX, DX
-	VCVTSI2SSL DX, X0, X0
-	VMOVAPS X8, X1
-	TESTQ R12, R12
-	JZ   dq_mul1
-	VMULSS (R9)(BX*4), X6, X1
-dq_mul1:
-	VMULSS X0, X1, X0
-	TESTQ R10, R10
-	JZ   dq_store1
-	VADDSS (R10)(BX*4), X0, X0
-dq_store1:
-	VMOVSS X0, (DI)(BX*4)
-	INCQ BX
-	JMP  dq_col1
-dq_next:
-	MOVQ ldo+56(FP), AX
-	LEAQ (DI)(AX*4), DI
-	LEAQ (SI)(CX*4), SI
-	DECQ R11
-	JNZ  dq_row
+qr_next:
+	DECQ R8
+	JNZ  qr_row
 	VZEROUPPER
 	RET

@@ -1,8 +1,8 @@
 // Package kernels holds the micro-kernels at the bottom of every layer in
 // iTask: the products of both serving models' inference forwards — GemmF32,
 // every float product (gemm.go), and the int8 layers' kernels (range scan
-// and quantize, per-row weight quantize, row-panel GEMM, dequantizing
-// epilogue — i8.go) — their elementwise half, the residual add, softmax and
+// and quantize, per-row weight quantize into panels, the panel GEMM with its
+// dequantizing store — i8.go) — their elementwise half, the residual add, softmax and
 // GELU on one float32 exponential and LayerNorm (vecmath.go), and the fused
 // multiply-add dot/axpy primitives the training GEMMs are built from.
 //

@@ -4,9 +4,9 @@ package kernels
 
 // asmSupported reports AVX2+FMA availability (CPUID plus OS ymm-state
 // support via XGETBV): the AVX2 bodies of every kernel require both.
-// vnniSupported reports, on top of that, AVX512_VNNI with AVX512VL and OS
-// opmask and zmm-state support: GemmI8's VNNI body needs the EVEX VPDPBUSD
-// on ymm registers.
+// vnniSupported reports, on top of that, AVX512_VNNI with AVX512F and
+// AVX512VL and OS opmask and zmm-state support: GemmI8's VNNI body needs the
+// EVEX VPDPBUSD on ymm registers, Y16–Y31 and opmask stores.
 var (
 	asmSupported  = detectAVX2FMA()
 	vnniSupported = asmSupported && detectVNNI()
@@ -41,10 +41,11 @@ func detectAVX2FMA() bool {
 func detectVNNI() bool {
 	_, b7, c7, _ := cpuid(7, 0)
 	const (
+		avx512fBit    = 1 << 16 // CPUID.7.0 EBX
 		avx512vlBit   = 1 << 31 // CPUID.7.0 EBX
 		avx512vnniBit = 1 << 11 // CPUID.7.0 ECX
 	)
-	if b7&avx512vlBit == 0 || c7&avx512vnniBit == 0 {
+	if b7&avx512fBit == 0 || b7&avx512vlBit == 0 || c7&avx512vnniBit == 0 {
 		return false
 	}
 	// XCR0 bits 5-7 (opmask, upper zmm0-15, zmm16-31): the OS saves the
@@ -88,14 +89,15 @@ func quantizeI8Asm(dst *int8, src *float32, rows, cols, ld int, scale, fl, fh fl
 //go:noescape
 func quantizeRowsI8Asm(dst *int8, scales *float32, sums *int32, src *float32, rows, cols, ld int, fl, fh float32)
 
-//go:noescape
-func gemmI8Asm(acc *int32, a, w *int8, m, k, n int)
+// Implemented in gemmi8_amd64.s: GemmI8's two assembly bodies. zc is the
+// int32 the store multiplies each weight row sum by: za for AVX2, 128 + za
+// for VNNI.
 
 //go:noescape
-func gemmI8VNNIAsm(acc *int32, a, w *int8, wsums *int32, m, k, n int)
+func gemmI8Asm(out *float32, ldo int, a, wp *int8, wsums *int32, scales, bias *float32, m, k, n int, sa float32, zc int32, perChannel int)
 
 //go:noescape
-func dequantI8Asm(out *float32, acc, rowSums *int32, scales, bias *float32, m, n, ldo int, sa float32, za int32, perChannel int)
+func gemmI8VNNIAsm(out *float32, ldo int, a, wp *int8, wsums *int32, scales, bias *float32, m, k, n int, sa float32, zc int32, perChannel int)
 
 // Implemented in gemm_amd64.s.
 

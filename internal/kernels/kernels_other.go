@@ -17,17 +17,16 @@ func axpy4Asm(a, x0, x1, x2, x3, y *float32, n int)               { panic("kerne
 func dotI8Asm(a, b *int8, n int) int32                            { panic("kernels: no asm") }
 func hashBlocksAsm(lanes *uint64, p *byte, nblocks int)           { panic("kernels: no asm") }
 func rangeF32Asm(x *float32, rows, cols, ld int) (mn, mx float32) { panic("kernels: no asm") }
-func gemmI8Asm(acc *int32, a, w *int8, m, k, n int)               { panic("kernels: no asm") }
-func gemmI8VNNIAsm(acc *int32, a, w *int8, wsums *int32, m, k, n int) {
-	panic("kernels: no asm")
-}
 func quantizeI8Asm(dst *int8, src *float32, rows, cols, ld int, scale, fl, fh float32, zero int32) {
 	panic("kernels: no asm")
 }
 func quantizeRowsI8Asm(dst *int8, scales *float32, sums *int32, src *float32, rows, cols, ld int, fl, fh float32) {
 	panic("kernels: no asm")
 }
-func dequantI8Asm(out *float32, acc, rowSums *int32, scales, bias *float32, m, n, ldo int, sa float32, za int32, perChannel int) {
+func gemmI8Asm(out *float32, ldo int, a, wp *int8, wsums *int32, scales, bias *float32, m, k, n int, sa float32, zc int32, perChannel int) {
+	panic("kernels: no asm")
+}
+func gemmI8VNNIAsm(out *float32, ldo int, a, wp *int8, wsums *int32, scales, bias *float32, m, k, n int, sa float32, zc int32, perChannel int) {
 	panic("kernels: no asm")
 }
 func gemmF32Asm(c, a, w, bias *float32, m, k, n, ldc, lda, ldw int) {

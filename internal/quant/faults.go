@@ -12,7 +12,8 @@ import (
 // SRAM would store are eligible (codes are kept sign-extended in int8, so a
 // flipped stored sign bit re-sign-extends). Row sums are recomputed so the
 // zero-point correction stays consistent with the corrupted codes, exactly
-// as hardware computing them on the fly would behave.
+// as hardware computing them on the fly would behave, and the panels the
+// GEMM reads are packed again from the corrupted codes.
 //
 // The model is modified in place; clone via Save/Load first to keep a
 // pristine copy. Returns the number of bits flipped.
@@ -44,13 +45,8 @@ func InjectBitFlips(qm *Model, ratePerBit float64, seed uint64) (int, error) {
 				l.w.Q[i] = int8(u)
 			}
 		}
-		for o := 0; o < l.w.Out; o++ {
-			var s int32
-			for _, q := range l.w.Q[o*l.w.In : (o+1)*l.w.In] {
-				s += int32(q)
-			}
-			l.w.RowSums[o] = s
-		}
+		rowSums(l.w.Q, l.w.Out, l.w.In, l.w.RowSums)
+		l.w.pack()
 	}
 	return flips, nil
 }

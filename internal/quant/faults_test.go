@@ -2,9 +2,12 @@ package quant
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"itask/internal/kernels"
 	"itask/internal/tensor"
 	"itask/internal/vit"
 )
@@ -128,4 +131,37 @@ func TestInjectBitFlipsValidation(t *testing.T) {
 	if _, err := InjectBitFlips(qm, 1.5, 1); err == nil {
 		t.Error("rate > 1 should fail")
 	}
+}
+
+// TestPanelsFollowCodes: every linear layer's panels P are its codes Q
+// packed — after FromViT at every bit width, per channel and per tensor,
+// after a Save/Load round trip, and after InjectBitFlips changed the codes.
+func TestPanelsFollowCodes(t *testing.T) {
+	check := func(what string, qm *Model) {
+		t.Helper()
+		for i, l := range qm.linears() {
+			want := make([]int8, kernels.PanelLenI8(l.w.Out, l.w.In))
+			kernels.PackI8(want, l.w.Q, l.w.Out, l.w.In)
+			if !slices.Equal(l.w.P, want) {
+				t.Fatalf("%s: linear %d's panels are not its codes packed", what, i)
+			}
+		}
+	}
+	cfg := vit.Config{ImageSize: 32, Channels: 3, PatchSize: 8, Dim: 32, Depth: 2, Heads: 4, MLPRatio: 2, Classes: 5}
+	m := vit.New(cfg, tensor.NewRNG(1))
+	for _, bits := range []int{8, 6, 4} {
+		for _, perChannel := range []bool{true, false} {
+			qm, err := FromViT(m, Config{Bits: bits, PerChannel: perChannel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("FromViT bits=%d perChannel=%v", bits, perChannel), qm)
+		}
+	}
+	qm := cloneModel(t, serTestModel(t))
+	check("Save/Load", qm)
+	if n, err := InjectBitFlips(qm, 0.01, 9); err != nil || n == 0 {
+		t.Fatalf("InjectBitFlips flipped %d bits, err %v", n, err)
+	}
+	check("InjectBitFlips", qm)
 }

@@ -160,6 +160,15 @@ func TestQuantizeWeightPerChannel(t *testing.T) {
 	}
 }
 
+// linear is one dynamically quantized linear layer on x through
+// linearInto: x under its own asymmetric range at actBits, the GEMM, the
+// bias.
+func linear(x *tensor.Tensor, qw QWeight, bias []float32, actBits int) *tensor.Tensor {
+	out := tensor.New(x.Shape[0], qw.Out)
+	linearInto(out, x, AsymmetricParams(x.Data, actBits), qw, bias, make([]int8, x.Size()))
+	return out
+}
+
 func TestGEMMMatchesFloatReference(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	x := tensor.Randn(rng, 1, 7, 12)
@@ -172,7 +181,7 @@ func TestGEMMMatchesFloatReference(t *testing.T) {
 	want.AddRowVector(tensor.FromSlice(bias, 9))
 
 	qw := QuantizeWeight(w, 8, true)
-	got := Linear(x, qw, bias, 8)
+	got := linear(x, qw, bias, 8)
 	// int8 dynamic quantization: expect close but not exact.
 	maxErr := float32(0)
 	for i := range got.Data {
@@ -194,7 +203,7 @@ func TestGEMMLowerBitsHigherError(t *testing.T) {
 	var errs []float32
 	for _, bits := range []int{8, 6, 4} {
 		qw := QuantizeWeight(w, bits, true)
-		got := Linear(x, qw, nil, bits)
+		got := linear(x, qw, nil, bits)
 		var sum float64
 		for i := range got.Data {
 			d := float64(got.Data[i] - want.Data[i])
@@ -207,15 +216,28 @@ func TestGEMMLowerBitsHigherError(t *testing.T) {
 	}
 }
 
+// TestGEMMValidation: gemmInto panics on an inner-dimension mismatch, an
+// output of the wrong shape and a bias of the wrong length.
 func TestGEMMValidation(t *testing.T) {
-	x := tensor.New(2, 3)
 	qw := QuantizeWeight(tensor.New(4, 5), 8, true)
-	defer func() {
-		if recover() == nil {
-			t.Error("inner-dim mismatch should panic")
-		}
-	}()
-	Linear(x, qw, nil, 8)
+	qa := &QActivation{Q: make([]int8, 10), QP: QParams{Scale: 1, Bits: 8}, Rows: 2, Cols: 5}
+	cases := map[string]func(){
+		"inner dim": func() { gemmInto(tensor.New(2, 4), &QActivation{Q: make([]int8, 6), Rows: 2, Cols: 3}, qw, nil) },
+		"out rows":  func() { gemmInto(tensor.New(3, 4), qa, qw, nil) },
+		"out cols":  func() { gemmInto(tensor.New(2, 5), qa, qw, nil) },
+		"bias":      func() { gemmInto(tensor.New(2, 4), qa, qw, make([]float32, 3)) },
+	}
+	for name, call := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("gemmInto with a bad %s did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+	gemmInto(tensor.New(2, 4), qa, qw, make([]float32, 4)) // and the right shapes do not
 }
 
 func TestConfigValidate(t *testing.T) {

@@ -69,13 +69,13 @@ func quantLinear(l *nn.Linear, qc Config) qLinear {
 
 // apply writes the layer's output on x into out: x quantized under the
 // calibrated parameters when static, under its own range at actBits
-// otherwise, staged in codes (rows·In) and acc (rows·Out).
-func (l *qLinear) apply(out, x *tensor.Tensor, actBits int, codes []int8, acc []int32) {
+// otherwise, staged in codes (rows·In).
+func (l *qLinear) apply(out, x *tensor.Tensor, actBits int, codes []int8) {
 	if l.static != nil {
-		linearInto(out, x, *l.static, l.w, l.bias, codes, acc)
+		linearInto(out, x, *l.static, l.w, l.bias, codes)
 		return
 	}
-	linearInto(out, x, AsymmetricParams(x.Data, actBits), l.w, l.bias, codes, acc)
+	linearInto(out, x, AsymmetricParams(x.Data, actBits), l.w, l.bias, codes)
 }
 
 // lnParams is a float LayerNorm (normalization stays in float on the
@@ -206,7 +206,7 @@ func (qm *Model) Linear(ws *vit.Workspace, s vit.Site, out, x *tensor.Tensor) {
 	case vit.Cls:
 		l = &qm.cls
 	}
-	l.apply(out, x, qm.QC.actBits(), ws.I8(x.Size()), ws.I32(x.Shape[0]*l.w.Out))
+	l.apply(out, x, qm.QC.actBits(), ws.I8(x.Size()))
 }
 
 // LayerNorm is the float LayerNorm site, exact or the vector unit's
@@ -251,19 +251,29 @@ func (qm *Model) headProduct(ws *vit.Workspace, out []float32, ldo int, x []floa
 	mn, mx := kernels.RangeF32(x, rows, w.In, ldx)
 	qa := QActivation{Q: ws.I8(rows * w.In), QP: asymmetricParams(mn, mx, qm.QC.actBits()), Rows: rows, Cols: w.In}
 	qa.QP.quantizeBlock(qa.Q, x, rows, w.In, ldx)
-	gemmAt(out, ldo, &qa, w, nil, ws.I32(rows*w.Out))
+	gemmAt(out, ldo, &qa, w, nil)
 }
 
 // headWeight quantizes the (out, in) block data at row stride ld, one
-// operand of one head, as a weight matrix in workspace scratch.
+// operand of one head, as a weight in workspace scratch: panels only, no
+// row-major codes. Per channel one kernels.QuantizeRowsI8 call writes the
+// panels; per tensor the block's codes are packed.
 func (qm *Model) headWeight(ws *vit.Workspace, data []float32, out, in, ld int) QWeight {
-	qw := QWeight{Q: ws.I8(out * in), RowSums: ws.I32(out), Out: out, In: in, Bits: qm.QC.Bits}
+	qw := QWeight{P: ws.I8(kernels.PanelLenI8(out, in)), RowSums: ws.I32(out), Out: out, In: in, Bits: qm.QC.Bits}
 	if qm.QC.PerChannel {
+		_, hi := qRange(qw.Bits)
 		qw.Scales = ws.F32(out)
-	} else {
-		qw.Scales = ws.F32(1)
+		kernels.QuantizeRowsI8(qw.P, qw.Scales, qw.RowSums, data, out, in, ld, hi)
+		return qw
 	}
-	quantizeWeightInto(&qw, data, ld, qm.QC.PerChannel)
+	mn, mx := kernels.RangeF32(data, out, in, ld)
+	qp := symmetricParams(mn, mx, qw.Bits)
+	codes := ws.I8(out * in)
+	qp.quantizeBlock(codes, data, out, in, ld)
+	qw.Scales = ws.F32(1)
+	qw.Scales[0] = qp.Scale
+	rowSums(codes, out, in, qw.RowSums)
+	kernels.PackI8(qw.P, codes, out, in)
 	return qw
 }
 

@@ -211,6 +211,8 @@ func (q *qreader) linear() qLinear {
 			q.err = fmt.Errorf("quant: row sums %d for out=%d", len(l.w.RowSums), l.w.Out)
 		} else if len(l.w.Scales) != 1 && len(l.w.Scales) != l.w.Out {
 			q.err = fmt.Errorf("quant: %d scales for out=%d", len(l.w.Scales), l.w.Out)
+		} else {
+			l.w.pack()
 		}
 	}
 	return l

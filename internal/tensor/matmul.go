@@ -7,7 +7,8 @@ import (
 )
 
 // GEMM family: the training paths' products (the inference forwards call
-// kernels.GemmF32 and kernels.GemmI8 directly). All three product forms
+// kernels.GemmF32 directly, and the int8 one kernels.GemmI8 on weight
+// panels with its epilogue fused). All three product forms
 // (MatMul, MatMulT, TMatMul) share one structure: a register-tiled kernel
 // built from the fused dot/axpy micro-kernels in internal/kernels — a
 // 4-wide k-unroll (Axpy4) for the row-streaming forms and a 4-wide n-unroll
