@@ -38,6 +38,7 @@ func TestFlagSurface(t *testing.T) {
 		set  func(*options)
 	}{
 		{[]string{"-addr", "127.0.0.1:1"}, func(o *options) { o.addr = "127.0.0.1:1" }},
+		{[]string{"-pprof", "127.0.0.1:2"}, func(o *options) { o.pprofAddr = "127.0.0.1:2" }},
 		{[]string{"-backends", "http://a/, http://b"}, func(o *options) { o.backends = []string{"http://a", "http://b"} }},
 		{[]string{"-hot-threshold", "0"}, func(o *options) { o.cfg.HotThreshold = 0 }},
 		{[]string{"-probe-interval", "250ms"}, func(o *options) { o.cfg.ProbeInterval = 250 * time.Millisecond }},

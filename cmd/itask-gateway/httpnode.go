@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -33,20 +32,26 @@ import (
 //	                      fleet's registry sequence converges.
 type httpNode struct {
 	base string
-	hc   *http.Client
+	url  shardURL
+	pool *connPool
+	idle *idleConns // pool's connections to base
+}
+
+// newNode adapts the shard at base, sending through the app's pool.
+func (a *app) newNode(base string) (*httpNode, error) {
+	u, err := parseShardURL(base)
+	if err != nil {
+		return nil, err
+	}
+	return &httpNode{base: base, url: u, pool: a.pool, idle: a.pool.forShard(base)}, nil
 }
 
 func (n *httpNode) ID() string { return n.base }
 
-// maxProxyBytes bounds how much of a backend response the gateway buffers:
-// the detect response for a dense frame is well under 1 MiB, and a runaway
-// body must not balloon the gateway.
-const maxProxyBytes = 8 << 20
-
 // backendResponse is a fully-buffered backend answer ready to relay. body
 // aliases buf, a pooled buffer the owner must release (once) after the
-// relay is written — releasing is always safe because forwardDetect only
-// builds a backendResponse after draining the response body completely.
+// relay is written — releasing is always safe because roundTrip only
+// builds a backendResponse after reading the answer completely.
 type backendResponse struct {
 	status     int
 	header     http.Header
@@ -72,44 +77,30 @@ func (br *backendResponse) release() {
 // accounting identity, forwarded as X-Itask-Tenant so a client that
 // identified itself only by header to the gateway is still scheduled and
 // budgeted under its own tenant on the shard (a "tenant" field in the body
-// wins over the header at the shard, so forwarding is harmless then).
+// wins over the header at the shard, so forwarding is harmless then). body
+// is the caller's again when forwardDetect returns: nothing reads it later.
 func (n *httpNode) forwardDetect(ctx context.Context, body []byte, contentType string, hot bool, tenant string) (*backendResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.base+"/v1/detect", bytes.NewReader(body))
-	if err != nil {
-		return nil, &gateway.NodeError{Class: gateway.ClassRequest, Err: err}
-	}
 	// The body is forwarded verbatim, so its declared encoding must travel
 	// with it: a binary tensor frame relabeled as JSON would 400 at the
 	// shard's door.
 	if contentType == "" {
 		contentType = "application/json"
 	}
-	req.Header.Set("Content-Type", contentType)
+	hdrs := [3]header{{"Content-Type", contentType}}
+	nh := 1
 	if hot {
-		req.Header.Set("X-Itask-Hot", "1")
+		hdrs[nh] = header{"X-Itask-Hot", "1"}
+		nh++
 	}
 	if tenant != "" {
-		req.Header.Set("X-Itask-Tenant", tenant)
+		hdrs[nh] = header{"X-Itask-Tenant", tenant}
+		nh++
 	}
-	resp, err := n.hc.Do(req)
+	br, err := n.roundTrip(ctx, http.MethodPost, "/v1/detect", body, hdrs[:nh]...)
 	if err != nil {
-		// ctx expiry is the request's deadline, not the node's death.
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, &gateway.NodeError{Class: gateway.ClassNodeDown, Err: err}
+		return nil, err
 	}
-	defer resp.Body.Close()
-	hint := int(resp.ContentLength)
-	if hint < 0 || hint > maxProxyBytes {
-		hint = 0
-	}
-	buf, err := wire.ReadAll(io.LimitReader(resp.Body, maxProxyBytes), hint)
-	if err != nil {
-		return nil, &gateway.NodeError{Class: gateway.ClassNodeDown, Err: fmt.Errorf("reading %s response: %w", n.base, err)}
-	}
-	br := &backendResponse{status: resp.StatusCode, header: resp.Header, body: buf.Bytes(), buf: buf, retryAfter: resp.Header.Get("Retry-After")}
-	switch resp.StatusCode {
+	switch br.status {
 	case http.StatusTooManyRequests:
 		// Admission backpressure: this shard's queue is full, a successor
 		// may have room. The advertised horizon paces the failover.
@@ -150,37 +141,28 @@ func parseRetryAfter(v string) time.Duration {
 }
 
 func (n *httpNode) Probe(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.base+"/healthz", nil)
+	br, err := n.roundTrip(ctx, http.MethodGet, "/healthz", nil)
 	if err != nil {
 		return err
 	}
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: healthz %d", n.base, resp.StatusCode)
+	br.release()
+	if br.status != http.StatusOK {
+		return fmt.Errorf("%s: healthz %d", n.base, br.status)
 	}
 	return nil
 }
 
 func (n *httpNode) RouteEpoch(ctx context.Context) (uint64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.base+"/healthz", nil)
+	br, err := n.roundTrip(ctx, http.MethodGet, "/healthz", nil)
 	if err != nil {
 		return 0, err
 	}
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
+	defer br.release()
 	var h struct {
 		Epoch *uint64 `json:"epoch"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&h); err != nil {
-		return 0, fmt.Errorf("%s: decoding healthz (%d): %w", n.base, resp.StatusCode, err)
+	if err := json.Unmarshal(br.body, &h); err != nil {
+		return 0, fmt.Errorf("%s: decoding healthz (%d): %w", n.base, br.status, err)
 	}
 	if h.Epoch == nil {
 		return 0, fmt.Errorf("%s: backend exposes no registry epoch", n.base)
@@ -200,29 +182,18 @@ func (n *httpNode) ApplyChange(ctx context.Context, c gateway.Change) (uint64, e
 	if !ok {
 		return 0, errors.New("reload payload must be the raw request body")
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.base+"/v1/models/reload", bytes.NewReader(body))
+	br, err := n.roundTrip(ctx, http.MethodPost, "/v1/models/reload", body, header{"Content-Type", "application/json"})
 	if err != nil {
 		return 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.hc.Do(req)
+	// The error detail is only worth keeping as part of the formatted error,
+	// which copies it; the pooled buffer goes straight back either way.
+	if br.status != http.StatusOK {
+		err = fmt.Errorf("%s: reload %d: %s", n.base, br.status, bytes.TrimSpace(br.body))
+	}
+	br.release()
 	if err != nil {
 		return 0, err
 	}
-	// The error detail is only worth keeping on failure, and even then only
-	// as part of the formatted error (which copies it) — the pooled read
-	// buffer goes straight back either way.
-	mbuf, _ := wire.ReadAll(io.LimitReader(resp.Body, 4096), 4096)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var msg []byte
-		if mbuf != nil {
-			msg = bytes.TrimSpace(mbuf.Bytes())
-		}
-		err := fmt.Errorf("%s: reload %d: %s", n.base, resp.StatusCode, msg)
-		mbuf.Release()
-		return 0, err
-	}
-	mbuf.Release()
 	return n.RouteEpoch(ctx)
 }

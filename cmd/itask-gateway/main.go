@@ -78,13 +78,17 @@
 //
 //	itask-gateway [-backends http://127.0.0.1:8081,http://127.0.0.1:8082] \
 //	              [-addr :8080] [-lease-ttl 3s] [-probe-interval 1s] \
-//	              [-hot-threshold 64] [-retry-backoff 25ms] [-retry-backoff-max 1s]
+//	              [-hot-threshold 64] [-retry-backoff 25ms] [-retry-backoff-max 1s] \
+//	              [-pprof addr]
 //
 // Every flag sets the one gateway.Config field it names. Everything else —
 // ring points, bounded load, hot replicas and their decay window, failover
 // attempts, ejection, probe and attempt deadlines, the retry budget, the
 // slow-start ramp — is gateway.DefaultConfig(), save a 50ms epoch-barrier
 // poll; the suspect horizon is a third of the lease.
+//
+// -pprof serves net/http/pprof on a second listener with mutex and block
+// profiling enabled, the same listener itask-serve has.
 //
 // -backends is an optional static seed list: with lease-based membership on
 // (-lease-ttl > 0, the default), a fleet can start empty and populate itself
@@ -105,7 +109,6 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
-	"net/url"
 	"os"
 	"os/signal"
 	"strings"
@@ -114,6 +117,7 @@ import (
 
 	"itask/internal/gateway"
 	"itask/internal/member"
+	"itask/internal/profiling"
 	"itask/internal/rcache"
 	"itask/internal/wire"
 )
@@ -125,9 +129,9 @@ const propagateTimeout = 30 * time.Second
 // options is what itask-gateway runs with: the routing configuration, which
 // starts as gateway.DefaultConfig(), and the process's deployment settings.
 type options struct {
-	cfg      gateway.Config
-	addr     string
-	backends []string
+	cfg             gateway.Config
+	addr, pprofAddr string
+	backends        []string
 }
 
 // parseFlags binds every flag straight onto its options field, the field's
@@ -139,6 +143,7 @@ func parseFlags(flags *flag.FlagSet, args []string) (options, error) {
 	o.cfg.BarrierPoll = 50 * time.Millisecond
 	c := &o.cfg
 	flags.StringVar(&o.addr, "addr", o.addr, "listen address")
+	flags.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address with mutex/block profiling (empty = off)")
 	flags.Func("backends", "comma-separated itask-serve base URLs (optional seed list when leases are on)", func(s string) error {
 		o.backends = splitBackends(s)
 		return nil
@@ -162,6 +167,9 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "itask-gateway: %v\n", err)
 		os.Exit(2)
+	}
+	if o.pprofAddr != "" {
+		profiling.Serve("itask-gateway", o.pprofAddr)
 	}
 	cfg := o.cfg
 	app, err := newApp(cfg, o.backends, propagateTimeout)
@@ -204,7 +212,7 @@ func splitBackends(s string) []string {
 
 type app struct {
 	g                *gateway.Gateway
-	hc               *http.Client
+	pool             *connPool
 	leaseTTL         time.Duration
 	propagateTimeout time.Duration
 }
@@ -214,14 +222,18 @@ func newApp(cfg gateway.Config, urls []string, propagateTimeout time.Duration) (
 	if err != nil {
 		return nil, err
 	}
-	hc := &http.Client{} // per-request deadlines come from the inbound ctx
+	a := &app{g: g, pool: newConnPool(), leaseTTL: cfg.LeaseTTL, propagateTimeout: propagateTimeout}
 	for _, u := range urls {
-		if err := g.AddNode(&httpNode{base: u, hc: hc}); err != nil {
+		n, err := a.newNode(u)
+		if err == nil {
+			err = g.AddNode(n)
+		}
+		if err != nil {
 			g.Close()
 			return nil, err
 		}
 	}
-	return &app{g: g, hc: hc, leaseTTL: cfg.LeaseTTL, propagateTimeout: propagateTimeout}, nil
+	return a, nil
 }
 
 func (a *app) mux() *http.ServeMux {
@@ -286,11 +298,12 @@ func (a *app) announce(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	base := strings.TrimSuffix(strings.TrimSpace(req.URL), "/")
-	if u, err := url.Parse(base); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		wire.WriteError(w, http.StatusBadRequest, "announce url must be a dialable http(s) base URL")
+	n, err := a.newNode(base)
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, "announce url must be a dialable http base URL: "+err.Error())
 		return
 	}
-	e, err := a.g.Announce(&httpNode{base: base, hc: a.hc}, member.Meta{Addr: base, Epoch: req.Epoch})
+	e, err := a.g.Announce(n, member.Meta{Addr: base, Epoch: req.Epoch})
 	switch {
 	case errors.Is(err, member.ErrNoLeases):
 		wire.WriteError(w, http.StatusNotImplemented, "lease-based membership disabled; start the gateway with -lease-ttl")
@@ -410,13 +423,9 @@ func (a *app) detect(w http.ResponseWriter, r *http.Request) {
 		}
 		return ferr
 	})
-	// The request body buffer can only be recycled when no transport could
-	// still be draining it: a clean single-attempt exchange. After a
-	// canceled or failed-over attempt, http.Transport's write goroutine may
-	// race ahead reading the body, so the buffer is left to the GC instead.
-	if err == nil && info.Attempts == 1 {
-		buf.Release()
-	}
+	// Every attempt's relay wrote the body on this goroutine and returned;
+	// nothing reads it any more, whatever the outcome.
+	buf.Release()
 	w.Header().Set("X-Itask-Shard", info.Node)
 	w.Header().Set("X-Itask-Attempts", fmt.Sprint(info.Attempts))
 	if info.Hot {

@@ -1,0 +1,453 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"itask/internal/gateway"
+)
+
+// relay_test.go: the shard relay's rules, one test each — a connection is
+// reused while its answers end at their framing, a request is one write, a
+// keep-alive the shard closed costs exactly one fresh dial, an answer off
+// its framing or asking to close leaves the pool, a chunked answer arrives
+// whole, the context ends an exchange mid-answer, a line break in a header
+// value never reaches the wire, and no byte of a forwarded body is read
+// after forwardDetect returns.
+
+// relayNode is an httpNode for the shard at base on a pool of its own.
+func relayNode(t *testing.T, base string) *httpNode {
+	t.Helper()
+	n, err := (&app{pool: newConnPool()}).newNode(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// countingShard is an httptest shard that counts the connections it
+// accepts: every dial the relay makes.
+func countingShard(t *testing.T, h http.HandlerFunc) (*httptest.Server, *atomic.Int32) {
+	t.Helper()
+	dials := new(atomic.Int32)
+	srv := httptest.NewUnstartedServer(h)
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	return srv, dials
+}
+
+// rawShard accepts TCP connections and hands each to serve; accepts counts
+// them. The shard's HTTP is whatever serve writes.
+func rawShard(t *testing.T, serve func(c net.Conn)) (base string, accepts *atomic.Int32) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	accepts = new(atomic.Int32)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			go func() {
+				defer c.Close()
+				serve(c)
+			}()
+		}
+	}()
+	return "http://" + ln.Addr().String(), accepts
+}
+
+func detectOK(t *testing.T, n *httpNode, body []byte) *backendResponse {
+	t.Helper()
+	br, err := n.forwardDetect(context.Background(), body, "application/json", false, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.status != http.StatusOK {
+		t.Fatalf("status %d: %s", br.status, br.body)
+	}
+	return br
+}
+
+// Sequential requests of every kind — detect, probe, epoch read, reload —
+// share one connection while each answer ends at its framing.
+func TestRelayReusesOneConnection(t *testing.T) {
+	srv, dials := countingShard(t, func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		fmt.Fprint(w, `{"status":"ok","epoch":7}`)
+	})
+	n := relayNode(t, srv.URL)
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		detectOK(t, n, []byte(sceneBody("patrol", i))).release()
+		if err := n.Probe(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if ep, err := n.RouteEpoch(ctx); err != nil || ep != 7 {
+			t.Fatalf("RouteEpoch = %d, %v", ep, err)
+		}
+		if ep, err := n.ApplyChange(ctx, gateway.Change{Op: gateway.OpPublish, Payload: []byte(`{}`)}); err != nil || ep != 7 {
+			t.Fatalf("ApplyChange = %d, %v", ep, err)
+		}
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("100 sequential requests dialed %d connections, want 1", got)
+	}
+}
+
+// The shard sees the request line and headers the gateway has always sent:
+// method, path, Host, Content-Type, Content-Length, X-Itask-Hot and
+// X-Itask-Tenant, and nothing else.
+func TestRelayRequestHead(t *testing.T) {
+	type seen struct {
+		method, path, host string
+		length             int64
+		header             http.Header
+		body               []byte
+	}
+	got := make(chan seen, 1)
+	srv, _ := countingShard(t, func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		got <- seen{r.Method, r.URL.Path, r.Host, r.ContentLength, r.Header, b}
+		fmt.Fprint(w, `{}`)
+	})
+	n := relayNode(t, srv.URL+"/")
+	body := []byte(sceneBody("patrol", 1))
+	br, err := n.forwardDetect(context.Background(), body, "", true, "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	br.release()
+	s := <-got
+	want := http.Header{"Content-Length": {strconv.Itoa(len(body))}, "Content-Type": {"application/json"}, "X-Itask-Hot": {"1"}, "X-Itask-Tenant": {"acme"}}
+	if s.method != http.MethodPost || s.path != "/v1/detect" || s.host != strings.TrimPrefix(srv.URL, "http://") ||
+		s.length != int64(len(body)) || !bytes.Equal(s.body, body) || fmt.Sprint(s.header) != fmt.Sprint(want) {
+		t.Fatalf("shard saw %+v", s)
+	}
+}
+
+// A forwarded frame leaves in one write: over a unix SOCK_SEQPACKET
+// connection every write is one message, so the shard counts the writes
+// the relay made.
+func TestRelayWritesEachRequestOnce(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("SOCK_SEQPACKET unix sockets are a Linux feature")
+	}
+	ln, err := net.Listen("unixpacket", "@itask-relay-"+strconv.Itoa(rand.Int()))
+	if err != nil {
+		t.Skip(err)
+	}
+	defer ln.Close()
+	writes := make(chan int, 8)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		msg := make([]byte, 1<<20)
+		for {
+			var req []byte
+			msgs := 0
+			for {
+				m, err := c.Read(msg)
+				if err != nil {
+					return
+				}
+				req = append(req, msg[:m]...)
+				msgs++
+				if r, err := http.ReadRequest(bufio.NewReader(bytes.NewReader(req))); err == nil {
+					if b, err := io.ReadAll(r.Body); err == nil && int64(len(b)) == r.ContentLength {
+						break
+					}
+				}
+			}
+			writes <- msgs
+			c.Write([]byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}"))
+		}
+	}()
+	n := relayNode(t, "http://shard.invalid")
+	n.pool.dial = func(ctx context.Context, _ string) (net.Conn, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, "unixpacket", ln.Addr().String())
+	}
+	jsonBody, binBody := twinBodies(t, "patrol", 1)
+	for _, body := range [][]byte{jsonBody, binBody, jsonBody} {
+		detectOK(t, n, body).release()
+		if w := <-writes; w != 1 {
+			t.Fatalf("a %d-byte frame went out in %d writes, want 1", len(body), w)
+		}
+	}
+}
+
+// A keep-alive the shard closed while it sat idle fails before its first
+// answer byte; the request then succeeds on exactly one fresh dial.
+func TestRelayRetriesAClosedKeepAliveOnce(t *testing.T) {
+	srv, dials := countingShard(t, func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		fmt.Fprint(w, `{}`)
+	})
+	n := relayNode(t, srv.URL)
+	body := []byte(sceneBody("patrol", 1))
+	detectOK(t, n, body).release()
+	srv.CloseClientConnections()
+	detectOK(t, n, body).release()
+	if got := dials.Load(); got != 2 {
+		t.Fatalf("dials = %d, want 2: the first request's and one fresh one", got)
+	}
+	detectOK(t, n, body).release()
+	if got := dials.Load(); got != 2 {
+		t.Fatalf("dials = %d after a third request, want the fresh connection reused", got)
+	}
+
+	// A connection that was never reused gets no second chance: the shard
+	// is down, not a stale keep-alive.
+	base, accepts := rawShard(t, func(c net.Conn) {})
+	n = relayNode(t, base)
+	_, err := n.forwardDetect(context.Background(), body, "", false, "")
+	if gateway.Classify(err) != gateway.ClassNodeDown || accepts.Load() != 1 {
+		t.Fatalf("fresh connection closed unanswered: err %v (class %v), %d dials; want ClassNodeDown after 1", err, gateway.Classify(err), accepts.Load())
+	}
+}
+
+// An answer that asks to close, whose bytes run past its framing, or that
+// the relay stopped reading at maxProxyBytes, leaves its connection out of
+// the pool: the next request dials.
+func TestRelayDropsConnectionsOffTheirFraming(t *testing.T) {
+	capped := strings.Repeat("a", maxProxyBytes)
+	for _, tc := range []struct {
+		name, answer, body string
+	}{
+		{"connection close", "HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\n{}", "{}"},
+		{"bytes past the framing", "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}xyz", "{}"},
+		{"close-delimited", "HTTP/1.1 200 OK\r\n\r\n{}", "{}"},
+		{"longer than maxProxyBytes", fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%sa", maxProxyBytes+1, capped), capped},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base, accepts := rawShard(t, func(c net.Conn) {
+				br := bufio.NewReader(c)
+				for {
+					r, err := http.ReadRequest(br)
+					if err != nil {
+						return
+					}
+					io.Copy(io.Discard, r.Body)
+					if _, err := io.WriteString(c, tc.answer); err != nil {
+						return
+					}
+					if !strings.Contains(tc.answer, "Content-Length") {
+						return // the close delimits the body
+					}
+				}
+			})
+			n := relayNode(t, base)
+			for i := 1; i <= 3; i++ {
+				br := detectOK(t, n, []byte(sceneBody("patrol", i)))
+				if string(br.body) != tc.body {
+					t.Fatalf("%d-byte body, want the %d bytes %.8q…", len(br.body), len(tc.body), tc.body)
+				}
+				br.release()
+				if got := accepts.Load(); got != int32(i) {
+					t.Fatalf("after %d requests %d dials, want %d", i, got, i)
+				}
+			}
+		})
+	}
+}
+
+// A chunked answer is relayed byte for byte, and its connection, whose
+// answer ended at the last chunk, carries the next request.
+func TestRelayChunkedAnswer(t *testing.T) {
+	want := make([]byte, 10_000)
+	rand.New(rand.NewSource(1)).Read(want)
+	srv, dials := countingShard(t, func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		for p := want; len(p) > 0; p = p[min(len(p), 3001):] {
+			w.Write(p[:min(len(p), 3001)])
+			w.(http.Flusher).Flush()
+		}
+	})
+	n := relayNode(t, srv.URL)
+	for i := 0; i < 3; i++ {
+		br := detectOK(t, n, []byte(sceneBody("patrol", 1)))
+		if !bytes.Equal(br.body, want) {
+			t.Fatalf("chunked answer relayed as %d bytes, want the %d sent", len(br.body), len(want))
+		}
+		if te := br.header.Get("Content-Length"); te != "" {
+			t.Fatalf("answer carried Content-Length %s; the shard did not chunk it", te)
+		}
+		br.release()
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("dials = %d, want 1", got)
+	}
+}
+
+// A context that ends mid-answer — cancelled, or past its deadline — ends
+// the exchange at once with the context's error, and the half-read
+// connection is never reused.
+func TestRelayContextEndsMidAnswer(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	partial := make(chan struct{}, 4)
+	srv, dials := countingShard(t, func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		if r.URL.Path == "/healthz" {
+			fmt.Fprint(w, `{"status":"ok","epoch":1}`)
+			return
+		}
+		w.Header().Set("Content-Length", "100")
+		w.Write([]byte(`{"part`))
+		w.(http.Flusher).Flush()
+		partial <- struct{}{}
+		<-release
+	})
+	n := relayNode(t, srv.URL)
+	if err := n.Probe(context.Background()); err != nil { // park one connection
+		t.Fatal(err)
+	}
+	for i, end := range []struct {
+		want error
+		ctx  func() (context.Context, context.CancelFunc)
+	}{
+		{context.Canceled, func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() { <-partial; cancel() }()
+			return ctx, cancel
+		}},
+		{context.DeadlineExceeded, func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 100*time.Millisecond)
+		}},
+	} {
+		ctx, cancel := end.ctx()
+		start := time.Now()
+		_, err := n.forwardDetect(ctx, []byte(sceneBody("patrol", i)), "", false, "")
+		cancel()
+		if !errors.Is(err, end.want) {
+			t.Fatalf("err = %v, want %v", err, end.want)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("returned after %v: it waited for the shard", d)
+		}
+		if end.want == context.DeadlineExceeded {
+			<-partial
+		}
+	}
+	// Both half-read connections were closed, so the pool is empty: the
+	// parked connection served the first request, each later one dialed.
+	if err := n.Probe(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := dials.Load(); got != 3 {
+		t.Fatalf("dials = %d, want 3 (one parked, one after each abandoned answer)", got)
+	}
+}
+
+// A CR or LF in any forwarded header value is refused as the request's
+// fault before a byte reaches the shard.
+func TestRelayRefusesLineBreaksInHeaders(t *testing.T) {
+	srv, dials := countingShard(t, func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{}`) })
+	n := relayNode(t, srv.URL)
+	body := []byte(sceneBody("patrol", 1))
+	for _, tc := range []struct{ contentType, tenant string }{
+		{"application/json", "acme\r\nX-Itask-Hot: 1"},
+		{"application/json", "acme\n"},
+		{"application/json\rX: y", ""},
+	} {
+		_, err := n.forwardDetect(context.Background(), body, tc.contentType, false, tc.tenant)
+		if gateway.Classify(err) != gateway.ClassRequest {
+			t.Errorf("content type %q, tenant %q: err %v, want ClassRequest", tc.contentType, tc.tenant, err)
+		}
+	}
+	if got := dials.Load(); got != 0 {
+		t.Fatalf("refused requests dialed %d connections", got)
+	}
+}
+
+// Once forwardDetect returns, no byte of the body is read again. The shard
+// reads the head and the first 64 KiB of a body larger than any socket
+// buffer, answers, and stalls; the context is cancelled. Whatever
+// forwardDetect returned — this relay is still writing when the context
+// ends, a client that reads while it writes has the answer — the caller
+// then overwrites the body with a poison byte, and the shard, reading on to
+// the end of the stream, must see none of it. This is the rule that lets
+// the gateway recycle a request buffer on every path.
+func TestRelayNeverReadsBodyAfterReturn(t *testing.T) {
+	const size = 16 << 20
+	answered, resume := make(chan struct{}), make(chan struct{})
+	result := make(chan error, 1)
+	base, _ := rawShard(t, func(c net.Conn) {
+		br := bufio.NewReader(c)
+		if _, err := http.ReadRequest(br); err != nil {
+			result <- err
+			return
+		}
+		chunk := make([]byte, 64<<10)
+		if _, err := io.ReadFull(br, chunk); err != nil {
+			result <- err
+			return
+		}
+		io.WriteString(c, "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+		close(answered)
+		<-resume
+		n := len(chunk)
+		for {
+			m, err := br.Read(chunk)
+			if i := bytes.IndexByte(chunk[:m], 'X'); i >= 0 {
+				result <- fmt.Errorf("poison at body byte %d", n+i)
+				return
+			}
+			n += m
+			if err != nil {
+				if n >= size {
+					err = fmt.Errorf("the whole %d-byte body arrived; the write never stalled", n)
+				} else {
+					err = nil
+				}
+				result <- err
+				return
+			}
+		}
+	})
+	body := bytes.Repeat([]byte{'a'}, size)
+	n := relayNode(t, base)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() { <-answered; cancel() }()
+	br, err := n.forwardDetect(ctx, body, "application/json", false, "")
+	if err == nil {
+		br.release()
+	} else if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want an answer or context.Canceled", err)
+	}
+	for i := range body {
+		body[i] = 'X'
+	}
+	close(resume)
+	if err := <-result; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -92,10 +92,8 @@ import (
 	"io/fs"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -104,6 +102,7 @@ import (
 	"itask"
 	"itask/internal/dataset"
 	"itask/internal/kernels"
+	"itask/internal/profiling"
 	"itask/internal/serve"
 	"itask/internal/tensor"
 	"itask/internal/wire"
@@ -153,22 +152,7 @@ func main() {
 	}
 
 	if o.pprofAddr != "" {
-		// Sampled rates: cheap enough to leave on while serving, detailed
-		// enough that /debug/pprof/mutex and /block show real contention.
-		runtime.SetMutexProfileFraction(100)
-		runtime.SetBlockProfileRate(10_000) // one sample per 10µs blocked
-		pm := http.NewServeMux()
-		pm.HandleFunc("/debug/pprof/", pprof.Index)
-		pm.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		pm.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() {
-			fmt.Fprintf(os.Stderr, "itask-serve: pprof on %s\n", o.pprofAddr)
-			if err := http.ListenAndServe(o.pprofAddr, pm); err != nil {
-				fmt.Fprintf(os.Stderr, "itask-serve: pprof: %v\n", err)
-			}
-		}()
+		profiling.Serve("itask-serve", o.pprofAddr)
 	}
 
 	pipe := itask.New(itask.DefaultOptions())

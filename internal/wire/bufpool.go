@@ -20,10 +20,12 @@ var bufPools [len(bufClasses)]sync.Pool
 // Buf is a pooled byte buffer. Get one with GetBuf or ReadAll, use Bytes,
 // and hand it back with Release exactly once — after Release the contents
 // may be overwritten by any other goroutine at any time. A Buf whose bytes
-// may still be referenced elsewhere (a proxied request body a canceled
-// transport write could still be draining, say) must be dropped on the
-// floor instead: the garbage collector reclaims it and the pool never
-// learns about it.
+// may still be read elsewhere (decoded pixels a watchdog-abandoned
+// execution may still hold, say) must be dropped on the floor instead: the
+// garbage collector reclaims it and the pool never learns about it. A
+// forwarded request body is never such a Buf: the gateway's shard relay
+// writes it on the caller's goroutine and reads no byte of it once the call
+// returns, so the gateway releases it after every request.
 type Buf struct {
 	b     []byte
 	n     int

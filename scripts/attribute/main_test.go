@@ -8,15 +8,20 @@ import (
 
 const testRules = `
 # comment
+[itask-serve]
 first | runtime.mallocgc
 forward | quant.(*Model).DetectBatch kernels.gemm*
+http | net/http.*
+[itask-gateway]
+client | net/http.(*persistConn).writeLoop main.(*httpNode).*
+routing | gateway.*
 http | net/http.*
 `
 
 // traces is three samples of go tool pprof -traces text: an allocation
 // under the forward (the first row wins though the second matches too), a
 // GEMM leaf under the forward, and a stack no row matches.
-const traces = `File: itask-serve
+const traces = `File: itask-serve.real
 Type: cpu
 Duration: 8s, Total samples = 60ms
 -----------+-------------------------------------------------------
@@ -34,32 +39,95 @@ Duration: 8s, Total samples = 60ms
 -----------+-------------------------------------------------------
 `
 
+// gatewayTraces is four samples of a gateway: a write in http.Transport's
+// write loop, a socket write inside the relay under the routing decision
+// (the client row wins: it comes first), the ring lookup, and the server
+// reading a request.
+const gatewayTraces = `File: itask-gateway
+Type: cpu
+-----------+-------------------------------------------------------
+       5ms   syscall.Syscall
+             net.(*conn).Write
+             net/http.(*persistConn).writeLoop
+-----------+-------------------------------------------------------
+       7ms   internal/poll.(*FD).Writev
+             main.(*relayConn).exchange
+             main.(*httpNode).roundTrip
+             main.(*httpNode).forwardDetect
+             itask/internal/gateway.(*Gateway).Execute
+             net/http.(*conn).serve
+-----------+-------------------------------------------------------
+       3ms   itask/internal/gateway.(*ring).successors
+             itask/internal/gateway.(*Gateway).Execute
+             net/http.(*conn).serve
+-----------+-------------------------------------------------------
+       4ms   net/textproto.(*Reader).ReadMIMEHeader
+             net/http.(*conn).readRequest
+             net/http.(*conn).serve
+-----------+-------------------------------------------------------
+`
+
 // TestFirstMatchingRowTakesTheSample pins the semantics: rows are tried in
 // file order, any frame of the stack may match, and the rest is "other".
 func TestFirstMatchingRowTakesTheSample(t *testing.T) {
-	rows, err := parseRules(strings.NewReader(testRules))
+	secs, err := parseRules(strings.NewReader(testRules))
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, err := parseTraces(strings.NewReader(traces))
+	file, samples, err := parseTraces(strings.NewReader(traces))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(samples) != 3 {
 		t.Fatalf("parsed %d samples, want 3", len(samples))
 	}
+	shard := sectionFor(secs, file)
+	if shard == nil || shard.process != "itask-serve" {
+		t.Fatalf("File: %q picked section %+v, want itask-serve", file, shard)
+	}
+	attribute(shard.rows, samples)
 	want := map[string]time.Duration{"first": 10 * time.Millisecond, "forward": 30 * time.Millisecond, "http": 0, "other": 20 * time.Millisecond}
-	for _, r := range attribute(rows, samples) {
+	for _, r := range shard.rows {
 		if r.total != want[r.name] {
 			t.Errorf("row %q = %v, want %v", r.name, r.total, want[r.name])
 		}
 	}
 	var b strings.Builder
-	writeTable(&b, rows, 100, 0.5)
+	writeTable(&b, tableRows([]*section{shard}), 100, 0.5)
 	for _, line := range []string{"| forward | 300.0 | 50.0 % |", "| **sum of rows** | **600.0** | |", "| run's `raw.cpu_us_per_req` | 0.5 (rows +119900 %) | |"} {
 		if !strings.Contains(b.String(), line) {
 			t.Errorf("table lacks %q:\n%s", line, b.String())
 		}
+	}
+
+	// A fleet: the gateway's samples by the gateway's rows, a second shard
+	// profile added to the first's, each row named after its process.
+	file, gwSamples, err := parseTraces(strings.NewReader(gatewayTraces))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := sectionFor(secs, file)
+	if gw == nil || gw.process != "itask-gateway" {
+		t.Fatalf("File: %q picked section %+v, want itask-gateway", file, gw)
+	}
+	attribute(gw.rows, gwSamples)
+	attribute(shard.rows, samples)
+	b.Reset()
+	writeTable(&b, tableRows([]*section{gw, shard}), 100, 0)
+	for _, line := range []string{
+		"| itask-gateway: client | 120.0 | 8.6 % |",
+		"| itask-gateway: routing | 30.0 | 2.2 % |",
+		"| itask-gateway: http | 40.0 | 2.9 % |",
+		"| itask-gateway: other | 0.0 | 0.0 % |",
+		"| itask-serve: forward | 600.0 | 43.2 % |",
+		"| **sum of rows** | **1390.0** | |",
+	} {
+		if !strings.Contains(b.String(), line) {
+			t.Errorf("fleet table lacks %q:\n%s", line, b.String())
+		}
+	}
+	if sectionFor(secs, "itask-load") != nil {
+		t.Error("a profile of no listed process got a section")
 	}
 }
 
@@ -82,7 +150,10 @@ func TestPatternsMatchAfterASlash(t *testing.T) {
 			t.Errorf("matchFrame(%q, %q) = %v", c.p, c.frame, got)
 		}
 	}
-	if _, err := parseRules(strings.NewReader("bad line without a bar")); err == nil {
+	if _, err := parseRules(strings.NewReader("[p]\nbad line without a bar")); err == nil {
 		t.Error("a rule line without '|' parsed")
+	}
+	if _, err := parseRules(strings.NewReader("row | net.*")); err == nil {
+		t.Error("a row before any [process] line parsed")
 	}
 }
