@@ -143,9 +143,6 @@ func NewCNN(cfg CNNConfig, rng *tensor.RNG) *CNNDetector {
 // Params returns all trainable parameters.
 func (d *CNNDetector) Params() []*nn.Param { return d.net.Params() }
 
-// NumParams returns the scalar parameter count.
-func (d *CNNDetector) NumParams() int { return nn.CountParams(d.net.Params()) }
-
 // forwardImages flattens (C,H,W) images into the batch-row layout.
 func (d *CNNDetector) forwardImages(images []*tensor.Tensor, train bool) *tensor.Tensor {
 	w := d.Cfg.Channels * d.Cfg.ImageSize * d.Cfg.ImageSize

@@ -58,7 +58,7 @@ func TestCNNForwardShapes(t *testing.T) {
 			t.Errorf("class out of range: %+v", det)
 		}
 	}
-	if d.NumParams() <= 0 {
+	if len(d.Params()) == 0 {
 		t.Error("no parameters")
 	}
 }

@@ -76,14 +76,6 @@ type Report struct {
 	Steps     int
 }
 
-// FinalLoss returns the last epoch's mean loss.
-func (r Report) FinalLoss() float32 {
-	if len(r.EpochLoss) == 0 {
-		return 0
-	}
-	return r.EpochLoss[len(r.EpochLoss)-1]
-}
-
 // Train runs supervised detection training of m on set.
 func Train(m *vit.Model, set dataset.Set, cfg TrainConfig) (Report, error) {
 	if err := cfg.Validate(); err != nil {

@@ -39,6 +39,3 @@ func DefaultEnergyTable() EnergyTable {
 		DRAMPerBytePJ: 20.0, // ~1.3 nJ / 64-bit DDR access
 	}
 }
-
-// picojoulesToMillijoules converts pJ to mJ.
-func picojoulesToMillijoules(pj float64) float64 { return pj * 1e-9 }

@@ -32,9 +32,6 @@ package kernels
 // SetAsmEnabled, useVNNI directly.
 var useAsm, useVNNI bool
 
-// AsmEnabled reports whether the assembly kernels are in use.
-func AsmEnabled() bool { return useAsm }
-
 // SetAsmEnabled forces the implementation choice; it returns the previous
 // setting. Enabling has no effect on hosts without AVX2+FMA; disabling turns
 // off every assembly body, GemmI8's VNNI one included. Only tests and

@@ -47,7 +47,6 @@ const (
 	HasColor   Relation = "has_color"
 	HasTexture Relation = "has_texture"
 	HasSize    Relation = "has_size"
-	InContext  Relation = "in_context"
 )
 
 // AttrRelations lists the attribute-family relations in canonical order.

@@ -263,32 +263,6 @@ func TestAddAttrValueValidation(t *testing.T) {
 	}
 }
 
-func TestProfileVector(t *testing.T) {
-	p := ProfileOfClass(scene.Car)
-	v := p.Vector()
-	if len(v) != VectorDim {
-		t.Fatalf("vector dim %d, want %d", len(v), VectorDim)
-	}
-	var sum float64
-	for _, x := range v {
-		sum += x
-	}
-	if sum != 4 { // one-hot in each of 4 families
-		t.Errorf("one-hot class vector sums to %v, want 4", sum)
-	}
-	// Car and Truck share shape+texture slots but differ in color and size.
-	vt := ProfileOfClass(scene.Truck).Vector()
-	diff := 0
-	for i := range v {
-		if v[i] != vt[i] {
-			diff++
-		}
-	}
-	if diff != 4 { // color pair + size pair
-		t.Errorf("car/truck vectors differ in %d slots, want 4", diff)
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	g := buildTestGraph()
 	var buf bytes.Buffer

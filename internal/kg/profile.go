@@ -123,41 +123,6 @@ func (p AttrProfile) Match(cp scene.Profile) float64 {
 	return sum / float64(families)
 }
 
-// VectorDim is the length of a profile feature vector: one slot per
-// attribute value across all families.
-const VectorDim = 6 + 9 + 3 + 3 // shapes + colors + textures + sizes
-
-// Vector encodes the soft profile as a fixed-length feature vector, the
-// representation used to initialize few-shot class prototypes.
-func (p AttrProfile) Vector() []float64 {
-	v := make([]float64, VectorDim)
-	for s, w := range p.Shape {
-		v[int(s)] = w
-	}
-	for c, w := range p.Color {
-		v[6+int(c)] = w
-	}
-	for t, w := range p.Texture {
-		v[15+int(t)] = w
-	}
-	for s, w := range p.Size {
-		v[18+int(s)] = w
-	}
-	return v
-}
-
-// ProfileOfClass encodes a concrete class profile as a one-hot soft profile,
-// so classes and concepts live in the same vector space.
-func ProfileOfClass(c scene.ClassID) AttrProfile {
-	cp := c.Profile()
-	p := NewAttrProfile()
-	p.Shape[cp.Shape] = 1
-	p.Color[cp.Color] = 1
-	p.Texture[cp.Texture] = 1
-	p.Size[cp.Size] = 1
-	return p
-}
-
 // ClassPriors computes, for a task node, the relevance of every global class
 // in [0,1]: the best Match over the task's target concepts, zeroed for
 // concepts the task explicitly avoids more strongly than it targets.

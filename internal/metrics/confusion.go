@@ -1,9 +1,7 @@
 package metrics
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"itask/internal/geom"
 )
@@ -107,42 +105,4 @@ func (c *Confusion) Accuracy() float64 {
 		return 0
 	}
 	return float64(correct) / float64(total)
-}
-
-// MostConfused returns the off-diagonal (gt, pred) pair with the highest
-// count, or ok=false if there are no confusions.
-func (c *Confusion) MostConfused() (gt, pred, count int, ok bool) {
-	best := 0
-	for i := range c.Classes {
-		for j := range c.Classes {
-			if i != j && c.Counts[i][j] > best {
-				best = c.Counts[i][j]
-				gt, pred = c.Classes[i], c.Classes[j]
-			}
-		}
-	}
-	return gt, pred, best, best > 0
-}
-
-// Render prints the matrix with the provided class namer.
-func (c *Confusion) Render(name func(int) string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s", "gt \\ pred")
-	for _, cls := range c.Classes {
-		fmt.Fprintf(&b, " %8.8s", name(cls))
-	}
-	fmt.Fprintf(&b, " %8s\n", "missed")
-	for i, cls := range c.Classes {
-		fmt.Fprintf(&b, "%-14.14s", name(cls))
-		for j := range c.Classes {
-			fmt.Fprintf(&b, " %8d", c.Counts[i][j])
-		}
-		fmt.Fprintf(&b, " %8d\n", c.Missed[i])
-	}
-	fmt.Fprintf(&b, "%-14s", "ghost")
-	for j := range c.Classes {
-		fmt.Fprintf(&b, " %8d", c.Ghost[j])
-	}
-	fmt.Fprintf(&b, "\n")
-	return b.String()
 }

@@ -110,6 +110,3 @@ func (r *ReLU) Params() []*Param { return nil }
 func Sigmoid(x float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(x))))
 }
-
-// Tanh is a convenience wrapper for float32.
-func Tanh(x float32) float32 { return float32(math.Tanh(float64(x))) }

@@ -10,7 +10,7 @@ func TestConv2DIdentityKernel(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	// 1x1 kernel with weight 1: convolution must be the identity.
 	c := NewConv2D("c", 1, 1, 1, 1, 4, 4, rng)
-	c.Weight.W.Fill(1)
+	c.Weight.W.CopyFrom(tensor.Ones(c.Weight.W.Shape...))
 	c.Bias.W.Zero()
 	x := tensor.Randn(rng, 1, 2, 16)
 	y := c.Forward(x, false)
@@ -24,7 +24,7 @@ func TestConv2DKnownValue(t *testing.T) {
 	// 3x3 all-ones kernel on an all-ones 4x4 image: interior outputs are 9,
 	// edges 6, corners 4 (zero padding).
 	c := NewConv2D("c", 1, 1, 3, 1, 4, 4, rng)
-	c.Weight.W.Fill(1)
+	c.Weight.W.CopyFrom(tensor.Ones(c.Weight.W.Shape...))
 	c.Bias.W.Zero()
 	x := tensor.Ones(1, 16)
 	y := c.Forward(x, false)

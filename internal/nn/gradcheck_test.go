@@ -92,7 +92,7 @@ func TestLinearGradients(t *testing.T) {
 
 func TestLinearNoBiasGradients(t *testing.T) {
 	rng := tensor.NewRNG(8)
-	l := NewLinearNoBias("fc", 4, 3, rng)
+	l := &Linear{In: 4, Out: 3, Weight: NewParam("fc.weight", tensor.XavierUniform(rng, 3, 4))}
 	if len(l.Params()) != 1 {
 		t.Fatalf("no-bias linear should expose 1 param, got %d", len(l.Params()))
 	}

@@ -29,15 +29,6 @@ func NewLinear(name string, in, out int, rng *tensor.RNG) *Linear {
 	}
 }
 
-// NewLinearNoBias creates a bias-free Linear layer.
-func NewLinearNoBias(name string, in, out int, rng *tensor.RNG) *Linear {
-	return &Linear{
-		In:     in,
-		Out:    out,
-		Weight: NewParam(name+".weight", tensor.XavierUniform(rng, out, in)),
-	}
-}
-
 // Forward computes y = x Wᵀ + b for x of shape (rows, In).
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkRank("Linear.Forward", x, 2)

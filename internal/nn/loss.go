@@ -51,38 +51,6 @@ func CrossEntropy(logits *tensor.Tensor, labels []int) (float32, *tensor.Tensor)
 	return float32(loss / float64(count)), grad
 }
 
-// SoftCrossEntropy computes mean cross-entropy between logits (N,C) and a
-// full target distribution (N,C): loss = -mean_i sum_j t_ij log p_ij.
-// Used for distillation soft targets.
-func SoftCrossEntropy(logits, target *tensor.Tensor) (float32, *tensor.Tensor) {
-	checkRank("SoftCrossEntropy", logits, 2)
-	if !logits.SameShape(target) {
-		panic("nn: SoftCrossEntropy shape mismatch")
-	}
-	n, c := logits.Shape[0], logits.Shape[1]
-	probs := tensor.SoftmaxRows(logits)
-	lse := tensor.LogSumExpRows(logits)
-	grad := tensor.New(n, c)
-	var loss float64
-	inv := float32(1 / float64(n))
-	for i := 0; i < n; i++ {
-		trow := target.Data[i*c : (i+1)*c]
-		lrow := logits.Data[i*c : (i+1)*c]
-		prow := probs.Data[i*c : (i+1)*c]
-		grow := grad.Data[i*c : (i+1)*c]
-		var tsum float64
-		for j, tv := range trow {
-			loss += float64(tv) * float64(lse[i]-lrow[j])
-			tsum += float64(tv)
-		}
-		// grad = (tsum * p - t) / n ; for normalized targets tsum == 1.
-		for j := range grow {
-			grow[j] = (float32(tsum)*prow[j] - trow[j]) * inv
-		}
-	}
-	return float32(loss / float64(n)), grad
-}
-
 // KLDistill computes the Hinton distillation loss
 // T² · KL(softmax(teacher/T) ‖ softmax(student/T)) averaged over rows,
 // returning the loss and its gradient w.r.t. the student logits.

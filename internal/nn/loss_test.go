@@ -82,21 +82,6 @@ func TestCrossEntropyGradient(t *testing.T) {
 	assertGradMatches(t, "CrossEntropy", grad, num, 2e-2)
 }
 
-func TestSoftCrossEntropyGradient(t *testing.T) {
-	rng := tensor.NewRNG(3)
-	logits := tensor.Randn(rng, 1, 3, 5)
-	target := tensor.SoftmaxRows(tensor.Randn(rng, 1, 3, 5))
-	loss, grad := SoftCrossEntropy(logits, target)
-	if loss <= 0 {
-		t.Errorf("soft CE should be positive, got %v", loss)
-	}
-	num := numericLossGrad(func(p *tensor.Tensor) float32 {
-		l, _ := SoftCrossEntropy(p, target)
-		return l
-	}, logits)
-	assertGradMatches(t, "SoftCrossEntropy", grad, num, 2e-2)
-}
-
 func TestKLDistillProperties(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	teacher := tensor.Randn(rng, 2, 4, 6)

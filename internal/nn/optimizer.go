@@ -49,7 +49,9 @@ func (o *SGD) Step(params []*Param) {
 				p.W.Data[i] -= o.lr * v.Data[i]
 			}
 		} else {
-			p.W.Axpy(-o.lr, p.G)
+			for i, g := range p.G.Data {
+				p.W.Data[i] -= o.lr * g
+			}
 		}
 		p.ZeroGrad()
 	}

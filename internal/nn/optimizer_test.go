@@ -24,7 +24,7 @@ func testConvergence(t *testing.T, name string, opt Optimizer, steps int, tol fl
 		quadraticGrad(p, target)
 		opt.Step([]*Param{p})
 	}
-	dist := float64(tensor.Sub(p.W, target).Norm2())
+	dist := float64(tensor.Add(p.W, tensor.Scale(target, -1)).Norm2())
 	if dist > tol {
 		t.Errorf("%s: after %d steps dist to optimum = %v (tol %v)", name, steps, dist, tol)
 	}
@@ -176,7 +176,7 @@ func TestDropoutTrainEval(t *testing.T) {
 		}
 	}
 	// Expectation preserved: mean of outputs ~ mean of inputs.
-	if m := float64(y.Mean()); m < 0.85 || m > 1.15 {
+	if m := float64(y.Sum()) / float64(y.Size()); m < 0.85 || m > 1.15 {
 		t.Errorf("inverted dropout mean = %v, want ~1", m)
 	}
 }

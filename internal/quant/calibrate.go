@@ -27,9 +27,6 @@ func (o *Observer) Params(bits int, pct float64) QParams {
 	return PercentileParams(o.values, bits, pct)
 }
 
-// Samples returns the number of observed scalars.
-func (o *Observer) Samples() int { return len(o.values) }
-
 // StaticParams holds calibrated activation parameters for every linear site
 // of the quantized ViT. Attention-internal products (scores, context)
 // remain dynamically quantized: their ranges vary strongly per image and

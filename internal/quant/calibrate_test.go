@@ -20,8 +20,8 @@ func TestObserver(t *testing.T) {
 	}()
 	o.Observe(tensor.FromSlice([]float32{-1, 0, 3}, 3))
 	o.Observe(tensor.FromSlice([]float32{2, 5}, 2))
-	if o.Samples() != 5 {
-		t.Errorf("samples = %d", o.Samples())
+	if len(o.values) != 5 {
+		t.Errorf("samples = %d", len(o.values))
 	}
 	qp := o.Params(8, 1)
 	// Range [-1, 5] must round-trip the extremes within half a step.

@@ -3,7 +3,6 @@ package quant
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"io"
 	"os"
 )
@@ -36,27 +35,4 @@ func (qm *Model) SaveFileSum(path string) (string, error) {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil))[:sumLen], nil
-}
-
-// LoadFileVerify reads a quantized model from path, hashing the stream while
-// decoding, and refuses the artifact when the digest differs from sum.
-func LoadFileVerify(path, sum string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	h := sha256.New()
-	qm, err := Load(io.TeeReader(f, h))
-	if err != nil {
-		return nil, err
-	}
-	if _, err := io.Copy(h, f); err != nil {
-		return nil, err
-	}
-	got := hex.EncodeToString(h.Sum(nil))[:sumLen]
-	if got != sum {
-		return nil, fmt.Errorf("quant: artifact %s checksum %s, manifest says %s", path, got, sum)
-	}
-	return qm, nil
 }

@@ -291,25 +291,6 @@ func (qm *Model) DetHead(feats *tensor.Tensor) *tensor.Tensor {
 	return vit.ApplyLinear(qm, vit.Site{Kind: vit.Det}, feats, qm.det.w.Out)
 }
 
-// ClsHead mean-pools and applies the quantized classification head.
-func (qm *Model) ClsHead(feats *tensor.Tensor) *tensor.Tensor {
-	t := qm.Cfg.Tokens()
-	b := feats.Shape[0] / t
-	d := qm.Cfg.Dim
-	pooled := tensor.New(b, d)
-	inv := float32(1) / float32(t)
-	for bi := 0; bi < b; bi++ {
-		orow := pooled.Data[bi*d : (bi+1)*d]
-		for ti := 0; ti < t; ti++ {
-			frow := feats.Data[(bi*t+ti)*d : (bi*t+ti+1)*d]
-			for j, v := range frow {
-				orow[j] += v * inv
-			}
-		}
-	}
-	return vit.ApplyLinear(qm, vit.Site{Kind: vit.Cls}, pooled, qm.cls.w.Out)
-}
-
 // DetectBatch runs end-to-end quantized detection on a batch of (C,H,W)
 // images — vit.Detect with the int8 sites — returning one detection set per
 // image.

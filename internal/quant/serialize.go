@@ -313,13 +313,3 @@ func (qm *Model) SaveFile(path string) error {
 	}
 	return f.Close()
 }
-
-// LoadFile reads a quantized model from path.
-func LoadFile(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
-}

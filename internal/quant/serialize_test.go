@@ -2,6 +2,7 @@ package quant
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"itask/internal/tensor"
@@ -54,7 +55,12 @@ func TestQuantSaveLoadFile(t *testing.T) {
 	if err := qm.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	loaded, err := Load(f)
 	if err != nil {
 		t.Fatal(err)
 	}

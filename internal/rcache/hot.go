@@ -301,23 +301,6 @@ func (t *hotTier) dropExpired(k Key, e *hotEntry) {
 	t.table.Store(next)
 }
 
-// invalidate drops the replica for k, if any.
-func (t *hotTier) invalidate(k Key) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cur := t.table.Load()
-	e := cur.entries[k]
-	if e == nil {
-		return
-	}
-	next := cloneHotTable(cur)
-	next.bytes -= e.bytes
-	delete(next.entries, k)
-	t.retiredHits.Add(e.total())
-	t.demotions.Add(1)
-	t.table.Store(next)
-}
-
 // retireArtifact drops every replica pinned to one versioned artifact ID in
 // a single table publish, so after it returns no reader can find any of the
 // artifact's entries. Returns the number of replicas retired.

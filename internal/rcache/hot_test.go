@@ -288,11 +288,6 @@ func TestHotArtifactRetirement(t *testing.T) {
 	if _, _, ok := c.Replicated(kOther, now); !ok {
 		t.Fatal("unrelated artifact's replica was retired")
 	}
-	// Invalidate drops a single replica too.
-	c.Invalidate(kOther)
-	if _, _, ok := c.Replicated(kOther, now); ok {
-		t.Fatal("Invalidate left the replica behind")
-	}
 }
 
 func TestHotTTLExpiryDemotes(t *testing.T) {

@@ -323,23 +323,6 @@ func (c *Cache) Put(k Key, payload any, now time.Time) {
 	}
 }
 
-// Invalidate drops the entry for k — and its hot replica, if promoted —
-// reporting whether either existed.
-func (c *Cache) Invalidate(k Key) bool {
-	if c.hot != nil {
-		c.hot.invalidate(k)
-	}
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.entries[k]
-	if e == nil {
-		return false
-	}
-	sh.removeLocked(e)
-	return true
-}
-
 // InvalidateArtifact sweeps every shard and drops all entries (and negative
 // entries) whose key pins the given artifact ID, returning how many positive
 // entries were removed. A demoted/poisoned version's results become

@@ -129,22 +129,6 @@ func TestSizeOfAndOversizedEntry(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New(Config{MaxBytes: 1 << 20})
-	now := time.Now()
-	k := key("m@v1#ab", "t", 9)
-	c.Put(k, "p", now)
-	if !c.Invalidate(k) {
-		t.Fatal("Invalidate missed a resident entry")
-	}
-	if c.Invalidate(k) {
-		t.Fatal("Invalidate found a removed entry")
-	}
-	if _, _, ok := c.Get(k, now); ok {
-		t.Fatal("invalidated entry served")
-	}
-}
-
 func TestInvalidateArtifact(t *testing.T) {
 	c := New(Config{MaxBytes: 1 << 20, Shards: 4, NegTTL: time.Minute})
 	now := time.Now()

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -102,9 +101,6 @@ const (
 func (id ArtifactID) String() string {
 	return id.Name + idSepVersion + strconv.Itoa(id.Version) + idSepSum + id.Checksum
 }
-
-// IsZero reports an unset ID.
-func (id ArtifactID) IsZero() bool { return id.Name == "" && id.Version == 0 }
 
 // ParseID parses the canonical textual form produced by ArtifactID.String.
 func ParseID(s string) (ArtifactID, error) {
@@ -299,16 +295,6 @@ func (s *Snapshot) Resolve(variant string) (*Artifact, bool) {
 // Quarantined reports whether the exact version behind a full ID string has
 // been demoted as unhealthy.
 func (s *Snapshot) Quarantined(id string) bool { return s.quarantined[id] }
-
-// Artifacts returns every active artifact, sorted by name.
-func (s *Snapshot) Artifacts() []*Artifact {
-	out := make([]*Artifact, 0, len(s.active))
-	for _, a := range s.active {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
 
 // Publish validates an artifact, assigns it the next version of its name,
 // makes it the name's active version, and swaps the routing snapshot. The

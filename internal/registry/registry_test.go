@@ -257,7 +257,7 @@ func TestSnapshotReadersNeverTear(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	if lastID.IsZero() {
+	if lastID == (ArtifactID{}) {
 		t.Fatal("no publishes happened")
 	}
 	st := r.Stats()

@@ -68,16 +68,6 @@ func (c ClassID) Profile() Profile {
 	return classTable[c].profile
 }
 
-// ClassByName looks a class up by its canonical name.
-func ClassByName(name string) (ClassID, bool) {
-	for c := ClassID(0); c < NumClasses; c++ {
-		if classTable[c].name == name {
-			return c, true
-		}
-	}
-	return 0, false
-}
-
 // DomainID identifies an application domain (a mission context).
 type DomainID int
 
@@ -151,13 +141,4 @@ func DomainByName(name string) (Domain, bool) {
 		}
 	}
 	return Domain{}, false
-}
-
-// AllDomains returns all domain descriptors in ID order.
-func AllDomains() []Domain {
-	out := make([]Domain, NumDomains)
-	for i := range out {
-		out[i] = domainTable[i]
-	}
-	return out
 }

@@ -19,9 +19,6 @@ import (
 	"itask/internal/tensor"
 )
 
-// Kind distinguishes the deployable iTask model configurations.
-type Kind = registry.Kind
-
 // The configuration kinds of the paper's dual-configuration design.
 const (
 	// TaskSpecific is a distilled per-task student: highest in-task
@@ -82,9 +79,6 @@ func NewWith(reg *registry.Registry, budgetBytes int64) *Scheduler {
 		cache:            newLRUCache(budgetBytes),
 	}
 }
-
-// Registry exposes the underlying registry for publication and rollback.
-func (s *Scheduler) Registry() *registry.Registry { return s.reg }
 
 // Register publishes a model into the registry as the next version of its
 // name. Unlike the pre-registry scheduler, re-registering a name is not an
@@ -280,11 +274,6 @@ func (s *Scheduler) Resident() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cache.Resident()
-}
-
-// Models returns the number of actively routed artifacts.
-func (s *Scheduler) Models() int {
-	return len(s.reg.Snapshot().Artifacts())
 }
 
 // Lookup resolves a variant string (bare name or full artifact ID) without

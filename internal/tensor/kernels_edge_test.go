@@ -76,63 +76,5 @@ func TestTMatMulEdgeShapesVsNaive(t *testing.T) {
 		if got := TMatMul(a, b); !got.AllClose(want, 1e-4, 1e-4) {
 			t.Fatalf("TMatMul (%d,%d)T@(%d,%d) diverges from naive", s.k, s.m, s.k, s.n)
 		}
-		out := dirty(s.m, s.n)
-		TMatMulInto(out, a, b)
-		if !out.AllClose(want, 1e-4, 1e-4) {
-			t.Fatalf("TMatMulInto (%d,%d)T@(%d,%d) diverges from naive", s.k, s.m, s.k, s.n)
-		}
-	}
-}
-
-func TestMatVecEdgeShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for _, s := range edgeShapes {
-		a := randMat(rng, s.m, s.k)
-		x := New(s.k)
-		for i := range x.Data {
-			x.Data[i] = float32(rng.NormFloat64())
-		}
-		got := MatVec(a, x)
-		for i := 0; i < s.m; i++ {
-			var want float64
-			for j := 0; j < s.k; j++ {
-				want += float64(a.Data[i*s.k+j]) * float64(x.Data[j])
-			}
-			if diff := float64(got.Data[i]) - want; diff > 1e-3 || diff < -1e-3 {
-				t.Fatalf("MatVec (%d,%d) row %d: got %v want %v", s.m, s.k, i, got.Data[i], want)
-			}
-		}
-		out := dirty(s.m)
-		MatVecInto(out, a, x)
-		if !out.AllClose(got, 0, 0) {
-			t.Fatalf("MatVecInto differs from MatVec at (%d,%d)", s.m, s.k)
-		}
-	}
-}
-
-func TestOuterEdgeShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for _, s := range edgeShapes {
-		x := New(s.m)
-		y := New(s.n)
-		for i := range x.Data {
-			x.Data[i] = float32(rng.NormFloat64())
-		}
-		for i := range y.Data {
-			y.Data[i] = float32(rng.NormFloat64())
-		}
-		got := Outer(x, y)
-		for i := 0; i < s.m; i++ {
-			for j := 0; j < s.n; j++ {
-				if want := x.Data[i] * y.Data[j]; got.Data[i*s.n+j] != want {
-					t.Fatalf("Outer (%d,%d) at (%d,%d): got %v want %v", s.m, s.n, i, j, got.Data[i*s.n+j], want)
-				}
-			}
-		}
-		out := dirty(s.m, s.n)
-		OuterInto(out, x, y)
-		if !out.AllClose(got, 0, 0) {
-			t.Fatalf("OuterInto differs from Outer at (%d,%d)", s.m, s.n)
-		}
 	}
 }

@@ -17,46 +17,10 @@ func Add(t, u *Tensor) *Tensor {
 	return out
 }
 
-// Sub returns t-u elementwise as a new tensor.
-func Sub(t, u *Tensor) *Tensor {
-	mustSameShape("Sub", t, u)
-	out := New(t.Shape...)
-	for i, v := range t.Data {
-		out.Data[i] = v - u.Data[i]
-	}
-	return out
-}
-
-// Mul returns the elementwise (Hadamard) product as a new tensor.
-func Mul(t, u *Tensor) *Tensor {
-	mustSameShape("Mul", t, u)
-	out := New(t.Shape...)
-	for i, v := range t.Data {
-		out.Data[i] = v * u.Data[i]
-	}
-	return out
-}
-
 // AddInPlace accumulates u into t: t += u, one kernels.AddF32 call.
 func (t *Tensor) AddInPlace(u *Tensor) {
 	mustSameShape("AddInPlace", t, u)
 	kernels.AddF32(t.Data, u.Data)
-}
-
-// SubInPlace subtracts u from t: t -= u.
-func (t *Tensor) SubInPlace(u *Tensor) {
-	mustSameShape("SubInPlace", t, u)
-	for i, v := range u.Data {
-		t.Data[i] -= v
-	}
-}
-
-// MulInPlace multiplies t by u elementwise: t *= u.
-func (t *Tensor) MulInPlace(u *Tensor) {
-	mustSameShape("MulInPlace", t, u)
-	for i, v := range u.Data {
-		t.Data[i] *= v
-	}
 }
 
 // Scale returns s*t as a new tensor.
@@ -72,21 +36,6 @@ func Scale(t *Tensor, s float32) *Tensor {
 func (t *Tensor) ScaleInPlace(s float32) {
 	for i := range t.Data {
 		t.Data[i] *= s
-	}
-}
-
-// AddScalarInPlace adds s to every element of t.
-func (t *Tensor) AddScalarInPlace(s float32) {
-	for i := range t.Data {
-		t.Data[i] += s
-	}
-}
-
-// Axpy accumulates a*x into t: t += a*x (BLAS axpy).
-func (t *Tensor) Axpy(a float32, x *Tensor) {
-	mustSameShape("Axpy", t, x)
-	for i, v := range x.Data {
-		t.Data[i] += a * v
 	}
 }
 
@@ -113,15 +62,6 @@ func (t *Tensor) Sum() float32 {
 		s += float64(v)
 	}
 	return float32(s)
-}
-
-// Mean returns the arithmetic mean of all elements (0 for empty tensors).
-func (t *Tensor) Mean() float32 {
-	n := t.Size()
-	if n == 0 {
-		return 0
-	}
-	return float32(float64(t.Sum()) / float64(n))
 }
 
 // Max returns the maximum element. Panics on empty tensors.
@@ -164,40 +104,6 @@ func (t *Tensor) AbsMax() float32 {
 		}
 	}
 	return m
-}
-
-// Argmax returns the flat index of the maximum element.
-func (t *Tensor) Argmax() int {
-	if len(t.Data) == 0 {
-		panic("tensor: Argmax of empty tensor")
-	}
-	best, bi := t.Data[0], 0
-	for i, v := range t.Data[1:] {
-		if v > best {
-			best, bi = v, i+1
-		}
-	}
-	return bi
-}
-
-// ArgmaxRows returns, for an (R,C) matrix, the argmax of each row.
-func (t *Tensor) ArgmaxRows() []int {
-	if len(t.Shape) != 2 {
-		panic("tensor: ArgmaxRows on non-matrix")
-	}
-	r, c := t.Shape[0], t.Shape[1]
-	out := make([]int, r)
-	for i := 0; i < r; i++ {
-		row := t.Data[i*c : (i+1)*c]
-		best, bi := row[0], 0
-		for j, v := range row[1:] {
-			if v > best {
-				best, bi = v, j+1
-			}
-		}
-		out[i] = bi
-	}
-	return out
 }
 
 // SumRows returns a length-C vector holding the column sums of an (R,C)
@@ -250,19 +156,6 @@ func (t *Tensor) ApplyInPlace(f func(float32) float32) {
 	for i, v := range t.Data {
 		t.Data[i] = f(v)
 	}
-}
-
-// Clamp returns a new tensor with every element clamped to [lo, hi].
-func Clamp(t *Tensor, lo, hi float32) *Tensor {
-	return Apply(t, func(v float32) float32 {
-		if v < lo {
-			return lo
-		}
-		if v > hi {
-			return hi
-		}
-		return v
-	})
 }
 
 // SoftmaxRows applies a numerically-stable softmax to each row of an (R,C)

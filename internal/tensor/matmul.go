@@ -116,16 +116,6 @@ func TMatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// TMatMulInto computes out = aᵀ @ b, reusing out's storage.
-// out must already have shape (M,N); it is fully overwritten.
-func TMatMulInto(out, a, b *Tensor) {
-	k, m, n := tmmDims(a, b)
-	if len(out.Shape) != 2 || out.Shape[0] != m || out.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: TMatMulInto out shape %v, want (%d,%d)", out.Shape, m, n))
-	}
-	tMatMulRows(out.Data, a.Data, b.Data, k, m, n)
-}
-
 func tmmDims(a, b *Tensor) (k, m, n int) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: TMatMul on shapes %v, %v", a.Shape, b.Shape))
@@ -153,90 +143,6 @@ func tMatMulRows(out, a, b []float32, k, m, n int) {
 		}
 		for ; p < k; p++ {
 			kernels.Axpy(a[p*m+i], b[p*n:(p+1)*n], oi)
-		}
-	}
-}
-
-// MatVec returns a @ x for a (M,N) matrix and length-N vector, as a
-// length-M vector.
-func MatVec(a, x *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(x.Shape) != 1 || a.Shape[1] != x.Shape[0] {
-		panic(fmt.Sprintf("tensor: MatVec %v @ %v", a.Shape, x.Shape))
-	}
-	out := New(a.Shape[0])
-	matVecInto(out.Data, a.Data, x.Data, a.Shape[0], a.Shape[1])
-	return out
-}
-
-// MatVecInto computes out = a @ x, reusing out's storage (length M).
-func MatVecInto(out, a, x *Tensor) {
-	if len(a.Shape) != 2 || len(x.Shape) != 1 || a.Shape[1] != x.Shape[0] {
-		panic(fmt.Sprintf("tensor: MatVecInto %v @ %v", a.Shape, x.Shape))
-	}
-	if len(out.Shape) != 1 || out.Shape[0] != a.Shape[0] {
-		panic(fmt.Sprintf("tensor: MatVecInto out shape %v, want (%d)", out.Shape, a.Shape[0]))
-	}
-	matVecInto(out.Data, a.Data, x.Data, a.Shape[0], a.Shape[1])
-}
-
-// matVecInto computes out = a @ x four rows at a time (the vector is loaded
-// once per 4-row block).
-func matVecInto(out, a, x []float32, m, n int) {
-	i := 0
-	for ; i+4 <= m; i += 4 {
-		out[i], out[i+1], out[i+2], out[i+3] =
-			kernels.Dot4(x, a[i*n:], a[(i+1)*n:], a[(i+2)*n:], a[(i+3)*n:])
-	}
-	for ; i < m; i++ {
-		out[i] = kernels.Dot(x, a[i*n:(i+1)*n])
-	}
-}
-
-// Outer returns the outer product x ⊗ y of two vectors as an (len(x),len(y))
-// matrix.
-func Outer(x, y *Tensor) *Tensor {
-	if len(x.Shape) != 1 || len(y.Shape) != 1 {
-		panic(fmt.Sprintf("tensor: Outer on shapes %v, %v", x.Shape, y.Shape))
-	}
-	out := New(x.Shape[0], y.Shape[0])
-	outerInto(out.Data, x.Data, y.Data, x.Shape[0], y.Shape[0])
-	return out
-}
-
-// OuterInto computes out = x ⊗ y, reusing out's storage (len(x),len(y));
-// out is fully overwritten.
-func OuterInto(out, x, y *Tensor) {
-	if len(x.Shape) != 1 || len(y.Shape) != 1 {
-		panic(fmt.Sprintf("tensor: OuterInto on shapes %v, %v", x.Shape, y.Shape))
-	}
-	if len(out.Shape) != 2 || out.Shape[0] != x.Shape[0] || out.Shape[1] != y.Shape[0] {
-		panic(fmt.Sprintf("tensor: OuterInto out shape %v, want (%d,%d)", out.Shape, x.Shape[0], y.Shape[0]))
-	}
-	outerInto(out.Data, x.Data, y.Data, x.Shape[0], y.Shape[0])
-}
-
-// outerInto writes x ⊗ y four rows at a time (each pass over y fills four
-// output rows).
-func outerInto(out, x, y []float32, m, n int) {
-	i := 0
-	for ; i+4 <= m; i += 4 {
-		r0 := out[i*n : (i+1)*n]
-		r1 := out[(i+1)*n : (i+2)*n]
-		r2 := out[(i+2)*n : (i+3)*n]
-		r3 := out[(i+3)*n : (i+4)*n]
-		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
-		for j, yv := range y {
-			r0[j] = x0 * yv
-			r1[j] = x1 * yv
-			r2[j] = x2 * yv
-			r3[j] = x3 * yv
-		}
-	}
-	for ; i < m; i++ {
-		row := out[i*n : (i+1)*n]
-		xv := x[i]
-		for j, yv := range y {
-			row[j] = xv * yv
 		}
 	}
 }

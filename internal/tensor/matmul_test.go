@@ -122,7 +122,6 @@ func TestMatMulDimMismatchPanics(t *testing.T) {
 		"MatMul":  func() { MatMul(New(2, 3), New(4, 5)) },
 		"MatMulT": func() { MatMulT(New(2, 3), New(4, 5)) },
 		"TMatMul": func() { TMatMul(New(2, 3), New(4, 5)) },
-		"MatVec":  func() { MatVec(New(2, 3), New(4)) },
 		"rank":    func() { MatMul(New(2), New(2, 2)) },
 	} {
 		func() {
@@ -133,26 +132,6 @@ func TestMatMulDimMismatchPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestMatVec(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	x := FromSlice([]float32{1, 0, -1}, 3)
-	got := MatVec(a, x)
-	want := FromSlice([]float32{-2, -2}, 2)
-	if !got.Equal(want) {
-		t.Errorf("MatVec = %v, want %v", got, want)
-	}
-}
-
-func TestOuter(t *testing.T) {
-	x := FromSlice([]float32{1, 2}, 2)
-	y := FromSlice([]float32{3, 4, 5}, 3)
-	got := Outer(x, y)
-	want := FromSlice([]float32{3, 4, 5, 6, 8, 10}, 2, 3)
-	if !got.Equal(want) {
-		t.Errorf("Outer = %v, want %v", got, want)
 	}
 }
 

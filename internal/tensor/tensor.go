@@ -78,15 +78,6 @@ func (t *Tensor) Size() int {
 // Dims returns the number of dimensions (rank).
 func (t *Tensor) Dims() int { return len(t.Shape) }
 
-// Dim returns the extent of dimension i. Negative i counts from the end,
-// so Dim(-1) is the innermost dimension.
-func (t *Tensor) Dim(i int) int {
-	if i < 0 {
-		i += len(t.Shape)
-	}
-	return t.Shape[i]
-}
-
 // SameShape reports whether t and u have identical shapes.
 func (t *Tensor) SameShape(u *Tensor) bool {
 	if len(t.Shape) != len(u.Shape) {
@@ -158,25 +149,6 @@ func (t *Tensor) Row(i int) *Tensor {
 	}
 	c := t.Shape[1]
 	return &Tensor{Data: t.Data[i*c : (i+1)*c], Shape: []int{c}}
-}
-
-// Slice2D returns a view of rows [lo,hi) of a 2-D tensor, sharing data.
-func (t *Tensor) Slice2D(lo, hi int) *Tensor {
-	if len(t.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: Slice2D on %d-D tensor", len(t.Shape)))
-	}
-	if lo < 0 || hi > t.Shape[0] || lo > hi {
-		panic(fmt.Sprintf("tensor: Slice2D [%d,%d) out of range for %v", lo, hi, t.Shape))
-	}
-	c := t.Shape[1]
-	return &Tensor{Data: t.Data[lo*c : hi*c], Shape: []int{hi - lo, c}}
-}
-
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
 }
 
 // Zero sets every element to 0.

@@ -133,10 +133,6 @@ func TestRowAndSlice2D(t *testing.T) {
 	if r.Shape[0] != 2 || r.Data[0] != 3 || r.Data[1] != 4 {
 		t.Errorf("Row(1) = %v", r.Data)
 	}
-	s := a.Slice2D(1, 3)
-	if s.Shape[0] != 2 || s.At(1, 1) != 6 {
-		t.Errorf("Slice2D(1,3) wrong: %v", s)
-	}
 	// Views share data.
 	r.Data[0] = -3
 	if a.At(1, 0) != -3 {
@@ -172,12 +168,6 @@ func TestAddSubMul(t *testing.T) {
 	if got := Add(a, b); !got.Equal(FromSlice([]float32{11, 22, 33, 44}, 2, 2)) {
 		t.Errorf("Add = %v", got)
 	}
-	if got := Sub(b, a); !got.Equal(FromSlice([]float32{9, 18, 27, 36}, 2, 2)) {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := Mul(a, b); !got.Equal(FromSlice([]float32{10, 40, 90, 160}, 2, 2)) {
-		t.Errorf("Mul = %v", got)
-	}
 }
 
 func TestShapeMismatchPanics(t *testing.T) {
@@ -185,8 +175,6 @@ func TestShapeMismatchPanics(t *testing.T) {
 	b := New(2, 3)
 	for name, f := range map[string]func(){
 		"Add":        func() { Add(a, b) },
-		"Sub":        func() { Sub(a, b) },
-		"Mul":        func() { Mul(a, b) },
 		"AddInPlace": func() { a.AddInPlace(b) },
 		"Dot":        func() { Dot(a, b) },
 	} {
@@ -205,15 +193,9 @@ func TestInPlaceOps(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3}, 3)
 	a.AddInPlace(FromSlice([]float32{1, 1, 1}, 3))
 	a.ScaleInPlace(2)
-	a.AddScalarInPlace(-1)
-	want := FromSlice([]float32{3, 5, 7}, 3)
+	want := FromSlice([]float32{4, 6, 8}, 3)
 	if !a.Equal(want) {
 		t.Errorf("in-place chain = %v, want %v", a, want)
-	}
-	a.Axpy(2, FromSlice([]float32{1, 0, -1}, 3))
-	want = FromSlice([]float32{5, 5, 5}, 3)
-	if !a.Equal(want) {
-		t.Errorf("Axpy = %v, want %v", a, want)
 	}
 }
 
@@ -231,22 +213,8 @@ func TestReductions(t *testing.T) {
 	if a.Sum() != 10 {
 		t.Errorf("Sum = %v", a.Sum())
 	}
-	if a.Mean() != 2 {
-		t.Errorf("Mean = %v", a.Mean())
-	}
 	if a.Max() != 5 || a.Min() != -1 || a.AbsMax() != 5 {
 		t.Errorf("Max/Min/AbsMax = %v/%v/%v", a.Max(), a.Min(), a.AbsMax())
-	}
-	if a.Argmax() != 4 {
-		t.Errorf("Argmax = %d", a.Argmax())
-	}
-}
-
-func TestArgmaxRows(t *testing.T) {
-	a := FromSlice([]float32{1, 9, 2, 7, 3, 1}, 2, 3)
-	got := a.ArgmaxRows()
-	if got[0] != 1 || got[1] != 0 {
-		t.Errorf("ArgmaxRows = %v", got)
 	}
 }
 
@@ -318,10 +286,6 @@ func TestLogSumExpRows(t *testing.T) {
 
 func TestApplyAndClamp(t *testing.T) {
 	a := FromSlice([]float32{-2, -1, 0, 1, 2}, 5)
-	c := Clamp(a, -1, 1)
-	if !c.Equal(FromSlice([]float32{-1, -1, 0, 1, 1}, 5)) {
-		t.Errorf("Clamp = %v", c)
-	}
 	sq := Apply(a, func(v float32) float32 { return v * v })
 	if !sq.Equal(FromSlice([]float32{4, 1, 0, 1, 4}, 5)) {
 		t.Errorf("Apply = %v", sq)

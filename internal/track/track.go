@@ -75,9 +75,6 @@ type Tracker struct {
 	cfg    Config
 	tracks []*Track
 	nextID int
-	// IDSwitchesSeen is incremented by the evaluation helper, not the
-	// tracker itself.
-	frames int
 }
 
 // New creates a tracker.
@@ -92,7 +89,6 @@ func New(cfg Config) *Tracker {
 // best IoU first, same class only), spawns tentative tracks for unmatched
 // detections, ages out stale tracks, and returns the confirmed tracks.
 func (tr *Tracker) Update(dets []geom.Scored) []Track {
-	tr.frames++
 	type cand struct {
 		ti, di int
 		iou    float64
@@ -189,9 +185,3 @@ func (tr *Tracker) associate(t *Track, d geom.Scored) {
 	}
 	t.Class = best
 }
-
-// ActiveTracks returns the number of live (confirmed or tentative) tracks.
-func (tr *Tracker) ActiveTracks() int { return len(tr.tracks) }
-
-// Frames returns how many frames have been processed.
-func (tr *Tracker) Frames() int { return tr.frames }

@@ -86,8 +86,8 @@ func TestTrackDiesAfterMaxMisses(t *testing.T) {
 	for i := 0; i < 4; i++ { // > MaxMisses
 		tr.Update(nil)
 	}
-	if tr.ActiveTracks() != 0 {
-		t.Errorf("stale track survived: %d active", tr.ActiveTracks())
+	if len(tr.tracks) != 0 {
+		t.Errorf("stale track survived: %d active", len(tr.tracks))
 	}
 	// A new object gets a NEW id.
 	tr.Update([]geom.Scored{det(0.5, 0.5, 0.2, 0.2, 0, 0.9)})

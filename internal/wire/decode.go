@@ -82,14 +82,11 @@ const (
 	fTimeoutMS
 )
 
+// The first member of imageFields and of sceneFields; the other is data
+// and seed.
 const (
-	fShape = iota
-	fData
-)
-
-const (
-	fDomain = iota
-	fSeed
+	fShape  = 0
+	fDomain = 0
 )
 
 // DecodeDetect decodes a JSON /v1/detect body. imageSize is the side S of

@@ -192,12 +192,6 @@ func AppendFrame(dst []byte, task, tenant string, timeoutMS uint32, shape [3]int
 	return dst
 }
 
-// FrameLen returns the encoded size of a frame with the given name lengths
-// and element count, for pre-sizing buffers.
-func FrameLen(taskLen, tenantLen, elems int) int {
-	return pad4(headerLen+taskLen+tenantLen) + 4*elems
-}
-
 // Float32s decodes a frame payload into dst — no text parsing, no
 // allocation. On a little-endian host the payload's bytes already are the
 // float32s, so the decode is one copy into a byte view of dst, every bit
