@@ -108,6 +108,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -177,7 +178,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "itask-gateway: %v\n", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Addr: o.addr, Handler: app.mux()}
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "itask-gateway: %v\n", err)
+		os.Exit(1)
+	}
+	door := &wire.Server{Handler: app.mux()}
 
 	go func() {
 		sig := make(chan os.Signal, 1)
@@ -186,13 +192,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "itask-gateway: draining...")
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		_ = httpSrv.Shutdown(ctx)
+		_ = door.Shutdown(ctx)
 		app.g.Close()
 	}()
 
 	fmt.Fprintf(os.Stderr, "itask-gateway: listening on %s, %d seed backends (vnodes=%d load-factor=%g hot=%d/%d retries=%d lease-ttl=%v)\n",
 		o.addr, len(o.backends), cfg.VirtualNodes, cfg.LoadFactor, cfg.HotThreshold, cfg.HotReplicas, cfg.MaxRetries, cfg.LeaseTTL)
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := door.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "itask-gateway: %v\n", err)
 		os.Exit(1)
 	}

@@ -10,15 +10,16 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"itask/internal/gateway"
+	"itask/internal/wire"
 )
 
 // relay_test.go: the shard relay's rules, one test each — a connection is
@@ -39,20 +40,57 @@ func relayNode(t *testing.T, base string) *httpNode {
 	return n
 }
 
-// countingShard is an httptest shard that counts the connections it
-// accepts: every dial the relay makes.
-func countingShard(t *testing.T, h http.HandlerFunc) (*httptest.Server, *atomic.Int32) {
+// doorShard is a shard behind the door server itask-serve runs. Its
+// listener counts the connections it accepts — every dial the relay makes —
+// and keeps them, so a test can close them under the relay.
+type doorShard struct {
+	URL   string
+	dials atomic.Int32
+
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func countingShard(t *testing.T, h http.HandlerFunc) (*doorShard, *atomic.Int32) {
 	t.Helper()
-	dials := new(atomic.Int32)
-	srv := httptest.NewUnstartedServer(h)
-	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
-		if s == http.StateNew {
-			dials.Add(1)
-		}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	srv.Start()
-	t.Cleanup(srv.Close)
-	return srv, dials
+	s := &doorShard{URL: "http://" + ln.Addr().String()}
+	door := &wire.Server{Handler: h}
+	go door.Serve(keepingListener{ln, s})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		door.Shutdown(ctx)
+	})
+	return s, &s.dials
+}
+
+// CloseClientConnections closes every connection the shard accepted.
+func (s *doorShard) CloseClientConnections() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range s.conns {
+		c.Close()
+	}
+}
+
+type keepingListener struct {
+	net.Listener
+	s *doorShard
+}
+
+func (l keepingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.s.dials.Add(1)
+		l.s.mu.Lock()
+		l.s.conns = append(l.s.conns, c)
+		l.s.mu.Unlock()
+	}
+	return c, err
 }
 
 // rawShard accepts TCP connections and hands each to serve; accepts counts
@@ -132,7 +170,7 @@ func TestRelayRequestHead(t *testing.T) {
 	got := make(chan seen, 1)
 	srv, _ := countingShard(t, func(w http.ResponseWriter, r *http.Request) {
 		b, _ := io.ReadAll(r.Body)
-		got <- seen{r.Method, r.URL.Path, r.Host, r.ContentLength, r.Header, b}
+		got <- seen{r.Method, r.URL.Path, r.Host, r.ContentLength, r.Header.Clone(), b}
 		fmt.Fprint(w, `{}`)
 	})
 	n := relayNode(t, srv.URL+"/")
@@ -284,14 +322,25 @@ func TestRelayDropsConnectionsOffTheirFraming(t *testing.T) {
 func TestRelayChunkedAnswer(t *testing.T) {
 	want := make([]byte, 10_000)
 	rand.New(rand.NewSource(1)).Read(want)
-	srv, dials := countingShard(t, func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
-		for p := want; len(p) > 0; p = p[min(len(p), 3001):] {
-			w.Write(p[:min(len(p), 3001)])
-			w.(http.Flusher).Flush()
+	base, dials := rawShard(t, func(c net.Conn) {
+		br := bufio.NewReader(c)
+		for {
+			r, err := http.ReadRequest(br)
+			if err != nil {
+				return
+			}
+			io.Copy(io.Discard, r.Body)
+			answer := []byte("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n")
+			for p := want; len(p) > 0; p = p[min(len(p), 3001):] {
+				chunk := p[:min(len(p), 3001)]
+				answer = fmt.Appendf(answer, "%x\r\n%s\r\n", len(chunk), chunk)
+			}
+			if _, err := c.Write(append(answer, "0\r\n\r\n"...)); err != nil {
+				return
+			}
 		}
 	})
-	n := relayNode(t, srv.URL)
+	n := relayNode(t, base)
 	for i := 0; i < 3; i++ {
 		br := detectOK(t, n, []byte(sceneBody("patrol", 1)))
 		if !bytes.Equal(br.body, want) {
@@ -314,19 +363,25 @@ func TestRelayContextEndsMidAnswer(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	partial := make(chan struct{}, 4)
-	srv, dials := countingShard(t, func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
-		if r.URL.Path == "/healthz" {
-			fmt.Fprint(w, `{"status":"ok","epoch":1}`)
+	base, dials := rawShard(t, func(c net.Conn) {
+		br := bufio.NewReader(c)
+		for {
+			r, err := http.ReadRequest(br)
+			if err != nil {
+				return
+			}
+			io.Copy(io.Discard, r.Body)
+			if r.URL.Path == "/healthz" {
+				io.WriteString(c, "HTTP/1.1 200 OK\r\nContent-Length: 25\r\n\r\n{\"status\":\"ok\",\"epoch\":1}")
+				continue
+			}
+			io.WriteString(c, "HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"part")
+			partial <- struct{}{}
+			<-release
 			return
 		}
-		w.Header().Set("Content-Length", "100")
-		w.Write([]byte(`{"part`))
-		w.(http.Flusher).Flush()
-		partial <- struct{}{}
-		<-release
 	})
-	n := relayNode(t, srv.URL)
+	n := relayNode(t, base)
 	if err := n.Probe(context.Background()); err != nil { // park one connection
 		t.Fatal(err)
 	}

@@ -199,13 +199,7 @@ func main() {
 		modelsDir: o.models,
 		imageSize: itask.DefaultOptions().TeacherCfg.ImageSize,
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/detect", h.detect)
-	mux.HandleFunc("/v1/tasks", h.tasks)
-	mux.HandleFunc("/v1/models/reload", h.reload)
-	mux.HandleFunc("/healthz", h.healthz)
-	mux.HandleFunc("/metricsz", h.metricsz)
-	httpSrv := &http.Server{Handler: mux}
+	door := &wire.Server{Handler: h.mux()}
 
 	// Listen before announcing: the advertised URL comes from the bound
 	// address (which resolves ":0"-style ephemeral ports), and the gateway
@@ -240,13 +234,13 @@ func main() {
 		if ann != nil {
 			ann.close(ctx)
 		}
-		_ = httpSrv.Shutdown(ctx)
+		_ = door.Shutdown(ctx)
 		_ = srv.Shutdown(ctx)
 	}()
 
 	fmt.Fprintf(os.Stderr, "itask-serve: listening on %s (workers=%d queue=%d watchdog=%v breaker=%d int8-gemm=%s)\n",
 		ln.Addr(), o.cfg.Workers, o.cfg.QueueCap, o.cfg.Watchdog, o.cfg.BreakerThreshold, kernels.GemmI8Body())
-	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := door.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
 	fmt.Fprintln(os.Stderr, "itask-serve: bye")
@@ -270,6 +264,16 @@ type handler struct {
 	// modelsDir is the -models flag, the default /v1/models/reload source.
 	modelsDir string
 	imageSize int
+}
+
+func (h *handler) mux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/detect", h.detect)
+	mux.HandleFunc("/v1/tasks", h.tasks)
+	mux.HandleFunc("/v1/models/reload", h.reload)
+	mux.HandleFunc("/healthz", h.healthz)
+	mux.HandleFunc("/metricsz", h.metricsz)
+	return mux
 }
 
 func (h *handler) detect(w http.ResponseWriter, r *http.Request) {

@@ -176,9 +176,9 @@ type Config struct {
 	// (smooths the per-member key share). Warming members project a
 	// weight-scaled prefix of their points.
 	VirtualNodes int
-	// LoadFactor is the bounded-load factor c: an owner carrying more than
-	// c × (fleet-average in-flight + 1) spills to its successor. 0 disables
-	// bounded load; sensible values are 1.1–2.0.
+	// LoadFactor is the bounded-load factor c: an owner already carrying
+	// ⌈c × (fleet in-flight + 1) / members⌉ spills to its successor. 0
+	// disables bounded load; sensible values are 1.1–2.0.
 	LoadFactor float64
 	// HotThreshold is the windowed per-digest arrival count past which a
 	// digest is treated as hot and replicated. 0 disables hot-key handling.
@@ -851,11 +851,7 @@ func (g *Gateway) choose(avail []*shard, info *ExecInfo, ts *tenantStats, pinned
 		for _, s := range avail {
 			total += s.inflight.Load()
 		}
-		// Bounded load: cap = ⌊c × (total/n + 1)⌋ — the fleet-average
-		// in-flight plus the arriving request itself, scaled by the load
-		// factor, so a cold fleet has cap ≥ 1.
-		n := int64(len(avail))
-		cap64 := int64(g.cfg.LoadFactor * float64(total+n) / float64(n))
+		cap64 := loadCap(g.cfg.LoadFactor, total, int64(len(avail)))
 		if owner.inflight.Load() >= cap64 {
 			least := owner
 			for _, s := range avail[1:] {
@@ -876,6 +872,15 @@ func (g *Gateway) choose(avail []*shard, info *ExecInfo, ts *tenantStats, pinned
 		}
 	}
 	return owner
+}
+
+// loadCap is the bounded-load cap of consistent hashing with bounded
+// loads (Mirrokni, Thorup and Zadimoghaddam, SODA 2018): ⌈c·(total+1)/n⌉,
+// the fleet's in-flight requests plus the arriving one, averaged over the
+// n shards and scaled by the load factor c. A shard already carrying the
+// cap takes no more, so a cold fleet has cap ≥ 1.
+func loadCap(c float64, total, n int64) int64 {
+	return int64(math.Ceil(c * float64(total+1) / float64(n)))
 }
 
 // Result is a gateway-served detection outcome: the shard's serve result

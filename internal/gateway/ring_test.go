@@ -113,3 +113,22 @@ func TestRingSuccessors(t *testing.T) {
 		t.Fatal("empty ring must return nil owner and successors")
 	}
 }
+
+// The bounded-load cap on small fleets: ⌈c·(total+1)/n⌉ counts the
+// arriving request once and rounds up, so two shards with one request in
+// flight each may take a second (the old ⌊c·(total+n)/n⌋ capped them at 1).
+func TestLoadCapSmallFleets(t *testing.T) {
+	for _, tc := range []struct {
+		n    int64
+		caps []int64 // for total = 0, 1, 2, …
+	}{
+		{2, []int64{1, 2, 2, 3, 4, 4}},
+		{3, []int64{1, 1, 2, 2, 3, 3}},
+	} {
+		for total, want := range tc.caps {
+			if got := loadCap(1.25, int64(total), tc.n); got != want {
+				t.Errorf("loadCap(1.25, total %d, n %d) = %d, want %d", total, tc.n, got, want)
+			}
+		}
+	}
+}

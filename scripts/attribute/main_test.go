@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -11,59 +12,62 @@ const testRules = `
 [itask-serve]
 first | runtime.mallocgc
 forward | quant.(*Model).DetectBatch kernels.gemm*
-http | net/http.*
+kernel | syscall.* internal/poll.*
+door | wire.(*conn).* wire.(*headParser).*
 [itask-gateway]
-client | net/http.(*persistConn).writeLoop main.(*httpNode).*
+client | main.(*httpNode).* main.(*relayConn).*
 routing | gateway.*
-http | net/http.*
+kernel | syscall.* internal/poll.*
+door | wire.(*conn).* wire.(*headParser).*
 `
 
-// traces is three samples of go tool pprof -traces text: an allocation
-// under the forward (the first row wins though the second matches too), a
-// GEMM leaf under the forward, and a stack no row matches.
+// traces is four samples of go tool pprof -traces text: an allocation
+// under the forward (the first row wins though the later ones match too), a
+// GEMM leaf under the forward, a stack no row matches, and the door server
+// reading a request head (the kernel row wins over the door's).
 const traces = `File: itask-serve.real
 Type: cpu
-Duration: 8s, Total samples = 60ms
+Duration: 8s, Total samples = 65ms
 -----------+-------------------------------------------------------
       10ms   runtime.mallocgc
              itask/internal/quant.(*Model).DetectBatch
-             net/http.(*conn).serve
+             itask/internal/wire.(*conn).serve
 -----------+-------------------------------------------------------
       30ms   itask/internal/kernels.gemmI8VNNIAsm
              itask/internal/kernels.GemmI8
              itask/internal/quant.(*Model).DetectBatch
-             net/http.(*conn).serve
+             itask/internal/wire.(*conn).serve
 -----------+-------------------------------------------------------
       20ms   runtime.futex
              itask/internal/wire.ReadBody
 -----------+-------------------------------------------------------
+       5ms   syscall.Syscall
+             internal/poll.(*FD).Read
+             itask/internal/wire.(*conn).readHead
+             itask/internal/wire.(*conn).serve
+-----------+-------------------------------------------------------
 `
 
-// gatewayTraces is four samples of a gateway: a write in http.Transport's
-// write loop, a socket write inside the relay under the routing decision
-// (the client row wins: it comes first), the ring lookup, and the server
-// reading a request.
+// gatewayTraces is three samples of a gateway: a socket write inside the
+// relay under the routing decision (the client row wins: it comes first),
+// the ring lookup, and the door server parsing a request head.
 const gatewayTraces = `File: itask-gateway
 Type: cpu
 -----------+-------------------------------------------------------
-       5ms   syscall.Syscall
-             net.(*conn).Write
-             net/http.(*persistConn).writeLoop
------------+-------------------------------------------------------
-       7ms   internal/poll.(*FD).Writev
+      12ms   internal/poll.(*FD).Writev
              main.(*relayConn).exchange
              main.(*httpNode).roundTrip
              main.(*httpNode).forwardDetect
              itask/internal/gateway.(*Gateway).Execute
-             net/http.(*conn).serve
+             itask/internal/wire.(*conn).serve
 -----------+-------------------------------------------------------
        3ms   itask/internal/gateway.(*ring).successors
              itask/internal/gateway.(*Gateway).Execute
-             net/http.(*conn).serve
+             itask/internal/wire.(*conn).serve
 -----------+-------------------------------------------------------
-       4ms   net/textproto.(*Reader).ReadMIMEHeader
-             net/http.(*conn).readRequest
-             net/http.(*conn).serve
+       4ms   itask/internal/wire.(*headParser).parseInPlace
+             itask/internal/wire.(*headParser).parse
+             itask/internal/wire.(*conn).serve
 -----------+-------------------------------------------------------
 `
 
@@ -78,15 +82,15 @@ func TestFirstMatchingRowTakesTheSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(samples) != 3 {
-		t.Fatalf("parsed %d samples, want 3", len(samples))
+	if len(samples) != 4 {
+		t.Fatalf("parsed %d samples, want 4", len(samples))
 	}
 	shard := sectionFor(secs, file)
 	if shard == nil || shard.process != "itask-serve" {
 		t.Fatalf("File: %q picked section %+v, want itask-serve", file, shard)
 	}
 	attribute(shard.rows, samples)
-	want := map[string]time.Duration{"first": 10 * time.Millisecond, "forward": 30 * time.Millisecond, "http": 0, "other": 20 * time.Millisecond}
+	want := map[string]time.Duration{"first": 10 * time.Millisecond, "forward": 30 * time.Millisecond, "kernel": 5 * time.Millisecond, "door": 0, "other": 20 * time.Millisecond}
 	for _, r := range shard.rows {
 		if r.total != want[r.name] {
 			t.Errorf("row %q = %v, want %v", r.name, r.total, want[r.name])
@@ -94,7 +98,7 @@ func TestFirstMatchingRowTakesTheSample(t *testing.T) {
 	}
 	var b strings.Builder
 	writeTable(&b, tableRows([]*section{shard}), 100, 0.5)
-	for _, line := range []string{"| forward | 300.0 | 50.0 % |", "| **sum of rows** | **600.0** | |", "| run's `raw.cpu_us_per_req` | 0.5 (rows +119900 %) | |"} {
+	for _, line := range []string{"| forward | 300.0 | 46.2 % |", "| **sum of rows** | **650.0** | |", "| run's `raw.cpu_us_per_req` | 0.5 (rows +129900 %) | |"} {
 		if !strings.Contains(b.String(), line) {
 			t.Errorf("table lacks %q:\n%s", line, b.String())
 		}
@@ -115,12 +119,12 @@ func TestFirstMatchingRowTakesTheSample(t *testing.T) {
 	b.Reset()
 	writeTable(&b, tableRows([]*section{gw, shard}), 100, 0)
 	for _, line := range []string{
-		"| itask-gateway: client | 120.0 | 8.6 % |",
-		"| itask-gateway: routing | 30.0 | 2.2 % |",
-		"| itask-gateway: http | 40.0 | 2.9 % |",
+		"| itask-gateway: client | 120.0 | 8.1 % |",
+		"| itask-gateway: routing | 30.0 | 2.0 % |",
+		"| itask-gateway: door | 40.0 | 2.7 % |",
 		"| itask-gateway: other | 0.0 | 0.0 % |",
-		"| itask-serve: forward | 600.0 | 43.2 % |",
-		"| **sum of rows** | **1390.0** | |",
+		"| itask-serve: forward | 600.0 | 40.3 % |",
+		"| **sum of rows** | **1490.0** | |",
 	} {
 		if !strings.Contains(b.String(), line) {
 			t.Errorf("fleet table lacks %q:\n%s", line, b.String())
@@ -140,6 +144,7 @@ func TestPatternsMatchAfterASlash(t *testing.T) {
 	}{
 		{"wire.DecodeDetect", "itask/internal/wire.DecodeDetect", true},
 		{"net/http.*", "net/http.(*conn).serve", true},
+		{"wire.(*conn).*", "itask/internal/wire.(*conn).serve", true},
 		{"net/http.*", "vendor/golang.org/x/net/http/httpguts.ValidHeaderFieldName", false},
 		{"net.*", "net/http.(*conn).serve", false},
 		{"kernels.gemmI8*", "itask/internal/kernels.gemmI8VNNIAsm", true},
@@ -155,5 +160,49 @@ func TestPatternsMatchAfterASlash(t *testing.T) {
 	}
 	if _, err := parseRules(strings.NewReader("row | net.*")); err == nil {
 		t.Error("a row before any [process] line parsed")
+	}
+}
+
+// TestRulesFileOrder: the checked-in rules give a socket call under the door
+// server to the kernel row and the door's own head parse to the door row,
+// in both sections, and no row names http.Transport, which no process runs.
+func TestRulesFileOrder(t *testing.T) {
+	f, err := os.Open("rules.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	secs, err := parseRules(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, process := range []string{"itask-serve", "itask-gateway"} {
+		sec := sectionFor(secs, process)
+		if sec == nil {
+			t.Fatalf("no [%s] section", process)
+		}
+		for _, c := range []struct {
+			frames []string
+			row    string
+		}{
+			{[]string{"internal/poll.(*FD).Read", "itask/internal/wire.(*conn).readHead", "itask/internal/wire.(*conn).serve"}, "kernel and poller: socket reads, writes and wakes"},
+			{[]string{"itask/internal/wire.(*headParser).parseInPlace", "itask/internal/wire.(*conn).serve"}, "door server: head, body, answer, ServeMux"},
+		} {
+			for _, r := range sec.rows {
+				if r.matches(c.frames) {
+					if r.name != c.row {
+						t.Errorf("[%s] %v goes to %q, want %q", process, c.frames[0], r.name, c.row)
+					}
+					break
+				}
+			}
+		}
+		for _, r := range sec.rows {
+			for _, p := range r.patterns {
+				if strings.Contains(p, "Transport") || strings.Contains(p, "persistConn") {
+					t.Errorf("[%s] row %q names %s", process, r.name, p)
+				}
+			}
+		}
 	}
 }
