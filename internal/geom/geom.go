@@ -31,11 +31,6 @@ func (b Box) Area() float64 {
 	return b.W * b.H
 }
 
-// Contains reports whether the point (x,y) lies inside the box.
-func (b Box) Contains(x, y float64) bool {
-	return x >= b.Left() && x <= b.Right() && y >= b.Top() && y <= b.Bottom()
-}
-
 // Clip returns the box clipped to the unit square, preserving the
 // center/size representation.
 func (b Box) Clip() Box {

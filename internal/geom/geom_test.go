@@ -22,16 +22,6 @@ func TestBoxEdgesAndArea(t *testing.T) {
 	}
 }
 
-func TestContains(t *testing.T) {
-	b := Box{X: 0.5, Y: 0.5, W: 0.2, H: 0.2}
-	if !b.Contains(0.5, 0.5) || !b.Contains(0.4, 0.4) {
-		t.Error("points inside reported outside")
-	}
-	if b.Contains(0.39, 0.5) || b.Contains(0.5, 0.61) {
-		t.Error("points outside reported inside")
-	}
-}
-
 func TestIoUIdentityAndDisjoint(t *testing.T) {
 	a := Box{X: 0.3, Y: 0.3, W: 0.2, H: 0.2}
 	if got := IoU(a, a); math.Abs(got-1) > 1e-12 {

@@ -1,11 +1,12 @@
 package kernels
 
-// GemmF32 is every float product of both serving models' inference
-// forwards: the float student's linear layers and both of its attention
-// products, one call per product. It follows the vector kernels' bit rule
-// (vecmath.go): each output accumulates element p of its reduction into
-// lane p mod 8, one correctly rounded product and one add at a time, the
-// eight lanes are added by laneSum, and the bias is one add after that.
+// GemmF32 is every float product in the program: the float student's
+// linear layers and both of its attention products at inference, one call
+// per product, and training's products through tensor's MatMul family. It
+// follows the vector kernels' bit rule (vecmath.go): each output
+// accumulates element p of its reduction into lane p mod 8, one correctly
+// rounded product and one add at a time, the eight lanes are added by
+// laneSum, and the bias is one add after that.
 // So an output's bits depend only on its a row and its w row — not on m,
 // not on where the output falls in the assembly's register tile — and the
 // AVX2 body (gemm_amd64.s), the noasm build and a non-amd64 host agree on

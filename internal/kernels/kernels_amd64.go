@@ -3,7 +3,7 @@
 package kernels
 
 // asmSupported reports AVX2+FMA availability (CPUID plus OS ymm-state
-// support via XGETBV): the AVX2 bodies of every kernel require both.
+// support via XGETBV): the level every AVX2 body is gated on.
 // vnniSupported reports, on top of that, AVX512_VNNI with AVX512F and
 // AVX512VL and OS opmask and zmm-state support: GemmI8's VNNI body needs the
 // EVEX VPDPBUSD on ymm registers, Y16–Y31 and opmask stores.
@@ -59,18 +59,6 @@ func detectVNNI() bool {
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
-
-//go:noescape
-func dotAsm(x, y *float32, n int) float32
-
-//go:noescape
-func dot4Asm(x, b0, b1, b2, b3 *float32, n int, out *float32)
-
-//go:noescape
-func axpyAsm(a float32, x, y *float32, n int)
-
-//go:noescape
-func axpy4Asm(a, x0, x1, x2, x3, y *float32, n int)
 
 //go:noescape
 func dotI8Asm(a, b *int8, n int) int32

@@ -1,7 +1,7 @@
 //go:build !noasm
 
-// AVX2+FMA micro-kernels. Plan 9 operand order: source(s) first, destination
-// last; VFMADD231PS m, a, d computes d += a*m elementwise.
+// The CPU feature probe and the AVX2 bodies of the hash and DotI8 kernels.
+// Plan 9 operand order: source(s) first, destination last.
 
 #include "textflag.h"
 
@@ -22,206 +22,6 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	XGETBV
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
-	RET
-
-// func dotAsm(x, y *float32, n int) float32
-TEXT ·dotAsm(SB), NOSPLIT, $0-28
-	MOVQ x+0(FP), SI
-	MOVQ y+8(FP), DI
-	MOVQ n+16(FP), CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	MOVQ CX, DX
-	SHRQ $4, DX          // 16 floats per iteration, two FMA chains
-	JZ   dot_reduce
-dot_loop16:
-	VMOVUPS (SI), Y2
-	VMOVUPS 32(SI), Y3
-	VFMADD231PS (DI), Y2, Y0
-	VFMADD231PS 32(DI), Y3, Y1
-	ADDQ $64, SI
-	ADDQ $64, DI
-	DECQ DX
-	JNZ  dot_loop16
-dot_reduce:
-	VADDPS Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	ANDQ $15, CX
-	JZ   dot_done
-dot_tail:
-	VMOVSS (SI), X2
-	VFMADD231SS (DI), X2, X0
-	ADDQ $4, SI
-	ADDQ $4, DI
-	DECQ CX
-	JNZ  dot_tail
-dot_done:
-	VMOVSS X0, ret+24(FP)
-	VZEROUPPER
-	RET
-
-// func dot4Asm(x, b0, b1, b2, b3 *float32, n int, out *float32)
-TEXT ·dot4Asm(SB), NOSPLIT, $0-56
-	MOVQ x+0(FP), SI
-	MOVQ b0+8(FP), R8
-	MOVQ b1+16(FP), R9
-	MOVQ b2+24(FP), R10
-	MOVQ b3+32(FP), R11
-	MOVQ n+40(FP), CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	MOVQ CX, DX
-	SHRQ $3, DX          // 8 floats per iteration, x loaded once
-	JZ   d4_reduce
-d4_loop8:
-	VMOVUPS (SI), Y4
-	VFMADD231PS (R8), Y4, Y0
-	VFMADD231PS (R9), Y4, Y1
-	VFMADD231PS (R10), Y4, Y2
-	VFMADD231PS (R11), Y4, Y3
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	DECQ DX
-	JNZ  d4_loop8
-d4_reduce:
-	VEXTRACTF128 $1, Y0, X4
-	VADDPS X4, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VEXTRACTF128 $1, Y1, X4
-	VADDPS X4, X1, X1
-	VHADDPS X1, X1, X1
-	VHADDPS X1, X1, X1
-	VEXTRACTF128 $1, Y2, X4
-	VADDPS X4, X2, X2
-	VHADDPS X2, X2, X2
-	VHADDPS X2, X2, X2
-	VEXTRACTF128 $1, Y3, X4
-	VADDPS X4, X3, X3
-	VHADDPS X3, X3, X3
-	VHADDPS X3, X3, X3
-	ANDQ $7, CX
-	JZ   d4_done
-d4_tail:
-	VMOVSS (SI), X4
-	VFMADD231SS (R8), X4, X0
-	VFMADD231SS (R9), X4, X1
-	VFMADD231SS (R10), X4, X2
-	VFMADD231SS (R11), X4, X3
-	ADDQ $4, SI
-	ADDQ $4, R8
-	ADDQ $4, R9
-	ADDQ $4, R10
-	ADDQ $4, R11
-	DECQ CX
-	JNZ  d4_tail
-d4_done:
-	MOVQ out+48(FP), AX
-	VMOVSS X0, (AX)
-	VMOVSS X1, 4(AX)
-	VMOVSS X2, 8(AX)
-	VMOVSS X3, 12(AX)
-	VZEROUPPER
-	RET
-
-// func axpyAsm(a float32, x, y *float32, n int)
-TEXT ·axpyAsm(SB), NOSPLIT, $0-32
-	VBROADCASTSS a+0(FP), Y0
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DI
-	MOVQ n+24(FP), CX
-	MOVQ CX, DX
-	SHRQ $4, DX          // 16 floats per iteration
-	JZ   axpy_tail_setup
-axpy_loop16:
-	VMOVUPS (DI), Y1
-	VMOVUPS 32(DI), Y2
-	VFMADD231PS (SI), Y0, Y1
-	VFMADD231PS 32(SI), Y0, Y2
-	VMOVUPS Y1, (DI)
-	VMOVUPS Y2, 32(DI)
-	ADDQ $64, SI
-	ADDQ $64, DI
-	DECQ DX
-	JNZ  axpy_loop16
-axpy_tail_setup:
-	ANDQ $15, CX
-	JZ   axpy_done
-axpy_tail:
-	VMOVSS (DI), X1
-	VMOVSS (SI), X2
-	VFMADD231SS X0, X2, X1
-	VMOVSS X1, (DI)
-	ADDQ $4, SI
-	ADDQ $4, DI
-	DECQ CX
-	JNZ  axpy_tail
-axpy_done:
-	VZEROUPPER
-	RET
-
-// func axpy4Asm(a, x0, x1, x2, x3, y *float32, n int)
-// a points at 4 packed coefficients.
-TEXT ·axpy4Asm(SB), NOSPLIT, $0-56
-	MOVQ a+0(FP), AX
-	VBROADCASTSS (AX), Y0
-	VBROADCASTSS 4(AX), Y1
-	VBROADCASTSS 8(AX), Y2
-	VBROADCASTSS 12(AX), Y3
-	MOVQ x0+8(FP), SI
-	MOVQ x1+16(FP), R8
-	MOVQ x2+24(FP), R9
-	MOVQ x3+32(FP), R10
-	MOVQ y+40(FP), DI
-	MOVQ n+48(FP), CX
-	MOVQ CX, DX
-	SHRQ $3, DX          // 8 floats per iteration, y loaded+stored once
-	JZ   a4_tail_setup
-a4_loop8:
-	VMOVUPS (DI), Y4
-	VFMADD231PS (SI), Y0, Y4
-	VFMADD231PS (R8), Y1, Y4
-	VFMADD231PS (R9), Y2, Y4
-	VFMADD231PS (R10), Y3, Y4
-	VMOVUPS Y4, (DI)
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, DI
-	DECQ DX
-	JNZ  a4_loop8
-a4_tail_setup:
-	ANDQ $7, CX
-	JZ   a4_done
-a4_tail:
-	VMOVSS (DI), X4
-	VMOVSS (SI), X5
-	VFMADD231SS X0, X5, X4
-	VMOVSS (R8), X5
-	VFMADD231SS X1, X5, X4
-	VMOVSS (R9), X5
-	VFMADD231SS X2, X5, X4
-	VMOVSS (R10), X5
-	VFMADD231SS X3, X5, X4
-	VMOVSS X4, (DI)
-	ADDQ $4, SI
-	ADDQ $4, R8
-	ADDQ $4, R9
-	ADDQ $4, R10
-	ADDQ $4, DI
-	DECQ CX
-	JNZ  a4_tail
-a4_done:
-	VZEROUPPER
 	RET
 
 // func hashBlocksAsm(lanes *uint64, p *byte, nblocks int)

@@ -10,10 +10,6 @@ const (
 	vnniSupported = false
 )
 
-func dotAsm(x, y *float32, n int) float32                         { panic("kernels: no asm") }
-func dot4Asm(x, b0, b1, b2, b3 *float32, n int, out *float32)     { panic("kernels: no asm") }
-func axpyAsm(a float32, x, y *float32, n int)                     { panic("kernels: no asm") }
-func axpy4Asm(a, x0, x1, x2, x3, y *float32, n int)               { panic("kernels: no asm") }
 func dotI8Asm(a, b *int8, n int) int32                            { panic("kernels: no asm") }
 func hashBlocksAsm(lanes *uint64, p *byte, nblocks int)           { panic("kernels: no asm") }
 func rangeF32Asm(x *float32, rows, cols, ld int) (mn, mx float32) { panic("kernels: no asm") }

@@ -101,111 +101,6 @@ func randI8(rng *rand.Rand, n int) []int8 {
 	return out
 }
 
-func closeEnough(a, b float32, n int) bool {
-	diff := math.Abs(float64(a - b))
-	tol := 1e-4 * (1 + math.Abs(float64(b))) * math.Sqrt(float64(n+1))
-	return diff <= tol
-}
-
-// refDot is a deliberately simple float64 reference.
-func refDot(x, y []float32) float32 {
-	var s float64
-	for i := range x {
-		s += float64(x[i]) * float64(y[i])
-	}
-	return float32(s)
-}
-
-func TestDotAllLengths(t *testing.T) {
-	withAsm(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(1))
-		for n := 0; n <= 130; n++ {
-			x := randF32(rng, n)
-			y := randF32(rng, n)
-			got := Dot(x, y)
-			want := refDot(x, y)
-			if !closeEnough(got, want, n) {
-				t.Fatalf("Dot n=%d: got %v want %v", n, got, want)
-			}
-		}
-	})
-}
-
-func TestDotUnaligned(t *testing.T) {
-	withAsm(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(2))
-		base := randF32(rng, 200)
-		for off := 0; off < 9; off++ {
-			x := base[off : off+64]
-			y := base[off+70 : off+134]
-			if !closeEnough(Dot(x, y), refDot(x, y), 64) {
-				t.Fatalf("Dot unaligned offset %d mismatch", off)
-			}
-		}
-	})
-}
-
-func TestDot4AllLengths(t *testing.T) {
-	withAsm(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(3))
-		for n := 0; n <= 100; n++ {
-			x := randF32(rng, n)
-			bs := [4][]float32{randF32(rng, n), randF32(rng, n), randF32(rng, n), randF32(rng, n)}
-			s0, s1, s2, s3 := Dot4(x, bs[0], bs[1], bs[2], bs[3])
-			for i, got := range []float32{s0, s1, s2, s3} {
-				if want := refDot(x, bs[i]); !closeEnough(got, want, n) {
-					t.Fatalf("Dot4 n=%d lane %d: got %v want %v", n, i, got, want)
-				}
-			}
-		}
-	})
-}
-
-func TestAxpyAllLengths(t *testing.T) {
-	withAsm(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(4))
-		for n := 0; n <= 130; n++ {
-			a := float32(rng.NormFloat64())
-			x := randF32(rng, n)
-			y := randF32(rng, n)
-			want := make([]float32, n)
-			for i := range want {
-				want[i] = y[i] + a*x[i]
-			}
-			Axpy(a, x, y)
-			for i := range y {
-				if !closeEnough(y[i], want[i], 1) {
-					t.Fatalf("Axpy n=%d idx %d: got %v want %v", n, i, y[i], want[i])
-				}
-			}
-		}
-	})
-}
-
-func TestAxpy4AllLengths(t *testing.T) {
-	withAsm(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(5))
-		for n := 0; n <= 100; n++ {
-			var a [4]float32
-			for i := range a {
-				a[i] = float32(rng.NormFloat64())
-			}
-			xs := [4][]float32{randF32(rng, n), randF32(rng, n), randF32(rng, n), randF32(rng, n)}
-			y := randF32(rng, n)
-			want := make([]float32, n)
-			for i := range want {
-				want[i] = y[i] + a[0]*xs[0][i] + a[1]*xs[1][i] + a[2]*xs[2][i] + a[3]*xs[3][i]
-			}
-			Axpy4(&a, xs[0], xs[1], xs[2], xs[3], y)
-			for i := range y {
-				if !closeEnough(y[i], want[i], 4) {
-					t.Fatalf("Axpy4 n=%d idx %d: got %v want %v", n, i, y[i], want[i])
-				}
-			}
-		}
-	})
-}
-
 func TestDotI8AllLengths(t *testing.T) {
 	withAsm(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(6))
@@ -263,25 +158,4 @@ func BenchmarkDotI8_256(b *testing.B) {
 		sink += DotI8(x, y)
 	}
 	_ = sink
-}
-
-func BenchmarkDot_256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := randF32(rng, 256)
-	y := randF32(rng, 256)
-	var sink float32
-	for i := 0; i < b.N; i++ {
-		sink += Dot(x, y)
-	}
-	_ = sink
-}
-
-func BenchmarkAxpy4_256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := [4]float32{0.1, 0.2, 0.3, 0.4}
-	x0, x1, x2, x3 := randF32(rng, 256), randF32(rng, 256), randF32(rng, 256), randF32(rng, 256)
-	y := randF32(rng, 256)
-	for i := 0; i < b.N; i++ {
-		Axpy4(&a, x0, x1, x2, x3, y)
-	}
 }

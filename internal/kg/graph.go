@@ -183,17 +183,6 @@ func (g *Graph) NumEdges() int {
 	return n
 }
 
-// Merge folds other into g: nodes are united, edge weights take the max.
-// Merge is idempotent: g.Merge(g2); g.Merge(g2) equals a single merge.
-func (g *Graph) Merge(other *Graph) {
-	for _, n := range other.Nodes() {
-		g.AddNode(n.ID, n.Kind, n.Label)
-	}
-	for _, e := range other.Edges() {
-		g.AddEdge(e.From, e.To, e.Rel, e.Weight)
-	}
-}
-
 // Prune removes edges below minWeight and then drops nodes with no
 // remaining edges in either direction (except task nodes, which anchor the
 // graph).

@@ -37,26 +37,6 @@ func randomGraph(rng *tensor.RNG) *Graph {
 	return g
 }
 
-// TestMergeCommutativeProperty: a.Merge(b) and b.Merge(a) produce graphs
-// with identical serialized content (node/edge sets with max weights).
-func TestMergeCommutativeProperty(t *testing.T) {
-	f := func(seedA, seedB uint64) bool {
-		ga1 := randomGraph(tensor.NewRNG(seedA))
-		gb1 := randomGraph(tensor.NewRNG(seedB))
-		ga2 := randomGraph(tensor.NewRNG(seedA))
-		gb2 := randomGraph(tensor.NewRNG(seedB))
-
-		ga1.Merge(gb1) // A ∪ B
-		gb2.Merge(ga2) // B ∪ A
-		j1, err1 := ga1.MarshalJSON()
-		j2, err2 := gb2.MarshalJSON()
-		return err1 == nil && err2 == nil && string(j1) == string(j2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestPriorsInRangeProperty: class priors of any random graph stay in [0,1]
 // and are deterministic.
 func TestPriorsInRangeProperty(t *testing.T) {

@@ -97,30 +97,6 @@ func TestOutSortedByWeight(t *testing.T) {
 	}
 }
 
-func TestMergeIdempotent(t *testing.T) {
-	a := buildTestGraph()
-	b := buildTestGraph()
-	a.Merge(b)
-	n1, e1 := a.NumNodes(), a.NumEdges()
-	a.Merge(b)
-	if a.NumNodes() != n1 || a.NumEdges() != e1 {
-		t.Error("merge is not idempotent")
-	}
-}
-
-func TestMergeUnion(t *testing.T) {
-	a := buildTestGraph()
-	b := New()
-	b.AddNode("task:other", TaskNode, "other")
-	b.AddNode("concept:thing", ConceptNode, "thing")
-	b.AddEdge("task:other", "concept:thing", Targets, 0.4)
-	before := a.NumNodes()
-	a.Merge(b)
-	if a.NumNodes() != before+2 {
-		t.Errorf("merge should add 2 nodes, got %d -> %d", before, a.NumNodes())
-	}
-}
-
 func TestPrune(t *testing.T) {
 	g := buildTestGraph()
 	// Add a weak edge to a throwaway concept.

@@ -51,7 +51,7 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		panic("nn: Linear.Backward before Forward(train=true)")
 	}
 	checkRank("Linear.Backward", dy, 2)
-	dW := tensor.TMatMul(dy, l.x) // (Out,rows)ᵀ... actually (rows,Out)ᵀ@(rows,In) = (Out,In)
+	dW := tensor.TMatMul(dy, l.x) // (rows,Out)ᵀ @ (rows,In) = (Out,In)
 	l.Weight.G.AddInPlace(dW)
 	if l.Bias != nil {
 		l.Bias.G.AddInPlace(dy.SumRows())

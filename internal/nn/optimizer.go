@@ -17,52 +17,6 @@ type Optimizer interface {
 	LR() float32
 }
 
-// SGD is stochastic gradient descent with classical momentum and decoupled
-// weight decay.
-type SGD struct {
-	lr       float32
-	Momentum float32
-	Decay    float32
-
-	velocity map[*Param]*tensor.Tensor
-}
-
-// NewSGD creates an SGD optimizer.
-func NewSGD(lr, momentum, decay float32) *SGD {
-	return &SGD{lr: lr, Momentum: momentum, Decay: decay, velocity: map[*Param]*tensor.Tensor{}}
-}
-
-// Step applies one SGD update.
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if o.Decay != 0 {
-			p.W.ScaleInPlace(1 - o.lr*o.Decay)
-		}
-		if o.Momentum != 0 {
-			v := o.velocity[p]
-			if v == nil {
-				v = tensor.New(p.W.Shape...)
-				o.velocity[p] = v
-			}
-			for i := range v.Data {
-				v.Data[i] = o.Momentum*v.Data[i] + p.G.Data[i]
-				p.W.Data[i] -= o.lr * v.Data[i]
-			}
-		} else {
-			for i, g := range p.G.Data {
-				p.W.Data[i] -= o.lr * g
-			}
-		}
-		p.ZeroGrad()
-	}
-}
-
-// SetLR sets the learning rate.
-func (o *SGD) SetLR(lr float32) { o.lr = lr }
-
-// LR returns the learning rate.
-func (o *SGD) LR() float32 { return o.lr }
-
 // Adam is the Adam optimizer (Kingma & Ba) with decoupled weight decay
 // (AdamW-style): decay is applied to weights directly, not mixed into the
 // moment estimates.

@@ -34,14 +34,6 @@ func testConvergence(t *testing.T, name string, opt Optimizer, steps int, tol fl
 	}
 }
 
-func TestSGDConverges(t *testing.T) {
-	testConvergence(t, "SGD", NewSGD(0.1, 0, 0), 200, 1e-3)
-}
-
-func TestSGDMomentumConverges(t *testing.T) {
-	testConvergence(t, "SGD+momentum", NewSGD(0.05, 0.9, 0), 200, 1e-3)
-}
-
 func TestAdamConverges(t *testing.T) {
 	testConvergence(t, "Adam", NewAdam(0.1), 300, 1e-2)
 }
@@ -60,24 +52,11 @@ func TestWeightDecayShrinksWeights(t *testing.T) {
 	}
 }
 
-func TestSGDDecay(t *testing.T) {
-	p := NewParam("w", tensor.Full(2, 3))
-	opt := NewSGD(0.1, 0, 0.5)
-	opt.Step([]*Param{p})
-	want := float32(2 * (1 - 0.1*0.5))
-	for _, v := range p.W.Data {
-		if math.Abs(float64(v-want)) > 1e-6 {
-			t.Errorf("decayed weight = %v, want %v", v, want)
-		}
-	}
-}
-
 func TestSetLR(t *testing.T) {
-	for _, opt := range []Optimizer{NewSGD(0.1, 0, 0), NewAdam(0.1)} {
-		opt.SetLR(0.5)
-		if opt.LR() != 0.5 {
-			t.Errorf("SetLR not applied: %v", opt.LR())
-		}
+	opt := NewAdam(0.1)
+	opt.SetLR(0.5)
+	if opt.LR() != 0.5 {
+		t.Errorf("SetLR not applied: %v", opt.LR())
 	}
 }
 

@@ -142,12 +142,3 @@ func maxF(a, b float64) float64 {
 	}
 	return b
 }
-
-// GenerateBatch renders count scenes from the domain.
-func GenerateBatch(dom Domain, cfg GenConfig, count int, rng *tensor.RNG) []Scene {
-	out := make([]Scene, count)
-	for i := range out {
-		out[i] = Generate(dom, cfg, rng)
-	}
-	return out
-}

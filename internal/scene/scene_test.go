@@ -284,14 +284,6 @@ func TestGenerateOnlyClasses(t *testing.T) {
 	}
 }
 
-func TestGenerateBatchCount(t *testing.T) {
-	rng := tensor.NewRNG(6)
-	scs := GenerateBatch(GetDomain(Orchard), DefaultGenConfig(), 7, rng)
-	if len(scs) != 7 {
-		t.Fatalf("batch size %d", len(scs))
-	}
-}
-
 func TestGenConfigValidate(t *testing.T) {
 	bad := []GenConfig{
 		{Size: 4},

@@ -132,16 +132,6 @@ func (t *Tensor) CopyFrom(u *Tensor) {
 	copy(t.Data, u.Data)
 }
 
-// Reshape returns a view of t with a new shape of the same total size.
-// The returned tensor shares t's backing data.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := checkShape(shape)
-	if n != t.Size() {
-		panic(fmt.Sprintf("tensor: Reshape %v -> %v changes size", t.Shape, shape))
-	}
-	return &Tensor{Data: t.Data, Shape: append([]int(nil), shape...)}
-}
-
 // Row returns a view of row i of a 2-D tensor, sharing data.
 func (t *Tensor) Row(i int) *Tensor {
 	if len(t.Shape) != 2 {

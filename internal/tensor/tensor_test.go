@@ -110,23 +110,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestReshapeSharesData(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := a.Reshape(3, 2)
-	b.Data[5] = 60
-	if a.At(1, 2) != 60 {
-		t.Error("Reshape should share data")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic for size-changing reshape")
-			}
-		}()
-		a.Reshape(4, 2)
-	}()
-}
-
 func TestRowAndSlice2D(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 3, 2)
 	r := a.Row(1)

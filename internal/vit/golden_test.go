@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"itask/internal/geom"
 	"itask/internal/kernels"
+	"itask/internal/nn"
 	"itask/internal/tensor"
 )
 
@@ -68,6 +70,49 @@ func TestFloatForwardIdenticalWithAndWithoutAsm(t *testing.T) {
 		for i := range want {
 			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 				t.Fatalf("batch %d: output %d = %v with the assembly, %v without", batch, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestTrainingIdenticalWithAndWithoutAsm: training is bit-identical with
+// the assembly on and off. A few Adam steps of a seeded TinyConfig model on
+// a seeded batch, through the detection and classification losses, leave
+// every parameter with the same bits either way, so a trained checkpoint
+// does not depend on which kernel body ran.
+func TestTrainingIdenticalWithAndWithoutAsm(t *testing.T) {
+	cfg := TinyConfig(3)
+	train := func(asm bool) []*nn.Param {
+		defer kernels.SetAsmEnabled(kernels.SetAsmEnabled(asm))
+		rng := tensor.NewRNG(37)
+		m := New(cfg, rng)
+		imgs := make([]*tensor.Tensor, 4)
+		targets := make([]DetTarget, len(imgs))
+		labels := make([]int, len(imgs))
+		for i := range imgs {
+			imgs[i] = tensor.Randn(rng, 0.5, cfg.Channels, cfg.ImageSize, cfg.ImageSize)
+			labels[i] = i % cfg.Classes
+			targets[i] = EncodeTargets(cfg, []Object{{
+				Box:   geom.Box{X: 0.2 + 0.15*float64(i), Y: 0.7 - 0.1*float64(i), W: 0.3, H: 0.2},
+				Class: labels[i],
+			}})
+		}
+		patches := Patchify(cfg, imgs)
+		opt := nn.NewAdam(0.01)
+		for step := 0; step < 4; step++ {
+			feats := m.Forward(patches, true)
+			_, dDet := DetLoss(cfg, m.DetHead(feats, true), targets, DefaultDetLossWeights())
+			_, dCls := nn.CrossEntropy(m.ClsHead(feats, true), labels)
+			m.Backward(dDet, dCls)
+			opt.Step(m.Params())
+		}
+		return m.Params()
+	}
+	want, got := train(false), train(true)
+	for i, p := range want {
+		for j, w := range p.W.Data {
+			if g := got[i].W.Data[j]; math.Float32bits(g) != math.Float32bits(w) {
+				t.Fatalf("%s[%d] = %v after training with the assembly, %v without", p.Name, j, g, w)
 			}
 		}
 	}
