@@ -104,7 +104,6 @@ import (
 	"itask/internal/kernels"
 	"itask/internal/profiling"
 	"itask/internal/serve"
-	"itask/internal/tensor"
 	"itask/internal/wire"
 )
 
@@ -264,6 +263,8 @@ type handler struct {
 	// modelsDir is the -models flag, the default /v1/models/reload source.
 	modelsDir string
 	imageSize int
+	// memo keys repeated JSON bodies off their bytes (see parseCall).
+	memo digestMemo
 }
 
 func (h *handler) mux() *http.ServeMux {
@@ -286,20 +287,18 @@ func (h *handler) detect(w http.ResponseWriter, r *http.Request) {
 		wire.WriteBodyError(w, err)
 		return
 	}
-	// Both decoders copy everything that outlives them (strings, and the
-	// pixels into pooled memory of their own), so the pooled body can be
-	// recycled the moment the handler returns even if a watchdog-abandoned
-	// execution is still reading the image.
+	// The body is read until Detect returns (a decode serve asks for runs on
+	// this goroutine), and everything that outlives it is a copy — strings,
+	// and the pixels in pooled memory of their own — so the pooled body can
+	// be recycled the moment the handler returns even if a
+	// watchdog-abandoned execution is still reading the image.
 	defer buf.Release()
-	dr, err := parseDetect(r.Header.Get("Content-Type"), buf.Bytes(), h.imageSize)
-	var img *tensor.Tensor
-	if err == nil {
-		img, err = buildImage(dr, h.imageSize)
-	}
+	c, err := h.parseCall(r.Header.Get("Content-Type"), buf.Bytes())
 	if err != nil {
 		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	dr := c.dr
 	tenant := dr.Tenant
 	if tenant == "" {
 		tenant = r.Header.Get("X-Itask-Tenant")
@@ -308,11 +307,16 @@ func (h *handler) detect(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	req := serve.Request{Task: dr.Task, Tenant: tenant, Image: img, Hot: r.Header.Get("X-Itask-Hot") == "1"}
+	req := c.request()
+	req.Task, req.Tenant, req.Hot = dr.Task, tenant, r.Header.Get("X-Itask-Hot") == "1"
 	if dr.TimeoutMS > 0 {
 		req.Deadline = time.Now().Add(time.Duration(dr.TimeoutMS) * time.Millisecond)
 	}
 	res, err := h.srv.Detect(r.Context(), req)
+	if c.err != nil {
+		wire.WriteError(w, http.StatusBadRequest, c.err.Error())
+		return
+	}
 	if err != nil {
 		// An abandoned, cancelled or shed request may still be read by a
 		// server goroutine: its pixels are left to the garbage collector.
@@ -324,7 +328,7 @@ func (h *handler) detect(w http.ResponseWriter, r *http.Request) {
 	}
 	// Detect succeeded, so no server goroutine reads the image again
 	// (serve.Server.Detect's ownership rule): the pixels go back to the pool.
-	releasePixels(dr)
+	releasePixels(c.dr)
 	dets, _ := res.Payload.([]itask.Detection)
 	if dets == nil {
 		dets = []itask.Detection{}

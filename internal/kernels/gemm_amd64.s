@@ -4,6 +4,12 @@
 // accumulation a VADDPS, so every lane holds the sum the Go reference's lane
 // holds, and the reduction below is laneSum's tree, so the two agree bit for
 // bit.
+//
+// Every body here starts with PCALIGN $64, and each inner loop's label
+// follows one: a body's speed moved with its 64-byte phase in the binary,
+// which any change elsewhere in the program could flip, so the entry and
+// the loops' back-edge targets sit on 64-byte boundaries whatever precedes
+// them.
 
 #include "textflag.h"
 
@@ -25,6 +31,7 @@
 // part; R9 the a rows left; R10 the byte offset of the panel's first output
 // column.
 TEXT ·gemmF32Asm(SB), NOSPLIT, $0-80
+	PCALIGN $64
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ m+32(FP), R9
@@ -80,6 +87,7 @@ gf_zero:
 	VXORPS Y7, Y7, Y7
 	XORQ   BX, BX
 
+	PCALIGN $64
 gf_k8:
 	CMPQ    BX, CX
 	JGE     gf_ktail

@@ -3,6 +3,8 @@
 // GemmI8's AVX2 and AVX512_VNNI bodies (i8.go): the panel product and its
 // dequantizing store. No FMA and no reciprocal: each float step of the
 // store is the single IEEE operation dequantI8Go performs, in its order.
+// Both bodies start with PCALIGN $64, and so does the k loop of each, to pin
+// their 64-byte phase in the binary (gemm_amd64.s says why).
 //
 // The two bodies share one loop nest and one frame. The outer
 // loop takes NP panels (a block of 8·NP outputs), the inner one four
@@ -265,6 +267,7 @@ notail:
 // (row r's two accumulators Y2r, Y2r+1), stored under the panel's lane
 // mask Y15.
 TEXT ·gemmI8Asm(SB), $528-96
+	PCALIGN $64
 	ENTRY
 
 ga_block:
@@ -283,6 +286,7 @@ ga_tile:
 	VPXOR Y7, Y7, Y7
 	XORQ  BX, BX
 
+	PCALIGN $64
 ga_k:
 	CMPQ BX, CX
 	JGE  ga_ktail
@@ -325,6 +329,7 @@ ga_nobias:
 // EVEX VPDPBUSD on ymm: four u8×s8 products into each int32 lane, the
 // activation XOR 0x80 = a + 128 as the unsigned operand.
 TEXT ·gemmI8VNNIAsm(SB), $528-96
+	PCALIGN $64
 	ENTRY
 	MOVL         $0x80808080, AX
 	VMOVD        AX, X8
@@ -360,6 +365,7 @@ gv_tile:
 	VPXORD Y27, Y27, Y27
 	XORQ   BX, BX
 
+	PCALIGN $64
 gv_k:
 	CMPQ BX, CX
 	JGE  gv_ktail

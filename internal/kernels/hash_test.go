@@ -129,8 +129,8 @@ func benchFrame() []float32 {
 }
 
 // BenchmarkHashKernel compares the digest implementations on a 3×64×64
-// frame (the BENCH_ingress.json digest row): scalar FNV-1a baseline, the
-// multi-lane portable kernel, and the AVX2 kernel.
+// frame: scalar FNV-1a baseline, the multi-lane portable kernel, and the
+// AVX2 kernel.
 func BenchmarkHashKernel(b *testing.B) {
 	data := benchFrame()
 	bytes := leBytes(data)

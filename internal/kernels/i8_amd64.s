@@ -4,6 +4,10 @@
 // in gemmi8_amd64.s. No FMA and no reciprocal anywhere: each float step is
 // the same single IEEE operation the Go reference performs, so the two
 // agree bit for bit.
+//
+// Every body here starts with PCALIGN $64, and each inner loop's label
+// follows one, to pin their 64-byte phase in the binary (gemm_amd64.s says
+// why).
 
 #include "textflag.h"
 #include "tailmask_amd64.h"
@@ -56,6 +60,7 @@
 // Y3 and Y9, Y10), then eight, then its last cols mod 8 through VMASKMOVPS,
 // whose masked-off lanes read +0 — a value the range holds already.
 TEXT ·rangeF32Asm(SB), NOSPLIT, $0-40
+	PCALIGN $64
 	MOVQ   x+0(FP), SI
 	MOVQ   rows+8(FP), R8
 	MOVQ   cols+16(FP), CX
@@ -70,6 +75,7 @@ TEXT ·rangeF32Asm(SB), NOSPLIT, $0-40
 rng_row:
 	XORQ BX, BX
 
+	PCALIGN $64
 rng_loop16:
 	LEAQ    16(BX), AX
 	CMPQ    AX, R10
@@ -82,6 +88,7 @@ rng_loop16:
 	MOVQ    AX, BX
 	JMP     rng_loop16
 
+	PCALIGN $64
 rng_loop8:
 	CMPQ    BX, R10
 	JGE     rng_tail
@@ -113,6 +120,7 @@ rng_next:
 // rows, cols ≥ 1. Each row eight at a time through QUANT8; its last cols
 // mod 8 are read through VMASKMOVPS and their codes stored a byte at a time.
 TEXT ·quantizeI8Asm(SB), NOSPLIT, $0-56
+	PCALIGN $64
 	MOVQ         dst+0(FP), DI
 	MOVQ         src+8(FP), SI
 	MOVQ         rows+16(FP), R8
@@ -130,6 +138,7 @@ TEXT ·quantizeI8Asm(SB), NOSPLIT, $0-56
 qi8_row:
 	XORQ BX, BX
 
+	PCALIGN $64
 qi8_loop8:
 	CMPQ    BX, R10
 	JGE     qi8_tail
@@ -173,6 +182,7 @@ qi8_next:
 // the last, so 8 codes are two dword stores, and a tail's masked-off lanes
 // quantize to 0 and fill the k padding. R11 counts the panel's rows.
 TEXT ·quantizeRowsI8Asm(SB), NOSPLIT, $0-64
+	PCALIGN $64
 	MOVQ         dst+0(FP), DI
 	MOVQ         scales+8(FP), R12
 	MOVQ         sums+16(FP), R13
@@ -192,6 +202,7 @@ qr_row:
 	VXORPS Y3, Y3, Y3
 	XORQ   BX, BX
 
+	PCALIGN $64
 qr_range8:
 	CMPQ    BX, R10
 	JGE     qr_rangetail
@@ -223,6 +234,7 @@ qr_nonzero:
 	VPXOR        Y8, Y8, Y8
 	XORQ         BX, BX
 
+	PCALIGN $64
 qr_quant8:
 	CMPQ    BX, R10
 	JGE     qr_quanttail

@@ -7,6 +7,10 @@
 // bit for bit. Constants are read from vecConsts (R11 holds its address);
 // a row's last cols mod 8 elements go through VMASKMOVPS under the
 // tailMask lanes, which neither read nor write past the row.
+//
+// The forward's bodies here (GELU, softmax, LayerNorm) start with PCALIGN
+// $64, and each of their inner loops' labels follows one, to pin their
+// 64-byte phase in the binary (gemm_amd64.s says why).
 
 #include "textflag.h"
 #include "tailmask_amd64.h"
@@ -165,11 +169,13 @@ exp_loop:
 // n is a positive multiple of 8: dst[i] = x / (1 + exp32(geluK·(x +
 // geluC·x·x·x))) for x = src[i], the reference's operations in its order.
 TEXT ·geluF32Asm(SB), NOSPLIT, $0-24
+	PCALIGN $64
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ n+16(FP), CX
 	LEAQ ·vecConsts(SB), R11
 	SHRQ $3, CX
+	PCALIGN $64
 gelu_loop:
 	VMOVUPS (SI), Y9
 	VMULPS  C_GELUC(R11), Y9, Y1
@@ -195,6 +201,7 @@ gelu_loop:
 // and summed into eight lanes (masked-off lanes add +0); the reciprocal of
 // the lane sum multiplied in.
 TEXT ·softmaxF32Asm(SB), NOSPLIT, $0-28
+	PCALIGN $64
 	MOVQ         x+0(FP), DI
 	MOVQ         rows+8(FP), R8
 	MOVQ         cols+16(FP), CX
@@ -207,6 +214,7 @@ sm_row:
 	VMOVAPS Y11, Y8
 	XORQ    BX, BX
 
+	PCALIGN $64
 sm_max8:
 	CMPQ   BX, R10
 	JGE    sm_maxtail
@@ -233,6 +241,7 @@ sm_maxred:
 	VXORPS       Y9, Y9, Y9
 	XORQ         BX, BX
 
+	PCALIGN $64
 sm_exp8:
 	CMPQ    BX, R10
 	JGE     sm_exptail
@@ -262,6 +271,7 @@ sm_sumred:
 	VBROADCASTSS X1, Y1
 	XORQ         BX, BX
 
+	PCALIGN $64
 sm_norm8:
 	CMPQ    BX, R10
 	JGE     sm_normtail
@@ -292,6 +302,7 @@ sm_next:
 // VDIVSS; then gamma·((x − mean)·inv) + beta. The statistics are complete
 // before the row is written, so dst may be src.
 TEXT ·layerNormF32Asm(SB), NOSPLIT, $0-52
+	PCALIGN $64
 	MOVQ       dst+0(FP), DI
 	MOVQ       src+8(FP), SI
 	MOVQ       gamma+16(FP), R12
@@ -307,6 +318,7 @@ ln_row:
 	VXORPS Y9, Y9, Y9
 	XORQ   BX, BX
 
+	PCALIGN $64
 ln_sum8:
 	CMPQ   BX, R10
 	JGE    ln_sumtail
@@ -327,6 +339,7 @@ ln_mean:
 	VXORPS       Y9, Y9, Y9
 	XORQ         BX, BX
 
+	PCALIGN $64
 ln_var8:
 	CMPQ    BX, R10
 	JGE     ln_vartail
@@ -356,6 +369,7 @@ ln_inv:
 	VBROADCASTSS X7, Y7
 	XORQ         BX, BX
 
+	PCALIGN $64
 ln_out8:
 	CMPQ    BX, R10
 	JGE     ln_outtail

@@ -51,8 +51,8 @@ func TestDigestFrameMatchesDigestImage(t *testing.T) {
 
 // BenchmarkDigestImage compares digest v2 (multi-lane, vectorized where the
 // host allows) against the serial FNV-1a loop digest v1 used before the
-// kernel existed, on a 3×64×64 frame. CI runs this single-core; the ratio,
-// not absolute ns/op, is the number that matters (BENCH_ingress.json).
+// kernel existed, on a 3×64×64 frame. The ratio, not absolute ns/op, is the
+// number that matters; the live digest cost is rcache.digest_us.
 func BenchmarkDigestImage(b *testing.B) {
 	img := randImage(rand.New(rand.NewSource(1)), 3, 64, 64)
 	bytes := int64(4 * len(img.Data))

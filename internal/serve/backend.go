@@ -148,6 +148,19 @@ type Request struct {
 	// Image is the (C,H,W) input tensor. The server reads it until Detect
 	// returns nil; see Server.Detect for when the caller has it back.
 	Image *tensor.Tensor
+	// Digest and Decode stand in for Image when it is nil: a request keyed
+	// by its content before its pixels are decoded. Digest must be
+	// rcache.DigestImage of the tensor Decode returns; it keys the result
+	// cache and coalescing in Image's place. The server calls Decode at most
+	// once, on the caller's goroutine, and only when the request needs its
+	// pixels: after the result-cache probe missed (and the tenant budget
+	// allowed it), before the flight join or the queue. A cache hit never
+	// calls it. ImageValidator runs on its result. A Decode error is returned
+	// as it is and counted as a shape rejection, not an accepted request.
+	// The tensor Decode returns is the request's image from then on, under
+	// Image's ownership rule (see Server.Detect).
+	Digest uint64
+	Decode func() (*tensor.Tensor, error)
 	// Deadline, when non-zero, is the admission-to-execution deadline:
 	// requests still waiting past it are shed instead of executed.
 	Deadline time.Time

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"itask/internal/rcache"
 	"itask/internal/tensor"
 )
 
@@ -413,5 +414,20 @@ func TestDetectCachedHitZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("cached Detect allocates %.1f/op, want 0", allocs)
+	}
+
+	// The same hit for a request keyed by its digest, never decoded.
+	keyed := Request{Task: "patrol", Digest: rcache.DigestImage(img), Decode: func() (*tensor.Tensor, error) {
+		t.Error("a cache hit decoded its pixels")
+		return img, nil
+	}}
+	allocs = testing.AllocsPerRun(1000, func() {
+		res, err := s.Detect(ctx, keyed)
+		if err != nil || !res.Cached {
+			t.Fatalf("keyed hit path broke: %v %+v", err, res)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cached keyed Detect allocates %.1f/op, want 0", allocs)
 	}
 }

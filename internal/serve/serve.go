@@ -408,23 +408,16 @@ type admission struct {
 }
 
 // preadmit runs the per-request admission work shared by every path:
-// validation, deadline expiry, and — when the fast path is
-// enabled — routing and content-key derivation. Allocation-free.
+// validation, deadline expiry, and — when the fast path is enabled — routing
+// and content-key derivation. A request keyed by its Digest is validated
+// once decoded, and its key is the Digest. Allocation-free.
 func (s *Server) preadmit(req *Request) (admission, error) {
 	if req.Tenant == "" {
 		req.Tenant = DefaultTenant
 	}
 	a := admission{now: time.Now(), tenant: req.Tenant}
-	if req.Image == nil {
-		s.m.inc(cRejectedShape)
-		return a, fmt.Errorf("serve: nil image: %w", ErrBadShape)
-	}
-	if s.validator != nil {
-		if err := s.validator.ValidateImage(req.Image); err != nil {
-			s.m.inc(cRejectedShape)
-			if !errors.Is(err, ErrBadShape) {
-				err = fmt.Errorf("%w: %v", ErrBadShape, err)
-			}
+	if req.Image != nil || req.Decode == nil {
+		if err := s.validate(req.Image); err != nil {
 			return a, err
 		}
 	}
@@ -436,7 +429,10 @@ func (s *Server) preadmit(req *Request) (admission, error) {
 		return a, ErrDeadlineExceeded
 	}
 	if s.cache != nil || s.flights != nil {
-		d := rcache.DigestImage(req.Image)
+		d := req.Digest
+		if req.Image != nil {
+			d = rcache.DigestImage(req.Image)
+		}
 		variant, err := s.route(req.Task)
 		if err != nil {
 			s.m.inc(cRejectedRoute)
@@ -462,6 +458,40 @@ func (s *Server) preadmit(req *Request) (admission, error) {
 		}
 	}
 	return a, nil
+}
+
+// validate refuses an image the backend's ImageValidator refuses, with
+// ErrBadShape.
+func (s *Server) validate(img *tensor.Tensor) error {
+	if img == nil {
+		s.m.inc(cRejectedShape)
+		return fmt.Errorf("serve: nil image: %w", ErrBadShape)
+	}
+	if s.validator == nil {
+		return nil
+	}
+	if err := s.validator.ValidateImage(img); err != nil {
+		s.m.inc(cRejectedShape)
+		if !errors.Is(err, ErrBadShape) {
+			err = fmt.Errorf("%w: %v", ErrBadShape, err)
+		}
+		return err
+	}
+	return nil
+}
+
+// decode gives a request keyed by its digest its image (Request.Decode).
+func (s *Server) decode(req *Request) error {
+	img, err := req.Decode()
+	if err != nil {
+		s.m.inc(cRejectedShape)
+		return err
+	}
+	if err := s.validate(img); err != nil {
+		return err
+	}
+	req.Image = img
+	return nil
 }
 
 // route resolves task -> variant, memoizing per backend route epoch when
@@ -528,6 +558,11 @@ func (s *Server) submitSlow(req Request, a admission) (*pending, error) {
 	if s.budget != nil && !s.budget.Allow(a.tenant, a.now) {
 		s.m.count(cRejectedBudget, s.m.tenant(a.tenant))
 		return nil, &TenantBudgetError{Tenant: a.tenant, RetryAfter: s.budget.RetryAfter(a.tenant, a.now)}
+	}
+	if req.Image == nil {
+		if err := s.decode(&req); err != nil {
+			return nil, err
+		}
 	}
 	p := &pending{
 		image:    req.Image,
@@ -671,14 +706,15 @@ func (s *Server) fallbackFor(taskName, brokenVariant string, now time.Time, prob
 // worker takes the request, it is marked cancelled and shed at execution
 // time instead of being run for nobody.
 //
-// The image belongs to the caller again exactly when Detect returns a nil
-// error: every read a server goroutine made of req.Image has returned by
-// then, and none follows, whichever path answered — an execution of this
-// request, the result cache or its hot tier, a coalesced leader's execution,
-// or this request's re-execution after its leader failed. The caller may
-// then recycle the pixels. On any error — a watchdog abandonment, a
-// cancelled ctx, a shed, a rejection — an execution may still be reading
-// them, so they must be left to the garbage collector.
+// The image — req.Image, or the tensor req.Decode returned — belongs to the
+// caller again exactly when Detect returns a nil error: every read a server
+// goroutine made of it has returned by then, and none follows, whichever
+// path answered — an execution of this request, the result cache or its hot
+// tier, a coalesced leader's execution, or this request's re-execution after
+// its leader failed. The caller may then recycle the pixels. On any error —
+// a watchdog abandonment, a cancelled ctx, a shed, a rejection — an
+// execution may still be reading them, so they must be left to the garbage
+// collector.
 func (s *Server) Detect(ctx context.Context, req Request) (Result, error) {
 	if req.Deadline.IsZero() {
 		if d, ok := ctx.Deadline(); ok {

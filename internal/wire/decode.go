@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -100,10 +101,41 @@ const (
 // reads them. Errors are fit for HTTP 400. The caller still owes
 // DetectBody.Check.
 func DecodeDetect(body []byte, imageSize int) (*DetectBody, error) {
+	d := newDecoder(body, imageSize)
+	return d.detect()
+}
+
+// ProbeDetect is DecodeDetect with the image's data array left unconverted:
+// the same walk over body, except that the array is taken as its bytes, from
+// its '[' to the first ']' after it, and returned as data (aliasing body).
+// It accepts a body only when that walk succeeds, the body carries an image
+// and no scene, the image's data is an array (not null, not absent), and the
+// body passes Check on everything but the data's length; otherwise ok is
+// false, and the caller decodes the body in full to learn its verdict.
+// Whatever ParseDetect accepts, ProbeDetect accepts with the same task,
+// tenant, timeout and shape, and data is the text the pixels were decoded
+// from; a body ProbeDetect accepts and ParseDetect refuses is refused for
+// its array's contents.
+func ProbeDetect(body []byte, imageSize int) (dr *DetectBody, data []byte, ok bool) {
+	d := newDecoder(body, imageSize)
+	d.probe = true
+	dr, err := d.detect()
+	if err != nil || dr.Image == nil || d.data == nil || dr.checkRequest(imageSize) != nil {
+		return nil, nil, false
+	}
+	return dr, d.data, true
+}
+
+func newDecoder(body []byte, imageSize int) decoder {
 	d := decoder{b: body, max: maxFrameElems}
 	if imageSize > 0 {
 		d.max = 3 * imageSize * imageSize
 	}
+	return d
+}
+
+// detect decodes the body DecodeDetect and ProbeDetect were given.
+func (d *decoder) detect() (*DetectBody, error) {
 	blk := &detectBlock{}
 	d.ws()
 	if !d.null() {
@@ -129,8 +161,12 @@ func DecodeDetect(body []byte, imageSize int) (*DetectBody, error) {
 type decoder struct {
 	b   []byte
 	i   int
-	max int      // most image values the caller accepts
-	key [16]byte // the longest name any spelling of a field unescapes to is 11 bytes
+	max int // most image values the caller accepts
+	// probe leaves the data array unconverted: imageMember keeps its bytes,
+	// from its '[' to its first ']', in data (ProbeDetect).
+	probe bool
+	data  []byte
+	key   [16]byte // the longest name any spelling of a field unescapes to is 11 bytes
 }
 
 func (d *decoder) syntax(msg string) error {
@@ -351,6 +387,16 @@ func (d *decoder) imageMember(blk *detectBlock, f int) error {
 			}
 			return nil
 		})
+	}
+
+	if d.probe {
+		end := bytes.IndexByte(d.b[d.i:], ']')
+		if end < 0 {
+			return d.syntax("unterminated data array")
+		}
+		d.data = d.b[d.i : d.i+end+1]
+		d.i += end + 1
+		return nil
 	}
 
 	// Size the pixels once, by what the body says and what it can hold: the

@@ -692,10 +692,10 @@ func FuzzDecodeDetect(f *testing.F) {
 	})
 }
 
-// BenchmarkDecodeDetect is the decode alone, on the body BENCH_ingress.json
-// is recorded on (json.Marshal of a 3×32×32 frame), beside the decoder it
-// replaced; "indented" is the same frame through json.MarshalIndent, so the
-// whitespace between values is timed too.
+// BenchmarkDecodeDetect is the decode alone, on a client's body (json.Marshal
+// of a 3×32×32 frame), beside the decoder it replaced; "indented" is the
+// same frame through json.MarshalIndent, so the whitespace between values is
+// timed too.
 func BenchmarkDecodeDetect(b *testing.B) {
 	body, _ := marshalImage(b, "patrol", 32, 5)
 	var indented bytes.Buffer

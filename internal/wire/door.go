@@ -113,6 +113,18 @@ type DetectScene struct {
 // match. After Check the image spec can be materialized without allocation
 // surprises. Errors are fit for HTTP 400.
 func (b *DetectBody) Check(imageSize int) error {
+	if err := b.checkRequest(imageSize); err != nil {
+		return err
+	}
+	if b.Image != nil && len(b.Image.Data) != 3*imageSize*imageSize {
+		return fmt.Errorf("image data has %d values, want %d", len(b.Image.Data), 3*imageSize*imageSize)
+	}
+	return nil
+}
+
+// checkRequest is Check short of the image data's length: everything a
+// probe can check before the pixels are decoded.
+func (b *DetectBody) checkRequest(imageSize int) error {
 	if b.Task == "" {
 		return errors.New("missing task")
 	}
@@ -136,9 +148,6 @@ func (b *DetectBody) Check(imageSize int) error {
 		if len(sh) != 3 || sh[0] != 3 || sh[1] != s || sh[2] != s {
 			return fmt.Errorf("image shape must be [3,%d,%d], got %v", s, s, sh)
 		}
-		if len(b.Image.Data) != 3*s*s {
-			return fmt.Errorf("image data has %d values, want %d", len(b.Image.Data), 3*s*s)
-		}
 	}
 	return nil
 }
@@ -146,21 +155,23 @@ func (b *DetectBody) Check(imageSize int) error {
 // ParseDetect is what a shard serving [3,S,S] images makes of a /v1/detect
 // body: it decodes with the decoder the Content-Type declares — a binary
 // tensor frame for application/x-itask-tensor (parameters after the media
-// type are tolerated), JSON for everything else — and Checks the result
-// against imageSize. Both decoders fill a DetectBody and both end in Check,
-// so the two encodings cannot disagree about what a valid request is, and
-// the gateway's tests hold routeKey to this verdict rather than to a copy of
-// it. The result shares no memory with body; its pixels are pooled memory
-// (see Release). Errors are fit for HTTP 400; the function must never
-// panic, whatever the bytes.
+// type are tolerated; see IsFrame), JSON for everything else — and Checks the
+// result against imageSize. Both decoders fill a DetectBody and both end in
+// Check, so the two encodings cannot disagree about what a valid request is,
+// and the gateway's tests hold routeKey to this verdict rather than to a copy
+// of it. The result shares no memory with body; its pixels are pooled memory
+// (see Release). Errors are fit for HTTP 400; the function must never panic,
+// whatever the bytes.
 func ParseDetect(contentType string, body []byte, imageSize int) (*DetectBody, error) {
-	var dr *DetectBody
-	var err error
-	if strings.HasPrefix(contentType, ContentType) {
-		dr, err = decodeFrame(body)
-	} else {
-		dr, err = DecodeDetect(body, imageSize)
+	if IsFrame(contentType) {
+		dr, payload, err := ProbeFrame(body, imageSize)
+		if err != nil {
+			return nil, err
+		}
+		dr.LoadFrame(payload)
+		return dr, nil
 	}
+	dr, err := DecodeDetect(body, imageSize)
 	if err != nil {
 		return nil, err
 	}
@@ -171,17 +182,21 @@ func ParseDetect(contentType string, body []byte, imageSize int) (*DetectBody, e
 	return dr, nil
 }
 
-// decodeFrame decodes the payload out of body into pooled pixels: body is a
-// pooled buffer the handler releases on return, while a watchdog-abandoned
-// execution may keep reading the image long after that, so the pixels must
-// not alias it.
-func decodeFrame(body []byte) (*DetectBody, error) {
+// IsFrame reports whether a Content-Type declares a binary tensor frame.
+func IsFrame(contentType string) bool { return strings.HasPrefix(contentType, ContentType) }
+
+// ProbeFrame is ParseDetect for a binary frame short of the pixel copy: the
+// frame parsed and Checked — a frame's payload always matches its shape, so
+// that is the whole verdict — with its payload returned as it is, aliasing
+// body, and the body's Image.Data left unset until LoadFrame. Errors are
+// ParseDetect's.
+func ProbeFrame(body []byte, imageSize int) (*DetectBody, []byte, error) {
 	fr, err := ParseFrame(body)
 	if err != nil {
 		if errors.Is(err, ErrNotFrame) {
-			return nil, fmt.Errorf("Content-Type %s but body is not a tensor frame", ContentType)
+			return nil, nil, fmt.Errorf("Content-Type %s but body is not a tensor frame", ContentType)
 		}
-		return nil, err
+		return nil, nil, err
 	}
 	blk := &detectBlock{shape: fr.Shape}
 	blk.body = DetectBody{
@@ -191,7 +206,18 @@ func decodeFrame(body []byte) (*DetectBody, error) {
 		Image:     &blk.image,
 	}
 	blk.image.Shape = blk.shape[:]
-	blk.image.Data, blk.body.pixels = pixels(fr.Elems())
-	Float32s(fr.Payload, blk.image.Data)
-	return &blk.body, nil
+	if err := blk.body.checkRequest(imageSize); err != nil {
+		return nil, nil, err
+	}
+	return &blk.body, fr.Payload, nil
+}
+
+// LoadFrame decodes the payload ProbeFrame returned with b into pooled
+// pixels as b's image data (see Release). The pixels do not alias the
+// payload: the body it came from is a pooled buffer the handler releases on
+// return, while a watchdog-abandoned execution may keep reading the image
+// long after that.
+func (b *DetectBody) LoadFrame(payload []byte) {
+	b.Image.Data, b.pixels = pixels(len(payload) / 4)
+	Float32s(payload, b.Image.Data)
 }

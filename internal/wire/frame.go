@@ -77,9 +77,6 @@ type Frame struct {
 	Payload []byte
 }
 
-// Elems returns the payload element count.
-func (f *Frame) Elems() int { return len(f.Payload) / 4 }
-
 // ErrNotFrame marks a body that does not begin with the frame magic: the
 // caller may fall back to another decode (or reject) without reporting a
 // corrupt frame.

@@ -35,10 +35,10 @@ func TestFrameRoundTrip(t *testing.T) {
 	if string(f.Task) != "patrol" || string(f.Tenant) != "acme" || f.TimeoutMS != 1234 {
 		t.Fatalf("parsed header %q/%q/%d", f.Task, f.Tenant, f.TimeoutMS)
 	}
-	if f.Shape != [3]int{3, 4, 4} || f.Elems() != len(data) {
-		t.Fatalf("parsed shape %v (%d elems)", f.Shape, f.Elems())
+	if f.Shape != [3]int{3, 4, 4} || len(f.Payload)/4 != len(data) {
+		t.Fatalf("parsed shape %v (%d elems)", f.Shape, len(f.Payload)/4)
 	}
-	got := make([]float32, f.Elems())
+	got := make([]float32, len(f.Payload)/4)
 	Float32s(f.Payload, got)
 	for i, v := range data {
 		if math.Float32bits(got[i]) != math.Float32bits(v) {
@@ -200,7 +200,7 @@ func TestBinaryIngestZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		px, pb := pixels(fr.Elems())
+		px, pb := pixels(len(fr.Payload) / 4)
 		Float32s(fr.Payload, px)
 		buf.Release()
 		pb.Release()

@@ -165,7 +165,9 @@ func TestPatternsMatchAfterASlash(t *testing.T) {
 
 // TestRulesFileOrder: the checked-in rules give a socket call under the door
 // server to the kernel row and the door's own head parse to the door row,
-// in both sections, and no row names http.Transport, which no process runs.
+// in both sections, a shard's probe and deferred decode to its parse row and
+// its memo key to the digest row, and no row names http.Transport, which no
+// process runs.
 func TestRulesFileOrder(t *testing.T) {
 	f, err := os.Open("rules.txt")
 	if err != nil {
@@ -181,13 +183,24 @@ func TestRulesFileOrder(t *testing.T) {
 		if sec == nil {
 			t.Fatalf("no [%s] section", process)
 		}
-		for _, c := range []struct {
+		type rowCase struct {
 			frames []string
 			row    string
-		}{
+		}
+		cases := []rowCase{
 			{[]string{"internal/poll.(*FD).Read", "itask/internal/wire.(*conn).readHead", "itask/internal/wire.(*conn).serve"}, "kernel and poller: socket reads, writes and wakes"},
 			{[]string{"itask/internal/wire.(*headParser).parseInPlace", "itask/internal/wire.(*conn).serve"}, "door server: head, body, answer, ServeMux"},
-		} {
+		}
+		if process == "itask-serve" {
+			// The probe and a decode serve asks for are the door's parse,
+			// and the memo's key is the digest's work.
+			cases = append(cases,
+				rowCase{[]string{"itask/internal/wire.(*decoder).detect", "itask/internal/wire.ProbeDetect", "main.(*handler).parseCall", "main.(*handler).detect"}, "door: body read and parse"},
+				rowCase{[]string{"itask/internal/wire.Float32s", "itask/internal/wire.(*DetectBody).LoadFrame", "main.(*detectCall).decode", "itask/internal/serve.(*Server).submitSlow", "itask/internal/serve.(*Server).Detect"}, "door: body read and parse"},
+				rowCase{[]string{"itask/internal/kernels.hashBlocksAsm", "itask/internal/kernels.HashWordsLE", "main.memoKey", "main.(*handler).parseCall"}, "digest and result cache"},
+			)
+		}
+		for _, c := range cases {
 			for _, r := range sec.rows {
 				if r.matches(c.frames) {
 					if r.name != c.row {
