@@ -265,6 +265,8 @@ type handler struct {
 	imageSize int
 	// memo keys repeated JSON bodies off their bytes (see parseCall).
 	memo digestMemo
+	// answers holds cached answers' encoded detections (see answerMemo).
+	answers answerMemo
 }
 
 func (h *handler) mux() *http.ServeMux {
@@ -349,6 +351,9 @@ func (h *handler) detect(w http.ResponseWriter, r *http.Request) {
 		Cached:     res.Cached,
 		Coalesced:  res.Coalesced,
 		Detections: dets,
+	}
+	if res.Cached {
+		resp.answers = &h.answers
 	}
 	wire.WriteAppendedJSON(w, http.StatusOK, resp.appendJSON)
 }

@@ -21,6 +21,9 @@ type detectResponse struct {
 	Cached     bool              `json:"cached,omitempty"`
 	Coalesced  bool              `json:"coalesced,omitempty"`
 	Detections []itask.Detection `json:"detections"`
+	// answers, when set, memoizes the encoded Detections: the handler sets
+	// it for a result-cache hit, whose payload is cached and immutable.
+	answers *answerMemo
 }
 
 // appendJSON appends r's JSON to dst without reflection, byte for byte what
@@ -48,23 +51,8 @@ func (r *detectResponse) appendJSON(dst []byte) ([]byte, error) {
 	if r.Detections == nil {
 		e.raw(`,"detections":null`)
 	} else {
-		e.raw(`,"detections":[`)
-		for i := range r.Detections {
-			d := &r.Detections[i]
-			if i > 0 {
-				e.raw(",")
-			}
-			e.float(`{"Box":{"X":`, d.Box.X)
-			e.float(`,"Y":`, d.Box.Y)
-			e.float(`,"W":`, d.Box.W)
-			e.float(`,"H":`, d.Box.H)
-			e.str(`},"Class":`, d.Class)
-			e.int(`,"ClassID":`, d.ClassID)
-			e.float(`,"Score":`, d.Score)
-			e.float(`,"Relevance":`, d.Relevance)
-			e.raw("}")
-		}
-		e.raw("]")
+		e.raw(`,"detections":`)
+		e.detections(r.Detections, r.answers)
 	}
 	e.raw("}")
 	return e.b, e.err
@@ -75,6 +63,39 @@ func (r *detectResponse) appendJSON(dst []byte) ([]byte, error) {
 type jsonAppender struct {
 	b   []byte
 	err error
+}
+
+// detections appends dets as a JSON array. With a memo, the array is
+// appended from it when it holds dets, and stored in it when it does not
+// and every float encoded.
+func (e *jsonAppender) detections(dets []itask.Detection, memo *answerMemo) {
+	if memo != nil {
+		if b, ok := memo.get(dets); ok {
+			e.b = append(e.b, b...)
+			return
+		}
+	}
+	start := len(e.b)
+	e.raw("[")
+	for i := range dets {
+		d := &dets[i]
+		if i > 0 {
+			e.raw(",")
+		}
+		e.float(`{"Box":{"X":`, d.Box.X)
+		e.float(`,"Y":`, d.Box.Y)
+		e.float(`,"W":`, d.Box.W)
+		e.float(`,"H":`, d.Box.H)
+		e.str(`},"Class":`, d.Class)
+		e.int(`,"ClassID":`, d.ClassID)
+		e.float(`,"Score":`, d.Score)
+		e.float(`,"Relevance":`, d.Relevance)
+		e.raw("}")
+	}
+	e.raw("]")
+	if memo != nil && e.err == nil {
+		memo.put(dets, e.b[start:])
+	}
 }
 
 func (e *jsonAppender) raw(s string) { e.b = append(e.b, s...) }

@@ -34,7 +34,9 @@ func written(r *detectResponse) *httptest.ResponseRecorder {
 
 // The detect answer's own encoder writes exactly json.Encoder's bytes over a
 // seeded corpus of awkward floats and strings, with the optional members
-// present and absent and the detection list empty, absent and long.
+// present and absent and the detection list empty, absent and long; and so
+// does a cached answer's, whose detections are encoded into the answer memo
+// once and then written from it under other timings and flags.
 func TestDetectResponseMatchesEncodingJSON(t *testing.T) {
 	floats := []float64{
 		0, math.Copysign(0, -1), 1, -1, 42, 1e6, 123456789, 1 << 53,
@@ -55,6 +57,7 @@ func TestDetectResponseMatchesEncodingJSON(t *testing.T) {
 		return floats[r.Intn(len(floats))]
 	}
 	str := func() string { return strs[r.Intn(len(strs))] }
+	var answers answerMemo
 	for i := 0; i < 2000; i++ {
 		resp := detectResponse{
 			Task: str(), Model: str(), BatchSize: r.Intn(3) - 1,
@@ -78,30 +81,57 @@ func TestDetectResponseMatchesEncodingJSON(t *testing.T) {
 				})
 			}
 		}
-		want := encodingJSON(t, &resp)
-		rec := written(&resp)
-		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
-			t.Fatalf("case %d (%+v):\n got %d %s\nwant 200 %s", i, resp, rec.Code, rec.Body.Bytes(), want)
+		check := func(how string, resp *detectResponse) {
+			t.Helper()
+			want := encodingJSON(t, resp)
+			rec := written(resp)
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("case %d, %s (%+v):\n got %d %s\nwant 200 %s", i, how, *resp, rec.Code, rec.Body.Bytes(), want)
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+				t.Fatalf("Content-Type %q", ct)
+			}
 		}
-		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-			t.Fatalf("Content-Type %q", ct)
+		check("unmemoized", &resp)
+		if resp.Detections == nil {
+			continue
 		}
+		resp.answers = &answers
+		check("encoded into the memo", &resp)
+		if _, ok := answers.get(resp.Detections); !ok {
+			t.Fatalf("case %d: the answer was not memoized", i)
+		}
+		resp.QueuedUS, resp.TotalUS = float(), float()
+		resp.Cached, resp.Coalesced = !resp.Cached, r.Intn(2) == 0
+		resp.Degraded = ""
+		if r.Intn(2) == 0 {
+			resp.Degraded = str()
+		}
+		check("written from the memo", &resp)
 	}
 }
 
 // A float JSON cannot carry fails the answer with WriteJSON's own 500 body,
-// as encoding/json's refusal did.
+// as encoding/json's refusal did; a cached one fails on every hit, and is
+// never memoized.
 func TestDetectResponseNaNIsA500(t *testing.T) {
+	var answers answerMemo
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		resp := detectResponse{Task: "patrol", Model: "m", BatchSize: 1, Detections: []itask.Detection{
 			{Class: "car", Score: 0.5}, {Class: "bus", Score: bad},
 		}}
 		old := httptest.NewRecorder()
 		wire.WriteJSON(old, http.StatusOK, resp)
-		rec := written(&resp)
-		if rec.Code != http.StatusInternalServerError || rec.Code != old.Code ||
-			rec.Body.String() != `{"error":"response encoding failed"}`+"\n" || rec.Body.String() != old.Body.String() {
-			t.Fatalf("score %v: got %d %q, WriteJSON gives %d %q", bad, rec.Code, rec.Body, old.Code, old.Body)
+		for hit := 0; hit < 3; hit++ {
+			rec := written(&resp)
+			if rec.Code != http.StatusInternalServerError || rec.Code != old.Code ||
+				rec.Body.String() != `{"error":"response encoding failed"}`+"\n" || rec.Body.String() != old.Body.String() {
+				t.Fatalf("score %v, hit %d: got %d %q, WriteJSON gives %d %q", bad, hit, rec.Code, rec.Body, old.Code, old.Body)
+			}
+			if _, ok := answers.get(resp.Detections); ok {
+				t.Fatalf("score %v, hit %d: an answer that failed to encode was memoized", bad, hit)
+			}
+			resp.Cached, resp.answers = true, &answers
 		}
 	}
 }

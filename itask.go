@@ -728,7 +728,10 @@ func (p *Pipeline) RegistryStats() registry.Stats { return p.reg.Stats() }
 // interface, plus the optional FallbackRouter, VariantEvicter,
 // ImageValidator, CacheStatser, VariantHealthSink, RegistryStatser,
 // RetirementNotifier, RouteEpocher and PayloadSizer extensions. Payloads are
-// []Detection per image.
+// []Detection per image, never mutated once DetectBatch returns them: the
+// result cache hands the same slice to every hit, and itask-serve's answer
+// memo keys a hit's encoded detections by the slice's backing array and
+// length.
 type serveBackend struct{ p *Pipeline }
 
 // Route names the variant the scheduler picks for a defined task.

@@ -165,9 +165,9 @@ func TestPatternsMatchAfterASlash(t *testing.T) {
 
 // TestRulesFileOrder: the checked-in rules give a socket call under the door
 // server to the kernel row and the door's own head parse to the door row,
-// in both sections, a shard's probe and deferred decode to its parse row and
-// its memo key to the digest row, and no row names http.Transport, which no
-// process runs.
+// in both sections, a shard's probe and deferred decode to its parse row,
+// its memo key to the digest row and its answer memo to the encode row, and
+// no row names http.Transport, which no process runs.
 func TestRulesFileOrder(t *testing.T) {
 	f, err := os.Open("rules.txt")
 	if err != nil {
@@ -193,11 +193,14 @@ func TestRulesFileOrder(t *testing.T) {
 		}
 		if process == "itask-serve" {
 			// The probe and a decode serve asks for are the door's parse,
-			// and the memo's key is the digest's work.
+			// the memo's key is the digest's work, and the answer memo's
+			// lookup and store are the encode's.
 			cases = append(cases,
 				rowCase{[]string{"itask/internal/wire.(*decoder).detect", "itask/internal/wire.ProbeDetect", "main.(*handler).parseCall", "main.(*handler).detect"}, "door: body read and parse"},
 				rowCase{[]string{"itask/internal/wire.Float32s", "itask/internal/wire.(*DetectBody).LoadFrame", "main.(*detectCall).decode", "itask/internal/serve.(*Server).submitSlow", "itask/internal/serve.(*Server).Detect"}, "door: body read and parse"},
 				rowCase{[]string{"itask/internal/kernels.hashBlocksAsm", "itask/internal/kernels.HashWordsLE", "main.memoKey", "main.(*handler).parseCall"}, "digest and result cache"},
+				rowCase{[]string{"main.answerSlot", "main.(*answerMemo).get", "main.(*handler).detect"}, "JSON encode"},
+				rowCase{[]string{"runtime.memmove", "main.(*answerMemo).put", "main.(*jsonAppender).detections", "main.(*handler).detect"}, "JSON encode"},
 			)
 		}
 		for _, c := range cases {
