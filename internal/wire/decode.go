@@ -2,11 +2,9 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -408,57 +406,26 @@ func (d *decoder) imageMember(blk *detectBlock, f int) error {
 		bound = img.Shape[0] * img.Shape[1] * img.Shape[2]
 	}
 	img.Data = []float32{}
-	// The array's own loop rather than array's closure per element: this is
-	// the body's one long array. It keeps the cursor in a local while values
-	// take the fast front and compact separators, and walks the same grammar
-	// as array, failing with the same errors at the same offsets.
-	d.i++
-	d.ws()
-	if d.peek() == ']' {
-		d.i++
-		return nil
-	}
-	// Sized before the bound check: bound >= 1, so the first value is never
-	// the one too many.
-	img.Data, blk.body.pixels = pixels(min(bound, (len(d.b)-d.i)/2+1))
-	b, data := d.b, img.Data[:0]
-	for i := d.i; ; {
-		if len(data) == bound {
+	return d.array(func(n int) error {
+		if n == 0 {
+			// Sized before the bound check: bound >= 1, so the first value is
+			// never the one too many.
+			img.Data, blk.body.pixels = pixels(min(bound, (len(d.b)-d.i)/2+1))
+			img.Data = img.Data[:0]
+		}
+		if n == bound {
 			return fmt.Errorf("%w: data has more than %d values", errTooLarge, bound)
 		}
-		v, next, ok := fastFloat32(b, i)
-		if !ok {
-			d.i = i
-			if d.peek() != 'n' || !d.null() { // a null pixel is 0
-				var err error
-				if v, err = d.anyFloat32(); err != nil {
-					return err
-				}
+		var v float32
+		if d.peek() != 'n' || !d.null() { // a null pixel is 0
+			var err error
+			if v, err = d.float32(); err != nil {
+				return err
 			}
-			next = d.i
 		}
-		data = append(data, v)
-		// A compact body's separator, checked in place: ',' and then a byte
-		// no whitespace can be. Anything else takes the general path.
-		if next+1 < len(b) && b[next] == ',' && b[next+1] > ' ' {
-			i = next + 1
-			continue
-		}
-		d.i = next
-		d.ws()
-		switch d.peek() {
-		case ',':
-			d.i++
-			d.ws()
-			i = d.i
-		case ']':
-			d.i++
-			img.Data = data
-			return nil
-		default:
-			return d.syntax("expected ',' or ']' in array")
-		}
-	}
+		img.Data = append(img.Data, v)
+		return nil
+	})
 }
 
 // str decodes the string value at the cursor into a fresh string.
@@ -679,21 +646,10 @@ var pow10 = [...]float64{
 }
 
 // float32 decodes the number at the cursor to exactly the float32
-// strconv.ParseFloat(tok, 32) returns, out-of-range included. Every token
-// takes one path — scan, the exact step, strconv for what the exact step
-// cannot settle — with a fast front for the plain decimals real clients
-// send: fastFloat32 settles those, and anyFloat32 the rest.
+// strconv.ParseFloat(tok, 32) returns, out-of-range included: number's
+// scan, then the exact step, then strconv for what the exact step cannot
+// settle.
 func (d *decoder) float32() (float32, error) {
-	if f, next, ok := fastFloat32(d.b, d.i); ok {
-		d.i = next
-		return f, nil
-	}
-	return d.anyFloat32()
-}
-
-// anyFloat32 is float32 for any token: number's full grammar, then the
-// exact step, then strconv.
-func (d *decoder) anyFloat32() (float32, error) {
 	var n num
 	start := d.i
 	if err := d.number(&n); err != nil {
@@ -744,102 +700,6 @@ func exact32(mant uint64, exp10 int, neg bool) (float32, bool) {
 	}
 	return float32(f), true
 }
-
-// fastFloat32 is float32 for the token at b[i:] when it is a plain
-// decimal — -?(0|[1-9]digits)[.digits], no exponent, at most 19 digit
-// characters, so mant is exact — that the exact step settles, with the
-// index after it. It reads the token as number does, so that index is where
-// number would leave the cursor, and what follows it (the 1 of 01, the x of
-// 0.1x) is the caller's to refuse. It declines anything else, and
-// anyFloat32 takes the token from the start: exponents, longer tokens,
-// midpoints and every malformed number, so each error keeps number's text
-// and offset.
-func fastFloat32(b []byte, i int) (f float32, next int, ok bool) {
-	neg := i < len(b) && b[i] == '-'
-	if neg {
-		i++
-	}
-	first := i
-	var mant uint64
-	switch {
-	case !digitAt(b, i):
-		return 0, 0, false
-	case b[i] == '0': // the whole integer part, as number reads it
-		i++
-	default:
-		mant, i = digitRun(b, i, 0)
-	}
-	digits, exp10 := i-first, 0
-	if i < len(b) && b[i] == '.' {
-		i++
-		frac := i
-		// A pixel's fraction is seven or eight digits: one block, in line.
-		if len(b)-i >= 8 {
-			v, k := digitBlock(b, i)
-			mant, i = mant*pow10u[k]+v, i+k
-		}
-		if digitAt(b, i) {
-			mant, i = digitRun(b, i, mant)
-		}
-		if i == frac {
-			return 0, 0, false
-		}
-		exp10 = frac - i
-		digits -= exp10
-	}
-	if digits > 19 || i < len(b) && b[i]|0x20 == 'e' {
-		return 0, 0, false
-	}
-	f, ok = exact32(mant, exp10, neg)
-	return f, i, ok
-}
-
-// digitRun folds the decimal digits at b[i:] into mant and returns it with
-// the index after the run, eight digits at a time while eight bytes remain.
-// mant wraps if the run takes it past 2^64; the caller counts digits and
-// discards such a result.
-func digitRun(b []byte, i int, mant uint64) (uint64, int) {
-	for len(b)-i >= 8 {
-		v, k := digitBlock(b, i)
-		mant, i = mant*pow10u[k]+v, i+k
-		if !digitAt(b, i) { // always so after k < 8, and no branch on k
-			return mant, i
-		}
-	}
-	for ; digitAt(b, i); i++ {
-		mant = mant*10 + uint64(b[i]-'0')
-	}
-	return mant, i
-}
-
-// digitBlock reads the eight bytes at b[i:], which must exist, as one
-// little-endian uint64 and returns the value of the decimal digits they
-// start with and how many there are, k (SWAR: the eight bytes tested and
-// converted at once). Subtracting '0' from every byte leaves 0–9 in a
-// digit's byte, and a byte's top bit in t or in t+0x76 is set exactly when
-// it is not a digit (below '0' borrows, above '9' reaches 0x80). The lowest
-// flagged byte is the first non-digit — a borrow or carry only travels
-// upward from it — so its trailing-zero count gives k, and eight when
-// nothing is flagged: seven digits and eight run the same instructions.
-// Shifting t left by 8·(8−k) drops everything from that byte on and leaves
-// the k digits as the low end of an eight-digit number with leading zeros.
-func digitBlock(b []byte, i int) (uint64, int) {
-	t := binary.LittleEndian.Uint64(b[i:]) - 0x3030303030303030
-	k := uint(bits.TrailingZeros64((t|(t+0x7676767676767676))&0x8080808080808080)) >> 3
-	return eightDigits(t << (64 - 8*k)), int(k)
-}
-
-// eightDigits is the value of eight decimal digits, one per byte, the first
-// in the low byte. One multiply-add turns the bytes into two-digit pairs;
-// two more multiplies place the four pairs at their powers of 100 in the
-// product's high half.
-func eightDigits(t uint64) uint64 {
-	t = t*10 + t>>8 // byte 2j: the two-digit value of digits 2j, 2j+1
-	return ((t&0x000000FF000000FF)*(100+1000000<<32) + (t>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
-}
-
-// pow10u[k] is 10^k, the scale of a k-digit block.
-var pow10u = [9]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
 
 // integer scans the number at the cursor and insists it is an integer
 // literal, as encoding/json does for integer fields.

@@ -272,6 +272,12 @@ func TestDecodeDetectMatchesReference(t *testing.T) {
 	}
 }
 
+// A null pixel reads as 0, as encoding/json leaves a null element at its
+// zero value, wherever it stands in the array.
+func TestDecodeDetectNullPixelIsZero(t *testing.T) {
+	checkAgainstReference(t, []byte(`{"image":{"shape":[1,1,4],"data":[null,1.5, null ,null]}}`), 8)
+}
+
 // Each way DecodeDetect is stricter than encoding/json, by name: the
 // reference accepts every one of these bodies.
 func TestDecodeDetectTightenings(t *testing.T) {
@@ -476,9 +482,9 @@ func TestFloatConformance(t *testing.T) {
 }
 
 // pixelTokens is the differential corpus of TestPixelTokensMatchStrconv:
-// every form a client prints a pixel in, and the forms beside the fast
-// front's edges (19 digits, 2^53, float32 midpoints) that must fall through
-// to the general path.
+// every form a client prints a pixel in, and the forms beside the exact
+// step's edges (19 digits, 2^53, float32 midpoints) that must fall through
+// to strconv.
 func pixelTokens(r *rand.Rand, n int) []string {
 	toks := make([]string, 0, n+256)
 	// Mantissas around 2^53, the exact step's edge, with the point at every
@@ -555,10 +561,9 @@ func pixelTokens(r *rand.Rand, n int) []string {
 	return toks
 }
 
-// parentData decodes the data array at body[at:] the way it was decoded
-// before the fast front and the array's own loop: array's closure per
-// element and number's general path. Every pixel's error text and offset
-// must be what this says.
+// parentData decodes the data array at body[at:] on its own: array's
+// closure per element and the number path, with no bound and no sizing.
+// Every pixel's error text and offset in a body must be what this says.
 func parentData(body []byte, at int) ([]float32, error) {
 	d := decoder{b: body, i: at, max: maxFrameElems}
 	var data []float32
@@ -566,7 +571,7 @@ func parentData(body []byte, at int) ([]float32, error) {
 		var v float32
 		if d.peek() != 'n' || !d.null() {
 			var err error
-			if v, err = d.anyFloat32(); err != nil {
+			if v, err = d.float32(); err != nil {
 				return err
 			}
 		}
@@ -576,12 +581,12 @@ func parentData(body []byte, at int) ([]float32, error) {
 	return data, err
 }
 
-// Every pixel a body can carry decodes, through the data array's loop, to
+// Every pixel a body can carry decodes, through the data array, to
 // strconv.ParseFloat(tok, 32)'s bits. The tokens go in batches of 61, so
 // each form lands first, in the middle and last in an array, behind compact
-// and indented separators, with 0–8 bytes of trailing whitespace: the fast
-// front's eight-byte load meets every distance from the end of the body.
-// Each token is also decoded alone, as the last bytes of its input.
+// and indented separators, with 0–8 bytes of trailing whitespace: a token's
+// scan meets every distance from the end of the body. Each token is also
+// decoded alone, as the last bytes of its input.
 func TestPixelTokensMatchStrconv(t *testing.T) {
 	r := rand.New(rand.NewSource(32))
 	n := 1 << 20
@@ -621,8 +626,9 @@ func TestPixelTokensMatchStrconv(t *testing.T) {
 	}
 }
 
-// A malformed pixel fails as it did before the fast front, to the byte: the
-// same text at the same offset, first, in the middle or last in the array.
+// A malformed pixel fails in a body as it does alone in an array, to the
+// byte: the same text at the same offset, first, in the middle or last in
+// the array.
 func TestMalformedPixelsFailAsBefore(t *testing.T) {
 	named := []struct{ tok, msg string }{
 		{"01.5", "expected ',' or ']' in array"}, {"00", "expected ',' or ']' in array"},
@@ -639,7 +645,7 @@ func TestMalformedPixelsFailAsBefore(t *testing.T) {
 		_, want := parentData(body, len(prefix)-1)
 		_, err := DecodeDetect(body, 0)
 		if want != nil && (err == nil || err.Error() != want.Error()) {
-			t.Fatalf("%q: error %v, before the fast front %v", body, err, want)
+			t.Fatalf("%q: error %v, the array alone %v", body, err, want)
 		}
 		return err
 	}
