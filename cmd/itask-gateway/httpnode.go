@@ -53,11 +53,11 @@ func (n *httpNode) ID() string { return n.base }
 // relay is written — releasing is always safe because roundTrip only
 // builds a backendResponse after reading the answer completely.
 type backendResponse struct {
-	status     int
-	header     http.Header
-	body       []byte
-	buf        *wire.Buf
-	retryAfter string
+	status int
+	// The answer's header values the gateway forwards.
+	contentType, retryAfter, degraded, tenant string
+	body                                      []byte
+	buf                                       *wire.Buf
 }
 
 func (br *backendResponse) release() {

@@ -101,6 +101,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -442,15 +443,17 @@ func (a *app) detect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer relay.release()
-	for _, h := range []string{"Content-Type", "Retry-After", "X-Itask-Degraded", "X-Itask-Tenant"} {
-		if v := relay.header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	if relay.header.Get("Content-Type") == "" {
+	for _, h := range [...]struct{ name, value string }{
 		// A shard that somehow omitted the header still answered our JSON
 		// protocol; don't let the client sniff.
-		w.Header().Set("Content-Type", "application/json")
+		{"Content-Type", cmp.Or(relay.contentType, "application/json")},
+		{"Retry-After", relay.retryAfter},
+		{"X-Itask-Degraded", relay.degraded},
+		{"X-Itask-Tenant", relay.tenant},
+	} {
+		if h.value != "" {
+			w.Header().Set(h.name, h.value)
+		}
 	}
 	w.WriteHeader(relay.status)
 	_, _ = w.Write(relay.body)

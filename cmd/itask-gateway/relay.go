@@ -21,10 +21,12 @@ import (
 // relay.go: the gateway's one client to its shards, a synchronous HTTP/1.1
 // exchange on a pooled keep-alive connection. The calling goroutine writes
 // the request — head and body in one writev — and reads the answer itself
-// with http.ReadResponse into a pooled wire.Buf; the context's deadline and
-// cancellation reach the socket as connection deadlines. No other goroutine
-// touches the request, so a forwarded body is the caller's again the moment
-// the exchange returns, on every path.
+// into a pooled wire.Buf: the common answer head in place from the
+// connection's buffer (wire.ReadAnswerHead), any other with
+// http.ReadResponse. The context's deadline and cancellation reach the
+// socket as connection deadlines. No other goroutine touches the request,
+// so a forwarded body is the caller's again the moment the exchange
+// returns, on every path.
 
 // maxIdlePerShard caps the idle keep-alive connections kept to one shard. A
 // shard admits at most its queue (serve.DefaultConfig's QueueCap, 256) plus
@@ -101,15 +103,16 @@ func (ic *idleConns) put(c *relayConn) {
 }
 
 // relayConn is one keep-alive connection and the state an exchange on it
-// reuses: the read buffer, the request head and the write vector.
+// reuses: the read buffer, the request head, the write vector and the
+// answer head.
 type relayConn struct {
 	conn     net.Conn
 	br       *bufio.Reader
 	head     []byte
 	iov      [2][]byte
 	bufs     net.Buffers
+	answer   wire.AnswerHead
 	answered bool // a byte of the current answer has arrived
-	probe    [1]byte
 }
 
 func newRelayConn(conn net.Conn) *relayConn {
@@ -247,7 +250,37 @@ func (c *relayConn) exchange(ctx context.Context, u *shardURL, method, endpoint 
 		return nil, false, err
 	}
 
-	resp, err := http.ReadResponse(c.br, nil)
+	return readAnswer(c.br, &c.answer)
+}
+
+// readAnswer reads one answer from br: its head into h, or with
+// http.ReadResponse when it is not the common head, and its body, up to
+// maxProxyBytes, into a pooled buffer. keep reports that the answer ended
+// exactly at its framing, with nothing past it buffered, and did not ask to
+// close.
+func readAnswer(br *bufio.Reader, h *wire.AnswerHead) (*backendResponse, bool, error) {
+	if !wire.ReadAnswerHead(br, h) {
+		return readResponse(br)
+	}
+	buf, err := wire.ReadFull(br, int(min(h.ContentLength, maxProxyBytes)))
+	if err != nil {
+		return nil, false, fmt.Errorf("reading the answer: %w", err)
+	}
+	keep := !h.Close && h.ContentLength <= maxProxyBytes && br.Buffered() == 0
+	return &backendResponse{
+		status:      h.Status,
+		contentType: h.ContentType,
+		retryAfter:  h.RetryAfter,
+		degraded:    h.Degraded,
+		tenant:      h.Tenant,
+		body:        buf.Bytes(),
+		buf:         buf,
+	}, keep, nil
+}
+
+// readResponse reads an answer whose head is not the common one.
+func readResponse(br *bufio.Reader) (*backendResponse, bool, error) {
+	resp, err := http.ReadResponse(br, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -259,14 +292,17 @@ func (c *relayConn) exchange(ctx context.Context, u *shardURL, method, endpoint 
 	if err != nil {
 		return nil, false, fmt.Errorf("reading the answer: %w", err)
 	}
-	m, perr := resp.Body.Read(c.probe[:])
-	keep = m == 0 && errors.Is(perr, io.EOF) && !resp.Close && c.br.Buffered() == 0
+	var probe [1]byte
+	m, perr := resp.Body.Read(probe[:])
+	keep := m == 0 && errors.Is(perr, io.EOF) && !resp.Close && br.Buffered() == 0
 	return &backendResponse{
-		status:     resp.StatusCode,
-		header:     resp.Header,
-		body:       buf.Bytes(),
-		buf:        buf,
-		retryAfter: resp.Header.Get("Retry-After"),
+		status:      resp.StatusCode,
+		contentType: resp.Header.Get("Content-Type"),
+		retryAfter:  resp.Header.Get("Retry-After"),
+		degraded:    resp.Header.Get("X-Itask-Degraded"),
+		tenant:      resp.Header.Get("X-Itask-Tenant"),
+		body:        buf.Bytes(),
+		buf:         buf,
 	}, keep, nil
 }
 

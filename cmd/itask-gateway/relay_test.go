@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"itask/internal/gateway"
+	"itask/internal/testutil"
 	"itask/internal/wire"
 )
 
@@ -27,8 +28,9 @@ import (
 // keep-alive the shard closed costs exactly one fresh dial, an answer off
 // its framing or asking to close leaves the pool, a chunked answer arrives
 // whole, the context ends an exchange mid-answer, a line break in a header
-// value never reaches the wire, and no byte of a forwarded body is read
-// after forwardDetect returns.
+// value never reaches the wire, no byte of a forwarded body is read after
+// forwardDetect returns, a relayed detect's heap objects are pinned, and
+// the answer read agrees with http.ReadResponse on any bytes.
 
 // relayNode is an httpNode for the shard at base on a pool of its own.
 func relayNode(t *testing.T, base string) *httpNode {
@@ -322,6 +324,7 @@ func TestRelayDropsConnectionsOffTheirFraming(t *testing.T) {
 func TestRelayChunkedAnswer(t *testing.T) {
 	want := make([]byte, 10_000)
 	rand.New(rand.NewSource(1)).Read(want)
+	sent := make(chan []byte, 3)
 	base, dials := rawShard(t, func(c net.Conn) {
 		br := bufio.NewReader(c)
 		for {
@@ -335,7 +338,9 @@ func TestRelayChunkedAnswer(t *testing.T) {
 				chunk := p[:min(len(p), 3001)]
 				answer = fmt.Appendf(answer, "%x\r\n%s\r\n", len(chunk), chunk)
 			}
-			if _, err := c.Write(append(answer, "0\r\n\r\n"...)); err != nil {
+			answer = append(answer, "0\r\n\r\n"...)
+			sent <- answer
+			if _, err := c.Write(answer); err != nil {
 				return
 			}
 		}
@@ -346,8 +351,9 @@ func TestRelayChunkedAnswer(t *testing.T) {
 		if !bytes.Equal(br.body, want) {
 			t.Fatalf("chunked answer relayed as %d bytes, want the %d sent", len(br.body), len(want))
 		}
-		if te := br.header.Get("Content-Length"); te != "" {
-			t.Fatalf("answer carried Content-Length %s; the shard did not chunk it", te)
+		resp, err := http.ReadResponse(bufio.NewReader(bytes.NewReader(<-sent)), nil)
+		if err != nil || fmt.Sprint(resp.TransferEncoding) != "[chunked]" || resp.ContentLength != -1 {
+			t.Fatalf("the shard's answer read as %v, %v; it was not chunked", resp, err)
 		}
 		br.release()
 	}
@@ -505,4 +511,121 @@ func TestRelayNeverReadsBodyAfterReturn(t *testing.T) {
 	if err := <-result; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A relayed detect costs 13 heap objects once the pools are warm, the
+// in-process door shard's included: the attempt's WithTimeout (4), the
+// exchange's context.AfterFunc (6), the backendResponse (1) and the two
+// header values the shard's handler sets (2). The answer head, its values
+// and the body cost none. Before the relay read the common head itself it
+// was 28.
+func TestRelayExchangeAllocs(t *testing.T) {
+	if testutil.Race {
+		t.Skip("the race detector allocates")
+	}
+	answer := []byte(`{"task":"patrol","detections":[]}`)
+	srv, dials := countingShard(t, func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Itask-Tenant", "acme")
+		w.Write(answer)
+	})
+	n := relayNode(t, srv.URL)
+	_, body := twinBodies(t, "patrol", 1)
+	allocs := testutil.AllocsPerRunAt(2, 500, func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		br, err := n.forwardDetect(ctx, body, wire.ContentType, false, "acme")
+		cancel()
+		if err != nil || !bytes.Equal(br.body, answer) || br.tenant != "acme" {
+			t.Fatalf("answer %+v, %v", br, err)
+		}
+		br.release()
+	})
+	t.Logf("%v objects per relayed detect", allocs)
+	if allocs > 13 {
+		t.Fatalf("%v objects per relayed detect, want ≤ 13", allocs)
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("dials = %d, want 1", got)
+	}
+}
+
+// netHTTPAnswer is how the relay read every answer before it read the
+// common head itself: http.ReadResponse, the body up to maxProxyBytes, and
+// keep when the body ended at its framing with nothing past it buffered
+// and the answer did not ask to close.
+func netHTTPAnswer(br *bufio.Reader) (resp *http.Response, body []byte, keep bool, err error) {
+	resp, err = http.ReadResponse(br, nil)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	body, err = io.ReadAll(io.LimitReader(resp.Body, maxProxyBytes))
+	if err != nil {
+		return nil, nil, false, err
+	}
+	var probe [1]byte
+	m, perr := resp.Body.Read(probe[:])
+	keep = m == 0 && errors.Is(perr, io.EOF) && !resp.Close && br.Buffered() == 0
+	return resp, body, keep, nil
+}
+
+// FuzzRelayAnswer holds the relay's answer read to netHTTPAnswer: the same
+// verdict, status, forwarded values (as http.Header.Get reads them), body
+// and keep, for any bytes a shard may send. A head wire.ReadAnswerHead
+// declines is left unread, its bytes as they arrived.
+func FuzzRelayAnswer(f *testing.F) {
+	for _, seed := range []string{
+		"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nX-Itask-Tenant: acme\r\nDate: Mon, 19 Oct 2026 12:00:00 GMT\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\nRetry-After: 1\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 503 Service Unavailable\r\nretry-after: 2\r\nx-itask-degraded: student\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"part",
+		"HTTP/1.1 200 OK\r\nContent-Le",
+		"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nConnection: keep-alive, Close\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nConnection: foo close\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}xyz",
+		"HTTP/1.1 200 OK\r\n\r\n{}",
+		"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nContent-Length: +2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nContent-Length: 0x2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nX-Itask-Tenant: acme\r\n  folded\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nno colon here\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nContent-Type : text/plain\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nContent-Type:\r\nContent-Type: text/plain\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 204 No Content\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 2000 OK\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1  200 OK\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200\nContent-Length: 2\n\n{}",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, answer []byte) {
+		resp, wantBody, wantKeep, wantErr := netHTTPAnswer(bufio.NewReader(bytes.NewReader(answer)))
+		var h wire.AnswerHead
+		for range 2 { // the second read reuses the first's strings
+			br, keep, err := readAnswer(bufio.NewReader(bytes.NewReader(answer)), &h)
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("err %v, net/http %v", err, wantErr)
+			}
+			if err != nil {
+				return
+			}
+			got := [...]string{br.contentType, br.retryAfter, br.degraded, br.tenant}
+			want := [...]string{resp.Header.Get("Content-Type"), resp.Header.Get("Retry-After"), resp.Header.Get("X-Itask-Degraded"), resp.Header.Get("X-Itask-Tenant")}
+			if br.status != resp.StatusCode || got != want || !bytes.Equal(br.body, wantBody) || keep != wantKeep {
+				t.Fatalf("read %d %q, %d-byte body, keep %v; net/http %d %q, %d-byte body, keep %v",
+					br.status, got, len(br.body), keep, resp.StatusCode, want, len(wantBody), wantKeep)
+			}
+			br.release()
+		}
+
+		r := bufio.NewReader(bytes.NewReader(answer))
+		if !wire.ReadAnswerHead(r, &h) {
+			if rest, _ := io.ReadAll(r); !bytes.Equal(rest, answer) {
+				t.Fatalf("a declined head left %q unread, not the %q that arrived", rest, answer)
+			}
+		}
+	})
 }

@@ -77,6 +77,18 @@ func GetBuf(sizeHint int) *Buf {
 	return &Buf{b: make([]byte, sizeHint), class: -1}
 }
 
+// ReadFull reads exactly n bytes of r into a pooled buffer the caller
+// owns, failing as io.ReadFull fails, the partial buffer released.
+func ReadFull(r io.Reader, n int) (*Buf, error) {
+	buf := GetBuf(n)
+	if _, err := io.ReadFull(r, buf.b[:n]); err != nil {
+		buf.Release()
+		return nil, err
+	}
+	buf.n = n
+	return buf, nil
+}
+
 // ReadAll drains r into a pooled buffer, growing through the size classes
 // as bytes arrive. sizeHint pre-sizes the first class (an HTTP handler
 // passes the request's ContentLength; chunked bodies pass 0 and start

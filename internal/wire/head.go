@@ -151,29 +151,18 @@ func (p *headParser) parseInPlace(head []byte) bool {
 	contentLength, haveLength := int64(0), false
 	head = head[nl+1:]
 	for i := 0; ; {
-		nl = bytes.IndexByte(head, '\n')
-		line = trimCR(head[:nl])
-		head = head[nl+1:]
-		if len(line) == 0 {
+		k, v, rest, end, ok := nextField(head)
+		if !ok {
+			return false
+		}
+		if end {
 			break
 		}
-		// A leading blank opens a continuation (or, first, is malformed),
-		// as does one at the start of the next line.
-		if line[0] == ' ' || line[0] == '\t' || len(head) > 0 && (head[0] == ' ' || head[0] == '\t') {
+		if !canonicalKey(k) {
 			return false
 		}
-		colon := bytes.IndexByte(line, ':')
-		if colon <= 0 || !canonicalKey(line[:colon]) {
-			return false
-		}
-		v := line[colon+1:]
-		for _, b := range v {
-			if !valueByte(b) {
-				return false
-			}
-		}
-		v = trimOWS(v)
-		key := p.internKey(i, line[:colon])
+		head = rest
+		key := p.internKey(i, k)
 		switch key {
 		case "Transfer-Encoding", "Trailer", "Pragma":
 			return false
@@ -184,6 +173,7 @@ func (p *headParser) parseInPlace(head []byte) bool {
 			if p.host != string(v) {
 				p.host = string(v)
 			}
+			i++ // its key keeps its slot, not the next line's
 			continue
 		case "Content-Length":
 			n, ok := plainLength(v)
@@ -277,6 +267,38 @@ func (p *headParser) internKey(i int, k []byte) string {
 	return s
 }
 
+// nextField reads the header line at the front of lines, a head's section
+// after its start line that runs through the blank line ending it. It
+// returns the line's key, its value with the blanks around it trimmed, and
+// the lines after it; end reports the blank line. ok is false for a line
+// outside the plain form, which textproto reads otherwise or refuses: a
+// continuation or the line it continues, no colon, an empty key, a control
+// byte in the value. Whether the key is a token is the caller's to check.
+func nextField(lines []byte) (key, value, rest []byte, end, ok bool) {
+	nl := bytes.IndexByte(lines, '\n')
+	line := trimCR(lines[:nl])
+	rest = lines[nl+1:]
+	if len(line) == 0 {
+		return nil, nil, rest, true, true
+	}
+	// A leading blank opens a continuation (or, first, is malformed), as
+	// does one at the start of the next line.
+	if line[0] == ' ' || line[0] == '\t' || len(rest) > 0 && (rest[0] == ' ' || rest[0] == '\t') {
+		return nil, nil, nil, false, false
+	}
+	colon := bytes.IndexByte(line, ':')
+	if colon <= 0 {
+		return nil, nil, nil, false, false
+	}
+	value = line[colon+1:]
+	for _, b := range value {
+		if !valueByte(b) {
+			return nil, nil, nil, false, false
+		}
+	}
+	return line[:colon], trimOWS(value), rest, false, true
+}
+
 // shouldClose is ReadRequest's req.Close for an HTTP/1.x request.
 func shouldClose(minor int, conn []string) bool {
 	if containsToken(conn, "close") {
@@ -289,16 +311,25 @@ func shouldClose(minor int, conn []string) bool {
 // token, ASCII case-insensitively.
 func containsToken(values []string, token string) bool {
 	for _, v := range values {
-		for len(v) > 0 {
-			elem := v
-			if c := strings.IndexByte(v, ','); c >= 0 {
-				elem, v = v[:c], v[c+1:]
-			} else {
-				v = ""
-			}
-			if asciiEqualFold(strings.Trim(elem, " \t"), token) {
-				return true
-			}
+		if listHasToken(v, token) {
+			return true
+		}
+	}
+	return false
+}
+
+// listHasToken reports whether any comma-separated element of v is token,
+// ASCII case-insensitively: net/http's rule for a Connection value.
+func listHasToken(v, token string) bool {
+	for len(v) > 0 {
+		elem := v
+		if c := strings.IndexByte(v, ','); c >= 0 {
+			elem, v = v[:c], v[c+1:]
+		} else {
+			v = ""
+		}
+		if asciiEqualFold(strings.Trim(elem, " \t"), token) {
+			return true
 		}
 	}
 	return false

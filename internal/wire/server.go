@@ -39,7 +39,7 @@ import (
 //     requests are answered in order.
 //   - r.Context() is cancelled when the peer closes the connection. It is
 //     one context per connection, and the one-byte read that watches the
-//     peer runs only while a handler waits on Done.
+//     peer runs only once a handler has waited on Done for watchDelay.
 //   - A handler panic is logged as net/http logs it, and closes the
 //     connection; http.ErrAbortHandler closes it without a log line.
 //   - Shutdown closes the listeners, then the idle connections, answers
@@ -64,6 +64,11 @@ const (
 	// unread waits after its answer, so the peer reads the answer before
 	// the reset; net/http's value.
 	rstAvoidanceDelay = 500 * time.Millisecond
+	// watchDelay is how long a handler waits on Done before the peer watch
+	// starts: far above a served request's time, so a request that is
+	// answered at once costs no watch, and short enough that one queued
+	// behind others is still shed soon after its caller leaves.
+	watchDelay = 5 * time.Millisecond
 )
 
 // Server serves Handler over HTTP/1.1 keep-alive connections. The zero
@@ -200,13 +205,16 @@ type conn struct {
 	resp   response
 
 	// The peer watch: a one-byte read that cancels ctx when the peer
-	// leaves, running only while a handler waits on Done.
-	watchMu   sync.Mutex
-	watch     int
-	watchWG   sync.WaitGroup
-	watchByte [1]byte
-	watchGot  bool // the watch read the next request's first byte
-	peerGone  bool // the watch saw the peer close
+	// leaves. It starts from the connection's one timer, watchDelay after a
+	// handler first waits on Done, and only if that handler still runs.
+	watchMu    sync.Mutex
+	watch      int
+	watchTimer *time.Timer // made at the connection's first wait, then reset
+	staleFires int         // fires of timers stopWatch stopped too late, to ignore
+	watchWG    sync.WaitGroup
+	watchByte  [1]byte
+	watchGot   bool // the watch read the next request's first byte; under watchMu
+	peerGone   bool // the watch saw the peer close; written under watchMu
 
 	iov  [2][]byte
 	bufs net.Buffers
@@ -218,9 +226,10 @@ type conn struct {
 // The watch's states.
 const (
 	watchOff     = iota // no handler is running, or the peer cannot be watched
-	watchArmed          // a handler runs and its body is read: Done starts the watch
+	watchArmed          // a handler runs and its body is read: Done arms the timer
 	watchPending        // a handler runs and its body is not read yet
 	watchWanted         // Done was called before the body was read
+	watchTimed          // the timer runs: its fire starts the watch
 	watchRunning
 )
 
@@ -430,8 +439,8 @@ func (c *conn) armable() int {
 	return watchOff
 }
 
-// wantWatch starts the peer watch, or marks it wanted until the body is
-// read (reading the connection before then would take body bytes).
+// wantWatch starts the peer watch's timer, or marks it wanted until the
+// body is read (reading the connection before then would take body bytes).
 func (c *conn) wantWatch() {
 	c.watchMu.Lock()
 	defer c.watchMu.Unlock()
@@ -457,23 +466,42 @@ func (c *conn) bodyRead() {
 	}
 }
 
+// startWatchLocked arms the timer that starts the watch watchDelay from
+// now.
 func (c *conn) startWatchLocked() {
-	c.watch = watchRunning
-	c.watchWG.Add(1)
-	go c.watchPeer()
+	c.watch = watchTimed
+	if c.watchTimer == nil {
+		c.watchTimer = time.AfterFunc(watchDelay, c.watchPeer)
+	} else {
+		c.watchTimer.Reset(watchDelay)
+	}
 }
 
-// watchPeer reads one byte: the next request's first, a past deadline
+// watchPeer is the timer's fire. Unless the handler it was armed for has
+// returned, it reads one byte: the next request's first, a past deadline
 // (stopWatch), or the peer leaving, which cancels the context.
 func (c *conn) watchPeer() {
+	c.watchMu.Lock()
+	if c.staleFires > 0 {
+		c.staleFires--
+		c.watchMu.Unlock()
+		return
+	}
+	if c.watch != watchTimed {
+		c.watchMu.Unlock()
+		return
+	}
+	c.watch = watchRunning
+	c.watchWG.Add(1)
+	c.watchMu.Unlock()
 	defer c.watchWG.Done()
+
 	n, err := c.rwc.Read(c.watchByte[:])
-	switch {
-	case n > 0:
-		c.watchGot = true
-	case errors.Is(err, os.ErrDeadlineExceeded):
-	default:
-		c.peerGone = true
+	gone := n == 0 && !errors.Is(err, os.ErrDeadlineExceeded)
+	c.watchMu.Lock()
+	c.watchGot, c.peerGone = n > 0, gone
+	c.watchMu.Unlock()
+	if gone {
 		c.cancel()
 	}
 }
@@ -481,21 +509,30 @@ func (c *conn) watchPeer() {
 // pastDeadline is a deadline every clock has passed.
 var pastDeadline = time.Unix(1, 0)
 
-// stopWatch ends the handler's watch: a past read deadline stops a running
-// one, and a byte it read becomes the first of the next request.
+// stopWatch ends the handler's watch: a timer not yet fired is stopped, a
+// past read deadline stops a running watch, and a byte it read becomes the
+// first of the next request. A timer that fired but has not yet taken the
+// lock finds its fire counted stale: whichever fire comes next is ignored,
+// so the next request's watch never starts sooner than watchDelay.
 func (c *conn) stopWatch() {
 	c.watchMu.Lock()
-	running := c.watch == watchRunning
+	st := c.watch
 	c.watch = watchOff
+	if st == watchTimed && !c.watchTimer.Stop() {
+		c.staleFires++
+	}
 	c.watchMu.Unlock()
-	if !running {
+	if st != watchRunning {
 		return
 	}
 	_ = c.rwc.SetReadDeadline(pastDeadline)
 	c.watchWG.Wait()
 	_ = c.rwc.SetReadDeadline(time.Time{})
-	if c.watchGot {
-		c.watchGot = false
+	c.watchMu.Lock()
+	got := c.watchGot
+	c.watchGot = false
+	c.watchMu.Unlock()
+	if got {
 		c.buf[0] = c.watchByte[0]
 		c.start, c.end = 0, 1
 	}

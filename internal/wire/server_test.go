@@ -26,8 +26,9 @@ import (
 // server_test.go: the door server's rules, one test each — a head reads as
 // net/http.Server reads it, bodies (Content-Length, chunked, 100-continue,
 // drained or not), keep-alive and pipelining, Content-Length answers, a
-// caller that leaves, panics, Shutdown, accept backoff, and the allocations
-// of a keep-alive request.
+// caller that leaves, a peer watch only for a handler still waiting after
+// watchDelay, panics, Shutdown, accept backoff, and the allocations of a
+// keep-alive request.
 
 // netHTTPHead is what net/http.Server makes of head: http.ReadRequest's
 // request, or the status of its refusal — ReadRequest's own, or the
@@ -220,6 +221,12 @@ func startDoor(t testing.TB, h http.Handler) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveDoor(t, ln, h), ln.Addr().String()
+}
+
+// serveDoor serves h on ln until the test ends.
+func serveDoor(t testing.TB, ln net.Listener, h http.Handler) *Server {
+	t.Helper()
 	s := &Server{Handler: h}
 	done := make(chan error, 1)
 	go func() { done <- s.Serve(ln) }()
@@ -233,7 +240,7 @@ func startDoor(t testing.TB, h http.Handler) (*Server, string) {
 			t.Errorf("Serve returned %v", err)
 		}
 	})
-	return s, ln.Addr().String()
+	return s
 }
 
 // rawConn is a client connection that writes bytes and reads answers.
@@ -454,7 +461,7 @@ func TestDoorAnswers(t *testing.T) {
 func TestDoorCallerLeaves(t *testing.T) {
 	waiting, release := make(chan struct{}, 2), make(chan struct{})
 	cancelled := make(chan error, 1)
-	_, addr := startDoor(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv, addr := startDoor(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain")
 		switch r.URL.Path {
 		case "/wait":
@@ -486,12 +493,130 @@ func TestDoorCallerLeaves(t *testing.T) {
 	io.WriteString(c, "GET /wait HTTP/1.1\r\nHost: h\r\n\r\n")
 	<-waiting
 	io.WriteString(c, "GET /after HTTP/1.1\r\nHost: h\r\n\r\n")
-	time.Sleep(20 * time.Millisecond) // let the watch take the first byte
+	// The watch starts watchDelay after the wait began and takes the next
+	// request's first byte; that byte must still begin the next request.
+	waitFor(t, "the watch to take the next request's first byte", func() bool {
+		return watchState(srv, func(c *conn) bool { return c.watch == watchRunning && c.watchGot })
+	})
 	close(release)
 	for _, want := range []string{"/wait", "/after"} {
 		if _, body := c.answer(t, "GET"); body != want {
 			t.Fatalf("answer %q, want %q", body, want)
 		}
+	}
+}
+
+// The peer watch is deferred: a handler that waits on Done and returns at
+// once starts none, and its keep-alive request allocates nothing, the
+// connection's one timer reset rather than made; a handler still waiting
+// watchDelay after it began sees its caller leave as context.Canceled.
+func TestDoorWatchesOnlyAHandlerThatWaited(t *testing.T) {
+	waiting := make(chan time.Time, 1)
+	cancelled := make(chan error, 1)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadlines := new(atomic.Int32)
+	serveDoor(t, deadlineCounter{ln, deadlines}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		began := time.Now() // before Done arms the timer
+		done := r.Context().Done()
+		if r.URL.Path != "/wait" {
+			return
+		}
+		waiting <- began
+		<-done
+		cancelled <- r.Context().Err()
+	}))
+
+	c := dialDoor(t, ln.Addr().String())
+	req := []byte("GET /quick HTTP/1.1\r\nHost: h\r\n\r\n")
+	answer := make([]byte, 4096)
+	exchange := func() {
+		if _, err := c.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := c.Read(answer); err != nil || !bytes.HasPrefix(answer[:n], []byte("HTTP/1.1 200 OK\r\n")) {
+			t.Fatalf("answer %q, %v", answer[:n], err)
+		}
+	}
+	exchange()
+	if !testutil.Race {
+		if allocs := testutil.AllocsPerRunAt(2, 200, exchange); allocs != 0 {
+			t.Errorf("%v objects per keep-alive request that waited on Done, want 0", allocs)
+		}
+	}
+	time.Sleep(3 * watchDelay) // any watch would have started by now
+	exchange()
+	if n := deadlines.Load(); n != 0 {
+		t.Fatalf("%d read deadlines set: a watch ran for a handler that returned at once", n)
+	}
+
+	io.WriteString(c, "GET /wait HTTP/1.1\r\nHost: h\r\n\r\n")
+	began := <-waiting
+	c.Close()
+	select {
+	case err := <-cancelled:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("context ended with %v", err)
+		}
+		if d := time.Since(began); d < watchDelay {
+			t.Fatalf("context cancelled %v after the wait began, before the watch could start (%v)", d, watchDelay)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler's context outlived its caller")
+	}
+}
+
+// deadlineCounter counts the read deadlines the server sets on its
+// connections: stopping a running peer watch sets two.
+type deadlineCounter struct {
+	net.Listener
+	n *atomic.Int32
+}
+
+func (l deadlineCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return deadlineConn{c, l.n}, nil
+}
+
+type deadlineConn struct {
+	net.Conn
+	n *atomic.Int32
+}
+
+func (c deadlineConn) SetReadDeadline(t time.Time) error {
+	c.n.Add(1)
+	return c.Conn.SetReadDeadline(t)
+}
+
+// watchState reports whether the server's connections include one whose
+// watch state satisfies ok.
+func watchState(s *Server, ok func(c *conn) bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for c := range s.conns {
+		c.watchMu.Lock()
+		got := ok(c)
+		c.watchMu.Unlock()
+		if got {
+			return true
+		}
+	}
+	return false
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -644,7 +769,7 @@ func (l *flakyListener) Accept() (net.Conn, error) {
 }
 
 // A keep-alive request to a handler that allocates nothing costs the door
-// at most 4 objects (net/http.Server: 28).
+// no object (net/http.Server: 19).
 func TestDoorKeepAliveAllocs(t *testing.T) {
 	if testutil.Race {
 		t.Skip("the race detector allocates")
@@ -658,7 +783,7 @@ func TestDoorKeepAliveAllocs(t *testing.T) {
 		max  float64
 		addr func() string
 	}{
-		{"door", 4, func() string { _, addr := startDoor(t, nop); return addr }},
+		{"door", 0, func() string { _, addr := startDoor(t, nop); return addr }},
 		{"net/http", 1000, func() string { s := httptest.NewServer(nop); t.Cleanup(s.Close); return s.Listener.Addr().String() }},
 	} {
 		c := dialDoor(t, tc.addr())

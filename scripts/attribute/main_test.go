@@ -191,6 +191,15 @@ func TestRulesFileOrder(t *testing.T) {
 			{[]string{"internal/poll.(*FD).Read", "itask/internal/wire.(*conn).readHead", "itask/internal/wire.(*conn).serve"}, "kernel and poller: socket reads, writes and wakes"},
 			{[]string{"itask/internal/wire.(*headParser).parseInPlace", "itask/internal/wire.(*conn).serve"}, "door server: head, body, answer, ServeMux"},
 		}
+		if process == "itask-gateway" {
+			// The answer-head reader is the relay's; the peer watch its
+			// timer starts is the door's.
+			cases = append(cases,
+				rowCase{[]string{"itask/internal/wire.headLen", "itask/internal/wire.peekHead", "itask/internal/wire.ReadAnswerHead"}, "shard relay"},
+				rowCase{[]string{"itask/internal/wire.nextField", "itask/internal/wire.ReadAnswerHead", "main.readAnswer"}, "shard relay"},
+				rowCase{[]string{"itask/internal/wire.(*conn).watchPeer", "itask/internal/wire.(*conn).watchPeer-fm", "runtime.goexit"}, "door server: head, body, answer, ServeMux"},
+			)
+		}
 		if process == "itask-serve" {
 			// The probe and a decode serve asks for are the door's parse,
 			// the memo's key is the digest's work, and the answer memo's
