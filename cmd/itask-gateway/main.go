@@ -113,6 +113,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -434,7 +435,7 @@ func (a *app) detect(w http.ResponseWriter, r *http.Request) {
 	// nothing reads it any more, whatever the outcome.
 	buf.Release()
 	w.Header().Set("X-Itask-Shard", info.Node)
-	w.Header().Set("X-Itask-Attempts", fmt.Sprint(info.Attempts))
+	w.Header().Set("X-Itask-Attempts", strconv.Itoa(info.Attempts))
 	if info.Hot {
 		w.Header().Set("X-Itask-Hot", "1")
 	}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,9 +25,11 @@ import (
 // into a pooled wire.Buf: the common answer head in place from the
 // connection's buffer (wire.ReadAnswerHead), any other with
 // http.ReadResponse. The context's deadline and cancellation reach the
-// socket as connection deadlines. No other goroutine touches the request,
-// so a forwarded body is the caller's again the moment the exchange
-// returns, on every path.
+// socket as connection deadlines: an exchange first runs on a deadline
+// firstSlice away, and only one still blocked when it passes takes the
+// context's own deadline and hooks the context's end (waitOn). No other
+// goroutine touches the request, so a forwarded body is the caller's again
+// the moment the exchange returns, on every path.
 
 // maxIdlePerShard caps the idle keep-alive connections kept to one shard. A
 // shard admits at most its queue (serve.DefaultConfig's QueueCap, 256) plus
@@ -102,9 +105,15 @@ func (ic *idleConns) put(c *relayConn) {
 	c.conn.Close()
 }
 
+// firstSlice is how long an exchange runs on its first socket deadline
+// before it counts as having waited: far above a relayed answer's time, so
+// an exchange answered at once never hooks its context, and short enough
+// that a cancelled one still ends soon after its caller left.
+const firstSlice = 5 * time.Millisecond
+
 // relayConn is one keep-alive connection and the state an exchange on it
 // reuses: the read buffer, the request head, the write vector and the
-// answer head.
+// answer head, and the current exchange's context.
 type relayConn struct {
 	conn     net.Conn
 	br       *bufio.Reader
@@ -113,6 +122,10 @@ type relayConn struct {
 	bufs     net.Buffers
 	answer   wire.AnswerHead
 	answered bool // a byte of the current answer has arrived
+
+	ctx    context.Context
+	waited bool        // the first slice has passed
+	stop   func() bool // unhooks ctx's end, once waited
 }
 
 func newRelayConn(conn net.Conn) *relayConn {
@@ -123,10 +136,30 @@ func newRelayConn(conn net.Conn) *relayConn {
 
 func (c *relayConn) Read(p []byte) (int, error) {
 	n, err := c.conn.Read(p)
+	for n == 0 && c.waitOn(err) {
+		n, err = c.conn.Read(p)
+	}
 	if n > 0 {
 		c.answered = true
 	}
 	return n, err
+}
+
+// waitOn reports whether err is the end of the exchange's first slice. If
+// it is, the exchange has waited: the socket takes the context's deadline,
+// the context's end poisons it with a past one, and the blocked I/O goes
+// on.
+func (c *relayConn) waitOn(err error) bool {
+	if c.waited || !errors.Is(err, os.ErrDeadlineExceeded) {
+		return false
+	}
+	c.waited = true
+	d, _ := c.ctx.Deadline() // the zero time for none
+	if c.conn.SetDeadline(d) != nil {
+		return false
+	}
+	c.stop = context.AfterFunc(c.ctx, func() { c.conn.SetDeadline(pastDeadline) })
+	return true
 }
 
 // header is one forwarded request header line.
@@ -226,28 +259,36 @@ func (n *httpNode) failure(ctx context.Context, err error) error {
 var pastDeadline = time.Unix(1, 0)
 
 // exchange writes one request and reads its answer on the calling
-// goroutine. keep reports whether the connection may carry another
+// goroutine. The socket's deadline is the context's, or firstSlice from
+// now when that is sooner; I/O still blocked at the slice's end goes on
+// under waitOn. keep reports whether the connection may carry another
 // request: the answer ended exactly at its framing (one more Read is 0 and
 // io.EOF, and nothing past it has arrived), the shard did not ask to close,
 // and the context never fired on it.
 func (c *relayConn) exchange(ctx context.Context, u *shardURL, method, endpoint string, body []byte, hdrs []header) (br *backendResponse, keep bool, err error) {
-	c.answered = false
-	d, _ := ctx.Deadline() // the zero time clears the last request's deadline
-	if err := c.conn.SetDeadline(d); err != nil {
+	c.answered, c.waited = false, false
+	c.ctx = ctx
+	slice := time.Now().Add(firstSlice)
+	if d, ok := ctx.Deadline(); ok && d.Before(slice) {
+		slice = d
+	}
+	if err := c.conn.SetDeadline(slice); err != nil {
 		return nil, false, err
 	}
-	stop := context.AfterFunc(ctx, func() { c.conn.SetDeadline(pastDeadline) })
 	defer func() {
-		if !stop() {
+		if c.stop != nil && !c.stop() {
 			keep = false // the deadline was, or is being, poisoned
 		}
+		c.ctx, c.stop = nil, nil
 	}()
 
 	c.head = appendHead(c.head[:0], u, method, endpoint, body, hdrs)
 	c.iov = [2][]byte{c.head, body}
-	c.bufs = c.iov[:]
-	if _, err := c.bufs.WriteTo(c.conn); err != nil {
-		return nil, false, err
+	for c.bufs = c.iov[:]; len(c.bufs) > 0; {
+		// A writev cut short leaves the unwritten rest in c.bufs.
+		if _, err := c.bufs.WriteTo(c.conn); err != nil && !c.waitOn(err) {
+			return nil, false, err
+		}
 	}
 
 	return readAnswer(c.br, &c.answer)

@@ -792,7 +792,8 @@ func (g *Gateway) Execute(ctx context.Context, k Key, do func(ctx context.Contex
 	return info, lastErr
 }
 
-// attempt runs one node attempt under the per-attempt deadline. An attempt
+// attempt runs one node attempt under the per-attempt deadline, carried by
+// an attemptCtx that makes its timer only if the node waits. An attempt
 // that dies on its own deadline — while the request as a whole still has
 // time — is the shard's failure, not the request's: it reclassifies as
 // ClassNodeDown so it fails over and counts toward ejection, which is what
@@ -802,8 +803,8 @@ func (g *Gateway) attempt(ctx context.Context, s *shard, do func(ctx context.Con
 	if g.cfg.AttemptTimeout <= 0 {
 		return do(ctx, s.node, hot)
 	}
-	actx, cancel := context.WithTimeout(ctx, g.cfg.AttemptTimeout)
-	defer cancel()
+	actx := newAttemptCtx(ctx, g.cfg.AttemptTimeout)
+	defer actx.end()
 	err := do(actx, s.node, hot)
 	if err != nil && ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
 		return &NodeError{

@@ -198,6 +198,15 @@ func TestRulesFileOrder(t *testing.T) {
 				rowCase{[]string{"itask/internal/wire.headLen", "itask/internal/wire.peekHead", "itask/internal/wire.ReadAnswerHead"}, "shard relay"},
 				rowCase{[]string{"itask/internal/wire.nextField", "itask/internal/wire.ReadAnswerHead", "main.readAnswer"}, "shard relay"},
 				rowCase{[]string{"itask/internal/wire.(*conn).watchPeer", "itask/internal/wire.(*conn).watchPeer-fm", "runtime.goexit"}, "door server: head, body, answer, ServeMux"},
+				// The attempt context, made and ended around the relay, is
+				// routing's; the relay's first slice, the deadline and hook
+				// it sets once an exchange has waited, and an attempt child
+				// made for that hook, are the relay's.
+				rowCase{[]string{"itask/internal/gateway.newAttemptCtx", "itask/internal/gateway.(*Gateway).attempt", "itask/internal/gateway.(*Gateway).Execute", "main.(*app).detect"}, "routing: ring, health, hot keys, tenants"},
+				rowCase{[]string{"context.(*cancelCtx).cancel", "itask/internal/gateway.(*attemptCtx).end", "itask/internal/gateway.(*Gateway).attempt", "itask/internal/gateway.(*Gateway).Execute"}, "routing: ring, health, hot keys, tenants"},
+				rowCase{[]string{"internal/poll.(*FD).SetDeadline", "net.(*conn).SetDeadline", "main.(*relayConn).exchange", "main.(*httpNode).roundTrip"}, "shard relay"},
+				rowCase{[]string{"context.AfterFunc", "main.(*relayConn).waitOn", "main.(*relayConn).Read", "bufio.(*Reader).Read"}, "shard relay"},
+				rowCase{[]string{"context.WithDeadline", "itask/internal/gateway.(*attemptCtx).wait", "itask/internal/gateway.(*attemptCtx).AfterFunc", "context.AfterFunc", "main.(*relayConn).waitOn"}, "shard relay"},
 			)
 		}
 		if process == "itask-serve" {
@@ -213,13 +222,18 @@ func TestRulesFileOrder(t *testing.T) {
 			)
 		}
 		for _, c := range cases {
+			got := ""
 			for _, r := range sec.rows {
 				if r.matches(c.frames) {
-					if r.name != c.row {
-						t.Errorf("[%s] %v goes to %q, want %q", process, c.frames[0], r.name, c.row)
-					}
+					got = r.name
 					break
 				}
+			}
+			switch {
+			case got == "":
+				t.Errorf("[%s] %v reaches no row", process, c.frames[0])
+			case got != c.row:
+				t.Errorf("[%s] %v goes to %q, want %q", process, c.frames[0], got, c.row)
 			}
 		}
 		for _, r := range sec.rows {
