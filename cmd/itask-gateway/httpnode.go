@@ -21,12 +21,11 @@ import (
 //	gateway.Node          ID is the base URL — stable, unique, and the same
 //	                      on every gateway instance, so a fleet of gateways
 //	                      in front of the same backends routes identically.
-//	gateway.ProbeNode     GET /healthz; 200 (ok or degraded) is alive,
-//	                      anything else — including a refused connection —
-//	                      counts toward ejection.
-//	gateway.EpochNode     GET /healthz, reading epoch: the backend's registry
-//	                      snapshot sequence is its route epoch, and the
-//	                      health body carries it on 200 and 503 alike.
+//	gateway.HealthNode    one GET /healthz per probe: 200 (ok or degraded) is
+//	                      alive, anything else — including a refused
+//	                      connection — counts toward ejection; the body's
+//	                      epoch, on 200 and 503 alike, is the backend's
+//	                      registry snapshot sequence, its route epoch.
 //	gateway.ChangeApplier POST /v1/models/reload: Propagate runs the reload
 //	                      on every backend and blocks until the whole
 //	                      fleet's registry sequence converges.
@@ -140,45 +139,33 @@ func parseRetryAfter(v string) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-func (n *httpNode) Probe(ctx context.Context) error {
+// Health reads GET /healthz once. A failed exchange is down with no epoch;
+// an answer is down unless it is a 200, and carries an epoch when its body
+// has one.
+func (n *httpNode) Health(ctx context.Context) (epoch uint64, hasEpoch bool, down error) {
 	br, err := n.roundTrip(ctx, http.MethodGet, "/healthz", nil)
 	if err != nil {
-		return err
-	}
-	br.release()
-	if br.status != http.StatusOK {
-		return fmt.Errorf("%s: healthz %d", n.base, br.status)
-	}
-	return nil
-}
-
-func (n *httpNode) RouteEpoch(ctx context.Context) (uint64, error) {
-	br, err := n.roundTrip(ctx, http.MethodGet, "/healthz", nil)
-	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	defer br.release()
+	if br.status != http.StatusOK {
+		down = fmt.Errorf("%s: healthz %d", n.base, br.status)
+	}
 	var h struct {
 		Epoch *uint64 `json:"epoch"`
 	}
-	if err := json.Unmarshal(br.body, &h); err != nil {
-		return 0, fmt.Errorf("%s: decoding healthz (%d): %w", n.base, br.status, err)
+	if json.Unmarshal(br.body, &h) != nil || h.Epoch == nil {
+		return 0, false, down
 	}
-	if h.Epoch == nil {
-		return 0, fmt.Errorf("%s: backend exposes no registry epoch", n.base)
-	}
-	return *h.Epoch, nil
+	return *h.Epoch, true, down
 }
 
-// ApplyChange drives a fleet-propagated model reload. Only OpPublish is
-// meaningful over the itask-serve surface (its reload endpoint both
-// publishes new versions and re-verifies existing ones); the payload is the
-// raw /v1/models/reload body to relay.
-func (n *httpNode) ApplyChange(ctx context.Context, c gateway.Change) (uint64, error) {
-	if c.Op != gateway.OpPublish {
-		return 0, fmt.Errorf("%s: op %q not supported over HTTP (reload covers publish only)", n.base, c.Op)
-	}
-	body, ok := c.Payload.([]byte)
+// Publish drives a fleet-propagated model reload: the payload is the raw
+// /v1/models/reload body to relay (the endpoint both publishes new versions
+// and re-verifies existing ones), and the answer the backend's route epoch
+// after it.
+func (n *httpNode) Publish(ctx context.Context, payload any) (uint64, error) {
+	body, ok := payload.([]byte)
 	if !ok {
 		return 0, errors.New("reload payload must be the raw request body")
 	}
@@ -195,5 +182,9 @@ func (n *httpNode) ApplyChange(ctx context.Context, c gateway.Change) (uint64, e
 	if err != nil {
 		return 0, err
 	}
-	return n.RouteEpoch(ctx)
+	epoch, hasEpoch, down := n.Health(ctx)
+	if !hasEpoch {
+		return 0, errors.Join(fmt.Errorf("%s: no route epoch after the reload", n.base), down)
+	}
+	return epoch, nil
 }

@@ -490,7 +490,7 @@ func (a *app) reload(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), a.propagateTimeout)
 	defer cancel()
-	epoch, err := a.g.Propagate(ctx, gateway.Change{Op: gateway.OpPublish, Payload: body})
+	epoch, err := a.g.Propagate(ctx, body)
 	if err != nil {
 		code := http.StatusBadGateway
 		if errors.Is(err, context.DeadlineExceeded) {

@@ -134,7 +134,7 @@ func detectOK(t *testing.T, n *httpNode, body []byte) *backendResponse {
 	return br
 }
 
-// Sequential requests of every kind — detect, probe, epoch read, reload —
+// Sequential requests of every kind — detect, health read, reload —
 // share one connection while each answer ends at its framing.
 func TestRelayReusesOneConnection(t *testing.T) {
 	srv, dials := countingShard(t, func(w http.ResponseWriter, r *http.Request) {
@@ -145,18 +145,15 @@ func TestRelayReusesOneConnection(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
 		detectOK(t, n, []byte(sceneBody("patrol", i))).release()
-		if err := n.Probe(ctx); err != nil {
-			t.Fatal(err)
+		if ep, ok, down := n.Health(ctx); down != nil || !ok || ep != 7 {
+			t.Fatalf("Health = %d, %v, %v", ep, ok, down)
 		}
-		if ep, err := n.RouteEpoch(ctx); err != nil || ep != 7 {
-			t.Fatalf("RouteEpoch = %d, %v", ep, err)
-		}
-		if ep, err := n.ApplyChange(ctx, gateway.Change{Op: gateway.OpPublish, Payload: []byte(`{}`)}); err != nil || ep != 7 {
-			t.Fatalf("ApplyChange = %d, %v", ep, err)
+		if ep, err := n.Publish(ctx, []byte(`{}`)); err != nil || ep != 7 {
+			t.Fatalf("Publish = %d, %v", ep, err)
 		}
 	}
 	if got := dials.Load(); got != 1 {
-		t.Fatalf("100 sequential requests dialed %d connections, want 1", got)
+		t.Fatalf("80 sequential requests dialed %d connections, want 1", got)
 	}
 }
 
@@ -389,8 +386,8 @@ func TestRelayContextEndsMidAnswer(t *testing.T) {
 		}
 	})
 	n := relayNode(t, base)
-	if err := n.Probe(context.Background()); err != nil { // park one connection
-		t.Fatal(err)
+	if _, _, down := n.Health(context.Background()); down != nil { // park one connection
+		t.Fatal(down)
 	}
 	for i, end := range []struct {
 		want error
@@ -421,8 +418,8 @@ func TestRelayContextEndsMidAnswer(t *testing.T) {
 	}
 	// Both half-read connections were closed, so the pool is empty: the
 	// parked connection served the first request, each later one dialed.
-	if err := n.Probe(context.Background()); err != nil {
-		t.Fatal(err)
+	if _, _, down := n.Health(context.Background()); down != nil {
+		t.Fatal(down)
 	}
 	if got := dials.Load(); got != 3 {
 		t.Fatalf("dials = %d, want 3 (one parked, one after each abandoned answer)", got)
@@ -655,14 +652,14 @@ func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len
 
 // One relayed detect through the gateway's handler — app.detect on a
 // binary frame under DefaultConfig's attempt deadline, against the
-// in-process door shard — costs 13 heap objects once the pools are warm:
-// the attempt context (1), Execute's preference, candidate and tried lists
-// (3), the body's MaxBytesReader (1), the backendResponse (1), the values
-// of the five headers the handler sets — shard, attempts, hot (the repeated
-// frame turns hot), content type and tenant — (5) and of the two the
-// shard's handler sets (2). Under the same harness a context.WithTimeout
-// per attempt (4) and a context.AfterFunc per exchange (6) made it 22. The
-// pin leaves 2 of slack.
+// in-process door shard — costs 10 heap objects once the pools are warm:
+// the attempt context (1), the body's MaxBytesReader (1), the
+// backendResponse (1), the values of the five headers the handler sets —
+// shard, attempts, hot (the repeated frame turns hot), content type and
+// tenant — (5) and of the two the shard's handler sets (2). Under the same
+// harness a context.WithTimeout per attempt (4) and a context.AfterFunc per
+// exchange (6) made it 22, and Execute's preference, candidate and tried
+// lists on the heap (3) 13. The pin leaves 2 of slack.
 func TestGatewayDetectAllocs(t *testing.T) {
 	if testutil.Race {
 		t.Skip("the race detector allocates")
@@ -704,8 +701,8 @@ func TestGatewayDetectAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%v objects per gateway detect", allocs)
-	if allocs > 15 {
-		t.Fatalf("%v objects per gateway detect, want ≤ 15", allocs)
+	if allocs > 12 {
+		t.Fatalf("%v objects per gateway detect, want ≤ 12", allocs)
 	}
 	if got := dials.Load(); got != 1 {
 		t.Fatalf("dials = %d, want 1", got)

@@ -2,12 +2,16 @@
 // the generalist, and one distilled student per standard task — and saves
 // checkpoints that other tools and programs can load with vit.LoadParams.
 //
-// Alongside the flat checkpoints it publishes each artifact into the
-// versioned registry layout (<out>/<name>/v<N>/{manifest.json, weights}),
-// with the manifest checksum produced by the checksummed save path, so
-// itask-serve's /v1/models/reload can hot-swap the new versions with
-// end-to-end integrity verification. Re-running into the same -out directory
-// publishes the next version of each name; existing versions are immutable.
+// It publishes each artifact into the versioned registry layout
+// (<out>/<name>/v<N>/{manifest.json, weights}), with the manifest checksum
+// produced by the checksummed save path, so itask-serve's -models and
+// /v1/models/reload load (and hot-swap) the new versions with end-to-end
+// integrity verification. Re-running into the same -out directory publishes
+// the next version of each name; existing versions are immutable. Students
+// are written there only. The teacher and the quantized generalist also
+// keep a flat copy at the root (teacher.ckpt, generalist-q8.itq8);
+// teacher.ckpt is what itask-detect -models loads, and what a reload falls
+// back to in a directory without the registry layout.
 //
 // Usage:
 //
@@ -92,9 +96,6 @@ func run(outDir string, samples, epochs int, seed uint64) error {
 		dcfg.Train.Epochs = epochs
 		dcfg.Train.Seed = rng.Uint64()
 		if _, err := distill.Distill(teacher, student, set, dcfg); err != nil {
-			return err
-		}
-		if err := student.SaveFile(filepath.Join(outDir, "student-"+task.Name+".ckpt")); err != nil {
 			return err
 		}
 		if err := publishVersion(outDir, task.Name+"-student", registry.TaskSpecific, task.Name, "student.ckpt", 0, student.SaveFileSum); err != nil {

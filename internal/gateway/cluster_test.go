@@ -3,6 +3,7 @@ package gateway_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,9 +24,9 @@ func img(i int) *tensor.Tensor {
 }
 
 // fakeNode is an in-memory shard implementing every gateway node interface:
-// detection (attributing results to its current model version), probing,
-// route epochs, and registry changes. An applied change becomes visible to
-// RouteEpoch and Detect only applyDelay later — the shape of a backend whose
+// detection (attributing results to its current model version), health
+// reads with route epochs, and publishes. A publish becomes visible to
+// Health and Detect only applyDelay later — the shape of a backend whose
 // reload is asynchronous.
 type fakeNode struct {
 	id string
@@ -38,10 +39,10 @@ type fakeNode struct {
 	gate    chan struct{} // non-nil: Detect blocks on it (holds in-flight)
 	version string
 	epoch   uint64
-	applied int // ApplyChange calls, failed ones included
+	applied int // Publish calls, failed ones included
 	served  int
 
-	// pending is an applied change not yet visible.
+	// pending is an applied publish not yet visible.
 	pendingVersion string
 	visibleAt      time.Time
 }
@@ -76,20 +77,16 @@ func (n *fakeNode) setDown(d bool) {
 	n.mu.Unlock()
 }
 
-func (n *fakeNode) Probe(context.Context) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.down {
-		return errors.New("probe: connection refused")
-	}
-	return nil
-}
-
-func (n *fakeNode) RouteEpoch(context.Context) (uint64, error) {
+// Health reports the epoch even while the node is down: the fake's epoch is
+// its registry's, which a refused probe does not change.
+func (n *fakeNode) Health(context.Context) (uint64, bool, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.settleLocked()
-	return n.epoch, nil
+	if n.down {
+		return n.epoch, true, errors.New("probe: connection refused")
+	}
+	return n.epoch, true, nil
 }
 
 func (n *fakeNode) setEpochAndVersion(ep uint64, v string) {
@@ -98,7 +95,7 @@ func (n *fakeNode) setEpochAndVersion(ep uint64, v string) {
 	n.mu.Unlock()
 }
 
-// settleLocked activates a pending change whose delay has passed.
+// settleLocked activates a pending publish whose delay has passed.
 func (n *fakeNode) settleLocked() {
 	if n.pendingVersion != "" && !time.Now().Before(n.visibleAt) {
 		n.version, n.pendingVersion = n.pendingVersion, ""
@@ -106,17 +103,14 @@ func (n *fakeNode) settleLocked() {
 	}
 }
 
-func (n *fakeNode) ApplyChange(_ context.Context, c gateway.Change) (uint64, error) {
+func (n *fakeNode) Publish(_ context.Context, payload any) (uint64, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.applied++
 	if n.applyErr != nil {
 		return 0, n.applyErr
 	}
-	n.pendingVersion, _ = c.Payload.(string)
-	if n.pendingVersion == "" {
-		n.pendingVersion = n.version // demote/rollback: epoch moves, version stays
-	}
+	n.pendingVersion = payload.(string)
 	n.visibleAt = time.Now().Add(n.applyDelay)
 	n.settleLocked()
 	if n.pendingVersion != "" {
@@ -383,5 +377,50 @@ func TestBoundedLoadSpill(t *testing.T) {
 	}
 	if snap := g.Snapshot(); snap.Spills == 0 {
 		t.Fatal("no bounded-load spill recorded")
+	}
+}
+
+// A fleet past the stack-backed size of Execute's lists (8) fails over the
+// same way: with one of 12 shards up and no ejection, a request walks its
+// preference order, trying each shard at most once, until the live one
+// answers; with ejection on, the shards a walk found down drop out of later
+// requests' orders, so a second pass answers at the first attempt.
+func TestFailoverPastSmallFleet(t *testing.T) {
+	const fleet, live = 12, "shard-07"
+	for _, eject := range []bool{false, true} {
+		cfg := gateway.Config{VirtualNodes: 64, MaxRetries: fleet - 1}
+		if eject {
+			cfg.FailThreshold, cfg.EjectFor = 1, time.Minute
+		}
+		nodes := make([]gateway.Node, fleet)
+		for i := range nodes {
+			nodes[i] = newFakeNode(fmt.Sprintf("shard-%02d", i))
+		}
+		g := newTestGateway(t, cfg, nodes...)
+		for pass := 0; pass < 2; pass++ {
+			for d := uint64(0); d < 64; d++ {
+				var tried []string
+				info, err := g.Execute(context.Background(), gateway.Key{Digest: d, HasDigest: true}, func(_ context.Context, n gateway.Node, _ bool) error {
+					tried = append(tried, n.ID())
+					if n.ID() != live {
+						return &gateway.NodeError{Class: gateway.ClassNodeDown, Err: errors.New("connection refused")}
+					}
+					return nil
+				})
+				if err != nil || info.Node != live || info.Attempts != len(tried) {
+					t.Fatalf("eject %v, digest %d: (%+v, %v) after trying %v", eject, d, info, err, tried)
+				}
+				seen := map[string]bool{}
+				for _, id := range tried {
+					if seen[id] {
+						t.Fatalf("eject %v, digest %d: %s tried twice in %v", eject, d, id, tried)
+					}
+					seen[id] = true
+				}
+				if eject && pass == 1 && len(tried) != 1 {
+					t.Fatalf("digest %d tried %v after every down shard was ejected", d, tried)
+				}
+			}
+		}
 	}
 }

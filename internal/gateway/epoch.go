@@ -8,22 +8,22 @@ import (
 	"time"
 
 	"itask/internal/member"
-	"itask/internal/registry"
 )
 
-// epoch.go: cluster-wide registry-change propagation. Each shard carries
-// its own versioned model registry; the registry snapshot sequence is the
-// shard's route epoch. A publish applied shard-by-shard with nothing
-// watching would let shard A serve model v2 while shard B still serves v1
-// for as long as B takes — clients behind the gateway would see version
-// flapping keyed by which shard their frame hashes to. Propagate bounds
-// that window and makes it observable, with one algorithm:
+// epoch.go: cluster-wide model publishes. Each shard carries its own
+// versioned model registry; the registry snapshot sequence is the shard's
+// route epoch. A publish applied shard-by-shard with nothing watching would
+// let shard A serve model v2 while shard B still serves v1 for as long as B
+// takes — clients behind the gateway would see version flapping keyed by
+// which shard their frame hashes to. Propagate bounds that window and makes
+// it observable, with one algorithm:
 //
-//   - the change is validated once, at the gateway, before any member is
-//     touched — a malformed change is refused with the fleet unchanged;
+//   - the publish is validated once, at the gateway, before any member is
+//     touched — one without a payload, or for a fleet with a member that
+//     cannot take it, is refused with the fleet unchanged;
 //   - it is applied on every member with a converged live lease,
 //     concurrently — on the ring or off it for its epoch, so a member left
-//     behind by one change can catch up on the next;
+//     behind by one publish can catch up on the next;
 //   - the committed epoch — the fleet highwater every member is compared
 //     against — advances to the highest epoch any member reached, and in
 //     the same step each member's apply result becomes its last report;
@@ -37,68 +37,29 @@ import (
 // routable rule and is off the ring until some report shows it caught up.
 // Staleness is a routing condition, not a silent wrong answer, and a member
 // that never converges costs the fleet its capacity, not its consistency.
+//
+// Demoting or rolling back a version is each shard's own business
+// (Pipeline.RollbackModel, the serve.VariantHealthSink auto-rollback): only
+// a publish crosses the fleet.
 
-// Registry-change operations.
-const (
-	// OpPublish activates a new model version. Payload carries the
-	// node-understood artifact (for ServeNode, a registry.Artifact).
-	OpPublish = "publish"
-	// OpDemote quarantines the version named by Target ("name@vN#sum" or
-	// "name@vN"), rolling the series back to its last healthy version.
-	OpDemote = "demote"
-	// OpRollback reverts the series named by Target to its previous
-	// version.
-	OpRollback = "rollback"
-)
-
-// Change is one registry mutation to drive across every shard.
-type Change struct {
-	// Op is one of OpPublish, OpDemote, OpRollback.
-	Op string
-	// Target identifies the artifact (demote) or series (rollback).
-	Target string
-	// Payload is the op-specific body (publish: the artifact to publish).
-	Payload any
-}
-
-// validate refuses a malformed change before it reaches any member.
-func (c Change) validate() error {
-	switch c.Op {
-	case OpPublish:
-		if c.Payload == nil {
-			return errors.New("gateway: publish needs a payload")
-		}
-	case OpDemote:
-		if _, err := registry.ParseID(c.Target); err != nil {
-			return fmt.Errorf("gateway: demote target: %w", err)
-		}
-	case OpRollback:
-		if c.Target == "" {
-			return errors.New("gateway: rollback needs a series name")
-		}
-	default:
-		return fmt.Errorf("gateway: unknown change op %q", c.Op)
-	}
-	return nil
-}
-
-// ChangeApplier is implemented by nodes that accept registry changes:
-// ApplyChange activates the change and returns the node's resulting route
-// epoch. The new epoch may become visible through RouteEpoch only later (an
-// asynchronous reload); Propagate's barrier waits for it.
+// ChangeApplier is implemented by nodes that take a fleet-wide publish:
+// Publish activates the payload (what the node understands as a model
+// artifact: for ServeNode a registry.Artifact) and returns the node's
+// resulting route epoch. The new epoch may become visible through Health
+// only later (an asynchronous reload); Propagate's barrier waits for it.
 type ChangeApplier interface {
-	ApplyChange(ctx context.Context, c Change) (uint64, error)
+	Publish(ctx context.Context, payload any) (uint64, error)
 }
 
-// Propagate drives one registry change across every member with a converged
-// live lease and returns the cluster's new committed epoch. A member whose
-// apply fails is named in the returned error and left behind the committed
-// epoch — off the ring until it reports having caught up; the barrier waits
-// only for the members that took the change. When no member took it,
-// nothing is committed.
-func (g *Gateway) Propagate(ctx context.Context, c Change) (uint64, error) {
-	if err := c.validate(); err != nil {
-		return 0, err
+// Propagate publishes payload on every member with a converged live lease
+// and returns the cluster's new committed epoch. A member whose apply fails
+// is named in the returned error and left behind the committed epoch — off
+// the ring until it reports having caught up; the barrier waits only for
+// the members that took the publish. When no member took it, nothing is
+// committed.
+func (g *Gateway) Propagate(ctx context.Context, payload any) (uint64, error) {
+	if payload == nil {
+		return 0, errors.New("gateway: publish needs a payload")
 	}
 	g.mu.Lock()
 	shards := g.membersLocked(member.State.Routable)
@@ -118,7 +79,7 @@ func (g *Gateway) Propagate(ctx context.Context, c Change) (uint64, error) {
 		wg.Add(1)
 		go func(i int, m *shard) {
 			defer wg.Done()
-			ep, err := m.node.(ChangeApplier).ApplyChange(ctx, c)
+			ep, err := m.node.(ChangeApplier).Publish(ctx, payload)
 			if err != nil {
 				errs[i] = fmt.Errorf("apply on %s: %w", m.id, err)
 				return
@@ -150,7 +111,7 @@ func (g *Gateway) Propagate(ctx context.Context, c Change) (uint64, error) {
 	g.mu.Unlock()
 	g.m[cPropagates].Add(1)
 
-	// Barrier: wait until every member that took the change observably
+	// Barrier: wait until every member that took the publish observably
 	// routes at the new epoch. Each poll is a report, so a slow member is
 	// off the ring for exactly as long as it is behind.
 	t := time.NewTicker(g.cfg.BarrierPoll)
@@ -158,15 +119,15 @@ func (g *Gateway) Propagate(ctx context.Context, c Change) (uint64, error) {
 	for {
 		converged := true
 		for i, m := range shards {
-			en, ok := m.node.(EpochNode)
+			hn, ok := m.node.(HealthNode)
 			if !ok || errs[i] != nil {
 				continue // no observable epoch (trust the apply), or left behind
 			}
-			ep, err := en.RouteEpoch(ctx)
-			if err == nil {
+			ep, hasEpoch, _ := hn.Health(ctx)
+			if hasEpoch {
 				g.report(m, ep)
 			}
-			if err != nil || ep < epoch {
+			if !hasEpoch || ep < epoch {
 				converged = false
 			}
 		}

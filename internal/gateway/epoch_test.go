@@ -44,7 +44,7 @@ func TestPropagateBarrierWaitsForSlowestMember(t *testing.T) {
 	}()
 
 	start := time.Now()
-	ep, err := g.Propagate(ctx, gateway.Change{Op: gateway.OpPublish, Payload: "v2"})
+	ep, err := g.Propagate(ctx, "v2")
 	elapsed := time.Since(start)
 	close(stop)
 	wg.Wait()
@@ -58,7 +58,7 @@ func TestPropagateBarrierWaitsForSlowestMember(t *testing.T) {
 		t.Fatalf("Propagate returned in %v — before shard-c's epoch became visible", elapsed)
 	}
 	for _, n := range []*fakeNode{a, b, c} {
-		if got, _ := n.RouteEpoch(ctx); got != ep {
+		if got, _, _ := n.Health(ctx); got != ep {
 			t.Fatalf("%s at epoch %d after the barrier, want %d", n.id, got, ep)
 		}
 		if v := n.currentVersion(); v != "v2" {
@@ -82,33 +82,26 @@ func TestPropagateBarrierWaitsForSlowestMember(t *testing.T) {
 	}
 }
 
-// An invalid change is refused at the gateway before any member is touched:
-// nobody's ApplyChange runs, nobody activates, routing is untouched.
+// A publish without a payload is refused at the gateway before any member is
+// touched: nobody's Publish runs, nobody activates, routing is untouched.
 func TestPropagateInvalidChangeTouchesNoMember(t *testing.T) {
 	a, b, c := newFakeNode("shard-a"), newFakeNode("shard-b"), newFakeNode("shard-c")
 	g := newTestGateway(t, passiveConfig(), a, b, c)
 	ctx := context.Background()
 
-	for _, bad := range []gateway.Change{
-		{Op: "promote", Payload: "v2"},
-		{Op: gateway.OpPublish},
-		{Op: gateway.OpDemote, Target: "not-an-id"},
-		{Op: gateway.OpRollback},
-	} {
-		if _, err := g.Propagate(ctx, bad); err == nil {
-			t.Fatalf("Propagate accepted %+v", bad)
-		}
+	if _, err := g.Propagate(ctx, nil); err == nil {
+		t.Fatal("Propagate accepted a publish without a payload")
 	}
 	for _, n := range []*fakeNode{a, b, c} {
 		if calls := n.applyCalls(); calls != 0 {
-			t.Fatalf("%s saw %d ApplyChange calls for changes refused at the gateway", n.id, calls)
+			t.Fatalf("%s saw %d Publish calls for a publish refused at the gateway", n.id, calls)
 		}
 		if v := n.currentVersion(); v != "v1" {
-			t.Fatalf("%s activated %s despite the refused change", n.id, v)
+			t.Fatalf("%s activated %s despite the refused publish", n.id, v)
 		}
 	}
 	if g.CommittedEpoch() != 0 {
-		t.Fatalf("CommittedEpoch advanced to %d on a refused change", g.CommittedEpoch())
+		t.Fatalf("CommittedEpoch advanced to %d on a refused publish", g.CommittedEpoch())
 	}
 	// Traffic still serves v1 everywhere.
 	res, err := g.Detect(ctx, serve.Request{Task: "patrol", Image: img(3)})
@@ -117,13 +110,13 @@ func TestPropagateInvalidChangeTouchesNoMember(t *testing.T) {
 	}
 }
 
-// A change every member fails to apply commits nothing: no epoch to advance
+// A publish every member fails to apply commits nothing: no epoch to advance
 // to, nobody lagging, the apply errors returned.
 func TestPropagateAllAppliesFailCommitsNothing(t *testing.T) {
 	a, b := newFakeNode("shard-a"), newFakeNode("shard-b")
 	a.applyErr, b.applyErr = errors.New("disk full"), errors.New("disk full")
 	g := newTestGateway(t, passiveConfig(), a, b)
-	ep, err := g.Propagate(context.Background(), gateway.Change{Op: gateway.OpPublish, Payload: "v2"})
+	ep, err := g.Propagate(context.Background(), "v2")
 	if err == nil || ep != 0 || g.CommittedEpoch() != 0 {
 		t.Fatalf("Propagate = (%d, %v), committed %d; want (0, error), 0", ep, err, g.CommittedEpoch())
 	}
@@ -134,7 +127,7 @@ func TestPropagateAllAppliesFailCommitsNothing(t *testing.T) {
 	}
 }
 
-// A member whose apply fails is out of sync with a change the rest of the
+// A member whose apply fails is out of sync with a publish the rest of the
 // fleet took: it ends lagging and excluded from routing — clients never
 // read the old version from it — then rejoins once the prober observes it
 // at the committed epoch.
@@ -147,7 +140,7 @@ func TestFailedApplyMarksLaggingAndRecovers(t *testing.T) {
 	g := newTestGateway(t, cfg, a, b, c)
 	ctx := context.Background()
 
-	ep, err := g.Propagate(ctx, gateway.Change{Op: gateway.OpPublish, Payload: "v2"})
+	ep, err := g.Propagate(ctx, "v2")
 	if err == nil || !strings.Contains(err.Error(), "shard-b") {
 		t.Fatalf("Propagate err = %v, want one naming shard-b", err)
 	}
@@ -203,11 +196,11 @@ func TestFailedApplyMarksLaggingAndRecovers(t *testing.T) {
 	}
 }
 
-// A fleet with a node that cannot apply changes refuses the change up front
+// A fleet with a node that cannot publish refuses the publish up front
 // rather than half-applying it.
 func TestPropagateUnsupportedNode(t *testing.T) {
 	g := newTestGateway(t, passiveConfig(), newFakeNode("shard-a"), bareNode("shard-x"))
-	_, err := g.Propagate(context.Background(), gateway.Change{Op: gateway.OpPublish, Payload: "v2"})
+	_, err := g.Propagate(context.Background(), "v2")
 	if !errors.Is(err, gateway.ErrUnsupportedChange) {
 		t.Fatalf("err = %v, want ErrUnsupportedChange", err)
 	}

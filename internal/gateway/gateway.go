@@ -39,12 +39,12 @@
 //     request, full-jitter backoff and Retry-After honor space the retries,
 //     and a fleet-wide token-bucket retry budget keeps a flapping shard
 //     from amplifying into a retry storm.
-//   - Epochs (epoch.go): registry changes (publish / demote / rollback)
-//     propagate through the gateway: validated once, applied on every
-//     member, then barrier-polled until the whole fleet routes at the new
-//     committed epoch. A member whose last reported epoch is behind the
-//     committed epoch — including any still converging on a change in
-//     flight — is off the ring until it reports having caught up.
+//   - Epochs (epoch.go): a model publish propagates through the gateway:
+//     validated once, applied on every member, then barrier-polled until
+//     the whole fleet routes at the new committed epoch. A member whose
+//     last reported epoch is behind the committed epoch — including any
+//     still converging on a publish in flight — is off the ring until it
+//     reports having caught up.
 //
 // The package is transport-agnostic: a Node is any handle with an ID, and
 // the request path works through Execute's callback, so in-process fleets
@@ -84,20 +84,16 @@ type DetectNode interface {
 	Detect(ctx context.Context, req serve.Request) (serve.Result, error)
 }
 
-// ProbeNode is optionally implemented by nodes that support an active
-// liveness probe. A probe error counts toward ejection exactly like a
-// request failure; a probe success clears failure accounting and lifts an
-// ejection early.
-type ProbeNode interface {
-	Probe(ctx context.Context) error
-}
-
-// EpochNode is optionally implemented by nodes that expose their routing
-// epoch (for the pipeline backend, the registry snapshot sequence). The
-// prober compares it against the cluster's committed epoch to detect
-// shards serving stale routing, and Propagate's barrier polls it.
-type EpochNode interface {
-	RouteEpoch(ctx context.Context) (uint64, error)
+// HealthNode is optionally implemented by nodes the prober can ask how they
+// are. Health is one exchange with the node, read two ways: down is nil for
+// a live node, and otherwise counts toward ejection exactly like a request
+// failure (nil clears failure accounting and lifts an ejection early); epoch
+// is the node's routing epoch (for the pipeline backend, the registry
+// snapshot sequence), valid when hasEpoch — whenever the node answered with
+// one, down or not. The prober takes both readings; Propagate's barrier
+// reads only the epoch.
+type HealthNode interface {
+	Health(ctx context.Context) (epoch uint64, hasEpoch bool, down error)
 }
 
 // ErrClass buckets node errors by what the gateway should do about them.
@@ -162,8 +158,8 @@ var (
 	// ErrNoNodes: the ring is empty (or every member is ejected and the
 	// last-resort attempt failed too).
 	ErrNoNodes = errors.New("gateway: no nodes available")
-	// ErrUnsupportedChange: Propagate was asked to apply a registry change
-	// to a node that does not implement ChangeApplier.
+	// ErrUnsupportedChange: Propagate was asked to publish to a node that
+	// does not implement ChangeApplier.
 	ErrUnsupportedChange = errors.New("gateway: node cannot apply registry changes")
 	// ErrRetryBudget: a failover retry was wanted but the fleet-wide retry
 	// budget was exhausted; the request carries its shard's last error.
@@ -704,24 +700,27 @@ func (g *Gateway) Execute(ctx context.Context, k Key, do func(ctx context.Contex
 		ts.dominated.Add(1)
 	}
 
-	// Preference order: the owner and its successors, healthy members
-	// first. If every member is ejected the full order is used anyway —
-	// a possibly-dead node beats certain failure.
-	prefs := rs.successors(h, len(rs.shards))
+	// Preference order: the owner and its successors, ejected members
+	// dropped. If every member is ejected the full order is used anyway —
+	// a possibly-dead node beats certain failure. The list and the tried
+	// set live on the stack up to smallFleet members.
+	var prefBuf, triedBuf [smallFleet]*shard
+	prefs := rs.successors(prefBuf[:], h, len(rs.shards))
 	now := time.Now().UnixNano()
-	avail := make([]*shard, 0, len(prefs))
+	// Filtered in place: a member is written only when kept, so when none
+	// is, prefs is still whole for the last resort.
+	avail := prefs[:0]
 	for _, s := range prefs {
 		if !s.ejected(now) {
 			avail = append(avail, s)
 		}
 	}
-	lastResort := len(avail) == 0
-	if lastResort {
+	if len(avail) == 0 {
 		avail = prefs
 	}
 
 	s := g.choose(avail, &info, ts, dominant)
-	tried := make([]*shard, 0, 1+g.cfg.MaxRetries)
+	tried := triedBuf[:0]
 	var lastErr error
 	for attempt := 0; attempt <= g.cfg.MaxRetries && s != nil; attempt++ {
 		if err := ctx.Err(); err != nil {

@@ -18,14 +18,15 @@ import (
 //     successors — while the in-flight requests that discovered the death
 //     retry on the successor and succeed.
 //   - Active: a background loop probes every live member (routable or
-//     not) each ProbeInterval. A probe failure counts exactly like a
-//     request failure (a quiet node can die without traffic noticing), a
-//     probe success clears the count and lifts an ejection early. The same
-//     sweep reads each member's route epoch and records it as the member's
-//     last report (Gateway.report), so a shard that missed a publish drops
-//     off the ring and a joining or lagging one is admitted as soon as it
-//     catches up, without waiting for its own next heartbeat (the heartbeat
-//     still owns the lease — observations never extend it).
+//     not) each ProbeInterval, one HealthNode.Health call per member. A
+//     probe failure counts exactly like a request failure (a quiet node can
+//     die without traffic noticing), a probe success clears the count and
+//     lifts an ejection early. The same answer carries the member's route
+//     epoch, recorded as its last report (Gateway.report), so a shard that
+//     missed a publish drops off the ring and a joining or lagging one is
+//     admitted as soon as it catches up, without waiting for its own next
+//     heartbeat (the heartbeat still owns the lease — observations never
+//     extend it).
 //
 // Ejection is deliberately time-bounded (EjectFor): with no prober, a
 // passively ejected member rejoins on expiry and the next failure re-ejects
@@ -83,21 +84,24 @@ func (g *Gateway) probeAll() {
 	wg.Wait()
 }
 
+// probeOne asks s once how it is: the verdict counts toward ejection or
+// lifts one, and an epoch in the answer is s's last report.
 func (g *Gateway) probeOne(s *shard) {
+	hn, ok := s.node.(HealthNode)
+	if !ok {
+		return
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
 	defer cancel()
-	if pn, ok := s.node.(ProbeNode); ok {
-		if err := pn.Probe(ctx); err != nil {
-			s.failures.Add(1)
-			g.noteDown(s)
-		} else {
-			s.consecFails.Store(0)
-			s.ejectedUntil.Store(0) // a live answer lifts any ejection early
-		}
+	epoch, hasEpoch, down := hn.Health(ctx)
+	if down != nil {
+		s.failures.Add(1)
+		g.noteDown(s)
+	} else {
+		s.consecFails.Store(0)
+		s.ejectedUntil.Store(0) // a live answer lifts any ejection early
 	}
-	if en, ok := s.node.(EpochNode); ok {
-		if ep, err := en.RouteEpoch(ctx); err == nil {
-			g.report(s, ep)
-		}
+	if hasEpoch {
+		g.report(s, epoch)
 	}
 }

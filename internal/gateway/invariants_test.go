@@ -28,13 +28,13 @@ type simNode struct {
 	failApply bool
 }
 
-func (n *simNode) ID() string                                 { return n.id }
-func (n *simNode) RouteEpoch(context.Context) (uint64, error) { return n.epoch, nil }
-func (n *simNode) ApplyChange(_ context.Context, c Change) (uint64, error) {
+func (n *simNode) ID() string                                   { return n.id }
+func (n *simNode) Health(context.Context) (uint64, bool, error) { return n.epoch, true, nil }
+func (n *simNode) Publish(_ context.Context, payload any) (uint64, error) {
 	if n.failApply {
 		return 0, errors.New("apply refused")
 	}
-	n.epoch = c.Payload.(uint64) // the fleet's registries move in step
+	n.epoch = payload.(uint64) // the fleet's registries move in step
 	return n.epoch, nil
 }
 
@@ -142,7 +142,7 @@ func runMembershipSequence(t *testing.T, seed uint64, seen map[string]int) {
 			targets := g.membersLocked(member.State.Routable)
 			g.mu.Unlock()
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			ep, err := g.Propagate(ctx, Change{Op: OpPublish, Payload: target})
+			ep, err := g.Propagate(ctx, target)
 			cancel()
 			logf("propagate to %d (%s fails: %v): epoch %d, %v", target, n.id, n.failApply, ep, err)
 			if errors.Is(err, context.DeadlineExceeded) {

@@ -179,7 +179,7 @@ func TestAnnounceGatedOnCommittedEpoch(t *testing.T) {
 	g := newTestGateway(t, leaseConfig(clk), newFakeNode("static"))
 
 	// Drive the committed epoch to 2 (fakeNodes start at epoch 1).
-	if ep, err := g.Propagate(context.Background(), gateway.Change{Op: gateway.OpPublish, Payload: "v2"}); err != nil || ep != 2 {
+	if ep, err := g.Propagate(context.Background(), "v2"); err != nil || ep != 2 {
 		t.Fatalf("propagate: epoch=%d err=%v", ep, err)
 	}
 
@@ -220,7 +220,7 @@ func TestStaleReannounceIsNotRoutable(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if ep, err := g.Propagate(ctx, gateway.Change{Op: gateway.OpPublish, Payload: "v2"}); err != nil || ep != 2 {
+			if ep, err := g.Propagate(ctx, "v2"); err != nil || ep != 2 {
 				t.Fatalf("propagate: epoch=%d err=%v", ep, err)
 			}
 			for _, id := range []string{"shard-a", "shard-b"} {

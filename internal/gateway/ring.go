@@ -123,17 +123,20 @@ func (rs *ringState) owner(h uint64) *shard {
 	return rs.points[i].s
 }
 
+// smallFleet is the fleet size up to which a request's preference order
+// and tried set need no heap.
+const smallFleet = 8
+
 // successors returns up to n distinct shards in ring order starting at
-// hash h's owner. This is both the replica set for hot keys and the retry /
-// spill preference order: every gateway instance derives the same list.
-func (rs *ringState) successors(h uint64, n int) []*shard {
+// hash h's owner, in buf's storage while it has room. This is both the
+// replica set for hot keys and the retry / spill preference order: every
+// gateway instance derives the same list.
+func (rs *ringState) successors(buf []*shard, h uint64, n int) []*shard {
 	if len(rs.points) == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(rs.shards) {
-		n = len(rs.shards)
-	}
-	out := make([]*shard, 0, n)
+	out := buf[:0]
+	n = min(n, len(rs.shards))
 	start := sort.Search(len(rs.points), func(i int) bool { return rs.points[i].hash >= h })
 	for i := 0; i < len(rs.points) && len(out) < n; i++ {
 		s := rs.points[(start+i)%len(rs.points)].s

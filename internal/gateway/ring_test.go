@@ -88,7 +88,7 @@ func TestRingBalance(t *testing.T) {
 func TestRingSuccessors(t *testing.T) {
 	rs := buildRing(testShards(5), 64)
 	for _, k := range sampleKeys(200) {
-		succ := rs.successors(k, 3)
+		succ := rs.successors(nil, k, 3)
 		if len(succ) != 3 {
 			t.Fatalf("got %d successors, want 3", len(succ))
 		}
@@ -102,14 +102,14 @@ func TestRingSuccessors(t *testing.T) {
 			}
 			seen[m] = true
 		}
-		if all := rs.successors(k, 99); len(all) != 5 {
+		if all := rs.successors(nil, k, 99); len(all) != 5 {
 			t.Fatalf("successors capped at %d, want all 5 members", len(all))
 		}
 	}
-	if rs.successors(42, 0) != nil {
+	if rs.successors(nil, 42, 0) != nil {
 		t.Fatal("n=0 must return nil")
 	}
-	if empty := buildRing(nil, 64); empty.owner(42) != nil || empty.successors(42, 2) != nil {
+	if empty := buildRing(nil, 64); empty.owner(42) != nil || empty.successors(nil, 42, 2) != nil {
 		t.Fatal("empty ring must return nil owner and successors")
 	}
 }

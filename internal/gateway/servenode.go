@@ -13,7 +13,7 @@ import (
 // serve.Server shard (and, when the shard routes through a versioned model
 // registry, that registry) so an in-process fleet — tests, benches, or a
 // single binary hosting several shards — gets the full gateway feature set:
-// detection, probing, route-epoch observation, and registry changes.
+// detection, health and route-epoch reads, and fleet-wide publishes.
 
 // ServeNode adapts an in-process serve.Server (plus optional registry) to
 // the gateway's Node interfaces.
@@ -25,7 +25,7 @@ type ServeNode struct {
 
 // NewServeNode wraps a serve.Server shard. reg may be nil for shards
 // without a versioned registry; such nodes serve detection and probes but
-// reject registry changes and expose no route epoch.
+// refuse publishes and report no route epoch.
 func NewServeNode(id string, srv *serve.Server, reg *registry.Registry) (*ServeNode, error) {
 	if id == "" {
 		return nil, errors.New("gateway: ServeNode needs an id")
@@ -44,61 +44,32 @@ func (n *ServeNode) Detect(ctx context.Context, req serve.Request) (serve.Result
 	return n.srv.Detect(ctx, req)
 }
 
-// Probe implements ProbeNode: a draining shard is down (its keys should
-// rehash before it finishes draining), anything else is alive.
-func (n *ServeNode) Probe(context.Context) error {
+// Health implements HealthNode: a draining shard is down (its keys should
+// rehash before it finishes draining), anything else is alive; a shard with
+// a registry reports its snapshot sequence as its route epoch.
+func (n *ServeNode) Health(context.Context) (epoch uint64, hasEpoch bool, down error) {
 	if n.srv.Draining() {
-		return serve.ErrShuttingDown
+		down = serve.ErrShuttingDown
 	}
-	return nil
-}
-
-// RouteEpoch implements EpochNode over the registry snapshot sequence.
-func (n *ServeNode) RouteEpoch(context.Context) (uint64, error) {
 	if n.reg == nil {
-		return 0, fmt.Errorf("gateway: node %s has no registry", n.id)
+		return 0, false, down
 	}
-	return n.reg.Snapshot().Seq(), nil
+	return n.reg.Snapshot().Seq(), true, down
 }
 
-// ApplyChange implements ChangeApplier: apply the (gateway-validated) change
-// to the registry, which bumps the snapshot sequence the serve layer already
-// uses as its route epoch, and return that epoch.
-func (n *ServeNode) ApplyChange(_ context.Context, c Change) (uint64, error) {
+// Publish implements ChangeApplier: publish the registry.Artifact payload,
+// which bumps the snapshot sequence the serve layer already uses as its
+// route epoch, and return that epoch.
+func (n *ServeNode) Publish(_ context.Context, payload any) (uint64, error) {
 	if n.reg == nil {
 		return 0, fmt.Errorf("%w: %s has no registry", ErrUnsupportedChange, n.id)
 	}
-	switch c.Op {
-	case OpPublish:
-		art, ok := artifactOf(c.Payload)
-		if !ok {
-			return 0, fmt.Errorf("gateway: publish payload must be a registry.Artifact, got %T", c.Payload)
-		}
-		if _, err := n.reg.Publish(art); err != nil {
-			return 0, err
-		}
-	case OpDemote:
-		id, err := registry.ParseID(c.Target)
-		if err != nil {
-			return 0, err
-		}
-		n.reg.Demote(id)
-	case OpRollback:
-		if _, err := n.reg.Rollback(c.Target); err != nil {
-			return 0, err
-		}
+	art, ok := payload.(registry.Artifact)
+	if !ok {
+		return 0, fmt.Errorf("gateway: publish payload must be a registry.Artifact, got %T", payload)
+	}
+	if _, err := n.reg.Publish(art); err != nil {
+		return 0, err
 	}
 	return n.reg.Snapshot().Seq(), nil
-}
-
-func artifactOf(payload any) (registry.Artifact, bool) {
-	switch a := payload.(type) {
-	case registry.Artifact:
-		return a, true
-	case *registry.Artifact:
-		if a != nil {
-			return *a, true
-		}
-	}
-	return registry.Artifact{}, false
 }

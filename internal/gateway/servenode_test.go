@@ -15,7 +15,7 @@ import (
 )
 
 // regBackend is a minimal serve.Backend routing through a real versioned
-// registry, so ServeNode's ApplyChange drives actual registry publishes and
+// registry, so ServeNode's Publish drives actual registry publishes and
 // the serve layer's epoch-memoized routing.
 type regBackend struct{ reg *registry.Registry }
 
@@ -54,10 +54,10 @@ func studentArtifact() registry.Artifact {
 }
 
 // A real in-process fleet: three serve.Servers, each with its own versioned
-// registry, behind one gateway. Propagated publish/demote drive every
-// shard's registry in lock-step, and detection results pin the exact
-// cluster-wide version at every step.
-func TestServeNodeClusterPublishDemote(t *testing.T) {
+// registry, behind one gateway. Propagated publishes drive every shard's
+// registry in lock-step, and detection results pin the exact cluster-wide
+// version at every step.
+func TestServeNodeClusterPublish(t *testing.T) {
 	const n = 3
 	ctx := context.Background()
 	g := newTestGateway(t, passiveConfig())
@@ -102,7 +102,7 @@ func TestServeNodeClusterPublishDemote(t *testing.T) {
 
 	// Publish v2 fleet-wide. Artifact fields are identical on every shard,
 	// so every registry assigns the same id and the fleet stays uniform.
-	ep, err := g.Propagate(ctx, gateway.Change{Op: gateway.OpPublish, Payload: studentArtifact()})
+	ep, err := g.Propagate(ctx, studentArtifact())
 	if err != nil {
 		t.Fatalf("Propagate(publish): %v", err)
 	}
@@ -122,26 +122,19 @@ func TestServeNodeClusterPublishDemote(t *testing.T) {
 		}
 	}
 
-	// Demote the exact v2 id fleet-wide: every shard quarantines it and
-	// rolls back to v1.
-	ep2, err := g.Propagate(ctx, gateway.Change{Op: gateway.OpDemote, Target: v2})
-	if err != nil {
-		t.Fatalf("Propagate(demote): %v", err)
+	// A publish without a payload is refused at the gateway, and one whose
+	// payload is not an artifact by every shard: neither commits an epoch
+	// or disturbs routing.
+	if _, err := g.Propagate(ctx, nil); err == nil {
+		t.Fatal("a publish without a payload must be refused")
 	}
-	if ep2 <= ep {
-		t.Fatalf("demote epoch %d did not advance past %d", ep2, ep)
+	if ep2, err := g.Propagate(ctx, "patrol-student"); err == nil || ep2 != 0 {
+		t.Fatalf("Propagate(non-artifact) = (%d, %v), want (0, error)", ep2, err)
 	}
-	for i := 0; i < 30; i++ {
-		if v := versionOf(i); !strings.Contains(v, "@v1") {
-			t.Fatalf("post-demote model = %s, want rollback to @v1", v)
-		}
+	if g.CommittedEpoch() != ep {
+		t.Fatalf("refused publishes moved the committed epoch %d → %d", ep, g.CommittedEpoch())
 	}
-
-	// A bogus change is refused at the gateway and leaves routing alone.
-	if _, err := g.Propagate(ctx, gateway.Change{Op: gateway.OpDemote, Target: "not-an-id"}); err == nil {
-		t.Fatal("demote of an unparsable id must be refused")
-	}
-	if v := versionOf(0); !strings.Contains(v, "@v1") {
-		t.Fatalf("routing disturbed by a refused change: %s", v)
+	if v := versionOf(0); v != v2 {
+		t.Fatalf("routing disturbed by a refused publish: %s, want %s", v, v2)
 	}
 }
