@@ -40,6 +40,7 @@ func TestDoorAnswersAsNetHTTP(t *testing.T) {
 		{name: "unknown path", method: "GET", path: "/v2/detect", status: 404},
 		{name: "GET detect", method: "GET", path: "/v1/detect", status: 405},
 		{name: "oversized body", method: "POST", path: "/v1/detect", contentType: jsonType, body: make([]byte, wire.MaxBodyBytes+1), status: 413},
+		{name: "oversized reload", method: "POST", path: "/v1/models/reload", contentType: jsonType, body: make([]byte, wire.MaxBodyBytes+1), status: 413},
 		{name: "shard verdict", method: "POST", path: "/v1/detect", contentType: jsonType, body: jsonBody, force: 422, status: 422},
 		{name: "shard backpressure", method: "POST", path: "/v1/detect", contentType: jsonType, body: jsonBody, force: 429, status: 429},
 		{name: "leave", method: "DELETE", path: "/v1/announce?url=" + b.srv.URL, status: 200},

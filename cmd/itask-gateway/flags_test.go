@@ -11,9 +11,8 @@ import (
 	"itask/internal/gateway"
 )
 
-// The flag surface: no flags serve exactly gateway.DefaultConfig() with the
-// HTTP barrier poll, each flag moves exactly the field it names, and the
-// flags nothing set are gone.
+// The flag surface: no flags serve exactly gateway.DefaultConfig(), each flag
+// moves exactly the field it names, and the flags nothing set are gone.
 func TestFlagSurface(t *testing.T) {
 	parse := func(args ...string) (options, error) {
 		flags := flag.NewFlagSet("itask-gateway", flag.ContinueOnError)
@@ -21,9 +20,7 @@ func TestFlagSurface(t *testing.T) {
 		return parseFlags(flags, args)
 	}
 	defaults := func() options {
-		o := options{cfg: gateway.DefaultConfig(), addr: ":8080"}
-		o.cfg.BarrierPoll = 50 * time.Millisecond
-		return o
+		return options{cfg: gateway.DefaultConfig(), addr: ":8080"}
 	}
 	got, err := parse()
 	if err != nil {

@@ -26,9 +26,9 @@ import (
 //	                      connection — counts toward ejection; the body's
 //	                      epoch, on 200 and 503 alike, is the backend's
 //	                      registry snapshot sequence, its route epoch.
-//	gateway.ChangeApplier POST /v1/models/reload: Propagate runs the reload
-//	                      on every backend and blocks until the whole
-//	                      fleet's registry sequence converges.
+//	gateway.ChangeApplier one POST /v1/models/reload per publish: the shard
+//	                      routes at its new versions before it answers, and
+//	                      the answer's epoch is its registry sequence.
 type httpNode struct {
 	base string
 	url  shardURL
@@ -151,19 +151,26 @@ func (n *httpNode) Health(ctx context.Context) (epoch uint64, hasEpoch bool, dow
 	if br.status != http.StatusOK {
 		down = fmt.Errorf("%s: healthz %d", n.base, br.status)
 	}
-	var h struct {
-		Epoch *uint64 `json:"epoch"`
-	}
-	if json.Unmarshal(br.body, &h) != nil || h.Epoch == nil {
-		return 0, false, down
-	}
-	return *h.Epoch, true, down
+	epoch, hasEpoch = answerEpoch(br.body)
+	return epoch, hasEpoch, down
 }
 
-// Publish drives a fleet-propagated model reload: the payload is the raw
-// /v1/models/reload body to relay (the endpoint both publishes new versions
-// and re-verifies existing ones), and the answer the backend's route epoch
-// after it.
+// answerEpoch reads the route epoch a shard's /healthz or reload answer
+// carries, if it has one.
+func answerEpoch(body []byte) (uint64, bool) {
+	var a struct {
+		Epoch *uint64 `json:"epoch"`
+	}
+	if json.Unmarshal(body, &a) != nil || a.Epoch == nil {
+		return 0, false
+	}
+	return *a.Epoch, true
+}
+
+// Publish drives a fleet-propagated model reload in one exchange: the
+// payload is the raw /v1/models/reload body to relay (the endpoint both
+// publishes new versions and re-verifies existing ones), and the answer
+// carries the backend's route epoch after it.
 func (n *httpNode) Publish(ctx context.Context, payload any) (uint64, error) {
 	body, ok := payload.([]byte)
 	if !ok {
@@ -173,18 +180,12 @@ func (n *httpNode) Publish(ctx context.Context, payload any) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// The error detail is only worth keeping as part of the formatted error,
-	// which copies it; the pooled buffer goes straight back either way.
+	defer br.release()
 	if br.status != http.StatusOK {
-		err = fmt.Errorf("%s: reload %d: %s", n.base, br.status, bytes.TrimSpace(br.body))
+		return 0, fmt.Errorf("%s: reload %d: %s", n.base, br.status, bytes.TrimSpace(br.body))
 	}
-	br.release()
-	if err != nil {
-		return 0, err
+	if epoch, ok := answerEpoch(br.body); ok {
+		return epoch, nil
 	}
-	epoch, hasEpoch, down := n.Health(ctx)
-	if !hasEpoch {
-		return 0, errors.Join(fmt.Errorf("%s: no route epoch after the reload", n.base), down)
-	}
-	return epoch, nil
+	return 0, fmt.Errorf("%s: no route epoch in the reload answer", n.base)
 }

@@ -36,12 +36,15 @@
 //	                         removes the shard from the ring immediately while
 //	                         its in-flight requests finish.
 //	POST /v1/models/reload   propagate a model reload fleet-wide: the body is
-//	                         relayed to every backend's reload endpoint and
-//	                         the gateway blocks until every backend's registry
-//	                         sequence converges to the fleet maximum, so a
-//	                         publish is cluster-wide before the response —
-//	                         clients never observe version flapping keyed by
-//	                         which shard their frame hashes to.
+//	                         relayed to every backend's reload endpoint, one
+//	                         exchange each, and each backend answers once it
+//	                         routes at its new registry sequence. The answer,
+//	                         {"epoch":N}, is the highest sequence any backend
+//	                         reached; a backend that failed or answered below
+//	                         it is named in a 502 and routes nothing until it
+//	                         catches up, so clients never observe version
+//	                         flapping keyed by which shard their frame hashes
+//	                         to. A body over the door's limit is a 413.
 //	GET  /healthz            200 with fleet counts while at least one backend
 //	                         is routable, 503 otherwise
 //	GET  /metricsz           gateway snapshot: routing/spill/retry/ejection
@@ -84,8 +87,8 @@
 // Every flag sets the one gateway.Config field it names. Everything else —
 // ring points, bounded load, hot replicas and their decay window, failover
 // attempts, ejection, probe and attempt deadlines, the retry budget, the
-// slow-start ramp — is gateway.DefaultConfig(), save a 50ms epoch-barrier
-// poll; the suspect horizon is a third of the lease.
+// slow-start ramp — is gateway.DefaultConfig(); the suspect horizon is a
+// third of the lease.
 //
 // -pprof serves net/http/pprof on a second listener with mutex and block
 // profiling enabled, the same listener itask-serve has.
@@ -108,7 +111,6 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -125,8 +127,8 @@ import (
 	"itask/internal/wire"
 )
 
-// propagateTimeout is the fleet-wide reload deadline, including the epoch
-// convergence barrier.
+// propagateTimeout is the fleet-wide reload deadline: every backend's reload
+// exchange must answer within it.
 const propagateTimeout = 30 * time.Second
 
 // options is what itask-gateway runs with: the routing configuration, which
@@ -141,9 +143,6 @@ type options struct {
 // default value as the flag's default, and parses args.
 func parseFlags(flags *flag.FlagSet, args []string) (options, error) {
 	o := options{cfg: gateway.DefaultConfig(), addr: ":8080"}
-	// Each poll of the epoch barrier is an HTTP round trip per shard here,
-	// not the in-process read gateway.DefaultConfig() is sized for.
-	o.cfg.BarrierPoll = 50 * time.Millisecond
 	c := &o.cfg
 	flags.StringVar(&o.addr, "addr", o.addr, "listen address")
 	flags.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address with mutex/block profiling (empty = off)")
@@ -483,19 +482,20 @@ func (a *app) reload(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
+	buf, err := wire.ReadBody(w, r, wire.MaxBodyBytes)
 	if err != nil {
-		wire.WriteError(w, http.StatusBadRequest, "unreadable request body")
+		wire.WriteBodyError(w, err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), a.propagateTimeout)
 	defer cancel()
-	epoch, err := a.g.Propagate(ctx, body)
+	epoch, err := a.g.Propagate(ctx, buf.Bytes())
+	buf.Release() // every publish has answered: nothing reads the body now
 	if err != nil {
 		code := http.StatusBadGateway
 		if errors.Is(err, context.DeadlineExceeded) {
-			// The reloads applied but the fleet did not observably converge
-			// in time; the committed epoch still names the target.
+			// Some reload did not answer in time; the committed epoch names
+			// what the backends that did answer reached.
 			code = http.StatusGatewayTimeout
 		}
 		wire.WriteJSON(w, code, map[string]any{"error": err.Error(), "epoch": epoch})

@@ -16,9 +16,9 @@ import (
 )
 
 // fakeBackend is an httptest-served itask-serve lookalike: detect answers
-// carry the backend's name, reload bumps the registry sequence, healthz
-// speaks the real endpoint's shape (status and epoch), and metricsz only
-// counts its callers — the gateway has no business scraping it.
+// carry the backend's name, reload bumps the registry sequence and answers
+// it, healthz speaks the real endpoint's shape (status and epoch), and
+// metricsz only counts its callers — the gateway has no business scraping it.
 type fakeBackend struct {
 	name string
 	srv  *httptest.Server
@@ -27,6 +27,7 @@ type fakeBackend struct {
 	seq        uint64
 	detects    int
 	reloads    int
+	healthzs   int    // GET /healthz
 	scrapes    int    // GET /metricsz
 	status     int    // non-zero forces every detect to this status
 	failReload bool   // reloads answer 500 and leave seq alone
@@ -82,6 +83,7 @@ func newFakeBackend(name string) *fakeBackend {
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		b.mu.Lock()
+		b.healthzs++
 		seq := b.seq
 		b.mu.Unlock()
 		fmt.Fprintf(w, `{"status":"ok","epoch":%d}`, seq)
@@ -100,13 +102,14 @@ func newFakeBackend(name string) *fakeBackend {
 		if !fail {
 			b.seq++
 		}
+		seq := b.seq
 		b.mu.Unlock()
 		if fail {
 			w.WriteHeader(http.StatusInternalServerError)
 			fmt.Fprint(w, `{"error":"checkpoint unreadable"}`)
 			return
 		}
-		fmt.Fprint(w, `{"reloaded":["teacher"]}`)
+		fmt.Fprintf(w, `{"reloaded":["teacher"],"skipped":[],"epoch":%d}`, seq)
 	})
 	b.srv = httptest.NewServer(mux)
 	return b
@@ -295,11 +298,11 @@ func TestDetectSpillsOnBackpressure(t *testing.T) {
 }
 
 // A fleet-wide reload converges every backend and reports the fleet epoch.
+// With the prober off it reaches each backend as one exchange: the reload,
+// whose answer carries the epoch, and no /healthz read after it.
 func TestReloadPropagatesFleetWide(t *testing.T) {
 	b0, b1, b2 := newFakeBackend("b0"), newFakeBackend("b1"), newFakeBackend("b2")
-	cfg := passiveCfg()
-	cfg.BarrierPoll = 5 * time.Millisecond
-	a, front := newTestApp(t, cfg, b0, b1, b2)
+	a, front := newTestApp(t, passiveCfg(), b0, b1, b2)
 
 	resp, err := http.Post(front.URL+"/v1/models/reload", "application/json", strings.NewReader(`{}`))
 	if err != nil {
@@ -321,10 +324,10 @@ func TestReloadPropagatesFleetWide(t *testing.T) {
 	}
 	for _, b := range []*fakeBackend{b0, b1, b2} {
 		b.mu.Lock()
-		reloads, seq := b.reloads, b.seq
+		reloads, healthzs, seq := b.reloads, b.healthzs, b.seq
 		b.mu.Unlock()
-		if reloads != 1 || seq != 2 {
-			t.Fatalf("%s: reloads=%d seq=%d, want 1/2", b.name, reloads, seq)
+		if reloads != 1 || healthzs != 0 || seq != 2 {
+			t.Fatalf("%s: reloads=%d healthz reads=%d seq=%d, want 1/0/2", b.name, reloads, healthzs, seq)
 		}
 	}
 	if a.g.CommittedEpoch() != out.Epoch {
@@ -340,7 +343,6 @@ func TestReloadFailedBackendLagsUntilItConverges(t *testing.T) {
 	b0, b1, b2 := newFakeBackend("b0"), newFakeBackend("b1"), newFakeBackend("b2")
 	b1.failReload = true
 	cfg := passiveCfg()
-	cfg.BarrierPoll = 5 * time.Millisecond
 	cfg.ProbeInterval = 10 * time.Millisecond
 	cfg.ProbeTimeout = time.Second
 	_, front := newTestApp(t, cfg, b0, b1, b2)
@@ -405,12 +407,11 @@ func TestReloadFailedBackendLagsUntilItConverges(t *testing.T) {
 }
 
 // The gateway reads a backend's route epoch from /healthz, never from the
-// full /metricsz snapshot: neither a run of probe sweeps nor a reload's
-// convergence barrier scrapes a shard.
+// full /metricsz snapshot: neither a run of probe sweeps nor a reload
+// scrapes a shard.
 func TestEpochReadsNeverScrapeMetricsz(t *testing.T) {
 	b0, b1 := newFakeBackend("b0"), newFakeBackend("b1")
 	cfg := passiveCfg()
-	cfg.BarrierPoll = time.Millisecond
 	cfg.ProbeInterval = 5 * time.Millisecond
 	cfg.ProbeTimeout = time.Second
 	a, front := newTestApp(t, cfg, b0, b1)

@@ -18,7 +18,9 @@
 //	                         directory (body {"dir": "..."}, default the
 //	                         -models flag): a registry layout loads each
 //	                         name's newest version checksum-verified; a flat
-//	                         directory reloads teacher.ckpt
+//	                         directory reloads teacher.ckpt. The new versions
+//	                         route before the answer, which carries "epoch",
+//	                         the registry snapshot sequence /healthz reports
 //	GET  /healthz            per-task health from the per-lane breaker
 //	                         states: 200 "ok", 200 "degraded" while open
 //	                         lanes still have a healthy fallback, 503 once a
@@ -369,7 +371,8 @@ func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // routeEpoch is the backend's route epoch (its registry snapshot sequence),
-// reported by /healthz and sent with every announce; 0 when it has none.
+// reported by /healthz and a reload's answer and sent with every announce;
+// 0 when it has none.
 func (h *handler) routeEpoch() uint64 {
 	if re, ok := h.backend.(serve.RouteEpocher); ok {
 		return re.RouteEpoch()
@@ -432,7 +435,7 @@ func (h *handler) reload(w http.ResponseWriter, r *http.Request) {
 	if loaded == nil {
 		loaded = []string{}
 	}
-	wire.WriteJSON(w, http.StatusOK, map[string]any{"reloaded": loaded, "skipped": skipped})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"reloaded": loaded, "skipped": skipped, "epoch": h.routeEpoch()})
 }
 
 func (h *handler) metricsz(w http.ResponseWriter, r *http.Request) {

@@ -38,7 +38,8 @@ func writeVersion(t *testing.T, root, name, kind, task, file string, save func(s
 
 // POST /v1/models/reload over a registry layout hot-swaps the teacher and
 // the defined task's student (checksum-verified), skips derived artifacts,
-// and leaves the pipeline serving; /healthz reports ok until drain.
+// answers with the route epoch /healthz then reports, and leaves the
+// pipeline serving; /healthz reports ok until drain.
 func TestReloadFromRegistryLayout(t *testing.T) {
 	opts := itask.DefaultOptions()
 	rng := tensor.NewRNG(7)
@@ -56,7 +57,8 @@ func TestReloadFromRegistryLayout(t *testing.T) {
 	if err := pipe.DefineTask("patrol", "monitor the perimeter for vehicles and people"); err != nil {
 		t.Fatal(err)
 	}
-	h := &handler{pipe: pipe, modelsDir: dir, imageSize: opts.TeacherCfg.ImageSize}
+	backend := pipe.ServeBackend()
+	h := &handler{pipe: pipe, backend: backend, modelsDir: dir, imageSize: opts.TeacherCfg.ImageSize}
 
 	rec := httptest.NewRecorder()
 	h.reload(rec, httptest.NewRequest(http.MethodPost, "/v1/models/reload", strings.NewReader("")))
@@ -66,6 +68,7 @@ func TestReloadFromRegistryLayout(t *testing.T) {
 	var resp struct {
 		Reloaded []string `json:"reloaded"`
 		Skipped  []string `json:"skipped"`
+		Epoch    uint64   `json:"epoch"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
@@ -89,12 +92,11 @@ func TestReloadFromRegistryLayout(t *testing.T) {
 	}
 
 	// The wired /healthz: ok on the live server, draining 503 after Shutdown.
-	backend := pipe.ServeBackend()
 	srv, err := serve.New(backend, serve.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.srv, h.backend = srv, backend
+	h.srv = srv
 	rec = httptest.NewRecorder()
 	h.healthz(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusOK {
@@ -107,11 +109,11 @@ func TestReloadFromRegistryLayout(t *testing.T) {
 	if rep.Status != healthOK || rep.Tasks["patrol"].Status != healthOK {
 		t.Errorf("health report = %+v, want ok", rep)
 	}
-	// The body carries the route epoch the gateway's prober and reload
-	// barrier read — on 200 and on 503 alike.
+	// The body carries the route epoch the gateway's prober reads — on 200
+	// and on 503 alike.
 	epoch := backend.(serve.RouteEpocher).RouteEpoch()
-	if epoch == 0 || rep.Epoch != epoch {
-		t.Errorf("healthz epoch = %d, want the registry sequence %d (> 0 after a reload)", rep.Epoch, epoch)
+	if epoch == 0 || rep.Epoch != epoch || resp.Epoch != epoch {
+		t.Errorf("healthz epoch = %d, reload answered %d, want the registry sequence %d (> 0 after a reload)", rep.Epoch, resp.Epoch, epoch)
 	}
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)

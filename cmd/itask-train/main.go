@@ -1,6 +1,6 @@
-// Command itask-train trains the iTask model zoo — the multi-task teacher,
-// the generalist, and one distilled student per standard task — and saves
-// checkpoints that other tools and programs can load with vit.LoadParams.
+// Command itask-train trains the iTask model zoo — the multi-task teacher
+// and one distilled student per standard task — and saves checkpoints that
+// other tools and programs can load with vit.LoadParams.
 //
 // It publishes each artifact into the versioned registry layout
 // (<out>/<name>/v<N>/{manifest.json, weights}), with the manifest checksum
@@ -8,10 +8,10 @@
 // /v1/models/reload load (and hot-swap) the new versions with end-to-end
 // integrity verification. Re-running into the same -out directory publishes
 // the next version of each name; existing versions are immutable. Students
-// are written there only. The teacher and the quantized generalist also
-// keep a flat copy at the root (teacher.ckpt, generalist-q8.itq8);
-// teacher.ckpt is what itask-detect -models loads, and what a reload falls
-// back to in a directory without the registry layout.
+// are written there only. The teacher also keeps a flat copy at the root,
+// teacher.ckpt: what itask-detect -models loads, and what a reload falls
+// back to in a directory without the registry layout. No int8 generalist is
+// written: every program that serves one quantizes it from the teacher.
 //
 // Usage:
 //
@@ -28,7 +28,6 @@ import (
 	"itask/internal/distill"
 	"itask/internal/eval"
 	"itask/internal/experiments"
-	"itask/internal/quant"
 	"itask/internal/registry"
 	"itask/internal/scene"
 	"itask/internal/tensor"
@@ -71,22 +70,9 @@ func run(outDir string, samples, epochs int, seed uint64) error {
 	if err := teacher.SaveFile(filepath.Join(outDir, "teacher.ckpt")); err != nil {
 		return err
 	}
-	if err := publishVersion(outDir, "teacher", registry.Teacher, "", "teacher.ckpt", 0, teacher.SaveFileSum); err != nil {
+	if err := publishVersion(outDir, "teacher", registry.Teacher, "", "teacher.ckpt", teacher.SaveFileSum); err != nil {
 		return err
 	}
-	// Deployable quantized generalist alongside the float checkpoint.
-	qm, err := quant.FromViT(teacher, quant.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	if err := qm.SaveFile(filepath.Join(outDir, "generalist-q8.itq8")); err != nil {
-		return err
-	}
-	if err := publishVersion(outDir, "generalist-q8", registry.Generalist, "", "generalist-q8.itq8", 8, qm.SaveFileSum); err != nil {
-		return err
-	}
-	fmt.Printf("quantized generalist: %.1f KiB int8\n", float64(qm.WeightBytes())/1024)
-
 	// Per-task students.
 	for _, task := range tasks {
 		fmt.Printf("distilling student for %s...\n", task.Name)
@@ -98,7 +84,7 @@ func run(outDir string, samples, epochs int, seed uint64) error {
 		if _, err := distill.Distill(teacher, student, set, dcfg); err != nil {
 			return err
 		}
-		if err := publishVersion(outDir, task.Name+"-student", registry.TaskSpecific, task.Name, "student.ckpt", 0, student.SaveFileSum); err != nil {
+		if err := publishVersion(outDir, task.Name+"-student", registry.TaskSpecific, task.Name, "student.ckpt", student.SaveFileSum); err != nil {
 			return err
 		}
 		val := dataset.Build(task, 32, gen, rng.Split())
@@ -112,15 +98,15 @@ func run(outDir string, samples, epochs int, seed uint64) error {
 
 // publishVersion writes one artifact into the registry layout under root:
 // the next version directory for name, the checksummed weights file (save is
-// vit's or quant's SaveFileSum, returning the content hash), and last the
+// vit's SaveFileSum, returning the content hash), and last the
 // manifest — the commit point; a crash before it leaves no visible version.
-func publishVersion(root, name string, kind registry.Kind, task, file string, bits int,
+func publishVersion(root, name string, kind registry.Kind, task, file string,
 	save func(path string) (string, error)) error {
 	v, err := registry.LatestVersion(root, name)
 	if err != nil {
 		return err
 	}
-	man := registry.Manifest{Name: name, Version: v + 1, Kind: kind.String(), Task: task, File: file, Bits: bits}
+	man := registry.Manifest{Name: name, Version: v + 1, Kind: kind.String(), Task: task, File: file}
 	dir := registry.VersionDir(root, name, man.Version)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

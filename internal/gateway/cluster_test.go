@@ -25,9 +25,8 @@ func img(i int) *tensor.Tensor {
 
 // fakeNode is an in-memory shard implementing every gateway node interface:
 // detection (attributing results to its current model version), health
-// reads with route epochs, and publishes. A publish becomes visible to
-// Health and Detect only applyDelay later — the shape of a backend whose
-// reload is asynchronous.
+// reads with route epochs, and publishes. A publish takes applyDelay, then
+// activates before it answers, as every real node's does.
 type fakeNode struct {
 	id string
 
@@ -41,10 +40,6 @@ type fakeNode struct {
 	epoch   uint64
 	applied int // Publish calls, failed ones included
 	served  int
-
-	// pending is an applied publish not yet visible.
-	pendingVersion string
-	visibleAt      time.Time
 }
 
 func newFakeNode(id string) *fakeNode {
@@ -64,7 +59,6 @@ func (n *fakeNode) Detect(_ context.Context, _ serve.Request) (serve.Result, err
 		<-gate
 	}
 	n.mu.Lock()
-	n.settleLocked()
 	n.served++
 	res := serve.Result{Model: n.version, BatchSize: 1}
 	n.mu.Unlock()
@@ -82,7 +76,6 @@ func (n *fakeNode) setDown(d bool) {
 func (n *fakeNode) Health(context.Context) (uint64, bool, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.settleLocked()
 	if n.down {
 		return n.epoch, true, errors.New("probe: connection refused")
 	}
@@ -95,27 +88,19 @@ func (n *fakeNode) setEpochAndVersion(ep uint64, v string) {
 	n.mu.Unlock()
 }
 
-// settleLocked activates a pending publish whose delay has passed.
-func (n *fakeNode) settleLocked() {
-	if n.pendingVersion != "" && !time.Now().Before(n.visibleAt) {
-		n.version, n.pendingVersion = n.pendingVersion, ""
-		n.epoch++
-	}
-}
-
 func (n *fakeNode) Publish(_ context.Context, payload any) (uint64, error) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.applied++
-	if n.applyErr != nil {
-		return 0, n.applyErr
+	err := n.applyErr
+	n.mu.Unlock()
+	if err != nil {
+		return 0, err
 	}
-	n.pendingVersion = payload.(string)
-	n.visibleAt = time.Now().Add(n.applyDelay)
-	n.settleLocked()
-	if n.pendingVersion != "" {
-		return n.epoch + 1, nil
-	}
+	time.Sleep(n.applyDelay)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.version = payload.(string)
+	n.epoch++
 	return n.epoch, nil
 }
 
@@ -128,7 +113,6 @@ func (n *fakeNode) applyCalls() int {
 func (n *fakeNode) currentVersion() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.settleLocked()
 	return n.version
 }
 

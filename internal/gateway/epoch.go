@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"itask/internal/member"
 )
@@ -23,20 +22,21 @@ import (
 //     cannot take it, is refused with the fleet unchanged;
 //   - it is applied on every member with a converged live lease,
 //     concurrently — on the ring or off it for its epoch, so a member left
-//     behind by one publish can catch up on the next;
+//     behind by one publish can catch up on the next. Each apply is one
+//     synchronous exchange whose answer is the member's resulting epoch;
 //   - the committed epoch — the fleet highwater every member is compared
-//     against — advances to the highest epoch any member reached, and in
-//     the same step each member's apply result becomes its last report;
-//   - Propagate then barrier-polls each member's route epoch and returns
-//     once the whole fleet routes at the committed epoch (or ctx expires).
+//     against — advances to the highest epoch any member reported, and in
+//     the same step each member's apply result becomes its last report.
+//     Propagate then returns, naming every member whose apply failed or
+//     reported an epoch below the committed one.
 //
 // Every member stores one epoch, its last report — from its own heartbeat,
-// the prober, an apply or a barrier poll; a lower report replaces a higher
-// one. A member whose report is below the committed epoch — its apply
-// failed, its activation is slow, it rebooted with stale models — fails the
-// routable rule and is off the ring until some report shows it caught up.
-// Staleness is a routing condition, not a silent wrong answer, and a member
-// that never converges costs the fleet its capacity, not its consistency.
+// the prober or an apply; a lower report replaces a higher one. A member
+// whose report is below the committed epoch — its apply failed, it
+// rebooted with stale models — fails the routable rule and is off the ring
+// until some report shows it caught up. Staleness is a routing condition,
+// not a silent wrong answer, and a member that never converges costs the
+// fleet its capacity, not its consistency.
 //
 // Demoting or rolling back a version is each shard's own business
 // (Pipeline.RollbackModel, the serve.VariantHealthSink auto-rollback): only
@@ -45,18 +45,17 @@ import (
 // ChangeApplier is implemented by nodes that take a fleet-wide publish:
 // Publish activates the payload (what the node understands as a model
 // artifact: for ServeNode a registry.Artifact) and returns the node's
-// resulting route epoch. The new epoch may become visible through Health
-// only later (an asynchronous reload); Propagate's barrier waits for it.
+// resulting route epoch. It returns only once the node routes at the epoch
+// it returns, so that answer is the member's report.
 type ChangeApplier interface {
 	Publish(ctx context.Context, payload any) (uint64, error)
 }
 
 // Propagate publishes payload on every member with a converged live lease
-// and returns the cluster's new committed epoch. A member whose apply fails
-// is named in the returned error and left behind the committed epoch — off
-// the ring until it reports having caught up; the barrier waits only for
-// the members that took the publish. When no member took it, nothing is
-// committed.
+// and returns the cluster's new committed epoch. A member whose apply fails,
+// or reports an epoch below the committed one, is named in the returned
+// error and left behind the committed epoch — off the ring until it reports
+// having caught up. When no member took the publish, nothing is committed.
 func (g *Gateway) Propagate(ctx context.Context, payload any) (uint64, error) {
 	if payload == nil {
 		return 0, errors.New("gateway: publish needs a payload")
@@ -92,9 +91,8 @@ func (g *Gateway) Propagate(ctx context.Context, payload any) (uint64, error) {
 	for _, ep := range epochs {
 		epoch = max(epoch, ep)
 	}
-	applyErr := errors.Join(errs...)
 	if epoch == 0 {
-		return 0, applyErr
+		return 0, errors.Join(errs...)
 	}
 	// Commit: raise the committed epoch (monotonically) and take each apply
 	// result as that member's report, in one step, so the ring never sees
@@ -103,41 +101,16 @@ func (g *Gateway) Propagate(ctx context.Context, payload any) (uint64, error) {
 	committed := max(epoch, g.committedEpoch.Load())
 	g.committedEpoch.Store(committed)
 	for i, m := range shards {
-		if errs[i] == nil {
-			g.rules.Report(&m.rec, epochs[i], committed)
+		if errs[i] != nil {
+			continue
+		}
+		g.rules.Report(&m.rec, epochs[i], committed)
+		if epochs[i] < committed {
+			errs[i] = fmt.Errorf("%s reported epoch %d after the publish, behind the committed %d", m.id, epochs[i], committed)
 		}
 	}
 	g.rebuildLocked()
 	g.mu.Unlock()
 	g.m[cPropagates].Add(1)
-
-	// Barrier: wait until every member that took the publish observably
-	// routes at the new epoch. Each poll is a report, so a slow member is
-	// off the ring for exactly as long as it is behind.
-	t := time.NewTicker(g.cfg.BarrierPoll)
-	defer t.Stop()
-	for {
-		converged := true
-		for i, m := range shards {
-			hn, ok := m.node.(HealthNode)
-			if !ok || errs[i] != nil {
-				continue // no observable epoch (trust the apply), or left behind
-			}
-			ep, hasEpoch, _ := hn.Health(ctx)
-			if hasEpoch {
-				g.report(m, ep)
-			}
-			if !hasEpoch || ep < epoch {
-				converged = false
-			}
-		}
-		if converged {
-			return epoch, applyErr
-		}
-		select {
-		case <-ctx.Done():
-			return epoch, errors.Join(applyErr, fmt.Errorf("gateway: epoch barrier: %w", ctx.Err()))
-		case <-t.C:
-		}
-	}
+	return committed, errors.Join(errs...)
 }

@@ -12,16 +12,13 @@ import (
 	"itask/internal/serve"
 )
 
-// The epoch barrier: one member's change becomes visible late (an
-// asynchronous reload). Propagate must not return until that member
-// observably routes at the new epoch; traffic keeps flowing throughout, and
-// once Propagate has returned every answer is the new version.
-func TestPropagateBarrierWaitsForSlowestMember(t *testing.T) {
+// One member's apply is slow. Propagate must not return until that member
+// has answered its publish; traffic keeps flowing throughout, and once
+// Propagate has returned every answer is the new version.
+func TestPropagateWaitsForSlowestMember(t *testing.T) {
 	a, b, c := newFakeNode("shard-a"), newFakeNode("shard-b"), newFakeNode("shard-c")
 	c.applyDelay = 30 * time.Millisecond
-	cfg := passiveConfig()
-	cfg.BarrierPoll = time.Millisecond
-	g := newTestGateway(t, cfg, a, b, c)
+	g := newTestGateway(t, passiveConfig(), a, b, c)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 
@@ -55,11 +52,11 @@ func TestPropagateBarrierWaitsForSlowestMember(t *testing.T) {
 		t.Fatalf("committed epoch = %d/%d, want 2", ep, g.CommittedEpoch())
 	}
 	if elapsed < 25*time.Millisecond {
-		t.Fatalf("Propagate returned in %v — before shard-c's epoch became visible", elapsed)
+		t.Fatalf("Propagate returned in %v — before shard-c's apply answered", elapsed)
 	}
 	for _, n := range []*fakeNode{a, b, c} {
 		if got, _, _ := n.Health(ctx); got != ep {
-			t.Fatalf("%s at epoch %d after the barrier, want %d", n.id, got, ep)
+			t.Fatalf("%s at epoch %d after propagation, want %d", n.id, got, ep)
 		}
 		if v := n.currentVersion(); v != "v2" {
 			t.Fatalf("%s still serves %s after propagation", n.id, v)
@@ -68,7 +65,7 @@ func TestPropagateBarrierWaitsForSlowestMember(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		res, err := g.Detect(ctx, serve.Request{Task: "patrol", Image: img(i)})
 		if err != nil || res.Model != "v2" {
-			t.Fatalf("post-barrier detect = {%s %s %v}, want v2", res.Node, res.Model, err)
+			t.Fatalf("post-propagation detect = {%s %s %v}, want v2", res.Node, res.Model, err)
 		}
 	}
 	snap := g.Snapshot()
@@ -77,7 +74,41 @@ func TestPropagateBarrierWaitsForSlowestMember(t *testing.T) {
 	}
 	for _, ns := range snap.Nodes {
 		if ns.Lagging {
-			t.Fatalf("%s still lagging after the barrier", ns.ID)
+			t.Fatalf("%s still lagging after propagation", ns.ID)
+		}
+	}
+}
+
+// A member whose apply succeeds but reports an epoch below the committed
+// one (its registry was behind the fleet's) is named in Propagate's error at
+// once, not when the context ends; it is lagging, and the rest serve.
+func TestPropagateNamesMemberReportingBelowCommitted(t *testing.T) {
+	a, b, c := newFakeNode("shard-a"), newFakeNode("shard-b"), newFakeNode("shard-c")
+	c.epoch = 0
+	g := newTestGateway(t, passiveConfig(), a, b, c)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	start := time.Now()
+	ep, err := g.Propagate(ctx, "v2")
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("Propagate took %v to give up on shard-c", elapsed)
+	}
+	if err == nil || !strings.Contains(err.Error(), "shard-c") || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Propagate err = %v, want one naming shard-c and not the context", err)
+	}
+	if ep != 2 || g.CommittedEpoch() != 2 {
+		t.Fatalf("committed epoch = %d/%d, want 2", ep, g.CommittedEpoch())
+	}
+	for _, ns := range g.Snapshot().Nodes {
+		if ns.Lagging != (ns.ID == "shard-c") {
+			t.Fatalf("%s lagging = %v", ns.ID, ns.Lagging)
+		}
+	}
+	for i := 0; i < 60; i++ {
+		res, err := g.Detect(ctx, serve.Request{Task: "patrol", Image: img(i)})
+		if err != nil || res.Node == "shard-c" || res.Model != "v2" {
+			t.Fatalf("detect beside a lagging shard-c = {%s %s %v}, want v2 from a or b", res.Node, res.Model, err)
 		}
 	}
 }

@@ -40,11 +40,11 @@
 //     and a fleet-wide token-bucket retry budget keeps a flapping shard
 //     from amplifying into a retry storm.
 //   - Epochs (epoch.go): a model publish propagates through the gateway:
-//     validated once, applied on every member, then barrier-polled until
-//     the whole fleet routes at the new committed epoch. A member whose
-//     last reported epoch is behind the committed epoch — including any
-//     still converging on a publish in flight — is off the ring until it
-//     reports having caught up.
+//     validated once, then applied on every member in one synchronous
+//     exchange each, whose answer is the member's new epoch; the highest
+//     answer becomes the committed epoch. A member whose last reported
+//     epoch is behind the committed epoch is off the ring until it reports
+//     having caught up.
 //
 // The package is transport-agnostic: a Node is any handle with an ID, and
 // the request path works through Execute's callback, so in-process fleets
@@ -90,8 +90,7 @@ type DetectNode interface {
 // failure (nil clears failure accounting and lifts an ejection early); epoch
 // is the node's routing epoch (for the pipeline backend, the registry
 // snapshot sequence), valid when hasEpoch — whenever the node answered with
-// one, down or not. The prober takes both readings; Propagate's barrier
-// reads only the epoch.
+// one, down or not. The prober takes both readings.
 type HealthNode interface {
 	Health(ctx context.Context) (epoch uint64, hasEpoch bool, down error)
 }
@@ -178,15 +177,13 @@ type Config struct {
 	LoadFactor float64
 	// HotThreshold is the windowed per-digest arrival count past which a
 	// digest is treated as hot and replicated. 0 disables hot-key handling.
+	// The window is freq.DefaultDecay arrivals, the one shards' in-process
+	// promotion detectors use, so gateway and shard agree on what "recent"
+	// means.
 	HotThreshold int
 	// HotReplicas is how many ring successors serve a hot digest (≥ 2 when
 	// HotThreshold > 0).
 	HotReplicas int
-	// HotDecay is the number of arrivals between halvings of the hot-digest
-	// estimator's counts — the window over which hotness is measured. 0
-	// picks freq.DefaultDecay (8192), the window shards' in-process promotion
-	// detectors use, so gateway and shard agree on what "recent" means.
-	HotDecay int
 	// MaxRetries is how many failover attempts a request gets on successor
 	// shards after an overload- or down-class failure.
 	MaxRetries int
@@ -201,8 +198,6 @@ type Config struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe (defaults to ProbeInterval when zero).
 	ProbeTimeout time.Duration
-	// BarrierPoll is the poll period of Propagate's epoch barrier.
-	BarrierPoll time.Duration
 
 	// LeaseTTL enables lease-based membership: Announce grants a lease this
 	// long, renewals extend it, and a member that misses renewals for the
@@ -260,13 +255,11 @@ func DefaultConfig() Config {
 		LoadFactor:    1.25,
 		HotThreshold:  64,
 		HotReplicas:   2,
-		HotDecay:      freq.DefaultDecay,
 		MaxRetries:    1,
 		FailThreshold: 3,
 		EjectFor:      2 * time.Second,
 		ProbeInterval: time.Second,
 		ProbeTimeout:  500 * time.Millisecond,
-		BarrierPoll:   2 * time.Millisecond,
 
 		LeaseTTL:    3 * time.Second,
 		RampWindows: 4,
@@ -290,8 +283,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gateway: negative HotThreshold %d", c.HotThreshold)
 	case c.HotThreshold > 0 && c.HotReplicas < 2:
 		return fmt.Errorf("gateway: HotThreshold %d needs HotReplicas >= 2, got %d", c.HotThreshold, c.HotReplicas)
-	case c.HotDecay < 0:
-		return fmt.Errorf("gateway: negative HotDecay %d", c.HotDecay)
 	case c.MaxRetries < 0:
 		return fmt.Errorf("gateway: negative MaxRetries %d", c.MaxRetries)
 	case c.FailThreshold < 0:
@@ -300,8 +291,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gateway: FailThreshold %d needs a positive EjectFor, got %v", c.FailThreshold, c.EjectFor)
 	case c.ProbeInterval < 0:
 		return fmt.Errorf("gateway: negative ProbeInterval %v", c.ProbeInterval)
-	case c.BarrierPoll < 0:
-		return fmt.Errorf("gateway: negative BarrierPoll %v", c.BarrierPoll)
 	case c.LeaseTTL < 0:
 		return fmt.Errorf("gateway: negative LeaseTTL %v", c.LeaseTTL)
 	case c.SuspectAfter < 0 || c.SuspectAfter > c.LeaseTTL:
@@ -365,15 +354,12 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = cfg.ProbeInterval
 	}
-	if cfg.BarrierPoll == 0 {
-		cfg.BarrierPoll = 2 * time.Millisecond
-	}
 	if cfg.RetryBackoff > 0 && cfg.RetryBackoffMax == 0 {
 		cfg.RetryBackoffMax = 32 * cfg.RetryBackoff
 	}
 	g := &Gateway{
 		cfg:    cfg,
-		hot:    freq.New(cfg.HotThreshold, freq.DefaultSlots, cfg.HotDecay),
+		hot:    freq.New(cfg.HotThreshold, freq.DefaultSlots, freq.DefaultDecay),
 		budget: fair.NewBudget(cfg.RetryBudgetRate, max(1, float64(cfg.RetryBudgetBurst))),
 		rules: member.Rules{
 			LeaseTTL:     cfg.LeaseTTL,
@@ -529,8 +515,8 @@ func (g *Gateway) renewLocked(s *shard, meta member.Meta) (member.Entry, error) 
 	return g.rules.Entry(s.id, &s.rec), nil
 }
 
-// report records the epoch a member was observed at — by the prober or a
-// barrier poll — as its last report, exactly as its own heartbeat would.
+// report records the epoch a member was observed at by the prober as its
+// last report, exactly as its own heartbeat would.
 func (g *Gateway) report(s *shard, epoch uint64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

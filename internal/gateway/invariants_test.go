@@ -50,7 +50,7 @@ func TestMembershipInvariantsRandomSequences(t *testing.T) {
 		runMembershipSequence(t, base+i, seen)
 	}
 	// The sequences must have reached the states the invariants are about.
-	for _, what := range []string{"joining", "suspect", "expired", "left", "lagging with a live lease", "ramp grew", "barrier"} {
+	for _, what := range []string{"joining", "suspect", "expired", "left", "lagging with a live lease", "ramp grew", "publish taken"} {
 		if seen[what] == 0 {
 			t.Errorf("base seed %d: 1000 sequences never produced: %s (saw %v)", base, what, seen)
 		}
@@ -66,7 +66,6 @@ func runMembershipSequence(t *testing.T, seed uint64, seen map[string]int) {
 		LeaseTTL:      time.Second,
 		RampWindows:   1 + rng.IntN(4),
 		SweepInterval: time.Hour, // the test sweeps by hand on its own clock
-		BarrierPoll:   time.Millisecond,
 		Clock:         func() time.Time { return now },
 	})
 	if err != nil {
@@ -146,12 +145,12 @@ func runMembershipSequence(t *testing.T, seed uint64, seen map[string]int) {
 			cancel()
 			logf("propagate to %d (%s fails: %v): epoch %d, %v", target, n.id, n.failApply, ep, err)
 			if errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("seed %d: the barrier never converged\n%s", seed, strings.Join(trace, "\n"))
+				t.Fatalf("seed %d: the publish ended on its context\n%s", seed, strings.Join(trace, "\n"))
 			}
 			for _, s := range targets {
 				if sn := s.node.(*simNode); !sn.failApply {
 					reported[s.id] = target
-					seen["barrier"]++
+					seen["publish taken"]++
 				}
 			}
 			n.failApply = false

@@ -211,7 +211,7 @@ func (r Rules) Renew(rec *Record, m Meta, committed uint64) error {
 }
 
 // Report records the epoch a member was last seen at — by its own heartbeat,
-// a probe or a barrier poll — replacing the previous report, and starts a
+// a probe or a publish's answer — replacing the previous report, and starts a
 // joining member's ramp once it has caught up to committed. It does not
 // touch the lease: liveness is vouched for only by the shard's own renewals.
 func (r Rules) Report(rec *Record, epoch, committed uint64) {

@@ -2,30 +2,28 @@ package quant
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 )
 
 func TestQuantChecksumAndVerify(t *testing.T) {
 	qm := serTestModel(t)
-	path := filepath.Join(t.TempDir(), "g.itq8")
-	sum, err := qm.SaveFileSum(path)
+	var buf bytes.Buffer
+	if err := qm.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := qm.Checksum()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sum) != sumLen {
 		t.Fatalf("checksum %q length %d, want %d", sum, len(sum), sumLen)
 	}
-	mem, err := qm.Checksum()
-	if err != nil || mem != sum {
-		t.Fatalf("Checksum() = %q, %v; SaveFileSum = %q", mem, err, sum)
+	if h := sha256.Sum256(buf.Bytes()); hex.EncodeToString(h[:])[:sumLen] != sum {
+		t.Fatalf("Checksum() = %q is not the hash of the saved bytes", sum)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(data))
+	loaded, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

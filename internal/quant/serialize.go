@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"itask/internal/tensor"
 	"itask/internal/vit"
@@ -299,17 +298,4 @@ func Load(r io.Reader) (*Model, error) {
 		return nil, qr.err
 	}
 	return qm, nil
-}
-
-// SaveFile writes the quantized model to path.
-func (qm *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := qm.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -2,6 +2,7 @@ package quant
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"testing"
 
@@ -51,15 +52,17 @@ func TestQuantSaveLoadRoundTrip(t *testing.T) {
 
 func TestQuantSaveLoadFile(t *testing.T) {
 	qm := serTestModel(t)
-	path := t.TempDir() + "/model.itq8"
-	if err := qm.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
+	f, err := os.Create(t.TempDir() + "/model.itq8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	if err := qm.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
 	loaded, err := Load(f)
 	if err != nil {
 		t.Fatal(err)

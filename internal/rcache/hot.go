@@ -111,16 +111,15 @@ type hotTier struct {
 	retiredHits atomic.Uint64
 }
 
-// newHotTier builds the tier. threshold <= 0 disables it (nil tier).
-func newHotTier(threshold, decay int, maxBytes int64, stripes int) *hotTier {
+// newHotTier builds the tier, with GOMAXPROCS hit-counter stripes per
+// promoted entry rounded up to a power of two. threshold <= 0 disables it
+// (nil tier).
+func newHotTier(threshold, decay int, maxBytes int64) *hotTier {
 	if threshold <= 0 {
 		return nil
 	}
-	if stripes <= 0 {
-		stripes = runtime.GOMAXPROCS(0)
-	}
 	pow := 1
-	for pow < stripes {
+	for pow < runtime.GOMAXPROCS(0) {
 		pow <<= 1
 	}
 	t := &hotTier{

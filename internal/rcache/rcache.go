@@ -103,9 +103,6 @@ type Config struct {
 	// their bytes are charged here, on top of the shard budget, not against
 	// MaxBytes. Zero picks MaxBytes/8.
 	HotMaxBytes int64
-	// HotStripes is the number of per-P hit-counter stripes per promoted
-	// entry, rounded up to a power of two. Zero picks GOMAXPROCS.
-	HotStripes int
 }
 
 // defaultEntrySize is the per-entry accounting charge when no SizeOf is
@@ -219,7 +216,7 @@ func New(cfg Config) *Cache {
 				hotBytes = cfg.MaxBytes
 			}
 		}
-		c.hot = newHotTier(cfg.HotThreshold, cfg.HotDecay, hotBytes, cfg.HotStripes)
+		c.hot = newHotTier(cfg.HotThreshold, cfg.HotDecay, hotBytes)
 	}
 	return c
 }

@@ -17,10 +17,9 @@ import (
 //
 // Each version directory is immutable once written; publishing a new version
 // of a name creates the next v<N+1> directory. Trainers write manifests with
-// the checksum produced by the checksummed save path (vit.SaveFileSum /
-// quant.SaveFileSum); loaders re-hash while reading and refuse mismatches,
-// so a truncated or corrupted artifact can never be published into the
-// routing snapshot.
+// the checksum produced by the checksummed save path (vit.SaveFileSum);
+// loaders re-hash while reading and refuse mismatches, so a truncated or
+// corrupted artifact can never be published into the routing snapshot.
 
 // ManifestFile is the fixed name of the per-version metadata file.
 const ManifestFile = "manifest.json"
