@@ -25,10 +25,10 @@ import (
 //	                      alive, anything else — including a refused
 //	                      connection — counts toward ejection; the body's
 //	                      epoch, on 200 and 503 alike, is the backend's
-//	                      registry snapshot sequence, its route epoch.
+//	                      route epoch, its registry's content identity.
 //	gateway.ChangeApplier one POST /v1/models/reload per publish: the shard
 //	                      routes at its new versions before it answers, and
-//	                      the answer's epoch is its registry sequence.
+//	                      the answer's epoch is the content it then serves.
 type httpNode struct {
 	base string
 	url  shardURL

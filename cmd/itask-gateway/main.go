@@ -26,25 +26,29 @@
 //	POST /v1/announce        lease-based membership: a shard announces itself
 //	                         with {"url","epoch"} and re-POSTs the same body
 //	                         as its heartbeat (the ack's lease_ms tells it how
-//	                         often). A new (or rejoining)
-//	                         shard is admitted once its registry epoch has
-//	                         converged to the fleet's committed epoch, then
-//	                         ramps to full routing weight over the slow-start
-//	                         windows. A shard that stops heartbeating for the
-//	                         lease TTL expires off the ring automatically.
+//	                         often). A new (or rejoining) shard ramps to full
+//	                         routing weight over the slow-start windows from
+//	                         its lease grant, and is on the ring while its
+//	                         epoch — the identity of the content it serves —
+//	                         is the fleet's committed epoch (any epoch before
+//	                         the first fleet reload). A shard that stops
+//	                         heartbeating for the lease TTL expires off the
+//	                         ring automatically.
 //	DELETE /v1/announce      graceful leave: ?url=... (or the same JSON body)
 //	                         removes the shard from the ring immediately while
 //	                         its in-flight requests finish.
 //	POST /v1/models/reload   propagate a model reload fleet-wide: the body is
-//	                         relayed to every backend's reload endpoint, one
-//	                         exchange each, and each backend answers once it
-//	                         routes at its new registry sequence. The answer,
-//	                         {"epoch":N}, is the highest sequence any backend
-//	                         reached; a backend that failed or answered below
-//	                         it is named in a 502 and routes nothing until it
-//	                         catches up, so clients never observe version
-//	                         flapping keyed by which shard their frame hashes
-//	                         to. A body over the door's limit is a 413.
+//	                         relayed to every live backend's reload endpoint,
+//	                         on the ring or off it, one exchange each, and
+//	                         each backend answers once it routes its new
+//	                         versions, with the epoch of the content it then
+//	                         serves. The answer, {"epoch":N}, is the epoch
+//	                         most backends answered, now the committed one; a
+//	                         backend that failed or answered another epoch is
+//	                         named in a 502 and routes nothing until it serves
+//	                         the committed content, so clients never observe
+//	                         version flapping keyed by which shard their frame
+//	                         hashes to. A body over the door's limit is a 413.
 //	GET  /healthz            200 with fleet counts while at least one backend
 //	                         is routable, 503 otherwise
 //	GET  /metricsz           gateway snapshot: routing/spill/retry/ejection
@@ -254,8 +258,7 @@ func (a *app) mux() *http.ServeMux {
 }
 
 // announceRequest is a shard's self-registration: its dialable base URL
-// (the member identity) and its current registry epoch. Unknown fields are
-// ignored.
+// (the member identity) and its route epoch. Unknown fields are ignored.
 type announceRequest struct {
 	URL   string `json:"url"`
 	Epoch uint64 `json:"epoch"`
@@ -310,7 +313,7 @@ func (a *app) announce(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusBadRequest, "announce url must be a dialable http base URL: "+err.Error())
 		return
 	}
-	e, err := a.g.Announce(n, member.Meta{Addr: base, Epoch: req.Epoch})
+	e, err := a.g.Announce(n, member.Meta{Addr: base}, req.Epoch)
 	switch {
 	case errors.Is(err, member.ErrNoLeases):
 		wire.WriteError(w, http.StatusNotImplemented, "lease-based membership disabled; start the gateway with -lease-ttl")
@@ -508,9 +511,9 @@ func (a *app) healthz(w http.ResponseWriter, r *http.Request) {
 	snap := a.g.Snapshot()
 	available := 0
 	for _, n := range snap.Nodes {
-		// Weight > 0 is a live, converged lease (expired, left, and
-		// epoch-gated joining members sit at 0).
-		if n.Weight > 0 && !n.Ejected && !n.Lagging {
+		// Weight > 0 is a member on the ring (expired and left members, and
+		// members off it for their epoch, sit at 0).
+		if n.Weight > 0 && !n.Ejected {
 			available++
 		}
 	}

@@ -16,9 +16,11 @@ import (
 )
 
 // fakeBackend is an httptest-served itask-serve lookalike: detect answers
-// carry the backend's name, reload bumps the registry sequence and answers
-// it, healthz speaks the real endpoint's shape (status and epoch), and
-// metricsz only counts its callers — the gateway has no business scraping it.
+// carry the backend's name, each reload takes the next content (its models
+// directory is republished between reloads) and answers that content's
+// epoch, seq, healthz speaks the real endpoint's shape (status and epoch),
+// and metricsz only counts its callers — the gateway has no business
+// scraping it.
 type fakeBackend struct {
 	name string
 	srv  *httptest.Server
@@ -338,7 +340,8 @@ func TestReloadPropagatesFleetWide(t *testing.T) {
 // A backend whose reload fails is out of step with a change the rest of the
 // fleet took: the reload answers 502 naming it and the committed epoch,
 // /metricsz shows it lagging, no detect reaches it — and once it catches up
-// (here: its seq advances out of band) the prober readmits it.
+// (here: it takes the committed content out of band) the prober readmits
+// it.
 func TestReloadFailedBackendLagsUntilItConverges(t *testing.T) {
 	b0, b1, b2 := newFakeBackend("b0"), newFakeBackend("b1"), newFakeBackend("b2")
 	b1.failReload = true

@@ -20,8 +20,8 @@ import (
 // purely from announcements is driven through real network faults
 // (chaos.NetProxy between gateway and backend) and must keep every healthy
 // request whole: a blackholed shard is ejected by lease expiry, its keys
-// rehash, and it rejoins — gated on epoch convergence, then slow-started —
-// once the network heals and it announces again.
+// rehash, and it rejoins — slow-started, and on the ring once it serves the
+// fleet's committed content — when the network heals and it announces again.
 
 // leasedFleet is one fake backend reachable only through its fault proxy,
 // plus the announce loop a real itask-serve would run.
@@ -67,8 +67,8 @@ func (f *leasedFleet) beating(i int) bool {
 	return f.beatOn[i]
 }
 
-// epochOf reads backend i's current registry sequence (what a real shard
-// would report in its heartbeat).
+// epochOf reads backend i's current route epoch (what a real shard would
+// report in its heartbeat).
 func (f *leasedFleet) epochOf(i int) uint64 {
 	f.backends[i].mu.Lock()
 	defer f.backends[i].mu.Unlock()
@@ -183,8 +183,8 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // nothing — the victim's lease expires and it leaves the ring, every
 // healthy request keeps succeeding (bounded by the per-attempt deadline
 // while the blackhole is fresh), and after the network heals the victim
-// rejoins only once its registry epoch has converged to the fleet's, then
-// serves again.
+// rejoins, but takes traffic only once it serves the fleet's committed
+// content.
 func TestFleetSelfHealsThroughPartition(t *testing.T) {
 	cfg := gateway.Config{
 		VirtualNodes:    64,
@@ -243,7 +243,7 @@ func TestFleetSelfHealsThroughPartition(t *testing.T) {
 	})
 
 	// While the fleet runs 2-wide, publish a model reload: the committed
-	// epoch moves past the partitioned shard's stale registry.
+	// epoch moves off the partitioned shard's stale content.
 	resp, err := http.Post(f.front.URL+"/v1/models/reload", "application/json", strings.NewReader(`{}`))
 	if err != nil {
 		t.Fatal(err)
@@ -258,11 +258,12 @@ func TestFleetSelfHealsThroughPartition(t *testing.T) {
 	}
 
 	// Heal the network. The victim re-announces with its stale epoch: it
-	// must be admitted as joining but NOT routable until it converges.
+	// gets a warming lease but is NOT routable until it serves the
+	// committed content.
 	f.proxies[victim].Heal()
 	out := f.announceOnce(t, victim, f.epochOf(victim))
-	if out["state"] != "joining" {
-		t.Fatalf("stale rejoin state = %v, want joining (committed=%d, victim epoch=%d)",
+	if out["state"] != "warming" {
+		t.Fatalf("stale rejoin state = %v, want warming (committed=%d, victim epoch=%d)",
 			out["state"], committed, f.epochOf(victim))
 	}
 	if _, avail := f.fleetHealth(t); avail != 2 {
@@ -270,7 +271,7 @@ func TestFleetSelfHealsThroughPartition(t *testing.T) {
 	}
 
 	// The shard catches up (reloads its models) and heartbeats the new
-	// epoch: now it converges, ramps, and serves again.
+	// epoch: now it is on the ring, ramps, and serves again.
 	reloadBackend(t, f.backends[victim])
 	out = f.announceOnce(t, victim, f.epochOf(victim))
 	if s := out["state"]; s != "warming" && s != "active" {
@@ -302,8 +303,8 @@ func TestFleetSelfHealsThroughPartition(t *testing.T) {
 		reqs.Load(), snap.Retries, snap.LeaseExpirations, snap.Rejoins, snap.CommittedEpoch)
 }
 
-// reloadBackend bumps a fake backend's registry sequence directly — the
-// shard-local half of catching up to a fleet publish it missed.
+// reloadBackend reloads a fake backend directly — the shard-local half of
+// catching up to a fleet publish it missed.
 func reloadBackend(t *testing.T, b *fakeBackend) {
 	t.Helper()
 	resp, err := http.Post(b.srv.URL+"/v1/models/reload", "application/json", strings.NewReader(`{}`))
@@ -422,7 +423,7 @@ func TestAnnounceEndpoint(t *testing.T) {
 		t.Fatalf("non-http scheme accepted: %d %s", resp.StatusCode, out)
 	}
 
-	// A live announce joins (committed epoch is 0 → immediate converge).
+	// A live announce joins, on the ring at once (nothing committed yet).
 	shard := newFakeBackend("announced")
 	defer shard.srv.Close()
 	resp, out := post(fmt.Sprintf(`{"url":%q,"epoch":1,"capacity":2}`, shard.srv.URL))

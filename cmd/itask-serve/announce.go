@@ -18,9 +18,9 @@ import (
 // announce.go: the shard side of the gateway's lease-based membership.
 // With -announce, itask-serve registers itself against the gateway's
 // POST /v1/announce endpoint and keeps the lease alive by re-announcing on
-// a jittered heartbeat. Each announce carries the shard's current registry
-// epoch (from the backend's RouteEpoch), so the gateway can gate routing on
-// epoch convergence after a fleet-wide reload. On SIGTERM the shard
+// a jittered heartbeat. Each announce carries the shard's route epoch, the
+// identity of the content its registry serves, so the gateway routes to it
+// only while that is the fleet's committed content. On SIGTERM the shard
 // deregisters (DELETE /v1/announce) before draining, so the gateway stops
 // routing to it immediately instead of discovering the loss through a lease
 // expiry.
@@ -40,7 +40,7 @@ type announcer struct {
 	// heartbeat is the renewal cadence: a second until the first ack, then a
 	// third of the granted lease. Only the run loop touches it.
 	heartbeat time.Duration
-	epoch     func() uint64 // current registry epoch, sent with each announce
+	epoch     func() uint64 // current route epoch, sent with each announce
 	hc        *http.Client
 	logf      func(format string, args ...any)
 
@@ -164,8 +164,8 @@ func (a *announcer) announceOnce(ctx context.Context) error {
 }
 
 // deregister removes this shard from the gateway's membership (graceful
-// leave). A 404 — the lease already expired or the shard never converged —
-// counts as success: either way the gateway is no longer routing here.
+// leave). A 404 — the lease already expired — counts as success: either
+// way the gateway is no longer routing here.
 func (a *announcer) deregister(ctx context.Context) error {
 	u := a.gateway + "/v1/announce?url=" + url.QueryEscape(a.self)
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, u, nil)

@@ -30,8 +30,8 @@ type taskHealth struct {
 }
 
 // healthReport is the /healthz response body. Epoch is the shard's route
-// epoch (its registry snapshot sequence), present on 200 and 503 alike: the
-// gateway's prober reads it here.
+// epoch (its registry's content identity), present on 200 and 503 alike:
+// the gateway's prober reads it here.
 type healthReport struct {
 	Status string                `json:"status"`
 	Epoch  uint64                `json:"epoch"`

@@ -20,13 +20,16 @@
 //	                         name's newest version checksum-verified; a flat
 //	                         directory reloads teacher.ckpt. The new versions
 //	                         route before the answer, which carries "epoch",
-//	                         the registry snapshot sequence /healthz reports
+//	                         the route epoch /healthz reports
 //	GET  /healthz            per-task health from the per-lane breaker
 //	                         states: 200 "ok", 200 "degraded" while open
 //	                         lanes still have a healthy fallback, 503 once a
 //	                         task has every lane open with no healthy
 //	                         fallback, 503 when draining; the body always
-//	                         carries "epoch", the registry snapshot sequence
+//	                         carries "epoch", the route epoch: the content
+//	                         identity of the registry (a hash of each routable
+//	                         model's name and checksum), equal on shards that
+//	                         loaded the same bytes
 //	GET  /metricsz           serving metrics snapshot (latency percentiles,
 //	                         throughput, queue depth, shed/reject/fault
 //	                         counters, per-lane breaker states, per-version
@@ -74,9 +77,9 @@
 // profiling enabled, for inspecting lock contention under load.
 // -announce joins an itask-gateway's lease-based fleet membership: the
 // shard registers with POST /v1/announce once it is listening, renews every
-// third of the lease the gateway grants, jittered (carrying its registry
-// epoch so the gateway can gate routing on epoch convergence), and
-// deregisters before draining on SIGTERM. -advertise overrides the self URL sent to the gateway, for
+// third of the lease the gateway grants, jittered (carrying its route
+// epoch, so the gateway routes to it only while it serves the fleet's
+// committed content), and deregisters before draining on SIGTERM. -advertise overrides the self URL sent to the gateway, for
 // when the listen address is not what peers should dial (NAT, 0.0.0.0).
 //
 // Example:
@@ -370,14 +373,15 @@ func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
 	wire.WriteJSON(w, code, rep)
 }
 
-// routeEpoch is the backend's route epoch (its registry snapshot sequence),
-// reported by /healthz and a reload's answer and sent with every announce;
-// 0 when it has none.
+// routeEpoch names the content the shard serves (the registry snapshot's
+// Identity), reported by /healthz and a reload's answer and sent with every
+// announce; 0 without a pipeline. The serve layer's RouteEpoch stays the
+// snapshot sequence: its route memo must move on every swap.
 func (h *handler) routeEpoch() uint64 {
-	if re, ok := h.backend.(serve.RouteEpocher); ok {
-		return re.RouteEpoch()
+	if h.pipe == nil {
+		return 0
 	}
-	return 0
+	return h.pipe.Registry().Snapshot().Identity()
 }
 
 // fallbackFor reports the degraded-configuration variant that could serve a
@@ -434,6 +438,9 @@ func (h *handler) reload(w http.ResponseWriter, r *http.Request) {
 	}
 	if loaded == nil {
 		loaded = []string{}
+	}
+	if skipped == nil {
+		skipped = []string{}
 	}
 	wire.WriteJSON(w, http.StatusOK, map[string]any{"reloaded": loaded, "skipped": skipped, "epoch": h.routeEpoch()})
 }

@@ -38,7 +38,8 @@ func writeVersion(t *testing.T, root, name, kind, task, file string, save func(s
 
 // POST /v1/models/reload over a registry layout hot-swaps the teacher and
 // the defined task's student (checksum-verified), skips derived artifacts,
-// answers with the route epoch /healthz then reports, and leaves the
+// answers with the route epoch /healthz then reports — the registry's
+// content identity, which a reload of the same bytes keeps — and leaves the
 // pipeline serving; /healthz reports ok until drain.
 func TestReloadFromRegistryLayout(t *testing.T) {
 	opts := itask.DefaultOptions()
@@ -111,9 +112,29 @@ func TestReloadFromRegistryLayout(t *testing.T) {
 	}
 	// The body carries the route epoch the gateway's prober reads — on 200
 	// and on 503 alike.
-	epoch := backend.(serve.RouteEpocher).RouteEpoch()
+	epoch := pipe.Registry().Snapshot().Identity()
 	if epoch == 0 || rep.Epoch != epoch || resp.Epoch != epoch {
-		t.Errorf("healthz epoch = %d, reload answered %d, want the registry sequence %d (> 0 after a reload)", rep.Epoch, resp.Epoch, epoch)
+		t.Errorf("healthz epoch = %d, reload answered %d, want the registry's content identity %d (> 0 after a reload)", rep.Epoch, resp.Epoch, epoch)
+	}
+
+	// Reloading the same bytes, with nothing left to skip, swaps every
+	// snapshot again (the serve layer's route memo moves) but keeps the route
+	// epoch, and the answer lists no skips as [], not null.
+	if err := os.RemoveAll(filepath.Join(dir, "generalist-q8")); err != nil {
+		t.Fatal(err)
+	}
+	seq := backend.(serve.RouteEpocher).RouteEpoch()
+	rec = httptest.NewRecorder()
+	h.reload(rec, httptest.NewRequest(http.MethodPost, "/v1/models/reload", strings.NewReader("")))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"skipped":[]`) {
+		t.Fatalf("same-bytes reload: status = %d body = %s, want 200 with \"skipped\":[]", rec.Code, rec.Body)
+	}
+	resp.Epoch = 0
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Epoch != epoch {
+		t.Errorf("same-bytes reload answered epoch %d (err %v), want %d as before", resp.Epoch, err, epoch)
+	}
+	if got := backend.(serve.RouteEpocher).RouteEpoch(); got <= seq {
+		t.Errorf("same-bytes reload left the route memo's sequence at %d, was %d", got, seq)
 	}
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)

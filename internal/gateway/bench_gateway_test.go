@@ -53,7 +53,10 @@ func (n *capNode) Detect(ctx context.Context, _ serve.Request) (serve.Result, er
 //
 // The expected shape: all variants move ~the same work, but single's p99 is
 // dominated by queueing on the hot shard while the others spread the head
-// and flatten the tail (recorded in BENCH_gateway.json).
+// and flatten the tail. It is a hand-run check (go test -run '^$'
+// -bench GatewayFanout ./internal/gateway/); the live benchmark's
+// fleet_zipf workload carries the same policy's gateway.spill_share and
+// gateway.shard_imbalance.
 func BenchmarkGatewayFanout(b *testing.B) {
 	for _, tc := range []struct {
 		name    string

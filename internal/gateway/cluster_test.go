@@ -1,9 +1,12 @@
 package gateway_test
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,13 +28,16 @@ func img(i int) *tensor.Tensor {
 
 // fakeNode is an in-memory shard implementing every gateway node interface:
 // detection (attributing results to its current model version), health
-// reads with route epochs, and publishes. A publish takes applyDelay, then
-// activates before it answers, as every real node's does.
+// reads with route epochs, and publishes. Its epoch names its content, as a
+// real shard's does: version "vN" is epoch N, whatever the history behind
+// it. A publish takes applyDelay, then activates before it answers, as
+// every real node's does.
 type fakeNode struct {
 	id string
 
 	applyDelay time.Duration
 	applyErr   error
+	applyAs    string // non-empty: a publish activates this version instead (other bytes on disk)
 
 	mu      sync.Mutex
 	down    bool
@@ -99,8 +105,8 @@ func (n *fakeNode) Publish(_ context.Context, payload any) (uint64, error) {
 	time.Sleep(n.applyDelay)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.version = payload.(string)
-	n.epoch++
+	n.version = cmp.Or(n.applyAs, payload.(string))
+	n.epoch, _ = strconv.ParseUint(strings.TrimPrefix(n.version, "v"), 10, 64)
 	return n.epoch, nil
 }
 

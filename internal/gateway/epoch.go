@@ -10,37 +10,44 @@ import (
 )
 
 // epoch.go: cluster-wide model publishes. Each shard carries its own
-// versioned model registry; the registry snapshot sequence is the shard's
-// route epoch. A publish applied shard-by-shard with nothing watching would
-// let shard A serve model v2 while shard B still serves v1 for as long as B
-// takes — clients behind the gateway would see version flapping keyed by
-// which shard their frame hashes to. Propagate bounds that window and makes
-// it observable, with one algorithm:
+// versioned model registry, and its route epoch names the content that
+// registry serves (registry.Snapshot.Identity: a hash of the name and
+// checksum of each routable name's newest version), not how many times it
+// swapped. Shards that loaded the same bytes report the same epoch — after
+// a restart, on a fresh machine, after a reload of an unchanged directory —
+// and shards that serve different bytes report different ones.
+//
+// A publish applied shard-by-shard with nothing watching would let shard A
+// serve model v2 while shard B still serves v1 for as long as B takes —
+// clients behind the gateway would see version flapping keyed by which
+// shard their frame hashes to. Propagate bounds that window and makes it
+// observable, with one algorithm:
 //
 //   - the publish is validated once, at the gateway, before any member is
 //     touched — one without a payload, or for a fleet with a member that
 //     cannot take it, is refused with the fleet unchanged;
-//   - it is applied on every member with a converged live lease,
-//     concurrently — on the ring or off it for its epoch, so a member left
-//     behind by one publish can catch up on the next. Each apply is one
-//     synchronous exchange whose answer is the member's resulting epoch;
-//   - the committed epoch — the fleet highwater every member is compared
-//     against — advances to the highest epoch any member reported, and in
-//     the same step each member's apply result becomes its last report.
-//     Propagate then returns, naming every member whose apply failed or
-//     reported an epoch below the committed one.
+//   - it is applied on every live member, concurrently — on the ring or off
+//     it for its epoch, so a member left behind by one publish, restarted
+//     or added since, catches up on the next. Each apply is one synchronous
+//     exchange whose answer is the member's resulting epoch;
+//   - the committed epoch becomes the value most applies answered (a tie
+//     goes to the value of the lowest member id), and in the same step each
+//     apply's answer becomes that member's last report. Propagate then
+//     returns, naming every member whose apply failed or answered another
+//     value.
 //
-// Every member stores one epoch, its last report — from its own heartbeat,
-// the prober or an apply; a lower report replaces a higher one. A member
-// whose report is below the committed epoch — its apply failed, it
-// rebooted with stale models — fails the routable rule and is off the ring
-// until some report shows it caught up. Staleness is a routing condition,
-// not a silent wrong answer, and a member that never converges costs the
-// fleet its capacity, not its consistency.
+// Every member stores one epoch, its last report — from its announce or
+// heartbeat, the prober or an apply. routable admits a member only while
+// that report is the committed epoch, so a member whose apply failed, or
+// that serves other bytes, is off the ring until a report shows the
+// committed content. Staleness is a routing condition, not a silent wrong
+// answer, and a member that never converges costs the fleet its capacity,
+// not its consistency.
 //
 // Demoting or rolling back a version is each shard's own business
-// (Pipeline.RollbackModel, the serve.VariantHealthSink auto-rollback): only
-// a publish crosses the fleet.
+// (Pipeline.RollbackModel, the serve.VariantHealthSink auto-rollback), and
+// it leaves the shard's epoch, and so its place on the ring, as it was:
+// only a publish crosses the fleet.
 
 // ChangeApplier is implemented by nodes that take a fleet-wide publish:
 // Publish activates the payload (what the node understands as a model
@@ -51,17 +58,17 @@ type ChangeApplier interface {
 	Publish(ctx context.Context, payload any) (uint64, error)
 }
 
-// Propagate publishes payload on every member with a converged live lease
-// and returns the cluster's new committed epoch. A member whose apply fails,
-// or reports an epoch below the committed one, is named in the returned
-// error and left behind the committed epoch — off the ring until it reports
-// having caught up. When no member took the publish, nothing is committed.
+// Propagate publishes payload on every live member and returns the epoch it
+// committed: the one most applies answered. A member whose apply fails, or
+// answers another epoch, is named in the returned error and is off the ring
+// until it reports the committed one. When no member took the publish,
+// nothing is committed.
 func (g *Gateway) Propagate(ctx context.Context, payload any) (uint64, error) {
 	if payload == nil {
 		return 0, errors.New("gateway: publish needs a payload")
 	}
 	g.mu.Lock()
-	shards := g.membersLocked(member.State.Routable)
+	shards := g.membersLocked(member.State.Live)
 	g.mu.Unlock()
 	if len(shards) == 0 {
 		return 0, ErrNoNodes
@@ -87,30 +94,39 @@ func (g *Gateway) Propagate(ctx context.Context, payload any) (uint64, error) {
 		}(i, m)
 	}
 	wg.Wait()
-	var epoch uint64
-	for _, ep := range epochs {
-		epoch = max(epoch, ep)
+	// The plurality answer; shards are in id order, so a tie goes to the
+	// lowest id's answer.
+	votes := map[uint64]int{}
+	for i, err := range errs {
+		if err == nil {
+			votes[epochs[i]]++
+		}
 	}
-	if epoch == 0 {
+	var epoch uint64
+	top := 0
+	for i, err := range errs {
+		if err == nil && votes[epochs[i]] > top {
+			epoch, top = epochs[i], votes[epochs[i]]
+		}
+	}
+	if top == 0 {
 		return 0, errors.Join(errs...)
 	}
-	// Commit: raise the committed epoch (monotonically) and take each apply
-	// result as that member's report, in one step, so the ring never sees
-	// the new epoch without the reports that satisfy it.
+	// Commit: the new epoch and each apply's answer as that member's report,
+	// in one step, so the ring never sees the one without the other.
 	g.mu.Lock()
-	committed := max(epoch, g.committedEpoch.Load())
-	g.committedEpoch.Store(committed)
+	g.committedEpoch.Store(epoch)
 	for i, m := range shards {
 		if errs[i] != nil {
 			continue
 		}
-		g.rules.Report(&m.rec, epochs[i], committed)
-		if epochs[i] < committed {
-			errs[i] = fmt.Errorf("%s reported epoch %d after the publish, behind the committed %d", m.id, epochs[i], committed)
+		m.epoch = epochs[i]
+		if epochs[i] != epoch {
+			errs[i] = fmt.Errorf("%s answered epoch %d after the publish, not the committed %d", m.id, epochs[i], epoch)
 		}
 	}
 	g.rebuildLocked()
 	g.mu.Unlock()
 	g.m[cPropagates].Add(1)
-	return committed, errors.Join(errs...)
+	return epoch, errors.Join(errs...)
 }

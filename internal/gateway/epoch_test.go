@@ -3,6 +3,7 @@ package gateway_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -79,12 +80,13 @@ func TestPropagateWaitsForSlowestMember(t *testing.T) {
 	}
 }
 
-// A member whose apply succeeds but reports an epoch below the committed
-// one (its registry was behind the fleet's) is named in Propagate's error at
-// once, not when the context ends; it is lagging, and the rest serve.
-func TestPropagateNamesMemberReportingBelowCommitted(t *testing.T) {
+// A member whose apply succeeds but answers other content than most of the
+// fleet (its models directory holds other bytes) is named in Propagate's
+// error at once, not when the context ends; it is lagging, and the rest
+// serve the committed version.
+func TestPropagateNamesDissentingMember(t *testing.T) {
 	a, b, c := newFakeNode("shard-a"), newFakeNode("shard-b"), newFakeNode("shard-c")
-	c.epoch = 0
+	c.applyAs = "v3"
 	g := newTestGateway(t, passiveConfig(), a, b, c)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -101,8 +103,8 @@ func TestPropagateNamesMemberReportingBelowCommitted(t *testing.T) {
 		t.Fatalf("committed epoch = %d/%d, want 2", ep, g.CommittedEpoch())
 	}
 	for _, ns := range g.Snapshot().Nodes {
-		if ns.Lagging != (ns.ID == "shard-c") {
-			t.Fatalf("%s lagging = %v", ns.ID, ns.Lagging)
+		if ns.Lagging != (ns.ID == "shard-c") || (ns.Weight == 0) != ns.Lagging {
+			t.Fatalf("%s lagging = %v at weight %g", ns.ID, ns.Lagging, ns.Weight)
 		}
 	}
 	for i := 0; i < 60; i++ {
@@ -110,6 +112,42 @@ func TestPropagateNamesMemberReportingBelowCommitted(t *testing.T) {
 		if err != nil || res.Node == "shard-c" || res.Model != "v2" {
 			t.Fatalf("detect beside a lagging shard-c = {%s %s %v}, want v2 from a or b", res.Node, res.Model, err)
 		}
+	}
+}
+
+// The committed epoch is the answer most applies gave, whatever its value
+// or its members' ids; a tie goes to the answer of the lowest member id.
+func TestPropagateCommitsThePluralityAnswer(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		nodes     int
+		dissenter string
+		want      uint64
+	}{
+		{"the lowest id dissents, two against one", 3, "shard-0", 2},
+		{"one against one", 2, "shard-0", 9},
+		{"one against one, the other way", 2, "shard-1", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var nodes []gateway.Node
+			for i := 0; i < tc.nodes; i++ {
+				n := newFakeNode(fmt.Sprintf("shard-%d", i))
+				if n.id == tc.dissenter {
+					n.applyAs = "v9"
+				}
+				nodes = append(nodes, n)
+			}
+			g := newTestGateway(t, passiveConfig(), nodes...)
+			ep, err := g.Propagate(context.Background(), "v2")
+			if ep != tc.want || err == nil {
+				t.Fatalf("Propagate = (%d, %v), want (%d, an error naming the other)", ep, err, tc.want)
+			}
+			for _, ns := range g.Snapshot().Nodes {
+				if named := strings.Contains(err.Error(), ns.ID); ns.Lagging != (ns.Epoch != tc.want) || named != ns.Lagging {
+					t.Fatalf("%s at epoch %d: lagging %v, named %v in %v", ns.ID, ns.Epoch, ns.Lagging, named, err)
+				}
+			}
+		})
 	}
 }
 
@@ -161,7 +199,7 @@ func TestPropagateAllAppliesFailCommitsNothing(t *testing.T) {
 // A member whose apply fails is out of sync with a publish the rest of the
 // fleet took: it ends lagging and excluded from routing — clients never
 // read the old version from it — then rejoins once the prober observes it
-// at the committed epoch.
+// serving the committed content.
 func TestFailedApplyMarksLaggingAndRecovers(t *testing.T) {
 	a, b, c := newFakeNode("shard-a"), newFakeNode("shard-b"), newFakeNode("shard-c")
 	b.applyErr = errors.New("registry wedged")
@@ -206,8 +244,8 @@ func TestFailedApplyMarksLaggingAndRecovers(t *testing.T) {
 		t.Fatal("shard-b missing from snapshot")
 	}
 
-	// The wedged shard recovers (catches up to the committed epoch); the
-	// prober notices and routing readmits it.
+	// The wedged shard recovers (loads the committed content); the prober
+	// notices and routing readmits it.
 	b.setEpochAndVersion(ep, "v2")
 	deadline := time.Now().Add(2 * time.Second)
 	for {

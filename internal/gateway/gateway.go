@@ -9,12 +9,13 @@
 //   - Membership: the fleet is dynamic, and every member has exactly one
 //     record (ring.go's shard: node handle, lease state, last reported
 //     epoch, health atomics) in one map under one mutex. Shards announce
-//     themselves and renew heartbeat leases (Announce/Renew); the lifecycle
-//     rules — joining until converged to the committed epoch, a slow-start
-//     weight ramp, suspect→expired on missed renewals, graceful Leave — are
-//     internal/member's pure state machine over that record. A static seed
-//     list (AddNode) still works and can mix with leased members. One rule
-//     (routable) decides who may receive new work.
+//     themselves and renew heartbeat leases (Announce/Renew); the lease
+//     rules — a slow-start weight ramp from the grant, suspect→expired on
+//     missed renewals, graceful Leave — are internal/member's pure state
+//     machine over that record, which knows no epochs. A static seed list
+//     (AddNode) still works and can mix with leased members. One rule
+//     (routable) decides who may receive new work, and it is the only place
+//     a reported epoch is compared.
 //   - Placement (ring.go): a consistent-hash ring with virtual nodes.
 //     Requests route by the rcache content digest of their image (requests
 //     without a digestable image fall back to a task key, keeping a task's
@@ -39,12 +40,14 @@
 //     request, full-jitter backoff and Retry-After honor space the retries,
 //     and a fleet-wide token-bucket retry budget keeps a flapping shard
 //     from amplifying into a retry storm.
-//   - Epochs (epoch.go): a model publish propagates through the gateway:
-//     validated once, then applied on every member in one synchronous
-//     exchange each, whose answer is the member's new epoch; the highest
-//     answer becomes the committed epoch. A member whose last reported
-//     epoch is behind the committed epoch is off the ring until it reports
-//     having caught up.
+//   - Epochs (epoch.go): a member's route epoch names the content it serves
+//     (registry.Snapshot.Identity), so shards that loaded the same bytes
+//     report the same epoch however many reloads each took. A model publish
+//     is validated once, then applied on every live member in one
+//     synchronous exchange each, whose answer is the member's new epoch;
+//     the value most members answered becomes the committed epoch. A member
+//     whose last report differs from it is off the ring until it reports
+//     the committed one.
 //
 // The package is transport-agnostic: a Node is any handle with an ID, and
 // the request path works through Execute's callback, so in-process fleets
@@ -88,9 +91,9 @@ type DetectNode interface {
 // are. Health is one exchange with the node, read two ways: down is nil for
 // a live node, and otherwise counts toward ejection exactly like a request
 // failure (nil clears failure accounting and lifts an ejection early); epoch
-// is the node's routing epoch (for the pipeline backend, the registry
-// snapshot sequence), valid when hasEpoch — whenever the node answered with
-// one, down or not. The prober takes both readings.
+// is the node's route epoch (for the pipeline backend, the registry
+// snapshot's content identity), valid when hasEpoch — whenever the node
+// answered with one, down or not. The prober takes both readings.
 type HealthNode interface {
 	Health(ctx context.Context) (epoch uint64, hasEpoch bool, down error)
 }
@@ -208,9 +211,9 @@ type Config struct {
 	// suspect (still routable — the grace part of the lease). 0 derives
 	// LeaseTTL/3.
 	SuspectAfter time.Duration
-	// RampWindows is the slow-start span: a newly converged member's
-	// routing weight climbs 1/N, 2/N, … 1 over its first N renewals. 0
-	// defaults to 4; 1 disables the ramp.
+	// RampWindows is the slow-start span: a newly leased member's routing
+	// weight climbs 1/N, 2/N, … 1 over its first N renewals. 0 defaults to
+	// 4; 1 disables the ramp.
 	RampWindows int
 	// SweepInterval is how often the lease sweeper advances suspect/expiry
 	// timers. 0 defaults to LeaseTTL/4 (min 10ms).
@@ -319,15 +322,15 @@ type Gateway struct {
 	rules  member.Rules
 
 	// mu guards members — every announced member's one record, routable or
-	// not — and each record's rec and vnodes; it also orders commits of the
-	// epoch against epoch reports. The ring published from them is
+	// not — and each record's rec, epoch and vnodes; it also orders commits
+	// of the epoch against epoch reports. The ring published from them is
 	// copy-on-write, so the request path reads it lock-free.
 	mu      sync.Mutex
 	members map[string]*shard
 	ring    atomic.Pointer[ringState]
 
-	// committedEpoch is the highest epoch Propagate has driven the cluster
-	// to. Written under mu.
+	// committedEpoch is the content identity the last Propagate committed
+	// (0: nothing committed yet). Written under mu.
 	committedEpoch atomic.Uint64
 
 	// p2cSeq derandomizes power-of-two-choices pair selection: it is cheap,
@@ -400,19 +403,17 @@ func (g *Gateway) Close() {
 const afterEjections = math.MaxInt64
 
 // routable is the gateway's one answer to "may this member receive new work
-// at now": its lease is live and converged, its last reported epoch has
-// reached the committed epoch, and it is not ejected. The ring is this rule
-// published — rebuildLocked runs after every change to a record or to the
-// committed epoch and keeps exactly the members the rule accepts — so
-// Execute, which reads the ring lock-free, re-checks only the clause that
-// changes with time alone (ejected). Callers hold g.mu.
+// at now": its lease is live, it last reported the committed epoch (or
+// nothing is committed yet), and it is not ejected. It is the only place a
+// reported epoch is compared. The ring is this rule published —
+// rebuildLocked runs after every change to a record or to the committed
+// epoch and keeps exactly the members the rule accepts — so Execute, which
+// reads the ring lock-free, re-checks only the clause that changes with
+// time alone (ejected). Callers hold g.mu.
 func (g *Gateway) routable(s *shard, nowNanos int64) bool {
-	return s.rec.State.Routable() && !g.lagging(s) && !s.ejected(nowNanos)
+	c := g.committedEpoch.Load()
+	return s.rec.State.Live() && (c == 0 || s.epoch == c) && !s.ejected(nowNanos)
 }
-
-// lagging reports whether the member's last report is behind the committed
-// epoch. Callers hold g.mu.
-func (g *Gateway) lagging(s *shard) bool { return s.rec.Epoch < g.committedEpoch.Load() }
 
 // rebuildLocked republishes the ring if any member's share of it changed:
 // every routable member at its weight-scaled vnode count, nobody else.
@@ -426,8 +427,8 @@ func (g *Gateway) rebuildLocked() {
 			// At least one point, so a warming member is reachable at all.
 			n = max(1, int(g.rules.Weight(&s.rec)*float64(g.cfg.VirtualNodes)+0.5))
 			on = append(on, s)
-		} else if s.vnodes > 0 && s.rec.State.Routable() {
-			g.m[cEpochDrift].Add(1) // a live lease fell off the ring: its epoch is behind
+		} else if s.vnodes > 0 && s.rec.State.Live() {
+			g.m[cEpochDrift].Add(1) // a live lease fell off the ring: its epoch left the committed one
 		}
 		if n != s.vnodes {
 			s.vnodes, changed = n, true
@@ -446,22 +447,22 @@ func (g *Gateway) rebuildLocked() {
 func (g *Gateway) AddNode(n Node) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	_, err := g.announceLocked(n, member.Meta{Static: true, Epoch: g.committedEpoch.Load()})
+	_, err := g.announceLocked(n, member.Meta{Static: true}, g.committedEpoch.Load())
 	return err
 }
 
-// Announce registers a leased member (or renews a live one — re-announce is
-// a heartbeat). The member becomes routable only once its epoch has
-// converged to the cluster's committed registry epoch, and then ramps up
-// under slow-start. A re-announce of an expired or left member is a rejoin:
-// it restarts the converge→warm cycle with fresh health accounting.
-func (g *Gateway) Announce(n Node, meta member.Meta) (member.Entry, error) {
+// Announce registers a leased member reporting epoch (or renews a live one —
+// re-announce is a heartbeat). The lease ramps up under slow-start from the
+// grant; the member is on the ring whenever its last report is the
+// committed epoch. A re-announce of an expired or left member is a rejoin:
+// a fresh ramp with fresh health accounting.
+func (g *Gateway) Announce(n Node, meta member.Meta, epoch uint64) (member.Entry, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.announceLocked(n, meta)
+	return g.announceLocked(n, meta, epoch)
 }
 
-func (g *Gateway) announceLocked(n Node, meta member.Meta) (member.Entry, error) {
+func (g *Gateway) announceLocked(n Node, meta member.Meta, epoch uint64) (member.Entry, error) {
 	if n == nil || n.ID() == "" {
 		return member.Entry{}, errors.New("gateway: node must have a non-empty ID")
 	}
@@ -471,15 +472,15 @@ func (g *Gateway) announceLocked(n Node, meta member.Meta) (member.Entry, error)
 		if meta.Static {
 			return member.Entry{}, fmt.Errorf("gateway: duplicate node id %q", id)
 		}
-		return g.renewLocked(s, meta)
+		return g.renewLocked(s, meta, epoch)
 	}
 	// First sight or a new incarnation: a fresh record, so fresh health
 	// accounting too.
-	rec, err := g.rules.Join(meta, g.committedEpoch.Load())
+	rec, err := g.rules.Join(meta)
 	if err != nil {
 		return member.Entry{}, err
 	}
-	s = &shard{node: n, id: id, rec: rec}
+	s = &shard{node: n, id: id, rec: rec, epoch: epoch}
 	g.members[id] = s
 	if !meta.Static {
 		g.m[cLeasesGranted].Add(1)
@@ -501,13 +502,14 @@ func (g *Gateway) Renew(id string, epoch uint64) (member.Entry, error) {
 	if s == nil {
 		return member.Entry{}, member.ErrUnknown
 	}
-	return g.renewLocked(s, member.Meta{Epoch: epoch})
+	return g.renewLocked(s, member.Meta{}, epoch)
 }
 
-func (g *Gateway) renewLocked(s *shard, meta member.Meta) (member.Entry, error) {
-	if err := g.rules.Renew(&s.rec, meta, g.committedEpoch.Load()); err != nil {
+func (g *Gateway) renewLocked(s *shard, meta member.Meta, epoch uint64) (member.Entry, error) {
+	if err := g.rules.Renew(&s.rec, meta); err != nil {
 		return member.Entry{}, err
 	}
+	s.epoch = epoch
 	if !s.rec.Static {
 		g.m[cRenewals].Add(1)
 	}
@@ -516,11 +518,12 @@ func (g *Gateway) renewLocked(s *shard, meta member.Meta) (member.Entry, error) 
 }
 
 // report records the epoch a member was observed at by the prober as its
-// last report, exactly as its own heartbeat would.
+// last report, exactly as its own heartbeat would, without touching its
+// lease.
 func (g *Gateway) report(s *shard, epoch uint64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.rules.Report(&s.rec, epoch, g.committedEpoch.Load())
+	s.epoch = epoch
 	g.rebuildLocked()
 }
 
@@ -902,8 +905,8 @@ func (g *Gateway) Detect(ctx context.Context, req serve.Request) (Result, error)
 	return Result{Result: res, Node: info.Node, Attempts: info.Attempts, Hot: info.Hot}, err
 }
 
-// CommittedEpoch is the highest registry epoch the whole cluster has been
-// driven to by Propagate.
+// CommittedEpoch is the content identity the last Propagate committed, 0
+// before any.
 func (g *Gateway) CommittedEpoch() uint64 { return g.committedEpoch.Load() }
 
 // Snapshot returns the gateway's metrics and per-member status, including
@@ -934,16 +937,20 @@ func (g *Gateway) Snapshot() Snapshot {
 	all := g.membersLocked(func(member.State) bool { return true })
 	snap.Nodes = make([]NodeStatus, len(all))
 	for i, s := range all {
+		var weight float64
+		if s.vnodes > 0 { // on the ring: routable but for ejection
+			weight = g.rules.Weight(&s.rec)
+		}
 		snap.Nodes[i] = NodeStatus{
 			ID:       s.id,
 			State:    s.rec.State.String(),
-			Weight:   g.rules.Weight(&s.rec),
+			Weight:   weight,
 			InFlight: s.inflight.Load(),
 			Served:   s.served.Load(),
 			Failures: s.failures.Load(),
 			Ejected:  s.ejected(now),
-			Lagging:  s.rec.State.Live() && g.lagging(s),
-			Epoch:    s.rec.Epoch,
+			Lagging:  weight == 0 && s.rec.State.Live(),
+			Epoch:    s.epoch,
 		}
 	}
 	return snap

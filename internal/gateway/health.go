@@ -17,16 +17,16 @@ import (
 //     skips ejected members, so their key ranges fall through to ring
 //     successors — while the in-flight requests that discovered the death
 //     retry on the successor and succeed.
-//   - Active: a background loop probes every live member (routable or
+//   - Active: a background loop probes every live member (on the ring or
 //     not) each ProbeInterval, one HealthNode.Health call per member. A
 //     probe failure counts exactly like a request failure (a quiet node can
 //     die without traffic noticing), a probe success clears the count and
 //     lifts an ejection early. The same answer carries the member's route
 //     epoch, recorded as its last report (Gateway.report), so a shard that
-//     missed a publish drops off the ring and a joining or lagging one is
-//     admitted as soon as it catches up, without waiting for its own next
-//     heartbeat (the heartbeat still owns the lease — observations never
-//     extend it).
+//     changed its content drops off the ring and a lagging one is admitted
+//     as soon as it serves the committed content again, without waiting for
+//     its own next heartbeat (the heartbeat still owns the lease —
+//     observations never extend it).
 //
 // Ejection is deliberately time-bounded (EjectFor): with no prober, a
 // passively ejected member rejoins on expiry and the next failure re-ejects

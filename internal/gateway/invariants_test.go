@@ -14,14 +14,17 @@ import (
 
 // invariants_test.go: the membership state machines — lease, epoch, ring —
 // driven through random operation sequences from a seed, with the fleet's
-// invariants checked after every step. A failure prints the sequence's seed
+// invariants checked after every step: the ring is exactly the live leases
+// whose last report is the committed epoch (or every live lease, before any
+// commit). A failure prints the sequence's seed
 // and its operations so far; put the seed in replaySeed to run it alone.
 
 // replaySeed, when non-zero, runs that one sequence instead of fresh ones.
 const replaySeed uint64 = 0
 
-// simNode is a shard with a settable route epoch and an apply that can fail.
-// The simulation is single-threaded, so it needs no lock.
+// simNode is a shard with a settable route epoch — the identity of the
+// content it serves — and an apply that can fail. The simulation is
+// single-threaded, so it needs no lock.
 type simNode struct {
 	id        string
 	epoch     uint64
@@ -34,7 +37,7 @@ func (n *simNode) Publish(_ context.Context, payload any) (uint64, error) {
 	if n.failApply {
 		return 0, errors.New("apply refused")
 	}
-	n.epoch = payload.(uint64) // the fleet's registries move in step
+	n.epoch = payload.(uint64) // every apply loads the same bytes
 	return n.epoch, nil
 }
 
@@ -50,7 +53,8 @@ func TestMembershipInvariantsRandomSequences(t *testing.T) {
 		runMembershipSequence(t, base+i, seen)
 	}
 	// The sequences must have reached the states the invariants are about.
-	for _, what := range []string{"joining", "suspect", "expired", "left", "lagging with a live lease", "ramp grew", "publish taken"} {
+	for _, what := range []string{"suspect", "expired", "left", "lagging with a live lease", "ramp grew",
+		"publish taken", "publish reached a lagging member", "restart", "local publish"} {
 		if seen[what] == 0 {
 			t.Errorf("base seed %d: 1000 sequences never produced: %s (saw %v)", base, what, seen)
 		}
@@ -76,6 +80,7 @@ func runMembershipSequence(t *testing.T, seed uint64, seen map[string]int) {
 	nodes := make([]*simNode, 1+rng.IntN(5))
 	static := map[string]bool{}
 	reported := map[string]uint64{} // the model: each announced id's last report
+	var committed uint64            // the model: the last publish's epoch
 	var trace []string
 	logf := func(format string, args ...any) { trace = append(trace, fmt.Sprintf(format, args...)) }
 	for i := range nodes {
@@ -88,18 +93,31 @@ func runMembershipSequence(t *testing.T, seed uint64, seen map[string]int) {
 		static["m0"], reported["m0"] = true, 0
 		logf("static m0")
 	}
-	// near picks an epoch at, above or below the committed one.
+	// near picks an epoch at, above or below the committed one; fresh one
+	// no member serves.
 	near := func() uint64 {
-		return max(g.CommittedEpoch()+uint64(rng.IntN(3)), 1) - 1
+		return max(committed+uint64(rng.IntN(3)), 1) - 1
 	}
+	fresh := func() uint64 {
+		e := committed
+		for _, m := range nodes {
+			e = max(e, m.epoch)
+		}
+		return e + 1
+	}
+	onRing := func(id string) bool {
+		_, on := g.ring.Load().byID[id]
+		return on
+	}
+	lagging := func(id string) bool { return committed != 0 && reported[id] != committed }
 	points := map[string]int{} // ring points at the previous step, per incarnation
 
 	for step := 0; step < 24; step++ {
 		n := nodes[rng.IntN(len(nodes))]
-		switch op := rng.IntN(10); {
+		switch op := rng.IntN(12); {
 		case op < 2:
 			ep := near()
-			_, err := g.Announce(n, member.Meta{Epoch: ep})
+			_, err := g.Announce(n, member.Meta{}, ep)
 			logf("announce %s@%d: %v", n.id, ep, err)
 			if err == nil {
 				reported[n.id] = ep
@@ -130,15 +148,56 @@ func runMembershipSequence(t *testing.T, seed uint64, seen map[string]int) {
 			for _, s := range live {
 				reported[s.id] = s.node.(*simNode).epoch
 			}
+		case op < 10:
+			// Restart: n's lease lapses while every other member renews at
+			// its last report, then n comes back from the fleet's models.
+			if static[n.id] {
+				logf("restart %s: static, skipped", n.id)
+				break
+			}
+			now = now.Add(600 * time.Millisecond)
+			for id, ep := range reported {
+				if id != n.id {
+					g.Renew(id, ep) // ErrUnknown for a member that is gone: nothing to renew
+				}
+			}
+			now = now.Add(600 * time.Millisecond)
+			g.SweepMembership()
+			if s := g.members[n.id]; s != nil && s.rec.State.Live() {
+				t.Fatalf("seed %d: %s outlived its lease: %v", seed, n.id, s.rec.State)
+			}
+			delete(points, n.id) // a new incarnation ramps afresh
+			n.epoch = committed
+			_, err := g.Announce(n, member.Meta{}, n.epoch)
+			logf("restart %s at the committed epoch %d: %v", n.id, n.epoch, err)
+			if err != nil {
+				t.Fatalf("seed %d: restart: %v", seed, err)
+			}
+			reported[n.id] = n.epoch
+			if !onRing(n.id) {
+				t.Fatalf("seed %d: %s restarted at the committed epoch %d is off the ring\n%s", seed, n.id, committed, strings.Join(trace, "\n"))
+			}
+			seen["restart"]++
+		case op < 11:
+			// Local publish: n loads bytes nobody else serves, with no fleet
+			// publish, and says so on its heartbeat.
+			n.epoch = fresh()
+			_, err := g.Renew(n.id, n.epoch)
+			logf("local publish on %s to %d: %v", n.id, n.epoch, err)
+			if err == nil {
+				reported[n.id] = n.epoch
+				if committed != 0 {
+					if onRing(n.id) {
+						t.Fatalf("seed %d: %s serves other bytes than the committed %d and is on the ring\n%s", seed, n.id, committed, strings.Join(trace, "\n"))
+					}
+					seen["local publish"]++
+				}
+			}
 		default:
 			n.failApply = rng.IntN(3) == 0
-			target := g.CommittedEpoch()
-			for _, m := range nodes {
-				target = max(target, m.epoch)
-			}
-			target++
+			target := fresh()
 			g.mu.Lock()
-			targets := g.membersLocked(member.State.Routable)
+			targets := g.membersLocked(member.State.Live)
 			g.mu.Unlock()
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			ep, err := g.Propagate(ctx, target)
@@ -147,11 +206,19 @@ func runMembershipSequence(t *testing.T, seed uint64, seen map[string]int) {
 			if errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("seed %d: the publish ended on its context\n%s", seed, strings.Join(trace, "\n"))
 			}
+			took := false
 			for _, s := range targets {
 				if sn := s.node.(*simNode); !sn.failApply {
+					if lagging(s.id) {
+						seen["publish reached a lagging member"]++
+					}
 					reported[s.id] = target
+					took = true
 					seen["publish taken"]++
 				}
+			}
+			if took {
+				committed = target
 			}
 			n.failApply = false
 		}
@@ -165,20 +232,24 @@ func runMembershipSequence(t *testing.T, seed uint64, seen map[string]int) {
 		rs := g.ring.Load()
 		nowNanos := time.Now().UnixNano()
 		leased := 0
+		if snap.CommittedEpoch != committed {
+			fail("committed epoch %d, the last publish took %d", snap.CommittedEpoch, committed)
+		}
 		for _, ns := range snap.Nodes {
-			routableState := ns.State == "warming" || ns.State == "active" || ns.State == "suspect"
+			live := ns.State == "warming" || ns.State == "active" || ns.State == "suspect"
 			seen[ns.State]++
-			if routableState && ns.Lagging {
+			if live && ns.Lagging {
 				seen["lagging with a live lease"]++
 			}
-			want := routableState && ns.Epoch >= snap.CommittedEpoch && !ns.Ejected
+			current := snap.CommittedEpoch == 0 || ns.Epoch == snap.CommittedEpoch
+			want := live && current && !ns.Ejected
 			g.mu.Lock()
 			rule := g.routable(g.members[ns.ID], nowNanos)
 			g.mu.Unlock()
-			if _, on := rs.byID[ns.ID]; on != want || rule != want {
+			if on := onRing(ns.ID); on != want || rule != want || (ns.Weight > 0) != want {
 				fail("%s: on ring %v, routable() %v, want %v from %+v at committed %d", ns.ID, on, rule, want, ns, snap.CommittedEpoch)
 			}
-			if ns.Lagging != (ns.State != "expired" && ns.State != "left" && ns.Epoch < snap.CommittedEpoch) {
+			if ns.Lagging != (live && !current) {
 				fail("%s: lagging %v in %+v at committed %d", ns.ID, ns.Lagging, ns, snap.CommittedEpoch)
 			}
 			if ns.Epoch != reported[ns.ID] {

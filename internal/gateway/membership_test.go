@@ -69,12 +69,12 @@ func TestLeaseLifecycleOnRing(t *testing.T) {
 	g := newTestGateway(t, leaseConfig(clk), newFakeNode("static"))
 	n2 := newFakeNode("leased")
 
-	e, err := g.Announce(n2, member.Meta{Addr: "http://leased"})
+	e, err := g.Announce(n2, member.Meta{Addr: "http://leased"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.State != member.StateWarming || e.Weight != 0.5 {
-		t.Fatalf("fresh announce converged to %v/%g, want warming/0.5", e.State, e.Weight)
+		t.Fatalf("fresh announce at %v/%g, want warming/0.5", e.State, e.Weight)
 	}
 	if !nodesOf(g)["leased"] {
 		t.Fatal("warming member missing from ring")
@@ -114,7 +114,7 @@ func TestLeaseLifecycleOnRing(t *testing.T) {
 	}
 
 	// Rejoin: fresh lease, fresh ramp, counted.
-	if e, err = g.Announce(n2, member.Meta{Addr: "http://leased"}); err != nil || e.State != member.StateWarming {
+	if e, err = g.Announce(n2, member.Meta{Addr: "http://leased"}, 0); err != nil || e.State != member.StateWarming {
 		t.Fatalf("rejoin: %+v err=%v", e, err)
 	}
 	if !nodesOf(g)["leased"] {
@@ -144,7 +144,7 @@ func TestGracefulLeave(t *testing.T) {
 	clk := newTestClock()
 	g := newTestGateway(t, leaseConfig(clk), newFakeNode("static"))
 	n2 := newFakeNode("leased")
-	if _, err := g.Announce(n2, member.Meta{}); err != nil {
+	if _, err := g.Announce(n2, member.Meta{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !g.Leave("leased") {
@@ -163,7 +163,7 @@ func TestGracefulLeave(t *testing.T) {
 	if snap.GracefulLeaves != 1 || snap.LeaseExpirations != 0 {
 		t.Fatalf("leave counters: leaves=%d expirations=%d", snap.GracefulLeaves, snap.LeaseExpirations)
 	}
-	if _, err := g.Announce(n2, member.Meta{}); err != nil {
+	if _, err := g.Announce(n2, member.Meta{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if g.Snapshot().Rejoins != 1 {
@@ -171,41 +171,104 @@ func TestGracefulLeave(t *testing.T) {
 	}
 }
 
-// A member announcing behind the cluster's committed registry epoch is
-// admitted but not routable until its epoch converges — a rebooted shard
-// with stale models must not serve old-version traffic.
+// statusOf is one member's row in the gateway snapshot.
+func statusOf(t *testing.T, g *gateway.Gateway, id string) gateway.NodeStatus {
+	t.Helper()
+	for _, ns := range g.Snapshot().Nodes {
+		if ns.ID == id {
+			return ns
+		}
+	}
+	t.Fatalf("%s missing from snapshot", id)
+	return gateway.NodeStatus{}
+}
+
+// Whether an announced member serves is one comparison, its last report
+// against the committed epoch. A member announcing the committed content —
+// a restart, or a new shard loaded from the fleet's models — is on the ring
+// at once, with no publish. One announcing other content holds a warming
+// lease but is off the ring (weight 0, lagging) until it reports the
+// committed epoch: by its own heartbeat, or through the next publish, which
+// reaches it because its lease is live.
 func TestAnnounceGatedOnCommittedEpoch(t *testing.T) {
 	clk := newTestClock()
 	g := newTestGateway(t, leaseConfig(clk), newFakeNode("static"))
+	ctx := context.Background()
 
-	// Drive the committed epoch to 2 (fakeNodes start at epoch 1).
-	if ep, err := g.Propagate(context.Background(), "v2"); err != nil || ep != 2 {
+	// Commit epoch 2 (fakeNodes start at v1, epoch 1).
+	if ep, err := g.Propagate(ctx, "v2"); err != nil || ep != 2 {
 		t.Fatalf("propagate: epoch=%d err=%v", ep, err)
 	}
 
-	stale := newFakeNode("stale") // epoch 1 < committed 2
-	e, err := g.Announce(stale, member.Meta{Epoch: 1})
-	if err != nil || e.State != member.StateJoining {
-		t.Fatalf("stale announce: %+v err=%v, want joining", e, err)
+	fresh := newFakeNode("fresh")
+	fresh.setEpochAndVersion(2, "v2")
+	if e, err := g.Announce(fresh, member.Meta{}, 2); err != nil || e.State != member.StateWarming || !nodesOf(g)["fresh"] {
+		t.Fatalf("announce at the committed epoch: %+v err=%v, on ring %v; want warming on the ring", e, err, nodesOf(g)["fresh"])
 	}
-	if nodesOf(g)["stale"] {
-		t.Fatal("epoch-gated member routable before convergence")
+
+	stale := newFakeNode("stale") // epoch 1, committed 2
+	e, err := g.Announce(stale, member.Meta{}, 1)
+	if err != nil || e.State != member.StateWarming {
+		t.Fatalf("stale announce: %+v err=%v, want a warming lease", e, err)
+	}
+	if ns := statusOf(t, g, "stale"); nodesOf(g)["stale"] || !ns.Lagging || ns.Weight != 0 {
+		t.Fatalf("stale member: on ring %v, status %+v; want off the ring at weight 0, lagging", nodesOf(g)["stale"], ns)
 	}
 
 	// The shard catches up and says so on its next heartbeat.
-	if e, err = g.Renew("stale", 2); err != nil || e.State != member.StateWarming {
-		t.Fatalf("converged renew: %+v err=%v, want warming", e, err)
+	if _, err = g.Renew("stale", 2); err != nil || !nodesOf(g)["stale"] {
+		t.Fatalf("converged renew: err=%v, on ring %v", err, nodesOf(g)["stale"])
 	}
-	if !nodesOf(g)["stale"] {
-		t.Fatal("converged member missing from ring")
+
+	// It loads other bytes on its own and is off the ring again, until the
+	// next publish reaches it and brings it back with the rest.
+	stale.setEpochAndVersion(7, "v7")
+	if _, err = g.Renew("stale", 7); err != nil || nodesOf(g)["stale"] {
+		t.Fatalf("renew at other content: err=%v, on ring %v", err, nodesOf(g)["stale"])
+	}
+	if ep, err := g.Propagate(ctx, "v3"); err != nil || ep != 3 {
+		t.Fatalf("propagate: epoch=%d err=%v", ep, err)
+	}
+	if !nodesOf(g)["stale"] || stale.currentVersion() != "v3" {
+		t.Fatalf("after the publish: on ring %v at %s, want on the ring at v3", nodesOf(g)["stale"], stale.currentVersion())
 	}
 }
 
-// A shard that restarts inside its lease with a fresh registry re-announces
-// below the committed epoch. Its one stored epoch is its last report, so it
-// is off the ring and reported lagging from that announce on, through every
-// heartbeat (and probe) that still says epoch 1, until it reports having
-// caught up — and no client reads the stale version from it meanwhile.
+// A report readmits a member but never extends its lease: only the shard's
+// own heartbeat vouches for its liveness. A member off the ring for its
+// epoch that the prober then sees serving the committed content is back on
+// the ring, and still expires LeaseTTL after its last renewal.
+func TestConvergeDoesNotExtendLease(t *testing.T) {
+	clk := newTestClock()
+	cfg := leaseConfig(clk)
+	cfg.ProbeInterval, cfg.ProbeTimeout = 5*time.Millisecond, 100*time.Millisecond
+	g := newTestGateway(t, cfg, newFakeNode("static"))
+	if ep, err := g.Propagate(context.Background(), "v2"); err != nil || ep != 2 {
+		t.Fatalf("propagate: epoch=%d err=%v", ep, err)
+	}
+	late := newFakeNode("late")
+	if _, err := g.Announce(late, member.Meta{}, 1); err != nil || nodesOf(g)["late"] {
+		t.Fatalf("announce behind: err=%v, on ring %v", err, nodesOf(g)["late"])
+	}
+	late.setEpochAndVersion(2, "v2")
+	for deadline := time.Now().Add(2 * time.Second); !nodesOf(g)["late"]; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the prober never readmitted the converged member")
+		}
+	}
+	clk.advance(1100 * time.Millisecond)
+	g.SweepMembership()
+	if ns := statusOf(t, g, "late"); nodesOf(g)["late"] || ns.State != "expired" {
+		t.Fatalf("converged-but-unrenewed member survived: %+v", ns)
+	}
+}
+
+// A shard that restarts inside its lease from an older models directory
+// re-announces other content than the committed epoch. Its one stored epoch
+// is its last report, so it is off the ring and reported lagging from that
+// announce on, through every heartbeat (and probe) that still says epoch 1,
+// until it reports the committed content — and no client reads the stale
+// version from it meanwhile.
 func TestStaleReannounceIsNotRoutable(t *testing.T) {
 	for _, probe := range []time.Duration{0, 5 * time.Millisecond} {
 		t.Run(fmt.Sprintf("probe=%v", probe), func(t *testing.T) {
@@ -216,7 +279,7 @@ func TestStaleReannounceIsNotRoutable(t *testing.T) {
 			a, b := newFakeNode("shard-a"), newFakeNode("shard-b")
 			ctx := context.Background()
 			for _, n := range []*fakeNode{a, b} {
-				if _, err := g.Announce(n, member.Meta{Epoch: 1}); err != nil {
+				if _, err := g.Announce(n, member.Meta{}, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -229,15 +292,7 @@ func TestStaleReannounceIsNotRoutable(t *testing.T) {
 				}
 			}
 
-			status := func() gateway.NodeStatus {
-				for _, ns := range g.Snapshot().Nodes {
-					if ns.ID == "shard-b" {
-						return ns
-					}
-				}
-				t.Fatal("shard-b missing from snapshot")
-				return gateway.NodeStatus{}
-			}
+			status := func() gateway.NodeStatus { return statusOf(t, g, "shard-b") }
 			checkStale := func(when string) {
 				t.Helper()
 				if nodesOf(g)["shard-b"] {
@@ -248,9 +303,9 @@ func TestStaleReannounceIsNotRoutable(t *testing.T) {
 				}
 			}
 
-			b.setEpochAndVersion(1, "v1") // restarted: fresh registry, old models
-			if e, err := g.Announce(b, member.Meta{Epoch: 1}); err != nil || e.Epoch != 1 {
-				t.Fatalf("stale re-announce: %+v err=%v, want it recorded at epoch 1", e, err)
+			b.setEpochAndVersion(1, "v1") // restarted from the old models
+			if _, err := g.Announce(b, member.Meta{}, 1); err != nil {
+				t.Fatalf("stale re-announce: %v", err)
 			}
 			checkStale("after the re-announce")
 			for i := 0; i < 5; i++ {
@@ -306,7 +361,7 @@ func TestMembershipChurnBound(t *testing.T) {
 	}
 
 	joiner := newFakeNode("joiner")
-	if _, err := g.Announce(joiner, member.Meta{Epoch: 1}); err != nil {
+	if _, err := g.Announce(joiner, member.Meta{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	moved := 0
@@ -332,7 +387,7 @@ func TestMembershipChurnBound(t *testing.T) {
 			t.Fatalf("key %d owned by %s after leave, was %s", k, got, before[k])
 		}
 	}
-	if _, err := g.Announce(joiner, member.Meta{Epoch: 1}); err != nil {
+	if _, err := g.Announce(joiner, member.Meta{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	remapped := 0
@@ -502,7 +557,7 @@ func TestMembershipConcurrentChurn(t *testing.T) {
 				default:
 				}
 				if _, err := g.Renew(id, 1); err != nil {
-					if _, aerr := g.Announce(n, member.Meta{Epoch: 1}); aerr != nil {
+					if _, aerr := g.Announce(n, member.Meta{}, 1); aerr != nil {
 						t.Errorf("announce %s: %v", id, aerr)
 						return
 					}
@@ -531,7 +586,7 @@ func TestMembershipConcurrentChurn(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := g.Announce(n, member.Meta{Epoch: 1}); err != nil {
+			if _, err := g.Announce(n, member.Meta{}, 1); err != nil {
 				t.Errorf("churner announce: %v", err)
 				return
 			}

@@ -16,7 +16,7 @@ const (
 	cBudgetDry                         // retries wanted but denied by the retry budget
 	cFailed                            // requests that exhausted their attempts
 	cEjections                         // members ejected by health accounting
-	cEpochDrift                        // members observed behind the committed epoch
+	cEpochDrift                        // members that fell off the ring for their epoch
 	cPropagates                        // cluster-wide registry changes propagated
 	cLeasesGranted                     // announces that granted a lease: first joins and rejoins, never static seeds
 	cRenewals                          // lease extensions (heartbeats and announce-as-renew)
@@ -54,12 +54,12 @@ type Snapshot struct {
 	Spills               uint64 `json:"spills,omitempty"`
 	Retries              uint64 `json:"retries,omitempty"`
 	RetryBudgetExhausted uint64 `json:"retry_budget_exhausted,omitempty"`
-	// Ejections counts health ejections; EpochDrift counts members caught
-	// serving behind the cluster's committed registry epoch.
+	// Ejections counts health ejections; EpochDrift counts live members
+	// that fell off the ring because their epoch left the committed one.
 	Ejections  uint64 `json:"ejections,omitempty"`
 	EpochDrift uint64 `json:"epoch_drift,omitempty"`
 	// Propagates counts cluster-wide registry changes; CommittedEpoch is
-	// the highest epoch every propagation has driven the cluster to.
+	// the content identity the last one committed (0: none yet).
 	Propagates     uint64 `json:"propagates,omitempty"`
 	CommittedEpoch uint64 `json:"committed_epoch"`
 
@@ -84,8 +84,10 @@ type Snapshot struct {
 // NodeStatus is one member's routing view.
 type NodeStatus struct {
 	ID string `json:"id"`
-	// State is the membership state (joining, warming, active, suspect,
-	// expired, left); Weight is the slow-start routing weight in (0, 1].
+	// State is the lease state (warming, active, suspect, expired, left);
+	// Weight is the slow-start routing weight in (0, 1], 0 off the ring for
+	// its lease or for its epoch; Lagging marks a live lease whose last
+	// reported Epoch is not the committed one.
 	State    string  `json:"state,omitempty"`
 	Weight   float64 `json:"weight,omitempty"`
 	InFlight int64   `json:"in_flight"`

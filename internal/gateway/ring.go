@@ -29,7 +29,7 @@ import (
 // pointer, so the request path reads the ring lock-free.
 
 // shard is the one record the gateway keeps per member: the node handle,
-// the lease lifecycle and last reported epoch (rec), its current share of
+// the lease lifecycle (rec), the last reported epoch, its current share of
 // the ring, and the health and load atomics. The atomics are shared across
 // ring generations, so ejections and in-flight counts survive an unrelated
 // join/leave. A rejoin after expiry or leave allocates a fresh shard: the
@@ -38,10 +38,13 @@ type shard struct {
 	node Node
 	id   string
 
-	// rec is the membership state machine's record; vnodes is the ring-point
-	// count the current ring generation gives the shard (0: off the ring).
-	// Both are guarded by the gateway mutex.
+	// rec is the membership state machine's record; epoch is the member's
+	// last reported route epoch — from its announce or heartbeat, a probe
+	// or a publish's answer — replacing the one before; vnodes is the
+	// ring-point count the current ring generation gives the shard (0: off
+	// the ring). All three are guarded by the gateway mutex.
 	rec    member.Record
+	epoch  uint64
 	vnodes int
 
 	// inflight is the gateway-observed concurrent request count, the load

@@ -46,7 +46,7 @@ func (n *ServeNode) Detect(ctx context.Context, req serve.Request) (serve.Result
 
 // Health implements HealthNode: a draining shard is down (its keys should
 // rehash before it finishes draining), anything else is alive; a shard with
-// a registry reports its snapshot sequence as its route epoch.
+// a registry reports its snapshot's content identity as its route epoch.
 func (n *ServeNode) Health(context.Context) (epoch uint64, hasEpoch bool, down error) {
 	if n.srv.Draining() {
 		down = serve.ErrShuttingDown
@@ -54,12 +54,11 @@ func (n *ServeNode) Health(context.Context) (epoch uint64, hasEpoch bool, down e
 	if n.reg == nil {
 		return 0, false, down
 	}
-	return n.reg.Snapshot().Seq(), true, down
+	return n.reg.Snapshot().Identity(), true, down
 }
 
-// Publish implements ChangeApplier: publish the registry.Artifact payload,
-// which bumps the snapshot sequence the serve layer already uses as its
-// route epoch, and return that epoch.
+// Publish implements ChangeApplier: publish the registry.Artifact payload
+// and return the content identity the registry then serves.
 func (n *ServeNode) Publish(_ context.Context, payload any) (uint64, error) {
 	if n.reg == nil {
 		return 0, fmt.Errorf("%w: %s has no registry", ErrUnsupportedChange, n.id)
@@ -71,5 +70,5 @@ func (n *ServeNode) Publish(_ context.Context, payload any) (uint64, error) {
 	if _, err := n.reg.Publish(art); err != nil {
 		return 0, err
 	}
-	return n.reg.Snapshot().Seq(), nil
+	return n.reg.Snapshot().Identity(), nil
 }

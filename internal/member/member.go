@@ -1,32 +1,26 @@
 // Package member holds the lifecycle rules of one fleet member as a pure
 // state machine over one Record: no map, no lock, no I/O. The gateway keeps
 // one Record per member id under its own mutex and feeds it announces,
-// renewals, epoch reports, leaves and clock ticks through Rules; the clock is
-// injectable (Rules.Now), so lease timing is unit-testable without sleeping
-// and without a gateway.
+// renewals, leaves and clock ticks through Rules; the clock is injectable
+// (Rules.Now), so lease timing is unit-testable without sleeping and without
+// a gateway.
 //
-//		join ──▶ joining ──(epoch ≥ committed)──▶ warming ──(N renewals)──▶ active
-//		                                             │                        │
-//		                        missed renewals ─────┴──▶ suspect ──▶ expired │
-//		                                                      ▲               │
-//		                                                      └───────────────┘
+//		join ──▶ warming ──(N renewals)──▶ active
+//		            │                        │
+//		            └──── missed renewals ───┴──▶ suspect ──▶ expired
 //		graceful leave (any live state) ──▶ left
 //
-//	  - A leased member is joining until it first reports an epoch at or past
-//	    the fleet's committed epoch: a shard that rebooted with stale models
-//	    must not serve old-version answers just because it came back fast.
-//	  - Converged, it warms: its routing weight ramps 1/N, 2/N, … 1 over
-//	    RampWindows renewals, so a cold result cache is handed a growing slice
-//	    of the key space, not a full zipf blast.
-//	  - Missed renewals turn it suspect after SuspectAfter (still routable —
-//	    one lost heartbeat is not death) and expired at LeaseTTL. An expired or
+//	  - A granted lease warms at once: its routing weight ramps 1/N, 2/N, … 1
+//	    over RampWindows renewals, so a cold result cache is handed a growing
+//	    slice of the key space, not a full zipf blast.
+//	  - Missed renewals turn it suspect after SuspectAfter (still live — one
+//	    lost heartbeat is not death) and expired at LeaseTTL. An expired or
 //	    left member that announces again joins afresh.
 //	  - Static members (a hand-configured seed list) are active at full weight
 //	    at once and hold no lease.
 //
-// Record.Epoch is the member's last report, not a highwater: whether a live
-// member is behind the committed epoch right now is the owner's routing rule,
-// read from that one field.
+// The package knows nothing of route epochs: whether a live member serves
+// the fleet's content is the owner's routing rule, not a lifecycle state.
 package member
 
 import (
@@ -39,17 +33,13 @@ import (
 type State int
 
 const (
-	// StateJoining: announced but not yet converged to the committed
-	// registry epoch. Not routable.
-	StateJoining State = iota
-	// StateWarming: converged, slow-start ramp in progress. Routable at
-	// partial weight.
-	StateWarming
-	// StateActive: fully ramped. Routable at weight 1.
+	// StateWarming: leased, slow-start ramp in progress. Partial weight.
+	StateWarming State = iota
+	// StateActive: fully ramped. Weight 1.
 	StateActive
-	// StateSuspect: missed at least one renewal window. Still routable —
-	// the lease's grace period is exactly the benefit of doubt — but the
-	// next sweep past LeaseTTL expires it.
+	// StateSuspect: missed at least one renewal window. Still live — the
+	// lease's grace period is exactly the benefit of doubt — but the next
+	// sweep past LeaseTTL expires it.
 	StateSuspect
 	// StateExpired: the lease lapsed. Removed from routing; the record is
 	// kept so a re-announce counts as a rejoin.
@@ -61,8 +51,6 @@ const (
 
 func (s State) String() string {
 	switch s {
-	case StateJoining:
-		return "joining"
 	case StateWarming:
 		return "warming"
 	case StateActive:
@@ -78,22 +66,14 @@ func (s State) String() string {
 	}
 }
 
-// Routable reports whether a member in state s may receive new work.
-func (s State) Routable() bool {
-	return s == StateWarming || s == StateActive || s == StateSuspect
-}
-
-// Live reports whether a member in state s is still part of the fleet
-// (anything but expired or left).
+// Live reports whether a member in state s holds its place in the fleet
+// (anything but expired or left): the lease half of "may it receive work".
 func (s State) Live() bool { return s != StateExpired && s != StateLeft }
 
 // Meta is what a shard announces about itself.
 type Meta struct {
 	// Addr is the shard's reachable address (for HTTP fleets, its base URL).
 	Addr string
-	// Epoch is the shard's current route epoch (its registry snapshot
-	// sequence).
-	Epoch uint64
 	// Static marks a seed member: active immediately, full weight, no
 	// lease, never expires.
 	Static bool
@@ -101,12 +81,8 @@ type Meta struct {
 
 // Record is one member's lifecycle state.
 type Record struct {
-	Addr  string
-	State State
-	// Epoch is the epoch the member last reported, by heartbeat or by
-	// observation. A restart with a fresh registry reports lower and is
-	// recorded lower.
-	Epoch  uint64
+	Addr   string
+	State  State
 	Static bool
 
 	ramp int // completed warming windows, [0, RampWindows]
@@ -120,9 +96,8 @@ type Entry struct {
 	ID    string
 	Addr  string
 	State State
-	Epoch uint64
-	// Weight is the member's routing weight in [0, 1]: 0 while joining,
-	// ramp/RampWindows while warming, 1 once active.
+	// Weight is the member's slow-start weight in [0, 1]: ramp/RampWindows
+	// while warming, 1 once active, 0 once expired or left.
 	Weight float64
 	// ExpiresAt is the lease deadline (zero for static and dead members).
 	ExpiresAt time.Time
@@ -147,7 +122,7 @@ type Rules struct {
 	SuspectAfter time.Duration
 	// RampWindows is how many renewal windows the slow-start ramp spans:
 	// the first window serves at weight 1/N, the Nth at 1. 0 defaults to 4;
-	// 1 disables the ramp (full weight on convergence).
+	// 1 disables the ramp (full weight on the lease grant).
 	RampWindows int
 	// Now is the clock (defaults to time.Now). Injectable for tests.
 	Now func() time.Time
@@ -168,24 +143,26 @@ func (r Rules) WithDefaults() Rules {
 }
 
 // Join starts a fresh lifecycle for an announce (a first join or a rejoin):
-// a static seed is active at once; a leased member is granted a lease and is
-// joining until its epoch has reached committed.
-func (r Rules) Join(m Meta, committed uint64) (Record, error) {
+// a static seed is active at once; a leased member is granted a lease and
+// serves its first ramp window at 1/RampWindows from the grant.
+func (r Rules) Join(m Meta) (Record, error) {
 	if !m.Static && r.LeaseTTL <= 0 {
 		return Record{}, ErrNoLeases
 	}
-	rec := Record{Addr: m.Addr, Static: m.Static, State: StateJoining, renewedAt: r.Now()}
-	if m.Static {
-		rec.State = StateActive
+	rec := Record{Addr: m.Addr, Static: m.Static, State: StateActive, renewedAt: r.Now()}
+	if !m.Static {
+		rec.ramp = 1
+		if r.RampWindows > 1 {
+			rec.State = StateWarming
+		}
 	}
-	r.Report(&rec, m.Epoch, committed)
 	return rec, nil
 }
 
 // Renew is one heartbeat (or re-announce) of a live member: extend the
-// lease, lift suspicion, advance the slow-start ramp, refresh the address if
-// one is given, and record the reported epoch.
-func (r Rules) Renew(rec *Record, m Meta, committed uint64) error {
+// lease, lift suspicion, advance the slow-start ramp, and refresh the
+// address if one is given.
+func (r Rules) Renew(rec *Record, m Meta) error {
 	if !rec.State.Live() {
 		return ErrUnknown
 	}
@@ -206,23 +183,7 @@ func (r Rules) Renew(rec *Record, m Meta, committed uint64) error {
 			rec.State = StateActive
 		}
 	}
-	r.Report(rec, m.Epoch, committed)
 	return nil
-}
-
-// Report records the epoch a member was last seen at — by its own heartbeat,
-// a probe or a publish's answer — replacing the previous report, and starts a
-// joining member's ramp once it has caught up to committed. It does not
-// touch the lease: liveness is vouched for only by the shard's own renewals.
-func (r Rules) Report(rec *Record, epoch, committed uint64) {
-	rec.Epoch = epoch
-	if rec.State == StateJoining && epoch >= committed {
-		// The first window serves at 1/RampWindows immediately.
-		rec.State, rec.ramp = StateWarming, 1
-		if rec.ramp >= r.RampWindows {
-			rec.State = StateActive
-		}
-	}
 }
 
 // Leave deregisters a member gracefully. The record is kept (StateLeft) so a
@@ -255,7 +216,7 @@ func (r Rules) Sweep(rec *Record) bool {
 // Weight is the member's routing weight in [0, 1].
 func (r Rules) Weight(rec *Record) float64 {
 	switch {
-	case !rec.State.Routable():
+	case !rec.State.Live():
 		return 0
 	case rec.State == StateActive || rec.ramp >= r.RampWindows:
 		return 1
@@ -266,7 +227,7 @@ func (r Rules) Weight(rec *Record) float64 {
 
 // Entry is the observable view of a record.
 func (r Rules) Entry(id string, rec *Record) Entry {
-	e := Entry{ID: id, Addr: rec.Addr, State: rec.State, Epoch: rec.Epoch, Weight: r.Weight(rec), Static: rec.Static}
+	e := Entry{ID: id, Addr: rec.Addr, State: rec.State, Weight: r.Weight(rec), Static: rec.Static}
 	if !rec.Static && rec.State.Live() {
 		e.ExpiresAt = rec.renewedAt.Add(r.LeaseTTL)
 	}

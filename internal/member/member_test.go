@@ -15,31 +15,21 @@ func testRules(c *fakeClock, ramp int) Rules {
 	return Rules{LeaseTTL: time.Second, SuspectAfter: 400 * time.Millisecond, RampWindows: ramp, Now: c.now}.WithDefaults()
 }
 
-func TestLifecycleJoinConvergeRampExpireRejoin(t *testing.T) {
+// A granted lease warms at once — there is no epoch to wait for here — ramps
+// on renewals, turns suspect and expires without them, and a rejoin starts
+// the ramp afresh.
+func TestLifecycleJoinRampExpireRejoin(t *testing.T) {
 	clk := newClock()
 	r := testRules(clk, 4)
 
-	// Join behind the committed epoch: joining, weight 0, not routable.
-	rec, err := r.Join(Meta{Addr: "http://s1", Epoch: 1}, 3)
-	if err != nil {
-		t.Fatalf("join: %v", err)
-	}
-	if rec.State != StateJoining || r.Weight(&rec) != 0 || rec.State.Routable() {
-		t.Fatalf("behind-epoch join: %+v, want joining/0/unroutable", rec)
-	}
-
-	// Renew while still behind: lease extends but stays gated.
-	clk.advance(300 * time.Millisecond)
-	if err = r.Renew(&rec, Meta{Epoch: 2}, 3); err != nil || rec.State != StateJoining {
-		t.Fatalf("behind renew: %+v err=%v", rec, err)
-	}
-
-	// Epoch catches up: warming at 1/4, then ramps 2/4, 3/4, active.
-	if err = r.Renew(&rec, Meta{Epoch: 3}, 3); err != nil || !rec.State.Routable() || rec.State != StateWarming || r.Weight(&rec) != 0.25 {
-		t.Fatalf("converge: %+v err=%v, want warming 0.25", rec, err)
+	// Join: warming at 1/4 from the grant, then 2/4, 3/4, active.
+	rec, err := r.Join(Meta{Addr: "http://s1"})
+	if err != nil || rec.State != StateWarming || r.Weight(&rec) != 0.25 {
+		t.Fatalf("join: %+v err=%v, want warming 0.25", rec, err)
 	}
 	for i, want := range []float64{0.5, 0.75, 1} {
-		if err = r.Renew(&rec, Meta{Epoch: 3}, 3); err != nil || r.Weight(&rec) != want {
+		clk.advance(300 * time.Millisecond)
+		if err = r.Renew(&rec, Meta{}); err != nil || r.Weight(&rec) != want {
 			t.Fatalf("ramp window %d: weight %g err=%v, want %g", i+2, r.Weight(&rec), err, want)
 		}
 	}
@@ -47,65 +37,46 @@ func TestLifecycleJoinConvergeRampExpireRejoin(t *testing.T) {
 		t.Fatalf("fully ramped state = %v, want active", rec.State)
 	}
 
-	// Miss heartbeats: suspect at 400ms (still routable), expired at 1s.
+	// Miss heartbeats: suspect at 400ms (still live), expired at 1s.
 	clk.advance(500 * time.Millisecond)
 	if r.Sweep(&rec) {
 		t.Fatal("suspect sweep expired the member")
 	}
-	if rec.State != StateSuspect || !rec.State.Routable() || r.Weight(&rec) != 1 {
-		t.Fatalf("suspect: %+v, want routable at weight 1", rec)
+	if rec.State != StateSuspect || !rec.State.Live() || r.Weight(&rec) != 1 {
+		t.Fatalf("suspect: %+v, want live at weight 1", rec)
 	}
 	clk.advance(600 * time.Millisecond)
-	if !r.Sweep(&rec) || rec.State != StateExpired {
+	if !r.Sweep(&rec) || rec.State != StateExpired || r.Weight(&rec) != 0 {
 		t.Fatalf("expiry sweep: %+v", rec)
 	}
 	if r.Sweep(&rec) {
 		t.Fatal("an expired member expired again")
 	}
-	if err := r.Renew(&rec, Meta{Epoch: 3}, 3); err != ErrUnknown {
+	if err := r.Renew(&rec, Meta{}); err != ErrUnknown {
 		t.Fatalf("renew of expired lease: %v, want ErrUnknown", err)
 	}
 
-	// Rejoin: fresh lease, gated on the (now higher) epoch again.
-	rec, err = r.Join(Meta{Addr: "http://s1", Epoch: 3}, 5)
-	if err != nil || rec.State != StateJoining {
+	// Rejoin: a fresh lease, warming from the first window again.
+	rec, err = r.Join(Meta{Addr: "http://s1"})
+	if err != nil || rec.State != StateWarming || r.Weight(&rec) != 0.25 {
 		t.Fatalf("rejoin: %+v err=%v", rec, err)
 	}
-	if e := r.Entry("s1", &rec); e.ExpiresAt != clk.now().Add(time.Second) || e.ID != "s1" || e.Epoch != 3 {
+	if e := r.Entry("s1", &rec); e.ExpiresAt != clk.now().Add(time.Second) || e.ID != "s1" || e.Addr != "http://s1" {
 		t.Fatalf("rejoin entry: %+v", e)
-	}
-}
-
-// The epoch is the last report, not a highwater: a lower report replaces a
-// higher one, and moves no lifecycle state on its own.
-func TestLowerReportReplacesHigher(t *testing.T) {
-	clk := newClock()
-	r := testRules(clk, 1)
-	rec, _ := r.Join(Meta{Epoch: 2}, 2)
-	if rec.State != StateActive || rec.Epoch != 2 {
-		t.Fatalf("join at the committed epoch: %+v", rec)
-	}
-	r.Renew(&rec, Meta{Epoch: 1}, 2)
-	if rec.Epoch != 1 || rec.State != StateActive {
-		t.Fatalf("after a lower heartbeat: %+v, want epoch 1, still active", rec)
-	}
-	r.Report(&rec, 2, 2)
-	if rec.Epoch != 2 {
-		t.Fatalf("after a higher observation: %+v, want epoch 2", rec)
 	}
 }
 
 func TestSuspectRenewalRestoresPreSuspectPosition(t *testing.T) {
 	clk := newClock()
 	r := testRules(clk, 4)
-	rec, _ := r.Join(Meta{Epoch: 1}, 0) // converges immediately (committed 0)
-	r.Renew(&rec, Meta{Epoch: 1}, 0)    // ramp 2/4
+	rec, _ := r.Join(Meta{}) // ramp 1/4
+	r.Renew(&rec, Meta{})    // ramp 2/4
 	clk.advance(500 * time.Millisecond)
 	r.Sweep(&rec)
 	if rec.State != StateSuspect || r.Weight(&rec) != 0.5 {
 		t.Fatalf("pre-renewal: %+v", rec)
 	}
-	if err := r.Renew(&rec, Meta{Epoch: 1}, 0); err != nil || rec.State != StateWarming || r.Weight(&rec) != 0.5 {
+	if err := r.Renew(&rec, Meta{}); err != nil || rec.State != StateWarming || r.Weight(&rec) != 0.5 {
 		t.Fatalf("post-renewal: %+v err=%v, want warming back at 0.5", rec, err)
 	}
 }
@@ -113,8 +84,8 @@ func TestSuspectRenewalRestoresPreSuspectPosition(t *testing.T) {
 func TestGracefulLeaveAndRejoin(t *testing.T) {
 	clk := newClock()
 	r := testRules(clk, 1)
-	rec, _ := r.Join(Meta{Epoch: 1}, 0)
-	if rec.State != StateActive { // RampWindows=1: full weight on convergence
+	rec, _ := r.Join(Meta{})
+	if rec.State != StateActive || r.Weight(&rec) != 1 { // RampWindows=1: full weight on the grant
 		t.Fatalf("join with ramp=1: %+v, want active", rec)
 	}
 	if !r.Leave(&rec) || rec.State != StateLeft {
@@ -131,7 +102,7 @@ func TestGracefulLeaveAndRejoin(t *testing.T) {
 	if rec.State.Live() {
 		t.Fatal("left member still live: the owner would not treat its announce as a rejoin")
 	}
-	if rec, err := r.Join(Meta{Epoch: 1}, 0); err != nil || rec.State != StateActive {
+	if rec, err := r.Join(Meta{}); err != nil || rec.State != StateActive {
 		t.Fatalf("rejoin after leave: %+v err=%v", rec, err)
 	}
 }
@@ -139,7 +110,7 @@ func TestGracefulLeaveAndRejoin(t *testing.T) {
 func TestStaticMembersSkipLeases(t *testing.T) {
 	clk := newClock()
 	r := testRules(clk, 4)
-	rec, err := r.Join(Meta{Addr: "seed", Static: true}, 99)
+	rec, err := r.Join(Meta{Addr: "seed", Static: true})
 	if err != nil || rec.State != StateActive || r.Weight(&rec) != 1 {
 		t.Fatalf("static join: %+v err=%v", rec, err)
 	}
@@ -155,9 +126,9 @@ func TestStaticMembersSkipLeases(t *testing.T) {
 func TestAnnounceOfLiveMemberRenews(t *testing.T) {
 	clk := newClock()
 	r := testRules(clk, 2)
-	rec, _ := r.Join(Meta{Addr: "a", Epoch: 1}, 0)
+	rec, _ := r.Join(Meta{Addr: "a"})
 	clk.advance(900 * time.Millisecond) // one sweep away from expiry
-	if err := r.Renew(&rec, Meta{Addr: "b", Epoch: 1}, 0); err != nil {
+	if err := r.Renew(&rec, Meta{Addr: "b"}); err != nil {
 		t.Fatalf("re-announce: %v", err)
 	}
 	if rec.Addr != "b" {
@@ -169,27 +140,12 @@ func TestAnnounceOfLiveMemberRenews(t *testing.T) {
 	}
 }
 
-func TestConvergeDoesNotExtendLease(t *testing.T) {
-	clk := newClock()
-	r := testRules(clk, 2)
-	rec, _ := r.Join(Meta{Epoch: 1}, 5) // gated
-	r.Report(&rec, 5, 5)
-	if rec.State != StateWarming {
-		t.Fatalf("converge: %+v", rec)
-	}
-	// The lease clock started at announce; convergence must not reset it.
-	clk.advance(1100 * time.Millisecond)
-	if !r.Sweep(&rec) {
-		t.Fatalf("converged-but-unrenewed member survived: %+v", rec)
-	}
-}
-
 func TestNoLeaseTTLRejectsLeasedAnnounce(t *testing.T) {
 	r := Rules{}.WithDefaults()
-	if _, err := r.Join(Meta{}, 0); err != ErrNoLeases {
+	if _, err := r.Join(Meta{}); err != ErrNoLeases {
 		t.Fatalf("leased join without a LeaseTTL: %v, want ErrNoLeases", err)
 	}
-	if _, err := r.Join(Meta{Static: true}, 0); err != nil {
+	if _, err := r.Join(Meta{Static: true}); err != nil {
 		t.Fatalf("static join without a LeaseTTL: %v", err)
 	}
 }

@@ -222,6 +222,7 @@ func New() *Registry {
 // use by any number of readers; a Snapshot never changes after publication.
 type Snapshot struct {
 	seq         uint64
+	identity    uint64
 	active      map[string]*Artifact // name -> active version
 	byTask      map[string]*Artifact // task -> active task-specific artifact
 	generalist  *Artifact
@@ -236,6 +237,13 @@ func (r *Registry) Snapshot() *Snapshot { return r.snap.Load() }
 // swap, so readers can detect that a publish or rollback happened between
 // two loads.
 func (s *Snapshot) Seq() uint64 { return s.seq }
+
+// Identity names the content the snapshot serves: the XOR of an FNV-1a hash
+// of name#checksum over each routable name's newest published version, so
+// no order is needed. Registries that published the same bytes agree on it
+// however many swaps each took; a demotion or rollback leaves it as it was,
+// since the newest version stays the one published. 0: nothing routable.
+func (s *Snapshot) Identity() uint64 { return s.identity }
 
 // Active returns the active version of a name.
 func (s *Snapshot) Active(name string) (*Artifact, bool) {
@@ -456,6 +464,11 @@ func (r *Registry) swapLocked() {
 		quarantined: map[string]bool{},
 	}
 	for name, sr := range r.names {
+		if newest := sr.versions[len(sr.versions)-1]; newest.Kind.routable() {
+			h := fnv.New64a()
+			h.Write([]byte(name + idSepSum + newest.Checksum))
+			s.identity ^= h.Sum64()
+		}
 		for _, a := range sr.versions {
 			s.byID[a.id] = a
 			if sr.quarantined[a.ID.Version] {

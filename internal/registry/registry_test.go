@@ -2,6 +2,7 @@ package registry
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -167,6 +168,55 @@ func TestDemoteSupersededVersionMarksOnly(t *testing.T) {
 	}
 	if got, ok := r.Snapshot().Resolve(id1.String()); !ok || got.ID != id2 {
 		t.Fatalf("Resolve(quarantined v1) = %+v, want redirect to v2", got)
+	}
+}
+
+// A snapshot's identity names the routable content, not the history behind
+// it: registries that published the same bytes agree however often each
+// republished them, a demotion or rollback keeps it, other bytes move it,
+// and a non-routable kind never enters it.
+func TestSnapshotIdentityNamesContent(t *testing.T) {
+	publish := func(r *Registry, name string, kind Kind, task, sum string) ArtifactID {
+		t.Helper()
+		id, err := r.Publish(Artifact{Name: name, Kind: kind, Task: task, Bytes: 100, Checksum: sum, Detect: stubDetect(1)})
+		if err != nil {
+			t.Fatalf("publish %s#%s: %v", name, sum, err)
+		}
+		return id
+	}
+	a, b := New(), New()
+	if got := a.Snapshot().Identity(); got != 0 {
+		t.Fatalf("empty registry identity = %d, want 0", got)
+	}
+	publish(a, "gen", Generalist, "", "g1")
+	publish(a, "s", TaskSpecific, "patrol", "s1")
+	for i := 0; i < 3; i++ { // the same bytes three times, in the other order, beside a teacher
+		publish(b, "teacher", Teacher, "", fmt.Sprint("t", i))
+		publish(b, "s", TaskSpecific, "patrol", "s1")
+		publish(b, "gen", Generalist, "", "g1")
+	}
+	same := a.Snapshot().Identity()
+	if same == 0 || b.Snapshot().Identity() != same || a.Snapshot().Seq() == b.Snapshot().Seq() {
+		t.Fatalf("identities %d and %d at seqs %d and %d, want equal and non-zero",
+			same, b.Snapshot().Identity(), a.Snapshot().Seq(), b.Snapshot().Seq())
+	}
+
+	g2 := publish(a, "gen", Generalist, "", "g2")
+	other := a.Snapshot().Identity()
+	if other == same {
+		t.Fatal("other generalist bytes kept the identity")
+	}
+	if _, rolledBack := a.Demote(g2); !rolledBack {
+		t.Fatal("demoting gen v2 did not roll back")
+	}
+	if got := a.Snapshot().Identity(); got != other {
+		t.Fatalf("identity after a demotion = %d, want %d as published", got, other)
+	}
+	if _, err := b.Rollback("gen"); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Snapshot().Identity(); got != same {
+		t.Fatalf("identity after a rollback = %d, want %d as published", got, same)
 	}
 }
 

@@ -8,13 +8,15 @@
 #   2. detection answers arrive with shard attribution (X-Itask-Shard),
 #   3. the same content always routes to the same shard,
 #   4. distinct content engages both shards,
-#   5. SIGKILLing a shard mid-traffic loses no requests: failover absorbs
-#      the deaths until the lease expires the member off the ring,
-#   6. the restarted shard rejoins and serves again,
+#   5. after a fleet-wide model reload, SIGKILLing a shard mid-traffic loses
+#      no requests: failover absorbs the deaths until the lease expires the
+#      member off the ring,
+#   6. the restarted shard, loaded from the same models, rejoins on the ring
+#      (weight > 0, not lagging) with no further reload and serves again,
 #   7. SIGTERM deregisters gracefully (graceful_leaves, not an expiry).
 #
 # The in-process cluster tests (internal/gateway, cmd/itask-gateway) cover
-# the hard properties — partitions via the chaos NetProxy, epoch gating,
+# the hard properties — partitions via the chaos NetProxy, the epoch rule,
 # retry budgets; this script proves the binaries compose over a real
 # network surface.
 set -euo pipefail
@@ -237,6 +239,15 @@ st=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$GW/v1/detect" \
 [ "$st" = 400 ] || { say "FAIL: oversized tenant id got HTTP $st, want 400"; exit 1; }
 say "tenants attributed end to end: gateway and shard per_tenant rows present"
 
+say "reloading models fleet-wide (the restart below must not need another)"
+reload=$(curl -s -w ' %{http_code}' -X POST "$GW/v1/models/reload" -d '{}')
+if [ "${reload##* }" != 200 ]; then
+    say "FAIL: fleet reload answered $reload"
+    exit 1
+fi
+committed=$(echo "$reload" | sed -n 's/.*"epoch":\([0-9]*\).*/\1/p')
+say "fleet reload committed epoch $committed"
+
 say "SIGKILLing shard2 mid-traffic (failover must hide it, lease must expire it)"
 : >"$workdir/traffic.fails"
 (
@@ -267,13 +278,21 @@ if [ "$expirations" -lt 1 ]; then
 fi
 say "kill absorbed: 80/80 requests OK, lease_expirations=$expirations"
 
-say "restarting shard2 (must rejoin and serve)"
+say "restarting shard2 from the same models (must rejoin on the ring and serve)"
 shard2_pid=$(start_shard 18082 serve2-rejoin)
 pids+=("$shard2_pid")
 wait_available 2 "rejoin of the restarted shard"
 rejoins=$(metric rejoins)
 if [ "$rejoins" -lt 1 ]; then
     say "FAIL: rejoins=$rejoins after restart, want >= 1"
+    exit 1
+fi
+# Its /metricsz row: on the ring is a weight above 0 and no "lagging":true
+# (both fields are omitted at their zero values).
+row=$(curl -sf "$GW/metricsz" | tr '{' '\n' | grep '"id":"http://127.0.0.1:18082"' || true)
+weight=$(echo "$row" | sed -n 's/.*"weight":\([0-9.]*\).*/\1/p')
+if [ -z "$weight" ] || [ "$weight" = 0 ] || echo "$row" | grep -q '"lagging":true'; then
+    say "FAIL: the restarted shard is off the ring at committed epoch $committed: $row"
     exit 1
 fi
 for seed in $(seq 0 23); do
