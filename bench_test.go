@@ -13,6 +13,7 @@ import (
 	"itask/internal/llm"
 	"itask/internal/scene"
 	"itask/internal/tensor"
+	"itask/internal/zoo"
 )
 
 var benchSink int
@@ -59,7 +60,7 @@ func BenchmarkDatasetPack(b *testing.B) {
 	rng := tensor.NewRNG(1)
 	task, _ := dataset.TaskByName("patrol")
 	set := dataset.Build(task, 8, scene.DefaultGenConfig(), rng)
-	cfg := experiments.StudentModelCfg()
+	cfg := zoo.StudentCfg()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -6,9 +6,10 @@
 //
 //	itask-bench [-scale quick|full] [-only E1,E3,...]
 //
-// Hardware experiments (E3, E5, E6) are analytical and run instantly;
-// accuracy experiments (E1, E2, E4, E7, E8) first train the model zoo,
-// which takes about a minute at quick scale.
+// Hardware experiments (E3, E5, E6, E12) are analytical and run instantly;
+// the accuracy experiments first build the model zoo (internal/zoo) that
+// itask-train serves. The quick scale runs in seconds, the full scale in
+// about a minute (2-core x86 box).
 package main
 
 import (
@@ -78,7 +79,7 @@ func main() {
 	if !needEnv {
 		return
 	}
-	fmt.Fprintf(os.Stderr, "itask-bench: training %s-scale environment (teacher, generalist, %d students)...\n",
+	fmt.Fprintf(os.Stderr, "itask-bench: building the %s-scale zoo (teacher, int8 generalist, %d students, base)...\n",
 		scale.Name, 4)
 	env, err := experiments.BuildEnv(scale)
 	if err != nil {

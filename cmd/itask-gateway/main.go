@@ -436,17 +436,28 @@ func (a *app) detect(w http.ResponseWriter, r *http.Request) {
 	// Every attempt's relay wrote the body on this goroutine and returned;
 	// nothing reads it any more, whatever the outcome.
 	buf.Release()
-	w.Header().Set("X-Itask-Shard", info.Node)
-	w.Header().Set("X-Itask-Attempts", strconv.Itoa(info.Attempts))
+	// The answer's header values share one array, not a slice per Set. The
+	// keys are canonical already, and each value is a full slice expression,
+	// so a later Add copies it instead of writing into its neighbour.
+	h := w.Header()
+	var vals [7]string
+	n := 0
+	set := func(key, value string) {
+		vals[n] = value
+		h[key] = vals[n : n+1 : n+1]
+		n++
+	}
+	set("X-Itask-Shard", info.Node)
+	set("X-Itask-Attempts", strconv.Itoa(info.Attempts))
 	if info.Hot {
-		w.Header().Set("X-Itask-Hot", "1")
+		set("X-Itask-Hot", "1")
 	}
 	if err != nil || relay == nil {
 		a.writeRouteError(w, err)
 		return
 	}
 	defer relay.release()
-	for _, h := range [...]struct{ name, value string }{
+	for _, kv := range [...]struct{ name, value string }{
 		// A shard that somehow omitted the header still answered our JSON
 		// protocol; don't let the client sniff.
 		{"Content-Type", cmp.Or(relay.contentType, "application/json")},
@@ -454,8 +465,8 @@ func (a *app) detect(w http.ResponseWriter, r *http.Request) {
 		{"X-Itask-Degraded", relay.degraded},
 		{"X-Itask-Tenant", relay.tenant},
 	} {
-		if h.value != "" {
-			w.Header().Set(h.name, h.value)
+		if kv.value != "" {
+			set(kv.name, kv.value)
 		}
 	}
 	w.WriteHeader(relay.status)

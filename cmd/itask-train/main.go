@@ -1,6 +1,8 @@
 // Command itask-train trains the iTask model zoo — the multi-task teacher
-// and one distilled student per standard task — and saves checkpoints that
-// other tools and programs can load with vit.LoadParams.
+// and one distilled, fine-tuned student per standard task, by the recipe in
+// internal/zoo — and saves checkpoints that other tools and programs can
+// load with vit.LoadParams. Students are saved without their task's
+// knowledge-graph priors: whatever loads one for its task applies them.
 //
 // It publishes each artifact into the versioned registry layout
 // (<out>/<name>/v<N>/{manifest.json, weights}), with the manifest checksum
@@ -12,6 +14,12 @@
 // teacher.ckpt: what itask-detect -models loads, and what a reload falls
 // back to in a directory without the registry layout. No int8 generalist is
 // written: every program that serves one quantizes it from the teacher.
+//
+// -samples is the scenes per task of the teacher's mixture and of each
+// student's set; -epochs is the teacher's, and each of a student's
+// distillation and fine-tune. At the same sizes and seed, the experiments'
+// zoo (experiments.BuildEnv) has this teacher and these students, so the
+// paper tables measure the checkpoints written here.
 //
 // Usage:
 //
@@ -25,13 +33,9 @@ import (
 	"path/filepath"
 
 	"itask/internal/dataset"
-	"itask/internal/distill"
-	"itask/internal/eval"
-	"itask/internal/experiments"
 	"itask/internal/registry"
-	"itask/internal/scene"
 	"itask/internal/tensor"
-	"itask/internal/vit"
+	"itask/internal/zoo"
 )
 
 func main() {
@@ -51,47 +55,25 @@ func run(outDir string, samples, epochs int, seed uint64) error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	rng := tensor.NewRNG(seed)
+	fmt.Printf("training the zoo (%d scenes/task, %d epochs)...\n", samples, epochs)
+	r := zoo.NewRecipe(samples, samples, epochs, epochs)
+	r.TrainCfg.Log = os.Stdout
 	tasks := dataset.StandardTasks()
-	gen := scene.DefaultGenConfig()
-	th := eval.DefaultThresholds()
-
-	// Teacher.
-	fmt.Printf("training teacher (%d scenes/task, %d epochs)...\n", samples, epochs)
-	mixed := dataset.BuildMixed(tasks, samples, gen, rng.Split())
-	teacher := vit.New(experiments.TeacherModelCfg(), rng.Split())
-	tcfg := distill.DefaultTrainConfig()
-	tcfg.Epochs = epochs
-	tcfg.Seed = rng.Uint64()
-	tcfg.Log = os.Stdout
-	if _, err := distill.Train(teacher, mixed, tcfg); err != nil {
+	z, err := zoo.Build(r, tasks, tensor.NewRNG(seed))
+	if err != nil {
 		return err
 	}
-	if err := teacher.SaveFile(filepath.Join(outDir, "teacher.ckpt")); err != nil {
+	if err := z.Teacher.SaveFile(filepath.Join(outDir, "teacher.ckpt")); err != nil {
 		return err
 	}
-	if err := publishVersion(outDir, "teacher", registry.Teacher, "", "teacher.ckpt", teacher.SaveFileSum); err != nil {
+	if err := publishVersion(outDir, "teacher", registry.Teacher, "", "teacher.ckpt", z.Teacher.SaveFileSum); err != nil {
 		return err
 	}
-	// Per-task students.
 	for _, task := range tasks {
-		fmt.Printf("distilling student for %s...\n", task.Name)
-		set := dataset.Build(task, samples, gen, rng.Split())
-		student := vit.New(experiments.StudentModelCfg(), rng.Split())
-		dcfg := distill.DefaultDistillConfig()
-		dcfg.Train.Epochs = epochs
-		dcfg.Train.Seed = rng.Uint64()
-		if _, err := distill.Distill(teacher, student, set, dcfg); err != nil {
+		if err := publishVersion(outDir, task.Name+"-student", registry.TaskSpecific, task.Name, "student.ckpt", z.Students[task.Name].SaveFileSum); err != nil {
 			return err
 		}
-		if err := publishVersion(outDir, task.Name+"-student", registry.TaskSpecific, task.Name, "student.ckpt", student.SaveFileSum); err != nil {
-			return err
-		}
-		val := dataset.Build(task, 32, gen, rng.Split())
-		s := eval.Run(eval.DetectorOf(student, th), val, dataset.ClassInts(task.Classes), th)
-		fmt.Printf("  %s student: %s\n", task.Name, s)
 	}
-
 	fmt.Printf("checkpoints written to %s\n", outDir)
 	return nil
 }

@@ -7,12 +7,12 @@ import (
 	"itask/internal/dataset"
 	"itask/internal/distill"
 	"itask/internal/eval"
-	"itask/internal/geom"
 	"itask/internal/kg"
 	"itask/internal/quant"
 	"itask/internal/scene"
 	"itask/internal/tensor"
 	"itask/internal/vit"
+	"itask/internal/zoo"
 )
 
 // E7Row is one point of Figure 4: quantization sensitivity.
@@ -31,29 +31,16 @@ type E7Row struct {
 // per-channel and per-tensor, evaluated across all tasks.
 func E7BitWidth(env *Env) ([]E7Row, error) {
 	// Float reference: the generalist before quantization.
-	var floatMean float64
-	for _, task := range env.Tasks {
-		floatMean += eval.Run(eval.DetectorOf(env.GenStudent, env.Th), env.Val[task.Name],
-			dataset.ClassInts(task.Classes), env.Th).Accuracy
-	}
-	floatMean /= float64(len(env.Tasks))
+	floatMean := env.meanAcc(eval.DetectorOf(env.Teacher, env.Th))
 
 	var rows []E7Row
 	for _, perChannel := range []bool{true, false} {
 		for _, bits := range []int{8, 6, 4} {
-			qm, err := quant.FromViT(env.GenStudent, quant.Config{Bits: bits, PerChannel: perChannel})
+			qm, err := quant.FromViT(env.Teacher, quant.Config{Bits: bits, PerChannel: perChannel})
 			if err != nil {
 				return nil, err
 			}
-			df := eval.DetectFunc(func(img *tensor.Tensor) []geom.Scored {
-				return qm.Detect(img, env.Th.Obj, env.Th.NMSIoU)
-			})
-			var mean float64
-			for _, task := range env.Tasks {
-				mean += eval.Run(df, env.Val[task.Name],
-					dataset.ClassInts(task.Classes), env.Th).Accuracy
-			}
-			mean /= float64(len(env.Tasks))
+			mean := env.meanAcc(env.quantDetector(qm))
 			rows = append(rows, E7Row{
 				Bits:         bits,
 				PerChannel:   perChannel,
@@ -178,7 +165,7 @@ func priorSeparation(priors []float64, taskClasses []scene.ClassID) float64 {
 // zeroShotAcc conditions a fresh copy of the teacher on priors and measures
 // accuracy without any fine-tuning.
 func zeroShotAcc(env *Env, priors []float64, val dataset.Set, classes []int) float64 {
-	m := vit.New(TeacherModelCfg(), tensor.NewRNG(7))
+	m := vit.New(zoo.TeacherCfg(), tensor.NewRNG(7))
 	if err := env.Teacher.CloneWeightsTo(m); err != nil {
 		panic(err)
 	}
@@ -234,7 +221,7 @@ func E8DistillAblation(env *Env, taskName string) ([]E8DistillRow, error) {
 	}
 	var rows []E8DistillRow
 	for i, v := range variants {
-		student := vit.New(StudentModelCfg(), tensor.NewRNG(uint64(900+i)))
+		student := vit.New(zoo.StudentCfg(), tensor.NewRNG(uint64(900+i)))
 		cfg := distill.DefaultDistillConfig()
 		cfg.Train.Epochs = env.Scale.DistillEpochs
 		cfg.Train.Seed = uint64(7000 + i)

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"itask/internal/dataset"
-	"itask/internal/eval"
-	"itask/internal/geom"
 	"itask/internal/quant"
 	"itask/internal/scene"
 	"itask/internal/tensor"
@@ -32,8 +29,9 @@ type E11Row struct {
 // All four combinations are evaluated across the four tasks on the same
 // validation scenes.
 func E11DeploymentVariants(env *Env) ([]E11Row, error) {
-	// Fresh quantized model so toggles never leak into env.Quant.
-	qm, err := quant.FromViT(env.GenStudent, quant.DefaultConfig())
+	// A fresh copy of the deployed model, so toggles never leak into
+	// env.Quant.
+	qm, err := quant.FromViT(env.Teacher, quant.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -46,20 +44,9 @@ func E11DeploymentVariants(env *Env) ([]E11Row, error) {
 			calib = append(calib, scene.Generate(dom, env.Gen, rng).Image)
 		}
 	}
-	sp, err := quant.Calibrate(env.GenStudent, calib, quant.DefaultConfig(), 0.999)
+	sp, err := quant.Calibrate(env.Teacher, calib, quant.DefaultConfig(), 0.999)
 	if err != nil {
 		return nil, err
-	}
-
-	meanAcc := func() float64 {
-		df := eval.DetectFunc(func(img *tensor.Tensor) []geom.Scored {
-			return qm.Detect(img, env.Th.Obj, env.Th.NMSIoU)
-		})
-		var sum float64
-		for _, task := range env.Tasks {
-			sum += eval.Run(df, env.Val[task.Name], dataset.ClassInts(task.Classes), env.Th).Accuracy
-		}
-		return sum / float64(len(env.Tasks))
 	}
 
 	variants := []struct {
@@ -85,7 +72,7 @@ func E11DeploymentVariants(env *Env) ([]E11Row, error) {
 			}
 		}
 		qm.SetApproxVector(v.approx)
-		acc := meanAcc()
+		acc := env.meanAcc(env.quantDetector(qm))
 		if i == 0 {
 			base = acc
 		}

@@ -12,6 +12,7 @@ import (
 	"itask/internal/scene"
 	"itask/internal/tensor"
 	"itask/internal/vit"
+	"itask/internal/zoo"
 )
 
 // E9Row is one point of the sample-efficiency study: accuracy on the target
@@ -51,7 +52,7 @@ func E9SampleEfficiency(env *Env, targetName string, sampleCounts []int) ([]E9Ro
 
 	rng := tensor.NewRNG(606060)
 	// Leave-one-out teacher: the reusable, task-agnostic part of iTask.
-	looTeacher := vit.New(TeacherModelCfg(), rng.Split())
+	looTeacher := vit.New(zoo.TeacherCfg(), rng.Split())
 	mixed := dataset.BuildMixed(pretrain, env.Scale.TrainPerTask, env.Gen, rng.Split())
 	tcfg := distill.DefaultTrainConfig()
 	tcfg.Epochs = env.Scale.TeacherEpochs
@@ -74,7 +75,7 @@ func E9SampleEfficiency(env *Env, targetName string, sampleCounts []int) ([]E9Ro
 
 		// iTask: distill from the LOO teacher on the n samples, condition
 		// with the task's knowledge graph.
-		student := vit.New(StudentModelCfg(), tensor.NewRNG(uint64(4000+n)))
+		student := vit.New(zoo.StudentCfg(), tensor.NewRNG(uint64(4000+n)))
 		dcfg := distill.DefaultDistillConfig()
 		dcfg.Train.Epochs = env.Scale.DistillEpochs
 		dcfg.Train.Seed = uint64(5000 + n)
@@ -100,7 +101,7 @@ func E9SampleEfficiency(env *Env, targetName string, sampleCounts []int) ([]E9Ro
 		cnnAcc := eval.Run(cnnDF, val, classes, th).Accuracy
 
 		// ViT (student architecture) from scratch — architecture control.
-		scratch := vit.New(StudentModelCfg(), tensor.NewRNG(uint64(8000+n)))
+		scratch := vit.New(zoo.StudentCfg(), tensor.NewRNG(uint64(8000+n)))
 		scfg := distill.DefaultTrainConfig()
 		scfg.Epochs = env.Scale.DistillEpochs
 		scfg.Seed = uint64(9000 + n)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"itask/internal/dataset"
-	"itask/internal/distill"
 	"itask/internal/eval"
 	"itask/internal/geom"
 	"itask/internal/kg"
@@ -18,6 +17,7 @@ import (
 	"itask/internal/scene"
 	"itask/internal/tensor"
 	"itask/internal/vit"
+	"itask/internal/zoo"
 )
 
 // Scale sets the data/training budget of the accuracy experiments.
@@ -36,8 +36,7 @@ type Scale struct {
 	E9Samples []int
 }
 
-// QuickScale finishes the full suite in about a minute; used by the
-// benchmark harness and CI.
+// QuickScale finishes the full suite in seconds; CI runs it on every push.
 func QuickScale() Scale {
 	return Scale{
 		Name:          "quick",
@@ -52,7 +51,7 @@ func QuickScale() Scale {
 	}
 }
 
-// FullScale is the overnight setting for the numbers in EXPERIMENTS.md.
+// FullScale is the larger setting for the numbers in EXPERIMENTS.md.
 func FullScale() Scale {
 	return Scale{
 		Name:          "full",
@@ -64,25 +63,6 @@ func FullScale() Scale {
 		FewShotKs:     []int{0, 1, 2, 4, 8, 16, 32},
 		FewShotEpochs: 12,
 		E9Samples:     []int{4, 8, 16, 32, 64, 128},
-	}
-}
-
-// TeacherModelCfg is the trained generalist architecture used in the
-// accuracy experiments (laptop-scale geometry).
-func TeacherModelCfg() vit.Config {
-	return vit.Config{
-		ImageSize: 32, Channels: 3, PatchSize: 8,
-		Dim: 48, Depth: 3, Heads: 4, MLPRatio: 2,
-		Classes: int(scene.NumClasses),
-	}
-}
-
-// StudentModelCfg is the distilled task-specific architecture.
-func StudentModelCfg() vit.Config {
-	return vit.Config{
-		ImageSize: 32, Channels: 3, PatchSize: 8,
-		Dim: 32, Depth: 2, Heads: 4, MLPRatio: 2,
-		Classes: int(scene.NumClasses),
 	}
 }
 
@@ -98,26 +78,34 @@ type Env struct {
 	Scale   Scale
 	Tasks   []dataset.Task
 	Teacher *vit.Model
-	// GenStudent is the multi-task generalist in the STUDENT architecture,
-	// distilled from the teacher on the task mixture. Quant is its int8
-	// deployment — the paper's "quantized version of the model", matched in
-	// architecture to the task-specific students so the E1 comparison
-	// isolates specialization + quantization rather than capacity.
-	GenStudent *vit.Model
-	Students   map[string]*vit.Model
-	Quant      *quant.Model
-	Graphs     map[string]*kg.Graph
-	Priors     map[string][]float64
-	Val        map[string]dataset.Set
-	Gen        scene.GenConfig
-	Th         eval.Thresholds
+	// Quant is the teacher quantized to int8: the paper's "quantized
+	// version of the model", and the generalist every serving program
+	// quantizes from teacher.ckpt.
+	Quant *quant.Model
+	// QuantBase is the zoo's student-sized base, distilled on the task
+	// mixture, quantized to int8: E1's matched-capacity alternative to
+	// Quant.
+	QuantBase *quant.Model
+	// Students are the zoo's students conditioned on their task's priors,
+	// as a served student is.
+	Students map[string]*vit.Model
+	Graphs   map[string]*kg.Graph
+	Priors   map[string][]float64
+	Val      map[string]dataset.Set
+	Gen      scene.GenConfig
+	Th       eval.Thresholds
 }
 
-// BuildEnv trains the full iTask model zoo deterministically: the
-// multi-task teacher, the int8 quantized generalist, one distilled student
-// per standard task, per-task knowledge graphs, and validation sets.
+// Seed is the master seed of the accuracy experiments' zoo.
+const Seed = 20250704
+
+// BuildEnv builds the model zoo (internal/zoo) at the scale's recipe and
+// Seed, then the per-task knowledge graphs and validation sets. At a scale
+// with TrainPerTask = DistillSample and TeacherEpochs = DistillEpochs, its
+// teacher and students are the weights itask-train writes at the same
+// sizes and seed.
 func BuildEnv(s Scale) (*Env, error) {
-	rng := tensor.NewRNG(20250704)
+	rng := tensor.NewRNG(Seed)
 	env := &Env{
 		Scale:    s,
 		Tasks:    dataset.StandardTasks(),
@@ -140,55 +128,24 @@ func BuildEnv(s Scale) (*Env, error) {
 		env.Priors[task.Name] = kg.ClassPriors(g, "task:"+task.Name)
 	}
 
-	// Teacher: multi-task supervised training.
-	mixed := dataset.BuildMixed(env.Tasks, s.TrainPerTask, env.Gen, rng.Split())
-	env.Teacher = vit.New(TeacherModelCfg(), rng.Split())
-	tcfg := distill.DefaultTrainConfig()
-	tcfg.Epochs = s.TeacherEpochs
-	tcfg.Seed = rng.Uint64()
-	if _, err := distill.Train(env.Teacher, mixed, tcfg); err != nil {
-		return nil, fmt.Errorf("experiments: teacher: %w", err)
-	}
-
-	// Multi-task generalist in the student architecture, distilled from
-	// the teacher on the same mixture, then deployed quantized.
-	env.GenStudent = vit.New(StudentModelCfg(), rng.Split())
-	gcfg := distill.DefaultDistillConfig()
-	gcfg.Train.Epochs = s.DistillEpochs
-	gcfg.Train.Seed = rng.Uint64()
-	if _, err := distill.Distill(env.Teacher, env.GenStudent, mixed, gcfg); err != nil {
-		return nil, fmt.Errorf("experiments: generalist distill: %w", err)
-	}
-	qm, err := quant.FromViT(env.GenStudent, quant.DefaultConfig())
+	r := zoo.NewRecipe(s.TrainPerTask, s.DistillSample, s.TeacherEpochs, s.DistillEpochs)
+	z, err := zoo.Build(r, env.Tasks, rng)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: quantize: %w", err)
+		return nil, err
 	}
-	env.Quant = qm
-
-	// Per-task distilled students: distillation transfers the teacher's
-	// representation, a short supervised fine-tune then specializes it on
-	// the task ("optimized for high accuracy in defined tasks"), and the
-	// KG priors condition the heads.
-	for _, task := range env.Tasks {
-		set := dataset.Build(task, s.DistillSample, env.Gen, rng.Split())
-		student := vit.New(StudentModelCfg(), rng.Split())
-		dcfg := distill.DefaultDistillConfig()
-		dcfg.Train.Epochs = s.DistillEpochs
-		dcfg.Train.Seed = rng.Uint64()
-		if _, err := distill.Distill(env.Teacher, student, set, dcfg); err != nil {
-			return nil, fmt.Errorf("experiments: distill %s: %w", task.Name, err)
-		}
-		ftcfg := distill.DefaultTrainConfig()
-		ftcfg.Epochs = s.DistillEpochs
-		ftcfg.LR = 1e-3
-		ftcfg.Seed = rng.Uint64()
-		if _, err := distill.Train(student, set, ftcfg); err != nil {
-			return nil, fmt.Errorf("experiments: fine-tune %s: %w", task.Name, err)
-		}
-		if err := distill.ApplyClassPriors(student, env.Priors[task.Name], 0.5); err != nil {
+	env.Teacher, env.Quant = z.Teacher, z.Generalist
+	for name, student := range z.Students {
+		if err := zoo.WithPriors(student, env.Priors[name]); err != nil {
 			return nil, err
 		}
-		env.Students[task.Name] = student
+		env.Students[name] = student
+	}
+	base, err := zoo.DistillBase(r, z.Teacher, env.Tasks, rng)
+	if err != nil {
+		return nil, err
+	}
+	if env.QuantBase, err = quant.FromViT(base, quant.DefaultConfig()); err != nil {
+		return nil, err
 	}
 
 	// Validation sets.
@@ -198,9 +155,19 @@ func BuildEnv(s Scale) (*Env, error) {
 	return env, nil
 }
 
-// quantDetector wraps the quantized generalist as an eval.DetectFunc.
-func (e *Env) quantDetector() eval.DetectFunc {
+// meanAcc is a detector's accuracy on each task's validation set, averaged
+// over the tasks.
+func (e *Env) meanAcc(df eval.DetectFunc) float64 {
+	var sum float64
+	for _, task := range e.Tasks {
+		sum += eval.Run(df, e.Val[task.Name], dataset.ClassInts(task.Classes), e.Th).Accuracy
+	}
+	return sum / float64(len(e.Tasks))
+}
+
+// quantDetector wraps an int8 model as an eval.DetectFunc.
+func (e *Env) quantDetector(qm *quant.Model) eval.DetectFunc {
 	return func(img *tensor.Tensor) []geom.Scored {
-		return e.Quant.Detect(img, e.Th.Obj, e.Th.NMSIoU)
+		return qm.Detect(img, e.Th.Obj, e.Th.NMSIoU)
 	}
 }

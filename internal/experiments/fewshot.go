@@ -9,6 +9,7 @@ import (
 	"itask/internal/eval"
 	"itask/internal/tensor"
 	"itask/internal/vit"
+	"itask/internal/zoo"
 )
 
 // E4Row is one point of Figure 1: few-shot adaptation to an unseen task.
@@ -40,7 +41,7 @@ func E4FewShot(env *Env, heldOut string) ([]E4Row, error) {
 	}
 
 	rng := tensor.NewRNG(424242)
-	base := vit.New(StudentModelCfg(), rng.Split())
+	base := vit.New(zoo.StudentCfg(), rng.Split())
 	mixed := dataset.BuildMixed(pretrain, env.Scale.TrainPerTask/2+8, env.Gen, rng.Split())
 	tcfg := distill.DefaultTrainConfig()
 	tcfg.Epochs = env.Scale.TeacherEpochs
@@ -54,7 +55,7 @@ func E4FewShot(env *Env, heldOut string) ([]E4Row, error) {
 	classes := dataset.ClassInts(target.Classes)
 
 	adapt := func(k int, strength float32) (float64, error) {
-		m := vit.New(StudentModelCfg(), rng.Split())
+		m := vit.New(zoo.StudentCfg(), rng.Split())
 		if err := base.CloneWeightsTo(m); err != nil {
 			return 0, err
 		}

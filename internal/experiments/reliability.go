@@ -1,15 +1,10 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
-	"itask/internal/dataset"
-	"itask/internal/eval"
-	"itask/internal/geom"
 	"itask/internal/quant"
-	"itask/internal/tensor"
 )
 
 // E13Row is one point of the soft-error reliability study.
@@ -28,26 +23,12 @@ type E13Row struct {
 // under weight-memory soft errors — the SRAM-reliability analysis a DAC
 // accelerator evaluation runs before choosing ECC/voltage margins.
 func E13FaultInjection(env *Env, rates []float64) ([]E13Row, error) {
-	// Pristine serialized copy to clone from.
-	var pristine bytes.Buffer
-	if err := env.Quant.Save(&pristine); err != nil {
-		return nil, err
-	}
-	meanAcc := func(qm *quant.Model) float64 {
-		df := eval.DetectFunc(func(img *tensor.Tensor) []geom.Scored {
-			return qm.Detect(img, env.Th.Obj, env.Th.NMSIoU)
-		})
-		var sum float64
-		for _, task := range env.Tasks {
-			sum += eval.Run(df, env.Val[task.Name], dataset.ClassInts(task.Classes), env.Th).Accuracy
-		}
-		return sum / float64(len(env.Tasks))
-	}
-	clean := meanAcc(env.Quant)
+	clean := env.meanAcc(env.quantDetector(env.Quant))
 
 	var rows []E13Row
 	for _, rate := range rates {
-		qm, err := quant.Load(bytes.NewReader(pristine.Bytes()))
+		// A fresh copy of the deployed model: quantization is deterministic.
+		qm, err := quant.FromViT(env.Teacher, env.Quant.QC)
 		if err != nil {
 			return nil, err
 		}
@@ -55,7 +36,7 @@ func E13FaultInjection(env *Env, rates []float64) ([]E13Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		acc := meanAcc(qm)
+		acc := env.meanAcc(env.quantDetector(qm))
 		rows = append(rows, E13Row{
 			RatePerBit:   rate,
 			FlippedBits:  flips,

@@ -6,7 +6,6 @@ import (
 
 	"itask/internal/dataset"
 	"itask/internal/eval"
-	"itask/internal/geom"
 	"itask/internal/quant"
 	"itask/internal/scene"
 	"itask/internal/tensor"
@@ -33,14 +32,9 @@ type E10Row struct {
 // All models are evaluated on identical noisy scenes (same seeds).
 func E10NoiseRobustness(env *Env, scales []float64) ([]E10Row, error) {
 	int8Model := env.Quant
-	int4Model, err := quant.FromViT(env.GenStudent, quant.Config{Bits: 4, PerChannel: true})
+	int4Model, err := quant.FromViT(env.Teacher, quant.Config{Bits: 4, PerChannel: true})
 	if err != nil {
 		return nil, err
-	}
-	wrap := func(qm *quant.Model) eval.DetectFunc {
-		return func(img *tensor.Tensor) []geom.Scored {
-			return qm.Detect(img, env.Th.Obj, env.Th.NMSIoU)
-		}
 	}
 	var rows []E10Row
 	for _, s := range scales {
@@ -57,9 +51,9 @@ func E10NoiseRobustness(env *Env, scales []float64) ([]E10Row, error) {
 			noisy.NoiseStd = dom.NoiseStd * float32(s)
 			val := buildWithDomain(task, noisy, env.Scale.ValPerTask, gen)
 			classes := dataset.ClassInts(task.Classes)
-			fAcc += eval.Run(eval.DetectorOf(env.GenStudent, env.Th), val, classes, env.Th).Accuracy
-			q8Acc += eval.Run(wrap(int8Model), val, classes, env.Th).Accuracy
-			q4Acc += eval.Run(wrap(int4Model), val, classes, env.Th).Accuracy
+			fAcc += eval.Run(eval.DetectorOf(env.Teacher, env.Th), val, classes, env.Th).Accuracy
+			q8Acc += eval.Run(env.quantDetector(int8Model), val, classes, env.Th).Accuracy
+			q4Acc += eval.Run(env.quantDetector(int4Model), val, classes, env.Th).Accuracy
 		}
 		n := float64(len(env.Tasks))
 		rows = append(rows, E10Row{

@@ -1,33 +1,27 @@
 package quant
 
-import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"testing"
-)
+import "testing"
 
-func TestQuantChecksumAndVerify(t *testing.T) {
-	qm := serTestModel(t)
-	var buf bytes.Buffer
-	if err := qm.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := qm.Checksum()
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestChecksumNamesFloatModelAndScheme(t *testing.T) {
+	sum := Checksum("0123456789abcdef", DefaultConfig())
 	if len(sum) != sumLen {
 		t.Fatalf("checksum %q length %d, want %d", sum, len(sum), sumLen)
 	}
-	if h := sha256.Sum256(buf.Bytes()); hex.EncodeToString(h[:])[:sumLen] != sum {
-		t.Fatalf("Checksum() = %q is not the hash of the saved bytes", sum)
+	if again := Checksum("0123456789abcdef", DefaultConfig()); again != sum {
+		t.Fatalf("same inputs named %q and %q", sum, again)
 	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
+	for name, other := range map[string]string{
+		"float model": Checksum("fedcba9876543210", DefaultConfig()),
+		"bits":        Checksum("0123456789abcdef", Config{Bits: 4, PerChannel: true}),
+		"per-tensor":  Checksum("0123456789abcdef", Config{Bits: 8}),
+		"act bits":    Checksum("0123456789abcdef", Config{Bits: 8, ActBits: 6, PerChannel: true}),
+	} {
+		if other == sum {
+			t.Errorf("another %s kept the checksum %q", name, sum)
+		}
 	}
-	if got, err := loaded.Checksum(); err != nil || got != sum {
-		t.Fatalf("loaded model hash %q, %v, want %q", got, err, sum)
+	// ActBits 0 means ActBits = Bits: the same model, so the same name.
+	if got := Checksum("0123456789abcdef", Config{Bits: 8, ActBits: 8, PerChannel: true}); got != sum {
+		t.Errorf("explicit act bits = bits named %q, want %q", got, sum)
 	}
 }

@@ -1,7 +1,6 @@
 package quant
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -12,23 +11,24 @@ import (
 	"itask/internal/vit"
 )
 
-// cloneModel deep-copies a quantized model via the checkpoint format.
-func cloneModel(t *testing.T, qm *Model) *Model {
+// testModel quantizes a small seeded ViT. Quantization is deterministic, so
+// every call returns a fresh copy of the same model.
+func testModel(t *testing.T) *Model {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := qm.Save(&buf); err != nil {
-		t.Fatal(err)
+	cfg := vit.Config{
+		ImageSize: 32, Channels: 3, PatchSize: 8,
+		Dim: 32, Depth: 2, Heads: 4, MLPRatio: 2, Classes: 5,
 	}
-	out, err := Load(&buf)
+	qm, err := FromViT(vit.New(cfg, tensor.NewRNG(1)), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return qm
 }
 
 func TestInjectBitFlipsRateZeroIsNoop(t *testing.T) {
-	qm := serTestModel(t)
-	ref := cloneModel(t, qm)
+	qm := testModel(t)
+	ref := testModel(t)
 	flips, err := InjectBitFlips(qm, 0, 1)
 	if err != nil || flips != 0 {
 		t.Fatalf("flips=%d err=%v", flips, err)
@@ -41,7 +41,7 @@ func TestInjectBitFlipsRateZeroIsNoop(t *testing.T) {
 }
 
 func TestInjectBitFlipsCountMatchesRate(t *testing.T) {
-	qm := serTestModel(t)
+	qm := testModel(t)
 	total := qm.WeightBits()
 	if total <= 0 {
 		t.Fatal("no weight bits")
@@ -58,7 +58,7 @@ func TestInjectBitFlipsCountMatchesRate(t *testing.T) {
 }
 
 func TestInjectBitFlipsRowSumsConsistent(t *testing.T) {
-	qm := serTestModel(t)
+	qm := testModel(t)
 	if _, err := InjectBitFlips(qm, 0.05, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +98,13 @@ func TestInjectBitFlipsCodesStayInRange(t *testing.T) {
 }
 
 func TestInjectBitFlipsDegradesGracefully(t *testing.T) {
-	qm := serTestModel(t)
+	qm := testModel(t)
 	img := tensor.Randn(tensor.NewRNG(7), 0.5, 3, 32, 32)
 	patches := vit.Patchify(qm.Cfg, []*tensor.Tensor{img})
 	ref := qm.DetHead(qm.Forward(patches))
 
 	rms := func(rate float64, seed uint64) float64 {
-		c := cloneModel(t, qm)
+		c := testModel(t)
 		if _, err := InjectBitFlips(c, rate, seed); err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestInjectBitFlipsDegradesGracefully(t *testing.T) {
 }
 
 func TestInjectBitFlipsValidation(t *testing.T) {
-	qm := serTestModel(t)
+	qm := testModel(t)
 	if _, err := InjectBitFlips(qm, -0.1, 1); err == nil {
 		t.Error("negative rate should fail")
 	}
@@ -135,7 +135,7 @@ func TestInjectBitFlipsValidation(t *testing.T) {
 
 // TestPanelsFollowCodes: every linear layer's panels P are its codes Q
 // packed — after FromViT at every bit width, per channel and per tensor,
-// after a Save/Load round trip, and after InjectBitFlips changed the codes.
+// and after InjectBitFlips changed the codes.
 func TestPanelsFollowCodes(t *testing.T) {
 	check := func(what string, qm *Model) {
 		t.Helper()
@@ -158,8 +158,7 @@ func TestPanelsFollowCodes(t *testing.T) {
 			check(fmt.Sprintf("FromViT bits=%d perChannel=%v", bits, perChannel), qm)
 		}
 	}
-	qm := cloneModel(t, serTestModel(t))
-	check("Save/Load", qm)
+	qm := testModel(t)
 	if n, err := InjectBitFlips(qm, 0.01, 9); err != nil || n == 0 {
 		t.Fatalf("InjectBitFlips flipped %d bits, err %v", n, err)
 	}

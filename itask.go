@@ -21,6 +21,7 @@ import (
 	"itask/internal/serve"
 	"itask/internal/tensor"
 	"itask/internal/vit"
+	"itask/internal/zoo"
 )
 
 // Detection is one detected object, with the class resolved to its name.
@@ -43,10 +44,12 @@ type Options struct {
 	Quant quant.Config
 	// Gen controls synthetic scene generation for training.
 	Gen scene.GenConfig
-	// TrainSamplesPerTask and TrainCfg control generalist training.
+	// TrainSamplesPerTask and TrainCfg control generalist training, and the
+	// few-shot base's mixture.
 	TrainSamplesPerTask int
 	TrainCfg            distill.TrainConfig
-	// DistillSamples and DistillCfg control per-task student distillation.
+	// DistillSamples and DistillCfg control per-task student distillation
+	// and fine-tuning, and the few-shot base's distillation.
 	DistillSamples int
 	DistillCfg     distill.DistillConfig
 	// PriorThreshold is the KG relevance below which detections are
@@ -60,32 +63,20 @@ type Options struct {
 	MemoryBudgetBytes int64
 }
 
-// DefaultOptions returns a laptop-scale configuration that trains in
-// seconds per task and reproduces the experiment shapes.
+// DefaultOptions returns a laptop-scale configuration, with the zoo's
+// architectures (internal/zoo), that trains in seconds per task.
 func DefaultOptions() Options {
-	classes := int(scene.NumClasses)
-	teacher := vit.Config{
-		ImageSize: 32, Channels: 3, PatchSize: 8,
-		Dim: 48, Depth: 3, Heads: 4, MLPRatio: 2, Classes: classes,
-	}
-	student := vit.Config{
-		ImageSize: 32, Channels: 3, PatchSize: 8,
-		Dim: 32, Depth: 2, Heads: 4, MLPRatio: 2, Classes: classes,
-	}
-	tc := distill.DefaultTrainConfig()
-	tc.Epochs = 12
-	dc := distill.DefaultDistillConfig()
-	dc.Train.Epochs = 12
+	r := zoo.NewRecipe(48, 64, 12, 12)
 	return Options{
 		Seed:                1,
-		TeacherCfg:          teacher,
-		StudentCfg:          student,
+		TeacherCfg:          r.TeacherCfg,
+		StudentCfg:          r.StudentCfg,
 		Quant:               quant.DefaultConfig(),
-		Gen:                 scene.DefaultGenConfig(),
-		TrainSamplesPerTask: 48,
-		TrainCfg:            tc,
-		DistillSamples:      64,
-		DistillCfg:          dc,
+		Gen:                 r.Gen,
+		TrainSamplesPerTask: r.TrainPerTask,
+		TrainCfg:            r.TrainCfg,
+		DistillSamples:      r.DistillPerTask,
+		DistillCfg:          r.DistillCfg,
 		PriorThreshold:      0.45,
 		Thresholds:          eval.DefaultThresholds(),
 		Accel:               hwsim.DefaultAccel(),
@@ -221,8 +212,9 @@ func (p *Pipeline) ready() bool {
 }
 
 // publishGeneralist publishes the float teacher (provenance) and the
-// quantized generalist (routable) as the next versions of their names.
-// Caller holds p.mu.
+// quantized generalist (routable) as the next versions of their names. The
+// generalist's checksum names the teacher's and the scheme, so pipelines
+// that loaded the same teacher agree on it. Caller holds p.mu.
 func (p *Pipeline) publishGeneralist(teacher *vit.Model, qm *quant.Model) error {
 	tsum, err := teacher.Checksum()
 	if err != nil {
@@ -234,10 +226,6 @@ func (p *Pipeline) publishGeneralist(teacher *vit.Model, qm *quant.Model) error 
 	}); err != nil {
 		return err
 	}
-	qsum, err := qm.Checksum()
-	if err != nil {
-		return fmt.Errorf("itask: checksumming generalist: %w", err)
-	}
 	th := p.opts.Thresholds
 	lat := hwsim.SimulateAccel(p.opts.Accel, p.opts.TeacherCfg).LatencyUS
 	_, err = p.reg.Publish(registry.Artifact{
@@ -245,7 +233,7 @@ func (p *Pipeline) publishGeneralist(teacher *vit.Model, qm *quant.Model) error 
 		Kind:      registry.Generalist,
 		Bytes:     int64(qm.WeightBytes()),
 		LatencyUS: lat,
-		Checksum:  qsum,
+		Checksum:  quant.Checksum(tsum, qm.QC),
 		Detect: func(imgs []*tensor.Tensor) [][]geom.Scored {
 			return qm.DetectBatch(imgs, th.Obj, th.NMSIoU)
 		},
@@ -276,6 +264,16 @@ func (p *Pipeline) publishStudent(taskName string, student *vit.Model) error {
 	return err
 }
 
+// recipe is the zoo recipe the pipeline's options describe.
+func (p *Pipeline) recipe() zoo.Recipe {
+	o := p.opts
+	return zoo.Recipe{
+		TeacherCfg: o.TeacherCfg, StudentCfg: o.StudentCfg, Gen: o.Gen,
+		TrainPerTask: o.TrainSamplesPerTask, DistillPerTask: o.DistillSamples,
+		TrainCfg: o.TrainCfg, DistillCfg: o.DistillCfg,
+	}
+}
+
 // TrainGeneralist trains the multi-task teacher on a mixture of the given
 // tasks (nil means the four standard tasks), quantizes it into the
 // deployable generalist, and publishes both into the registry.
@@ -288,12 +286,9 @@ func (p *Pipeline) TrainGeneralist(tasks []dataset.Task) error {
 	if tasks == nil {
 		tasks = dataset.StandardTasks()
 	}
-	mixed := dataset.BuildMixed(tasks, p.opts.TrainSamplesPerTask, p.opts.Gen, p.rng.Split())
-	teacher := vit.New(p.opts.TeacherCfg, p.rng.Split())
-	cfg := p.opts.TrainCfg
-	cfg.Seed = p.rng.Uint64()
-	if _, err := distill.Train(teacher, mixed, cfg); err != nil {
-		return fmt.Errorf("itask: training generalist: %w", err)
+	teacher, err := zoo.TrainTeacher(p.recipe(), tasks, p.rng)
+	if err != nil {
+		return fmt.Errorf("itask: %w", err)
 	}
 	qm, err := quant.FromViT(teacher, p.opts.Quant)
 	if err != nil {
@@ -373,7 +368,7 @@ func (p *Pipeline) LoadStudentVerified(taskName, checkpointPath, sum string) err
 	if err != nil {
 		return fmt.Errorf("itask: loading student checkpoint: %w", err)
 	}
-	if err := distill.ApplyClassPriors(student, ts.priors, 0.5); err != nil {
+	if err := zoo.WithPriors(student, ts.priors); err != nil {
 		return err
 	}
 	return p.publishStudent(taskName, student)
@@ -416,10 +411,11 @@ func (p *Pipeline) DefineTask(name, description string) error {
 }
 
 // DistillStudent builds the task-specific configuration for a defined task:
-// a student distilled from the teacher on task-domain data, conditioned with
-// the task's KG priors, and published into the registry. Distilling again
-// for the same task publishes the next version and atomically routes it —
-// in-flight requests finish on the previous version.
+// the zoo's student (distilled from the teacher on task-domain data, then
+// fine-tuned on it), conditioned with the task's KG priors, and published
+// into the registry. Distilling again for the same task publishes the next
+// version and atomically routes it — in-flight requests finish on the
+// previous version.
 func (p *Pipeline) DistillStudent(taskName string, domain scene.DomainID) error {
 	ts, ok := p.task(taskName)
 	if !ok {
@@ -431,36 +427,24 @@ func (p *Pipeline) DistillStudent(taskName string, domain scene.DomainID) error 
 	if teacher == nil {
 		return fmt.Errorf("itask: train the generalist first")
 	}
-	task := dataset.Task{Name: taskName, Domain: domain, Description: ts.description}
-	set := dataset.Build(task, p.opts.DistillSamples, p.opts.Gen, p.rng.Split())
-	student := vit.New(p.opts.StudentCfg, p.rng.Split())
-	dcfg := p.opts.DistillCfg
-	dcfg.Train.Seed = p.rng.Uint64()
-	if _, err := distill.Distill(teacher, student, set, dcfg); err != nil {
-		return fmt.Errorf("itask: distilling student for %q: %w", taskName, err)
+	task := dataset.Task{Name: taskName, Domain: domain}
+	student, err := zoo.DistillStudent(p.recipe(), teacher, task, p.rng)
+	if err != nil {
+		return fmt.Errorf("itask: %w", err)
 	}
-	// Task specialization: a supervised fine-tune on the task data after
-	// distillation ("optimized for high accuracy in defined tasks").
-	ftcfg := distill.DefaultTrainConfig()
-	ftcfg.Epochs = dcfg.Train.Epochs
-	ftcfg.LR = 1e-3
-	ftcfg.Seed = p.rng.Uint64()
-	if _, err := distill.Train(student, set, ftcfg); err != nil {
-		return fmt.Errorf("itask: fine-tuning student for %q: %w", taskName, err)
-	}
-	if err := distill.ApplyClassPriors(student, ts.priors, 0.5); err != nil {
+	if err := zoo.WithPriors(student, ts.priors); err != nil {
 		return err
 	}
 	return p.publishStudent(taskName, student)
 }
 
 // AdaptStudent builds a task-specific configuration from only `shots`
-// support scenes per class — the few-shot path (claim C5): a
-// student-architecture multi-task base (distilled once from the teacher and
-// published as FewShotBaseArtifact) is cloned, conditioned with the task's
-// knowledge-graph priors, and fine-tuned on the tiny support set. Use
-// DistillStudent instead when abundant task data is available. Adapting
-// again publishes the next version.
+// support scenes per class — the few-shot path (claim C5): the zoo's base
+// (a student-sized model distilled once from the teacher on the task
+// mixture, published as FewShotBaseArtifact) is cloned, conditioned with
+// the task's knowledge-graph priors, and fine-tuned on the tiny support
+// set. Use DistillStudent instead when abundant task data is available.
+// Adapting again publishes the next version.
 func (p *Pipeline) AdaptStudent(taskName string, domain scene.DomainID, shots int) error {
 	ts, ok := p.task(taskName)
 	if !ok {
@@ -477,12 +461,9 @@ func (p *Pipeline) AdaptStudent(taskName string, domain scene.DomainID, shots in
 	}
 	base, ok := payloadOf[*vit.Model](p, FewShotBaseArtifact)
 	if !ok {
-		base = vit.New(p.opts.StudentCfg, p.rng.Split())
-		mixed := dataset.BuildMixed(dataset.StandardTasks(), p.opts.TrainSamplesPerTask, p.opts.Gen, p.rng.Split())
-		dcfg := p.opts.DistillCfg
-		dcfg.Train.Seed = p.rng.Uint64()
-		if _, err := distill.Distill(teacher, base, mixed, dcfg); err != nil {
-			return fmt.Errorf("itask: building few-shot base: %w", err)
+		var err error
+		if base, err = zoo.DistillBase(p.recipe(), teacher, dataset.StandardTasks(), p.rng); err != nil {
+			return fmt.Errorf("itask: %w", err)
 		}
 		bsum, err := base.Checksum()
 		if err != nil {

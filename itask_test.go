@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"itask/internal/scene"
 	"itask/internal/serve"
 	"itask/internal/tensor"
+	"itask/internal/vit"
 )
 
 // fastOptions shrinks training so the integration tests run in seconds.
@@ -220,6 +222,41 @@ func TestLoadGeneralistAndStudentFromCheckpoint(t *testing.T) {
 	fresh := New(fastOptions())
 	if err := fresh.LoadGeneralist(dir + "/missing.ckpt"); err == nil {
 		t.Error("missing checkpoint should fail")
+	}
+}
+
+// TestGeneralistChecksumNamesTheTeacher: the generalist is quantized in
+// process, and its registry checksum is derived from the teacher's and the
+// scheme. Two pipelines that load the same teacher.ckpt publish the same
+// generalist checksum and the same snapshot identity, so a fleet of shards
+// that loaded it agrees on one route epoch; another teacher moves both.
+func TestGeneralistChecksumNamesTheTeacher(t *testing.T) {
+	opts := DefaultOptions()
+	dir := t.TempDir()
+	for i, name := range []string{"teacher.ckpt", "other.ckpt"} {
+		if err := vit.New(opts.TeacherCfg, tensor.NewRNG(uint64(i+1))).SaveFile(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load := func(name string) (sum string, identity uint64) {
+		t.Helper()
+		p := New(opts)
+		if err := p.LoadGeneralist(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+		snap := p.Registry().Snapshot()
+		g, ok := snap.Generalist()
+		if !ok {
+			t.Fatal("no generalist published")
+		}
+		return g.Checksum, snap.Identity()
+	}
+	sum, id := load("teacher.ckpt")
+	if sum2, id2 := load("teacher.ckpt"); sum2 != sum || id2 != id {
+		t.Errorf("the same teacher published generalist %s and identity %x, then %s and %x", sum, id, sum2, id2)
+	}
+	if other, otherID := load("other.ckpt"); other == sum || otherID == id {
+		t.Errorf("another teacher kept generalist %s (%s) or identity %x (%x)", sum, other, id, otherID)
 	}
 }
 
