@@ -38,13 +38,14 @@ func twinBodies(t testing.TB, task string, seed int64) (jsonBody, binBody []byte
 
 // routeKeyFrame derives routing identity from the frame header and a digest
 // of the raw payload — no tensor is ever built. Its keys must be the same
-// ones routeKey derives from the JSON twin, and garbage must degrade to the
-// task-less zero key.
+// ones routeKey derives from the JSON twin (but for the task, which a
+// digested key does not carry), and garbage must degrade to the task-less
+// zero key.
 func TestRouteKeyFrameDerivation(t *testing.T) {
 	jsonBody, binBody := twinBodies(t, "patrol", 3)
 
 	k := routeKeyFrame(binBody)
-	if k.Task != "patrol" || !k.HasDigest {
+	if k.Task != "" || !k.HasDigest { // a digested key is placed by its digest alone
 		t.Fatalf("frame mis-keyed: %+v", k)
 	}
 	fr, err := wire.ParseFrame(binBody)
@@ -54,7 +55,7 @@ func TestRouteKeyFrameDerivation(t *testing.T) {
 	if want := rcache.DigestFrame(fr.Shape[:], fr.Payload); k.Digest != want {
 		t.Fatalf("frame digest %x, want DigestFrame %x", k.Digest, want)
 	}
-	if jk := routeKey(jsonBody); jk != k {
+	if jk := routeKey(jsonBody); jk != (gateway.Key{Digest: k.Digest, HasDigest: true, Task: "patrol"}) {
 		t.Fatalf("JSON twin keys differently: %+v vs %+v", jk, k)
 	}
 

@@ -332,10 +332,11 @@ func (a *app) announce(w http.ResponseWriter, r *http.Request) {
 }
 
 // routeKeyFrame derives the routing identity of a binary tensor frame from
-// its raw bytes: the header yields task/tenant, and the payload is
+// its raw bytes: the header yields the tenant, and the payload is
 // content-hashed in place (rcache.DigestFrame) — the digest equals what the
 // shard's result cache will compute from the materialized tensor, without
-// this door ever materializing one. Undecodable frames fall back to the
+// this door ever materializing one. The key leaves Task empty: a digested
+// key is placed by its digest alone. Undecodable frames fall back to the
 // empty key and let the shard issue the 400, mirroring routeKey's treatment
 // of garbage JSON.
 func routeKeyFrame(body []byte) gateway.Key {
@@ -344,7 +345,6 @@ func routeKeyFrame(body []byte) gateway.Key {
 		return gateway.Key{}
 	}
 	return gateway.Key{
-		Task:      string(fr.Task),
 		Tenant:    string(fr.Tenant),
 		Digest:    rcache.DigestFrame(fr.Shape[:], fr.Payload),
 		HasDigest: true,

@@ -48,8 +48,8 @@ func Rsqrt(x float32) float32 {
 	return y
 }
 
-// SoftmaxRows is tensor.SoftmaxRows with the approximate exponential,
-// matching what the vector unit computes.
+// SoftmaxRows is the row softmax (each row's maximum subtracted first) with
+// the approximate exponential, matching what the vector unit computes.
 func SoftmaxRows(t *tensor.Tensor) *tensor.Tensor {
 	if t.Dims() != 2 {
 		panic("approx: SoftmaxRows on non-matrix")

@@ -606,7 +606,8 @@ func (g *Gateway) Nodes() []string {
 
 // Key is one request's routing identity: the content digest when the body
 // is digestable, otherwise the task name (so undigestable traffic for one
-// task still lands on one shard's batch lanes).
+// task still lands on one shard's batch lanes). Task is read only when
+// HasDigest is false.
 type Key struct {
 	Digest    uint64
 	HasDigest bool

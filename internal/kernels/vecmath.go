@@ -2,10 +2,9 @@ package kernels
 
 import "math"
 
-// float32 kernels for the elementwise half of the inference forwards (a
-// float model with train == false, and the quantized model): the residual
-// add, softmax and GELU on one float32 exponential, and LayerNorm, where the
-// training paths keep math.Exp, math.Tanh and a float64 LayerNorm. exp32
+// float32 kernels for the elementwise half of every forward (a float model
+// training or at inference, and the quantized model): the residual add,
+// softmax and GELU on one float32 exponential, and LayerNorm. exp32
 // stays within 2 ulp of math.Exp rounded to float32 wherever that is a
 // normal number (TestExp32WithinTwoUlp) and has no data-dependent branch for
 // a fresh frame to mispredict.
@@ -229,22 +228,29 @@ func LayerNormF32(dst, src, gamma, beta []float32, eps float32, d int) {
 
 func layerNormF32Go(dst, src, gamma, beta []float32, eps float32, d int) {
 	gamma, beta = gamma[:d], beta[:d]
-	fd := float32(d)
 	for i := 0; i+d <= len(src); i += d {
 		row, out := src[i:i+d], dst[i:i+d]
-		var s [8]float32
-		for j, v := range row {
-			s[j%8] += v
-		}
-		mean := laneSum(&s) / fd
-		s = [8]float32{}
-		for j, v := range row {
-			dv := v - mean
-			s[j%8] += float32(dv * dv)
-		}
-		inv := 1 / float32(math.Sqrt(float64(laneSum(&s)/fd+eps)))
+		mean, inv := LayerNormStats(row, eps)
 		for j, v := range row {
 			out[j] = float32(gamma[j]*float32((v-mean)*inv)) + beta[j]
 		}
 	}
+}
+
+// LayerNormStats returns the mean and the inverse standard deviation
+// 1/√(var + eps) that LayerNormF32 normalizes row with, bit for bit: a
+// training forward caches them for the backward pass.
+func LayerNormStats(row []float32, eps float32) (mean, inv float32) {
+	fd := float32(len(row))
+	var s [8]float32
+	for j, v := range row {
+		s[j%8] += v
+	}
+	mean = laneSum(&s) / fd
+	s = [8]float32{}
+	for j, v := range row {
+		dv := v - mean
+		s[j%8] += float32(dv * dv)
+	}
+	return mean, 1 / float32(math.Sqrt(float64(laneSum(&s)/fd+eps)))
 }

@@ -102,8 +102,8 @@ func TestExp32WithinTwoUlp(t *testing.T) {
 	})
 }
 
-// TestSoftmaxAndGELUF32AgainstFloat64: the two inference kernels against
-// the float64 formulas the training paths compute.
+// TestSoftmaxAndGELUF32AgainstFloat64: the two kernels against the float64
+// formulas they approximate.
 func TestSoftmaxAndGELUF32AgainstFloat64(t *testing.T) {
 	withAsm(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(22))
@@ -171,9 +171,9 @@ func TestSoftmaxAndGELUF32AgainstFloat64(t *testing.T) {
 	})
 }
 
-// layerNormF64 is the float64 LayerNorm the training path computes (and the
-// inference paths computed before the float32 kernel): the statistics in
-// float64, the affine step in float32.
+// layerNormF64 is LayerNorm with its statistics in float64 and the affine
+// step in float32: the reference the float32 kernel's error is measured
+// against.
 func layerNormF64(dst, src, gamma, beta []float32, eps float32, d int) {
 	for i := 0; i+d <= len(src); i += d {
 		row := src[i : i+d]

@@ -65,7 +65,9 @@ func headSliceAdd(dst *tensor.Tensor, blk *tensor.Tensor, row0, t, c0, dh, w int
 // Forward computes multi-head self-attention for x of shape (B*T, Dim),
 // keeping q/k/v and the per-head softmax probabilities on the layer for
 // Backward and LastProbs. It is the training path; inference runs through
-// vit's trunk, which reads this layer's projections.
+// vit's trunk, which reads this layer's projections. Both take each head's
+// softmax(scale·q·kᵀ) from the float32 kernel with the scale folded in
+// (tensor.SoftmaxRowsF32), so they compute the same bits.
 func (a *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkRank("MHSA.Forward", x, 2)
 	rows := x.Shape[0]
@@ -95,9 +97,8 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 			qh := headSlice(q, row0, a.Tokens, c0, dh, d)
 			kh := headSlice(k, row0, a.Tokens, c0, dh, d)
 			vh := headSlice(v, row0, a.Tokens, c0, dh, d)
-			scores := tensor.MatMulT(qh, kh)
-			scores.ScaleInPlace(scale)
-			p := tensor.SoftmaxRows(scores)
+			p := tensor.MatMulT(qh, kh)
+			p.SoftmaxRowsF32(scale)
 			probs[bi*a.Heads+h] = p
 			oh := tensor.MatMul(p, vh)
 			headSliceAdd(out, oh, row0, a.Tokens, c0, dh, d)

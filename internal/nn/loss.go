@@ -8,7 +8,9 @@ import (
 )
 
 // CrossEntropy computes mean softmax cross-entropy between logits (N,C) and
-// integer labels, returning the scalar loss and dLoss/dLogits.
+// integer labels, returning the scalar loss and dLoss/dLogits. The
+// gradient's probabilities come from the float32 softmax kernel, the loss
+// from a float64 log-sum-exp.
 // A label of -1 means "ignore this row" (contributes nothing to loss or
 // gradient), which the detection head uses for don't-care cells.
 func CrossEntropy(logits *tensor.Tensor, labels []int) (float32, *tensor.Tensor) {
@@ -30,7 +32,8 @@ func CrossEntropy(logits *tensor.Tensor, labels []int) (float32, *tensor.Tensor)
 		return 0, grad
 	}
 	inv := float32(1 / float64(count))
-	probs := tensor.SoftmaxRows(logits)
+	probs := logits.Clone()
+	probs.SoftmaxRowsF32(1)
 	lse := tensor.LogSumExpRows(logits)
 	for i := 0; i < n; i++ {
 		y := labels[i]
@@ -55,6 +58,8 @@ func CrossEntropy(logits *tensor.Tensor, labels []int) (float32, *tensor.Tensor)
 // T² · KL(softmax(teacher/T) ‖ softmax(student/T)) averaged over rows,
 // returning the loss and its gradient w.r.t. the student logits.
 // The T² factor keeps gradient magnitudes comparable across temperatures.
+// As in CrossEntropy, the probabilities come from the float32 softmax
+// kernel (1/T as its scale), the loss from a float64 log-sum-exp.
 func KLDistill(student, teacher *tensor.Tensor, temp float32) (float32, *tensor.Tensor) {
 	if !student.SameShape(teacher) {
 		panic("nn: KLDistill shape mismatch")
@@ -65,8 +70,9 @@ func KLDistill(student, teacher *tensor.Tensor, temp float32) (float32, *tensor.
 	n, c := student.Shape[0], student.Shape[1]
 	st := tensor.Scale(student, 1/temp)
 	tt := tensor.Scale(teacher, 1/temp)
-	sp := tensor.SoftmaxRows(st)
-	tp := tensor.SoftmaxRows(tt)
+	sp, tp := student.Clone(), teacher.Clone()
+	sp.SoftmaxRowsF32(1 / temp)
+	tp.SoftmaxRowsF32(1 / temp)
 	slse := tensor.LogSumExpRows(st)
 	tlse := tensor.LogSumExpRows(tt)
 	grad := tensor.New(n, c)

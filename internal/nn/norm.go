@@ -1,8 +1,7 @@
 package nn
 
 import (
-	"math"
-
+	"itask/internal/kernels"
 	"itask/internal/tensor"
 )
 
@@ -31,9 +30,10 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 	}
 }
 
-// Forward normalizes each row and applies the affine transform. Inference
-// (train == false) runs the float32 kernel and allocates only y; training
-// keeps its statistics in float64 and caches xhat and invStd for Backward.
+// Forward normalizes each row and applies the affine transform with the
+// float32 kernel (kernels.LayerNormF32), in training and at inference
+// alike. A training forward also caches xhat and invStd for Backward, from
+// the row statistics the kernel normalized with.
 func (l *LayerNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkRank("LayerNorm.Forward", x, 2)
 	rows, d := x.Shape[0], x.Shape[1]
@@ -41,33 +41,19 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic("nn: LayerNorm dim mismatch")
 	}
 	y := tensor.New(rows, d)
+	tensor.LayerNormF32Into(y, x, l.Gamma.W.Data, l.Beta.W.Data, l.Eps)
 	if !train {
-		tensor.LayerNormF32Into(y, x, l.Gamma.W.Data, l.Beta.W.Data, l.Eps)
 		return y
 	}
 	xhat := tensor.New(rows, d)
 	invStd := make([]float32, rows)
-	for i := 0; i < rows; i++ {
+	for i := range invStd {
 		row := x.Data[i*d : (i+1)*d]
-		var mean float64
-		for _, v := range row {
-			mean += float64(v)
-		}
-		mean /= float64(d)
-		var variance float64
-		for _, v := range row {
-			dlt := float64(v) - mean
-			variance += dlt * dlt
-		}
-		variance /= float64(d)
-		is := float32(1 / math.Sqrt(variance+float64(l.Eps)))
+		mean, is := kernels.LayerNormStats(row, l.Eps)
 		invStd[i] = is
 		xh := xhat.Data[i*d : (i+1)*d]
-		yr := y.Data[i*d : (i+1)*d]
 		for j, v := range row {
-			h := (v - float32(mean)) * is
-			xh[j] = h
-			yr[j] = l.Gamma.W.Data[j]*h + l.Beta.W.Data[j]
+			xh[j] = (v - mean) * is
 		}
 	}
 	l.xhat = xhat

@@ -8,6 +8,11 @@
 // Convention: activations flow as 2-D tensors of shape (rows, features),
 // where rows is batch*tokens for transformer trunks. Layers that need the
 // sequence structure (attention) are told the token count at construction.
+//
+// A forward computes the same value whether it trains or not: LayerNorm,
+// GELU and attention's softmax run the float32 inference kernels
+// (internal/kernels) in both modes, and every product is one GemmF32 call,
+// so a model trains on exactly the function it serves.
 package nn
 
 import (

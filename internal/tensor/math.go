@@ -142,15 +142,6 @@ func (t *Tensor) Norm2() float32 {
 	return float32(math.Sqrt(s))
 }
 
-// Apply returns a new tensor with f applied to every element.
-func Apply(t *Tensor, f func(float32) float32) *Tensor {
-	out := New(t.Shape...)
-	for i, v := range t.Data {
-		out.Data[i] = f(v)
-	}
-	return out
-}
-
 // ApplyInPlace applies f to every element of t.
 func (t *Tensor) ApplyInPlace(f func(float32) float32) {
 	for i, v := range t.Data {
@@ -158,54 +149,11 @@ func (t *Tensor) ApplyInPlace(f func(float32) float32) {
 	}
 }
 
-// SoftmaxRows applies a numerically-stable softmax to each row of an (R,C)
-// matrix, returning a new tensor.
-func SoftmaxRows(t *Tensor) *Tensor {
-	out := New(t.Shape...)
-	SoftmaxRowsInto(out, t)
-	return out
-}
-
-// SoftmaxRowsInto writes the row softmax of t into out. out must have t's
-// shape; out == t computes the softmax in place.
-func SoftmaxRowsInto(out, t *Tensor) {
-	if len(t.Shape) != 2 {
-		panic("tensor: SoftmaxRows on non-matrix")
-	}
-	mustSameShape("SoftmaxRowsInto", out, t)
-	r, c := t.Shape[0], t.Shape[1]
-	for i := 0; i < r; i++ {
-		SoftmaxRow(out.Data[i*c:(i+1)*c], t.Data[i*c:(i+1)*c])
-	}
-}
-
-// SoftmaxRow writes the softmax of row into out (len(row) values; out ==
-// row works in place), accumulated in float64: the one softmax body
-// SoftmaxRowsInto runs per row and detection decode runs per token.
-func SoftmaxRow(out, row []float32) {
-	m := row[0]
-	for _, v := range row[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	var sum float64
-	for j, v := range row {
-		e := math.Exp(float64(v - m))
-		out[j] = float32(e)
-		sum += e
-	}
-	inv := float32(1 / sum)
-	for j := range row {
-		out[j] *= inv
-	}
-}
-
 // SoftmaxRowsF32 overwrites each row of an (R,C) matrix with the softmax of
 // scale (> 0) times the row, computed by the float32 kernel
 // (kernels.SoftmaxF32, within 2 ulp per exponential of the float64 one):
-// the inference paths' softmax, attention's 1/√dh folded in. Training and
-// the losses keep SoftmaxRows.
+// the float model's one softmax, in attention (its 1/√dh folded in, in
+// training and at inference alike) and in the losses' gradients.
 func (t *Tensor) SoftmaxRowsF32(scale float32) {
 	if len(t.Shape) != 2 {
 		panic("tensor: SoftmaxRowsF32 on non-matrix")
@@ -215,8 +163,8 @@ func (t *Tensor) SoftmaxRowsF32(scale float32) {
 
 // LayerNormF32Into writes the layer norm of each row of an (R,D) matrix
 // into out (same shape; out == x works in place) with the float32 kernel
-// (kernels.LayerNormF32): the inference paths' LayerNorm. gamma and beta
-// hold D values each.
+// (kernels.LayerNormF32): the float model's LayerNorm, in training and at
+// inference alike. gamma and beta hold D values each.
 func LayerNormF32Into(out, x *Tensor, gamma, beta []float32, eps float32) {
 	if len(x.Shape) != 2 {
 		panic("tensor: LayerNormF32Into on non-matrix")
@@ -227,7 +175,7 @@ func LayerNormF32Into(out, x *Tensor, gamma, beta []float32, eps float32) {
 
 // GELUF32Into writes the tanh-approximated GELU of t into out (same shape;
 // out == t works in place) with the float32 kernel (kernels.GELUF32): the
-// inference paths' activation.
+// float model's activation, in training and at inference alike.
 func GELUF32Into(out, t *Tensor) {
 	mustSameShape("GELUF32Into", out, t)
 	kernels.GELUF32(out.Data, t.Data)

@@ -209,17 +209,27 @@ func TestSumRows(t *testing.T) {
 	}
 }
 
+// TestSoftmaxRows: SoftmaxRowsF32 is stable on large logits and invariant
+// to a shift of the row, to the bit (kernels.SoftmaxF32 subtracts the row
+// maximum before exponentiating).
 func TestSoftmaxRows(t *testing.T) {
 	a := FromSlice([]float32{0, 0, 1000, 1000}, 2, 2) // large values: stability check
-	s := SoftmaxRows(a)
+	a.SoftmaxRowsF32(1)
 	for i := 0; i < 2; i++ {
-		row := s.Data[i*2 : (i+1)*2]
+		row := a.Data[i*2 : (i+1)*2]
 		sum := row[0] + row[1]
 		if math.Abs(float64(sum)-1) > 1e-5 {
 			t.Errorf("row %d sums to %v", i, sum)
 		}
 		if math.Abs(float64(row[0])-0.5) > 1e-5 {
 			t.Errorf("row %d expected uniform, got %v", i, row)
+		}
+	}
+	b := FromSlice([]float32{1, 2, 3, 1001, 1002, 1003}, 2, 3) // second row = first + 1000
+	b.SoftmaxRowsF32(1)
+	for j := 0; j < 3; j++ {
+		if b.At(0, j) != b.At(1, j) {
+			t.Errorf("shifted row: column %d is %v, unshifted %v", j, b.At(1, j), b.At(0, j))
 		}
 	}
 }
@@ -230,11 +240,11 @@ func TestSoftmaxRowsSumToOneProperty(t *testing.T) {
 		r := int(rs%8) + 1
 		c := int(cs%16) + 1
 		a := Randn(rng, 5, r, c)
-		s := SoftmaxRows(a)
+		a.SoftmaxRowsF32(1)
 		for i := 0; i < r; i++ {
 			var sum float64
 			for j := 0; j < c; j++ {
-				v := s.At(i, j)
+				v := a.At(i, j)
 				if v < 0 || v > 1 {
 					return false
 				}
@@ -269,9 +279,9 @@ func TestLogSumExpRows(t *testing.T) {
 
 func TestApplyAndClamp(t *testing.T) {
 	a := FromSlice([]float32{-2, -1, 0, 1, 2}, 5)
-	sq := Apply(a, func(v float32) float32 { return v * v })
-	if !sq.Equal(FromSlice([]float32{4, 1, 0, 1, 4}, 5)) {
-		t.Errorf("Apply = %v", sq)
+	a.ApplyInPlace(func(v float32) float32 { return v * v })
+	if !a.Equal(FromSlice([]float32{4, 1, 0, 1, 4}, 5)) {
+		t.Errorf("ApplyInPlace = %v", a)
 	}
 }
 

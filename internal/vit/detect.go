@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"itask/internal/geom"
+	"itask/internal/kernels"
 	"itask/internal/nn"
 	"itask/internal/tensor"
 )
@@ -201,7 +202,8 @@ func (ws *Workspace) decode(cfg Config, out []float32, objThresh, nmsIoU float64
 			}
 		}
 		// Score = objectness * class confidence.
-		tensor.SoftmaxRow(probs, row[5:])
+		copy(probs, row[5:])
+		kernels.SoftmaxF32(probs, 1, cfg.Classes, 1)
 		score := obj * float64(probs[cls])
 		dets = append(dets, geom.Scored{
 			Box: geom.Box{

@@ -118,6 +118,41 @@ func TestTrainingIdenticalWithAndWithoutAsm(t *testing.T) {
 	}
 }
 
+// TestTrainingForwardIsTheServedForward: a float model with dropout 0
+// trains on exactly the function it serves. Every elementwise op of the
+// training forward runs the inference kernel (LayerNorm, GELU, softmax) and
+// every product GemmF32, so the training features and detection head
+// output equal the inference ones bit for bit, on the teacher's and the
+// student's geometry, at batch 1 and 8.
+func TestTrainingForwardIsTheServedForward(t *testing.T) {
+	for _, cfg := range []Config{TeacherConfig(5), StudentConfig(5)} {
+		rng := tensor.NewRNG(49)
+		m := perturbedModel(cfg, rng)
+		for _, batch := range []int{1, 8} {
+			imgs := make([]*tensor.Tensor, batch)
+			for i := range imgs {
+				imgs[i] = tensor.Randn(rng, 0.5, cfg.Channels, cfg.ImageSize, cfg.ImageSize)
+			}
+			patches := Patchify(cfg, imgs)
+			forward := func(train bool) []float32 {
+				feats := m.Forward(patches, train)
+				return append(feats.Data, m.DetHead(feats, train).Data...)
+			}
+			served, trained := forward(false), forward(true)
+			differ := 0
+			for i := range served {
+				if math.Float32bits(trained[i]) != math.Float32bits(served[i]) {
+					differ++
+				}
+			}
+			if differ > 0 {
+				t.Errorf("dim %d depth %d batch %d: %d of %d training outputs differ from inference",
+					cfg.Dim, cfg.Depth, batch, differ, len(served))
+			}
+		}
+	}
+}
+
 // perturbedModel is a fresh model with its LayerNorms moved off the
 // identity, so their affine step is inexact as in a trained model.
 func perturbedModel(cfg Config, rng *tensor.RNG) *Model {

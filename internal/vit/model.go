@@ -175,7 +175,8 @@ func (m *Model) Linear(_ *Workspace, s Site, out, x *tensor.Tensor) {
 
 // gemmLinear writes x·Wᵀ + b of l into out (rows, Out) in one GemmF32
 // call: every linear layer of the float model's inference, the trunk's
-// sites and both heads. Training keeps nn.Linear's path.
+// sites and both heads. Training runs nn.Linear's forward: the same GemmF32
+// product, its bias the same one add after it.
 func gemmLinear(out, x *tensor.Tensor, l *nn.Linear) {
 	if x.Dims() != 2 || x.Shape[1] != l.In || out.Dims() != 2 || out.Shape[0] != x.Shape[0] || out.Shape[1] != l.Out {
 		panic(fmt.Sprintf("vit: linear %d->%d on %v into %v", l.In, l.Out, x.Shape, out.Shape))
